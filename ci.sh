@@ -2,76 +2,78 @@
 # Repository CI: build, test, format and lint — everything offline (all
 # external dependencies are vendored, see vendor/README.md).
 #
-#   ./ci.sh                   # the standard gate
-#   ./ci.sh bench-smoke       # just refresh BENCH_baseline.json
-#   ./ci.sh bench-diff        # just the counter-regression gate
-#   ./ci.sh bench-throughput  # full wall-clock suite, writes BENCH_throughput.json
-#   ./ci.sh bench-clients     # full client-load suite, writes BENCH_clients.json
-#   ./ci.sh kill-recovery     # just the kill -9 / WAL-recovery smoke
-#   ./ci.sh obs-smoke         # just the OBS? scrape-plane smoke
-#   ./ci.sh corruption-smoke  # just the corruption-mix conformance smoke
-#   ./ci.sh event-smoke       # just the event-driven-core gate
-#   CHAOS_ITERS=50000 ./ci.sh # standard gate + long chaos soak
-#   CHAOS_FACTORY_ITERS=5000 ./ci.sh # standard gate + chaos-factory soak
-#                             # (strict: a never-fired fault kind fails it)
-#   LIVE_CHAOS_ITERS=2000 ./ci.sh # standard gate + live-driver chaos soak
-#   KILL_CHAOS_ITERS=2000 ./ci.sh # standard gate + kill/restart chaos soak
-#   BENCH_SMOKE=1 ./ci.sh     # standard gate + bench baseline refresh
-#   BENCH_THROUGHPUT_ITERS=20000 ./ci.sh # standard gate + throughput soak
-#   CLIENT_LOAD_ITERS=2000000 ./ci.sh # standard gate + client-load soak
-#                             # (top scenario scaled to that many clients)
+#   ./ci.sh              # the standard gate: every step below, in order
+#   ./ci.sh <step>       # one step: build-test, chaos-smoke, corruption-smoke,
+#                        #   kill-recovery, obs-smoke, bench-diff, e2e-smoke,
+#                        #   soaks, lint
+#   ./ci.sh bench-smoke  # refresh BENCH_baseline.json (not in the gate)
 #
-# The standard gate also runs `bench_throughput --smoke`: a cut-down
-# wall-clock run compared against the committed BENCH_throughput.json with
-# a 10x allowance — wall time is machine-dependent, so only a
-# catastrophic slowdown (an accidental O(n^2), a lost batching path)
-# fails it.
+# The soaks step runs whatever these select (all optional, all off by default):
+#   CHAOS_ITERS=50000  LIVE_CHAOS_ITERS=2000  KILL_CHAOS_ITERS=2000
+#   CHAOS_FACTORY_ITERS=5000 (strict: a never-fired fault kind fails it)
+#   BENCH_SMOKE=1 (bench baseline refresh)
 #
-# The standard gate includes bench-diff: the deterministic smoke scenarios
-# re-run and every counter is compared against BENCH_baseline.json (cost
-# counters one-sided, fixed-load work counters two-sided). Widen the
-# allowance for a run with BENCH_DIFF_TOLERANCE (a fraction, e.g. 0.5 for
-# ±50%); after an intentional protocol change, refresh the baseline with
+# bench-diff re-runs the deterministic smoke scenarios and compares every
+# counter against BENCH_baseline.json (cost counters one-sided, fixed-load
+# work counters two-sided). Widen the allowance for a run with
+# BENCH_DIFF_TOLERANCE (a fraction, e.g. 0.5 for ±50%); after an
+# intentional protocol change, refresh the baseline with
 # ./ci.sh bench-smoke and commit the diff.
+#
+# e2e-smoke runs the BENCHMARK.json command for 2 s per workload: wall
+# time is machine-dependent, so it gates only that the benchmark builds
+# from this tree and every run is correct with no failed operation.
 #
 # Fails on the first broken step.
 set -eu
 
 cd "$(dirname "$0")"
 
-bench_smoke() {
-    echo "== bench smoke (writes BENCH_baseline.json) =="
-    cargo run -q --release --offline -p evs-bench --bin bench_smoke -- \
-        BENCH_baseline.json
+SERVE_PID=""
+LOCK_BACKUP=""
+cleanup() {
+    [ -z "$SERVE_PID" ] || kill "$SERVE_PID" 2>/dev/null || true
+    [ -z "$LOCK_BACKUP" ] || mv "$LOCK_BACKUP" bench/Cargo.lock
+}
+trap cleanup EXIT
+
+chaos() { ./target/release/examples/chaos "$@"; }
+
+build_test() {
+    echo "== build (release) =="
+    cargo build --release --offline --workspace
+    echo "== tests =="
+    cargo test -q --offline --workspace
+    echo "== chaos: mutation self-test (pipeline catches a planted bug) =="
+    # Only this one integration test runs with the deliberately broken engine;
+    # the rest of the workspace's tests would (correctly) fail against it.
+    cargo test -q --offline -p evs-chaos --features chaos-mutation --test mutation_self_test
+    echo "== chaos: broker mutation self-test (planted dedup-ledger bug) =="
+    # Same idea for the client path: the broker-mutation feature breaks the
+    # OpLedger floor check, and the broker campaign must find and shrink it.
+    cargo test -q --offline -p evs-chaos --features broker-mutation --test broker_mutation_self_test
 }
 
-bench_diff() {
-    echo "== bench diff (counter regressions vs BENCH_baseline.json) =="
-    cargo run -q --release --offline -p evs-bench --bin bench_diff -- \
-        BENCH_baseline.json
+chaos_smoke() {
+    cargo build -q --release --offline --example chaos
+    echo "== chaos: fixed-seed smoke campaign =="
+    chaos --iters 400 --seed 3203 --keep-going
+    echo "== chaos: fixed-seed live smoke (hunting mix on the threaded driver) =="
+    # Loss-heavy plans (droppct/delay, once simulator-only) executed on LiveNet
+    # with real threads and per-link fault injection; striped across 4 workers,
+    # merged deterministically. ~10s wall on a single core.
+    chaos --hunting --live --n 3 --jobs 4 --iters 200 --seed 424242
+    echo "== chaos: fixed-seed kill/restart smoke (durability mix, simulator) =="
+    chaos --kill-chaos --iters 200 --seed 90125 --keep-going
 }
 
-bench_throughput() {
-    echo "== bench throughput (writes BENCH_throughput.json) =="
-    cargo run -q --release --offline -p evs-bench --bin bench_throughput -- \
-        BENCH_throughput.json
+corruption_smoke() {
+    cargo build -q --release --offline --example chaos
+    echo "== chaos: fixed-seed corruption smoke (bit flips, wrap, desync, WAL rot) =="
+    chaos --corruption --jobs 4 --iters 200 --seed 648312 --keep-going
+    echo "== chaos: fixed-seed live corruption smoke (same vocabulary, real threads) =="
+    chaos --corruption --live --n 3 --jobs 4 --iters 60 --seed 271828
 }
-
-bench_clients() {
-    echo "== bench clients (writes BENCH_clients.json) =="
-    cargo run -q --release --offline -p evs-bench --bin bench_clients -- \
-        BENCH_clients.json
-}
-
-if [ "${1:-}" = "bench-smoke" ]; then
-    bench_smoke
-    exit 0
-fi
-
-if [ "${1:-}" = "bench-diff" ]; then
-    bench_diff
-    exit 0
-fi
 
 kill_recovery() {
     echo "== kill-recovery smoke (real kill -9 of an OS process, WAL respawn) =="
@@ -80,160 +82,99 @@ kill_recovery() {
 }
 
 obs_smoke() {
-    echo "== obs smoke (OBS? scrapes: seq advance, monotone counters, phase coverage) =="
+    echo "== obs smoke (OBS? scrapes: seq advance, monotone counters, phase coverage, driver kind) =="
     cargo build -q --release --offline --example udp_cluster --example evs_top
     ./target/release/examples/udp_cluster --obs-smoke
     # And the dashboard end to end: a short served cluster in the
-    # background, two evs_top frames scraped against it.
+    # background (killed by the EXIT trap if a later line fails), two
+    # evs_top frames scraped against it.
     ./target/release/examples/udp_cluster --serve 6 &
     SERVE_PID=$!
     sleep 1
     ./target/release/examples/evs_top --interval 500 --frames 2 \
         --endpoints chaos-artifacts/obs-endpoints.txt
     wait "$SERVE_PID"
+    SERVE_PID=""
 }
 
-if [ "${1:-}" = "bench-throughput" ]; then
-    bench_throughput
-    exit 0
-fi
+bench_smoke() {
+    echo "== bench smoke (writes BENCH_baseline.json) =="
+    cargo run -q --release --offline -p evs-bench --bin bench_smoke -- BENCH_baseline.json
+}
 
-if [ "${1:-}" = "bench-clients" ]; then
-    bench_clients
-    exit 0
-fi
+bench_diff() {
+    echo "== bench diff (counter regressions vs BENCH_baseline.json) =="
+    cargo run -q --release --offline -p evs-bench --bin bench_diff -- BENCH_baseline.json
+}
 
-if [ "${1:-}" = "kill-recovery" ]; then
-    kill_recovery
-    exit 0
-fi
+e2e_smoke() {
+    echo "== e2e smoke (the BENCHMARK.json command: builds, correct, 0 failed) =="
+    # An --offline build rewrites bench/Cargo.lock in place when the
+    # committed file lists a package the tree no longer has; the EXIT
+    # trap puts the committed file back so the tree stays clean.
+    mkdir -p target
+    cp bench/Cargo.lock target/bench-Cargo.lock.committed
+    LOCK_BACKUP=target/bench-Cargo.lock.committed
+    for w in ring_64b_agreed ring_2k_safe broker_udp_wal fault_n5_safe; do
+        cargo run --release --offline --quiet --manifest-path bench/Cargo.toml -- \
+            --workload "$w" --seed 1 --seconds 2 --trace 0 >target/e2e-smoke.out
+        verdict=$(tail -n 1 target/e2e-smoke.out)
+        case "$verdict" in
+        *'"correct": true'*'"failed": 0,'*) echo "  $w: correct, 0 failed" ;;
+        *) echo "e2e-smoke: $w: $verdict" && exit 1 ;;
+        esac
+    done
+}
 
-corruption_smoke() {
-    echo "== chaos: fixed-seed corruption smoke (bit flips, wrap, desync, WAL rot) =="
+soaks() {
     cargo build -q --release --offline --example chaos
-    ./target/release/examples/chaos --corruption --jobs 4 \
-        --iters 200 --seed 648312 --keep-going
-    echo "== chaos: fixed-seed live corruption smoke (same vocabulary, real threads) =="
-    ./target/release/examples/chaos --corruption --live --n 3 --jobs 4 \
-        --iters 60 --seed 271828
+    if [ -n "${CHAOS_ITERS:-}" ]; then
+        echo "== chaos: long soak (CHAOS_ITERS=${CHAOS_ITERS}) =="
+        chaos --iters "${CHAOS_ITERS}" --seed 1
+    fi
+    if [ -n "${LIVE_CHAOS_ITERS:-}" ]; then
+        echo "== chaos: live soak (LIVE_CHAOS_ITERS=${LIVE_CHAOS_ITERS}) =="
+        chaos --hunting --live --n 3 --jobs 4 --iters "${LIVE_CHAOS_ITERS}" --seed 2
+    fi
+    if [ -n "${KILL_CHAOS_ITERS:-}" ]; then
+        echo "== chaos: kill/restart soak (KILL_CHAOS_ITERS=${KILL_CHAOS_ITERS}) =="
+        chaos --kill-chaos --jobs 4 --iters "${KILL_CHAOS_ITERS}" --seed 3
+    fi
+    if [ -n "${CHAOS_FACTORY_ITERS:-}" ]; then
+        echo "== chaos: factory soak (CHAOS_FACTORY_ITERS=${CHAOS_FACTORY_ITERS}, strict coverage) =="
+        # Every counterexample is shrunk and persisted under chaos-artifacts/;
+        # a fault kind the mix can generate but never fired fails the run.
+        chaos --factory --jobs 4 --iters "${CHAOS_FACTORY_ITERS}" --seed 4 --strict-coverage
+    fi
+    [ -z "${BENCH_SMOKE:-}" ] || bench_smoke
 }
 
-if [ "${1:-}" = "obs-smoke" ]; then
-    obs_smoke
-    exit 0
-fi
-
-event_smoke() {
-    echo "== event smoke (live workers park, live/sim gap within committed bound) =="
-    # Asserts the live drivers really are event-driven: near-zero
-    # legacy busy-sleep (idle_ppm), time off-CPU attributed to
-    # Phase::Park, and the live-vs-sim throughput ratio within 3x of
-    # the sim_gap_x committed in BENCH_throughput.json.
-    cargo run -q --release --offline -p evs-bench --bin bench_throughput -- \
-        --event-smoke
+lint() {
+    echo "== rustfmt =="
+    cargo fmt --check
+    echo "== clippy (-D warnings, redundant clones surfaced) =="
+    cargo clippy --workspace --all-targets --offline -- -D warnings -W clippy::redundant_clone
 }
 
-if [ "${1:-}" = "corruption-smoke" ]; then
+case "${1:-all}" in
+all)
+    build_test
+    chaos_smoke
     corruption_smoke
-    exit 0
-fi
-
-if [ "${1:-}" = "event-smoke" ]; then
-    event_smoke
-    exit 0
-fi
-
-echo "== build (release) =="
-cargo build --release --offline --workspace
-
-echo "== tests =="
-cargo test -q --offline --workspace
-
-echo "== chaos: mutation self-test (pipeline catches a planted bug) =="
-# Only this one integration test runs with the deliberately broken engine;
-# the rest of the workspace's tests would (correctly) fail against it.
-cargo test -q --offline -p evs-chaos --features chaos-mutation \
-    --test mutation_self_test
-
-echo "== chaos: broker mutation self-test (planted dedup-ledger bug) =="
-# Same idea for the client path: the broker-mutation feature breaks the
-# OpLedger floor check, and the broker campaign must find and shrink it.
-cargo test -q --offline -p evs-chaos --features broker-mutation \
-    --test broker_mutation_self_test
-
-echo "== chaos: fixed-seed smoke campaign =="
-cargo build -q --release --offline --example chaos
-./target/release/examples/chaos --iters 400 --seed 3203 --keep-going
-
-echo "== chaos: fixed-seed live smoke (hunting mix on the threaded driver) =="
-# Loss-heavy plans (droppct/delay, once simulator-only) executed on LiveNet
-# with real threads and per-link fault injection; striped across 4 workers,
-# merged deterministically. ~10s wall on a single core.
-./target/release/examples/chaos --hunting --live --n 3 --jobs 4 \
-    --iters 200 --seed 424242
-
-echo "== chaos: fixed-seed kill/restart smoke (durability mix, simulator) =="
-./target/release/examples/chaos --kill-chaos --iters 200 --seed 90125 --keep-going
-
-corruption_smoke
-
-kill_recovery
-
-obs_smoke
-
-bench_diff
-
-echo "== bench throughput smoke (sanity vs BENCH_throughput.json) =="
-cargo run -q --release --offline -p evs-bench --bin bench_throughput -- --smoke
-
-echo "== bench clients smoke (sanity vs BENCH_clients.json) =="
-cargo run -q --release --offline -p evs-bench --bin bench_clients -- --smoke
-
-event_smoke
-
-if [ -n "${CHAOS_ITERS:-}" ]; then
-    echo "== chaos: long soak (CHAOS_ITERS=${CHAOS_ITERS}) =="
-    ./target/release/examples/chaos --iters "${CHAOS_ITERS}" --seed 1
-fi
-
-if [ -n "${LIVE_CHAOS_ITERS:-}" ]; then
-    echo "== chaos: live soak (LIVE_CHAOS_ITERS=${LIVE_CHAOS_ITERS}) =="
-    ./target/release/examples/chaos --hunting --live --n 3 --jobs 4 \
-        --iters "${LIVE_CHAOS_ITERS}" --seed 2
-fi
-
-if [ -n "${KILL_CHAOS_ITERS:-}" ]; then
-    echo "== chaos: kill/restart soak (KILL_CHAOS_ITERS=${KILL_CHAOS_ITERS}) =="
-    ./target/release/examples/chaos --kill-chaos --jobs 4 \
-        --iters "${KILL_CHAOS_ITERS}" --seed 3
-fi
-
-if [ -n "${CHAOS_FACTORY_ITERS:-}" ]; then
-    echo "== chaos: factory soak (CHAOS_FACTORY_ITERS=${CHAOS_FACTORY_ITERS}, strict coverage) =="
-    # Every counterexample is shrunk and persisted under chaos-artifacts/;
-    # a fault kind the mix can generate but never fired fails the run.
-    ./target/release/examples/chaos --factory --jobs 4 \
-        --iters "${CHAOS_FACTORY_ITERS}" --seed 4 --strict-coverage
-fi
-
-if [ -n "${BENCH_SMOKE:-}" ]; then
-    bench_smoke
-fi
-
-if [ -n "${BENCH_THROUGHPUT_ITERS:-}" ]; then
-    echo "== bench throughput soak (BENCH_THROUGHPUT_ITERS=${BENCH_THROUGHPUT_ITERS}) =="
-    bench_throughput
-fi
-
-if [ -n "${CLIENT_LOAD_ITERS:-}" ]; then
-    echo "== bench clients soak (CLIENT_LOAD_ITERS=${CLIENT_LOAD_ITERS}) =="
-    bench_clients
-fi
-
-echo "== rustfmt =="
-cargo fmt --check
-
-echo "== clippy (-D warnings, redundant clones surfaced) =="
-cargo clippy --workspace --all-targets --offline -- -D warnings -W clippy::redundant_clone
-
-echo "ci: all green"
+    kill_recovery
+    obs_smoke
+    bench_diff
+    e2e_smoke
+    soaks
+    lint
+    echo "ci: all green"
+    ;;
+build-test | chaos-smoke | corruption-smoke | kill-recovery | obs-smoke | \
+    bench-smoke | bench-diff | e2e-smoke | soaks | lint)
+    "$(echo "$1" | tr - _)"
+    ;;
+*)
+    echo "ci.sh: unknown step '$1' (see the header for the list)" >&2
+    exit 2
+    ;;
+esac

@@ -187,6 +187,7 @@ pub fn trace_of_size(events: usize, seed: u64) -> evs_core::Trace {
 pub mod smoke {
     use super::{instrumented_cluster, pump_messages, report_json_with_extras};
     use evs_core::Service;
+    use evs_telemetry::{names, LogHistogramSnapshot, RunReport};
     use std::collections::BTreeMap;
 
     /// Fixed base seed for every smoke scenario.
@@ -236,20 +237,15 @@ pub mod smoke {
                 let safe_ticks = pump_messages(&mut cluster, MESSAGES, Service::Safe);
                 let name =
                     format!("bench_smoke/n{n}/agreed_ticks{agreed_ticks}/safe_ticks{safe_ticks}");
-                let handles = cluster.telemetry_handles();
+                let report = cluster.run_report();
                 let mut extras = BTreeMap::new();
                 for service in [Service::Agreed, Service::Safe] {
-                    let lat = crate::throughput::merged_histogram(
-                        &handles,
-                        crate::throughput::latency_name(service),
-                    );
-                    if let Some(lat) = lat {
+                    if let Some(lat) = merged_histogram(&report, latency_name(service)) {
                         extras.insert(format!("latency_{service}_p50_ticks"), lat.percentile(0.50));
                         extras.insert(format!("latency_{service}_p99_ticks"), lat.percentile(0.99));
                     }
                 }
-                let mut totals: BTreeMap<String, u64> =
-                    cluster.run_report().counter_totals().into_iter().collect();
+                let mut totals = report.counter_totals();
                 totals.extend(extras.iter().map(|(k, v)| (k.clone(), *v)));
                 Scenario {
                     n,
@@ -262,6 +258,29 @@ pub mod smoke {
             .collect()
     }
 
+    /// The per-service origination→delivery latency histogram name.
+    fn latency_name(service: Service) -> &'static str {
+        match service {
+            Service::Causal => names::DELIVERY_LATENCY_CAUSAL,
+            Service::Agreed => names::DELIVERY_LATENCY_AGREED,
+            Service::Safe => names::DELIVERY_LATENCY_SAFE,
+        }
+    }
+
+    /// Merges the named histogram across every process of the report;
+    /// `None` when no process recorded it.
+    fn merged_histogram(report: &RunReport, name: &str) -> Option<LogHistogramSnapshot> {
+        let mut merged: Option<LogHistogramSnapshot> = None;
+        for h in report
+            .processes
+            .iter()
+            .filter_map(|p| p.log_histograms.get(name))
+        {
+            merged.get_or_insert_with(Default::default).merge(h);
+        }
+        merged
+    }
+
     /// Serializes the scenarios as the baseline file's JSON array.
     pub fn baseline_json(scenarios: &[Scenario]) -> String {
         let lines: Vec<&str> = scenarios.iter().map(|s| s.json.as_str()).collect();
@@ -269,9 +288,7 @@ pub mod smoke {
     }
 }
 
-pub mod client_load;
 pub mod diff;
-pub mod throughput;
 
 #[cfg(test)]
 mod tests {

@@ -14,11 +14,8 @@ use crate::session::{Session, SubmitOutcome};
 use evs_core::{EvsParams, Payload};
 use evs_order::Service;
 use evs_sim::ProcessId;
-use evs_telemetry::{names, Counter, Gauge, Histogram, Telemetry, TelemetryEvent};
+use evs_telemetry::{names, Counter, Gauge, LogHistogram, Telemetry, TelemetryEvent};
 use std::collections::{BTreeMap, VecDeque};
-
-/// Bucket bounds for the ops-per-batch histogram.
-const BATCH_OPS_BOUNDS: &[u64] = &[1, 4, 16, 64, 256, 1024, 4096, 16384];
 
 /// Tunables of one broker's prepare-batch pipeline and queues.
 #[derive(Clone, Debug)]
@@ -88,7 +85,7 @@ pub struct Broker {
     // per-op counters need explicit handles.
     c_submitted: Counter,
     c_replies: Counter,
-    h_batch_ops: Histogram,
+    h_batch_ops: LogHistogram,
     // Queue-depth gauges for the live observability plane (`evs-top`
     // shows broker backlog next to ring progress).
     g_inflight: Gauge,
@@ -119,7 +116,7 @@ impl Broker {
             inflight_ops: 0,
             c_submitted: telemetry.counter(names::BROKER_OPS_SUBMITTED),
             c_replies: telemetry.counter(names::BROKER_REPLIES_ROUTED),
-            h_batch_ops: telemetry.histogram(names::BROKER_BATCH_OPS, BATCH_OPS_BOUNDS),
+            h_batch_ops: telemetry.log_histogram(names::BROKER_BATCH_OPS),
             g_inflight: telemetry.gauge(names::BROKER_INFLIGHT_OPS),
             g_pending: telemetry.gauge(names::BROKER_PENDING_OPS),
             params,

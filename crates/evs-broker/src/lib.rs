@@ -27,10 +27,9 @@
 //!    and the ledgers silently discard the overlap.
 //!
 //! [`BrokerCluster`] runs the whole path over the deterministic
-//! simulator — the harness the load benches (`evs-bench::client_load`),
-//! the chaos broker campaigns (`evs-chaos`) and the dedup proptests
-//! drive. The live UDP path in `examples/udp_cluster.rs` feeds the same
-//! [`Broker`] from real sockets.
+//! simulator — the harness the chaos broker campaigns (`evs-chaos`) and
+//! the dedup proptests drive. The live UDP path in
+//! `examples/udp_cluster.rs` feeds the same [`Broker`] from real sockets.
 //!
 //! [`EvsParams::max_datagram_bytes`]: evs_core::EvsParams
 

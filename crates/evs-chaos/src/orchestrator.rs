@@ -91,11 +91,6 @@ pub struct Orchestrator {
     /// Attach per-process telemetry (flight recorder in failure reports,
     /// run reports on outcomes). Costs a little speed.
     pub telemetry: bool,
-    /// Protocol parameters for every process. The default is the default
-    /// engine configuration; the equivalence suite overrides
-    /// `legacy_tick_poll` here to prove the event-driven core and the old
-    /// fixed-tick poll reach the same conformance verdicts.
-    pub params: EvsParams,
 }
 
 impl Default for Orchestrator {
@@ -104,7 +99,6 @@ impl Default for Orchestrator {
             formation_budget: 300_000,
             settle_budget: 2_000_000,
             telemetry: true,
-            params: EvsParams::default(),
         }
     }
 }
@@ -179,7 +173,6 @@ impl Orchestrator {
                 seed: plan.seed,
                 ..NetConfig::default()
             })
-            .params(self.params.clone())
             .telemetry(self.telemetry)
             .build();
         cluster.run_until_settled(self.formation_budget);
@@ -309,7 +302,6 @@ impl Orchestrator {
             daemons: n,
             brokers: n,
             seed: plan.seed,
-            params: self.params.clone(),
             telemetry: self.telemetry,
             ..BrokerClusterConfig::default()
         });
@@ -535,8 +527,7 @@ impl Orchestrator {
             });
         }
         let n = plan.n as usize;
-        let params = self.params.clone();
-        let spawn = move |pid: ProcessId| EvsProcess::<String>::new(pid, params.clone());
+        let spawn = |pid: ProcessId| EvsProcess::<String>::new(pid, EvsParams::default());
         let net = if self.telemetry {
             LiveNet::spawn_with_telemetry(n, spawn)
         } else {

@@ -13,7 +13,6 @@
 use evs_chaos::{
     FaultPlan, FaultStep, GenConfig, Orchestrator, ScenarioGen, ShrinkResult, Shrinker,
 };
-use evs_core::EvsParams;
 use evs_order::Service;
 use proptest::prelude::*;
 
@@ -58,42 +57,6 @@ proptest! {
         let again = Shrinker::default().shrink(&plan, fails);
         prop_assert_eq!(again.plan, shrunk, "shrinking must be deterministic");
         prop_assert_eq!(again.checks, checks);
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig {
-        cases: 6,
-        max_shrink_iters: 4,
-        ..ProptestConfig::default()
-    })]
-
-    /// The event-driven core (deadline timers, busy-ring token fast path)
-    /// and the legacy fixed-tick poll reach the same conformance verdict
-    /// on the same fixed-seed chaos plans: event-driven scheduling is a
-    /// performance change, not a semantic one. Few cases — each runs two
-    /// full orchestrated executions — but a fresh seed range every run.
-    #[test]
-    fn event_driven_and_legacy_tick_poll_agree(seed in proptest::arbitrary::any::<u64>()) {
-        let plan = ScenarioGen::new(GenConfig::default()).plan(seed);
-        let evented = Orchestrator::detached().run_sim(&plan);
-        let legacy = Orchestrator {
-            params: EvsParams {
-                legacy_tick_poll: true,
-                ..EvsParams::default()
-            },
-            ..Orchestrator::detached()
-        }
-        .run_sim(&plan);
-        prop_assert_eq!(evented.settled, legacy.settled, "settle verdicts diverge");
-        let specs = |o: &evs_chaos::ChaosOutcome| {
-            o.failure.as_ref().map(|f| f.specs.clone()).unwrap_or_default()
-        };
-        prop_assert_eq!(specs(&evented), specs(&legacy), "violated specs diverge");
-        // A correct engine conforms in both schedulings; identical *and
-        // failing* would hide a shared regression.
-        prop_assert!(!evented.failed(), "event-driven run failed: {:?}", evented.failure);
-        prop_assert!(!legacy.failed(), "legacy tick-poll run failed: {:?}", legacy.failure);
     }
 }
 

@@ -3,10 +3,9 @@
 use core::fmt;
 use evs_membership::{ConfigId, ProposedConfig};
 use evs_sim::ProcessId;
-use serde::{Deserialize, Serialize};
 
 /// Whether a configuration is regular or transitional (§2 of the paper).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub enum ConfigurationKind {
     /// "In a regular configuration new messages are broadcast and
     /// delivered."
@@ -44,7 +43,7 @@ pub enum ConfigurationKind {
 /// assert_eq!(c.kind(), ConfigurationKind::Regular);
 /// assert!(c.contains(ProcessId::new(1)));
 /// ```
-#[derive(Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Hash)]
 pub struct Configuration {
     /// The unique identifier.
     pub id: ConfigId,

@@ -45,7 +45,7 @@ use evs_membership::{ConfigId, MembMsg, MembOut, Membership, ProposedConfig};
 use evs_order::{MessageId, OrderedMsg, Ring, RingMsg, RingOut, RingSnapshot, Service};
 use evs_sim::{Ctx, Node, ProcessId, SimTime, TimerId, TimerKind};
 use evs_store::{NullStorage, Replay, ReplayError, Storage};
-use evs_telemetry::{names, Counter, Histogram, LogHistogram, Telemetry, TelemetryEvent};
+use evs_telemetry::{names, Counter, LogHistogram, Telemetry, TelemetryEvent};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 use std::fmt;
 
@@ -57,11 +57,6 @@ fn delivered_counter(service: Service) -> &'static str {
         Service::Safe => names::DELIVERED_SAFE,
     }
 }
-
-/// Bucket bounds (ticks) for the origination→delivery latency histograms.
-/// A few-member ring delivers in tens of ticks; recoveries stretch into
-/// the thousands.
-const LATENCY_BOUNDS: &[u64] = &[2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096, 8192];
 
 /// Stable service-level label used in telemetry events.
 fn service_name(service: Service) -> &'static str {
@@ -262,9 +257,9 @@ pub struct EvsProcess<P> {
     /// Origination instants of this process's own in-flight messages, so
     /// their local delivery can be observed into the latency histograms.
     origin_times: HashMap<MessageId, SimTime>,
-    lat_causal: Histogram,
-    lat_agreed: Histogram,
-    lat_safe: Histogram,
+    lat_causal: LogHistogram,
+    lat_agreed: LogHistogram,
+    lat_safe: LogHistogram,
     /// Stable storage. [`NullStorage`] by default (simulator, benches);
     /// a file-backed WAL when the driver wants state to survive `kill -9`.
     storage: Box<dyn Storage>,
@@ -363,9 +358,9 @@ impl<P: Clone + fmt::Debug + 'static> EvsProcess<P> {
             refused: None,
             telemetry: Telemetry::disabled(),
             origin_times: HashMap::new(),
-            lat_causal: Histogram::detached(),
-            lat_agreed: Histogram::detached(),
-            lat_safe: Histogram::detached(),
+            lat_causal: LogHistogram::detached(),
+            lat_agreed: LogHistogram::detached(),
+            lat_safe: LogHistogram::detached(),
             storage: Box::new(NullStorage::new()),
             lease_limit: 0,
             counter_shadow: !0,
@@ -441,15 +436,9 @@ impl<P: Clone + fmt::Debug + 'static> EvsProcess<P> {
         if let Mode::Regular { ring } = &mut self.mode {
             ring.set_telemetry(self.telemetry.clone());
         }
-        self.lat_causal = self
-            .telemetry
-            .histogram(names::DELIVERY_LATENCY_CAUSAL, LATENCY_BOUNDS);
-        self.lat_agreed = self
-            .telemetry
-            .histogram(names::DELIVERY_LATENCY_AGREED, LATENCY_BOUNDS);
-        self.lat_safe = self
-            .telemetry
-            .histogram(names::DELIVERY_LATENCY_SAFE, LATENCY_BOUNDS);
+        self.lat_causal = self.telemetry.log_histogram(names::DELIVERY_LATENCY_CAUSAL);
+        self.lat_agreed = self.telemetry.log_histogram(names::DELIVERY_LATENCY_AGREED);
+        self.lat_safe = self.telemetry.log_histogram(names::DELIVERY_LATENCY_SAFE);
         self.wal_appends = self.telemetry.counter(names::WAL_APPENDS);
         self.wal_syncs = self.telemetry.counter(names::WAL_SYNCS);
         self.wal_sync_ns = self.telemetry.log_histogram(names::WAL_SYNC_NS);
@@ -805,9 +794,8 @@ impl<P: Clone + fmt::Debug + 'static> EvsProcess<P> {
                     // token right behind the data it refers to. Pacing is
                     // only what keeps an *idle* ring from spinning at CPU
                     // speed, so idle visits still hold the token briefly.
-                    let busy = !self.params.legacy_tick_poll
-                        && (sent_data
-                            || matches!(&self.mode, Mode::Regular { ring } if ring.pending_len() > 0));
+                    let busy = sent_data
+                        || matches!(&self.mode, Mode::Regular { ring } if ring.pending_len() > 0);
                     if busy {
                         self.pending_token = None;
                         ctx.unicast(to, EvsMsg::Ring(RingMsg::Token(tok)));
@@ -1303,9 +1291,6 @@ impl<P: Clone + fmt::Debug + 'static> EvsProcess<P> {
     /// a backstop — a deadline source this function missed can cost one
     /// late window, never a wedge.
     fn next_tick_deadline(&self, now: SimTime) -> SimTime {
-        if self.params.legacy_tick_poll {
-            return now + self.params.tick_interval;
-        }
         let mut d = self.membership.next_deadline(now);
         match &self.mode {
             Mode::Regular { ring } => {

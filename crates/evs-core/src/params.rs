@@ -12,8 +12,6 @@ use evs_membership::MembershipParams;
 pub struct EvsParams {
     /// Parameters of the underlying membership protocol.
     pub membership: MembershipParams,
-    /// Period of the engine's internal maintenance timer.
-    pub tick_interval: u64,
     /// Pause between receiving the token and forwarding it to the
     /// successor (Totem's token pacing). Simulated networks pace the token
     /// through transmission latency anyway; on a live transport with
@@ -52,20 +50,12 @@ pub struct EvsParams {
     /// this bound. The default stays under the common 64 kB UDP payload
     /// ceiling with headroom for frame headers.
     pub max_datagram_bytes: usize,
-    /// Compatibility switch for the pre-event-driven engine: re-arm the
-    /// maintenance timer every `tick_interval` ticks regardless of when
-    /// work is actually due, and pace every token forward (never the
-    /// loaded-ring fast path). Exists so equivalence tests can run the
-    /// same chaos plan under both schedules; leave `false` everywhere
-    /// else.
-    pub legacy_tick_poll: bool,
 }
 
 impl Default for EvsParams {
     fn default() -> Self {
         EvsParams {
             membership: MembershipParams::default(),
-            tick_interval: 16,
             token_pace: 2,
             token_retx: 64,
             token_retx_max: 512,
@@ -75,7 +65,6 @@ impl Default for EvsParams {
             recovery_stall: 800,
             max_per_visit: 16,
             max_datagram_bytes: 60_000,
-            legacy_tick_poll: false,
         }
     }
 }
@@ -87,8 +76,6 @@ mod tests {
     #[test]
     fn defaults_are_consistent() {
         let p = EvsParams::default();
-        assert!(p.tick_interval > 0);
-        assert!(p.token_retx >= p.tick_interval);
         assert!(p.token_pace < p.token_retx);
         assert!(p.token_loss > p.token_retx);
         // The backoff cap sits between the base and the point where the
@@ -101,8 +88,5 @@ mod tests {
         assert!(p.max_per_visit > 0);
         // Room for at least one full-sized frame, under the UDP ceiling.
         assert!(p.max_datagram_bytes >= 1500 && p.max_datagram_bytes < 65_507);
-        // The membership suspects faster than... at least within the same
-        // order of magnitude as token loss, so both detectors cooperate.
-        assert!(p.membership.suspect_timeout >= p.tick_interval);
     }
 }

@@ -11,7 +11,6 @@ use crate::Configuration;
 use evs_membership::{ConfigId, ProposedConfig};
 use evs_order::{OrderedMsg, RingSnapshot, Service};
 use evs_sim::ProcessId;
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Step 3 of the recovery algorithm: the state each process of the proposed
@@ -21,7 +20,7 @@ use std::collections::{BTreeMap, BTreeSet};
 /// the identifier of the last safe message it delivered, and its obligation
 /// set" — plus, operationally, its receipt state so Step 4.b can compute
 /// which messages to rebroadcast.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ExchangeState {
     /// The proposed configuration this exchange belongs to.
     pub proposal: ConfigId,

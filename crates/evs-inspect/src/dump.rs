@@ -15,8 +15,8 @@
 //! `{"pid":…,"events":[…]}`. `name` is the event's stable counter
 //! identifier ([`TelemetryEvent::name`]), which uniquely determines the
 //! variant. Like every JSON document in this workspace the emission is
-//! hand-rolled and the parser is [`crate::json`] (the vendored `serde`
-//! generates no code); the `&'static str` fields of
+//! hand-rolled and the parser is [`crate::json`]; the `&'static str`
+//! fields of
 //! [`TelemetryEvent`] (service levels, membership states, stable-storage
 //! keys) are re-interned against the known vocabulary on the way back in,
 //! so an unknown token is a parse failure, not a leaked allocation.

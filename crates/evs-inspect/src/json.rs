@@ -1,13 +1,13 @@
 //! A minimal JSON reader.
 //!
-//! The workspace's `serde` dependency is an offline API stand-in whose
-//! derives generate no code (see `vendor/README.md`), so every JSON
-//! document in this repository is hand-emitted — and anything that needs
-//! to *read* one back (the bench regression gate diffing
-//! `BENCH_baseline.json`, the span-report round-trip tests) needs a
-//! hand-rolled parser to match. This one covers exactly the JSON the
-//! workspace emits: objects, arrays, strings with the standard escapes,
-//! integers/floats, booleans and null.
+//! The workspace has no serializer dependency: every JSON document in
+//! this repository is hand-emitted (string escaping through
+//! `evs_telemetry::report::push_json_string`), and this module is the
+//! one parser for anything that needs to *read* one back (the bench
+//! regression gate diffing `BENCH_baseline.json`, the span-report
+//! round-trip tests). It covers exactly the JSON the workspace emits:
+//! objects, arrays, strings with the standard escapes, integers/floats,
+//! booleans and null.
 
 use std::collections::BTreeMap;
 use std::fmt;

@@ -29,8 +29,7 @@
 //!
 //! The crate depends only on `evs-telemetry`, so every protocol crate —
 //! including `evs-core`'s checker — can use it without a cycle. The
-//! [`json`] module is a minimal hand-rolled JSON reader (the vendored
-//! `serde` is an API stand-in that generates no code), shared by the span
+//! [`json`] module is the workspace's one JSON reader, shared by the span
 //! round-trip and by `evs-bench`'s baseline regression gate. The [`dump`]
 //! module serializes per-process flight dumps to JSON files and loads
 //! them back, so a multi-OS-process run (`examples/udp_cluster.rs`) can

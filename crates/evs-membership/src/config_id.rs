@@ -2,7 +2,6 @@
 
 use core::fmt;
 use evs_sim::ProcessId;
-use serde::{Deserialize, Serialize};
 
 /// A globally unique identifier for a configuration.
 ///
@@ -43,7 +42,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(t.to_string(), "T5@P2");
 /// assert!(!r.transitional && t.transitional);
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ConfigId {
     /// Monotone epoch number; strictly larger than any epoch previously
     /// observed by any member of the configuration.
@@ -107,7 +106,7 @@ impl fmt::Display for ConfigId {
 /// a configuration agree on the membership of that configuration", §2). The
 /// EVS layer then runs its recovery algorithm before the configuration is
 /// actually *delivered* to the application.
-#[derive(Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Hash)]
 pub struct ProposedConfig {
     /// The unique identifier.
     pub id: ConfigId,

@@ -33,11 +33,10 @@
 use crate::{ConfigId, ProposedConfig};
 use evs_sim::{ProcessId, SimTime};
 use evs_telemetry::{Telemetry, TelemetryEvent};
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Wire messages of the membership protocol.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum MembMsg {
     /// Periodic liveness beacon, carrying the sender's current configuration.
     Heartbeat {

@@ -13,7 +13,7 @@
 //! counter token_rotations 4211
 //! gauge obligation_set_size 0
 //! hist wal_sync_ns 130 5561000 92000 31000 61000 92000
-//! phase idle 181000000 905123
+//! phase park 181000000 905123
 //! end
 //! ```
 //!
@@ -313,7 +313,7 @@ mod tests {
         t.log_histogram(names::WAL_SYNC_NS).observe(31_000);
         t.log_histogram(names::WAL_SYNC_NS).observe(92_000);
         let mut clock = PhaseClock::new(&t);
-        clock.mark(Phase::Idle);
+        clock.mark(Phase::Park);
         clock.mark(Phase::Dispatch);
         let expo = Exposition::from_telemetry(
             9,
@@ -342,7 +342,7 @@ mod tests {
         let mut clock = PhaseClock::new(&t);
         for _ in 0..20 {
             std::thread::sleep(std::time::Duration::from_micros(20));
-            clock.mark(Phase::Idle);
+            clock.mark(Phase::Park);
             clock.mark(Phase::Recv);
             clock.mark(Phase::Send);
         }

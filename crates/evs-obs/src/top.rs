@@ -6,7 +6,7 @@
 //! and reusable by the CI smoke (which asserts on one rendered frame).
 
 use crate::expo::Exposition;
-use evs_telemetry::names;
+use evs_telemetry::{names, Phase};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -109,7 +109,7 @@ impl TopState {
             "WALp99us",
             "BP",
             "ARULAG",
-            "IDLE%"
+            "PARK%"
         );
         for (endpoint, node) in &self.nodes {
             let Some(last) = &node.last else {
@@ -140,9 +140,9 @@ impl TopState {
                 .get(names::WAL_SYNC_NS)
                 .map(|h| format!("{}", h.p99 / 1_000))
                 .unwrap_or_else(|| "-".to_string());
-            let idle = e
+            let parked = e
                 .phases
-                .get("idle")
+                .get(Phase::Park.name())
                 .map(|p| format!("{:.1}", p.ppm as f64 / 10_000.0))
                 .unwrap_or_else(|| "-".to_string());
             let _ =
@@ -161,7 +161,7 @@ impl TopState {
                 wal_p99,
                 e.counters.get(names::BROKER_BACKPRESSURE).copied().unwrap_or(0),
                 e.info.get("aru_lag").map(String::as_str).unwrap_or("-"),
-                idle,
+                parked,
             );
         }
         if let Some(progress) = self.chaos_progress() {

@@ -3,7 +3,6 @@
 use core::fmt;
 use evs_membership::ConfigId;
 use evs_sim::ProcessId;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
 /// A system-wide unique message identifier.
@@ -24,7 +23,7 @@ use std::collections::BTreeSet;
 /// let m = MessageId::new(ProcessId::new(2), 7);
 /// assert_eq!(m.to_string(), "P2#7");
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct MessageId {
     /// The originating process.
     pub sender: ProcessId,
@@ -64,7 +63,7 @@ impl fmt::Display for MessageId {
 /// * `Safe` — deliverable only once every process in the configuration has
 ///   acknowledged receipt (Isis all-stable `abcast`); the focus of the
 ///   paper's Specifications 7.1/7.2.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub enum Service {
     /// Causally ordered delivery.
     Causal,
@@ -97,7 +96,7 @@ impl fmt::Display for Service {
 /// The `seq` ordinal is the paper's "ordinal number associated with each
 /// message" that "imposes a total order on messages broadcast within a
 /// configuration"; ordinals are dense (1, 2, 3, …) per configuration.
-#[derive(Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq)]
 pub struct OrderedMsg<P> {
     /// The regular configuration whose total order this message belongs to.
     pub config: ConfigId,
@@ -129,7 +128,7 @@ impl<P> fmt::Debug for OrderedMsg<P> {
 /// minimum contiguous prefix received across the ring, which is how safe
 /// delivery learns that "acknowledgments for the message \[arrived\] from all
 /// of the other processes in the configuration" (§3 Step 1).
-#[derive(Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq)]
 pub struct Token {
     /// Configuration this token orders.
     pub config: ConfigId,
@@ -160,7 +159,7 @@ impl fmt::Debug for Token {
 }
 
 /// A frame of the ring protocol.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum RingMsg<P> {
     /// An ordered data message, broadcast to the component.
     Data(OrderedMsg<P>),

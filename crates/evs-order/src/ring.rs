@@ -3,12 +3,8 @@
 use crate::{MessageId, OrderedMsg, RingMsg, Service, Token};
 use evs_membership::ConfigId;
 use evs_sim::{ProcessId, SimTime};
-use evs_telemetry::{names, Counter, Histogram, Telemetry, TelemetryEvent};
+use evs_telemetry::{names, Counter, LogHistogram, Telemetry, TelemetryEvent};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
-
-/// Bucket bounds (inclusive) for the messages-stamped-per-token-visit
-/// histogram; the window itself is bounded by `max_per_visit`.
-const STAMPED_BOUNDS: &[u64] = &[0, 1, 2, 4, 8, 16, 32];
 
 /// Ring ordinals at or beyond this value mark the configuration as
 /// exhausted: the ring refuses to stamp past it and reports itself
@@ -117,7 +113,7 @@ pub struct Ring<P> {
     max_per_visit: usize,
     rotations: u64,
     telemetry: Telemetry,
-    stamped_per_visit: Histogram,
+    stamped_per_visit: LogHistogram,
     idle_rotations: Counter,
 }
 
@@ -168,7 +164,7 @@ impl<P: Clone> Ring<P> {
             max_per_visit,
             rotations: 0,
             telemetry: Telemetry::disabled(),
-            stamped_per_visit: Histogram::detached(),
+            stamped_per_visit: LogHistogram::detached(),
             idle_rotations: Counter::detached(),
         }
     }
@@ -176,7 +172,7 @@ impl<P: Clone> Ring<P> {
     /// Attaches a telemetry handle. Instrument handles are resolved here
     /// once so token-visit recording stays off the name-lookup path.
     pub fn set_telemetry(&mut self, telemetry: Telemetry) {
-        self.stamped_per_visit = telemetry.histogram(names::STAMPED_PER_VISIT, STAMPED_BOUNDS);
+        self.stamped_per_visit = telemetry.log_histogram(names::STAMPED_PER_VISIT);
         self.idle_rotations = telemetry.counter(names::IDLE_ROTATIONS);
         self.telemetry = telemetry;
     }

@@ -18,11 +18,10 @@
 use crate::{DeliveryClass, MessageId, OrderedMsg, Service};
 use evs_membership::ConfigId;
 use evs_sim::ProcessId;
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap};
 
 /// Wire frames of the sequencer protocol.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum SeqMsg<P> {
     /// A sender publishes an unordered message to the group.
     Publish {

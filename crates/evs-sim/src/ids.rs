@@ -1,7 +1,6 @@
 //! Process identifiers.
 
 use core::fmt;
-use serde::{Deserialize, Serialize};
 
 /// A unique, stable identifier for a process in the distributed system.
 ///
@@ -23,7 +22,7 @@ use serde::{Deserialize, Serialize};
 /// assert!(ProcessId::new(1) < ProcessId::new(2));
 /// assert_eq!(p.to_string(), "P3");
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ProcessId(u32);
 
 impl ProcessId {

@@ -69,7 +69,7 @@ mod topology;
 pub use topology::Topology;
 
 pub use ids::{all_ids, ProcessId};
-pub use live::{LinkFault, LiveNet, TICK_MICROS};
+pub use live::{LinkFault, LiveNet};
 pub use node::{Ctx, Effect, Node, TimerId, TimerKind};
 pub use sim::{Action, NetConfig, Sim};
 pub use stable::StableStore;

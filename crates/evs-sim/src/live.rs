@@ -4,7 +4,7 @@
 //! The protocol stacks in this workspace are sans-I/O: they only ever see
 //! messages, timers and a clock. [`Sim`](crate::Sim) drives them from a
 //! deterministic event queue; [`LiveNet`] drives them from real operating
-//! system threads and crossbeam channels, with real time as the clock
+//! system threads and `std::sync::mpsc` channels, with real time as the clock
 //! (1 tick = 100 µs). Nothing in the protocol crates changes — which is
 //! the point: the deterministic test results transfer to a concurrent
 //! deployment of the very same code.
@@ -24,32 +24,25 @@
 //! (timer or held-back packet). With the engine's deadline-computed
 //! `TICK` rearming (see DESIGN.md "The deadline timer wheel") a loaded
 //! worker never sleeps between messages and an idle worker burns no CPU
-//! — the parked share is attributed to [`Phase::Park`] and exported as
-//! `parked_ppm` by the throughput bench. Timers firing at the top of
-//! every iteration (not only when the inbox wait times out) is what
-//! keeps retransmission and failure-detection deadlines honest on a
-//! flooded node.
+//! — the parked share is attributed to [`Phase::Park`]. Timers firing at
+//! the top of every iteration (not only when the inbox wait times out)
+//! is what keeps retransmission and failure-detection deadlines honest
+//! on a flooded node.
 
 use crate::node::{Ctx, Effect, Node, TimerId, TimerKind};
 use crate::{ProcessId, SimTime, StableStore, Topology};
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use evs_telemetry::{Phase, PhaseClock, Telemetry, TelemetryEvent};
-use parking_lot::RwLock;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
+use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// One live-driver tick in microseconds. Public so benches and reports
-/// can convert live latency histograms (recorded in ticks) to real time
-/// instead of conflating live ticks with simulated ones.
-pub const TICK_MICROS: u64 = 100;
-
 /// One simulator tick worth of real time.
-const TICK: Duration = Duration::from_micros(TICK_MICROS);
+const TICK: Duration = Duration::from_micros(100);
 
 /// Extra holdback (in ticks) applied to reordered packets and duplicate
 /// echoes, beyond any configured latency: long enough that undelayed
@@ -134,6 +127,17 @@ enum Packet<N: Node> {
     Shutdown,
 }
 
+// The shared tables stay valid at every step of every update (one
+// assignment or one `Topology` call each), so a lock poisoned by a
+// panicking test thread is recovered rather than cascaded to the workers.
+fn read<T>(lock: &RwLock<T>) -> RwLockReadGuard<'_, T> {
+    lock.read().unwrap_or_else(PoisonError::into_inner)
+}
+
+fn write<T>(lock: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
+    lock.write().unwrap_or_else(PoisonError::into_inner)
+}
+
 struct Shared<N: Node> {
     senders: Vec<Sender<Packet<N>>>,
     topology: RwLock<Topology>,
@@ -192,7 +196,7 @@ impl<N: Node> Worker<N> {
                 Effect::Broadcast(msg) => {
                     // Collect the reachable targets first so the last one
                     // can take the message by move instead of a clone.
-                    let topo = self.shared.topology.read();
+                    let topo = read(&self.shared.topology);
                     let targets: Vec<usize> = (0..self.shared.senders.len())
                         .filter(|&i| topo.reachable(self.me, ProcessId::new(i as u32)))
                         .collect();
@@ -210,7 +214,7 @@ impl<N: Node> Worker<N> {
                     }
                 }
                 Effect::Unicast(to, msg) => {
-                    let topo = self.shared.topology.read();
+                    let topo = read(&self.shared.topology);
                     if topo.reachable(self.me, to) {
                         let _ = self.shared.senders[to.as_usize()]
                             .send(Packet::Deliver { from: self.me, msg });
@@ -246,7 +250,7 @@ impl<N: Node> Worker<N> {
     /// hold it back (delay / reorder / the duplicate echo), or deliver it
     /// now. Loopback packets bypass the policy entirely.
     fn admit(&mut self, from: ProcessId, msg: N::Msg) {
-        let fault = self.shared.faults.read()[from.as_usize()][self.me.as_usize()];
+        let fault = read(&self.shared.faults)[from.as_usize()][self.me.as_usize()];
         if from == self.me || fault.is_none() {
             self.dispatch(|node, ctx| node.on_message(ctx, from, msg));
             return;
@@ -305,7 +309,7 @@ impl<N: Node> Worker<N> {
         let now = Instant::now();
         while let Some(pos) = self.holdback.iter().position(|(at, _, _)| *at <= now) {
             let (_, from, msg) = self.holdback.remove(pos);
-            if self.alive && self.shared.topology.read().reachable(from, self.me) {
+            if self.alive && read(&self.shared.topology).reachable(from, self.me) {
                 self.dispatch(|node, ctx| node.on_message(ctx, from, msg));
             }
         }
@@ -364,7 +368,7 @@ impl<N: Node> Worker<N> {
                         // Check reachability at delivery time too, like the
                         // simulator: a partition formed while the packet
                         // sat in the channel drops it.
-                        let reachable = self.shared.topology.read().reachable(from, self.me);
+                        let reachable = read(&self.shared.topology).reachable(from, self.me);
                         if reachable {
                             let token = N::is_token(&msg);
                             self.admit(from, msg);
@@ -481,7 +485,7 @@ where
         let mut senders = Vec::with_capacity(n);
         let mut inboxes = Vec::with_capacity(n);
         for _ in 0..n {
-            let (tx, rx) = unbounded();
+            let (tx, rx) = channel();
             senders.push(tx);
             inboxes.push(rx);
         }
@@ -554,12 +558,12 @@ where
     /// Repartitions the live network (applies to packets not yet
     /// delivered, like the simulator's delivery-time check).
     pub fn partition(&self, groups: &[Vec<ProcessId>]) {
-        self.shared.topology.write().split(groups);
+        write(&self.shared.topology).split(groups);
     }
 
     /// Reconnects everything.
     pub fn merge_all(&self) {
-        self.shared.topology.write().merge_all();
+        write(&self.shared.topology).merge_all();
     }
 
     /// Seeds the per-link fault random streams. Each link's stream is
@@ -574,13 +578,13 @@ where
     /// packets delivered from then on, including packets already sitting
     /// in the channel (the policy is read on the delivery thread).
     pub fn set_link_fault(&self, from: ProcessId, to: ProcessId, fault: LinkFault) {
-        self.shared.faults.write()[from.as_usize()][to.as_usize()] = fault;
+        write(&self.shared.faults)[from.as_usize()][to.as_usize()] = fault;
     }
 
     /// Installs `fault` on every inter-node link (loopback stays
     /// reliable, mirroring the simulator's network model).
     pub fn set_fault_all(&self, fault: LinkFault) {
-        let mut table = self.shared.faults.write();
+        let mut table = write(&self.shared.faults);
         for (from, row) in table.iter_mut().enumerate() {
             for (to, slot) in row.iter_mut().enumerate() {
                 if from != to {
@@ -599,7 +603,7 @@ where
 
     /// The current fault policy of one directed link.
     pub fn link_fault(&self, from: ProcessId, to: ProcessId) -> LinkFault {
-        self.shared.faults.read()[from.as_usize()][to.as_usize()]
+        read(&self.shared.faults)[from.as_usize()][to.as_usize()]
     }
 
     /// Crashes a node (volatile state lost, stable storage kept).
@@ -636,7 +640,7 @@ where
         p: ProcessId,
         f: impl FnOnce(&N, &[(SimTime, N::Ev)]) -> R + Send + 'static,
     ) -> R {
-        let (tx, rx) = unbounded();
+        let (tx, rx) = channel();
         let _ = self.shared.senders[p.as_usize()].send(Packet::Inspect(Box::new(
             move |node, trace| {
                 let _ = tx.send(f(node, trace));

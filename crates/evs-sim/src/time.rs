@@ -2,7 +2,6 @@
 
 use core::fmt;
 use core::ops::{Add, AddAssign, Sub};
-use serde::{Deserialize, Serialize};
 
 /// A point in simulated time, measured in abstract ticks since the start of
 /// the run.
@@ -21,7 +20,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(t.ticks(), 5);
 /// assert!(t < t + 1);
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(u64);
 
 impl SimTime {

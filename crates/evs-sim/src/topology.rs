@@ -7,7 +7,6 @@
 //! equivalence relation — a component label per process.
 
 use crate::ProcessId;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// An assignment of every process to a connected component.
@@ -33,7 +32,7 @@ use std::collections::BTreeMap;
 /// topo.merge(&[p(1), p(2)]);
 /// assert!(topo.reachable(p(0), p(3)));
 /// ```
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Topology {
     /// Component label of each process, indexed by `ProcessId::as_usize`.
     component: Vec<u32>,

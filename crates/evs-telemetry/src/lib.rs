@@ -9,8 +9,8 @@
 //!
 //! Three pieces:
 //!
-//! * [`Registry`] — per-process counters, gauges and fixed-bucket
-//!   histograms, all single-atomic-op on the hot path.
+//! * [`Registry`] — per-process counters, gauges and log-bucketed
+//!   histograms, all a few relaxed atomic ops on the hot path.
 //! * [`FlightRecorder`] — a bounded ring buffer of the last K
 //!   [`TelemetryEvent`]s, dumped when a specification checker reports a
 //!   violation.
@@ -40,8 +40,8 @@ pub mod report;
 
 pub use event::{EventClass, TelemetryEvent};
 pub use metrics::{
-    log_bucket_bound, log_bucket_index, Counter, Gauge, Histogram, HistogramSnapshot, LogHistogram,
-    LogHistogramSnapshot, Registry, LOG_BUCKET_COUNT,
+    log_bucket_bound, log_bucket_index, Counter, Gauge, LogHistogram, LogHistogramSnapshot,
+    Registry, LOG_BUCKET_COUNT,
 };
 pub use phase::{Phase, PhaseClock};
 pub use recorder::{FlightRecorder, RecordedEvent, DEFAULT_FLIGHT_CAPACITY};
@@ -145,15 +145,6 @@ impl Telemetry {
         }
     }
 
-    /// Resolves the histogram `name` with the given bucket bounds
-    /// (detached handle → detached histogram; first bounds win).
-    pub fn histogram(&self, name: &'static str, bounds: &'static [u64]) -> Histogram {
-        match &self.0 {
-            Some(inner) => inner.registry.histogram(name, bounds),
-            None => Histogram::detached(),
-        }
-    }
-
     /// Resolves the log-bucketed histogram `name` (detached handle →
     /// detached histogram). All log histograms share one bucket layout.
     pub fn log_histogram(&self, name: &'static str) -> LogHistogram {
@@ -170,7 +161,6 @@ impl Telemetry {
             pid: inner.pid,
             counters: inner.registry.counter_values(),
             gauges: inner.registry.gauge_values(),
-            histograms: inner.registry.histogram_values(),
             log_histograms: inner.registry.log_histogram_values(),
         })
     }

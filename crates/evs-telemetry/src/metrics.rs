@@ -1,4 +1,4 @@
-//! Counters, gauges and fixed-bucket histograms behind a per-process
+//! Counters, gauges and log-bucketed histograms behind a per-process
 //! [`Registry`].
 //!
 //! All mutation is a single atomic operation, so instruments can be
@@ -74,155 +74,17 @@ impl Gauge {
     }
 }
 
-/// Shared storage of a histogram with fixed bucket bounds.
-#[derive(Debug)]
-struct HistogramCore {
-    /// Inclusive upper bounds of the finite buckets; an implicit +∞
-    /// bucket follows. Strictly increasing.
-    bounds: &'static [u64],
-    /// One slot per bound plus the overflow bucket.
-    buckets: Vec<AtomicU64>,
-    count: AtomicU64,
-    sum: AtomicU64,
-}
-
-impl HistogramCore {
-    fn new(bounds: &'static [u64]) -> Self {
-        assert!(
-            bounds.windows(2).all(|w| w[0] < w[1]),
-            "histogram bounds must be strictly increasing"
-        );
-        HistogramCore {
-            bounds,
-            buckets: (0..=bounds.len()).map(|_| AtomicU64::new(0)).collect(),
-            count: AtomicU64::new(0),
-            sum: AtomicU64::new(0),
-        }
-    }
-
-    fn observe(&self, v: u64) {
-        let idx = self.bounds.partition_point(|&b| b < v);
-        self.buckets[idx].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(v, Ordering::Relaxed);
-    }
-}
-
-/// A fixed-bucket histogram handle.
-#[derive(Clone, Debug, Default)]
-pub struct Histogram(Option<Arc<HistogramCore>>);
-
-impl Histogram {
-    /// A detached histogram: observations vanish.
-    pub fn detached() -> Self {
-        Histogram(None)
-    }
-
-    /// Records one observation.
-    pub fn observe(&self, v: u64) {
-        if let Some(core) = &self.0 {
-            core.observe(v);
-        }
-    }
-
-    /// Snapshot of the current state, or `None` when detached.
-    pub fn snapshot(&self) -> Option<HistogramSnapshot> {
-        self.0.as_ref().map(|core| HistogramSnapshot {
-            bounds: core.bounds.to_vec(),
-            buckets: core
-                .buckets
-                .iter()
-                .map(|b| b.load(Ordering::Relaxed))
-                .collect(),
-            count: core.count.load(Ordering::Relaxed),
-            sum: core.sum.load(Ordering::Relaxed),
-        })
-    }
-}
-
-/// A point-in-time copy of a histogram's buckets.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct HistogramSnapshot {
-    /// Inclusive upper bounds of the finite buckets.
-    pub bounds: Vec<u64>,
-    /// Per-bucket observation counts; the final entry is the overflow
-    /// bucket (observations above every bound).
-    pub buckets: Vec<u64>,
-    /// Total number of observations.
-    pub count: u64,
-    /// Sum of all observed values.
-    pub sum: u64,
-}
-
-impl HistogramSnapshot {
-    /// Mean of the observations, or 0.0 when empty.
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-
-    /// Estimated value at quantile `q` (clamped to 0.0–1.0): the inclusive
-    /// upper bound of the bucket holding the q-th observation. Observations
-    /// that landed in the overflow bucket have no finite upper bound, so
-    /// quantiles falling there report the largest finite bound (the usual
-    /// bucketed-histogram convention). Returns 0 when empty.
-    pub fn percentile(&self, q: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let rank = ((q.clamp(0.0, 1.0) * self.count as f64).ceil() as u64).clamp(1, self.count);
-        let mut seen = 0u64;
-        for (i, &n) in self.buckets.iter().enumerate() {
-            seen += n;
-            if seen >= rank {
-                return match self.bounds.get(i) {
-                    Some(&bound) => bound,
-                    None => self.bounds.last().copied().unwrap_or(0),
-                };
-            }
-        }
-        self.bounds.last().copied().unwrap_or(0)
-    }
-
-    /// Folds `other` into `self` bucket-by-bucket — the cross-process
-    /// aggregation used when several registries observed the same
-    /// distribution (one histogram per process, one summary per run).
-    ///
-    /// # Errors
-    ///
-    /// Fails when the bucket bounds differ; merging histograms of
-    /// different shapes would silently misattribute observations.
-    pub fn merge(&mut self, other: &HistogramSnapshot) -> Result<(), String> {
-        if self.bounds != other.bounds {
-            return Err(format!(
-                "histogram bounds differ: {:?} vs {:?}",
-                self.bounds, other.bounds
-            ));
-        }
-        for (mine, theirs) in self.buckets.iter_mut().zip(&other.buckets) {
-            *mine += theirs;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-        Ok(())
-    }
-}
-
 // ---- log-bucketed histograms ----
 //
-// The fixed-bucket [`Histogram`] needs its bounds chosen up front, which
-// works for distributions whose scale is known (messages per visit, batch
-// sizes). Wall-clock phase durations in the live driver span nanoseconds
-// to tens of milliseconds, so the observability plane uses a log-bucketed
-// layout instead: values 0–15 get one exact bucket each, and every
-// power-of-two octave above is split into 8 sub-buckets, bounding the
-// relative quantile error at 12.5% across the whole `u64` range. All
-// buckets exist up front (no allocation, no locking on observe), so an
-// observation is the same handful of relaxed atomic ops as the
-// fixed-bucket histogram.
+// The one histogram of the workspace. Its users span simulated ticks
+// (delivery latency), small counts (messages per token visit, ops per
+// broker batch) and wall-clock nanoseconds up to tens of milliseconds
+// (live-loop phases, WAL sync), so the layout needs no bounds chosen up
+// front: values 0–15 get one exact bucket each, and every power-of-two
+// octave above is split into 8 sub-buckets, bounding the relative
+// quantile error at 12.5% across the whole `u64` range. All buckets
+// exist up front (no allocation, no locking on observe), so an
+// observation is a handful of relaxed atomic ops.
 
 /// Number of sub-buckets per power-of-two octave (`2^LOG_SUB_BITS`).
 const LOG_SUB_BITS: u32 = 3;
@@ -303,8 +165,7 @@ impl LogHistogramCore {
 }
 
 /// A lock-free log-bucketed histogram handle (see [`log_bucket_index`]
-/// for the bucket layout). Used for wall-clock durations whose scale is
-/// not known up front — live-loop phase times, WAL sync latency.
+/// for the bucket layout).
 #[derive(Clone, Debug, Default)]
 pub struct LogHistogram(Option<Arc<LogHistogramCore>>);
 
@@ -380,9 +241,10 @@ impl LogHistogramSnapshot {
         self.max
     }
 
-    /// Folds `other` into `self` bucket-by-bucket. Unlike the fixed-bucket
-    /// merge this cannot fail: every log histogram shares one layout. The
-    /// merge is pure integer addition, so it is associative and
+    /// Folds `other` into `self` bucket-by-bucket — the cross-process
+    /// aggregation used when several registries observed the same
+    /// distribution. It cannot fail: every log histogram shares one
+    /// layout. The merge is pure integer addition, so it is associative and
     /// commutative — merging per-thread histograms yields bit-identical
     /// results regardless of merge order (the same guarantee the chaos
     /// campaign's shard merge relies on).
@@ -407,13 +269,11 @@ fn write<T>(lock: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
 /// The per-process instrument registry: names → shared storage.
 ///
 /// Instruments are created on first lookup; later lookups of the same
-/// name return handles over the same storage. A histogram keeps the
-/// bounds it was first registered with.
+/// name return handles over the same storage.
 #[derive(Debug, Default)]
 pub struct Registry {
     counters: RwLock<BTreeMap<&'static str, Arc<AtomicU64>>>,
     gauges: RwLock<BTreeMap<&'static str, Arc<AtomicI64>>>,
-    histograms: RwLock<BTreeMap<&'static str, Arc<HistogramCore>>>,
     log_histograms: RwLock<BTreeMap<&'static str, Arc<LogHistogramCore>>>,
 }
 
@@ -447,19 +307,6 @@ impl Registry {
         Gauge(Some(Arc::clone(cell)))
     }
 
-    /// Resolves (creating if needed) the histogram `name` with the given
-    /// bucket bounds. If the name exists, its original bounds win.
-    pub fn histogram(&self, name: &'static str, bounds: &'static [u64]) -> Histogram {
-        if let Some(core) = read(&self.histograms).get(name) {
-            return Histogram(Some(Arc::clone(core)));
-        }
-        let mut map = write(&self.histograms);
-        let core = map
-            .entry(name)
-            .or_insert_with(|| Arc::new(HistogramCore::new(bounds)));
-        Histogram(Some(Arc::clone(core)))
-    }
-
     /// Resolves (creating if needed) the log-bucketed histogram `name`.
     /// Every log histogram shares one bucket layout, so no bounds
     /// argument is needed.
@@ -487,28 +334,6 @@ impl Registry {
         read(&self.gauges)
             .iter()
             .map(|(k, v)| (k.to_string(), v.load(Ordering::Relaxed)))
-            .collect()
-    }
-
-    /// Snapshots every histogram.
-    pub fn histogram_values(&self) -> BTreeMap<String, HistogramSnapshot> {
-        read(&self.histograms)
-            .iter()
-            .map(|(k, core)| {
-                (
-                    k.to_string(),
-                    HistogramSnapshot {
-                        bounds: core.bounds.to_vec(),
-                        buckets: core
-                            .buckets
-                            .iter()
-                            .map(|b| b.load(Ordering::Relaxed))
-                            .collect(),
-                        count: core.count.load(Ordering::Relaxed),
-                        sum: core.sum.load(Ordering::Relaxed),
-                    },
-                )
-            })
             .collect()
     }
 
@@ -545,7 +370,7 @@ mod tests {
         g.set(7);
         g.add(-2);
         assert_eq!(g.get(), 0);
-        let h = Histogram::detached();
+        let h = LogHistogram::detached();
         h.observe(3);
         assert!(h.snapshot().is_none());
     }
@@ -561,82 +386,6 @@ mod tests {
     }
 
     #[test]
-    fn histogram_bucket_math() {
-        let reg = Registry::new();
-        let h = reg.histogram("sizes", &[1, 2, 4, 8]);
-        // Bounds are inclusive: 1→bucket0, 2→bucket1, 3..=4→bucket2,
-        // 5..=8→bucket3, >8→overflow.
-        for v in [0, 1, 2, 3, 4, 5, 8, 9, 100] {
-            h.observe(v);
-        }
-        let snap = h.snapshot().unwrap();
-        assert_eq!(snap.bounds, vec![1, 2, 4, 8]);
-        assert_eq!(snap.buckets, vec![2, 1, 2, 2, 2]);
-        assert_eq!(snap.count, 9);
-        assert_eq!(snap.sum, 132);
-        assert!((snap.mean() - 132.0 / 9.0).abs() < 1e-9);
-        // Bucket counts always sum to the observation count.
-        assert_eq!(snap.buckets.iter().sum::<u64>(), snap.count);
-    }
-
-    #[test]
-    fn percentile_walks_the_buckets() {
-        let reg = Registry::new();
-        let h = reg.histogram("lat", &[1, 2, 4, 8]);
-        // 10 observations: 5 at 1, 3 at 3, 2 at 20 (overflow).
-        for v in [1, 1, 1, 1, 1, 3, 3, 3, 20, 20] {
-            h.observe(v);
-        }
-        let snap = h.snapshot().unwrap();
-        assert_eq!(snap.percentile(0.5), 1);
-        assert_eq!(snap.percentile(0.8), 4);
-        // Quantiles in the overflow bucket clamp to the last finite bound.
-        assert_eq!(snap.percentile(0.99), 8);
-        assert_eq!(snap.percentile(0.0), 1);
-        assert_eq!(snap.percentile(1.0), 8);
-        // Empty histograms report 0 everywhere.
-        let empty = reg.histogram("empty", &[1]).snapshot().unwrap();
-        assert_eq!(empty.percentile(0.5), 0);
-    }
-
-    #[test]
-    fn merge_requires_matching_bounds_and_sums_buckets() {
-        let reg = Registry::new();
-        let a = reg.histogram("a", &[2, 4]);
-        let b = reg.histogram("b", &[2, 4]);
-        a.observe(1);
-        a.observe(3);
-        b.observe(3);
-        b.observe(9);
-        let mut merged = a.snapshot().unwrap();
-        merged.merge(&b.snapshot().unwrap()).unwrap();
-        assert_eq!(merged.buckets, vec![1, 2, 1]);
-        assert_eq!(merged.count, 4);
-        assert_eq!(merged.sum, 16);
-        let mismatched = reg.histogram("c", &[7]).snapshot().unwrap();
-        assert!(merged.merge(&mismatched).is_err());
-    }
-
-    #[test]
-    fn histogram_first_bounds_win() {
-        let reg = Registry::new();
-        let a = reg.histogram("x", &[10]);
-        let b = reg.histogram("x", &[99, 100]);
-        a.observe(5);
-        b.observe(5);
-        let snap = b.snapshot().unwrap();
-        assert_eq!(snap.bounds, vec![10]);
-        assert_eq!(snap.count, 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "strictly increasing")]
-    fn histogram_rejects_unsorted_bounds() {
-        let reg = Registry::new();
-        let _ = reg.histogram("bad", &[5, 5]);
-    }
-
-    #[test]
     fn concurrent_increments_from_many_threads() {
         let reg = Arc::new(Registry::new());
         let mut handles = Vec::new();
@@ -644,7 +393,7 @@ mod tests {
             let reg = Arc::clone(&reg);
             handles.push(std::thread::spawn(move || {
                 let c = reg.counter("shared");
-                let h = reg.histogram("obs", &[100]);
+                let h = reg.log_histogram("obs");
                 for i in 0..1_000 {
                     c.inc();
                     h.observe(i % 7);
@@ -655,7 +404,7 @@ mod tests {
             h.join().unwrap();
         }
         assert_eq!(reg.counter_values()["shared"], 8_000);
-        assert_eq!(reg.histogram_values()["obs"].count, 8_000);
+        assert_eq!(reg.log_histogram_values()["obs"].count, 8_000);
     }
 
     #[test]
@@ -716,9 +465,6 @@ mod tests {
         // p99 lands in 5_000's bucket; bound clamps to the observed max.
         assert_eq!(snap.percentile(0.99), 5_000);
         assert_eq!(snap.percentile(0.0), 5);
-        let det = LogHistogram::detached();
-        det.observe(9);
-        assert!(det.snapshot().is_none());
     }
 
     #[test]

@@ -157,8 +157,6 @@ pub const BROKER_BATCH_OPS: &str = "broker_batch_ops";
 // log-bucketed histogram (per-stretch duration distribution). `evs-top`
 // and the `OBS?` exposition compute phase fractions from the counters.
 
-/// Nanoseconds spent parked waiting for work (tick sleep / recv timeout).
-pub const PHASE_NS_IDLE: &str = "phase_ns_idle";
 /// Nanoseconds blocked in socket/channel receive that yielded a packet.
 pub const PHASE_NS_RECV: &str = "phase_ns_recv";
 /// Nanoseconds decoding wire frames into protocol messages.
@@ -175,15 +173,12 @@ pub const PHASE_NS_SEND: &str = "phase_ns_send";
 pub const PHASE_NS_TIMERS: &str = "phase_ns_timers";
 /// Nanoseconds handling control-plane work (commands, scrapes, inspects).
 pub const PHASE_NS_CONTROL: &str = "phase_ns_control";
-/// Nanoseconds parked on an event wait with a computed protocol deadline
-/// (the event-driven core's replacement for the fixed tick sleep).
+/// Nanoseconds parked on an event wait with a computed protocol deadline.
 pub const PHASE_NS_PARK: &str = "phase_ns_park";
 /// Nanoseconds submitting batched socket work (`sendmmsg`/`recvmmsg`
 /// syscalls through a `SocketDriver`).
 pub const PHASE_NS_SUBMIT: &str = "phase_ns_submit";
 
-/// Log histogram: per-stretch idle durations (ns).
-pub const PHASE_DUR_IDLE: &str = "phase_dur_idle";
 /// Log histogram: per-stretch receive durations (ns).
 pub const PHASE_DUR_RECV: &str = "phase_dur_recv";
 /// Log histogram: per-stretch decode durations (ns).

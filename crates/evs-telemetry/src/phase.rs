@@ -11,8 +11,8 @@
 //! the live driver's time go": one `Instant::now()`, one counter add and
 //! one log-histogram observe per mark (all relaxed atomics). On a
 //! detached telemetry handle every mark is a single branch.
-//! [`PhaseClock::calibrate`] measures the real per-mark cost so the
-//! bench smoke can assert the <2% overhead budget from measurements
+//! [`PhaseClock::calibrate`] measures the real per-mark cost so
+//! `tests/obs.rs` can assert the <2% overhead budget from measurements
 //! rather than assumptions.
 
 use crate::metrics::{Counter, Gauge, LogHistogram};
@@ -25,9 +25,6 @@ use std::time::Instant;
 /// DESIGN.md ("Phase timers").
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Phase {
-    /// Parked waiting for work: the fixed tick sleep, or a receive that
-    /// timed out. This is the share the event-driven rewrite targets.
-    Idle,
     /// Blocked in a socket/channel receive that produced a packet.
     Recv,
     /// Decoding wire frames into protocol messages.
@@ -45,10 +42,9 @@ pub enum Phase {
     Timers,
     /// Control-plane work: commands, `OBS?` scrapes, inspect closures.
     Control,
-    /// Parked on an event wait with a computed protocol deadline — the
-    /// event-driven core's replacement for the fixed tick sleep. Unlike
-    /// [`Phase::Idle`] (scheduled sleep regardless of work), park time is
-    /// bounded by the earliest deadline and ends the instant work arrives.
+    /// Parked on an event wait with a computed protocol deadline: park
+    /// time is bounded by the earliest deadline and ends the instant work
+    /// arrives.
     Park,
     /// Submitting batched socket work through a `SocketDriver`
     /// (`sendmmsg`/`recvmmsg` syscalls, or their portable fallback).
@@ -57,11 +53,10 @@ pub enum Phase {
 
 impl Phase {
     /// Number of phases.
-    pub const COUNT: usize = 11;
+    pub const COUNT: usize = 10;
 
     /// Every phase, indexable by `phase as usize`.
     pub const ALL: [Phase; Phase::COUNT] = [
-        Phase::Idle,
         Phase::Recv,
         Phase::Decode,
         Phase::Dispatch,
@@ -77,7 +72,6 @@ impl Phase {
     /// The phase's short name as it appears in expositions.
     pub fn name(self) -> &'static str {
         match self {
-            Phase::Idle => "idle",
             Phase::Recv => "recv",
             Phase::Decode => "decode",
             Phase::Dispatch => "dispatch",
@@ -94,7 +88,6 @@ impl Phase {
     /// The canonical name of the phase's total-nanoseconds counter.
     pub fn counter_name(self) -> &'static str {
         match self {
-            Phase::Idle => names::PHASE_NS_IDLE,
             Phase::Recv => names::PHASE_NS_RECV,
             Phase::Decode => names::PHASE_NS_DECODE,
             Phase::Dispatch => names::PHASE_NS_DISPATCH,
@@ -111,7 +104,6 @@ impl Phase {
     /// The canonical name of the phase's duration log histogram.
     pub fn histogram_name(self) -> &'static str {
         match self {
-            Phase::Idle => names::PHASE_DUR_IDLE,
             Phase::Recv => names::PHASE_DUR_RECV,
             Phase::Decode => names::PHASE_DUR_DECODE,
             Phase::Dispatch => names::PHASE_DUR_DISPATCH,
@@ -184,7 +176,7 @@ impl PhaseClock {
 
     /// Measures the wall-clock cost of one enabled `mark`, in
     /// nanoseconds, by timing `iters` marks on a scratch registry. The
-    /// bench smoke multiplies this by the production mark count to bound
+    /// overhead test multiplies this by a live run's mark count to bound
     /// the phase-timer self-overhead.
     pub fn calibrate(iters: u64) -> f64 {
         let scratch = Telemetry::enabled(u32::MAX);
@@ -209,7 +201,7 @@ mod tests {
         assert!(clock.is_enabled());
         for _ in 0..50 {
             std::thread::sleep(std::time::Duration::from_micros(50));
-            clock.mark(Phase::Idle);
+            clock.mark(Phase::Park);
             clock.mark(Phase::Dispatch);
         }
         let snap = t.snapshot().unwrap();
@@ -221,10 +213,10 @@ mod tests {
         // The chained marks attribute everything up to the last mark;
         // the loop gauge was set at that same mark, so they agree.
         assert_eq!(total, loop_ns);
-        assert!(snap.counters[names::PHASE_NS_IDLE] > snap.counters[names::PHASE_NS_DISPATCH]);
+        assert!(snap.counters[names::PHASE_NS_PARK] > snap.counters[names::PHASE_NS_DISPATCH]);
         assert_eq!(snap.counters[names::PHASE_MARKS], 100);
         assert_eq!(
-            snap.log_histograms[names::PHASE_DUR_IDLE].count
+            snap.log_histograms[names::PHASE_DUR_PARK].count
                 + snap.log_histograms[names::PHASE_DUR_DISPATCH].count,
             100
         );

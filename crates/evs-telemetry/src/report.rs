@@ -1,15 +1,13 @@
 //! Run reports: aggregated metric snapshots across all processes of a
 //! run, rendered as human-readable text or JSON.
 //!
-//! The JSON emitter is hand-rolled over `std::fmt`: the workspace's
-//! `serde` dependency is an offline API stand-in whose derives generate
-//! no serialization code (see `vendor/README.md`), so depending on it
-//! here would produce nothing — and this crate is deliberately
-//! dependency-free anyway. The emitted document is plain, stable JSON:
-//! object keys are sorted (`BTreeMap` iteration order) and all values
-//! are integers or strings.
+//! The JSON emitter is hand-rolled over `std::fmt` — this crate is
+//! deliberately dependency-free, and [`push_json_string`] is the one
+//! string escaper every other emitter in the workspace calls. The
+//! emitted document is plain, stable JSON: object keys are sorted
+//! (`BTreeMap` iteration order) and all values are integers or strings.
 
-use crate::metrics::{HistogramSnapshot, LogHistogramSnapshot};
+use crate::metrics::LogHistogramSnapshot;
 use crate::Telemetry;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -23,8 +21,6 @@ pub struct ProcessReport {
     pub counters: BTreeMap<String, u64>,
     /// Gauge values by name.
     pub gauges: BTreeMap<String, i64>,
-    /// Histogram snapshots by name.
-    pub histograms: BTreeMap<String, HistogramSnapshot>,
     /// Log-bucketed histogram snapshots by name.
     pub log_histograms: BTreeMap<String, LogHistogramSnapshot>,
 }
@@ -93,17 +89,6 @@ impl RunReport {
             for (name, v) in &p.gauges {
                 let _ = writeln!(out, "    {name:<32} {v} (gauge)");
             }
-            for (name, h) in &p.histograms {
-                let _ = writeln!(
-                    out,
-                    "    {name:<32} n={} sum={} mean={:.2} buckets(le {:?})={:?}",
-                    h.count,
-                    h.sum,
-                    h.mean(),
-                    h.bounds,
-                    h.buckets,
-                );
-            }
             for (name, h) in &p.log_histograms {
                 let _ = writeln!(
                     out,
@@ -131,18 +116,6 @@ impl RunReport {
             push_u64_map(&mut out, &p.counters);
             out.push_str("},\"gauges\":{");
             push_i64_map(&mut out, &p.gauges);
-            out.push_str("},\"histograms\":{");
-            for (j, (name, h)) in p.histograms.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                push_json_string(&mut out, name);
-                let _ = write!(
-                    out,
-                    ":{{\"bounds\":{:?},\"buckets\":{:?},\"count\":{},\"sum\":{}}}",
-                    h.bounds, h.buckets, h.count, h.sum
-                );
-            }
             // Log histograms are summarized (count/sum/max + quantiles)
             // rather than dumped bucket-by-bucket: 496 buckets per
             // instrument would swamp the document, and the consumers
@@ -221,7 +194,7 @@ mod tests {
         a.counter("messages_sent").add(3);
         a.counter("token_rotations").add(10);
         a.gauge("obligation_set_size").set(2);
-        a.histogram("stamped_per_visit", &[1, 4]).observe(2);
+        a.log_histogram("stamped_per_visit").observe(2);
         let b = Telemetry::enabled(1);
         b.counter("messages_sent").add(4);
         RunReport::collect([&a, &b])

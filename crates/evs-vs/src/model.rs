@@ -28,13 +28,12 @@ use crate::VsRun;
 use core::fmt;
 use evs_order::{MessageId, Service};
 use evs_sim::ProcessId;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// A process identity in the virtual synchrony model: the underlying
 /// process plus an incarnation number (a resumed process re-enters the
 /// primary component as a "new" process, §4.1/§5 Rule 4).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct VsProcId {
     /// Underlying transport identity.
     pub pid: ProcessId,
@@ -57,7 +56,7 @@ impl fmt::Display for VsProcId {
 
 /// Identifier of a view instance `g^x`: the primary configuration it stems
 /// from plus the split step (§5 Rule 3).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct VsViewId {
     /// The primary configuration this view derives from.
     pub base: evs_membership::ConfigId,
@@ -73,7 +72,7 @@ impl fmt::Display for VsViewId {
 }
 
 /// A view: instance identifier plus membership.
-#[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct VsView {
     /// Instance identifier.
     pub id: VsViewId,

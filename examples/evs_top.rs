@@ -12,7 +12,7 @@
 //!
 //! Each frame scrapes every endpoint and renders one table: per-node
 //! rotation/delivery/retransmission rates (from counter deltas between
-//! polls), WAL sync p99, backpressure, ARU lag and idle share, plus a
+//! polls), WAL sync p99, backpressure, ARU lag and parked share, plus a
 //! chaos-campaign progress line when a scraped process carries the
 //! campaign gauges. Nodes that stop answering show their failure count;
 //! a respawned process (sequence regression or changed OS pid) steps

@@ -75,9 +75,9 @@
 //! address gets one [`evs::obs::Exposition`] text datagram back, carrying
 //! counters, gauges, log-histogram quantiles, per-phase loop-time
 //! fractions (a [`PhaseClock`] chains a mark through every stage of the
-//! worker loop) and engine info keys (configuration id, ARU lag,
-//! membership, recovery state). `--serve` keeps a cluster alive under
-//! light traffic so `cargo run --example evs_top` has something to
+//! worker loop) and info keys (socket driver kind, configuration id,
+//! ARU lag, membership, recovery state). `--serve` keeps a cluster alive
+//! under light traffic so `cargo run --example evs_top` has something to
 //! watch; `--obs-smoke` is the self-checking CI variant.
 
 use bytes::BytesMut;
@@ -321,6 +321,7 @@ impl UdpWorker {
             .join(" ");
         let info = [
             ("role".to_string(), self.role.to_string()),
+            ("driver".to_string(), self.driver.name().to_string()),
             ("os_pid".to_string(), std::process::id().to_string()),
             (
                 "config".to_string(),
@@ -1184,8 +1185,9 @@ fn serve(secs: u64) {
 /// 3-node cluster, scrapes every node twice mid-traffic and asserts the
 /// exposition invariants — advancing snapshot sequences, monotone
 /// counters, phase fractions summing to ~1e6 ppm and covering ≥95% of
-/// loop wall-clock, exact text round-trips — then renders one evs-top
-/// frame from the recorded scrapes.
+/// loop wall-clock, exact text round-trips, the kernel-batched socket
+/// driver where the platform has one — then renders one evs-top frame
+/// from the recorded scrapes.
 fn obs_smoke() {
     println!("== obs smoke: live scrapes of a 3-node UDP cluster ==\n");
     let (command_txs, handles, _telemetry, addrs) = spawn_loopback_workers();
@@ -1254,9 +1256,27 @@ fn obs_smoke() {
         let parsed = Exposition::parse(&e2.to_text()).expect("round-trip");
         assert_eq!(&parsed, e2, "node {i}: exposition must round-trip");
         assert_eq!(e2.info["role"], "daemon");
+        // The loopback sockets are IPv4: where the kernel-batched path
+        // exists it must be the one in use, never a silent downgrade.
+        let driver = if net::kernel_batched() {
+            "batch"
+        } else {
+            "loop"
+        };
+        assert_eq!(e2.info["driver"], driver, "node {i}: socket driver");
     }
+    let latencies: u64 = second
+        .iter()
+        .filter_map(|e| e.hists.get(names::DELIVERY_LATENCY_AGREED))
+        .map(|h| h.count)
+        .sum();
+    assert!(latencies > 0, "scrapes must carry delivery latency");
     println!("-- {N} nodes scraped twice: seqs advance, counters monotone, phase");
-    println!("   fractions sum to ~1 and cover ≥95% of loop time, text round-trips");
+    println!("   fractions sum to ~1 and cover ≥95% of loop time, text round-trips,");
+    println!(
+        "   socket driver is `{}`, delivery latency exported",
+        second[0].info["driver"]
+    );
 
     let frame = top.render(epoch.elapsed().as_micros() as u64);
     print!("\n{frame}");

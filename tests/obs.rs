@@ -8,7 +8,10 @@
 //! the invariant that lets per-thread histograms be combined without a
 //! coordination step.
 
+use evs::core::{EvsParams, EvsProcess, Service};
 use evs::obs::{self, Exposition, HistStat, ObsResponder, PhaseStat};
+use evs::sim::live::LiveNet;
+use evs::sim::ProcessId;
 use evs::telemetry::{
     log_bucket_bound, log_bucket_index, names, LogHistogramSnapshot, Phase, PhaseClock, Telemetry,
     LOG_BUCKET_COUNT,
@@ -108,7 +111,7 @@ proptest! {
                 HistStat { count: i as u64, sum: *v, max: *v, p50: *v / 2, p90: *v, p99: *v },
             );
         }
-        expo.phases.insert("idle".to_string(), PhaseStat { ns: spacey as u64, ppm: 500_000 });
+        expo.phases.insert("park".to_string(), PhaseStat { ns: spacey as u64, ppm: 500_000 });
         let reparsed = Exposition::parse(&expo.to_text());
         prop_assert_eq!(reparsed.as_ref(), Ok(&expo));
     }
@@ -156,7 +159,7 @@ fn phase_clock_attribution_covers_the_loop_exactly() {
     let mut clock = PhaseClock::new(&t);
     for _ in 0..20 {
         std::thread::sleep(Duration::from_micros(100));
-        clock.mark(Phase::Idle);
+        clock.mark(Phase::Park);
         clock.mark(Phase::Recv);
         clock.mark(Phase::Dispatch);
         clock.mark(Phase::Send);
@@ -171,8 +174,57 @@ fn phase_clock_attribution_covers_the_loop_exactly() {
         ppm > 1_000_000 - Phase::COUNT as u64 && ppm <= 1_000_000,
         "phase fractions sum to {ppm} ppm"
     );
-    assert!(expo.phases["idle"].ns > expo.phases["dispatch"].ns);
+    assert!(expo.phases["park"].ns > expo.phases["dispatch"].ns);
     assert_eq!(expo.counters[names::PHASE_MARKS], 80);
+}
+
+/// The phase clock's budget: marks taken × calibrated cost per mark stays
+/// under 2% of the loop time the marks attributed, on a loaded live run.
+#[test]
+fn phase_clock_overhead_is_under_two_percent_of_a_live_loop() {
+    const MESSAGES: usize = 32;
+    let net =
+        LiveNet::spawn_with_telemetry(3, |pid| EvsProcess::<u64>::new(pid, EvsParams::default()));
+    assert!(
+        net.wait_until(Duration::from_secs(30), |node: &EvsProcess<u64>| {
+            node.is_settled() && node.current_config().members.len() == 3
+        }),
+        "live group must converge"
+    );
+    for i in 0..MESSAGES as u64 {
+        net.invoke(ProcessId::new((i % 3) as u32), move |node, ctx| {
+            node.submit(ctx, Service::Agreed, i)
+        });
+    }
+    assert!(
+        net.wait_until(Duration::from_secs(30), |node: &EvsProcess<u64>| {
+            let delivered = node.deliveries().iter().filter(|d| d.payload().is_some());
+            delivered.count() >= MESSAGES
+        }),
+        "every thread delivers the full load"
+    );
+    let handles = net.telemetry_handles();
+    net.shutdown();
+
+    let (mut attributed_ns, mut marks) = (0u64, 0u64);
+    for snap in handles.iter().filter_map(Telemetry::snapshot) {
+        let counter = |name: &str| snap.counters.get(name).copied().unwrap_or(0);
+        attributed_ns += Phase::ALL
+            .iter()
+            .map(|p| counter(p.counter_name()))
+            .sum::<u64>();
+        marks += counter(names::PHASE_MARKS);
+    }
+    assert!(marks > 0, "the live workers ran no phase clock");
+    let per_mark_ns = PhaseClock::calibrate(100_000);
+    let share = marks as f64 * per_mark_ns / attributed_ns as f64;
+    assert!(
+        share < 0.02,
+        "phase-timer overhead {:.3}% of live loop time ({marks} marks × {per_mark_ns:.0} ns \
+         over {:.1} ms attributed) exceeds the 2% budget",
+        share * 100.0,
+        attributed_ns as f64 / 1e6
+    );
 }
 
 #[test]

@@ -8,7 +8,7 @@ use evs::core::{checker, Configuration, EvsCluster, EvsParams, EvsProcess, Servi
 use evs::membership::ConfigId;
 use evs::sim::live::LiveNet;
 use evs::sim::ProcessId;
-use evs::telemetry::{RunReport, Telemetry, TelemetryEvent};
+use evs::telemetry::{names, RunReport, Telemetry, TelemetryEvent};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::time::Duration;
@@ -70,6 +70,37 @@ fn sim_run_produces_populated_report() {
     assert_populated(&report, "sim");
     // The trace is conformant, so the dump-aware check passes too.
     cluster.check().unwrap();
+}
+
+#[test]
+fn loaded_ring_fills_the_per_visit_and_latency_histograms() {
+    const MESSAGES: u64 = 64;
+    let mut cluster = EvsCluster::<String>::builder(3)
+        .seed(0x7E1E)
+        .telemetry(true)
+        .build();
+    assert!(cluster.run_until_settled(400_000), "formation stalled");
+    for i in 0..MESSAGES {
+        cluster.submit(p(0), Service::Agreed, format!("m{i}"));
+    }
+    assert!(cluster.run_until_settled(400_000), "pump stalled");
+    let report = cluster.run_report();
+    // P0's backlog exceeds the flow-control window, so some visit stamps
+    // a full window and none stamps more (a histogram's `max` is exact).
+    let fullest_visit = report
+        .processes
+        .iter()
+        .filter_map(|p| p.log_histograms.get(names::STAMPED_PER_VISIT))
+        .map(|h| h.max)
+        .max();
+    assert_eq!(
+        fullest_visit,
+        Some(EvsParams::default().max_per_visit as u64)
+    );
+    // Only the originator observes its own messages' delivery latency.
+    let latency = &report.processes[0].log_histograms[names::DELIVERY_LATENCY_AGREED];
+    assert_eq!(latency.count, MESSAGES);
+    assert!(latency.percentile(0.5) > 0 && latency.percentile(0.99) <= latency.max);
 }
 
 #[test]
