@@ -3,10 +3,11 @@
 # external dependencies are vendored, see vendor/README.md).
 #
 #   ./ci.sh              # the standard gate: every step below, in order
-#   ./ci.sh <step>       # one step: build-test, chaos-smoke, corruption-smoke,
-#                        #   kill-recovery, obs-smoke, bench-diff, e2e-smoke,
-#                        #   soaks, lint
+#   ./ci.sh <step>       # one step: build-test, e2e-smoke, chaos-smoke,
+#                        #   corruption-smoke, kill-recovery, obs-smoke,
+#                        #   bench-diff, soaks, lint
 #   ./ci.sh bench-smoke  # refresh BENCH_baseline.json (not in the gate)
+#   ./ci.sh loc          # print the non-test line count CHANGES.md quotes
 #
 # The soaks step runs whatever these select (all optional, all off by default):
 #   CHAOS_ITERS=50000  LIVE_CHAOS_ITERS=2000  KILL_CHAOS_ITERS=2000
@@ -22,7 +23,9 @@
 #
 # e2e-smoke runs the BENCHMARK.json command for 2 s per workload: wall
 # time is machine-dependent, so it gates only that the benchmark builds
-# from this tree and every run is correct with no failed operation.
+# from this tree and every run is correct with no failed operation. It
+# runs directly after build-test: a benchmark that no longer builds or
+# runs against this tree should cost two minutes to find, not the gate.
 #
 # Fails on the first broken step.
 set -eu
@@ -59,9 +62,9 @@ chaos_smoke() {
     echo "== chaos: fixed-seed smoke campaign =="
     chaos --iters 400 --seed 3203 --keep-going
     echo "== chaos: fixed-seed live smoke (hunting mix on the threaded driver) =="
-    # Loss-heavy plans (droppct/delay, once simulator-only) executed on LiveNet
-    # with real threads and per-link fault injection; striped across 4 workers,
-    # merged deterministically. ~10s wall on a single core.
+    # Loss-heavy plans (droppct/delay, once simulator-only) executed on an
+    # evs-runtime Cluster with real threads and per-link fault injection;
+    # striped across 4 workers, merged deterministically.
     chaos --hunting --live --n 3 --jobs 4 --iters 200 --seed 424242
     echo "== chaos: fixed-seed kill/restart smoke (durability mix, simulator) =="
     chaos --kill-chaos --iters 200 --seed 90125 --keep-going
@@ -149,6 +152,12 @@ soaks() {
     [ -z "${BENCH_SMOKE:-}" ] || bench_smoke
 }
 
+loc() {
+    # Non-test lines of Rust, by PR 16's rule (bench/ is its own workspace).
+    find crates src examples vendor -name '*.rs' -not -path '*/tests/*' \
+        -not -path '*/benches/*' | xargs cat | wc -l
+}
+
 lint() {
     echo "== rustfmt =="
     cargo fmt --check
@@ -159,18 +168,18 @@ lint() {
 case "${1:-all}" in
 all)
     build_test
+    e2e_smoke
     chaos_smoke
     corruption_smoke
     kill_recovery
     obs_smoke
     bench_diff
-    e2e_smoke
     soaks
     lint
     echo "ci: all green"
     ;;
 build-test | chaos-smoke | corruption-smoke | kill-recovery | obs-smoke | \
-    bench-smoke | bench-diff | e2e-smoke | soaks | lint)
+    bench-smoke | bench-diff | e2e-smoke | soaks | loc | lint)
     "$(echo "$1" | tr - _)"
     ;;
 *)

@@ -17,10 +17,10 @@
 use crate::plan::{BitTarget, FaultPlan, FaultStep, PlanError};
 use evs_broker::{BrokerCluster, BrokerClusterConfig};
 use evs_core::checker;
-use evs_core::{CorruptionKind, EvsCluster, EvsParams, EvsProcess, Payload, Trace};
+use evs_core::{CorruptionKind, EvsCluster, EvsProcess, Payload, Trace};
 use evs_inspect::collect_dumps;
-use evs_sim::live::LiveNet;
-use evs_sim::{Action, LinkFault, NetConfig, ProcessId};
+use evs_runtime::{Cluster, LinkFault, TICK};
+use evs_sim::{Action, NetConfig, ProcessId};
 use evs_telemetry::{RecordedEvent, RunReport, Telemetry};
 use evs_vs::{check_vs, filter_trace, MajorityPrimary, PrimaryHistory};
 use std::time::Duration;
@@ -103,6 +103,18 @@ impl Default for Orchestrator {
     }
 }
 
+/// The components a `Split` step describes: element `i` of `labels` is
+/// the group of process `i`; groups nobody is in are left out.
+fn components(labels: &[u8]) -> Vec<Vec<ProcessId>> {
+    let count = labels.iter().map(|&l| l as usize + 1).max().unwrap_or(0);
+    let mut groups = vec![Vec::new(); count];
+    for (i, &l) in labels.iter().enumerate() {
+        groups[l as usize].push(ProcessId::new(i as u32));
+    }
+    groups.retain(|g| !g.is_empty());
+    groups
+}
+
 /// Decodes a corruption-class step into its target process and the
 /// engine-level injection. `None` for every other step kind.
 fn corruption(step: &FaultStep) -> Option<(u8, CorruptionKind)> {
@@ -181,20 +193,8 @@ impl Orchestrator {
         for step in &plan.steps {
             match step {
                 FaultStep::Split(labels) => {
-                    let mut groups: Vec<Vec<ProcessId>> = Vec::new();
-                    let mut max = 0usize;
-                    for &l in labels {
-                        max = max.max(l as usize + 1);
-                    }
-                    groups.resize(max, Vec::new());
-                    for (i, &l) in labels.iter().enumerate() {
-                        groups[l as usize].push(ProcessId::new(i as u32));
-                    }
-                    let groups: Vec<&[ProcessId]> = groups
-                        .iter()
-                        .filter(|g| !g.is_empty())
-                        .map(Vec::as_slice)
-                        .collect();
+                    let groups = components(labels);
+                    let groups: Vec<&[ProcessId]> = groups.iter().map(Vec::as_slice).collect();
                     cluster.partition(&groups);
                 }
                 FaultStep::Merge => cluster.merge_all(),
@@ -311,20 +311,8 @@ impl Orchestrator {
         for step in &plan.steps {
             match step {
                 FaultStep::Split(labels) => {
-                    let mut groups: Vec<Vec<ProcessId>> = Vec::new();
-                    let mut max = 0usize;
-                    for &l in labels {
-                        max = max.max(l as usize + 1);
-                    }
-                    groups.resize(max, Vec::new());
-                    for (i, &l) in labels.iter().enumerate() {
-                        groups[l as usize].push(ProcessId::new(i as u32));
-                    }
-                    let groups: Vec<&[ProcessId]> = groups
-                        .iter()
-                        .filter(|g| !g.is_empty())
-                        .map(Vec::as_slice)
-                        .collect();
+                    let groups = components(labels);
+                    let groups: Vec<&[ProcessId]> = groups.iter().map(Vec::as_slice).collect();
                     bc.partition(&groups);
                 }
                 FaultStep::Merge => bc.merge_all(),
@@ -503,12 +491,12 @@ impl Orchestrator {
         }
     }
 
-    /// Runs `plan` on the live multi-threaded driver — same state
-    /// machines, real threads and real time — and checks the same
-    /// conformance suite. `Run` steps become wall-clock sleeps (1 tick =
-    /// 100 µs, the live driver's clock); `DropPct` and `Delay` steps
-    /// reconfigure every inter-node link's [`LinkFault`] policy mid-run,
-    /// seeded from the plan seed.
+    /// Runs `plan` on a live [`Cluster`] over the in-memory medium — same
+    /// state machines, real threads and real time — and checks the same
+    /// conformance suite. `Run` steps become wall-clock sleeps (one
+    /// [`TICK`] per tick); `DropPct` and `Delay` steps reconfigure every
+    /// inter-node link's [`LinkFault`] policy mid-run, seeded from the
+    /// plan seed.
     ///
     /// # Errors
     ///
@@ -527,88 +515,54 @@ impl Orchestrator {
             });
         }
         let n = plan.n as usize;
-        let spawn = |pid: ProcessId| EvsProcess::<String>::new(pid, EvsParams::default());
-        let net = if self.telemetry {
-            LiveNet::spawn_with_telemetry(n, spawn)
-        } else {
-            LiveNet::spawn(n, spawn)
-        };
-        net.set_fault_seed(plan.seed);
+        let net = Cluster::in_memory(n, self.telemetry);
+        let faults = net.faults();
+        faults.set_seed(plan.seed);
         let settled_with = |k: usize| {
-            move |node: &EvsProcess<String>| {
+            move |node: &EvsProcess<Payload>| {
                 node.is_settled() && node.current_config().members.len() == k
             }
         };
         let formed = net.wait_until(Duration::from_secs(20), settled_with(n));
-        let mut down = vec![false; n];
         let mut msg = 0u32;
         // The simulator's drop and latency knobs are independent global
-        // settings; mirror that by composing both into the net-wide link
-        // policy whenever either step changes one of them.
-        let mut drop_pct = 0u8;
-        let mut delay = (0u64, 0u64);
-        let compose = |drop_pct: u8, delay: (u64, u64)| LinkFault {
-            drop_pct,
-            delay_lo: delay.0,
-            delay_hi: delay.1,
-            ..LinkFault::default()
-        };
+        // settings; mirror that with one net-wide link policy that either
+        // step updates its own part of.
+        let mut policy = LinkFault::default();
         if formed {
             for step in &plan.steps {
                 match step {
-                    FaultStep::Split(labels) => {
-                        let mut groups: Vec<Vec<ProcessId>> = Vec::new();
-                        let mut max = 0usize;
-                        for &l in labels {
-                            max = max.max(l as usize + 1);
-                        }
-                        groups.resize(max, Vec::new());
-                        for (i, &l) in labels.iter().enumerate() {
-                            groups[l as usize].push(ProcessId::new(i as u32));
-                        }
-                        groups.retain(|g| !g.is_empty());
-                        net.partition(&groups);
-                    }
-                    FaultStep::Merge => net.merge_all(),
-                    FaultStep::Crash(i) => {
-                        net.crash(ProcessId::new(*i as u32));
-                        down[*i as usize] = true;
-                    }
-                    FaultStep::Kill(i) => {
-                        net.kill(ProcessId::new(*i as u32));
-                        down[*i as usize] = true;
-                    }
+                    FaultStep::Split(labels) => faults.partition(&components(labels)),
+                    FaultStep::Merge => faults.merge_all(),
+                    FaultStep::Crash(i) => net.crash(ProcessId::new(*i as u32)),
+                    FaultStep::Kill(i) => net.kill(ProcessId::new(*i as u32)),
                     FaultStep::Recover(i) | FaultStep::Restart(i) => {
                         net.recover(ProcessId::new(*i as u32));
-                        down[*i as usize] = false;
                     }
                     FaultStep::DropPct(pct) => {
-                        drop_pct = *pct;
-                        net.set_fault_all(compose(drop_pct, delay));
+                        policy.drop_pct = *pct;
+                        faults.set_all(policy);
                     }
                     FaultStep::Delay(lo, hi) => {
-                        delay = (*lo, *hi);
-                        net.set_fault_all(compose(drop_pct, delay));
+                        (policy.delay_lo, policy.delay_hi) = (*lo, *hi);
+                        faults.set_all(policy);
                     }
                     FaultStep::Mcast {
                         from,
                         count,
                         service,
                     } => {
-                        if !down[*from as usize] {
-                            let service = *service;
-                            for _ in 0..*count {
-                                msg += 1;
-                                let payload = format!("c{msg}");
-                                net.invoke(ProcessId::new(*from as u32), move |node, ctx| {
-                                    node.submit(ctx, service, payload)
-                                });
-                            }
+                        // (A down process runs no command: nothing to skip.)
+                        let service = *service;
+                        for _ in 0..*count {
+                            msg += 1;
+                            let payload = Payload::from(format!("c{msg}").into_bytes());
+                            net.invoke(ProcessId::new(*from as u32), move |node, ctx| {
+                                node.submit(ctx, service, payload)
+                            });
                         }
                     }
-                    FaultStep::Run(t) => {
-                        std::thread::sleep(Duration::from_micros(*t as u64 * 100));
-                    }
+                    FaultStep::Run(t) => std::thread::sleep(TICK * *t),
                     FaultStep::BrokerKill(_) | FaultStep::BrokerReconnect(_) => {
                         unreachable!("run_live rejects broker plans up front")
                     }
@@ -618,11 +572,9 @@ impl Orchestrator {
                     | FaultStep::WalByte { .. }
                     | FaultStep::WalTrunc { .. } => {
                         let (p, kind) = corruption(step).expect("corruption step decodes");
-                        if !down[p as usize] {
-                            net.invoke(ProcessId::new(p as u32), move |node, _ctx| {
-                                node.inject_corruption(kind)
-                            });
-                        }
+                        net.invoke(ProcessId::new(p as u32), move |node, _ctx| {
+                            node.inject_corruption(kind)
+                        });
                     }
                 }
             }
@@ -632,8 +584,8 @@ impl Orchestrator {
         // Heal everything, like the simulator path: perfect links again,
         // one component, everyone up. The liveness-flavored specifications
         // apply from here.
-        net.clear_faults();
-        net.merge_all();
+        faults.set_all(LinkFault::default());
+        faults.merge_all();
         for i in 0..n {
             net.recover(ProcessId::new(i as u32));
         }
@@ -641,8 +593,7 @@ impl Orchestrator {
         let handles = net.telemetry_handles();
         let report = RunReport::collect(&handles);
         let dumps = collect_dumps(&handles);
-        let results = net.shutdown();
-        let trace = Trace::new(results.into_iter().map(|(_, t)| t).collect());
+        let trace = Trace::new(net.shutdown());
         let failure = if settled {
             conformance(&trace, &handles, n)
         } else {

@@ -73,7 +73,8 @@ const TICK: TimerKind = TimerKind(1);
 /// Fires when a paced token is due to be forwarded to the successor.
 const TOKEN_SEND: TimerKind = TimerKind(2);
 
-/// Stable-storage key for the engine's persistent counters.
+/// Label of the [`TelemetryEvent::StableWrite`] a clean crash records for
+/// its durable `FailMark`.
 const STABLE_KEY: &str = "evs-engine";
 
 /// Cap on buffered frames for configurations we have not installed yet.
@@ -1251,7 +1252,6 @@ impl<P: Clone + fmt::Debug + 'static> EvsProcess<P> {
             .max(self.membership.max_epoch())
             .max(config.epoch);
         let persist = self.persist;
-        ctx.stable().put(STABLE_KEY, persist);
         self.wal_append(WalRecord::FailMark {
             epoch: config.epoch,
             rep: config.rep.index(),
@@ -1539,10 +1539,6 @@ impl<P: Clone + fmt::Debug + 'static> Node for EvsProcess<P> {
     type Msg = EvsMsg<P>;
     type Ev = EvsEvent;
 
-    fn is_token(msg: &EvsMsg<P>) -> bool {
-        matches!(msg, EvsMsg::Ring(RingMsg::Token(_)))
-    }
-
     fn on_start(&mut self, ctx: &mut ECtx<'_, P>) {
         self.telemetry = ctx.telemetry().clone();
         self.propagate_telemetry();
@@ -1658,10 +1654,9 @@ impl<P: Clone + fmt::Debug + 'static> Node for EvsProcess<P> {
         ctx.emit(EvsEvent::Fail { config });
         self.persist.max_epoch = self.persist.max_epoch.max(self.membership.max_epoch());
         let persist = self.persist;
-        ctx.stable().put(STABLE_KEY, persist);
-        // The WAL form of the same fact: a clean crash marks the log with
-        // its exact counters, so replay continues the id series without
-        // the lease gap and owes no synthetic failure.
+        // A clean crash marks the log with its exact counters, so replay
+        // continues the id series without the lease gap and owes no
+        // synthetic failure.
         self.wal_append(WalRecord::FailMark {
             epoch: config.epoch,
             rep: config.rep.index(),
@@ -1694,26 +1689,13 @@ impl<P: Clone + fmt::Debug + 'static> Node for EvsProcess<P> {
                 },
             );
         }
-        // Prefer the write-ahead log when it holds anything: it subsumes
-        // the legacy two-counter StableStore record and also knows whether
-        // a fail_p(c) is owed (a kill bypasses on_crash entirely).
-        if let Ok(replay) = self.storage.replay() {
-            if !replay.is_empty() {
-                self.restart_from_wal(ctx, replay);
-                return;
-            }
-        }
-        let persist = ctx
-            .stable()
-            .get::<PersistentState>(STABLE_KEY)
-            .copied()
-            .unwrap_or_default();
-        self.persist = persist;
-        self.lease_limit = persist.msg_counter;
-        self.counter_shadow = !persist.msg_counter;
-        let epoch = self.persist.max_epoch + 1;
-        self.persist.max_epoch = epoch;
-        self.reincarnate(ctx, epoch);
+        // The write-ahead log is the only durable record the engine reads
+        // back — the same replay a restarted process takes in `on_start`.
+        // It is never empty here (`on_start` journals the first
+        // configuration delivery), and it knows whether a fail_p(c) is
+        // owed: a kill bypasses `on_crash` entirely.
+        let replay = self.storage.replay().unwrap_or_default();
+        self.restart_from_wal(ctx, replay);
     }
 }
 

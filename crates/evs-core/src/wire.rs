@@ -1,8 +1,8 @@
 //! Compact binary wire format for [`EvsMsg`] frames.
 //!
-//! The simulator and the in-process live driver move typed messages
-//! directly; a real deployment (UDP multicast, as Totem/Transis used) needs
-//! a byte encoding. This module provides a hand-rolled, dependency-light
+//! The simulator moves typed messages directly; a real deployment (UDP
+//! multicast, as Totem/Transis used) needs a byte encoding, and the live
+//! worker loop (`evs-runtime`) uses it on every medium, in memory too. This module provides a hand-rolled, dependency-light
 //! codec for `EvsMsg<Payload>` — the zero-copy payload type the rest of
 //! the stack hands around — covering every nested protocol type:
 //! configuration identifiers, ring data, data batches and tokens,
@@ -19,10 +19,9 @@
 //! * [`encode_into`] encodes into a caller-owned [`BytesMut`], so a send
 //!   loop reuses one allocation for every frame it emits.
 //! * [`pack_frames`] / [`unpack_frames`] pack several encoded frames into
-//!   one length-delimited datagram (the same `u32` framing a
-//!   [`FrameReader`] stream uses), so a burst — say, every message
-//!   stamped on one token visit — costs one system call instead of one
-//!   per message.
+//!   one length-delimited datagram (`u32` little-endian length headers),
+//!   so a burst — say, every message stamped on one token visit — costs
+//!   one system call instead of one per message.
 //!
 //! ```
 //! use evs_core::{wire, EvsMsg, Payload};
@@ -44,7 +43,7 @@ use core::fmt;
 use evs_membership::{ConfigId, MembMsg};
 use evs_order::{MessageId, OrderedMsg, RingMsg, Service, Token};
 use evs_sim::ProcessId;
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::BTreeSet;
 
 /// Errors produced while decoding a frame.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -501,8 +500,8 @@ pub fn decode(frame: &[u8]) -> Result<EvsMsg<Payload>> {
 // --- datagram packing ----------------------------------------------------
 
 /// Appends one encoded frame to a datagram under construction, prefixed
-/// with the same `u32` little-endian length header a [`FrameReader`]
-/// stream uses. Pair with [`unpack_frames`] on the receive side.
+/// with a `u32` little-endian length header. Pair with [`unpack_frames`]
+/// on the receive side.
 pub fn pack_into(frame: &[u8], out: &mut BytesMut) {
     out.put_u32_le(frame.len() as u32);
     out.put_slice(frame);
@@ -556,67 +555,6 @@ pub fn unpack_frames(datagram: &[u8]) -> Result<Vec<&[u8]>> {
         rest = tail;
     }
     Ok(frames)
-}
-
-/// A length-delimited frame accumulator for stream transports (TCP):
-/// feed arbitrary chunks in, take complete frames out.
-///
-/// Datagram transports (UDP) carry one [`encode`]d frame per packet and do
-/// not need this.
-#[derive(Debug, Default)]
-pub struct FrameReader {
-    buffer: BytesMut,
-    frames: VecDeque<Bytes>,
-}
-
-impl FrameReader {
-    /// Creates an empty reader.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Appends received bytes and extracts any completed frames.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WireError::OversizedLength`] if a frame header claims a
-    /// length beyond the sanity cap (the stream is then unrecoverable).
-    pub fn feed(&mut self, chunk: &[u8]) -> Result<()> {
-        self.buffer.extend_from_slice(chunk);
-        loop {
-            if self.buffer.len() < 4 {
-                return Ok(());
-            }
-            let len = u32::from_le_bytes([
-                self.buffer[0],
-                self.buffer[1],
-                self.buffer[2],
-                self.buffer[3],
-            ]) as u64;
-            if len > MAX_LEN {
-                return Err(WireError::OversizedLength { len });
-            }
-            let len = len as usize;
-            if self.buffer.len() < 4 + len {
-                return Ok(());
-            }
-            self.buffer.advance(4);
-            self.frames.push_back(self.buffer.split_to(len).freeze());
-        }
-    }
-
-    /// Pops the next completed frame.
-    pub fn next_frame(&mut self) -> Option<Bytes> {
-        self.frames.pop_front()
-    }
-
-    /// Wraps an encoded frame with the length header this reader expects.
-    pub fn frame(payload: &Bytes) -> Bytes {
-        let mut out = BytesMut::with_capacity(4 + payload.len());
-        out.put_u32_le(payload.len() as u32);
-        out.extend_from_slice(payload);
-        out.freeze()
-    }
 }
 
 #[cfg(test)]
@@ -777,36 +715,6 @@ mod tests {
         out.put_u32_le(u32::MAX); // absurd payload length
         assert!(matches!(
             decode(&out),
-            Err(WireError::OversizedLength { .. })
-        ));
-    }
-
-    #[test]
-    fn frame_reader_reassembles_split_stream() {
-        let frames = sample_frames();
-        let mut stream = BytesMut::new();
-        for f in &frames {
-            stream.extend_from_slice(&FrameReader::frame(&encode(f)));
-        }
-        // Feed in awkward chunk sizes.
-        let mut reader = FrameReader::new();
-        for chunk in stream.chunks(3) {
-            reader.feed(chunk).unwrap();
-        }
-        let mut decoded = 0;
-        while let Some(frame) = reader.next_frame() {
-            decode(&frame).expect("frame decodes");
-            decoded += 1;
-        }
-        assert_eq!(decoded, frames.len());
-    }
-
-    #[test]
-    fn frame_reader_rejects_hostile_header() {
-        let mut reader = FrameReader::new();
-        let hostile = (MAX_LEN as u32 + 1).to_le_bytes();
-        assert!(matches!(
-            reader.feed(&hostile),
             Err(WireError::OversizedLength { .. })
         ));
     }

@@ -166,28 +166,6 @@ proptest! {
         }
     }
 
-    /// The stream framer reassembles any chunking of any frame sequence.
-    #[test]
-    fn stream_framer_handles_any_chunking(
-        frames in proptest::collection::vec(frame(), 1..6),
-        chunk in 1usize..17,
-    ) {
-        let mut stream = Vec::new();
-        for f in &frames {
-            stream.extend_from_slice(&wire::FrameReader::frame(&wire::encode(f)));
-        }
-        let mut reader = wire::FrameReader::new();
-        for piece in stream.chunks(chunk) {
-            reader.feed(piece).unwrap();
-        }
-        let mut count = 0;
-        while let Some(frame) = reader.next_frame() {
-            wire::decode(&frame).expect("reassembled frame decodes");
-            count += 1;
-        }
-        prop_assert_eq!(count, frames.len());
-    }
-
     /// Packing frames into one datagram and unpacking them yields the same
     /// decoded messages as decoding each frame individually.
     #[test]

@@ -1,7 +1,7 @@
 //! Run analysis for the EVS reproduction: cross-process trace
 //! correlation, lifecycle spans and anomaly detection.
 //!
-//! Every process in a run — simulated, threaded (LiveNet), or driven by a
+//! Every process in a run — simulated, live (`evs-runtime`), or driven by a
 //! chaos campaign — carries a bounded flight recorder of structured
 //! [`TelemetryEvent`](evs_telemetry::TelemetryEvent)s. This crate ingests
 //! those per-process dumps and turns them into something a human can

@@ -3,7 +3,7 @@
 //! Each process's flight recorder is a locally-ordered event log. The
 //! merge stitches them into one globally-ordered view keyed by the tick
 //! each event was recorded at (the simulator's logical clock, or the
-//! driver's tick under LiveNet). Within a tick, events order by process
+//! live worker's tick). Within a tick, events order by process
 //! id and then by the process's own recording order — a total order
 //! consistent with the paper's `→` precedes relation as far as the
 //! recorded ticks resolve it, and — crucially for reproducibility —

@@ -101,6 +101,14 @@ pub trait SocketDriver: Send {
     /// Short static name of the driver ("batch" / "loop") for telemetry
     /// and bench labels.
     fn name(&self) -> &'static str;
+
+    /// Largest datagram this medium carries; a larger one must not be
+    /// pushed (`sendmmsg` fails the whole batch with `EMSGSIZE`). A
+    /// property of the medium, not a setting: unlimited unless the driver
+    /// says otherwise, [`MAX_DATAGRAM`] for the two UDP drivers.
+    fn max_datagram(&self) -> usize {
+        usize::MAX
+    }
 }
 
 /// True when this build selects the `sendmmsg`/`recvmmsg` fast path for
@@ -252,6 +260,10 @@ impl SocketDriver for LoopUdpDriver {
 
     fn name(&self) -> &'static str {
         "loop"
+    }
+
+    fn max_datagram(&self) -> usize {
+        MAX_DATAGRAM
     }
 }
 
@@ -585,6 +597,10 @@ mod batch {
 
         fn name(&self) -> &'static str {
             "batch"
+        }
+
+        fn max_datagram(&self) -> usize {
+            MAX_DATAGRAM
         }
     }
 }

@@ -13,8 +13,8 @@
 //! while packets are in flight, and crash/recovery cascades — is exactly
 //! reproducible. The protocol stacks built on top (`evs-order`,
 //! `evs-membership`, `evs-core`) are written as [`Node`] state machines and
-//! never observe anything but messages, timers and simulated time, so they
-//! could equally be driven by a real UDP event loop.
+//! never observe anything but messages, timers and simulated time, so the
+//! same state machines run live over real sockets (`evs-runtime`).
 //!
 //! ## Quick tour
 //!
@@ -59,7 +59,6 @@
 #![warn(missing_docs)]
 
 mod ids;
-pub mod live;
 mod node;
 mod sim;
 mod stable;
@@ -69,7 +68,6 @@ mod topology;
 pub use topology::Topology;
 
 pub use ids::{all_ids, ProcessId};
-pub use live::{LinkFault, LiveNet};
 pub use node::{Ctx, Effect, Node, TimerId, TimerKind};
 pub use sim::{Action, NetConfig, Sim};
 pub use stable::StableStore;

@@ -43,14 +43,6 @@ pub trait Node {
     /// Called once when the simulation starts (or when this node is created).
     fn on_start(&mut self, ctx: &mut Ctx<'_, Self::Msg, Self::Ev>);
 
-    /// True when `msg` is a token visit (the ring's ordering work rides
-    /// it). Drivers with phase-time attribution use this to account
-    /// token handling separately from ordinary dispatch; the default
-    /// classifies nothing, which only coarsens attribution.
-    fn is_token(_msg: &Self::Msg) -> bool {
-        false
-    }
-
     /// Called for every message received over the medium.
     fn on_message(
         &mut self,
@@ -81,10 +73,10 @@ pub trait Node {
 
 /// What a node asked its driver to do during a callback.
 ///
-/// The built-in drivers ([`Sim`](crate::Sim), [`LiveNet`](crate::live::LiveNet))
-/// interpret these internally; custom transport drivers obtain them from
-/// [`Ctx::detached`] + [`Ctx::take_effects`] and map them onto their own
-/// medium (see the workspace example `udp_cluster`).
+/// [`Sim`](crate::Sim) interprets these internally; a transport driver
+/// obtains them from [`Ctx::detached`] + [`Ctx::take_effects`] and maps
+/// them onto its own medium (the workspace's one live driver is
+/// `evs-runtime`'s `Worker`).
 #[derive(Debug)]
 pub enum Effect<M> {
     /// Send `M` to every process in the sender's component.

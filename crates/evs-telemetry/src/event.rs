@@ -210,7 +210,7 @@ pub enum TelemetryEvent {
         wal: bool,
     },
 
-    // ---- evs-sim: the live driver's per-link fault layer ----
+    // ---- evs-runtime: the link-fault driver decorator ----
     /// The receiving delivery thread dropped a packet under the link's
     /// fault policy.
     LinkPacketDropped {

@@ -114,8 +114,15 @@ pub const WAL_SUPPRESSED_FAILS: &str = "wal_suppressed_fails";
 /// process stays down rather than risk id reuse (Spec 1.4).
 pub const WAL_REFUSED_STARTS: &str = "wal_refused_starts";
 
-// ---- evs-sim: the live driver's per-link fault layer ----
+// ---- evs-runtime: the live worker loop and its link-fault decorator ----
 
+/// Outbound datagrams dropped before the push because they exceed what
+/// the medium carries (`SocketDriver::max_datagram`) — a recovery frame
+/// past UDP's 65,507 B is lost and counted, not fatal.
+pub const OVERSIZED_DATAGRAMS_DROPPED: &str = "oversized_datagrams_dropped";
+/// Parks of a live worker that ended at the `MAX_PARK` backstop with no
+/// timer armed: a deadline the engine failed to arm. Must stay 0.
+pub const PARK_BACKSTOP_FIRED: &str = "park_backstop_fired";
 /// Packets dropped by a live link's fault policy.
 pub const LINK_DROPS: &str = "link_drops";
 /// Packets held back by a live link's latency/jitter or reordering policy.
@@ -152,7 +159,7 @@ pub const BROKER_BATCH_OPS: &str = "broker_batch_ops";
 
 // ---- the live observability plane: phase-time attribution ----
 //
-// The live drivers chain a `PhaseClock` mark through every loop stage;
+// The live worker loop chains a `PhaseClock` mark through every stage;
 // each phase owns one nanosecond counter (total attributed time) and one
 // log-bucketed histogram (per-stretch duration distribution). `evs-top`
 // and the `OBS?` exposition compute phase fractions from the counters.

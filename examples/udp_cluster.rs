@@ -32,31 +32,14 @@
 //! conformance suite: Specifications 1.1–7.2, the primary-component
 //! properties, and the §5 reduction to virtual synchrony.
 //!
-//! Children treat datagrams from non-member sources as control traffic
-//! when they carry the `EVSC` magic (submit / inspect / shutdown); the
-//! journal is written *before* any datagram of the same dispatch leaves
-//! the socket, so no effect of an event can be observed remotely unless
-//! the event itself survives the kill.
-//!
-//! The send path is allocation-light in steady state: every frame is
-//! encoded once into a per-worker scratch buffer ([`wire::encode_into`])
-//! and all frames one dispatch produces for the same destination are
-//! packed into a single datagram ([`wire::pack_frames`] framing). The
-//! datagrams themselves go through an [`evs::net::SocketDriver`] — an
-//! io_uring-shaped push/submit/complete queue — so a dispatch's whole
-//! fan-out costs **one** `sendmmsg(2)` on Linux (a portable
-//! `send_to` loop elsewhere) and inbound bursts are reaped a batch at a
-//! time with `recvmmsg(2)`.
-//!
-//! The worker loop is event-driven: due timers fire on every iteration,
-//! and between events the worker *parks* inside
-//! [`SocketDriver::complete`] until the next protocol deadline (armed by
-//! the engine's deadline computation, see DESIGN.md "The deadline timer
-//! wheel") or a datagram. In-process control commands interrupt the park
-//! with a 4-byte `EVSW` wake datagram to the worker's own socket;
-//! `EVSC`/`OBS?` datagrams wake it inherently. An idle worker burns no
-//! CPU (time parks under [`Phase::Park`]); a loaded worker never sleeps
-//! between messages.
+//! Every mode runs the one live worker loop, [`evs::runtime::Worker`]
+//! (DESIGN.md "The live worker loop"): the in-process modes as an
+//! [`evs::runtime::Cluster`] — a thread per member over real loopback
+//! sockets — and a `--child` by stepping its own `Worker`, trace journal
+//! attached, on the main thread. What is left in this file is argument
+//! parsing, the `EVSC` control plane children answer (submit / inspect /
+//! shutdown, from any non-member address), the `kill -9` orchestrator,
+//! the broker's client socket and the smoke assertions.
 //!
 //! `--broker` runs the client tier live: the same three UDP daemons, plus
 //! an `evs_broker::Broker` front-end on its own socket. Every client is a
@@ -74,31 +57,26 @@
 //! socket it already owns: a 4-byte query datagram from any non-member
 //! address gets one [`evs::obs::Exposition`] text datagram back, carrying
 //! counters, gauges, log-histogram quantiles, per-phase loop-time
-//! fractions (a [`PhaseClock`] chains a mark through every stage of the
-//! worker loop) and info keys (socket driver kind, configuration id,
-//! ARU lag, membership, recovery state). `--serve` keeps a cluster alive
-//! under light traffic so `cargo run --example evs_top` has something to
-//! watch; `--obs-smoke` is the self-checking CI variant.
+//! fractions and info keys (socket driver kind, configuration id, ARU
+//! lag, membership, recovery state, oversized datagrams dropped, park
+//! backstops fired). `--serve` keeps a cluster alive under light traffic
+//! so `cargo run --example evs_top` has something to watch; `--obs-smoke`
+//! is the self-checking CI variant.
 
-use bytes::BytesMut;
 use evs::broker::{Broker, BrokerParams, SubmitOutcome};
-use evs::core::{
-    checker, trace_io, wire, Delivery, EvsEvent, EvsParams, EvsProcess, Payload, Service, Trace,
-};
-use evs::net::{self, Completion, SocketDriver};
+use evs::core::{checker, trace_io, EvsParams, EvsProcess, Payload, Service, Trace};
+use evs::net::{self, Completion};
 use evs::obs::{self, Exposition, TopState};
-use evs::sim::{Ctx, Effect, Node, ProcessId, SimTime, StableStore, TimerKind};
+use evs::runtime::{self, Cluster, Worker, MAX_PARK};
+use evs::sim::ProcessId;
 use evs::store::FileStorage;
-use evs::telemetry::{names, Phase, PhaseClock, RunReport, Telemetry};
+use evs::telemetry::{names, Phase, RunReport, Telemetry};
 use std::fs;
-use std::io::Write as _;
 use std::net::{SocketAddr, UdpSocket};
 use std::path::{Path, PathBuf};
-use std::sync::{mpsc, Arc};
+use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
-/// One protocol tick worth of real time.
-const TICK: Duration = Duration::from_micros(200);
 const N: usize = 3;
 
 /// Magic prefix marking orchestrator→child control datagrams. Anything
@@ -106,415 +84,9 @@ const N: usize = 3;
 /// this is ignored.
 const CONTROL_MAGIC: &[u8; 4] = b"EVSC";
 
-/// A 4-byte wake datagram: carries no payload, exists only to interrupt
-/// a worker parked in [`SocketDriver::complete`] so it notices an
-/// in-process command promptly. The event-driven analogue of the old
-/// fixed 500 µs receive timeout.
-const WAKE_MAGIC: &[u8; 4] = b"EVSW";
-
-/// Upper bound on one park. The engine always arms a deadline, so this
-/// is only a backstop (orphan guard, lost-wake safety) — never the
-/// pacing mechanism.
-const MAX_PARK: Duration = Duration::from_millis(50);
-
 /// A child process exits on its own after this long, so an orchestrator
 /// that dies mid-run cannot leak workers forever.
 const CHILD_MAX_LIFETIME: Duration = Duration::from_secs(300);
-
-/// Commands the main thread sends to a node thread (in-process demo).
-enum Command {
-    Submit(Service, Payload),
-    Inspect(mpsc::Sender<(bool, usize, Vec<String>)>),
-    /// Clones every delivered application payload (the broker front-end
-    /// drains these to route client replies off agreed delivery).
-    Drain(mpsc::Sender<Vec<Payload>>),
-    Shutdown(mpsc::Sender<Vec<(SimTime, EvsEvent)>>),
-}
-
-/// The in-process command channel to one worker, paired with the wake
-/// path: every command is followed by an `EVSW` datagram to the worker's
-/// socket, so a worker parked on an event wait handles the command
-/// immediately instead of at its next protocol deadline.
-#[derive(Clone)]
-struct CommandPort {
-    tx: mpsc::Sender<Command>,
-    wake: Arc<UdpSocket>,
-    addr: SocketAddr,
-}
-
-impl CommandPort {
-    fn send(&self, cmd: Command) -> Result<(), mpsc::SendError<Command>> {
-        self.tx.send(cmd)?;
-        let _ = self.wake.send_to(WAKE_MAGIC, self.addr);
-        Ok(())
-    }
-}
-
-struct UdpWorker {
-    me: ProcessId,
-    node: EvsProcess<Payload>,
-    /// The batched socket edge: outbound datagrams queue via
-    /// [`SocketDriver::push`] and ship in one kernel submit; inbound
-    /// bursts reap in one completion batch (which doubles as the parked
-    /// wait).
-    driver: Box<dyn SocketDriver>,
-    peers: Vec<SocketAddr>,
-    /// In-process demo control plane; `None` in `--child` mode, where the
-    /// same requests arrive as `EVSC` datagrams.
-    commands: Option<mpsc::Receiver<Command>>,
-    stable: StableStore,
-    trace: Vec<(SimTime, EvsEvent)>,
-    /// Durable per-process trace journal (`--child` mode): the file plus
-    /// how many `trace` entries have already been written to it.
-    journal: Option<(fs::File, usize)>,
-    /// Where this incarnation writes its telemetry dump on shutdown.
-    artifact_dir: Option<PathBuf>,
-    /// Tick offset so a reincarnation's clock resumes after its
-    /// predecessor's last journaled event instead of restarting at zero.
-    base_ticks: u64,
-    next_timer_id: u64,
-    timers: Vec<(Instant, evs::sim::TimerId, TimerKind)>,
-    epoch: Instant,
-    telemetry: Telemetry,
-    /// Chained wall-clock phase attribution: one mark per loop stage, so
-    /// the `OBS?` exposition can say where this worker's time goes.
-    phase: PhaseClock,
-    /// Snapshot sequence number; advances once per `OBS?` reply. Resets
-    /// with the process, which is how `evs-top` spots a respawn.
-    obs_seq: u64,
-    /// The `role` info key of this worker's scrapes.
-    role: &'static str,
-    /// Reused for every outgoing frame encoding.
-    scratch: BytesMut,
-    /// One datagram under construction per destination, reused forever.
-    outbox: Vec<BytesMut>,
-}
-
-impl UdpWorker {
-    fn now(&self) -> SimTime {
-        SimTime::from_ticks(
-            self.base_ticks + (self.epoch.elapsed().as_micros() / TICK.as_micros()) as u64,
-        )
-    }
-
-    /// Appends the frame in `scratch` to `to`'s datagram, queueing the
-    /// full datagram on the driver first if it would outgrow the
-    /// configured budget ([`EvsParams::max_datagram_bytes`], shared with
-    /// broker batch sizing).
-    fn enqueue(&mut self, to: usize) {
-        let budget = self.node.params().max_datagram_bytes;
-        if !self.outbox[to].is_empty() && self.outbox[to].len() + 4 + self.scratch.len() > budget {
-            self.queue_outbox(to);
-        }
-        wire::pack_into(&self.scratch, &mut self.outbox[to]);
-    }
-
-    /// Moves `to`'s packed datagram onto the driver's submission queue.
-    /// No syscall happens here — the whole dispatch's fan-out ships in
-    /// one [`SocketDriver::submit`] batch.
-    fn queue_outbox(&mut self, to: usize) {
-        if !self.outbox[to].is_empty() {
-            let datagram = self.outbox[to].to_vec();
-            self.outbox[to].clear();
-            self.driver.push(self.peers[to], datagram);
-        }
-    }
-
-    /// Writes any not-yet-journaled trace events to the durable journal.
-    /// Plain `write(2)` is enough to survive `SIGKILL`: the data is in the
-    /// kernel page cache the moment the call returns, and only a machine
-    /// crash (out of scope for the §2 model reproduced here) can lose it.
-    fn journal_new_events(&mut self) {
-        let Some((file, written)) = self.journal.as_mut() else {
-            return;
-        };
-        if self.trace.len() == *written {
-            return;
-        }
-        let mut batch = String::new();
-        for (t, ev) in &self.trace[*written..] {
-            trace_io::format_event(&mut batch, *t, ev);
-            batch.push('\n');
-        }
-        file.write_all(batch.as_bytes()).expect("journal write");
-        *written = self.trace.len();
-    }
-
-    fn dispatch(
-        &mut self,
-        f: impl FnOnce(&mut EvsProcess<Payload>, &mut Ctx<'_, evs::core::EvsMsg<Payload>, EvsEvent>),
-    ) {
-        self.dispatch_as(Phase::Dispatch, f)
-    }
-
-    /// Runs one engine callback, attributing the engine's own time to
-    /// `phase`, the journal write to [`Phase::Wal`] and effect
-    /// encoding + datagram output to [`Phase::Send`].
-    fn dispatch_as(
-        &mut self,
-        phase: Phase,
-        f: impl FnOnce(&mut EvsProcess<Payload>, &mut Ctx<'_, evs::core::EvsMsg<Payload>, EvsEvent>),
-    ) {
-        let now = self.now();
-        let mut ctx = Ctx::detached_with_telemetry(
-            self.me,
-            now,
-            &mut self.stable,
-            &mut self.trace,
-            &mut self.next_timer_id,
-            self.telemetry.clone(),
-        );
-        f(&mut self.node, &mut ctx);
-        let effects = ctx.take_effects();
-        self.phase.mark(phase);
-        // Write-ahead ordering: the journal must hold every event this
-        // dispatch produced before any datagram it produced can leave.
-        self.journal_new_events();
-        self.phase.mark(Phase::Wal);
-        for effect in effects {
-            match effect {
-                Effect::Broadcast(msg) => {
-                    // Encode once, pack the same bytes for every peer.
-                    let mut scratch = std::mem::take(&mut self.scratch);
-                    wire::encode_into(&msg, &mut scratch);
-                    self.scratch = scratch;
-                    for to in 0..self.peers.len() {
-                        self.enqueue(to);
-                    }
-                }
-                Effect::Unicast(to, msg) => {
-                    let mut scratch = std::mem::take(&mut self.scratch);
-                    wire::encode_into(&msg, &mut scratch);
-                    self.scratch = scratch;
-                    self.enqueue(to.as_usize());
-                }
-                Effect::SetTimer(id, delay, kind) => {
-                    self.timers
-                        .push((Instant::now() + TICK * delay as u32, id, kind));
-                }
-                Effect::CancelTimer(id) => {
-                    self.timers.retain(|(_, tid, _)| *tid != id);
-                }
-            }
-        }
-        // Queue everything this dispatch produced — one datagram per
-        // peer — then ship the whole fan-out as one kernel batch.
-        for to in 0..self.peers.len() {
-            self.queue_outbox(to);
-        }
-        self.phase.mark(Phase::Send);
-        if self.driver.pending() > 0 {
-            self.driver.submit().expect("socket submit");
-        }
-        self.phase.mark(Phase::Submit);
-    }
-
-    /// Answers one `OBS?` scrape with a fresh exposition datagram.
-    fn obs_reply(&mut self, to: SocketAddr) {
-        self.obs_seq += 1;
-        let o = self.node.obs();
-        let members = o
-            .members
-            .iter()
-            .map(ToString::to_string)
-            .collect::<Vec<_>>()
-            .join(" ");
-        let info = [
-            ("role".to_string(), self.role.to_string()),
-            ("driver".to_string(), self.driver.name().to_string()),
-            ("os_pid".to_string(), std::process::id().to_string()),
-            (
-                "config".to_string(),
-                self.node.current_config().id.to_string(),
-            ),
-            ("members".to_string(), members),
-            ("settled".to_string(), o.settled.to_string()),
-            ("in_recovery".to_string(), o.in_recovery.to_string()),
-            ("aru_lag".to_string(), o.aru_lag.to_string()),
-            ("pending".to_string(), o.pending.to_string()),
-            ("deliveries".to_string(), o.deliveries.to_string()),
-        ];
-        if let Some(expo) = Exposition::from_telemetry(self.obs_seq, &self.telemetry, info) {
-            self.driver.push(to, expo.to_text().into_bytes());
-            let _ = self.driver.submit();
-        }
-    }
-
-    /// Handles one `EVSC` control datagram. Returns `true` on shutdown.
-    fn handle_control(&mut self, body: &[u8], from: SocketAddr) -> bool {
-        match body.first() {
-            Some(b'S') if body.len() >= 2 => {
-                let service = match body[1] {
-                    0 => Service::Causal,
-                    1 => Service::Agreed,
-                    _ => Service::Safe,
-                };
-                let payload = Payload::from(&body[2..]);
-                self.dispatch(|node, ctx| node.submit(ctx, service, payload));
-            }
-            Some(b'I') => {
-                let settled = self.node.is_settled();
-                let members = self.node.current_config().members.len();
-                let delivered = self.node.deliveries().len() as u32;
-                let mut reply = Vec::with_capacity(11);
-                reply.extend_from_slice(CONTROL_MAGIC);
-                reply.push(b'R');
-                reply.push(settled as u8);
-                reply.push(members as u8);
-                reply.extend_from_slice(&delivered.to_le_bytes());
-                self.driver.push(from, reply);
-                let _ = self.driver.submit();
-            }
-            Some(b'Q') => {
-                if let Some(dir) = self.artifact_dir.clone() {
-                    let dumps = evs::inspect::collect_dumps(std::slice::from_ref(&self.telemetry));
-                    let _ = evs::inspect::write_dumps(&dir, &dumps);
-                }
-                let mut reply = Vec::with_capacity(5);
-                reply.extend_from_slice(CONTROL_MAGIC);
-                reply.push(b'D');
-                self.driver.push(from, reply);
-                let _ = self.driver.submit();
-                return true;
-            }
-            _ => {}
-        }
-        false
-    }
-
-    /// Handles one received datagram. Returns `true` on shutdown.
-    fn handle_datagram(&mut self, from_addr: SocketAddr, datagram: &[u8]) -> bool {
-        let from = self
-            .peers
-            .iter()
-            .position(|a| *a == from_addr)
-            .map(|i| ProcessId::new(i as u32));
-        if let Some(from) = from {
-            if let Ok(frames) = wire::unpack_frames(datagram) {
-                let msgs: Vec<_> = frames.iter().filter_map(|f| wire::decode(f).ok()).collect();
-                self.phase.mark(Phase::Decode);
-                for msg in msgs {
-                    let phase = if <EvsProcess<Payload> as Node>::is_token(&msg) {
-                        Phase::Token
-                    } else {
-                        Phase::Dispatch
-                    };
-                    self.dispatch_as(phase, |node, ctx| node.on_message(ctx, from, msg));
-                }
-            }
-        } else if obs::is_query(datagram) {
-            self.obs_reply(from_addr);
-            self.phase.mark(Phase::Control);
-        } else if datagram.len() >= 4 && &datagram[..4] == CONTROL_MAGIC {
-            let shutdown = self.handle_control(&datagram[4..], from_addr);
-            self.phase.mark(Phase::Control);
-            if shutdown {
-                return true;
-            }
-        } else if datagram == WAKE_MAGIC {
-            // Pure wake: the sender only wanted to interrupt the park so
-            // the command poll at the top of the loop runs now.
-            self.phase.mark(Phase::Control);
-        }
-        false
-    }
-
-    fn run(mut self) {
-        let born = Instant::now();
-        self.dispatch(|node, ctx| node.on_start(ctx));
-        let mut completions: Vec<Completion> = Vec::with_capacity(net::RECV_BATCH);
-        loop {
-            if self.journal.is_some() && born.elapsed() > CHILD_MAX_LIFETIME {
-                return; // orphan guard: the orchestrator is long gone
-            }
-            // Serve commands (in-process demo mode).
-            if let Some(commands) = &self.commands {
-                match commands.try_recv() {
-                    Ok(Command::Submit(service, payload)) => {
-                        self.dispatch(|node, ctx| node.submit(ctx, service, payload));
-                    }
-                    Ok(Command::Inspect(reply)) => {
-                        let settled = self.node.is_settled();
-                        let members = self.node.current_config().members.len();
-                        let delivered: Vec<String> = self
-                            .node
-                            .deliveries()
-                            .iter()
-                            .filter_map(|d| d.payload())
-                            .map(|p| String::from_utf8_lossy(p).into_owned())
-                            .collect();
-                        let _ = reply.send((settled, members, delivered));
-                        self.phase.mark(Phase::Control);
-                    }
-                    Ok(Command::Drain(reply)) => {
-                        let payloads: Vec<Payload> = self
-                            .node
-                            .deliveries()
-                            .iter()
-                            .filter_map(|d| match d {
-                                Delivery::Message { payload, .. } => Some(payload.clone()),
-                                _ => None,
-                            })
-                            .collect();
-                        let _ = reply.send(payloads);
-                        self.phase.mark(Phase::Control);
-                    }
-                    Ok(Command::Shutdown(reply)) => {
-                        let _ = reply.send(std::mem::take(&mut self.trace));
-                        return;
-                    }
-                    Err(mpsc::TryRecvError::Empty) => {}
-                    Err(mpsc::TryRecvError::Disconnected) => return,
-                }
-            }
-            // Fire every due timer — on every iteration, not only after
-            // an empty wait, so a flooded worker still serves its
-            // retransmission and failure-detection deadlines on time.
-            let now = Instant::now();
-            let due: Vec<_> = {
-                let (ready, pending): (Vec<_>, Vec<_>) =
-                    self.timers.drain(..).partition(|(at, _, _)| *at <= now);
-                self.timers = pending;
-                ready
-            };
-            if !due.is_empty() {
-                for (_, _, kind) in due {
-                    self.dispatch_as(Phase::Timers, |node, ctx| node.on_timer(ctx, kind));
-                }
-                self.phase.mark(Phase::Timers);
-            }
-            // Park until the earliest armed deadline or the next
-            // datagram batch, whichever comes first. The engine always
-            // keeps a deadline armed, so MAX_PARK is only a backstop.
-            let wait = self
-                .timers
-                .iter()
-                .map(|(at, _, _)| *at)
-                .min()
-                .map(|at| at.saturating_duration_since(Instant::now()))
-                .unwrap_or(MAX_PARK)
-                .min(MAX_PARK);
-            completions.clear();
-            let reaped = self
-                .driver
-                .complete(Some(wait), &mut completions)
-                .unwrap_or_else(|e| panic!("socket error: {e}"));
-            if reaped == 0 {
-                // The whole blocked wait was a park with nothing to do —
-                // the intended idleness of an event-driven loop.
-                self.phase.mark(Phase::Park);
-                continue;
-            }
-            // Time blocked in a reap that yielded at least one datagram.
-            self.phase.mark(Phase::Recv);
-            for (from_addr, datagram) in completions.drain(..) {
-                if self.handle_datagram(from_addr, &datagram) {
-                    return;
-                }
-            }
-        }
-    }
-}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -598,30 +170,75 @@ fn child(args: &[String]) {
         .expect("open trace journal");
 
     let telemetry = Telemetry::enabled(index as u32);
-    UdpWorker {
+    let mut worker = Worker::new(
         me,
-        node: EvsProcess::with_storage(me, EvsParams::default(), Box::new(storage)),
-        driver: net::driver_for(socket).expect("socket driver"),
+        EvsProcess::with_storage(me, EvsParams::default(), Box::new(storage)),
+        net::driver_for(socket).expect("socket driver"),
         peers,
-        commands: None,
-        stable: StableStore::new(),
-        trace: Vec::new(),
-        journal: Some((journal, 0)),
-        artifact_dir: Some(dir),
-        base_ticks,
-        next_timer_id: 0,
-        timers: Vec::new(),
-        epoch: Instant::now(),
-        phase: PhaseClock::new(&telemetry),
-        telemetry,
-        obs_seq: 0,
-        role: "child",
-        scratch: BytesMut::with_capacity(1024),
-        outbox: (0..ports.len())
-            .map(|_| BytesMut::with_capacity(2048))
-            .collect(),
+        telemetry.clone(),
+    );
+    worker.attach_journal(journal);
+
+    // The reincarnation's clock resumes after its predecessor's last
+    // journaled event instead of restarting at zero.
+    let born = Instant::now();
+    let now = || base_ticks + runtime::ticks_since(born);
+    worker.start(now()).expect("start");
+    let mut foreign: Vec<Completion> = Vec::new();
+    // Orphan guard: the orchestrator is long gone after the lifetime cap.
+    while born.elapsed() <= CHILD_MAX_LIFETIME {
+        worker
+            .step(&now, Some(MAX_PARK), &mut foreign)
+            .unwrap_or_else(|e| panic!("worker I/O: {e}"));
+        for (from, datagram) in foreign.drain(..) {
+            if let Some(body) = datagram.strip_prefix(CONTROL_MAGIC) {
+                if handle_control(&mut worker, now(), body, from) {
+                    // This incarnation's telemetry dump, for the post-mortem.
+                    let dumps = evs::inspect::collect_dumps([&telemetry]);
+                    let _ = evs::inspect::write_dumps(&dir, &dumps);
+                    return;
+                }
+            }
+        }
     }
-    .run()
+}
+
+/// Handles one `EVSC` control datagram. Returns `true` on shutdown.
+fn handle_control(worker: &mut Worker, now: u64, body: &[u8], from: SocketAddr) -> bool {
+    let reply = |worker: &mut Worker, answer: &[u8]| {
+        let _ = worker.send_to(from, [CONTROL_MAGIC, answer].concat());
+    };
+    match body.first() {
+        Some(b'S') if body.len() >= 2 => {
+            let service = match body[1] {
+                0 => Service::Causal,
+                1 => Service::Agreed,
+                _ => Service::Safe,
+            };
+            let payload = Payload::from(&body[2..]);
+            worker
+                .dispatch(now, Phase::Dispatch, |node, ctx| {
+                    node.submit(ctx, service, payload)
+                })
+                .unwrap_or_else(|e| panic!("worker I/O: {e}"));
+        }
+        Some(b'I') => {
+            let node = worker.node();
+            let mut answer = vec![
+                b'R',
+                node.is_settled() as u8,
+                node.current_config().members.len() as u8,
+            ];
+            answer.extend_from_slice(&(node.deliveries().len() as u32).to_le_bytes());
+            reply(worker, &answer);
+        }
+        Some(b'Q') => {
+            reply(worker, b"D");
+            return true;
+        }
+        _ => {}
+    }
+    false
 }
 
 /// The tick of the last parseable line in a trace journal, so a
@@ -959,152 +576,58 @@ fn load_journals(dir: &Path, n: usize) -> Trace {
 // no-argument demo: the original in-process loopback exercise
 // ---------------------------------------------------------------------------
 
-/// Everything the in-process modes need to drive and observe a spawned
-/// cluster: per-worker command ports (channel + wake datagram), join
-/// handles, telemetry handles, and the socket addresses (which double as
-/// `OBS?` scrape endpoints).
-type LoopbackCluster = (
-    Vec<CommandPort>,
-    Vec<std::thread::JoinHandle<()>>,
-    Vec<Telemetry>,
-    Vec<SocketAddr>,
-);
-
-/// Binds one loopback socket per process and spawns the worker threads of
-/// the in-process modes (demo, `--broker`, `--serve`, `--obs-smoke`).
-fn spawn_loopback_workers() -> LoopbackCluster {
-    let sockets: Vec<UdpSocket> = (0..N)
-        .map(|_| UdpSocket::bind("127.0.0.1:0").expect("bind"))
-        .collect();
-    let addrs: Vec<SocketAddr> = sockets.iter().map(|s| s.local_addr().unwrap()).collect();
-    println!("-- sockets: {addrs:?}");
-
-    // One shared socket delivers every EVSW wake datagram; the workers
-    // recognise wakes by content, not source.
-    let wake = Arc::new(UdpSocket::bind("127.0.0.1:0").expect("bind wake socket"));
-    let mut command_txs = Vec::new();
-    let mut handles = Vec::new();
-    let mut telemetry_handles = Vec::new();
-    for (i, socket) in sockets.into_iter().enumerate() {
-        let me = ProcessId::new(i as u32);
-        let (tx, rx) = mpsc::channel();
-        command_txs.push(CommandPort {
-            tx,
-            wake: Arc::clone(&wake),
-            addr: addrs[i],
-        });
-        let peers = addrs.clone();
-        let epoch = Instant::now();
-        let telemetry = Telemetry::enabled(i as u32);
-        telemetry_handles.push(telemetry.clone());
-        handles.push(std::thread::spawn(move || {
-            UdpWorker {
-                me,
-                node: EvsProcess::new(me, EvsParams::default()),
-                driver: net::driver_for(socket).expect("socket driver"),
-                peers,
-                commands: Some(rx),
-                stable: StableStore::new(),
-                trace: Vec::new(),
-                journal: None,
-                artifact_dir: None,
-                base_ticks: 0,
-                next_timer_id: 0,
-                timers: Vec::new(),
-                epoch,
-                phase: PhaseClock::new(&telemetry),
-                telemetry,
-                obs_seq: 0,
-                role: "daemon",
-                scratch: BytesMut::with_capacity(1024),
-                outbox: (0..N).map(|_| BytesMut::with_capacity(2048)).collect(),
-            }
-            .run()
-        }));
-    }
-    (command_txs, handles, telemetry_handles, addrs)
+/// Binds one loopback socket per process, spawns the cluster of the
+/// in-process modes (demo, `--broker`, `--serve`, `--obs-smoke`) and waits
+/// until every member settles into one N-member configuration.
+fn form_loopback_cluster() -> Cluster {
+    let cluster = Cluster::udp_loopback(N).expect("bind loopback sockets");
+    println!("-- sockets: {:?}", cluster.addrs());
+    assert!(
+        cluster.wait_until(Duration::from_secs(30), |node| {
+            node.is_settled() && node.current_config().members.len() == N
+        }),
+        "group failed to form"
+    );
+    println!("-- group formed over UDP: all {N} processes in one configuration");
+    cluster
 }
 
-/// Cleanly shuts down the loopback workers, returning their traces.
-fn shutdown_loopback_workers(
-    command_txs: &[CommandPort],
-    handles: Vec<std::thread::JoinHandle<()>>,
-) -> Vec<Vec<(SimTime, EvsEvent)>> {
-    let mut traces = Vec::new();
-    for tx in command_txs {
-        let (rtx, rrx) = mpsc::channel();
-        tx.send(Command::Shutdown(rtx)).unwrap();
-        traces.push(rrx.recv().unwrap());
-    }
-    for h in handles {
-        h.join().unwrap();
-    }
-    traces
+/// Submits `payload` at member `at`.
+fn submit(cluster: &Cluster, at: usize, service: Service, payload: Payload) {
+    cluster.invoke(ProcessId::new(at as u32), move |node, ctx| {
+        node.submit(ctx, service, payload)
+    });
 }
 
-/// One inspect round-trip with worker `i`.
-fn inspect_worker(txs: &[CommandPort], i: usize) -> (bool, usize, Vec<String>) {
-    let (rtx, rrx) = mpsc::channel();
-    txs[i].send(Command::Inspect(rtx)).unwrap();
-    rrx.recv().unwrap()
-}
-
-/// Polls until every worker settles into one N-member configuration.
-fn wait_until_formed(txs: &[CommandPort]) {
-    let deadline = Instant::now() + Duration::from_secs(30);
-    loop {
-        let states: Vec<(bool, usize, Vec<String>)> =
-            (0..N).map(|i| inspect_worker(txs, i)).collect();
-        if states
-            .iter()
-            .all(|(settled, members, _)| *settled && *members == N)
-        {
-            println!("-- group formed over UDP: all {N} processes in one configuration");
-            return;
-        }
-        assert!(
-            Instant::now() < deadline,
-            "group failed to form: {states:?}"
-        );
-        std::thread::sleep(Duration::from_millis(20));
-    }
-}
-
-fn demo() {
-    println!("== extended virtual synchrony over UDP (loopback) ==\n");
-    let (command_txs, handles, telemetry_handles, _addrs) = spawn_loopback_workers();
-    let inspect = inspect_worker;
-    wait_until_formed(&command_txs);
-
-    // Exchange a safe message.
-    command_txs[0]
-        .send(Command::Submit(
-            Service::Safe,
-            Payload::from(b"over the wire"),
-        ))
-        .unwrap();
-    let deadline = Instant::now() + Duration::from_secs(30);
-    loop {
-        let states: Vec<(bool, usize, Vec<String>)> =
-            (0..N).map(|i| inspect(&command_txs, i)).collect();
-        if states
-            .iter()
-            .all(|(_, _, delivered)| delivered.iter().any(|d| d == "over the wire"))
-        {
-            println!("-- safe message delivered by every process");
-            break;
-        }
-        assert!(Instant::now() < deadline, "delivery stalled: {states:?}");
-        std::thread::sleep(Duration::from_millis(20));
-    }
-
-    // Shut down and verify the networked execution against the model.
-    let trace = Trace::new(shutdown_loopback_workers(&command_txs, handles));
+/// Shuts the cluster down and verifies the networked execution against
+/// the model. Returns the members' telemetry handles.
+fn shut_down_and_check(cluster: Cluster) -> Vec<Telemetry> {
+    let telemetry_handles = cluster.telemetry_handles();
+    let trace = Trace::new(cluster.shutdown());
     println!(
         "-- collected {} events from the UDP run; checking Specifications 1.1–7.2…",
         trace.len()
     );
     checker::assert_evs_with_telemetry(&trace, &telemetry_handles);
+    telemetry_handles
+}
+
+fn demo() {
+    println!("== extended virtual synchrony over UDP (loopback) ==\n");
+    let cluster = form_loopback_cluster();
+
+    // Exchange a safe message.
+    submit(&cluster, 0, Service::Safe, Payload::from(b"over the wire"));
+    assert!(
+        cluster.wait_until(Duration::from_secs(30), |node| {
+            let mut payloads = node.deliveries().iter().filter_map(|d| d.payload());
+            payloads.any(|p| p.as_slice() == b"over the wire")
+        }),
+        "delivery stalled"
+    );
+    println!("-- safe message delivered by every process");
+
+    let telemetry_handles = shut_down_and_check(cluster);
     println!("   all extended virtual synchrony specifications hold over UDP ✓");
 
     // The same metrics the simulator runs report, here measured over a
@@ -1154,10 +677,9 @@ fn demo() {
 /// traffic so `cargo run --example evs_top` has something to watch.
 fn serve(secs: u64) {
     println!("== scrape-able cluster for evs-top ({secs}s) ==\n");
-    let (command_txs, handles, _telemetry, addrs) = spawn_loopback_workers();
-    wait_until_formed(&command_txs);
+    let cluster = form_loopback_cluster();
     let path = Path::new("chaos-artifacts").join("obs-endpoints.txt");
-    obs::serve::write_endpoints(&path, &addrs).expect("write endpoints");
+    obs::serve::write_endpoints(&path, cluster.addrs()).expect("write endpoints");
     println!(
         "-- endpoints in {}; run `cargo run --example evs_top` in another shell",
         path.display()
@@ -1170,14 +692,12 @@ fn serve(secs: u64) {
         } else {
             Service::Agreed
         };
-        let _ = command_txs[(k as usize) % N].send(Command::Submit(
-            service,
-            Payload::from(format!("serve-{k}").as_bytes()),
-        ));
+        let payload = Payload::from(format!("serve-{k}").as_bytes());
+        submit(&cluster, (k as usize) % N, service, payload);
         k += 1;
         std::thread::sleep(Duration::from_millis(5));
     }
-    shutdown_loopback_workers(&command_txs, handles);
+    cluster.shutdown();
     println!("-- served {k} submissions; bye");
 }
 
@@ -1186,17 +706,16 @@ fn serve(secs: u64) {
 /// exposition invariants — advancing snapshot sequences, monotone
 /// counters, phase fractions summing to ~1e6 ppm and covering ≥95% of
 /// loop wall-clock, exact text round-trips, the kernel-batched socket
-/// driver where the platform has one — then renders one evs-top frame
-/// from the recorded scrapes.
+/// driver where the platform has one, zero park backstops and zero
+/// oversized datagrams — then renders one evs-top frame from the recorded
+/// scrapes.
 fn obs_smoke() {
     println!("== obs smoke: live scrapes of a 3-node UDP cluster ==\n");
-    let (command_txs, handles, _telemetry, addrs) = spawn_loopback_workers();
-    wait_until_formed(&command_txs);
+    let cluster = form_loopback_cluster();
+    let addrs = cluster.addrs();
     let submit = |k: u64| {
-        let _ = command_txs[(k as usize) % N].send(Command::Submit(
-            Service::Agreed,
-            Payload::from(format!("obs-{k}").as_bytes()),
-        ));
+        let payload = Payload::from(format!("obs-{k}").as_bytes());
+        submit(&cluster, (k as usize) % N, Service::Agreed, payload);
     };
     for k in 0..16 {
         submit(k);
@@ -1206,18 +725,8 @@ fn obs_smoke() {
     let epoch = Instant::now();
     let mut top = TopState::new();
     let scrape_all = |top: &mut TopState| -> Vec<Exposition> {
-        addrs
-            .iter()
-            .map(|a| {
-                let expo = obs::scrape(*a, Duration::from_secs(2)).expect("scrape");
-                top.record(
-                    &a.to_string(),
-                    epoch.elapsed().as_micros() as u64,
-                    expo.clone(),
-                );
-                expo
-            })
-            .collect()
+        let scraped = scrape_cluster(top, epoch, addrs);
+        scraped.into_iter().map(|e| e.expect("scrape")).collect()
     };
     let first = scrape_all(&mut top);
     for k in 16..32 {
@@ -1264,6 +773,10 @@ fn obs_smoke() {
             "loop"
         };
         assert_eq!(e2.info["driver"], driver, "node {i}: socket driver");
+        // Nor any other silent degradation: no deadline the engine failed
+        // to arm, no frame too large for the socket.
+        assert_eq!(e2.info["park_backstop_fired"], "0", "node {i}");
+        assert_eq!(e2.info["oversized_dropped"], "0", "node {i}");
     }
     let latencies: u64 = second
         .iter()
@@ -1274,20 +787,21 @@ fn obs_smoke() {
     println!("-- {N} nodes scraped twice: seqs advance, counters monotone, phase");
     println!("   fractions sum to ~1 and cover ≥95% of loop time, text round-trips,");
     println!(
-        "   socket driver is `{}`, delivery latency exported",
+        "   socket driver is `{}`, no park backstop fired, no oversized datagram,",
         second[0].info["driver"]
     );
+    println!("   delivery latency exported");
 
     let frame = top.render(epoch.elapsed().as_micros() as u64);
     print!("\n{frame}");
     assert_eq!(top.live_nodes(), N);
-    for a in &addrs {
+    for a in addrs {
         let endpoint = a.to_string();
         assert_eq!(top.node(&endpoint).unwrap().incarnations, 1);
         assert!(frame.contains(&endpoint), "frame must list {endpoint}");
     }
 
-    shutdown_loopback_workers(&command_txs, handles);
+    cluster.shutdown();
     println!("\nOK obs-smoke");
 }
 
@@ -1312,26 +826,21 @@ struct BrokerStats {
 /// multicast frames out to daemon 0, replies back over UDP off agreed
 /// delivery. Exits once `stop` fires and nothing is left in flight.
 ///
-/// The socket edge is the same [`SocketDriver`] the daemons use: client
+/// The socket edge is the same `SocketDriver` the daemons use: client
 /// bursts reap in `recvmmsg` batches and a delivery's whole reply
 /// fan-out (potentially hundreds of `EVBR` datagrams) ships as one
 /// kernel submit.
 fn run_broker_front_end(
     socket: UdpSocket,
-    daemon: CommandPort,
+    cluster: &Cluster,
     stop: mpsc::Receiver<()>,
-    stats_tx: mpsc::Sender<BrokerStats>,
     telemetry: Telemetry,
-) {
+) -> BrokerStats {
+    let daemon = ProcessId::new(0);
     let epoch = Instant::now();
-    let now = |epoch: &Instant| (epoch.elapsed().as_micros() / TICK.as_micros()) as u64;
+    let now = || runtime::ticks_since(epoch);
     let mut driver = net::driver_for(socket).expect("broker socket driver");
-    let mut broker = Broker::with_telemetry(
-        0,
-        ProcessId::new(0),
-        BrokerParams::default(),
-        telemetry.clone(),
-    );
+    let mut broker = Broker::with_telemetry(0, daemon, BrokerParams::default(), telemetry.clone());
     let mut obs_seq = 0u64;
     // Reply routing needs a return address per client; the last submit's
     // source is it (clients keep one socket for their whole session).
@@ -1367,7 +876,7 @@ fn run_broker_front_end(
                 if pkt.len() >= 12 && pkt[..4] == *CLIENT_SUBMIT_MAGIC {
                     let client = u64::from_le_bytes(pkt[4..12].try_into().unwrap());
                     return_addrs.insert(client, from);
-                    match broker.submit(now(&epoch), client, Payload::from(&pkt[12..])) {
+                    match broker.submit(now(), client, Payload::from(&pkt[12..])) {
                         SubmitOutcome::Accepted { .. } => stats.ops += 1,
                         // A real deployment would nack so the client
                         // retries; this demo sizes its load under the
@@ -1394,7 +903,7 @@ fn run_broker_front_end(
             }
         }
         // Batched frames into the ring (force the tail out when stopping).
-        let t = now(&epoch);
+        let t = now();
         let frames = if stopping {
             broker.force_flush(t)
         } else {
@@ -1402,21 +911,16 @@ fn run_broker_front_end(
         };
         for frame in frames {
             stats.batches += 1;
-            if daemon
-                .send(Command::Submit(Service::Agreed, frame))
-                .is_err()
-            {
-                break;
-            }
+            submit(cluster, 0, Service::Agreed, frame);
         }
         // Replies off agreed delivery at the attached daemon.
-        let (rtx, rrx) = mpsc::channel();
-        if daemon.send(Command::Drain(rtx)).is_err() {
-            break;
-        }
-        let Ok(delivered) = rrx.recv() else { break };
-        let t = now(&epoch);
-        for frame in &delivered[cursor..] {
+        let (delivered, seen) = cluster.inspect(daemon, move |node, _| {
+            let all = node.deliveries();
+            let fresh = all[cursor..].iter().filter_map(|d| d.payload().cloned());
+            (fresh.collect::<Vec<Payload>>(), all.len())
+        });
+        let t = now();
+        for frame in &delivered {
             for reply in broker.on_delivered(t, frame) {
                 stats.replies += 1;
                 if let Some(addr) = return_addrs.get(&reply.client) {
@@ -1428,7 +932,7 @@ fn run_broker_front_end(
                 }
             }
         }
-        cursor = delivered.len();
+        cursor = seen;
         // One kernel submit ships every scrape reply and client reply
         // this iteration produced.
         if driver.pending() > 0 {
@@ -1438,26 +942,48 @@ fn run_broker_front_end(
             break;
         }
     }
-    let _ = stats_tx.send(stats);
+    stats
 }
 
 fn broker_demo(clients: usize) {
-    const OPS_PER_CLIENT: usize = 4;
     println!("== client tier over UDP: {clients} clients through one broker ==\n");
-    let (command_txs, handles, telemetry_handles, _addrs) = spawn_loopback_workers();
-    wait_until_formed(&command_txs);
+    let cluster = form_loopback_cluster();
 
     let broker_socket = UdpSocket::bind("127.0.0.1:0").expect("bind broker socket");
     let broker_addr = broker_socket.local_addr().unwrap();
     let (stop_tx, stop_rx) = mpsc::channel();
-    let (stats_tx, stats_rx) = mpsc::channel();
-    let daemon0 = command_txs[0].clone();
     let broker_telemetry = Telemetry::enabled(N as u32);
-    let broker_thread = std::thread::spawn(move || {
-        run_broker_front_end(broker_socket, daemon0, stop_rx, stats_tx, broker_telemetry)
+    let stats = std::thread::scope(|scope| {
+        let broker_thread = scope
+            .spawn(|| run_broker_front_end(broker_socket, &cluster, stop_rx, broker_telemetry));
+        println!("-- broker front-end listening on {broker_addr}, attached to daemon 0");
+        run_clients(clients, broker_addr);
+        stop_tx.send(()).expect("stop broker");
+        broker_thread.join().expect("join broker")
     });
-    println!("-- broker front-end listening on {broker_addr}, attached to daemon 0");
+    let total_ops = clients * OPS_PER_CLIENT;
+    assert_eq!(stats.ops as usize, total_ops, "every op accepted");
+    assert_eq!(stats.replies, stats.ops, "every op replied exactly once");
+    assert!(
+        stats.batches < stats.ops,
+        "batching must amortize: {} batches for {} ops",
+        stats.batches,
+        stats.ops
+    );
+    println!(
+        "-- {} ops entered the ring as {} batched multicast(s)",
+        stats.ops, stats.batches
+    );
 
+    shut_down_and_check(cluster);
+    println!("   all specifications hold with the broker tier in the loop ✓");
+}
+
+const OPS_PER_CLIENT: usize = 4;
+
+/// The client side of `--broker`: every client submits its ops over its
+/// own socket, collects every reply, then the broker is scraped live.
+fn run_clients(clients: usize, broker_addr: SocketAddr) {
     // Every client is its own UDP socket; all ops go out before any reply
     // is read, so the broker sees genuinely concurrent sessions.
     let client_sockets: Vec<UdpSocket> = (0..clients)
@@ -1525,30 +1051,4 @@ fn broker_demo(clients: usize) {
         "the broker's scrape must expose its queue-depth gauges"
     );
     println!("-- the broker answered a live OBS? scrape: {total_ops} ops, queue gauges exposed");
-
-    stop_tx.send(()).expect("stop broker");
-    let stats = stats_rx.recv().expect("broker stats");
-    broker_thread.join().expect("join broker");
-    assert_eq!(stats.ops as usize, total_ops, "every op accepted");
-    assert_eq!(stats.replies, stats.ops, "every op replied exactly once");
-    assert!(
-        stats.batches < stats.ops,
-        "batching must amortize: {} batches for {} ops",
-        stats.batches,
-        stats.ops
-    );
-    println!(
-        "-- {} ops entered the ring as {} batched multicast(s)",
-        stats.ops, stats.batches
-    );
-
-    // Shut down the daemons and verify the networked execution — with the
-    // broker tier in the loop — against the full specification suite.
-    let trace = Trace::new(shutdown_loopback_workers(&command_txs, handles));
-    println!(
-        "-- collected {} events from the UDP run; checking Specifications 1.1–7.2…",
-        trace.len()
-    );
-    checker::assert_evs_with_telemetry(&trace, &telemetry_handles);
-    println!("   all specifications hold with the broker tier in the loop ✓");
 }

@@ -36,6 +36,10 @@
 //!   io_uring-shaped `SocketDriver` trait: one `sendmmsg`/`recvmmsg`
 //!   syscall per batch on Linux, a byte-for-byte-equivalent portable
 //!   fallback elsewhere (see the "Performance" section of `README.md`).
+//! * [`runtime`] — the one live worker loop: a clock-free `Worker` over a
+//!   `SocketDriver`, the in-memory medium, link faults as a driver
+//!   decorator, and the thread-per-node `Cluster` the live tests, the
+//!   chaos harness and `examples/udp_cluster.rs` all run.
 //! * [`broker`] — the client-session front-end: sessions with bounded
 //!   windows and backpressure, the prepare-batch pipeline turning
 //!   thousands of client ops into one batched multicast, redelivery-safe
@@ -75,6 +79,7 @@ pub use evs_membership as membership;
 pub use evs_net as net;
 pub use evs_obs as obs;
 pub use evs_order as order;
+pub use evs_runtime as runtime;
 pub use evs_sim as sim;
 pub use evs_store as store;
 pub use evs_telemetry as telemetry;

@@ -10,9 +10,11 @@
 #![allow(clippy::needless_update)]
 
 use evs::core::persist::LEASE_BLOCK;
-use evs::core::{checker, EvsCluster, EvsEvent, EvsParams, EvsProcess, Service, Trace};
-use evs::sim::{Ctx, Effect, Node, ProcessId, SimTime, StableStore, TimerKind};
+use evs::core::{checker, EvsCluster, EvsEvent, EvsParams, EvsProcess, Payload, Service, Trace};
+use evs::runtime::{Ectx, MemDriver, Worker};
+use evs::sim::ProcessId;
 use evs::store::{encode_record, scan_records, FileStorage};
+use evs::telemetry::{Phase, Telemetry};
 use proptest::prelude::*;
 
 fn p(i: u32) -> ProcessId {
@@ -200,84 +202,74 @@ fn safe_message_never_half_delivered_across_survivors() {
 // Durable WAL: kill -9 semantics (no on_crash callback, object destroyed)
 // ---------------------------------------------------------------------------
 
-/// Drives one `EvsProcess` with logical time and a self-loopback message
-/// path — the minimal harness for exercising `with_storage` the way a
-/// respawned OS process would, without a simulator keeping the node
-/// object (and thus its volatile state) alive across the "kill".
+/// One `EvsProcess` on a one-member [`Worker`] stepped on virtual ticks —
+/// the live loop itself, exercising `with_storage` the way a respawned OS
+/// process would, without a simulator keeping the node object (and thus
+/// its volatile state) alive across the "kill".
 struct Solo {
-    node: EvsProcess<String>,
-    stable: StableStore,
-    trace: Vec<(SimTime, EvsEvent)>,
-    next_timer_id: u64,
-    timers: Vec<(u64, evs::sim::TimerId, TimerKind)>,
+    worker: Worker,
     now: u64,
 }
 
 impl Solo {
-    fn new(node: EvsProcess<String>, start_tick: u64) -> Self {
-        Solo {
+    /// Starts `node` at `start_tick`.
+    fn new(node: EvsProcess<Payload>, start_tick: u64) -> Self {
+        let addr = std::net::SocketAddr::from(([127, 0, 0, 1], 20_000));
+        let driver = MemDriver::bind(&Default::default(), addr);
+        let worker = Worker::new(
+            p(0),
             node,
-            stable: StableStore::new(),
-            trace: Vec::new(),
-            next_timer_id: 0,
-            timers: Vec::new(),
+            Box::new(driver),
+            vec![addr],
+            Telemetry::disabled(),
+        );
+        let mut solo = Solo {
+            worker,
             now: start_tick,
-        }
+        };
+        solo.worker.start(start_tick).expect("start");
+        solo.settle();
+        solo
     }
 
-    fn dispatch(
-        &mut self,
-        f: impl FnOnce(&mut EvsProcess<String>, &mut Ctx<'_, evs::core::EvsMsg<String>, EvsEvent>),
-    ) {
-        let mut inbox = Vec::new();
-        let mut first = Some(f);
-        while first.is_some() || !inbox.is_empty() {
-            let mut ctx = Ctx::detached(
-                p(0),
-                SimTime::from_ticks(self.now),
-                &mut self.stable,
-                &mut self.trace,
-                &mut self.next_timer_id,
-            );
-            if let Some(f) = first.take() {
-                f(&mut self.node, &mut ctx);
-            } else {
-                let msg = inbox.remove(0);
-                self.node.on_message(&mut ctx, p(0), msg);
-            }
-            for effect in ctx.take_effects() {
-                match effect {
-                    Effect::Broadcast(m) => inbox.push(m),
-                    Effect::Unicast(to, m) => {
-                        if to == p(0) {
-                            inbox.push(m);
-                        }
-                    }
-                    Effect::SetTimer(id, delay, kind) => {
-                        self.timers.push((self.now + delay, id, kind));
-                    }
-                    Effect::CancelTimer(id) => self.timers.retain(|(_, tid, _)| *tid != id),
-                }
-            }
-        }
+    /// Steps at the current tick until the loopback inbox stays empty.
+    fn settle(&mut self) {
+        let now = self.now;
+        while self
+            .worker
+            .step(&|| now, None, &mut Vec::new())
+            .expect("step")
+            > 0
+        {}
+    }
+
+    fn dispatch(&mut self, f: impl FnOnce(&mut EvsProcess<Payload>, &mut Ectx<'_>)) {
+        self.worker
+            .dispatch(self.now, Phase::Dispatch, f)
+            .expect("dispatch");
+        self.settle();
     }
 
     /// Fires timers in order for `budget` ticks of logical time.
     fn run(&mut self, budget: u64) {
         let deadline = self.now + budget;
-        loop {
-            self.timers.sort_by_key(|(at, ..)| *at);
-            let Some(&(at, _, kind)) = self.timers.first() else {
-                break;
-            };
-            if at > deadline {
-                break;
-            }
-            self.timers.remove(0);
-            self.now = self.now.max(at);
-            self.dispatch(|node, ctx| node.on_timer(ctx, kind));
+        while let Some(due) = self.worker.next_deadline().filter(|due| *due <= deadline) {
+            self.now = self.now.max(due);
+            self.settle();
         }
         self.now = deadline;
+    }
+
+    fn node(&self) -> &EvsProcess<Payload> {
+        self.worker.node()
+    }
+
+    fn delivered(&self, text: &str) -> bool {
+        self.node()
+            .deliveries()
+            .iter()
+            .filter_map(|d| d.payload())
+            .any(|p| p.as_slice() == text.as_bytes())
     }
 }
 
@@ -295,21 +287,15 @@ fn wal_restart_rebuilds_from_disk_alone() {
         EvsProcess::with_storage(p(0), EvsParams::default(), storage),
         0,
     );
-    a.dispatch(|node, ctx| node.on_start(ctx));
     a.run(300_000);
-    assert!(a.node.is_settled(), "singleton forms a configuration");
-    a.dispatch(|node, ctx| node.submit(ctx, Service::Safe, "before-kill".into()));
+    assert!(a.node().is_settled(), "singleton forms a configuration");
+    a.dispatch(|node, ctx| node.submit(ctx, Service::Safe, b"before-kill".into()));
     a.run(100_000);
-    let delivered: Vec<_> = a
-        .node
-        .deliveries()
-        .iter()
-        .filter_map(|d| d.payload())
-        .collect();
-    assert!(delivered.contains(&&"before-kill".to_string()));
-    let killed_in = a.node.current_config().id;
+    assert!(a.delivered("before-kill"));
+    let killed_in = a.node().current_config().id;
     let max_counter_before = a
-        .trace
+        .worker
+        .trace()
         .iter()
         .filter_map(|(_, e)| match e {
             EvsEvent::Send { id, .. } => Some(id.counter),
@@ -317,7 +303,7 @@ fn wal_restart_rebuilds_from_disk_alone() {
         })
         .max()
         .expect("incarnation 1 sent something");
-    let (trace1, end1) = (a.trace.clone(), a.now);
+    let (trace1, end1) = (a.worker.trace().to_vec(), a.now);
     drop(a); // kill: no on_crash, object gone, only the disk remains
 
     let storage = Box::new(FileStorage::open(&dir).expect("reopen WAL"));
@@ -325,27 +311,28 @@ fn wal_restart_rebuilds_from_disk_alone() {
         EvsProcess::with_storage(p(0), EvsParams::default(), storage),
         end1 + 1,
     );
-    b.dispatch(|node, ctx| node.on_start(ctx));
     b.run(300_000);
-    assert!(b.node.is_settled(), "reincarnation settles");
+    assert!(b.node().is_settled(), "reincarnation settles");
 
     // The log supplied the fail_p(c) the kill swallowed…
     assert!(
-        b.trace
+        b.worker
+            .trace()
             .iter()
             .any(|(_, e)| matches!(e, EvsEvent::Fail { config } if *config == killed_in)),
         "reincarnation must emit the synthetic fail for {killed_in:?}: {:?}",
-        b.trace
+        b.worker.trace()
     );
     // …a strictly newer configuration…
-    assert!(b.node.current_config().id.epoch > killed_in.epoch);
+    assert!(b.node().current_config().id.epoch > killed_in.epoch);
 
     // …and a message-id lease that skips past everything possibly sent
     // (Spec 1.4: identifiers are never reused, even ones lost to the kill).
-    b.dispatch(|node, ctx| node.submit(ctx, Service::Safe, "after-restart".into()));
+    b.dispatch(|node, ctx| node.submit(ctx, Service::Safe, b"after-restart".into()));
     b.run(100_000);
     let min_counter_after = b
-        .trace
+        .worker
+        .trace()
         .iter()
         .filter_map(|(_, e)| match e {
             EvsEvent::Send { id, .. } => Some(id.counter),
@@ -358,7 +345,7 @@ fn wal_restart_rebuilds_from_disk_alone() {
 
     // The process's full life — both incarnations — satisfies the model.
     let mut life = trace1;
-    life.extend(b.trace.clone());
+    life.extend(b.worker.into_trace());
     checker::assert_evs(&Trace::new(vec![life]));
 
     let _ = std::fs::remove_dir_all(&dir);
@@ -466,15 +453,15 @@ proptest! {
             EvsProcess::with_storage(p(0), EvsParams::default(), storage),
             0,
         );
-        a.dispatch(|node, ctx| node.on_start(ctx));
         a.run(300_000);
-        prop_assert!(a.node.is_settled(), "singleton forms a configuration");
+        prop_assert!(a.node().is_settled(), "singleton forms a configuration");
         for i in 0..submits {
-            a.dispatch(|node, ctx| node.submit(ctx, Service::Safe, format!("rot-{i}")));
+            let payload = Payload::from(format!("rot-{i}").into_bytes());
+            a.dispatch(|node, ctx| node.submit(ctx, Service::Safe, payload));
             a.run(20_000);
         }
         a.run(100_000);
-        let (trace1, end1) = (a.trace.clone(), a.now);
+        let (trace1, end1) = (a.worker.trace().to_vec(), a.now);
         drop(a);
 
         // The rot: one bit, in one byte, of one durable file.
@@ -513,29 +500,21 @@ proptest! {
             EvsProcess::with_storage(p(0), EvsParams::default(), storage),
             end1 + 1,
         );
-        b.dispatch(|node, ctx| node.on_start(ctx));
         b.run(400_000);
         prop_assert!(
-            b.node.is_settled(),
+            b.node().is_settled(),
             "reincarnation settles even on rotten WAL (poison: {:?})",
-            b.node.last_replay_poison()
+            b.node().last_replay_poison()
         );
 
         // New identifiers after restart exercise Spec 1.4 in the checker.
-        b.dispatch(|node, ctx| node.submit(ctx, Service::Safe, "after-rot".into()));
+        b.dispatch(|node, ctx| node.submit(ctx, Service::Safe, b"after-rot".into()));
         b.run(100_000);
-        prop_assert!(
-            b.node
-                .deliveries()
-                .iter()
-                .filter_map(|d| d.payload())
-                .any(|t| t == "after-rot"),
-            "reincarnation makes progress"
-        );
+        prop_assert!(b.delivered("after-rot"), "reincarnation makes progress");
 
         // The full life — both incarnations, damage between — conforms.
         let mut life = trace1;
-        life.extend(b.trace.clone());
+        life.extend(b.worker.into_trace());
         checker::assert_evs(&Trace::new(vec![life]));
 
         let _ = std::fs::remove_dir_all(&dir);

@@ -1,6 +1,6 @@
 //! Chaos on the live driver: generated fault plans — including the
 //! network knobs `droppct` and `delay`, which used to be simulator-only —
-//! executed on `evs_sim::live::LiveNet` with real threads, real time and
+//! executed on an `evs::runtime::Cluster` with real threads, real time and
 //! per-link fault injection, then checked against the full conformance
 //! suite (Specifications 1.1–7.2, primary component, §5 VS reduction).
 //!
@@ -12,10 +12,10 @@
 //! `evs-inspect`.
 
 use evs::chaos::{FaultMix, FaultPlan, FaultStep, GenConfig, Orchestrator, ScenarioGen};
-use evs::core::{checker, EvsParams, EvsProcess, Service, Trace};
+use evs::core::{checker, EvsProcess, Payload, Service, Trace};
 use evs::inspect::InspectReport;
-use evs::sim::live::LiveNet;
-use evs::sim::{LinkFault, ProcessId};
+use evs::runtime::{Cluster, LinkFault};
+use evs::sim::ProcessId;
 use evs::telemetry::RunReport;
 use std::time::Duration;
 
@@ -23,19 +23,20 @@ fn p(i: u32) -> ProcessId {
     ProcessId::new(i)
 }
 
-fn spawn(n: usize) -> LiveNet<EvsProcess<String>> {
-    LiveNet::spawn_with_telemetry(n, |pid| EvsProcess::new(pid, EvsParams::default()))
+fn spawn(n: usize) -> Cluster {
+    Cluster::in_memory(n, true)
 }
 
-fn settled_with(n: usize) -> impl Fn(&EvsProcess<String>) -> bool + Send + Clone {
-    move |node: &EvsProcess<String>| node.is_settled() && node.current_config().members.len() == n
+fn settled_with(n: usize) -> impl Fn(&EvsProcess<Payload>) -> bool + Send + Clone {
+    move |node: &EvsProcess<Payload>| node.is_settled() && node.current_config().members.len() == n
 }
 
-fn delivered(payload: &'static str) -> impl Fn(&EvsProcess<String>) -> bool + Send + Clone {
-    move |node: &EvsProcess<String>| {
-        node.deliveries()
-            .iter()
-            .any(|d| d.payload().is_some_and(|s| s == payload))
+fn delivered(payload: &'static str) -> impl Fn(&EvsProcess<Payload>) -> bool + Send + Clone {
+    move |node: &EvsProcess<Payload>| {
+        node.deliveries().iter().any(|d| {
+            d.payload()
+                .is_some_and(|p| p.as_slice() == payload.as_bytes())
+        })
     }
 }
 
@@ -47,21 +48,22 @@ fn delivered(payload: &'static str) -> impl Fn(&EvsProcess<String>) -> bool + Se
 #[test]
 fn fully_dead_link_heals_after_the_policy_lifts() {
     let net = spawn(3);
-    net.set_fault_seed(0xDEAD);
+    let faults = net.faults();
+    faults.set_seed(0xDEAD);
     assert!(
         net.wait_until(Duration::from_secs(20), settled_with(3)),
         "formation"
     );
     // Kill both directions between P0 and P1; the P2 paths stay up.
-    net.set_link_fault(p(0), p(1), LinkFault::lossy(100));
-    net.set_link_fault(p(1), p(0), LinkFault::lossy(100));
+    faults.set_link(p(0), p(1), LinkFault::lossy(100));
+    faults.set_link(p(1), p(0), LinkFault::lossy(100));
     net.invoke(p(2), |node, ctx| {
-        node.submit(ctx, Service::Safe, "through-the-outage".into())
+        node.submit(ctx, Service::Safe, b"through-the-outage".into())
     });
     std::thread::sleep(Duration::from_millis(60));
     // Lift the fault; retransmissions repair whatever the dead link ate.
-    net.clear_faults();
-    net.merge_all();
+    faults.set_all(LinkFault::default());
+    faults.merge_all();
     for i in 0..3 {
         net.recover(p(i));
     }
@@ -75,9 +77,7 @@ fn fully_dead_link_heals_after_the_policy_lifts() {
     );
     let handles = net.telemetry_handles();
     let report = RunReport::collect(&handles);
-    let results = net.shutdown();
-    let trace = Trace::new(results.into_iter().map(|(_, t)| t).collect());
-    checker::assert_evs(&trace);
+    checker::assert_evs(&Trace::new(net.shutdown()));
     assert!(
         report.total("link_drops") > 0,
         "the dead link must actually have eaten packets"
@@ -96,12 +96,13 @@ fn fully_dead_link_heals_after_the_policy_lifts() {
 #[test]
 fn lossy_jittery_net_delivers_everything_after_heal() {
     let net = spawn(3);
-    net.set_fault_seed(42);
+    let faults = net.faults();
+    faults.set_seed(42);
     assert!(
         net.wait_until(Duration::from_secs(20), settled_with(3)),
         "formation"
     );
-    net.set_fault_all(LinkFault {
+    faults.set_all(LinkFault {
         drop_pct: 30,
         delay_lo: 1,
         delay_hi: 2,
@@ -114,12 +115,12 @@ fn lossy_jittery_net_delivers_everything_after_heal() {
             Service::Agreed
         };
         net.invoke(p(i), move |node, ctx| {
-            node.submit(ctx, service, payload.into())
+            node.submit(ctx, service, payload.as_bytes().into())
         });
     }
     std::thread::sleep(Duration::from_millis(100));
-    net.clear_faults();
-    net.merge_all();
+    faults.set_all(LinkFault::default());
+    faults.merge_all();
     for i in 0..3 {
         net.recover(p(i));
     }
@@ -136,9 +137,7 @@ fn lossy_jittery_net_delivers_everything_after_heal() {
     let handles = net.telemetry_handles();
     let report = RunReport::collect(&handles);
     let inspect = InspectReport::from_handles(&handles);
-    let results = net.shutdown();
-    let trace = Trace::new(results.into_iter().map(|(_, t)| t).collect());
-    checker::assert_evs(&trace);
+    checker::assert_evs(&Trace::new(net.shutdown()));
     assert!(
         report.total("link_drops") > 0,
         "links must actually be lossy"
@@ -156,7 +155,8 @@ fn lossy_jittery_net_delivers_everything_after_heal() {
 
 /// Fixed-seed plans from the loss-heavy `hunting` mix — the generator
 /// space that used to be rejected by the live driver because of its
-/// `droppct`/`delay` steps — run on LiveNet through full conformance.
+/// `droppct`/`delay` steps — run on a live `Cluster` through full
+/// conformance.
 /// (CI's chaos smoke runs hundreds of these via `examples/chaos.rs
 /// --live`; this keeps a handful in the plain test suite.)
 #[test]

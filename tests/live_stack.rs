@@ -1,14 +1,15 @@
 //! The full extended-virtual-synchrony stack on real OS threads.
 //!
 //! Everything else in this repository drives the protocol deterministically;
-//! this test runs the *same* `EvsProcess` state machines over
-//! `evs_sim::live::LiveNet` — real threads, real channels, real time — and
-//! feeds the resulting trace to the same specification checker. The model
+//! this test runs the *same* `EvsProcess` state machines on an
+//! `evs::runtime::Cluster` — real threads, the wire codec over the
+//! in-memory medium, real time — and feeds the resulting trace to the same
+//! specification checker. The model
 //! is supposed to hold for any execution, not just simulated ones; here is
 //! a concurrent one.
 
-use evs::core::{checker, EvsParams, EvsProcess, Service, Trace};
-use evs::sim::live::LiveNet;
+use evs::core::{checker, EvsProcess, Payload, Service, Trace};
+use evs::runtime::Cluster;
 use evs::sim::ProcessId;
 use std::time::Duration;
 
@@ -16,12 +17,12 @@ fn p(i: u32) -> ProcessId {
     ProcessId::new(i)
 }
 
-fn spawn(n: usize) -> LiveNet<EvsProcess<String>> {
-    LiveNet::spawn(n, |pid| EvsProcess::new(pid, EvsParams::default()))
+fn spawn(n: usize) -> Cluster {
+    Cluster::in_memory(n, false)
 }
 
-fn settled_with(n: usize) -> impl Fn(&EvsProcess<String>) -> bool + Send + Clone {
-    move |node: &EvsProcess<String>| node.is_settled() && node.current_config().members.len() == n
+fn settled_with(n: usize) -> impl Fn(&EvsProcess<Payload>) -> bool + Send + Clone {
+    move |node: &EvsProcess<Payload>| node.is_settled() && node.current_config().members.len() == n
 }
 
 #[test]
@@ -32,19 +33,17 @@ fn live_group_forms_and_delivers_safely() {
         "live group must converge"
     );
     net.invoke(p(0), |node, ctx| {
-        node.submit(ctx, Service::Safe, "live-hello".into())
+        node.submit(ctx, Service::Safe, b"live-hello".into())
     });
     assert!(
-        net.wait_until(Duration::from_secs(20), |node: &EvsProcess<String>| {
+        net.wait_until(Duration::from_secs(20), |node: &EvsProcess<Payload>| {
             node.deliveries()
                 .iter()
-                .any(|d| d.payload() == Some(&"live-hello".to_string()))
+                .any(|d| d.payload().is_some_and(|p| p.as_slice() == b"live-hello"))
         }),
         "safe message delivered on every thread"
     );
-    let results = net.shutdown();
-    let trace = Trace::new(results.into_iter().map(|(_, t)| t).collect());
-    checker::assert_evs(&trace);
+    checker::assert_evs(&Trace::new(net.shutdown()));
 }
 
 #[test]
@@ -55,26 +54,25 @@ fn live_partition_and_merge_obey_the_model() {
         "formation"
     );
     // Partition 2/2, let both sides reconfigure and work.
-    net.partition(&[vec![p(0), p(1)], vec![p(2), p(3)]]);
+    net.faults()
+        .partition(&[vec![p(0), p(1)], vec![p(2), p(3)]]);
     assert!(
         net.wait_until(Duration::from_secs(20), settled_with(2)),
         "both components settle at size 2"
     );
     net.invoke(p(0), |node, ctx| {
-        node.submit(ctx, Service::Safe, "left".into())
+        node.submit(ctx, Service::Safe, b"left".into())
     });
     net.invoke(p(3), |node, ctx| {
-        node.submit(ctx, Service::Safe, "right".into())
+        node.submit(ctx, Service::Safe, b"right".into())
     });
     // Heal.
-    net.merge_all();
+    net.faults().merge_all();
     assert!(
         net.wait_until(Duration::from_secs(30), settled_with(4)),
         "merge settles"
     );
-    let results = net.shutdown();
-    let trace = Trace::new(results.into_iter().map(|(_, t)| t).collect());
-    checker::assert_evs(&trace);
+    checker::assert_evs(&Trace::new(net.shutdown()));
 }
 
 #[test]
@@ -85,7 +83,7 @@ fn live_crash_and_recovery_obey_the_model() {
         "formation"
     );
     net.invoke(p(1), |node, ctx| {
-        node.submit(ctx, Service::Safe, "pre-crash".into())
+        node.submit(ctx, Service::Safe, b"pre-crash".into())
     });
     net.crash(p(2));
     // Survivors drop to 2 (the crashed node's state is frozen at size 3,
@@ -99,7 +97,5 @@ fn live_crash_and_recovery_obey_the_model() {
         net.wait_until(Duration::from_secs(30), settled_with(3)),
         "recovered node rejoins"
     );
-    let results = net.shutdown();
-    let trace = Trace::new(results.into_iter().map(|(_, t)| t).collect());
-    checker::assert_evs(&trace);
+    checker::assert_evs(&Trace::new(net.shutdown()));
 }

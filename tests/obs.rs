@@ -8,9 +8,9 @@
 //! the invariant that lets per-thread histograms be combined without a
 //! coordination step.
 
-use evs::core::{EvsParams, EvsProcess, Service};
+use evs::core::{EvsProcess, Payload, Service};
 use evs::obs::{self, Exposition, HistStat, ObsResponder, PhaseStat};
-use evs::sim::live::LiveNet;
+use evs::runtime::Cluster;
 use evs::sim::ProcessId;
 use evs::telemetry::{
     log_bucket_bound, log_bucket_index, names, LogHistogramSnapshot, Phase, PhaseClock, Telemetry,
@@ -183,21 +183,20 @@ fn phase_clock_attribution_covers_the_loop_exactly() {
 #[test]
 fn phase_clock_overhead_is_under_two_percent_of_a_live_loop() {
     const MESSAGES: usize = 32;
-    let net =
-        LiveNet::spawn_with_telemetry(3, |pid| EvsProcess::<u64>::new(pid, EvsParams::default()));
+    let net = Cluster::in_memory(3, true);
     assert!(
-        net.wait_until(Duration::from_secs(30), |node: &EvsProcess<u64>| {
+        net.wait_until(Duration::from_secs(30), |node: &EvsProcess<Payload>| {
             node.is_settled() && node.current_config().members.len() == 3
         }),
         "live group must converge"
     );
     for i in 0..MESSAGES as u64 {
         net.invoke(ProcessId::new((i % 3) as u32), move |node, ctx| {
-            node.submit(ctx, Service::Agreed, i)
+            node.submit(ctx, Service::Agreed, Payload::from(&i.to_le_bytes()))
         });
     }
     assert!(
-        net.wait_until(Duration::from_secs(30), |node: &EvsProcess<u64>| {
+        net.wait_until(Duration::from_secs(30), |node: &EvsProcess<Payload>| {
             let delivered = node.deliveries().iter().filter(|d| d.payload().is_some());
             delivered.count() >= MESSAGES
         }),

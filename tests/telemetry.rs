@@ -4,9 +4,11 @@
 //! of the trace, and a violation ships the flight recorder with it.
 
 use evs::core::EvsEvent;
-use evs::core::{checker, Configuration, EvsCluster, EvsParams, EvsProcess, Service, Trace};
+use evs::core::{
+    checker, Configuration, EvsCluster, EvsParams, EvsProcess, Payload, Service, Trace,
+};
 use evs::membership::ConfigId;
-use evs::sim::live::LiveNet;
+use evs::runtime::Cluster;
 use evs::sim::ProcessId;
 use evs::telemetry::{names, RunReport, Telemetry, TelemetryEvent};
 use rand::rngs::StdRng;
@@ -106,23 +108,21 @@ fn loaded_ring_fills_the_per_visit_and_latency_histograms() {
 #[test]
 fn live_run_produces_populated_report() {
     // The same scenario over real threads.
-    let net = LiveNet::spawn_with_telemetry(3, |pid| {
-        EvsProcess::<String>::new(pid, EvsParams::default())
-    });
+    let net = Cluster::in_memory(3, true);
     assert!(
-        net.wait_until(Duration::from_secs(20), |node: &EvsProcess<String>| {
+        net.wait_until(Duration::from_secs(20), |node: &EvsProcess<Payload>| {
             node.is_settled() && node.current_config().members.len() == 3
         }),
         "live group must converge"
     );
     net.invoke(p(0), |node, ctx| {
-        node.submit(ctx, Service::Safe, "safe".into())
+        node.submit(ctx, Service::Safe, b"safe".into())
     });
     net.invoke(p(0), |node, ctx| {
-        node.submit(ctx, Service::Agreed, "agreed".into())
+        node.submit(ctx, Service::Agreed, b"agreed".into())
     });
     assert!(
-        net.wait_until(Duration::from_secs(20), |node: &EvsProcess<String>| {
+        net.wait_until(Duration::from_secs(20), |node: &EvsProcess<Payload>| {
             node.deliveries()
                 .iter()
                 .filter(|d| d.payload().is_some())
@@ -132,8 +132,7 @@ fn live_run_produces_populated_report() {
         "both messages delivered on every thread"
     );
     let handles = net.telemetry_handles();
-    let results = net.shutdown();
-    let trace = Trace::new(results.into_iter().map(|(_, t)| t).collect());
+    let trace = Trace::new(net.shutdown());
     checker::assert_evs_with_telemetry(&trace, &handles);
     let report = RunReport::collect(&handles);
     assert_populated(&report, "live");
