@@ -23,9 +23,14 @@
 #
 # e2e-smoke runs the BENCHMARK.json command for 2 s per workload: wall
 # time is machine-dependent, so it gates only that the benchmark builds
-# from this tree and every run is correct with no failed operation. It
-# runs directly after build-test: a benchmark that no longer builds or
-# runs against this tree should cost two minutes to find, not the gate.
+# from this tree, that every run is correct with no failed operation, and
+# that heap_b_per_op stays a window on the two ring workloads (an
+# allocator count over fixed-work epochs, so the same on every machine:
+# 753 and 6,733 B/op with a ring store that is never pruned, under 30
+# with one pruned at the safe line). It runs directly after build-test: a
+# benchmark that no longer builds or runs against this tree, or protocol
+# state that grows with a configuration's age again, should cost two
+# minutes to find, not the gate.
 #
 # Fails on the first broken step.
 set -eu
@@ -111,7 +116,7 @@ bench_diff() {
 }
 
 e2e_smoke() {
-    echo "== e2e smoke (the BENCHMARK.json command: builds, correct, 0 failed) =="
+    echo "== e2e smoke (the BENCHMARK.json command: builds, correct, 0 failed, heap a window) =="
     # An --offline build rewrites bench/Cargo.lock in place when the
     # committed file lists a package the tree no longer has; the EXIT
     # trap puts the committed file back so the tree stays clean.
@@ -122,10 +127,19 @@ e2e_smoke() {
         cargo run --release --offline --quiet --manifest-path bench/Cargo.toml -- \
             --workload "$w" --seed 1 --seconds 2 --trace 0 >target/e2e-smoke.out
         verdict=$(tail -n 1 target/e2e-smoke.out)
+        heap=$(echo "$verdict" | sed -n 's/.*"heap_b_per_op": {"value": \([0-9.]*\).*/\1/p')
+        case "$w" in
+        ring_64b_agreed) heap_max=64 ;;
+        ring_2k_safe) heap_max=256 ;;
+        *) heap_max="" ;;
+        esac
         case "$verdict" in
-        *'"correct": true'*'"failed": 0,'*) echo "  $w: correct, 0 failed" ;;
+        *'"correct": true'*'"failed": 0,'*) echo "  $w: correct, 0 failed, $heap heap B/op" ;;
         *) echo "e2e-smoke: $w: $verdict" && exit 1 ;;
         esac
+        [ -z "$heap_max" ] ||
+            awk -v heap="$heap" -v max="$heap_max" 'BEGIN { exit !(heap != "" && heap <= max) }' ||
+            { echo "e2e-smoke: $w: heap_b_per_op '$heap' above $heap_max (unbounded state?)" && exit 1; }
     done
 }
 

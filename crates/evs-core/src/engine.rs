@@ -36,7 +36,7 @@
 //! allocation-only [`NullStorage`]; drivers that survive real `kill -9`
 //! hand in an `evs_store::FileStorage` via [`EvsProcess::with_storage`].
 
-use crate::persist::{Checkpoint, WalRecord, LEASE_BLOCK};
+use crate::persist::{Checkpoint, WalRecord, LEASE_BLOCK, WAL_COMPACT_RECORDS};
 use crate::recovery::{
     extended_obligations, needed_set, rebroadcast_set, transitional_members, ExchangeState,
 };
@@ -46,7 +46,7 @@ use evs_order::{MessageId, OrderedMsg, Ring, RingMsg, RingOut, RingSnapshot, Ser
 use evs_sim::{Ctx, Node, ProcessId, SimTime, TimerId, TimerKind};
 use evs_store::{NullStorage, Replay, ReplayError, Storage};
 use evs_telemetry::{names, Counter, LogHistogram, Telemetry, TelemetryEvent};
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::fmt;
 
 /// Stable per-service counter name for a delivery.
@@ -201,6 +201,13 @@ pub struct EngineObs {
     pub pending: usize,
     /// Application deliveries retained in the delivery log.
     pub deliveries: usize,
+    /// Messages retained in the ring store — the received ordinals above
+    /// `store_floor` (the frozen snapshot's while in recovery). A window,
+    /// not a history: it must not grow with the configuration's age.
+    pub store_len: usize,
+    /// Ordinals at or below this were delivered, are held by every member
+    /// and have been dropped from the store.
+    pub store_floor: u64,
 }
 
 // The regular variant is the hot path and lives for the whole lifetime of a
@@ -238,7 +245,12 @@ pub struct EvsProcess<P> {
     obligations: BTreeSet<ProcessId>,
     current_config: Configuration,
     last_token_seen: SimTime,
-    sent_log: HashSet<MessageId>,
+    /// Highest own message-id counter whose `send_p(m)` was logged. Own
+    /// ids are stamped in counter order (the ring's `pending` queue is
+    /// FIFO, and a new configuration takes the old one's unsent
+    /// submissions before the buffered ones), so anything at or below it
+    /// is a retransmission.
+    sent_upto: u64,
     /// A token waiting out its pacing delay before being forwarded
     /// (§3/Totem: the token is paced so an idle ring does not spin).
     pending_token: Option<(ProcessId, evs_order::Token)>,
@@ -287,6 +299,9 @@ pub struct EvsProcess<P> {
     config_shadow: ConfigId,
     /// Scratch buffer for WAL record encoding.
     wal_buf: Vec<u8>,
+    /// Records appended since the log was last compacted into a
+    /// [`Checkpoint`] (see [`WAL_COMPACT_RECORDS`]).
+    wal_since_checkpoint: u64,
     wal_appends: Counter,
     wal_syncs: Counter,
     /// Wall-clock nanoseconds per durability barrier; the sync sits on
@@ -353,7 +368,7 @@ impl<P: Clone + fmt::Debug + 'static> EvsProcess<P> {
             obligations: BTreeSet::new(),
             current_config: Configuration::from(initial),
             last_token_seen: SimTime::ZERO,
-            sent_log: HashSet::new(),
+            sent_upto: 0,
             pending_token: None,
             tick_armed: None,
             refused: None,
@@ -368,6 +383,7 @@ impl<P: Clone + fmt::Debug + 'static> EvsProcess<P> {
             last_replay_poison: None,
             config_shadow: shadow_of(initial_id),
             wal_buf: Vec::new(),
+            wal_since_checkpoint: 0,
             wal_appends: Counter::detached(),
             wal_syncs: Counter::detached(),
             wal_sync_ns: LogHistogram::detached(),
@@ -416,9 +432,43 @@ impl<P: Clone + fmt::Debug + 'static> EvsProcess<P> {
     /// the durability of a process without stable storage).
     fn wal_append(&mut self, rec: WalRecord) {
         rec.encode(&mut self.wal_buf);
+        self.wal_since_checkpoint += 1;
         if self.storage.append(&self.wal_buf).is_ok() {
             self.wal_appends.inc();
         }
+    }
+
+    /// Replaces the log with one checkpoint. Best effort like every other
+    /// write: on an I/O error the records stay and the next trigger tries
+    /// again.
+    fn write_checkpoint(&mut self, cp: Checkpoint) {
+        cp.encode(&mut self.wal_buf);
+        self.wal_since_checkpoint = 0;
+        if self.storage.snapshot(&self.wal_buf).is_ok() {
+            self.telemetry.counter(names::SNAPSHOT_WRITES).inc();
+        }
+    }
+
+    /// Steady-state compaction, run at the end of every callback: once
+    /// [`WAL_COMPACT_RECORDS`] records have piled up in a regular, unfrozen
+    /// configuration, one checkpoint stands for all of them. It carries
+    /// the lease ceiling (every id handed out lies at or below it), the
+    /// largest epoch seen and the installed configuration, so a kill at
+    /// any point after it still owes — and names — the right `fail_p(c)`.
+    /// Outside a settled regular configuration the log is left alone: the
+    /// obligation set and the Step 2–6 boundaries are live there.
+    fn maybe_compact(&mut self) {
+        if self.wal_since_checkpoint < WAL_COMPACT_RECORDS
+            || self.frozen
+            || !matches!(self.mode, Mode::Regular { .. })
+        {
+            return;
+        }
+        self.write_checkpoint(Checkpoint {
+            msg_counter: self.lease_limit.max(self.persist.msg_counter),
+            max_epoch: self.persist.max_epoch.max(self.membership.max_epoch()),
+            installed: Some(self.installed_config_id()),
+        });
     }
 
     /// Forces a durability barrier at a §3 step boundary.
@@ -512,16 +562,19 @@ impl<P: Clone + fmt::Debug + 'static> EvsProcess<P> {
     /// A live-observability snapshot of the engine: the current
     /// configuration, ring progress and the ARU lag the obs plane
     /// exposes via `OBS?` scrapes. Ring-progress fields are zero while
-    /// the process is mid-recovery (the ring is being rebuilt).
+    /// the process is mid-recovery (the ring is being rebuilt); the store
+    /// fields then describe the frozen snapshot recovery works from.
     pub fn obs(&self) -> EngineObs {
-        let (my_aru, high_seen, rotations, pending) = match &self.mode {
+        let (my_aru, high_seen, rotations, pending, store_len, store_floor) = match &self.mode {
             Mode::Regular { ring } => (
                 ring.my_aru(),
                 ring.high_seen(),
                 ring.rotations(),
                 ring.pending_len(),
+                ring.store_len(),
+                ring.floor(),
             ),
-            Mode::Recovery(_) => (0, 0, 0, 0),
+            Mode::Recovery(rec) => (0, 0, 0, 0, rec.old.store.len(), rec.old.floor),
         };
         EngineObs {
             epoch: self.current_config.id.epoch,
@@ -536,6 +589,8 @@ impl<P: Clone + fmt::Debug + 'static> EvsProcess<P> {
             rotations,
             pending,
             deliveries: self.delivered.len(),
+            store_len,
+            store_floor,
         }
     }
 
@@ -566,6 +621,7 @@ impl<P: Clone + fmt::Debug + 'static> EvsProcess<P> {
         if poisoned {
             self.excommunicate(ctx);
         }
+        self.maybe_compact();
     }
 
     /// Check-before-use on the persistent message counter. If the primary
@@ -641,7 +697,8 @@ impl<P: Clone + fmt::Debug + 'static> EvsProcess<P> {
     }
 
     fn log_send(&mut self, ctx: &mut ECtx<'_, P>, msg: &OrderedMsg<P>) {
-        if msg.id.sender == self.me && self.sent_log.insert(msg.id) {
+        if msg.id.sender == self.me && msg.id.counter > self.sent_upto {
+            self.sent_upto = msg.id.counter;
             self.wal_append(WalRecord::Sent {
                 counter: msg.id.counter,
                 epoch: msg.config.epoch,
@@ -917,13 +974,19 @@ impl<P: Clone + fmt::Debug + 'static> EvsProcess<P> {
         let Mode::Recovery(rec) = &mut self.mode else {
             return;
         };
-        let (trans, needed) = rec.trans.clone().expect("classified above");
-        // Step 5.b/5.c: acknowledge once we hold the needed set; extend the
+        let (trans, needed) = rec.trans.as_ref().expect("classified above");
+        // Step 5.b/5.c: acknowledge once we hold the needed set (what lies
+        // at or below our floor we hold without storing it); extend the
         // obligation set at that moment.
-        if !rec.my_ack_sent && needed.iter().all(|s| rec.old.store.contains_key(s)) {
+        let old = &rec.old;
+        let acked_now = !rec.my_ack_sent
+            && needed
+                .iter()
+                .all(|s| *s <= old.floor || old.store.contains_key(s));
+        if acked_now {
             rec.my_ack_sent = true;
             rec.acks.insert(self.me);
-            self.obligations = extended_obligations(&self.obligations, &trans, &rec.exchanges);
+            self.obligations = extended_obligations(&self.obligations, trans, &rec.exchanges);
             self.telemetry.record(
                 ctx.now().ticks(),
                 TelemetryEvent::ObligationSetSize {
@@ -944,15 +1007,15 @@ impl<P: Clone + fmt::Debug + 'static> EvsProcess<P> {
             ctx.broadcast(EvsMsg::RecoveryAck {
                 proposal: rec.proposal.id,
             });
+        }
+        let all_acked = rec.my_ack_sent && trans.iter().all(|q| rec.acks.contains(q));
+        if acked_now {
             // Step 5.c boundary: the promise to deliver the obligation set
             // must survive a kill between the ack and Step 6.
             let members: Vec<u32> = self.obligations.iter().map(|p| p.index()).collect();
             self.wal_append(WalRecord::Obligations(members));
         }
-        let Mode::Recovery(rec) = &mut self.mode else {
-            return;
-        };
-        if rec.my_ack_sent && trans.iter().all(|q| rec.acks.contains(q)) {
+        if all_acked {
             self.finish_recovery(ctx);
         }
     }
@@ -965,17 +1028,15 @@ impl<P: Clone + fmt::Debug + 'static> EvsProcess<P> {
         let Some((trans, _)) = &rec.trans else {
             return;
         };
-        let mine: BTreeSet<u64> = rec.old.store.keys().copied().collect();
-        let duties = rebroadcast_set(self.me, trans, &rec.exchanges, &mine);
-        let frames: Vec<EvsMsg<P>> = duties
-            .into_iter()
-            .map(|s| EvsMsg::Rebroadcast {
+        // A duty is an ordinal some transitional member lacks, and every
+        // member holds everything up to anyone's floor: the store has it.
+        let store = &rec.old.store;
+        for s in rebroadcast_set(self.me, trans, &rec.exchanges, |s| store.contains_key(&s)) {
+            debug_assert!(s > rec.old.floor, "rebroadcast duty {s} below the floor");
+            ctx.broadcast(EvsMsg::Rebroadcast {
                 proposal: rec.proposal.id,
-                msg: rec.old.store[&s].clone(),
-            })
-            .collect();
-        for f in frames {
-            ctx.broadcast(f);
+                msg: store[&s].clone(),
+            });
         }
     }
 
@@ -1425,7 +1486,6 @@ impl<P: Clone + fmt::Debug + 'static> EvsProcess<P> {
         self.future_buffer.clear();
         self.obligations.clear();
         self.telemetry.gauge(names::OBLIGATION_SET_SIZE).set(0);
-        self.sent_log.clear();
         self.pending_token = None;
         self.origin_times.clear();
         let cfg = Configuration::from(initial);
@@ -1523,14 +1583,13 @@ impl<P: Clone + fmt::Debug + 'static> EvsProcess<P> {
         self.persist.max_epoch = epoch;
         // Compact: everything replayed folds into one checkpoint; the
         // singleton configuration delivery below re-seeds the fresh log.
-        let cp = Checkpoint {
+        // Whatever failure the dead incarnation owed was settled above, so
+        // the checkpoint names no installed configuration.
+        self.write_checkpoint(Checkpoint {
             msg_counter: self.persist.msg_counter,
             max_epoch: epoch,
-        };
-        cp.encode(&mut self.wal_buf);
-        if self.storage.snapshot(&self.wal_buf).is_ok() {
-            self.telemetry.counter(names::SNAPSHOT_WRITES).inc();
-        }
+            installed: None,
+        });
         self.reincarnate(ctx, epoch);
     }
 }
@@ -1584,7 +1643,10 @@ impl<P: Clone + fmt::Debug + 'static> Node for EvsProcess<P> {
             }
             EvsMsg::Rebroadcast { proposal, msg } => {
                 if let Mode::Recovery(rec) = &mut self.mode {
-                    if proposal == rec.proposal.id && msg.config == rec.old.config {
+                    if proposal == rec.proposal.id
+                        && msg.config == rec.old.config
+                        && msg.seq > rec.old.floor
+                    {
                         rec.old.store.entry(msg.seq).or_insert(msg);
                         self.try_advance_recovery(ctx);
                     }
@@ -1605,6 +1667,7 @@ impl<P: Clone + fmt::Debug + 'static> Node for EvsProcess<P> {
         // (a token forward arms retransmission, a heartbeat reschedules
         // suspicion, recovery progress resets the stall window), so the
         // timer is re-armed at the new earliest one.
+        self.maybe_compact();
         self.rearm_tick(ctx);
     }
 
@@ -1630,6 +1693,7 @@ impl<P: Clone + fmt::Debug + 'static> Node for EvsProcess<P> {
                 debug_assert_eq!(kind, TICK);
                 self.tick_armed = None;
                 self.settle_tick(ctx);
+                self.maybe_compact();
                 self.rearm_tick(ctx);
             }
         }
@@ -1902,6 +1966,7 @@ mod tests {
                     proposal: ghost,
                     sender: p(3),
                     last_regular: ghost,
+                    floor: 0,
                     received: BTreeSet::new(),
                     high_seen: 0,
                     safe_line: 0,
@@ -2136,6 +2201,57 @@ mod tests {
         node.on_start(&mut ctx);
         drop(ctx);
         (node, env, telemetry)
+    }
+
+    #[test]
+    fn steady_state_compaction_survives_a_kill() {
+        let (mut node, mut env) = started();
+        let installed = node.current_config().id;
+        // A singleton journals a Sent and a Cut per message.
+        let sent = WAL_COMPACT_RECORDS / 2 + 300;
+        for _ in 0..sent {
+            env.with(|ctx| node.submit(ctx, Service::Agreed, "m"));
+        }
+        let mut replay = node.storage_mut().replay().expect("replay");
+        let cp = replay.snapshot.as_deref().and_then(Checkpoint::decode);
+        let cp = cp.expect("the log was compacted in steady state");
+        assert_eq!(cp.installed, Some(installed));
+        assert_eq!(cp.max_epoch, installed.epoch);
+        assert!((replay.records.len() as u64) < WAL_COMPACT_RECORDS);
+
+        // kill -9: the machine keeps what was synced — the checkpoint and
+        // the records up to the last lease — and no fail_p(c) was written.
+        let synced = replay
+            .records
+            .iter()
+            .rposition(|r| matches!(WalRecord::decode(r), Some(WalRecord::Lease(_))))
+            .expect("a lease was taken after the checkpoint");
+        assert!(
+            synced + 1 < replay.records.len(),
+            "an unsynced tail to lose"
+        );
+        replay.records.truncate(synced + 1);
+        replay.wal_present = true;
+        let (mut next, mut env, _) = started_over(replay);
+        let fails: Vec<ConfigId> = env
+            .trace
+            .iter()
+            .filter_map(|(_, e)| match e {
+                EvsEvent::Fail { config } => Some(*config),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(
+            fails,
+            vec![installed],
+            "one fail, naming what was installed"
+        );
+        assert!(next.current_config().id.epoch > installed.epoch);
+        env.with(|ctx| next.submit(ctx, Service::Agreed, "post"));
+        assert!(
+            sent_counters(&env)[0] > sent,
+            "ids resume above every id the dead incarnation used"
+        );
     }
 
     #[test]

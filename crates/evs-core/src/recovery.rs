@@ -28,7 +28,13 @@ pub struct ExchangeState {
     pub sender: ProcessId,
     /// The sender's last regular configuration.
     pub last_regular: ConfigId,
-    /// Ordinals (in `last_regular`'s total order) the sender has received.
+    /// The sender's store floor: it received every ordinal `1..=floor` of
+    /// `last_regular`, and so did every other member of that configuration
+    /// (the floor never passes the safe line), so nothing at or below it
+    /// is listed, rebroadcast or delivered by this recovery.
+    pub floor: u64,
+    /// Ordinals above `floor` (in `last_regular`'s total order) the sender
+    /// has received.
     pub received: BTreeSet<u64>,
     /// Highest ordinal the sender knows to exist in `last_regular`.
     pub high_seen: u64,
@@ -54,11 +60,18 @@ impl ExchangeState {
             proposal,
             sender: me,
             last_regular: old.config,
+            floor: old.floor,
             received: old.store.keys().copied().collect(),
             high_seen: old.high_seen,
             safe_line: old.safe_line,
             obligations: obligations.clone(),
         }
+    }
+
+    /// Does the sender hold ordinal `seq` of its last regular
+    /// configuration?
+    pub fn holds(&self, seq: u64) -> bool {
+        seq <= self.floor || self.received.contains(&seq)
     }
 }
 
@@ -95,6 +108,8 @@ pub fn transitional_id(proposal: ConfigId, members: &[ProcessId]) -> ConfigId {
 
 /// Step 4.b: which ordinals this process should rebroadcast, because some
 /// member of its transitional configuration has not received them.
+/// `i_hold` answers for this process's *current* store, which grows by
+/// rebroadcast receipts after its own report was frozen.
 ///
 /// To avoid redundant traffic, responsibility is divided deterministically:
 /// the lowest-id transitional member holding a message rebroadcasts it.
@@ -104,41 +119,24 @@ pub fn rebroadcast_set(
     me: ProcessId,
     trans: &[ProcessId],
     exchanges: &BTreeMap<ProcessId, ExchangeState>,
-    my_received: &BTreeSet<u64>,
+    i_hold: impl Fn(u64) -> bool,
 ) -> Vec<u64> {
-    let mut needed: BTreeSet<u64> = BTreeSet::new();
-    for q in trans {
-        if let Some(e) = exchanges.get(q) {
-            needed.extend(e.received.iter().copied());
-        }
-    }
-    needed
+    let reports = || trans.iter().filter_map(|q| exchanges.get(q));
+    needed_set(trans, exchanges)
         .into_iter()
-        .filter(|s| {
+        .filter(|&s| {
             // Someone in the transitional configuration lacks it...
-            trans.iter().any(|q| {
-                exchanges
-                    .get(q)
-                    .is_some_and(|e| !e.received.contains(s))
-            })
+            reports().any(|e| !e.holds(s))
             // ...and we are the lowest-id holder.
-            && my_received.contains(s)
-                && trans
-                    .iter()
-                    .filter(|&&q| {
-                        q != me
-                            && exchanges
-                                .get(&q)
-                                .is_some_and(|e| e.received.contains(s))
-                    })
-                    .all(|&q| q > me)
+                && i_hold(s)
+                && reports().all(|e| e.sender >= me || !e.holds(s))
         })
         .collect()
 }
 
-/// The union of ordinals held by any member of the transitional
-/// configuration — what every member must hold before acknowledging
-/// (Step 5.b).
+/// The union of the ordinals the members of the transitional configuration
+/// list as received — with what lies at or below the process's own floor,
+/// what every member must hold before acknowledging (Step 5.b).
 pub fn needed_set(
     trans: &[ProcessId],
     exchanges: &BTreeMap<ProcessId, ExchangeState>,
@@ -242,8 +240,10 @@ pub fn compute_plan<P: Clone>(
         .max()
         .unwrap_or(0);
 
-    // First ordinal no transitional member holds.
-    let first_hole = (1..=r_high)
+    // First ordinal no transitional member holds. Every member of the old
+    // configuration holds everything up to anyone's floor, so the search
+    // starts above ours and all members still find the same hole.
+    let first_hole = ((old.floor + 1)..=r_high)
         .find(|s| !old.store.contains_key(s))
         .unwrap_or(r_high + 1);
 
@@ -279,7 +279,9 @@ pub fn compute_plan<P: Clone>(
     }
 
     // Step 6.b: deliver, still in the old regular configuration, the
-    // messages that satisfied its requirements.
+    // messages that satisfied its requirements. Steps 6.b and 6.d start
+    // above `delivered_upto`, which the floor never passes.
+    debug_assert!(old.floor <= old.delivered_upto, "floor past delivery");
     let regular_deliveries: Vec<OrderedMsg<P>> = ((old.delivered_upto + 1)..limit)
         .filter_map(|s| retained.get(&s).map(|m| (*m).clone()))
         .collect();
@@ -345,6 +347,7 @@ mod tests {
         RingSnapshot {
             config: cfg,
             members: members.iter().map(|&i| p(i)).collect(),
+            floor: 0,
             store: seqs
                 .iter()
                 .map(|&(s, sender, service)| (s, msg(cfg, s, sender, service)))
@@ -370,6 +373,7 @@ mod tests {
             proposal,
             sender: p(sender),
             last_regular,
+            floor: 0,
             received: received.iter().copied().collect(),
             high_seen: high,
             safe_line,
@@ -412,9 +416,8 @@ mod tests {
         ex.insert(p(1), exch(prop, 1, old, &[1, 2, 3], 3, 0, &[]));
         ex.insert(p(2), exch(prop, 2, old, &[3], 3, 0, &[]));
         let trans = vec![p(0), p(1), p(2)];
-        let r0 = rebroadcast_set(p(0), &trans, &ex, &ex[&p(0)].received);
-        let r1 = rebroadcast_set(p(1), &trans, &ex, &ex[&p(1)].received);
-        let r2 = rebroadcast_set(p(2), &trans, &ex, &ex[&p(2)].received);
+        let duties = |i: u32| rebroadcast_set(p(i), &trans, &ex, |s| ex[&p(i)].holds(s));
+        let (r0, r1, r2) = (duties(0), duties(1), duties(2));
         assert_eq!(r0, vec![1]);
         assert_eq!(r1, vec![2]);
         assert!(r2.is_empty());
@@ -422,6 +425,48 @@ mod tests {
             needed_set(&trans, &ex).into_iter().collect::<Vec<_>>(),
             vec![1, 2, 3]
         );
+    }
+
+    /// Members that dropped different prefixes still agree on every
+    /// decision: what lies at or below a floor is held, never listed.
+    #[test]
+    fn floors_stand_for_the_dropped_prefix() {
+        let old_cfg = rcfg(1, 0);
+        let prop = ProposedConfig::new(rcfg(2, 0), vec![p(0), p(1)]);
+        // P0 dropped 1..=4, P1 only 1..=2 and it never received 6.
+        let mut e0 = exch(prop.id, 0, old_cfg, &[5, 6], 6, 4, &[]);
+        e0.floor = 4;
+        let mut e1 = exch(prop.id, 1, old_cfg, &[3, 4, 5], 6, 4, &[]);
+        e1.floor = 2;
+        assert!(e0.holds(3) && e1.holds(3) && !e1.holds(6));
+        let ex: BTreeMap<_, _> = [(p(0), e0), (p(1), e1)].into_iter().collect();
+        let trans = vec![p(0), p(1)];
+        assert_eq!(
+            rebroadcast_set(p(0), &trans, &ex, |s| ex[&p(0)].holds(s)),
+            vec![6],
+            "3 and 4 are listed by P1 alone, yet P0 holds them below its floor"
+        );
+        assert!(rebroadcast_set(p(1), &trans, &ex, |s| ex[&p(1)].holds(s)).is_empty());
+
+        // P0's plan after the exchange: it delivered 1..=5, holds 5 and 6.
+        let mut old = snapshot(
+            old_cfg,
+            &[0, 1],
+            &[(5, 0, Service::Agreed), (6, 1, Service::Safe)],
+            6,
+            4,
+            5,
+        );
+        old.floor = 4;
+        let obl = extended_obligations(&BTreeSet::new(), &trans, &ex);
+        let plan = compute_plan(p(0), &old, &prop, &ex, &obl);
+        assert!(
+            plan.regular_deliveries.is_empty(),
+            "5 was delivered already"
+        );
+        let seqs = |v: &[OrderedMsg<&str>]| v.iter().map(|m| m.seq).collect::<Vec<_>>();
+        assert_eq!(seqs(&plan.transitional_deliveries), vec![6]);
+        assert!(plan.discarded.is_empty());
     }
 
     #[test]

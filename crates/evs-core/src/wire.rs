@@ -87,6 +87,13 @@ impl std::error::Error for WireError {}
 /// Sanity cap for any single length prefix (collections, payloads).
 const MAX_LEN: u64 = 1 << 24;
 
+/// Cap on the ordinals one [`ExchangeState`] may list above its floor. A
+/// run costs 16 bytes on the wire however long it is, so the element count
+/// is bounded here and not by the datagram: far above any window the ring
+/// allows (`evs_order::MAX_HOLE_GAP` plus a few rotations of stamping),
+/// small enough that a hostile frame cannot expand into gigabytes.
+const MAX_RECEIVED: u64 = 1 << 20;
+
 type Result<T> = std::result::Result<T, WireError>;
 
 // --- primitive helpers -------------------------------------------------
@@ -251,6 +258,58 @@ fn get_u64_set(buf: &mut impl Buf) -> Result<BTreeSet<u64>> {
     Ok(set)
 }
 
+/// Encodes the ordinals received above `floor` as the floor followed by
+/// ascending maximal `(start, len)` runs: the frame's size follows the
+/// number of holes in the in-flight window, not the configuration's age.
+fn put_received(out: &mut BytesMut, floor: u64, received: &BTreeSet<u64>) {
+    let mut runs: Vec<(u64, u64)> = Vec::new();
+    for &s in received {
+        match runs.last_mut() {
+            Some((start, len)) if *start + *len == s => *len += 1,
+            _ => runs.push((s, 1)),
+        }
+    }
+    out.put_u64_le(floor);
+    out.put_u32_le(runs.len() as u32);
+    for (start, len) in runs {
+        out.put_u64_le(start);
+        out.put_u64_le(len);
+    }
+}
+
+fn get_received(buf: &mut impl Buf) -> Result<(u64, BTreeSet<u64>)> {
+    let floor = get_u64(buf)?;
+    let runs = get_len(buf)?;
+    let mut set = BTreeSet::new();
+    // Canonical encoding: every run is non-empty, the first starts above
+    // the floor and each later one past the ordinal after its
+    // predecessor's last (adjacent runs would have been one run).
+    let mut min_start = floor.checked_add(1);
+    let mut total = 0u64;
+    for _ in 0..runs {
+        let start = get_u64(buf)?;
+        let len = get_u64(buf)?;
+        total = total.saturating_add(len);
+        if total > MAX_RECEIVED {
+            return Err(WireError::OversizedLength { len: total });
+        }
+        let last = len.checked_sub(1).and_then(|l| start.checked_add(l));
+        match (min_start, last) {
+            (Some(min), Some(last)) if start >= min => {
+                set.extend(start..=last);
+                min_start = last.checked_add(2);
+            }
+            _ => {
+                return Err(WireError::BadTag {
+                    what: "ascending ordinal runs above the floor",
+                    tag: 0,
+                })
+            }
+        }
+    }
+    Ok((floor, set))
+}
+
 // --- protocol types -----------------------------------------------------
 
 fn put_ordered_msg(out: &mut BytesMut, m: &OrderedMsg<Payload>) {
@@ -383,18 +442,23 @@ fn put_exchange(out: &mut BytesMut, e: &ExchangeState) {
     put_config(out, e.proposal);
     put_pid(out, e.sender);
     put_config(out, e.last_regular);
-    put_u64_set(out, &e.received);
+    put_received(out, e.floor, &e.received);
     out.put_u64_le(e.high_seen);
     out.put_u64_le(e.safe_line);
     put_pid_set(out, &e.obligations);
 }
 
 fn get_exchange(buf: &mut impl Buf) -> Result<ExchangeState> {
+    let proposal = get_config(buf)?;
+    let sender = get_pid(buf)?;
+    let last_regular = get_config(buf)?;
+    let (floor, received) = get_received(buf)?;
     Ok(ExchangeState {
-        proposal: get_config(buf)?,
-        sender: get_pid(buf)?,
-        last_regular: get_config(buf)?,
-        received: get_u64_set(buf)?,
+        proposal,
+        sender,
+        last_regular,
+        floor,
+        received,
         high_seen: get_u64(buf)?,
         safe_line: get_u64(buf)?,
         obligations: get_pid_set(buf)?,
@@ -626,8 +690,9 @@ mod tests {
                 proposal: cfg,
                 sender: p(1),
                 last_regular: ConfigId::regular(41, p(0)),
-                received: [1, 2, 3, 5, 8].into_iter().collect(),
-                high_seen: 8,
+                floor: 3,
+                received: [4, 5, 6, 8, 11].into_iter().collect(),
+                high_seen: 11,
                 safe_line: 3,
                 obligations: [p(0), p(1)].into_iter().collect(),
             }),
@@ -715,6 +780,54 @@ mod tests {
         out.put_u32_le(u32::MAX); // absurd payload length
         assert!(matches!(
             decode(&out),
+            Err(WireError::OversizedLength { .. })
+        ));
+    }
+
+    /// An exchange frame whose `received` runs are spelled out by hand.
+    fn exchange_with_runs(floor: u64, runs: &[(u64, u64)]) -> BytesMut {
+        let cfg = ConfigId::regular(1, p(0));
+        let mut out = BytesMut::new();
+        out.put_u8(3);
+        put_config(&mut out, cfg);
+        put_pid(&mut out, p(1));
+        put_config(&mut out, cfg);
+        out.put_u64_le(floor);
+        out.put_u32_le(runs.len() as u32);
+        for &(start, len) in runs {
+            out.put_u64_le(start);
+            out.put_u64_le(len);
+        }
+        out.put_u64_le(0);
+        out.put_u64_le(0);
+        put_pid_set(&mut out, &BTreeSet::new());
+        out
+    }
+
+    #[test]
+    fn received_runs_must_be_canonical_and_bounded() {
+        let received = |floor, runs: &[(u64, u64)]| match decode(&exchange_with_runs(floor, runs)) {
+            Ok(EvsMsg::Exchange(e)) => Ok(e.received.into_iter().collect::<Vec<u64>>()),
+            Ok(other) => panic!("decoded to {other:?}"),
+            Err(e) => Err(e),
+        };
+        assert_eq!(received(4, &[(5, 2), (8, 1)]), Ok(vec![5, 6, 8]));
+        for (floor, runs) in [
+            (4, &[(4, 2)][..]),     // reaches down to the floor
+            (4, &[(5, 0)]),         // empty run
+            (4, &[(5, 2), (7, 1)]), // adjacent: one run spelled as two
+            (4, &[(8, 1), (5, 2)]), // descending
+            (4, &[(u64::MAX, 2)]),  // runs off the end of the ordinals
+            (u64::MAX, &[(u64::MAX, 1)]),
+        ] {
+            assert!(
+                matches!(received(floor, runs), Err(WireError::BadTag { .. })),
+                "floor {floor}, runs {runs:?}"
+            );
+        }
+        // Sixteen bytes may not expand into an unbounded set.
+        assert!(matches!(
+            received(0, &[(1, MAX_RECEIVED + 1)]),
             Err(WireError::OversizedLength { .. })
         ));
     }

@@ -12,9 +12,14 @@
 //! 4. **Safe-respecting** — a safe message is delivered in the old regular
 //!    configuration only if the pooled safe line covers it (Spec 7 within
 //!    the old configuration).
+//! 5. **Floor-blind** — members that dropped the prefix of their store at a
+//!    floor (never past their safe line or what they delivered) decide
+//!    exactly what they would have decided with the full history: same
+//!    rebroadcast duties, same Step 5.b verdict, same plan.
 
 use evs_core::recovery::{
-    compute_plan, extended_obligations, needed_set, transitional_members, ExchangeState,
+    compute_plan, extended_obligations, needed_set, rebroadcast_set, transitional_members,
+    ExchangeState,
 };
 use evs_membership::{ConfigId, ProposedConfig};
 use evs_order::{MessageId, OrderedMsg, RingSnapshot, Service};
@@ -34,14 +39,34 @@ struct Scenario {
     old_n: usize,
     /// Which of them survive into the proposal (at least one).
     survivors: Vec<usize>,
-    /// For each ordinal 1..=high: (sender, service, known-to-survivors).
-    msgs: Vec<(usize, Service, bool)>,
+    /// For each ordinal 1..=high: (sender, service, known-to-survivors,
+    /// which survivors held it before the rebroadcast exchange — a bit per
+    /// survivor index, see [`Scenario::held`]).
+    msgs: Vec<(usize, Service, bool, u8)>,
     /// Pooled safe line (≤ high).
     safe_line: u64,
     /// Per-survivor delivered_upto (≤ its contiguous known prefix; the
     /// planner requires delivered < limit which the generator respects by
     /// keeping deliveries below the safe line and first hole).
     delivered: Vec<u64>,
+    /// Per-survivor store floor, ≤ min(safe_line, delivered_upto).
+    floors: Vec<u64>,
+}
+
+impl Scenario {
+    /// Did survivor `k` hold ordinal `seq` before the exchange? Everything
+    /// it delivered and everything up to anyone's floor (the safe line
+    /// bounds a floor, so every member received it); above that, what the
+    /// generated mask says, with one fixed holder so that a message known
+    /// to the group is held by somebody.
+    fn held(&self, k: usize, seq: u64) -> bool {
+        let (_, _, known, mask) = self.msgs[(seq - 1) as usize];
+        let everyone = *self.floors.iter().max().expect("a survivor");
+        known
+            && (seq <= everyone.max(self.delivered[k])
+                || mask >> k & 1 == 1
+                || k == seq as usize % self.survivors.len())
+    }
 }
 
 fn scenario() -> impl Strategy<Value = Scenario> {
@@ -64,18 +89,20 @@ fn scenario() -> impl Strategy<Value = Scenario> {
                     ],
                     // 85% of messages are known to the surviving group.
                     prop::bool::weighted(0.85),
+                    any::<u8>(),
                 ),
                 high..=high,
             );
-            (Just(old_n), survivors, msgs, 0..=(high as u64))
+            let floor_picks = proptest::collection::vec(any::<u64>(), old_n);
+            (Just(old_n), survivors, msgs, 0..=(high as u64), floor_picks)
         })
-        .prop_map(|(old_n, survivors, msgs, safe_line)| {
+        .prop_map(|(old_n, survivors, msgs, safe_line, floor_picks)| {
             // Deliveries must stay below both the first hole and the first
             // unacked safe message; easiest sound choice: below the
             // contiguous known prefix AND the safe line AND the first
             // safe-but-unacked ordinal.
             let mut contiguous = 0u64;
-            for (i, (_, _, known)) in msgs.iter().enumerate() {
+            for (i, (_, _, known, _)) in msgs.iter().enumerate() {
                 if *known && contiguous == i as u64 {
                     contiguous = i as u64 + 1;
                 } else {
@@ -84,7 +111,7 @@ fn scenario() -> impl Strategy<Value = Scenario> {
             }
             let mut max_delivered = 0u64;
             for s in 1..=contiguous {
-                let (_, service, _) = msgs[(s - 1) as usize];
+                let (_, service, _, _) = msgs[(s - 1) as usize];
                 if service == Service::Safe && s > safe_line {
                     break;
                 }
@@ -94,21 +121,33 @@ fn scenario() -> impl Strategy<Value = Scenario> {
             // symmetry property is exercised on genuinely different local
             // states.
             let k = survivors.len() as u64;
-            let delivered = (0..k).map(|i| max_delivered * i / k.max(1)).collect();
+            let delivered: Vec<u64> = (0..k).map(|i| max_delivered * i / k.max(1)).collect();
+            let floors = delivered
+                .iter()
+                .zip(floor_picks)
+                .map(|(d, pick)| pick % (d.min(&safe_line) + 1))
+                .collect();
             Scenario {
                 old_n,
                 survivors,
                 msgs,
                 safe_line,
                 delivered,
+                floors,
             }
         })
 }
 
-/// Builds the frozen snapshot + exchange map for one survivor.
+/// Builds the frozen snapshot + exchange map for survivor `k`, every
+/// member's store and report cut at its entry of `floors`. With `pooled`
+/// the snapshot's store is what the member holds once the rebroadcast
+/// exchange completed (the union of what survivors knew); without, what it
+/// held when its report was frozen.
 fn build(
     sc: &Scenario,
     k: usize, // index into survivors
+    floors: &[u64],
+    pooled: bool,
 ) -> (
     ProcessId,
     RingSnapshot<u64>,
@@ -119,41 +158,38 @@ fn build(
     let old_cfg = ConfigId::regular(1, pid(0));
     let me = pid(sc.survivors[k]);
     let high = sc.msgs.len() as u64;
-    // After a completed rebroadcast exchange, every survivor's store is
-    // exactly the union of what survivors knew.
-    let store: BTreeMap<u64, OrderedMsg<u64>> = sc
-        .msgs
-        .iter()
-        .enumerate()
-        .filter(|(_, (_, _, known))| *known)
-        .map(|(i, (sender, service, _))| {
-            let seq = i as u64 + 1;
+    let store: BTreeMap<u64, OrderedMsg<u64>> = (floors[k] + 1..=high)
+        .filter(|&seq| sc.held(k, seq) || (pooled && sc.msgs[(seq - 1) as usize].2))
+        .map(|seq| {
+            let (sender, service, _, _) = sc.msgs[(seq - 1) as usize];
             (
                 seq,
                 OrderedMsg {
                     config: old_cfg,
                     seq,
-                    id: MessageId::new(pid(*sender), seq),
-                    service: *service,
+                    id: MessageId::new(pid(sender), seq),
+                    service,
                     payload: seq,
                 },
             )
         })
         .collect();
-    let received: BTreeSet<u64> = store.keys().copied().collect();
     let proposal = ProposedConfig::new(
         ConfigId::regular(2, pid(sc.survivors[0])),
         sc.survivors.iter().map(|&i| pid(i)).collect(),
     );
     let mut exchanges = BTreeMap::new();
-    for &s in &sc.survivors {
+    for (j, &s) in sc.survivors.iter().enumerate() {
         exchanges.insert(
             pid(s),
             ExchangeState {
                 proposal: proposal.id,
                 sender: pid(s),
                 last_regular: old_cfg,
-                received: received.clone(),
+                floor: floors[j],
+                received: (floors[j] + 1..=high)
+                    .filter(|&seq| sc.held(j, seq))
+                    .collect(),
                 high_seen: high,
                 safe_line: sc.safe_line,
                 obligations: BTreeSet::new(),
@@ -165,6 +201,7 @@ fn build(
     let snapshot = RingSnapshot {
         config: old_cfg,
         members: (0..sc.old_n).map(pid).collect(),
+        floor: floors[k],
         store,
         my_aru: 0,
         high_seen: high,
@@ -175,6 +212,39 @@ fn build(
     (me, snapshot, proposal, exchanges, obligations)
 }
 
+/// Everything Steps 4–6 decide for survivor `k` under `floors`: its
+/// rebroadcast duties and Step 5.b verdict when the reports are in, the
+/// verdict again once the exchange completed, and the Step 6 plan.
+fn decisions(
+    sc: &Scenario,
+    k: usize,
+    floors: &[u64],
+) -> (Vec<u64>, bool, bool, Vec<u64>, Vec<u64>, Vec<u64>) {
+    let holds_needed = |snap: &RingSnapshot<u64>, ex: &BTreeMap<ProcessId, ExchangeState>| {
+        let trans = transitional_members(snap.config, ex);
+        needed_set(&trans, ex)
+            .iter()
+            .all(|s| *s <= snap.floor || snap.store.contains_key(s))
+    };
+    let (me, frozen, _, exchanges, _) = build(sc, k, floors, false);
+    let trans = transitional_members(frozen.config, &exchanges);
+    let duties = rebroadcast_set(me, &trans, &exchanges, |s| frozen.store.contains_key(&s));
+    let ack_before = holds_needed(&frozen, &exchanges);
+
+    let (me, pooled, proposal, exchanges, obligations) = build(sc, k, floors, true);
+    let ack_after = holds_needed(&pooled, &exchanges);
+    let plan = compute_plan(me, &pooled, &proposal, &exchanges, &obligations);
+    let seqs = |v: &[OrderedMsg<u64>]| v.iter().map(|m| m.seq).collect::<Vec<u64>>();
+    (
+        duties,
+        ack_before,
+        ack_after,
+        seqs(&plan.regular_deliveries),
+        seqs(&plan.transitional_deliveries),
+        plan.discarded,
+    )
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
 
@@ -182,7 +252,8 @@ proptest! {
     fn plans_are_symmetric_and_lawful(sc in scenario()) {
         let mut reference: Option<(Vec<u64>, Vec<u64>, Vec<u64>)> = None;
         for k in 0..sc.survivors.len() {
-            let (me, snapshot, proposal, exchanges, obligations) = build(&sc, k);
+            let (me, snapshot, proposal, exchanges, obligations) =
+                build(&sc, k, &sc.floors, true);
             let plan = compute_plan(me, &snapshot, &proposal, &exchanges, &obligations);
 
             // 2: strictly increasing ordinals, regular before transitional.
@@ -196,7 +267,7 @@ proptest! {
 
             // 3: nothing from a transitional member is discarded.
             for seq in &plan.discarded {
-                let (sender, _, _) = sc.msgs[(*seq - 1) as usize];
+                let (sender, _, _, _) = sc.msgs[(*seq - 1) as usize];
                 prop_assert!(
                     !sc.survivors.contains(&sender),
                     "discarded seq {} from surviving sender {}", seq, sender
@@ -233,6 +304,25 @@ proptest! {
         }
     }
 
+    /// 5: cutting every member's store and report at its floor changes no
+    /// decision of Steps 4–6.
+    #[test]
+    fn floors_change_no_decision(sc in scenario()) {
+        let full = vec![0; sc.survivors.len()];
+        for k in 0..sc.survivors.len() {
+            let cut = decisions(&sc, k, &sc.floors);
+            prop_assert_eq!(&cut, &decisions(&sc, k, &full), "survivor {}", k);
+            prop_assert!(cut.2, "a completed exchange leaves nothing needed");
+            // What is rebroadcast, delivered in the transitional
+            // configuration or discarded lies above everyone's floor; what
+            // a member still delivers in the regular one, above its own.
+            for s in cut.0.iter().chain(&cut.4).chain(&cut.5) {
+                prop_assert!(sc.floors.iter().all(|f| s > f), "ordinal {} below a floor", s);
+            }
+            prop_assert!(cut.3.iter().all(|s| *s > sc.floors[k]));
+        }
+    }
+
     /// The needed set equals the union of survivor stores, and the
     /// rebroadcast duties partition it among the lowest-id holders.
     #[test]
@@ -251,6 +341,7 @@ proptest! {
                 proposal: prop_id,
                 sender: pid(i),
                 last_regular: old_cfg,
+                floor: 0,
                 received: held.clone(),
                 high_seen: held.iter().max().copied().unwrap_or(0),
                 safe_line: 0,
@@ -266,8 +357,7 @@ proptest! {
         // process (the lowest-id holder).
         let mut covered: BTreeMap<u64, usize> = BTreeMap::new();
         for (i, held) in holdings.iter().take(n).enumerate() {
-            let duties = evs_core::recovery::rebroadcast_set(
-                pid(i), &trans, &exchanges, held);
+            let duties = rebroadcast_set(pid(i), &trans, &exchanges, |s| held.contains(&s));
             for s in duties {
                 prop_assert!(covered.insert(s, i).is_none(),
                     "seq {} rebroadcast twice", s);

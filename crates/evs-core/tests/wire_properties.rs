@@ -98,17 +98,37 @@ fn exchange() -> impl Strategy<Value = ExchangeState> {
         config_id(),
         pid(),
         config_id(),
-        proptest::collection::btree_set(0u64..500, 0..30),
+        // An arbitrary floor, then what was received above it as stretches
+        // of (ordinals skipped, ordinals held): sparse singletons, dense
+        // runs, and — with nothing skipped — runs the codec must merge.
+        0u64..100_000,
+        proptest::collection::vec((0u64..4, 1u64..40), 0..12),
         0u64..500,
         0u64..500,
         pid_set(),
     )
         .prop_map(
-            |(proposal, sender, last_regular, received, high_seen, safe_line, obligations)| {
+            |(
+                proposal,
+                sender,
+                last_regular,
+                floor,
+                stretches,
+                high_seen,
+                safe_line,
+                obligations,
+            )| {
+                let mut received = BTreeSet::new();
+                let mut next = floor + 1;
+                for (skipped, held) in stretches {
+                    received.extend(next + skipped..next + skipped + held);
+                    next += skipped + held;
+                }
                 ExchangeState {
                     proposal,
                     sender,
                     last_regular,
+                    floor,
                     received,
                     high_seen,
                     safe_line,
@@ -141,6 +161,17 @@ proptest! {
         let bytes = wire::encode(&f);
         let back = wire::decode(&bytes).expect("well-formed frame decodes");
         prop_assert_eq!(wire::encode(&back), bytes);
+    }
+
+    /// An exchange report comes back as it went in, whatever its floor and
+    /// however sparse what it lists above it.
+    #[test]
+    fn exchange_round_trips(e in exchange()) {
+        let bytes = wire::encode(&EvsMsg::Exchange(e.clone()));
+        match wire::decode(&bytes) {
+            Ok(EvsMsg::Exchange(back)) => prop_assert_eq!(back, e),
+            other => prop_assert!(false, "decoded to {:?}", other),
+        }
     }
 
     /// Arbitrary bytes never panic the decoder, and anything it does accept
@@ -214,6 +245,31 @@ proptest! {
         if let Ok(views) = wire::unpack_frames(&bytes) {
             let repacked = wire::pack_frames(&views);
             prop_assert_eq!(repacked.as_ref(), &bytes[..]);
+        }
+    }
+}
+
+/// The report's size follows the holes in the in-flight window, not the
+/// configuration's age: 100,000 messages received without a gap are one
+/// run, with or without a floor under them.
+#[test]
+fn a_long_contiguous_history_encodes_in_under_100_bytes() {
+    let report = |floor: u64| ExchangeState {
+        proposal: ConfigId::regular(9, ProcessId::new(0)),
+        sender: ProcessId::new(2),
+        last_regular: ConfigId::regular(8, ProcessId::new(0)),
+        floor,
+        received: (floor + 1..=100_000).collect(),
+        high_seen: 100_000,
+        safe_line: 99_900,
+        obligations: BTreeSet::new(),
+    };
+    for floor in [0, 99_872] {
+        let bytes = wire::encode(&EvsMsg::Exchange(report(floor)));
+        assert!(bytes.len() < 100, "{} bytes at floor {floor}", bytes.len());
+        match wire::decode(&bytes) {
+            Ok(EvsMsg::Exchange(back)) => assert_eq!(back, report(floor)),
+            other => panic!("decoded to {other:?}"),
         }
     }
 }

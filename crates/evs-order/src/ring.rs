@@ -53,9 +53,14 @@ pub struct RingSnapshot<P> {
     pub config: ConfigId,
     /// Its sorted membership.
     pub members: Vec<ProcessId>,
-    /// All ordered messages received, by ordinal.
+    /// Every ordinal `1..=floor` was received, delivered here and is held
+    /// by every member of `config`, so the messages themselves are gone:
+    /// no step of the recovery algorithm can ask for them again.
+    pub floor: u64,
+    /// The ordered messages received above `floor`, by ordinal.
     pub store: BTreeMap<u64, OrderedMsg<P>>,
-    /// Contiguous receipt prefix: all ordinals `1..=my_aru` are in `store`.
+    /// Contiguous receipt prefix: all ordinals `1..=my_aru` were received
+    /// (those above `floor` are in `store`).
     pub my_aru: u64,
     /// Highest ordinal known to exist (from data or token sightings).
     pub high_seen: u64,
@@ -88,7 +93,13 @@ pub struct Ring<P> {
     me: ProcessId,
     config: ConfigId,
     members: Vec<ProcessId>,
+    /// The received messages with ordinals above `floor`.
     store: BTreeMap<u64, OrderedMsg<P>>,
+    /// `min(safe_line, delivered_upto)` as of the last prune: every ordinal
+    /// at or below it is held by every member and was delivered here, so
+    /// nobody can request it on the token and no later recovery can owe it
+    /// to anyone — the store drops it.
+    floor: u64,
     my_aru: u64,
     /// Complement shadow of `my_aru` (self-stabilization): resynced at
     /// every legitimate mutation, checked *before* every use. A mismatch
@@ -147,6 +158,7 @@ impl<P: Clone> Ring<P> {
             config,
             members,
             store: BTreeMap::new(),
+            floor: 0,
             my_aru: 0,
             aru_shadow: !0,
             high_seen: 0,
@@ -212,9 +224,36 @@ impl<P: Clone> Ring<P> {
         self.rotations
     }
 
-    /// True if the message with this ordinal has been received.
+    /// True if the message with this ordinal has been received (everything
+    /// at or below the floor was, before it was dropped).
     pub fn contains(&self, seq: u64) -> bool {
-        self.store.contains_key(&seq)
+        seq <= self.floor || self.store.contains_key(&seq)
+    }
+
+    /// Every ordinal at or below this was received, delivered and dropped
+    /// from the store; see [`RingSnapshot::floor`].
+    pub fn floor(&self) -> u64 {
+        self.floor
+    }
+
+    /// Messages currently retained: the received ordinals above the floor.
+    pub fn store_len(&self) -> usize {
+        self.store.len()
+    }
+
+    /// Raises the floor to `min(safe_line, delivered_upto)` and drops the
+    /// messages at or below it. The safe line trails every member's aru
+    /// and receipt is monotone, so each of them holds these ordinals; they
+    /// were delivered here; nothing reads them again.
+    fn prune(&mut self) {
+        self.floor = self.safe_line.min(self.delivered_upto);
+        while self
+            .store
+            .first_key_value()
+            .is_some_and(|(&seq, _)| seq <= self.floor)
+        {
+            self.store.pop_first();
+        }
     }
 
     /// Number of submissions not yet stamped into the order.
@@ -379,6 +418,10 @@ impl<P: Clone> Ring<P> {
             // engine excommunicates it.
             return;
         }
+        if msg.seq <= self.floor {
+            // A late duplicate of a message already delivered and dropped.
+            return;
+        }
         self.high_seen = self.high_seen.max(msg.seq);
         self.seq_shadow = !self.high_seen;
         self.store.entry(msg.seq).or_insert(msg);
@@ -489,6 +532,7 @@ impl<P: Clone> Ring<P> {
             );
         }
         for seq in servable {
+            debug_assert!(seq > self.floor, "served {seq} at or below the floor");
             tok.rtr.remove(&seq);
             out.push(RingOut::Data(self.store[&seq].clone()));
         }
@@ -562,6 +606,9 @@ impl<P: Clone> Ring<P> {
             self.safe_line = advanced;
         }
         self.prev_visit_aru = Some(tok.aru);
+        // Only a visit that moved the safe line has anything to drop: the
+        // idle fast path above changes neither bound of the floor.
+        self.prune();
 
         // 6. Forward to the successor.
         let succ = self.successor();
@@ -673,20 +720,20 @@ impl<P: Clone> Ring<P> {
             return None;
         }
         let next = self.delivered_upto + 1;
-        let msg = self.store.get(&next)?;
-        let class = match msg.service {
-            Service::Causal | Service::Agreed => DeliveryClass::Agreed,
-            Service::Safe => {
-                if next <= self.safe_line {
-                    DeliveryClass::Safe
-                } else {
-                    return None;
-                }
-            }
-        };
-        let msg = msg.clone();
-        self.delivered_upto = next;
-        Some((msg, class))
+        let ready = self.store.get(&next).and_then(|msg| match msg.service {
+            Service::Causal | Service::Agreed => Some((msg.clone(), DeliveryClass::Agreed)),
+            Service::Safe if next <= self.safe_line => Some((msg.clone(), DeliveryClass::Safe)),
+            Service::Safe => None,
+        });
+        if ready.is_some() {
+            self.delivered_upto = next;
+        } else {
+            // Delivery has caught up with what is deliverable. On a ring
+            // that delivers below its safe line (safe traffic, singletons)
+            // this, not the token visit, is where the floor moves.
+            self.prune();
+        }
+        ready
     }
 
     /// Freezes the ring into its recovery snapshot.
@@ -694,6 +741,7 @@ impl<P: Clone> Ring<P> {
         RingSnapshot {
             config: self.config,
             members: self.members,
+            floor: self.floor,
             store: self.store,
             my_aru: self.my_aru,
             high_seen: self.high_seen,
@@ -1074,6 +1122,50 @@ mod tests {
         assert_eq!(snap.store.len(), 2);
         assert_eq!(snap.pending.len(), 1);
         assert_eq!(snap.pending[0].0, mid(0, 9));
+    }
+
+    #[test]
+    fn store_is_pruned_at_the_floor_and_late_duplicates_are_ignored() {
+        let mut net = TestRing::new(3);
+        for n in 1..=20 {
+            net.submit(0, mid(0, n), Service::Agreed, "a");
+        }
+        net.submit(1, mid(1, 1), Service::Safe, "s");
+        let mut delivered = vec![Vec::new(); 3];
+        for _ in 0..40 {
+            net.hop();
+            for (i, d) in delivered.iter_mut().enumerate() {
+                d.extend(net.deliveries(i));
+                let r = &net.rings[i];
+                assert!(r.floor() <= r.safe_line().min(r.delivered_upto()));
+                assert!(r.store.keys().all(|&s| s > r.floor()));
+                assert!(r.store_len() as u64 <= r.high_seen() - r.floor());
+            }
+        }
+        for (i, d) in delivered.iter().enumerate() {
+            assert_eq!(d.len(), 21, "P{i} delivered everything once: {d:?}");
+            assert_eq!(d, &delivered[0], "same order everywhere");
+            let r = &mut net.rings[i];
+            assert_eq!(
+                (r.floor(), r.store_len()),
+                (21, 0),
+                "idle ring keeps nothing"
+            );
+            assert!(r.contains(7), "held, though no longer stored");
+            // A late duplicate of a dropped message changes nothing.
+            r.on_data(OrderedMsg {
+                config: cfg(),
+                seq: 7,
+                id: mid(0, 7),
+                service: Service::Agreed,
+                payload: "a",
+            });
+            assert_eq!(r.store_len(), 0);
+            assert!(r.pop_delivery().is_none());
+        }
+        let snap = net.rings.remove(0).into_snapshot();
+        assert_eq!((snap.floor, snap.my_aru, snap.delivered_upto), (21, 21, 21));
+        assert!(snap.store.is_empty());
     }
 
     #[test]

@@ -342,6 +342,8 @@ impl Worker {
             ("aru_lag", o.aru_lag.to_string()),
             ("pending", o.pending.to_string()),
             ("deliveries", o.deliveries.to_string()),
+            (names::STORE_LEN, o.store_len.to_string()),
+            (names::STORE_FLOOR, o.store_floor.to_string()),
             (
                 "oversized_dropped",
                 self.oversized_dropped.get().to_string(),

@@ -114,6 +114,16 @@ pub const WAL_SUPPRESSED_FAILS: &str = "wal_suppressed_fails";
 /// process stays down rather than risk id reuse (Spec 1.4).
 pub const WAL_REFUSED_STARTS: &str = "wal_refused_starts";
 
+// ---- `OBS?` info keys: the ring store's retained window ----
+
+/// Info key: messages an engine retains in its ring store — the received
+/// ordinals above [`STORE_FLOOR`]. A window; growth with the
+/// configuration's age means pruning at the safe line has stopped.
+pub const STORE_LEN: &str = "store_len";
+/// Info key: the ordinal at or below which the ring store was dropped
+/// (`min(safe_line, delivered_upto)` at the last prune).
+pub const STORE_FLOOR: &str = "store_floor";
+
 // ---- evs-runtime: the live worker loop and its link-fault decorator ----
 
 /// Outbound datagrams dropped before the push because they exceed what

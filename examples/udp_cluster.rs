@@ -701,14 +701,17 @@ fn serve(secs: u64) {
     println!("-- served {k} submissions; bye");
 }
 
+/// Messages `--obs-smoke` sends: several times what the ring may retain.
+const SMOKE_MESSAGES: u64 = 128;
+
 /// `--obs-smoke`: the CI gate for the live observability plane. Boots a
 /// 3-node cluster, scrapes every node twice mid-traffic and asserts the
 /// exposition invariants — advancing snapshot sequences, monotone
 /// counters, phase fractions summing to ~1e6 ppm and covering ≥95% of
 /// loop wall-clock, exact text round-trips, the kernel-batched socket
 /// driver where the platform has one, zero park backstops and zero
-/// oversized datagrams — then renders one evs-top frame from the recorded
-/// scrapes.
+/// oversized datagrams, a ring store that stayed a window — then renders
+/// one evs-top frame from the recorded scrapes.
 fn obs_smoke() {
     println!("== obs smoke: live scrapes of a 3-node UDP cluster ==\n");
     let cluster = form_loopback_cluster();
@@ -729,7 +732,7 @@ fn obs_smoke() {
         scraped.into_iter().map(|e| e.expect("scrape")).collect()
     };
     let first = scrape_all(&mut top);
-    for k in 16..32 {
+    for k in 16..SMOKE_MESSAGES {
         submit(k);
     }
     std::thread::sleep(Duration::from_millis(300));
@@ -777,6 +780,15 @@ fn obs_smoke() {
         // to arm, no frame too large for the socket.
         assert_eq!(e2.info["park_backstop_fired"], "0", "node {i}");
         assert_eq!(e2.info["oversized_dropped"], "0", "node {i}");
+        // The ring store is a window above the safe line, not a history:
+        // of everything sent, at most what one rotation stamps is retained.
+        let store_len: usize = e2.info[names::STORE_LEN].parse().expect("store_len");
+        let window = N * EvsParams::default().max_per_visit;
+        assert!(
+            store_len <= window && window < SMOKE_MESSAGES as usize,
+            "node {i}: {store_len} of {SMOKE_MESSAGES} messages retained (floor {})",
+            e2.info[names::STORE_FLOOR]
+        );
     }
     let latencies: u64 = second
         .iter()
@@ -790,7 +802,7 @@ fn obs_smoke() {
         "   socket driver is `{}`, no park backstop fired, no oversized datagram,",
         second[0].info["driver"]
     );
-    println!("   delivery latency exported");
+    println!("   ring store pruned to a window, delivery latency exported");
 
     let frame = top.render(epoch.elapsed().as_micros() as u64);
     print!("\n{frame}");

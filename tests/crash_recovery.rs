@@ -9,13 +9,15 @@
 // config block sets, but the `..default()` idiom is what real proptest needs.
 #![allow(clippy::needless_update)]
 
-use evs::core::persist::LEASE_BLOCK;
+use evs::core::persist::{self, LEASE_BLOCK, WAL_COMPACT_RECORDS};
 use evs::core::{checker, EvsCluster, EvsEvent, EvsParams, EvsProcess, Payload, Service, Trace};
 use evs::runtime::{Ectx, MemDriver, Worker};
 use evs::sim::ProcessId;
-use evs::store::{encode_record, scan_records, FileStorage};
+use evs::store::{encode_record, scan_records, FileStorage, Replay, Storage, RECORD_HEADER};
 use evs::telemetry::{Phase, Telemetry};
 use proptest::prelude::*;
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::sync::Arc;
 
 fn p(i: u32) -> ProcessId {
     ProcessId::new(i)
@@ -348,6 +350,116 @@ fn wal_restart_rebuilds_from_disk_alone() {
     life.extend(b.worker.into_trace());
     checker::assert_evs(&Trace::new(vec![life]));
 
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A [`FileStorage`] that counts the framed bytes appended since the last
+/// durability point — what a machine is free to lose when the process is
+/// killed before its next `sync`.
+struct CountingUnsynced {
+    inner: FileStorage,
+    unsynced: Arc<AtomicU64>,
+}
+
+impl Storage for CountingUnsynced {
+    fn append(&mut self, record: &[u8]) -> std::io::Result<()> {
+        let framed = (RECORD_HEADER + record.len()) as u64;
+        self.unsynced.fetch_add(framed, Relaxed);
+        self.inner.append(record)
+    }
+    fn sync(&mut self) -> std::io::Result<()> {
+        self.unsynced.store(0, Relaxed);
+        self.inner.sync()
+    }
+    fn snapshot(&mut self, state: &[u8]) -> std::io::Result<()> {
+        self.unsynced.store(0, Relaxed);
+        self.inner.snapshot(state)
+    }
+    fn replay(&mut self) -> std::io::Result<Replay> {
+        self.inner.replay()
+    }
+}
+
+#[test]
+fn steady_state_compaction_survives_a_kill_on_disk() {
+    let dir = std::env::temp_dir().join(format!("evs-walcompact-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let unsynced = Arc::new(AtomicU64::new(0));
+    let storage = Box::new(CountingUnsynced {
+        inner: FileStorage::open(&dir).expect("open WAL"),
+        unsynced: unsynced.clone(),
+    });
+    let mut a = Solo::new(
+        EvsProcess::with_storage(p(0), EvsParams::default(), storage),
+        0,
+    );
+    a.run(300_000);
+    let installed = a.node().current_config().id;
+    // A singleton journals a Sent and a Cut per message: well past the
+    // compaction trigger, and some way into the next stretch of log.
+    let sent = WAL_COMPACT_RECORDS / 2 + 300;
+    for _ in 0..sent {
+        a.dispatch(|node, ctx| node.submit(ctx, Service::Agreed, b"m".into()));
+    }
+    assert_eq!(a.node().current_config().id, installed);
+    drop(a); // kill: no on_crash, only the disk remains...
+
+    // ...minus the tail the machine never synced.
+    let lost = unsynced.load(Relaxed);
+    assert!(lost > 0, "an unsynced tail to lose");
+    let segments: Vec<_> = std::fs::read_dir(&dir)
+        .expect("wal dir")
+        .map(|e| e.expect("entry").path())
+        .filter(|f| f.extension().is_some_and(|x| x == "log"))
+        .collect();
+    let [segment] = &segments[..] else {
+        panic!("the compaction retired every older segment: {segments:?}");
+    };
+    let len = std::fs::metadata(segment).expect("segment").len();
+    assert!(lost < len, "something synced follows the checkpoint");
+    std::fs::OpenOptions::new()
+        .write(true)
+        .open(segment)
+        .and_then(|f| f.set_len(len - lost))
+        .expect("drop the tail");
+
+    // What is left is one checkpoint and a short stretch of records.
+    let mut storage = FileStorage::open(&dir).expect("reopen WAL");
+    let replay = storage.replay().expect("replay");
+    let folded = persist::fold(replay.snapshot.as_deref(), &replay.records, &[]);
+    assert!(replay.snapshot.is_some(), "the log was compacted mid-run");
+    assert!(folded.records > 0 && folded.records < WAL_COMPACT_RECORDS);
+    assert_eq!((folded.undead, folded.poisoned), (Some(installed), 0));
+
+    let mut b = Solo::new(
+        EvsProcess::with_storage(p(0), EvsParams::default(), Box::new(storage)),
+        1_000_000,
+    );
+    b.run(300_000);
+    let fails: Vec<_> = b
+        .worker
+        .trace()
+        .iter()
+        .filter_map(|(_, e)| match e {
+            EvsEvent::Fail { config } => Some(*config),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(
+        fails,
+        vec![installed],
+        "one fail, naming what was installed"
+    );
+    assert!(b.node().current_config().id.epoch > installed.epoch);
+    b.dispatch(|node, ctx| node.submit(ctx, Service::Agreed, b"after".into()));
+    let resumed = b.worker.trace().iter().find_map(|(_, e)| match e {
+        EvsEvent::Send { id, .. } => Some(id.counter),
+        _ => None,
+    });
+    assert!(
+        resumed.expect("incarnation 2 sent something") > sent,
+        "ids resume above every id the dead incarnation used"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
