@@ -1,5 +1,5 @@
 #!/usr/bin/env sh
-# Repository CI: build, test, format and lint — everything offline (all
+# Repository CI: build, test, format, lint and doc — everything offline (all
 # external dependencies are vendored, see vendor/README.md).
 #
 #   ./ci.sh              # the standard gate: every step below, in order
@@ -168,8 +168,8 @@ soaks() {
 
 loc() {
     # Non-test lines of Rust, by PR 16's rule (bench/ is its own workspace).
-    find crates src examples vendor -name '*.rs' -not -path '*/tests/*' \
-        -not -path '*/benches/*' | xargs cat | wc -l
+    find crates src examples vendor -name '*.rs' -not -path '*/tests/*' |
+        xargs cat | wc -l
 }
 
 lint() {
@@ -177,6 +177,8 @@ lint() {
     cargo fmt --check
     echo "== clippy (-D warnings, redundant clones surfaced) =="
     cargo clippy --workspace --all-targets --offline -- -D warnings -W clippy::redundant_clone
+    echo "== rustdoc (-D warnings: a deletion must not leave a dangling doc link) =="
+    RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 }
 
 case "${1:-all}" in

@@ -8,10 +8,10 @@
 //! cargo run --release -p evs-bench --bin bench_smoke -- out.json
 //! ```
 //!
-//! Unlike the Criterion benches (minutes of wall time), this finishes in
-//! seconds: it runs the [`evs_bench::smoke`] scenarios and emits one
-//! [`evs_bench::report_json`] line per scenario, plus simulated-time
-//! figures. `ci.sh bench-smoke` runs it and stores the output as
+//! It finishes in seconds: it runs the [`evs_bench::smoke`] scenarios and
+//! emits one [`evs_bench::report_json_with_extras`] line per scenario,
+//! simulated-time figures included. `ci.sh bench-smoke` runs it and
+//! stores the output as
 //! `BENCH_baseline.json` at the repository root; `ci.sh bench-diff`
 //! (the `bench_diff` binary) re-runs the same scenarios and fails CI when
 //! a counter drifts outside tolerance — see [`evs_bench::diff`].
@@ -23,8 +23,8 @@ fn main() {
     let scenarios = smoke::run();
     for s in &scenarios {
         eprintln!(
-            "  n={}: {} agreed in {} ticks, {} safe in {} ticks",
-            s.n,
+            "  {}: {} agreed in {} ticks, {} safe in {} ticks",
+            s.key(),
             smoke::MESSAGES,
             s.agreed_ticks,
             smoke::MESSAGES,

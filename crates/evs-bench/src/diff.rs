@@ -313,6 +313,7 @@ mod tests {
         .collect();
         smoke::Scenario {
             n: 3,
+            label: "",
             agreed_ticks: 30,
             safe_ticks: 50,
             totals,
@@ -365,5 +366,39 @@ mod tests {
                 ("safe_ticks".to_string(), 85)
             ]
         );
+    }
+
+    #[test]
+    fn labelled_scenarios_key_apart_from_their_base() {
+        let base = parse_baseline(
+            r#"[
+            {"scenario":"bench_smoke/n5/agreed_ticks21/safe_ticks57","totals":{"token_rotations":30}},
+            {"scenario":"bench_smoke/n5/window4/agreed_ticks40/safe_ticks90","totals":{"token_rotations":90}}
+        ]"#,
+        )
+        .unwrap();
+        assert_eq!(
+            base.keys().collect::<Vec<_>>(),
+            ["bench_smoke/n5", "bench_smoke/n5/window4"]
+        );
+        assert_eq!(base["bench_smoke/n5/window4"]["safe_ticks"], 90);
+        let run = |label, rotations, agreed_ticks, safe_ticks| smoke::Scenario {
+            n: 5,
+            label,
+            agreed_ticks,
+            safe_ticks,
+            totals: [("token_rotations".to_string(), rotations)].into(),
+            json: String::new(),
+        };
+        assert_eq!(run("window4", 90, 40, 90).key(), "bench_smoke/n5/window4");
+        let t = Thresholds::default();
+        let both = [run("", 30, 21, 57), run("window4", 90, 40, 90)];
+        assert!(compare(&base, &both, &t).is_clean());
+        // Each scenario is held to its own line: the ablation's 90
+        // rotations would be a regression against the base's 30.
+        let swapped = [run("", 90, 21, 57), run("window4", 90, 40, 90)];
+        let r = compare(&base, &swapped, &t);
+        assert_eq!(r.regressions.len(), 1, "{}", r.to_text());
+        assert_eq!(r.regressions[0].scenario, "bench_smoke/n5");
     }
 }

@@ -20,7 +20,7 @@ use crate::ledger::OpLedger;
 use crate::proto;
 use crate::session::SubmitOutcome;
 use evs_core::checker::CheckFailure;
-use evs_core::{Delivery, EvsCluster, EvsParams, Payload, Trace};
+use evs_core::{Delivery, EvsCluster, Payload, Trace};
 use evs_sim::{Action, NetConfig, ProcessId};
 use evs_telemetry::{names, Counter, Telemetry};
 use std::collections::HashSet;
@@ -35,8 +35,6 @@ pub struct BrokerClusterConfig {
     pub brokers: usize,
     /// Simulation seed (network latency jitter, loss).
     pub seed: u64,
-    /// Protocol parameters for every daemon.
-    pub params: EvsParams,
     /// Pipeline parameters for every broker.
     pub broker: BrokerParams,
     /// Enable per-daemon and per-broker telemetry.
@@ -49,7 +47,6 @@ impl Default for BrokerClusterConfig {
             daemons: 3,
             brokers: 2,
             seed: 0,
-            params: EvsParams::default(),
             broker: BrokerParams::default(),
             telemetry: false,
         }
@@ -119,7 +116,6 @@ impl BrokerCluster {
                 seed: cfg.seed,
                 ..NetConfig::default()
             })
-            .params(cfg.params.clone())
             .telemetry(cfg.telemetry)
             .build();
         let daemon_counters = (0..cfg.daemons)
@@ -181,11 +177,6 @@ impl BrokerCluster {
     /// Number of daemons.
     pub fn daemons(&self) -> usize {
         self.daemons
-    }
-
-    /// Number of brokers.
-    pub fn broker_count(&self) -> usize {
-        self.brokers.len()
     }
 
     /// Read access to broker `b` (assertions, stats).
@@ -380,12 +371,6 @@ impl BrokerCluster {
         &self.replies
     }
 
-    /// Drains the routed replies (long benches bound their memory by
-    /// draining each round).
-    pub fn take_replies(&mut self) -> Vec<RoutedReply> {
-        std::mem::take(&mut self.replies)
-    }
-
     /// Total first-time applications across all daemons.
     pub fn applied_total(&self) -> u64 {
         self.apply_log.iter().map(|l| l.applied).sum()
@@ -394,11 +379,6 @@ impl BrokerCluster {
     /// Total duplicate deliveries discarded by the ledgers.
     pub fn deduped_total(&self) -> u64 {
         self.apply_log.iter().map(|l| l.deduped).sum()
-    }
-
-    /// True if daemon `d` applied `(client, seq)`.
-    pub fn applied_at(&self, d: usize, client: u64, seq: u64) -> bool {
-        self.apply_log[d].seen.contains(&(client, seq))
     }
 
     /// The exactly-once violations: ops a daemon's ledger let through

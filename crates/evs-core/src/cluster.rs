@@ -118,16 +118,6 @@ impl<P: Clone + fmt::Debug + Send + 'static> EvsCluster<P> {
             .invoke(p, move |node, ctx| node.submit(ctx, service, payload));
     }
 
-    /// Schedules a submission at absolute time `t` (ignored if `p` is down
-    /// at that time).
-    pub fn submit_at(&mut self, t: SimTime, p: ProcessId, service: Service, payload: P)
-    where
-        P: Send,
-    {
-        self.sim
-            .at_invoke(t, p, move |node, ctx| node.submit(ctx, service, payload));
-    }
-
     /// Runs the simulation for `ticks` more ticks.
     pub fn run_for(&mut self, ticks: u64) {
         let deadline = self.sim.now() + ticks;
@@ -192,20 +182,9 @@ impl<P: Clone + fmt::Debug + Send + 'static> EvsCluster<P> {
         self.sim.apply(Action::Partition(groups));
     }
 
-    /// Schedules a partition at absolute time `t`.
-    pub fn partition_at(&mut self, t: SimTime, groups: &[&[ProcessId]]) {
-        let groups: Vec<Vec<ProcessId>> = groups.iter().map(|g| g.to_vec()).collect();
-        self.sim.at(t, Action::Partition(groups));
-    }
-
     /// Reconnects the whole network now.
     pub fn merge_all(&mut self) {
         self.sim.apply(Action::MergeAll);
-    }
-
-    /// Schedules a full reconnection at absolute time `t`.
-    pub fn merge_all_at(&mut self, t: SimTime) {
-        self.sim.at(t, Action::MergeAll);
     }
 
     /// Crashes process `p` now (volatile state lost, stable storage kept).
@@ -223,22 +202,6 @@ impl<P: Clone + fmt::Debug + Send + 'static> EvsCluster<P> {
     /// its write-ahead log survives to a later recover.
     pub fn kill(&mut self, p: ProcessId) {
         self.sim.kill(p);
-    }
-
-    /// Schedules a crash at absolute time `t`.
-    pub fn crash_at(&mut self, t: SimTime, p: ProcessId) {
-        self.sim.at(t, Action::Crash(p));
-    }
-
-    /// Schedules a kill (`kill -9`, no farewell callback) at absolute
-    /// time `t`.
-    pub fn kill_at(&mut self, t: SimTime, p: ProcessId) {
-        self.sim.at(t, Action::Kill(p));
-    }
-
-    /// Schedules a recovery at absolute time `t`.
-    pub fn recover_at(&mut self, t: SimTime, p: ProcessId) {
-        self.sim.at(t, Action::Recover(p));
     }
 
     /// Returns true if `p` is currently up.

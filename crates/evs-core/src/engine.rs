@@ -1,6 +1,6 @@
 //! The per-process extended virtual synchrony engine.
 //!
-//! [`EvsProcess`] composes the substrates — membership (`evs-membership`)
+//! [`EvsProcess`] composes the substrate layers — membership (`evs-membership`)
 //! and token-ring total order (`evs-order`) — and implements the paper's
 //! extended virtual synchrony algorithm (§3):
 //!
@@ -480,8 +480,8 @@ impl<P: Clone + fmt::Debug + 'static> EvsProcess<P> {
         }
     }
 
-    /// Pushes the engine's telemetry handle into the substrates so the ring
-    /// and membership layers record through the same per-process registry.
+    /// Pushes the engine's telemetry handle into the ring and membership
+    /// layers so they record through the same per-process registry.
     fn propagate_telemetry(&mut self) {
         self.membership.set_telemetry(self.telemetry.clone());
         if let Mode::Regular { ring } = &mut self.mode {

@@ -14,7 +14,7 @@
 //!   configurations, the recovery algorithm of §3 (state exchange,
 //!   rebroadcast, obligation sets, the atomic Step 6), on top of the
 //!   membership (`evs-membership`) and token-ring ordering (`evs-order`)
-//!   substrates.
+//!   layers.
 //! * [`EvsCluster`] — a whole group under the deterministic simulator, the
 //!   one-stop harness for scenarios, tests and benchmarks.
 //! * [`checker`] — the machine-checkable form of the paper's model:

@@ -261,8 +261,8 @@ impl WalRecord {
 
     /// Parses a sealed record payload. `None` for unknown tags, short
     /// payloads, or an integrity-word mismatch (a record whose values were
-    /// rewritten after it was sealed). The fold skips and classifies every
-    /// reject — see [`classify`].
+    /// rewritten after it was sealed). The fold skips every reject and
+    /// classifies it as a [`ReplayError`].
     pub fn decode(bytes: &[u8]) -> Option<WalRecord> {
         let (body, intact) = unseal(bytes)?;
         intact.then(|| WalRecord::decode_body(body)).flatten()

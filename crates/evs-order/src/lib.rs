@@ -32,8 +32,6 @@
 
 mod msg;
 mod ring;
-pub mod sequencer;
 
 pub use msg::{MessageId, OrderedMsg, RingMsg, Service, Token};
 pub use ring::{data_frame, DeliveryClass, Ring, RingOut, RingSnapshot, MAX_HOLE_GAP, SEQ_CEILING};
-pub use sequencer::{SeqMsg, SeqOut, Sequencer};

@@ -9,7 +9,7 @@ use core::fmt;
 /// "has the same identifier as before the failure". `ProcessId` is therefore
 /// assigned once, at system construction time, and survives crashes.
 ///
-/// Identifiers are totally ordered; the membership and ordering substrates
+/// Identifiers are totally ordered; the membership and ordering layers
 /// use this order to pick deterministic leaders and ring successors.
 ///
 /// # Examples

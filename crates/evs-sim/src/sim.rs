@@ -311,11 +311,6 @@ impl<N: Node> Sim<N> {
         self.slots.iter().map(|s| s.telemetry.clone()).collect()
     }
 
-    /// Consumes the simulation and returns every process's trace.
-    pub fn into_traces(self) -> Vec<Vec<(SimTime, N::Ev)>> {
-        self.slots.into_iter().map(|s| s.trace).collect()
-    }
-
     /// Schedules `action` to be applied at absolute time `t`.
     ///
     /// Multiple actions at the same instant apply in scheduling order,

@@ -426,13 +426,6 @@ impl TelemetryEvent {
             _ => EventClass::HighRate,
         }
     }
-
-    /// True for the lifecycle events that `evs-inspect` derives message
-    /// and configuration-change spans from — everything except the
-    /// high-rate traffic class.
-    pub fn is_span_grade(&self) -> bool {
-        self.class() != EventClass::HighRate
-    }
 }
 
 /// Flight-recorder retention class of a [`TelemetryEvent`]. Each class is

@@ -93,7 +93,7 @@ const LOG_EXACT: u64 = 16;
 /// Total bucket count of a [`LogHistogram`]: 16 exact + 60 octaves × 8.
 pub const LOG_BUCKET_COUNT: usize = 16 + 60 * 8;
 
-/// The bucket index a value lands in (exact below [`LOG_EXACT`], then
+/// The bucket index a value lands in (exact below 16, then
 /// octave/sub-bucket addressing).
 pub fn log_bucket_index(v: u64) -> usize {
     if v < LOG_EXACT {

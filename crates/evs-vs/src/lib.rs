@@ -43,19 +43,3 @@ mod primary;
 pub use filter::{filter_trace, VsRun};
 pub use model::{check_vs, VsEvent, VsProcId, VsView, VsViewId, VsViolation};
 pub use primary::{DynamicPrimary, MajorityPrimary, PrimaryHistory, PrimaryPolicy};
-
-/// Unit-struct handle for the §5 filter, for discoverability from the
-/// facade prelude; the underlying operation is [`filter_trace`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct VsFilter;
-
-impl VsFilter {
-    /// Applies the §5 filter; see [`filter_trace`].
-    pub fn apply(trace: &evs_core::Trace, policy: &dyn PrimaryPolicy) -> VsRun {
-        filter_trace(trace, policy)
-    }
-}
-
-/// Alias used by downstream examples: the majority policy doubles as the
-/// primary tracker.
-pub type PrimaryTracker = MajorityPrimary;

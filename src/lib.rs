@@ -93,5 +93,4 @@ pub mod prelude {
         ConfigId, Configuration, ConfigurationKind, Delivery, EvsCluster, MessageId, Service,
     };
     pub use evs_sim::{ProcessId, SimTime};
-    pub use evs_vs::{PrimaryTracker, VsFilter};
 }
