@@ -47,6 +47,19 @@ trap cleanup EXIT
 
 chaos() { ./target/release/examples/chaos "$@"; }
 
+# A fixed-seed simulator campaign whose output must not change under a
+# refactor: tee'd to target/verdicts/<name>.txt and hashed, so verdict
+# identity with the parent is three equal hashes, not a hand-run diff.
+hashed_chaos() {
+    out=target/verdicts/$1
+    shift
+    mkdir -p target/verdicts
+    rm -f "$out.failed"
+    { chaos "$@" || echo "$?" >"$out.failed"; } | tee "$out.txt"
+    sha256sum "$out.txt"
+    [ ! -e "$out.failed" ]
+}
+
 build_test() {
     echo "== build (release) =="
     cargo build --release --offline --workspace
@@ -65,20 +78,20 @@ build_test() {
 chaos_smoke() {
     cargo build -q --release --offline --example chaos
     echo "== chaos: fixed-seed smoke campaign =="
-    chaos --iters 400 --seed 3203 --keep-going
+    hashed_chaos chaos --iters 400 --seed 3203 --keep-going
     echo "== chaos: fixed-seed live smoke (hunting mix on the threaded driver) =="
     # Loss-heavy plans (droppct/delay, once simulator-only) executed on an
     # evs-runtime Cluster with real threads and per-link fault injection;
     # striped across 4 workers, merged deterministically.
     chaos --hunting --live --n 3 --jobs 4 --iters 200 --seed 424242
     echo "== chaos: fixed-seed kill/restart smoke (durability mix, simulator) =="
-    chaos --kill-chaos --iters 200 --seed 90125 --keep-going
+    hashed_chaos kill-chaos --kill-chaos --iters 200 --seed 90125 --keep-going
 }
 
 corruption_smoke() {
     cargo build -q --release --offline --example chaos
     echo "== chaos: fixed-seed corruption smoke (bit flips, wrap, desync, WAL rot) =="
-    chaos --corruption --jobs 4 --iters 200 --seed 648312 --keep-going
+    hashed_chaos corruption --corruption --jobs 4 --iters 200 --seed 648312 --keep-going
     echo "== chaos: fixed-seed live corruption smoke (same vocabulary, real threads) =="
     chaos --corruption --live --n 3 --jobs 4 --iters 60 --seed 271828
 }

@@ -518,9 +518,12 @@ impl<P: Clone + fmt::Debug + 'static> EvsProcess<P> {
         &self.delivered
     }
 
-    /// Drains the delivery log (for long-running benchmarks).
+    /// Drains the delivery log (for long-running benchmarks). The log
+    /// left behind is presized to what was just taken, so a caller that
+    /// drains every sweep does not regrow it from empty each time.
     pub fn take_deliveries(&mut self) -> Vec<Delivery<P>> {
-        std::mem::take(&mut self.delivered)
+        let len = self.delivered.len();
+        std::mem::replace(&mut self.delivered, Vec::with_capacity(len))
     }
 
     /// True if the process is in a regular configuration with a stable
@@ -835,7 +838,7 @@ impl<P: Clone + fmt::Debug + 'static> EvsProcess<P> {
         // stamped messages plus served retransmissions. Pack consecutive
         // data messages into one frame; the token (paced separately below)
         // still leaves after the data it refers to.
-        let mut batch: Vec<OrderedMsg<P>> = Vec::new();
+        let mut batch: Vec<OrderedMsg<P>> = Vec::with_capacity(outs.len());
         let mut sent_data = false;
         for out in outs {
             match out {

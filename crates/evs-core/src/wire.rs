@@ -38,7 +38,7 @@
 
 use crate::recovery::ExchangeState;
 use crate::{EvsMsg, Payload};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes, BytesMut};
 use core::fmt;
 use evs_membership::{ConfigId, MembMsg};
 use evs_order::{MessageId, OrderedMsg, RingMsg, Service, Token};
@@ -98,30 +98,33 @@ type Result<T> = std::result::Result<T, WireError>;
 
 // --- primitive helpers -------------------------------------------------
 
-fn need(buf: &impl Buf, n: usize) -> Result<()> {
-    if buf.remaining() < n {
-        Err(WireError::UnexpectedEof)
-    } else {
-        Ok(())
+/// Splits the next `n` bytes off the front of the frame.
+fn take<'a>(buf: &mut &'a [u8], n: usize) -> Result<&'a [u8]> {
+    if buf.len() < n {
+        return Err(WireError::UnexpectedEof);
     }
+    let (head, rest) = buf.split_at(n);
+    *buf = rest;
+    Ok(head)
 }
 
-fn get_u8(buf: &mut impl Buf) -> Result<u8> {
-    need(buf, 1)?;
-    Ok(buf.get_u8())
+fn get_array<const N: usize>(buf: &mut &[u8]) -> Result<[u8; N]> {
+    Ok(take(buf, N)?.try_into().expect("took N bytes"))
 }
 
-fn get_u32(buf: &mut impl Buf) -> Result<u32> {
-    need(buf, 4)?;
-    Ok(buf.get_u32_le())
+fn get_u8(buf: &mut &[u8]) -> Result<u8> {
+    Ok(get_array::<1>(buf)?[0])
 }
 
-fn get_u64(buf: &mut impl Buf) -> Result<u64> {
-    need(buf, 8)?;
-    Ok(buf.get_u64_le())
+fn get_u32(buf: &mut &[u8]) -> Result<u32> {
+    get_array(buf).map(u32::from_le_bytes)
 }
 
-fn get_len(buf: &mut impl Buf) -> Result<usize> {
+fn get_u64(buf: &mut &[u8]) -> Result<u64> {
+    get_array(buf).map(u64::from_le_bytes)
+}
+
+fn get_len(buf: &mut &[u8]) -> Result<usize> {
     let len = u64::from(get_u32(buf)?);
     if len > MAX_LEN {
         return Err(WireError::OversizedLength { len });
@@ -129,7 +132,7 @@ fn get_len(buf: &mut impl Buf) -> Result<usize> {
     Ok(len as usize)
 }
 
-fn get_bool(buf: &mut impl Buf) -> Result<bool> {
+fn get_bool(buf: &mut &[u8]) -> Result<bool> {
     match get_u8(buf)? {
         0 => Ok(false),
         1 => Ok(true),
@@ -141,7 +144,7 @@ fn put_pid(out: &mut BytesMut, p: ProcessId) {
     out.put_u32_le(p.index());
 }
 
-fn get_pid(buf: &mut impl Buf) -> Result<ProcessId> {
+fn get_pid(buf: &mut &[u8]) -> Result<ProcessId> {
     Ok(ProcessId::new(get_u32(buf)?))
 }
 
@@ -151,7 +154,7 @@ fn put_config(out: &mut BytesMut, c: ConfigId) {
     out.put_u8(u8::from(c.transitional));
 }
 
-fn get_config(buf: &mut impl Buf) -> Result<ConfigId> {
+fn get_config(buf: &mut &[u8]) -> Result<ConfigId> {
     let epoch = get_u64(buf)?;
     let rep = get_pid(buf)?;
     let transitional = get_bool(buf)?;
@@ -170,7 +173,7 @@ fn put_service(out: &mut BytesMut, s: Service) {
     });
 }
 
-fn get_service(buf: &mut impl Buf) -> Result<Service> {
+fn get_service(buf: &mut &[u8]) -> Result<Service> {
     match get_u8(buf)? {
         0 => Ok(Service::Causal),
         1 => Ok(Service::Agreed),
@@ -187,7 +190,7 @@ fn put_message_id(out: &mut BytesMut, id: MessageId) {
     out.put_u64_le(id.counter);
 }
 
-fn get_message_id(buf: &mut impl Buf) -> Result<MessageId> {
+fn get_message_id(buf: &mut &[u8]) -> Result<MessageId> {
     let sender = get_pid(buf)?;
     let counter = get_u64(buf)?;
     Ok(MessageId { sender, counter })
@@ -198,14 +201,6 @@ fn put_bytes(out: &mut BytesMut, b: &[u8]) {
     out.put_slice(b);
 }
 
-fn get_bytes(buf: &mut impl Buf) -> Result<Vec<u8>> {
-    let len = get_len(buf)?;
-    need(buf, len)?;
-    let mut v = vec![0u8; len];
-    buf.copy_to_slice(&mut v);
-    Ok(v)
-}
-
 fn put_pid_set(out: &mut BytesMut, set: &BTreeSet<ProcessId>) {
     out.put_u32_le(set.len() as u32);
     for &p in set {
@@ -213,7 +208,7 @@ fn put_pid_set(out: &mut BytesMut, set: &BTreeSet<ProcessId>) {
     }
 }
 
-fn get_pid_set(buf: &mut impl Buf) -> Result<BTreeSet<ProcessId>> {
+fn get_pid_set(buf: &mut &[u8]) -> Result<BTreeSet<ProcessId>> {
     let len = get_len(buf)?;
     let mut set = BTreeSet::new();
     let mut last: Option<ProcessId> = None;
@@ -240,7 +235,7 @@ fn put_u64_set(out: &mut BytesMut, set: &BTreeSet<u64>) {
     }
 }
 
-fn get_u64_set(buf: &mut impl Buf) -> Result<BTreeSet<u64>> {
+fn get_u64_set(buf: &mut &[u8]) -> Result<BTreeSet<u64>> {
     let len = get_len(buf)?;
     let mut set = BTreeSet::new();
     let mut last: Option<u64> = None;
@@ -277,7 +272,7 @@ fn put_received(out: &mut BytesMut, floor: u64, received: &BTreeSet<u64>) {
     }
 }
 
-fn get_received(buf: &mut impl Buf) -> Result<(u64, BTreeSet<u64>)> {
+fn get_received(buf: &mut &[u8]) -> Result<(u64, BTreeSet<u64>)> {
     let floor = get_u64(buf)?;
     let runs = get_len(buf)?;
     let mut set = BTreeSet::new();
@@ -320,13 +315,16 @@ fn put_ordered_msg(out: &mut BytesMut, m: &OrderedMsg<Payload>) {
     put_bytes(out, &m.payload);
 }
 
-fn get_ordered_msg(buf: &mut impl Buf) -> Result<OrderedMsg<Payload>> {
+fn get_ordered_msg(buf: &mut &[u8]) -> Result<OrderedMsg<Payload>> {
     Ok(OrderedMsg {
         config: get_config(buf)?,
         seq: get_u64(buf)?,
         id: get_message_id(buf)?,
         service: get_service(buf)?,
-        payload: Payload::from(get_bytes(buf)?),
+        payload: {
+            let len = get_len(buf)?;
+            Payload::copy_from_slice(take(buf, len)?)
+        },
     })
 }
 
@@ -346,7 +344,7 @@ fn put_token(out: &mut BytesMut, t: &Token) {
     out.put_u64_le(t.rotation);
 }
 
-fn get_token(buf: &mut impl Buf) -> Result<Token> {
+fn get_token(buf: &mut &[u8]) -> Result<Token> {
     let config = get_config(buf)?;
     let token_id = get_u64(buf)?;
     let seq = get_u64(buf)?;
@@ -407,7 +405,7 @@ fn put_memb(out: &mut BytesMut, m: &MembMsg) {
     }
 }
 
-fn get_memb(buf: &mut impl Buf) -> Result<MembMsg> {
+fn get_memb(buf: &mut &[u8]) -> Result<MembMsg> {
     match get_u8(buf)? {
         0 => Ok(MembMsg::Heartbeat {
             config: get_config(buf)?,
@@ -448,7 +446,7 @@ fn put_exchange(out: &mut BytesMut, e: &ExchangeState) {
     put_pid_set(out, &e.obligations);
 }
 
-fn get_exchange(buf: &mut impl Buf) -> Result<ExchangeState> {
+fn get_exchange(buf: &mut &[u8]) -> Result<ExchangeState> {
     let proposal = get_config(buf)?;
     let sender = get_pid(buf)?;
     let last_regular = get_config(buf)?;
@@ -553,9 +551,9 @@ pub fn decode(frame: &[u8]) -> Result<EvsMsg<Payload>> {
             })
         }
     };
-    if buf.has_remaining() {
+    if !buf.is_empty() {
         return Err(WireError::TrailingBytes {
-            remaining: buf.remaining(),
+            remaining: buf.len(),
         });
     }
     Ok(msg)

@@ -15,11 +15,13 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 pub const SEQ_CEILING: u64 = u64::MAX - (1 << 20);
 
 /// Largest believable gap between our contiguous-receipt prefix and the
-/// token's ordinal. A legitimate gap is bounded by a few flow-control
-/// windows of in-flight stamping; a corrupted `seq` can claim a gap of
-/// 2^60, which would steer the hole-request loop into an unbounded
-/// iteration. Tokens claiming a larger gap are dropped (the resulting
-/// token loss forces reconfiguration, which heals the ring).
+/// ordinal of a token or data message. A legitimate gap is bounded by a
+/// few flow-control windows of in-flight stamping; a corrupted `seq` can
+/// claim a gap of 2^60, which would steer the hole-request loop into an
+/// unbounded iteration, or size the store's window to match. Tokens and
+/// data claiming a larger gap are dropped (a lost token forces
+/// reconfiguration, which heals the ring; a lost message is requested
+/// again once the prefix catches up).
 pub const MAX_HOLE_GAP: u64 = 1 << 16;
 
 /// Effects requested by the ring engine.
@@ -93,8 +95,13 @@ pub struct Ring<P> {
     me: ProcessId,
     config: ConfigId,
     members: Vec<ProcessId>,
-    /// The received messages with ordinals above `floor`.
-    store: BTreeMap<u64, OrderedMsg<P>>,
+    /// The received messages above `floor`, as a window: slot `i` holds
+    /// ordinal `floor + 1 + i`, `None` while that ordinal is a hole. It
+    /// spans at most `high_seen − floor` slots; a lookup is an index and
+    /// a prune pops the front.
+    window: VecDeque<Option<OrderedMsg<P>>>,
+    /// Occupied slots of `window`.
+    stored: usize,
     /// `min(safe_line, delivered_upto)` as of the last prune: every ordinal
     /// at or below it is held by every member and was delivered here, so
     /// nobody can request it on the token and no later recovery can owe it
@@ -157,7 +164,8 @@ impl<P: Clone> Ring<P> {
             me,
             config,
             members,
-            store: BTreeMap::new(),
+            window: VecDeque::new(),
+            stored: 0,
             floor: 0,
             my_aru: 0,
             aru_shadow: !0,
@@ -227,7 +235,14 @@ impl<P: Clone> Ring<P> {
     /// True if the message with this ordinal has been received (everything
     /// at or below the floor was, before it was dropped).
     pub fn contains(&self, seq: u64) -> bool {
-        seq <= self.floor || self.store.contains_key(&seq)
+        seq <= self.floor || self.stored_msg(seq).is_some()
+    }
+
+    /// The stored message with this ordinal, if it is above the floor and
+    /// was received.
+    fn stored_msg(&self, seq: u64) -> Option<&OrderedMsg<P>> {
+        let slot = seq.checked_sub(self.floor + 1)?;
+        self.window.get(usize::try_from(slot).ok()?)?.as_ref()
     }
 
     /// Every ordinal at or below this was received, delivered and dropped
@@ -238,21 +253,24 @@ impl<P: Clone> Ring<P> {
 
     /// Messages currently retained: the received ordinals above the floor.
     pub fn store_len(&self) -> usize {
-        self.store.len()
+        self.stored
     }
 
     /// Raises the floor to `min(safe_line, delivered_upto)` and drops the
     /// messages at or below it. The safe line trails every member's aru
     /// and receipt is monotone, so each of them holds these ordinals; they
-    /// were delivered here; nothing reads them again.
+    /// were delivered here; nothing reads them again. A window that drains
+    /// empty gives its buffer back, so an idle ring holds no memory sized
+    /// by its busiest moment.
     fn prune(&mut self) {
-        self.floor = self.safe_line.min(self.delivered_upto);
-        while self
-            .store
-            .first_key_value()
-            .is_some_and(|(&seq, _)| seq <= self.floor)
-        {
-            self.store.pop_first();
+        let floor = self.safe_line.min(self.delivered_upto);
+        let k = floor
+            .saturating_sub(self.floor)
+            .min(self.window.len() as u64) as usize;
+        self.stored -= self.window.drain(..k).flatten().count();
+        self.floor = self.floor.max(floor);
+        if self.window.is_empty() {
+            self.window = VecDeque::new();
         }
     }
 
@@ -422,10 +440,24 @@ impl<P: Clone> Ring<P> {
             // A late duplicate of a message already delivered and dropped.
             return;
         }
+        if msg.seq.saturating_sub(self.my_aru) > MAX_HOLE_GAP {
+            // The bound the token gets: no legitimate stamping runs this
+            // far ahead of our prefix, and folding the ordinal in would
+            // lift `high_seen` out of reach of delivery for good.
+            return;
+        }
         self.high_seen = self.high_seen.max(msg.seq);
         self.seq_shadow = !self.high_seen;
-        self.store.entry(msg.seq).or_insert(msg);
-        while self.store.contains_key(&(self.my_aru + 1)) {
+        // `floor < seq ≤ my_aru + MAX_HOLE_GAP`: a bounded window index.
+        let slot = (msg.seq - self.floor - 1) as usize;
+        if slot >= self.window.len() {
+            self.window.resize_with(slot + 1, || None);
+        }
+        if self.window[slot].is_none() {
+            self.window[slot] = Some(msg);
+            self.stored += 1;
+        }
+        while self.stored_msg(self.my_aru + 1).is_some() {
             self.my_aru += 1;
         }
         self.aru_shadow = !self.my_aru;
@@ -505,7 +537,8 @@ impl<P: Clone> Ring<P> {
             return vec![RingOut::TokenTo(succ, tok)];
         }
 
-        let mut out = Vec::new();
+        // Served retransmissions, the stamped burst and the token.
+        let mut out = Vec::with_capacity(self.max_per_visit + tok.rtr.len() + 1);
         self.telemetry.record(
             now.ticks(),
             TelemetryEvent::TokenReceived {
@@ -516,31 +549,27 @@ impl<P: Clone> Ring<P> {
         );
 
         // 1. Service retransmission requests we can satisfy.
-        let servable: Vec<u64> = tok
-            .rtr
-            .iter()
-            .copied()
-            .filter(|s| self.store.contains_key(s))
-            .collect();
-        if !servable.is_empty() {
+        out.extend(
+            tok.rtr
+                .iter()
+                .filter_map(|&seq| self.stored_msg(seq))
+                .map(|msg| RingOut::Data(msg.clone())),
+        );
+        if !out.is_empty() {
             self.telemetry.record(
                 now.ticks(),
                 TelemetryEvent::RetransmissionsServed {
                     epoch: self.config.epoch,
-                    count: servable.len() as u64,
+                    count: out.len() as u64,
                 },
             );
-        }
-        for seq in servable {
-            debug_assert!(seq > self.floor, "served {seq} at or below the floor");
-            tok.rtr.remove(&seq);
-            out.push(RingOut::Data(self.store[&seq].clone()));
+            tok.rtr.retain(|&seq| self.stored_msg(seq).is_none());
         }
 
         // 2. Request our own holes.
         let mut holes = 0u64;
         for hole in (self.my_aru + 1)..=tok.seq {
-            if !self.store.contains_key(&hole) {
+            if self.stored_msg(hole).is_none() {
                 tok.rtr.insert(hole);
                 holes += 1;
             }
@@ -720,7 +749,7 @@ impl<P: Clone> Ring<P> {
             return None;
         }
         let next = self.delivered_upto + 1;
-        let ready = self.store.get(&next).and_then(|msg| match msg.service {
+        let ready = self.stored_msg(next).and_then(|msg| match msg.service {
             Service::Causal | Service::Agreed => Some((msg.clone(), DeliveryClass::Agreed)),
             Service::Safe if next <= self.safe_line => Some((msg.clone(), DeliveryClass::Safe)),
             Service::Safe => None,
@@ -738,11 +767,15 @@ impl<P: Clone> Ring<P> {
 
     /// Freezes the ring into its recovery snapshot.
     pub fn into_snapshot(self) -> RingSnapshot<P> {
+        let ordinals = self.floor + 1..;
         RingSnapshot {
             config: self.config,
             members: self.members,
             floor: self.floor,
-            store: self.store,
+            store: ordinals
+                .zip(self.window)
+                .filter_map(|(seq, slot)| Some((seq, slot?)))
+                .collect(),
             my_aru: self.my_aru,
             high_seen: self.high_seen,
             safe_line: self.safe_line,
@@ -1138,8 +1171,9 @@ mod tests {
                 d.extend(net.deliveries(i));
                 let r = &net.rings[i];
                 assert!(r.floor() <= r.safe_line().min(r.delivered_upto()));
-                assert!(r.store.keys().all(|&s| s > r.floor()));
-                assert!(r.store_len() as u64 <= r.high_seen() - r.floor());
+                let held = (r.floor() + 1..=r.high_seen()).filter(|&s| r.contains(s));
+                assert_eq!(held.count(), r.store_len());
+                assert!(r.window.len() as u64 <= r.high_seen() - r.floor());
             }
         }
         for (i, d) in delivered.iter().enumerate() {
@@ -1246,6 +1280,32 @@ mod tests {
         });
         assert!(!r.is_poisoned());
         assert_eq!(r.high_seen(), 0, "absurd ordinal not folded in");
+    }
+
+    #[test]
+    fn data_beyond_the_hole_gap_is_dropped() {
+        let mut r: Ring<&str> = Ring::new(p(0), cfg(), vec![p(0), p(1)], 4);
+        let data = |seq| OrderedMsg {
+            config: cfg(),
+            seq,
+            id: mid(1, seq),
+            service: Service::Agreed,
+            payload: "m",
+        };
+        r.on_data(data(1));
+        assert_eq!((r.my_aru(), r.high_seen(), r.store_len()), (1, 1, 1));
+        // Far below the ceiling, far above any in-flight window: stored, it
+        // would hold `high_seen` above anything deliverable for good.
+        r.on_data(data(r.my_aru() + MAX_HOLE_GAP + 1));
+        assert_eq!((r.high_seen(), r.store_len()), (1, 1), "dropped");
+        assert!(!r.is_poisoned(), "the sender is at fault, not us");
+        // The edge of the gap, and ordinary traffic, still go in.
+        r.on_data(data(r.my_aru() + MAX_HOLE_GAP));
+        r.on_data(data(2));
+        assert_eq!(
+            (r.my_aru(), r.high_seen(), r.store_len()),
+            (2, 1 + MAX_HOLE_GAP, 3)
+        );
     }
 
     #[test]

@@ -13,14 +13,20 @@
 //!    above its floor (`min(safe_line, delivered_upto)`), nobody ever
 //!    requests an ordinal at or below any member's floor, and a late
 //!    duplicate from below the floor changes nothing.
+//! 7. **Window = model** — each ring's store agrees, at every step, with a
+//!    reference `BTreeMap` fed every message the ring accepted and pruned
+//!    at its floor: the same `contains`, the same `store_len`, and the
+//!    same snapshot store.
 
 use evs_membership::ConfigId;
-use evs_order::{DeliveryClass, MessageId, OrderedMsg, Ring, RingOut, Service, Token};
+use evs_order::{
+    DeliveryClass, MessageId, OrderedMsg, Ring, RingOut, Service, Token, MAX_HOLE_GAP,
+};
 use evs_sim::{ProcessId, SimTime};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 
 fn pid(i: usize) -> ProcessId {
     ProcessId::new(i as u32)
@@ -29,6 +35,10 @@ fn pid(i: usize) -> ProcessId {
 /// A lossy in-test ring network driven hop by hop.
 struct Harness {
     rings: Vec<Ring<u64>>,
+    /// Per ring, the reference store: every message it accepted (the
+    /// first copy of an ordinal above its floor, within the hole gap of
+    /// its prefix) that its floor has not passed yet.
+    models: Vec<BTreeMap<u64, OrderedMsg<u64>>>,
     /// Tokens in flight (possibly several copies due to retransmission).
     tokens: VecDeque<(ProcessId, Token)>,
     now: SimTime,
@@ -55,6 +65,7 @@ impl Harness {
             .collect();
         let mut h = Harness {
             rings,
+            models: vec![BTreeMap::new(); n],
             tokens: VecDeque::new(),
             now: SimTime::from_ticks(1),
             rng: StdRng::seed_from_u64(seed),
@@ -74,6 +85,10 @@ impl Harness {
         for out in outs {
             match out {
                 RingOut::Data(msg) => {
+                    // The sender stored what it stamped (or is serving).
+                    self.models[from]
+                        .entry(msg.seq)
+                        .or_insert_with(|| msg.clone());
                     self.sent.push(msg.clone());
                     for i in 0..self.rings.len() {
                         if i == from || self.chance(self.drop_prob) {
@@ -83,7 +98,7 @@ impl Harness {
                             if self.chance(self.hold_prob) {
                                 self.held.push((i, msg.clone()));
                             } else {
-                                self.rings[i].on_data(msg.clone());
+                                self.feed(i, msg.clone());
                             }
                         }
                     }
@@ -95,6 +110,41 @@ impl Harness {
                     }
                 }
             }
+        }
+    }
+
+    /// Hands one data frame to ring `i`, and to its model as the ring is
+    /// specified to take it.
+    fn feed(&mut self, i: usize, msg: OrderedMsg<u64>) {
+        let r = &self.rings[i];
+        if msg.seq > r.floor() && msg.seq.saturating_sub(r.my_aru()) <= MAX_HOLE_GAP {
+            self.models[i].entry(msg.seq).or_insert_with(|| msg.clone());
+        }
+        self.rings[i].on_data(msg);
+    }
+
+    /// Invariant 7, checked at every step: prunes each model at its
+    /// ring's floor, then compares.
+    fn assert_window_matches_model(&mut self) {
+        for (i, (r, model)) in self.rings.iter().zip(&mut self.models).enumerate() {
+            let floor = r.floor();
+            model.retain(|&seq, _| seq > floor);
+            assert_eq!(r.store_len(), model.len(), "P{i} store_len");
+            for seq in 1..=r.high_seen() {
+                assert_eq!(
+                    r.contains(seq),
+                    seq <= floor || model.contains_key(&seq),
+                    "P{i} contains({seq}) with floor {floor}"
+                );
+            }
+        }
+    }
+
+    /// Invariant 7 for the snapshot: consumes the rings.
+    fn assert_snapshots_match_models(mut self) {
+        self.assert_window_matches_model();
+        for (i, (r, model)) in self.rings.into_iter().zip(self.models).enumerate() {
+            assert_eq!(r.into_snapshot().store, model, "P{i} snapshot store");
         }
     }
 
@@ -127,14 +177,15 @@ impl Harness {
         while !self.held.is_empty() && self.rng.gen_bool(0.3) {
             let pick = self.rng.gen_range(0..self.held.len());
             let (to, msg) = self.held.swap_remove(pick);
-            self.rings[to].on_data(msg);
+            self.feed(to, msg);
         }
         if self.dup_prob > 0.0 && !self.sent.is_empty() {
             let msg = self.sent[self.rng.gen_range(0..self.sent.len())].clone();
             let to = self.rng.gen_range(0..self.rings.len());
-            let r = &mut self.rings[to];
+            let r = &self.rings[to];
             let (below, before) = (msg.seq <= r.floor(), (r.store_len(), r.high_seen()));
-            r.on_data(msg);
+            self.feed(to, msg);
+            let r = &self.rings[to];
             if below {
                 assert_eq!(
                     (r.store_len(), r.high_seen()),
@@ -162,6 +213,7 @@ impl Harness {
         }
         self.drain_deliveries();
         self.assert_bounded(None);
+        self.assert_window_matches_model();
     }
 
     fn drain_deliveries(&mut self) {
@@ -171,6 +223,35 @@ impl Harness {
             }
         }
     }
+}
+
+/// Builds a harness with the given loss, duplication and hold-back
+/// percentages and submits `bursts` of `(member, count, service)` under
+/// them, four steps apart. Returns it with the number submitted.
+fn lossy_bursts(
+    n: usize,
+    seed: u64,
+    (drop_pct, dup_pct, hold_pct): (u8, u8, u8),
+    bursts: &[(usize, u64, u8)],
+) -> (Harness, u64) {
+    let mut h = Harness::new(n, seed, f64::from(drop_pct) / 100.0);
+    h.dup_prob = f64::from(dup_pct) / 100.0;
+    h.hold_prob = f64::from(hold_pct) / 100.0;
+    let mut counters = vec![0u64; n];
+    let mut submitted = 0u64;
+    for &(at, count, service) in bursts {
+        let at = at % n;
+        let service = [Service::Causal, Service::Agreed, Service::Safe][service as usize];
+        for _ in 0..count {
+            counters[at] += 1;
+            submitted += 1;
+            h.rings[at].submit(MessageId::new(pid(at), counters[at]), service, submitted);
+        }
+        for _ in 0..4 {
+            h.step();
+        }
+    }
+    (h, submitted)
 }
 
 proptest! {
@@ -255,8 +336,10 @@ proptest! {
 
     /// A long run under loss, duplication and reordering: the order is
     /// still gap-free and identical everywhere, and every store stays the
-    /// window invariant 6 describes (checked at every step by the harness)
-    /// — empty once the ring is idle, however many messages went through.
+    /// window invariant 6 describes and matches its model (checked at
+    /// every step by the harness) — empty once the ring is idle, however
+    /// many messages went through. A twin run stopped while the loss is
+    /// still on shows the snapshot store equal to the model mid-flight.
     #[test]
     fn store_stays_a_window_under_loss_duplication_and_reordering(
         n in 2usize..5,
@@ -266,23 +349,10 @@ proptest! {
         dup_pct in 1u8..30,
         hold_pct in 0u8..30,
     ) {
-        let mut h = Harness::new(n, seed, f64::from(drop_pct) / 100.0);
-        h.dup_prob = f64::from(dup_pct) / 100.0;
-        h.hold_prob = f64::from(hold_pct) / 100.0;
-        let mut counters = vec![0u64; n];
-        let mut submitted = 0u64;
-        for (at, count, service) in &bursts {
-            let at = at % n;
-            let service = [Service::Causal, Service::Agreed, Service::Safe][*service as usize];
-            for _ in 0..*count {
-                counters[at] += 1;
-                submitted += 1;
-                h.rings[at].submit(MessageId::new(pid(at), counters[at]), service, submitted);
-            }
-            for _ in 0..4 {
-                h.step();
-            }
-        }
+        let faults = (drop_pct, dup_pct, hold_pct);
+        let (twin, _) = lossy_bursts(n, seed, faults, &bursts);
+        twin.assert_snapshots_match_models();
+        let (mut h, submitted) = lossy_bursts(n, seed, faults, &bursts);
         h.drop_prob = 0.0;
         h.hold_prob = 0.0;
         for _ in 0..(submitted as usize * 8 + 200) {

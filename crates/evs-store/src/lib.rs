@@ -12,8 +12,8 @@
 //!   of a `kill -9` mid-write — is discarded, never a panic and never an
 //!   error).
 //! * [`NullStorage`] — an in-memory stand-in with identical semantics,
-//!   keeping the deterministic simulator and the benchmarks allocation-only
-//!   while still exercising every persist point.
+//!   keeping the deterministic simulator and the benchmarks in one flat
+//!   buffer while still exercising every persist point.
 //!
 //! The record format is `[len: u32 LE][crc32: u32 LE][payload]`. The CRC
 //! covers the payload only; the length field is validated against a hard
@@ -355,11 +355,32 @@ pub trait Storage: Send {
 ///
 /// The deterministic simulator keeps each node object alive across a
 /// simulated crash, so an in-memory log is a faithful model of a disk that
-/// survived the process — while the hot path stays a `Vec` push.
-#[derive(Clone, Debug, Default)]
+/// survived the process — while the hot path stays one flat buffer: an
+/// append copies the record onto the end of `log` and pushes its end
+/// offset, so the log costs a handful of doublings, not one allocation per
+/// record, and a snapshot keeps both buffers, sized to the round it
+/// compacted, for the next one.
+#[derive(Clone, Debug)]
 pub struct NullStorage {
     snapshot: Option<Vec<u8>>,
-    records: Vec<Vec<u8>>,
+    /// Every post-snapshot record's bytes, back to back.
+    log: Vec<u8>,
+    /// Where each record ends in `log`, in append order.
+    ends: Vec<usize>,
+}
+
+/// Initial capacity of [`NullStorage`]'s byte log: one page, so the first
+/// few dozen records need no growth at all.
+const NULL_LOG_START: usize = 4096;
+
+impl Default for NullStorage {
+    fn default() -> Self {
+        NullStorage {
+            snapshot: None,
+            log: Vec::with_capacity(NULL_LOG_START),
+            ends: Vec::new(),
+        }
+    }
 }
 
 impl NullStorage {
@@ -367,11 +388,18 @@ impl NullStorage {
     pub fn new() -> Self {
         Self::default()
     }
+
+    /// The byte range of record `i` in `log`.
+    fn span(&self, i: usize) -> std::ops::Range<usize> {
+        let start = i.checked_sub(1).map_or(0, |prev| self.ends[prev]);
+        start..self.ends[i]
+    }
 }
 
 impl Storage for NullStorage {
     fn append(&mut self, record: &[u8]) -> io::Result<()> {
-        self.records.push(record.to_vec());
+        self.log.extend_from_slice(record);
+        self.ends.push(self.log.len());
         Ok(())
     }
 
@@ -381,15 +409,24 @@ impl Storage for NullStorage {
 
     fn snapshot(&mut self, state: &[u8]) -> io::Result<()> {
         self.snapshot = Some(state.to_vec());
-        self.records.clear();
+        // Keep room for another round like the one just compacted, an
+        // eighth to spare, and give back what doubling overshot: the next
+        // round appends without allocating, yet the log does not hold up
+        // to twice its working size for good.
+        self.log.shrink_to(self.log.len() + self.log.len() / 8);
+        self.ends.shrink_to(self.ends.len() + self.ends.len() / 8);
+        self.log.clear();
+        self.ends.clear();
         Ok(())
     }
 
     fn replay(&mut self) -> io::Result<Replay> {
         Ok(Replay {
             snapshot: self.snapshot.clone(),
-            records: self.records.clone(),
-            wal_present: self.snapshot.is_some() || !self.records.is_empty(),
+            records: (0..self.ends.len())
+                .map(|i| self.log[self.span(i)].to_vec())
+                .collect(),
+            wal_present: self.snapshot.is_some() || !self.ends.is_empty(),
             torn_bytes: 0,
             corrupt_gaps: 0,
             gap_positions: Vec::new(),
@@ -401,16 +438,15 @@ impl Storage for NullStorage {
         // flipped byte surfaces as a semantically-poisoned record at the
         // persistence layer rather than a CRC gap — the other half of the
         // corruption space, exercised on the simulator.
-        if self.records.is_empty() {
+        if self.ends.is_empty() {
             return Ok(false);
         }
-        let idx = (record % self.records.len() as u64) as usize;
-        let rec = &mut self.records[idx];
-        if rec.is_empty() {
+        let span = self.span((record % self.ends.len() as u64) as usize);
+        if span.is_empty() {
             return Ok(false);
         }
-        let at = (offset % rec.len() as u64) as usize;
-        rec[at] ^= 0xFF;
+        let at = span.start + (offset % span.len() as u64) as usize;
+        self.log[at] ^= 0xFF;
         Ok(true)
     }
 
@@ -429,17 +465,15 @@ impl Storage for NullStorage {
         }
         let mut destroyed = 0u64;
         let mut scars = 0usize;
-        while destroyed < bytes {
-            match self.records.pop() {
-                Some(rec) => {
-                    destroyed += (RECORD_HEADER + rec.len()) as u64;
-                    scars += 1;
-                }
-                None => break,
-            }
+        while destroyed < bytes && !self.ends.is_empty() {
+            let span = self.span(self.ends.len() - 1);
+            destroyed += (RECORD_HEADER + span.len()) as u64;
+            scars += 1;
+            self.ends.pop();
+            self.log.truncate(span.start);
         }
-        let len = self.records.len();
-        self.records.resize(len + scars, Vec::new());
+        let end = self.log.len();
+        self.ends.resize(self.ends.len() + scars, end);
         Ok(destroyed)
     }
 }
@@ -1040,6 +1074,132 @@ mod tests {
         let r = s.replay().unwrap();
         assert!(r.wal_present, "scars keep the medium visibly non-empty");
         assert!(r.records.iter().all(Vec::is_empty));
+    }
+
+    /// The `Vec<Vec<u8>>` log `NullStorage` kept before it went flat, fault
+    /// hooks included: the reference the flat log must reproduce.
+    #[derive(Default)]
+    struct VecLog {
+        snapshot: bool,
+        records: Vec<Vec<u8>>,
+    }
+
+    impl VecLog {
+        fn corrupt(&mut self, record: u64, offset: u64) -> bool {
+            if self.records.is_empty() {
+                return false;
+            }
+            let idx = (record % self.records.len() as u64) as usize;
+            let rec = &mut self.records[idx];
+            if rec.is_empty() {
+                return false;
+            }
+            let at = (offset % rec.len() as u64) as usize;
+            rec[at] ^= 0xFF;
+            true
+        }
+
+        fn truncate(&mut self, bytes: u64) -> u64 {
+            if bytes == 0 {
+                return 0;
+            }
+            let (mut destroyed, mut scars) = (0u64, 0usize);
+            while destroyed < bytes {
+                match self.records.pop() {
+                    Some(rec) => {
+                        destroyed += (RECORD_HEADER + rec.len()) as u64;
+                        scars += 1;
+                    }
+                    None => break,
+                }
+            }
+            let len = self.records.len();
+            self.records.resize(len + scars, Vec::new());
+            destroyed
+        }
+    }
+
+    #[derive(Clone, Copy, Debug)]
+    enum Op {
+        Append(&'static [u8]),
+        Corrupt(u64, u64),
+        Truncate(u64),
+        Snapshot,
+    }
+
+    #[test]
+    fn null_storage_fault_hooks_match_the_vec_of_records_semantics() {
+        use Op::*;
+        const RECORDS: [&[u8]; 5] = [b"alpha", b"", b"gamma-ray", b"d", b"epsilon"];
+        let cases: [(&str, &[Op]); 6] = [
+            (
+                "indices and offsets wrap",
+                &[Corrupt(7, 13), Corrupt(u64::MAX, u64::MAX), Corrupt(5, 9)],
+            ),
+            (
+                "an empty record is left alone",
+                &[Corrupt(1, 0), Corrupt(6, 4)],
+            ),
+            (
+                "a truncation larger than the log",
+                &[Truncate(10_000), Corrupt(0, 0)],
+            ),
+            (
+                "partial truncation rounds up to whole records",
+                &[Truncate(1), Truncate(9), Truncate(8), Corrupt(3, 0)],
+            ),
+            (
+                "an append after scars",
+                &[Truncate(20), Append(b"zeta"), Corrupt(3, 2), Truncate(1)],
+            ),
+            (
+                "a truncation after a snapshot",
+                &[
+                    Snapshot,
+                    Truncate(5),
+                    Append(b"eta"),
+                    Append(b""),
+                    Truncate(3),
+                    Corrupt(0, 1),
+                ],
+            ),
+        ];
+        for (name, ops) in cases {
+            let mut flat = NullStorage::new();
+            let mut model = VecLog::default();
+            for r in RECORDS {
+                flat.append(r).unwrap();
+                model.records.push(r.to_vec());
+            }
+            for &op in ops {
+                let (got, want) = match op {
+                    Append(r) => {
+                        flat.append(r).unwrap();
+                        model.records.push(r.to_vec());
+                        (0, 0)
+                    }
+                    Corrupt(i, at) => (
+                        u64::from(flat.corrupt_record_byte(i, at).unwrap()),
+                        u64::from(model.corrupt(i, at)),
+                    ),
+                    Truncate(bytes) => (flat.truncate_tail(bytes).unwrap(), model.truncate(bytes)),
+                    Snapshot => {
+                        flat.snapshot(b"state").unwrap();
+                        model.snapshot = true;
+                        model.records.clear();
+                        (0, 0)
+                    }
+                };
+                assert_eq!(got, want, "{name}: {op:?} result");
+                let replay = flat.replay().unwrap();
+                assert_eq!(replay.records, model.records, "{name}: after {op:?}");
+                assert_eq!(
+                    replay.wal_present,
+                    model.snapshot || !model.records.is_empty(),
+                    "{name}: wal_present after {op:?}"
+                );
+            }
+        }
     }
 
     #[test]
