@@ -15,6 +15,7 @@ use evs_core::{EvsParams, Payload};
 use evs_order::Service;
 use evs_sim::ProcessId;
 use evs_telemetry::{names, Counter, Gauge, LogHistogram, Telemetry, TelemetryEvent};
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, VecDeque};
 
 /// Tunables of one broker's prepare-batch pipeline and queues.
@@ -158,29 +159,38 @@ impl Broker {
 
     /// Opens a session for `client` (idempotent).
     pub fn connect(&mut self, at: u64, client: u64) {
-        if self.sessions.contains_key(&client) {
-            return;
+        self.session(at, client);
+    }
+
+    /// `client`'s session, opened on first sight: one map lookup either
+    /// way.
+    fn session(&mut self, at: u64, client: u64) -> &mut Session {
+        match self.sessions.entry(client) {
+            Entry::Occupied(open) => open.into_mut(),
+            Entry::Vacant(slot) => {
+                self.telemetry.record(
+                    at,
+                    TelemetryEvent::SessionOpened {
+                        broker: self.id,
+                        client,
+                    },
+                );
+                slot.insert(Session::new(client, self.params.session_inflight))
+            }
         }
-        self.sessions
-            .insert(client, Session::new(client, self.params.session_inflight));
-        self.telemetry.record(
-            at,
-            TelemetryEvent::SessionOpened {
-                broker: self.id,
-                client,
-            },
-        );
     }
 
     /// Accepts one op from `client` into the prepare-batch pipeline. A
     /// first submit from an unknown client opens its session implicitly.
     pub fn submit(&mut self, at: u64, client: u64, op: Payload) -> SubmitOutcome {
-        self.connect(at, client);
-        if self.inflight_ops >= self.params.broker_inflight {
-            return self.backpressure(at, client);
-        }
-        let session = self.sessions.get_mut(&client).expect("session just opened");
-        let Some(seq) = session.try_submit(op.clone()) else {
+        let budget_full = self.inflight_ops >= self.params.broker_inflight;
+        let session = self.session(at, client);
+        let accepted = if budget_full {
+            None
+        } else {
+            session.try_submit(op.clone())
+        };
+        let Some(seq) = accepted else {
             return self.backpressure(at, client);
         };
         if self.pending.is_empty() {
@@ -280,7 +290,7 @@ impl Broker {
         if broker != self.id {
             return Vec::new();
         }
-        let mut replies = Vec::new();
+        let mut replies = Vec::with_capacity(entries.len());
         for e in entries {
             let Some(session) = self.sessions.get_mut(&e.client) else {
                 continue;
@@ -467,8 +477,15 @@ mod tests {
         let flushed = b.force_flush(0);
         b.submit(1, 1, op(1)); // still pending, never flushed
                                // Only client 1's first op gets acked before the daemon dies.
-        let one = proto::decode_batch(&flushed[0]).unwrap().1;
-        let partial = proto::encode_batch(0, &one[..1]);
+        let first = proto::decode_batch(&flushed[0]).unwrap().1[0];
+        let partial = proto::encode_batch(
+            0,
+            &[BatchEntry {
+                client: first.client,
+                seq: first.seq,
+                op: Payload::copy_from_slice(first.op),
+            }],
+        );
         b.on_delivered(2, &partial);
 
         let batches = b.reattach(3, ProcessId::new(2));

@@ -55,7 +55,11 @@ impl OpLedger {
         if c.sparse.contains(&seq) {
             return false;
         }
-        c.sparse.insert(seq);
+        if seq == c.floor {
+            c.floor += 1;
+        } else {
+            c.sparse.insert(seq);
+        }
         while c.sparse.remove(&c.floor) {
             c.floor += 1;
         }

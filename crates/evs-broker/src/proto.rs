@@ -101,9 +101,23 @@ pub fn encode_batch(broker: u32, entries: &[BatchEntry]) -> Payload {
     Payload::from(out)
 }
 
-/// Decodes a batch frame back into `(broker, entries)`. `None` on bad
-/// magic, truncation or trailing bytes.
-pub fn decode_batch(bytes: &[u8]) -> Option<(u32, Vec<BatchEntry>)> {
+/// One client op of a delivered batch, borrowed from the frame: a daemon
+/// applying the batch and a broker routing its replies read `client` and
+/// `seq` without copying any op.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct BatchEntryRef<'a> {
+    /// The submitting client.
+    pub client: u64,
+    /// Broker-assigned per-client sequence number (from 1).
+    pub seq: u64,
+    /// The opaque op bytes, a view into the frame.
+    pub op: &'a [u8],
+}
+
+/// Decodes a batch frame back into `(broker, entries)`, each entry a view
+/// into `bytes`: one allocation, the entry list. `None` on bad magic,
+/// truncation or trailing bytes.
+pub fn decode_batch(bytes: &[u8]) -> Option<(u32, Vec<BatchEntryRef<'_>>)> {
     if !is_batch(bytes) {
         return None;
     }
@@ -115,8 +129,8 @@ pub fn decode_batch(bytes: &[u8]) -> Option<(u32, Vec<BatchEntry>)> {
         let client = read_u64(bytes, &mut at)?;
         let seq = read_u64(bytes, &mut at)?;
         let len = read_u32(bytes, &mut at)? as usize;
-        let op = Payload::copy_from_slice(take(bytes, &mut at, len)?);
-        entries.push(BatchEntry { client, seq, op });
+        let op = take(bytes, &mut at, len)?;
+        entries.push(BatchEntryRef { client, seq, op });
     }
     if at != bytes.len() {
         return None;
@@ -190,13 +204,24 @@ mod tests {
         ]
     }
 
+    fn views(es: &[BatchEntry]) -> Vec<BatchEntryRef<'_>> {
+        es.iter()
+            .map(|e| BatchEntryRef {
+                client: e.client,
+                seq: e.seq,
+                op: &e.op,
+            })
+            .collect()
+    }
+
     #[test]
     fn batch_round_trips() {
-        let batch = encode_batch(7, &entries());
+        let es = entries();
+        let batch = encode_batch(7, &es);
         assert!(is_batch(&batch));
         let (broker, back) = decode_batch(&batch).expect("decode");
         assert_eq!(broker, 7);
-        assert_eq!(back, entries());
+        assert_eq!(back, views(&es));
     }
 
     #[test]

@@ -506,14 +506,56 @@ pub fn encode_into(msg: &EvsMsg<Payload>, out: &mut BytesMut) {
             out.put_u8(5);
             put_config(out, *proposal);
         }
-        EvsMsg::Ring(RingMsg::Batch(msgs)) => {
-            out.put_u8(6);
-            out.put_u32_le(msgs.len() as u32);
-            for m in msgs {
-                put_ordered_msg(out, m);
-            }
-        }
+        EvsMsg::Ring(RingMsg::Batch(msgs)) => put_batch(out, msgs),
     }
+}
+
+fn put_batch(out: &mut BytesMut, msgs: &[OrderedMsg<Payload>]) {
+    out.put_u8(6);
+    out.put_u32_le(msgs.len() as u32);
+    for m in msgs {
+        put_ordered_msg(out, m);
+    }
+}
+
+/// Encodes the data batch frame of `msgs` into a reusable buffer: the
+/// bytes [`encode_into`] writes for a `RingMsg::Batch` of the same
+/// messages, without needing one.
+pub fn encode_batch_into(msgs: &[OrderedMsg<Payload>], out: &mut BytesMut) {
+    out.clear();
+    put_batch(out, msgs);
+}
+
+/// Bytes a data batch frame spends before its first message: tag, count.
+const BATCH_FRAME_HEADER: usize = 1 + 4;
+/// Bytes one message of a data frame spends besides its payload:
+/// configuration, ordinal, message id, service, payload length.
+const ORDERED_MSG_HEADER: usize = 13 + 8 + 12 + 1 + 4;
+/// The length header [`pack_into`] puts in front of every frame.
+const PACK_HEADER: usize = 4;
+
+/// Splits a data batch into consecutive parts whose batch frames, packed,
+/// each fit a datagram of `budget` bytes, so one token visit's burst can
+/// never outgrow the datagram it is sent in. A part holds at least one
+/// message: one too large for the budget alone is a part by itself.
+pub fn batch_parts(
+    mut msgs: &[OrderedMsg<Payload>],
+    budget: usize,
+) -> impl Iterator<Item = &[OrderedMsg<Payload>]> {
+    std::iter::from_fn(move || {
+        let mut bytes = PACK_HEADER + BATCH_FRAME_HEADER;
+        let mut n = 0;
+        for m in msgs {
+            bytes += ORDERED_MSG_HEADER + m.payload.len();
+            if n > 0 && bytes > budget {
+                break;
+            }
+            n += 1;
+        }
+        let (part, rest) = msgs.split_at(n);
+        msgs = rest;
+        (n > 0).then_some(part)
+    })
 }
 
 /// Decodes one EVS frame from a byte slice.
@@ -871,6 +913,51 @@ mod tests {
                 Err(e) => panic!("unexpected error at {cut}: {e}"),
             }
         }
+    }
+
+    #[test]
+    fn batch_parts_each_fit_the_budget_and_cover_the_batch() {
+        let msg = |seq: u64, len: usize| OrderedMsg {
+            config: ConfigId::regular(2, p(0)),
+            seq,
+            id: MessageId::new(p(1), seq),
+            service: Service::Agreed,
+            payload: Payload::from(vec![seq as u8; len]),
+        };
+        let msgs: Vec<_> = [300, 0, 500, 40, 2_000, 10, 10, 700]
+            .into_iter()
+            .enumerate()
+            .map(|(k, len)| msg(k as u64 + 1, len))
+            .collect();
+        let whole = EvsMsg::Ring(RingMsg::Batch(msgs.clone()));
+        let mut scratch = BytesMut::new();
+        // A batch within the budget is one part, encoded as before; the
+        // size the split reckons with is the size on the wire, to the byte.
+        let fits = PACK_HEADER + encode(&whole).len();
+        assert_eq!(batch_parts(&msgs, fits).count(), 1);
+        assert_eq!(batch_parts(&msgs, fits - 1).count(), 2);
+        encode_batch_into(&msgs, &mut scratch);
+        assert_eq!(&scratch[..], &encode(&whole)[..]);
+
+        let budget = 1_000;
+        let parts: Vec<_> = batch_parts(&msgs, budget).collect();
+        for part in &parts {
+            encode_batch_into(part, &mut scratch);
+            let packed = PACK_HEADER + scratch.len();
+            // Only a message too large on its own may exceed the budget,
+            // and then alone.
+            assert!(packed <= budget || part.len() == 1, "{packed} B part");
+            let Ok(EvsMsg::Ring(RingMsg::Batch(back))) = decode(&scratch) else {
+                panic!("a part decodes as a batch");
+            };
+            assert_eq!(back.len(), part.len());
+        }
+        let seqs: Vec<u64> = parts.iter().flat_map(|p| p.iter().map(|m| m.seq)).collect();
+        assert_eq!(seqs, (1..=8).collect::<Vec<_>>(), "consecutive, in order");
+        assert!(parts
+            .iter()
+            .any(|p| p.len() == 1 && p[0].payload.len() == 2_000));
+        assert_eq!(batch_parts(&[], budget).count(), 0);
     }
 
     #[test]

@@ -435,37 +435,13 @@ mod batch {
             }
             Ok(())
         }
-    }
 
-    impl SocketDriver for BatchUdpDriver {
-        fn local_addr(&self) -> io::Result<SocketAddr> {
-            self.socket.local_addr()
-        }
-
-        fn push(&mut self, to: SocketAddr, payload: Vec<u8>) {
-            match to {
-                SocketAddr::V4(sa) => self.sendq.push((sa, payload)),
-                // IPv6 destinations cannot come out of an IPv4-bound
-                // socket anyway; keep the datagram and let submit()'s
-                // plain send_to surface the OS error to the caller.
-                SocketAddr::V6(_) => self
-                    .sendq
-                    .push((SocketAddrV4::new(Ipv4Addr::UNSPECIFIED, 0), payload)),
-            }
-        }
-
-        fn pending(&self) -> usize {
-            self.sendq.len()
-        }
-
-        fn submit(&mut self) -> io::Result<usize> {
-            if self.sendq.is_empty() {
-                return Ok(0);
-            }
+        /// Sends every queued datagram with `sendmmsg`, [`SEND_BATCH`] at a
+        /// time, and returns how many went out.
+        fn send_queued(&mut self) -> io::Result<usize> {
             let fd = self.socket.as_raw_fd();
-            let q = std::mem::take(&mut self.sendq);
             let mut sent = 0usize;
-            for chunk in q.chunks(SEND_BATCH) {
+            for chunk in self.sendq.chunks(SEND_BATCH) {
                 self.send_names.clear();
                 self.send_iovs.clear();
                 self.send_hdrs.clear();
@@ -522,6 +498,36 @@ mod batch {
                 }
             }
             Ok(sent)
+        }
+    }
+
+    impl SocketDriver for BatchUdpDriver {
+        fn local_addr(&self) -> io::Result<SocketAddr> {
+            self.socket.local_addr()
+        }
+
+        fn push(&mut self, to: SocketAddr, payload: Vec<u8>) {
+            match to {
+                SocketAddr::V4(sa) => self.sendq.push((sa, payload)),
+                // IPv6 destinations cannot come out of an IPv4-bound
+                // socket anyway; keep the datagram and let submit()'s
+                // plain send_to surface the OS error to the caller.
+                SocketAddr::V6(_) => self
+                    .sendq
+                    .push((SocketAddrV4::new(Ipv4Addr::UNSPECIFIED, 0), payload)),
+            }
+        }
+
+        fn pending(&self) -> usize {
+            self.sendq.len()
+        }
+
+        fn submit(&mut self) -> io::Result<usize> {
+            let sent = self.send_queued();
+            // Sent or failed, the queue is spent; clearing it in place keeps
+            // its capacity, so the next burst queues without regrowing it.
+            self.sendq.clear();
+            sent
         }
 
         fn complete(

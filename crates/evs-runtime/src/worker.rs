@@ -6,8 +6,9 @@
 //! — so the same loop runs live and in lock-step.
 //!
 //! One dispatch is, in this order: the engine callback; the trace journal
-//! write, if a journal is attached; then encoding (each frame once),
-//! packing (one datagram per destination) and a single `submit`. The
+//! write, if a journal is attached; then encoding (each frame once, a data
+//! batch split into frames that fit a datagram), packing (one datagram per
+//! destination, more when the budget is reached) and a single `submit`. The
 //! journal therefore holds every event a dispatch produced before any
 //! datagram of that dispatch can leave — no peer can observe an effect of
 //! an event the journal would lose to a kill.
@@ -23,6 +24,7 @@ use evs_telemetry::{names, Counter, Phase, PhaseClock, Telemetry};
 use std::fs::File;
 use std::io::{self, Write as _};
 use std::net::SocketAddr;
+use std::ops::Range;
 use std::time::Duration;
 
 /// The context an engine callback runs in.
@@ -168,15 +170,8 @@ impl Worker {
         self.phase.mark(Phase::Wal);
         for effect in effects {
             match effect {
-                Effect::Broadcast(msg) => {
-                    // Encode once, pack the same bytes for every peer.
-                    wire::encode_into(&msg, &mut self.scratch);
-                    (0..self.peers.len()).for_each(|to| self.enqueue(to));
-                }
-                Effect::Unicast(to, msg) => {
-                    wire::encode_into(&msg, &mut self.scratch);
-                    self.enqueue(to.as_usize());
-                }
+                Effect::Broadcast(msg) => self.send(&msg, 0..self.peers.len()),
+                Effect::Unicast(to, msg) => self.send(&msg, to.as_usize()..to.as_usize() + 1),
                 Effect::SetTimer(id, delay, kind) => self.timers.push((now + delay, id, kind)),
                 Effect::CancelTimer(id) => self.timers.retain(|(_, tid, _)| *tid != id),
             }
@@ -186,6 +181,23 @@ impl Worker {
         let sent = self.driver.submit().map(drop);
         self.phase.mark(Phase::Submit);
         sent
+    }
+
+    /// Encodes `msg` and packs it for every destination in `to`. A data
+    /// batch goes as consecutive batch frames that each fit the packing
+    /// budget — one frame unless a visit's burst outgrew it — so the burst
+    /// is never one datagram too large for the medium to carry.
+    fn send(&mut self, msg: &EvsMsg<Payload>, to: Range<usize>) {
+        if let EvsMsg::Ring(RingMsg::Batch(msgs)) = msg {
+            for part in wire::batch_parts(msgs, self.node.params().max_datagram_bytes) {
+                wire::encode_batch_into(part, &mut self.scratch);
+                to.clone().for_each(|peer| self.enqueue(peer));
+            }
+        } else {
+            // Encode once, pack the same bytes for every destination.
+            wire::encode_into(msg, &mut self.scratch);
+            to.for_each(|peer| self.enqueue(peer));
+        }
     }
 
     /// Appends the frame in `scratch` to `to`'s datagram, queueing the

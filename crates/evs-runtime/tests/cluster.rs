@@ -206,6 +206,26 @@ fn a_datagram_too_large_for_udp_is_dropped_and_counted_not_fatal() {
 }
 
 #[test]
+fn a_visit_that_stamps_two_large_messages_is_sent_in_datagrams_that_fit() {
+    let net = Cluster::udp_loopback(3).expect("bind loopback sockets");
+    assert!(net.wait_until(WAIT, settled_with(3)), "formation");
+    // Both are stamped on one token visit: together they are one data
+    // batch too large for a datagram, each alone fits one.
+    net.invoke(p(0), |node, ctx| {
+        for fill in [0xA1, 0xB2] {
+            node.submit(ctx, Service::Agreed, Payload::from(vec![fill; 40_000]));
+        }
+    });
+    assert!(
+        net.wait_until(WAIT, delivered(2)),
+        "both delivered everywhere"
+    );
+    let report = RunReport::collect(&net.telemetry_handles());
+    assert_eq!(report.total(names::OVERSIZED_DATAGRAMS_DROPPED), 0);
+    checker::assert_evs(&Trace::new(net.shutdown()));
+}
+
+#[test]
 fn a_park_that_ends_with_no_timer_armed_is_counted() {
     // An engine that was never started has armed nothing: the park below
     // can only end at its cap, which is what the counter exists to show.
