@@ -3,9 +3,9 @@
 # external dependencies are vendored, see vendor/README.md).
 #
 #   ./ci.sh              # the standard gate: every step below, in order
-#   ./ci.sh <step>       # one step: build-test, e2e-smoke, chaos-smoke,
-#                        #   corruption-smoke, kill-recovery, obs-smoke,
-#                        #   bench-diff, soaks, lint
+#   ./ci.sh <step>       # one step: build-test, checker-scale, e2e-smoke,
+#                        #   chaos-smoke, corruption-smoke, kill-recovery,
+#                        #   obs-smoke, bench-diff, soaks, lint
 #   ./ci.sh bench-smoke  # refresh BENCH_baseline.json (not in the gate)
 #   ./ci.sh loc          # print the non-test line count CHANGES.md quotes
 #
@@ -20,6 +20,11 @@
 # BENCH_DIFF_TOLERANCE (a fraction, e.g. 0.5 for ±50%); after an
 # intentional protocol change, refresh the baseline with
 # ./ci.sh bench-smoke and commit the diff.
+#
+# checker-scale times the specification checker on fixed-seed traces of
+# ~2k, ~20k and ~200k events and fails if the per-event cost at 200k is
+# more than twice that at 2k (a pairwise step would be a hundred times),
+# or if the step takes over a minute.
 #
 # e2e-smoke runs the BENCHMARK.json command for 2 s per workload: wall
 # time is machine-dependent, so it gates only that the benchmark builds
@@ -74,6 +79,11 @@ build_test() {
     # Same idea for the client path: the broker-mutation feature breaks the
     # OpLedger floor check, and the broker campaign must find and shrink it.
     cargo test -q --offline -p evs-chaos --features broker-mutation --test broker_mutation_self_test
+}
+
+checker_scale() {
+    echo "== checker scale (check_all cost per event at ~2k, ~20k and ~200k events) =="
+    cargo test -q --release --offline -p evs-core --test checker_scale -- --ignored --nocapture
 }
 
 chaos_smoke() {
@@ -199,6 +209,7 @@ lint() {
 case "${1:-all}" in
 all)
     build_test
+    checker_scale
     e2e_smoke
     chaos_smoke
     corruption_smoke
@@ -209,7 +220,7 @@ all)
     lint
     echo "ci: all green"
     ;;
-build-test | chaos-smoke | corruption-smoke | kill-recovery | obs-smoke | \
+build-test | checker-scale | chaos-smoke | corruption-smoke | kill-recovery | obs-smoke | \
     bench-smoke | bench-diff | e2e-smoke | soaks | loc | lint)
     "$(echo "$1" | tr - _)"
     ;;

@@ -17,9 +17,26 @@
 //!   finer quotient is still acyclic, a topological numbering *is* a valid
 //!   `ord` (it satisfies 6.1 and 6.2 by construction); a cycle refutes
 //!   Specs 6.1/6.2.
+//!
+//! `→` is read through vector timestamps (the logical-clocks construction).
+//! An event has at most two in-edges: its process predecessor, and its
+//! message's first send for a delivery or the next installation of its
+//! configuration for a configuration change. The installations of one
+//! configuration thus form a ring, which is strongly connected, so
+//! condensing the strongly connected components performs the merge, and a
+//! component holding more than one class is a cycle. One pass in
+//! topological order gives each component `k` a row `vt[k][p]`, the number
+//! of process `p`'s first events that reach `k`. Since `p`'s events reach
+//! everything their successors in `p` reach, `(p, i) → b` iff
+//! `i < vt[k(b)][p]`: one lookup per query, `events × n` words in all.
 
-use crate::{EvsEvent, Trace};
-use std::collections::HashMap;
+use super::Analysis;
+use crate::Trace;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
+/// No event or component.
+const NONE: usize = usize::MAX;
 
 /// A reference to one event: `(process index, position in its log)`.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
@@ -31,154 +48,146 @@ pub struct EvRef {
 }
 
 /// The quotient precedence structure of a trace.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct EventGraph {
-    /// Flattened event references, index = event id.
-    pub events: Vec<EvRef>,
-    /// event id ← EvRef
-    index: HashMap<EvRef, usize>,
-    /// Precedes-quotient class of each event (configuration-change merge).
-    pub class: Vec<usize>,
-    num_classes: usize,
-    /// Class-level adjacency of the precedes graph.
-    adj: Vec<Vec<usize>>,
-    /// Topological order of the precedes classes, if acyclic.
-    topo: Option<Vec<usize>>,
+    /// Id of each process's first event: `(pid, idx)` is event
+    /// `start[pid] + idx`.
+    start: Vec<usize>,
+    /// Strongly connected component of the precedes graph per event.
+    component: Vec<usize>,
+    /// Vector timestamps, `start.len()` entries per component.
+    vt: Vec<u32>,
+    /// True if every component is a single class.
+    acyclic: bool,
     /// `ord` value per event, if the ord quotient is acyclic.
-    ord: Option<Vec<u64>>,
-    /// Memoized reachability: source class → reachable classes bitmap.
-    reach_cache: std::cell::RefCell<HashMap<usize, Vec<bool>>>,
+    ord: Option<Vec<usize>>,
 }
 
 impl EventGraph {
     /// Builds the graph from a trace.
     pub fn build(trace: &Trace) -> Self {
-        // Flatten events.
-        let mut events = Vec::new();
-        let mut index = HashMap::new();
-        for (pid, log) in trace.events.iter().enumerate() {
+        Analysis::build(trace).graph
+    }
+
+    /// The graph of an indexed trace.
+    pub(super) fn new(a: &Analysis<'_>) -> Self {
+        let start: Vec<usize> = (a.trace.events.iter())
+            .scan(0, |next, log| {
+                Some(std::mem::replace(next, *next + log.len()))
+            })
+            .collect();
+        let (n, total, id) = (start.len(), a.trace.len(), |r: EvRef| start[r.pid] + r.idx);
+        // Each event's in-edges in `→`. Each ord class, named by its first
+        // event — a configuration's first installation, a message's first
+        // delivery — as a ring of its members. Each first send's message's
+        // first delivery.
+        let mut preds = vec![[NONE; 2]; total];
+        let (mut first, mut ring): (Vec<_>, Vec<_>) = (0..total).map(|e| (e, e)).unzip();
+        let mut sent_to = vec![NONE; total];
+        for (log, &s) in a.trace.events.iter().zip(&start) {
+            (s + 1..s + log.len()).for_each(|e| preds[e][0] = e - 1);
+        }
+        for installs in a.conf_delivs.values() {
+            for (i, &r) in installs.iter().enumerate() {
+                let next = id(installs[(i + 1) % installs.len()]);
+                (preds[id(r)][1], ring[id(r)], first[id(r)]) = (next, next, id(installs[0]));
+            }
+        }
+        for (m, send, delivs) in a.messages() {
+            let send = a.first_sends.get(&m).or(send.map(|s| &s.r)).map(|&r| id(r));
+            for (i, d) in delivs.iter().enumerate() {
+                let next = id(delivs[(i + 1) % delivs.len()].r);
+                let from = send.unwrap_or(NONE);
+                (preds[id(d.r)][1], ring[id(d.r)], first[id(d.r)]) = (from, next, id(delivs[0].r));
+            }
+            if let (Some(s), Some(d)) = (send, delivs.first()) {
+                sent_to[s] = id(d.r);
+            }
+        }
+
+        // Each component's row, seeded with its own events, then joined
+        // with its predecessors', which complete before it.
+        let (component, done) = strong_components(&preds);
+        let components = done.last().map_or(0, |&e| component[e] + 1);
+        let mut vt = vec![0; components * n];
+        for (pid, (log, &s)) in a.trace.events.iter().zip(&start).enumerate() {
             for idx in 0..log.len() {
-                let r = EvRef { pid, idx };
-                index.insert(r, events.len());
-                events.push(r);
+                vt[component[s + idx] * n + pid] = idx as u32 + 1;
             }
         }
-        let n = events.len();
+        for &e in &done {
+            let k = component[e];
+            for &d in preds[e].iter().filter(|&&d| d != NONE && component[d] != k) {
+                let (below, row) = vt.split_at_mut(k * n);
+                for (t, &f) in row[..n].iter_mut().zip(&below[component[d] * n..][..n]) {
+                    *t = (*t).max(f);
+                }
+            }
+        }
+        let merged: usize = a.conf_delivs.values().map(|l| l.len() - 1).sum();
 
-        // Union-find for the precedes quotient: merge deliver_conf events of
-        // the same configuration.
-        let mut uf = UnionFind::new(n);
-        let mut conf_rep: HashMap<(evs_membership::ConfigId, bool), usize> = HashMap::new();
-        for (id, r) in events.iter().enumerate() {
-            if let EvsEvent::DeliverConf(c) = &trace.events[r.pid][r.idx].1 {
-                // Key includes full identity via the id only: the registry
-                // separately checks that one ConfigId never maps to two
-                // memberships.
-                let key = (c.id, c.id.transitional);
-                match conf_rep.get(&key) {
-                    Some(&rep) => uf.union(rep, id),
-                    None => {
-                        conf_rep.insert(key, id);
+        // Kahn's algorithm over the ord classes, smallest first event first.
+        let succ = |e: usize| {
+            let next = (e + 1 < total && preds[e + 1][0] == e).then_some(e + 1);
+            next.into_iter()
+                .chain((sent_to[e] != NONE).then_some(sent_to[e]))
+        };
+        let mut indeg = vec![0; total];
+        for e in 0..total {
+            succ(e)
+                .filter(|&f| first[f] != first[e])
+                .for_each(|f| indeg[first[f]] += 1);
+        }
+        let classes = (0..total).filter(|&e| first[e] == e);
+        let mut ready: BinaryHeap<_> = classes
+            .clone()
+            .filter(|&e| indeg[e] == 0)
+            .map(Reverse)
+            .collect();
+        let mut rank = vec![NONE; total];
+        let mut placed = 0;
+        while let Some(Reverse(c)) = ready.pop() {
+            rank[c] = placed;
+            placed += 1;
+            let mut e = c;
+            loop {
+                for f in succ(e).map(|f| first[f]).filter(|&f| f != c) {
+                    indeg[f] -= 1;
+                    if indeg[f] == 0 {
+                        ready.push(Reverse(f));
                     }
                 }
-            }
-        }
-
-        // A second union-find for the ord quotient: conf merge plus
-        // same-message delivery merge.
-        let mut uf_ord = uf.clone();
-        let mut msg_rep: HashMap<evs_order::MessageId, usize> = HashMap::new();
-        for (id, r) in events.iter().enumerate() {
-            if let EvsEvent::Deliver { id: mid, .. } = &trace.events[r.pid][r.idx].1 {
-                match msg_rep.get(mid) {
-                    Some(&rep) => uf_ord.union(rep, id),
-                    None => {
-                        msg_rep.insert(*mid, id);
-                    }
+                e = ring[e];
+                if e == c {
+                    break;
                 }
             }
         }
-
-        // Raw edges: process order + send→deliver.
-        let mut raw_edges: Vec<(usize, usize)> = Vec::new();
-        for (pid, log) in trace.events.iter().enumerate() {
-            for idx in 1..log.len() {
-                let a = index[&EvRef { pid, idx: idx - 1 }];
-                let b = index[&EvRef { pid, idx }];
-                raw_edges.push((a, b));
-            }
-        }
-        let mut send_of: HashMap<evs_order::MessageId, usize> = HashMap::new();
-        for (id, r) in events.iter().enumerate() {
-            if let EvsEvent::Send { id: mid, .. } = &trace.events[r.pid][r.idx].1 {
-                send_of.entry(*mid).or_insert(id);
-            }
-        }
-        for (id, r) in events.iter().enumerate() {
-            if let EvsEvent::Deliver { id: mid, .. } = &trace.events[r.pid][r.idx].1 {
-                if let Some(&s) = send_of.get(mid) {
-                    raw_edges.push((s, id));
-                }
-            }
-        }
-
-        // Project onto the precedes quotient.
-        let (class, num_classes) = uf.compress();
-        let mut adj: Vec<Vec<usize>> = vec![Vec::new(); num_classes];
-        for &(a, b) in &raw_edges {
-            let (ca, cb) = (class[a], class[b]);
-            if ca != cb {
-                adj[ca].push(cb);
-            }
-        }
-        for list in &mut adj {
-            list.sort_unstable();
-            list.dedup();
-        }
-        let topo = topological_order(&adj);
-
-        // Project onto the ord quotient and number it.
-        let (ord_class, num_ord) = uf_ord.compress();
-        let mut adj_ord: Vec<Vec<usize>> = vec![Vec::new(); num_ord];
-        for &(a, b) in &raw_edges {
-            let (ca, cb) = (ord_class[a], ord_class[b]);
-            if ca != cb {
-                adj_ord[ca].push(cb);
-            }
-        }
-        for list in &mut adj_ord {
-            list.sort_unstable();
-            list.dedup();
-        }
-        let ord = topological_order(&adj_ord).map(|order| {
-            let mut pos = vec![0u64; num_ord];
-            for (i, &c) in order.iter().enumerate() {
-                pos[c] = i as u64;
-            }
-            (0..n).map(|e| pos[ord_class[e]]).collect::<Vec<u64>>()
-        });
+        let ord = (placed == classes.count()).then(|| first.iter().map(|&c| rank[c]).collect());
 
         EventGraph {
-            events,
-            index,
-            class,
-            num_classes,
-            adj,
-            topo,
+            acyclic: components == total - merged,
+            start,
+            component,
+            vt,
             ord,
-            reach_cache: Default::default(),
         }
     }
 
-    /// The event id of a reference.
-    pub fn id(&self, r: EvRef) -> usize {
-        self.index[&r]
+    fn id(&self, r: EvRef) -> usize {
+        self.start[r.pid] + r.idx
+    }
+
+    /// How many of process `p`'s first events precede `b`:
+    /// `(p, i) → b` iff `i < horizon(b, p)`.
+    pub(super) fn horizon(&self, b: EvRef, p: usize) -> usize {
+        self.vt[self.component[self.id(b)] * self.start.len() + p] as usize
     }
 
     /// True if the precedes quotient is acyclic, i.e. a valid `→` partial
     /// order satisfying Specs 1.1, 1.2, 2.3 and 2.4 exists.
     pub fn precedes_acyclic(&self) -> bool {
-        self.topo.is_some()
+        self.acyclic
     }
 
     /// True if the ord quotient is acyclic, i.e. an `ord` satisfying Specs
@@ -190,101 +199,62 @@ impl EventGraph {
     /// The constructed `ord` value of an event (a concrete witness for the
     /// paper's logical total order), if feasible.
     pub fn ord_of(&self, r: EvRef) -> Option<u64> {
-        self.ord.as_ref().map(|o| o[self.index[&r]])
+        self.ord.as_ref().map(|o| o[self.id(r)] as u64)
     }
 
     /// Whether `a → b` in the constructed precedes relation (reflexive, as
     /// in the paper).
     pub fn precedes(&self, a: EvRef, b: EvRef) -> bool {
-        let (ca, cb) = (self.class[self.index[&a]], self.class[self.index[&b]]);
-        if ca == cb {
-            return true;
+        a.idx < self.horizon(b, a.pid)
+    }
+}
+
+/// Tarjan's strongly connected components over each node's in-edges
+/// (`NONE` for none), iteratively: the component of each node, numbered
+/// in completion order — after every component with an edge into it —
+/// and the nodes in that order.
+fn strong_components(preds: &[[usize; 2]]) -> (Vec<usize>, Vec<usize>) {
+    let n = preds.len();
+    let (mut index, mut low, mut comp) = (vec![NONE; n], vec![0; n], vec![NONE; n]);
+    let (mut stack, mut done, mut calls) = (Vec::new(), Vec::with_capacity(n), Vec::new());
+    let mut visited = 0;
+    for root in 0..n {
+        if index[root] != NONE {
+            continue;
         }
-        let mut cache = self.reach_cache.borrow_mut();
-        let reach = cache.entry(ca).or_insert_with(|| {
-            // BFS from ca over the class graph.
-            let mut seen = vec![false; self.num_classes];
-            let mut stack = vec![ca];
-            seen[ca] = true;
-            while let Some(c) = stack.pop() {
-                for &d in &self.adj[c] {
-                    if !seen[d] {
-                        seen[d] = true;
-                        stack.push(d);
-                    }
+        calls.push((root, 0));
+        while let Some((v, next)) = calls.pop() {
+            if next == 0 {
+                (index[v], low[v]) = (visited, visited);
+                visited += 1;
+                stack.push(v);
+            }
+            if let Some(&w) = preds[v].get(next) {
+                calls.push((v, next + 1));
+                if w != NONE && index[w] == NONE {
+                    calls.push((w, 0));
+                } else if w != NONE && comp[w] == NONE {
+                    low[v] = low[v].min(index[w]);
+                }
+                continue;
+            }
+            if let Some(&(u, _)) = calls.last() {
+                low[u] = low[u].min(low[v]);
+            }
+            if low[v] == index[v] {
+                let k = done.last().map_or(0, |&w| comp[w] + 1);
+                let at = stack
+                    .iter()
+                    .rposition(|&w| w == v)
+                    .expect("v is on the stack");
+                for w in stack.drain(at..) {
+                    comp[w] = k;
+                    done.push(w);
                 }
             }
-            seen
-        });
-        reach[cb]
-    }
-}
-
-fn topological_order(adj: &[Vec<usize>]) -> Option<Vec<usize>> {
-    let n = adj.len();
-    let mut indeg = vec![0usize; n];
-    for out in adj {
-        for &b in out {
-            indeg[b] += 1;
         }
     }
-    let mut queue: Vec<usize> = (0..n).filter(|&i| indeg[i] == 0).collect();
-    // Deterministic order: smallest class id first.
-    queue.sort_unstable_by(|a, b| b.cmp(a));
-    let mut order = Vec::with_capacity(n);
-    while let Some(c) = queue.pop() {
-        order.push(c);
-        for &d in &adj[c] {
-            indeg[d] -= 1;
-            if indeg[d] == 0 {
-                queue.push(d);
-            }
-        }
-        queue.sort_unstable_by(|a, b| b.cmp(a));
-    }
-    (order.len() == n).then_some(order)
-}
-
-#[derive(Clone, Debug)]
-struct UnionFind {
-    parent: Vec<usize>,
-}
-
-impl UnionFind {
-    fn new(n: usize) -> Self {
-        UnionFind {
-            parent: (0..n).collect(),
-        }
-    }
-
-    fn find(&mut self, a: usize) -> usize {
-        if self.parent[a] != a {
-            let root = self.find(self.parent[a]);
-            self.parent[a] = root;
-        }
-        self.parent[a]
-    }
-
-    fn union(&mut self, a: usize, b: usize) {
-        let (ra, rb) = (self.find(a), self.find(b));
-        if ra != rb {
-            self.parent[rb] = ra;
-        }
-    }
-
-    /// Returns (class id per element, number of classes), with class ids
-    /// dense in 0..count.
-    fn compress(&mut self) -> (Vec<usize>, usize) {
-        let n = self.parent.len();
-        let mut dense: HashMap<usize, usize> = HashMap::new();
-        let mut class = vec![0usize; n];
-        for (i, slot) in class.iter_mut().enumerate() {
-            let root = self.find(i);
-            let next = dense.len();
-            *slot = *dense.entry(root).or_insert(next);
-        }
-        (class, dense.len())
-    }
+    (comp, done)
 }
 
 #[cfg(test)]

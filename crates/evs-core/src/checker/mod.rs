@@ -39,7 +39,7 @@ use evs_membership::ConfigId;
 use evs_order::{MessageId, Service};
 use evs_sim::ProcessId;
 use evs_telemetry::{RecordedEvent, Telemetry};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
 
 /// A single specification violation.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -104,6 +104,10 @@ pub struct Analysis<'t> {
     pub conf_delivs: BTreeMap<ConfigId, Vec<EvRef>>,
     /// All failures: (event ref, configuration failed in).
     pub fails: Vec<(EvRef, ConfigId)>,
+    /// The first send of each message sent more than once.
+    first_sends: BTreeMap<MessageId, EvRef>,
+    /// `(process, regular configuration)` per failure.
+    failed_in: HashSet<(usize, ConfigId)>,
     /// Violations detected while indexing (identity-level breakage).
     registry_violations: Vec<Violation>,
 }
@@ -111,61 +115,53 @@ pub struct Analysis<'t> {
 impl<'t> Analysis<'t> {
     /// Indexes a trace and constructs the `→`/`ord` witnesses.
     pub fn build(trace: &'t Trace) -> Self {
-        let graph = EventGraph::build(trace);
-        let mut configs: BTreeMap<ConfigId, Configuration> = BTreeMap::new();
-        let mut reg_of: BTreeMap<ConfigId, ConfigId> = BTreeMap::new();
-        let mut sends: BTreeMap<MessageId, SendInfo> = BTreeMap::new();
-        let mut delivers: BTreeMap<MessageId, Vec<DeliverInfo>> = BTreeMap::new();
-        let mut conf_delivs: BTreeMap<ConfigId, Vec<EvRef>> = BTreeMap::new();
-        let mut fails = Vec::new();
-        let mut violations = Vec::new();
-
+        let mut a = Analysis {
+            trace,
+            graph: EventGraph::default(),
+            configs: BTreeMap::new(),
+            reg_of: BTreeMap::new(),
+            sends: BTreeMap::new(),
+            delivers: BTreeMap::new(),
+            conf_delivs: BTreeMap::new(),
+            fails: Vec::new(),
+            first_sends: BTreeMap::new(),
+            failed_in: HashSet::new(),
+            registry_violations: Vec::new(),
+        };
+        let identity = |detail| Violation {
+            spec: "identity",
+            detail,
+        };
         for (pid, log) in trace.events.iter().enumerate() {
-            let mut last_regular: Option<ConfigId> = None;
+            let mut last_regular = None;
             for (idx, (_, ev)) in log.iter().enumerate() {
-                let r = EvRef { pid, idx };
-                match ev {
-                    EvsEvent::DeliverConf(c) => {
-                        match configs.get(&c.id) {
-                            Some(prev) if prev != c => violations.push(Violation {
-                                spec: "identity",
-                                detail: format!(
-                                    "configuration {} delivered with two memberships: {:?} vs {:?}",
-                                    c.id, prev.members, c.members
-                                ),
-                            }),
-                            Some(_) => {}
-                            None => {
-                                configs.insert(c.id, c.clone());
-                            }
+                let (r, v) = (EvRef { pid, idx }, &mut a.registry_violations);
+                match *ev {
+                    EvsEvent::DeliverConf(ref c) => {
+                        let known = a.configs.entry(c.id).or_insert_with(|| c.clone());
+                        if known != c {
+                            v.push(identity(format!(
+                                "configuration {} delivered with two memberships: {:?} vs {:?}",
+                                c.id, known.members, c.members
+                            )));
                         }
-                        conf_delivs.entry(c.id).or_default().push(r);
+                        a.conf_delivs.entry(c.id).or_default().push(r);
                         if c.id.is_regular() {
-                            reg_of.entry(c.id).or_insert(c.id);
+                            a.reg_of.insert(c.id, c.id);
                             last_regular = Some(c.id);
-                        } else {
-                            match last_regular {
-                                Some(reg) => match reg_of.get(&c.id) {
-                                    Some(&prev) if prev != reg => violations.push(Violation {
-                                        spec: "identity",
-                                        detail: format!(
-                                            "transitional {} follows {} at P{pid} but {} elsewhere",
-                                            c.id, reg, prev
-                                        ),
-                                    }),
-                                    Some(_) => {}
-                                    None => {
-                                        reg_of.insert(c.id, reg);
-                                    }
-                                },
-                                None => violations.push(Violation {
-                                    spec: "identity",
-                                    detail: format!(
-                                        "transitional {} delivered at P{pid} with no preceding regular configuration",
-                                        c.id
-                                    ),
-                                }),
+                        } else if let Some(reg) = last_regular {
+                            let prev = *a.reg_of.entry(c.id).or_insert(reg);
+                            if prev != reg {
+                                v.push(identity(format!(
+                                    "transitional {} follows {reg} at P{pid} but {prev} elsewhere",
+                                    c.id
+                                )));
                             }
+                        } else {
+                            v.push(identity(format!(
+                                "transitional {} delivered at P{pid} with no preceding regular configuration",
+                                c.id
+                            )));
                         }
                     }
                     EvsEvent::Send {
@@ -173,18 +169,20 @@ impl<'t> Analysis<'t> {
                         config,
                         service,
                     } => {
+                        let sender = ProcessId::new(pid as u32);
                         let info = SendInfo {
                             r,
-                            sender: ProcessId::new(pid as u32),
-                            config: *config,
-                            service: *service,
+                            sender,
+                            config,
+                            service,
                         };
-                        if let Some(prev) = sends.insert(*id, info) {
-                            violations.push(Violation {
+                        if let Some(prev) = a.sends.insert(id, info) {
+                            a.first_sends.entry(id).or_insert(prev.r);
+                            v.push(Violation {
                                 spec: "1.4",
                                 detail: format!(
-                                    "message {id} sent twice: by P{} in {} and by P{pid} in {}",
-                                    prev.sender, prev.config, config
+                                    "message {id} sent twice: by P{} in {} and by P{pid} in {config}",
+                                    prev.sender, prev.config
                                 ),
                             });
                         }
@@ -195,34 +193,36 @@ impl<'t> Analysis<'t> {
                         service,
                         seq,
                     } => {
-                        delivers.entry(*id).or_default().push(DeliverInfo {
+                        let info = DeliverInfo {
                             r,
-                            config: *config,
-                            service: *service,
-                            seq: *seq,
-                        });
+                            config,
+                            service,
+                            seq,
+                        };
+                        a.delivers.entry(id).or_default().push(info);
                     }
-                    EvsEvent::Fail { config } => fails.push((r, *config)),
+                    EvsEvent::Fail { config } => a.fails.push((r, config)),
                 }
             }
         }
-
-        Analysis {
-            trace,
-            graph,
-            configs,
-            reg_of,
-            sends,
-            delivers,
-            conf_delivs,
-            fails,
-            registry_violations: violations,
-        }
+        a.failed_in = (a.fails.iter())
+            .filter_map(|&(r, c)| Some((r.pid, a.reg(c)?)))
+            .collect();
+        a.graph = EventGraph::new(&a);
+        a
     }
 
-    /// The event at a reference.
-    pub fn event(&self, r: EvRef) -> &EvsEvent {
-        &self.trace.events[r.pid][r.idx].1
+    /// Every violation of Specs 1.1–7.2 in the trace.
+    fn violations(&self) -> Vec<Violation> {
+        let mut v = self.registry_violations.clone();
+        v.extend(specs::check_spec1(self));
+        v.extend(specs::check_spec2(self));
+        v.extend(specs::check_spec3(self));
+        v.extend(specs::check_spec4(self));
+        v.extend(specs::check_spec5(self));
+        v.extend(specs::check_spec6(self));
+        v.extend(specs::check_spec7(self));
+        v
     }
 
     /// The regular configuration underlying `c` (identity for regular
@@ -242,26 +242,36 @@ impl<'t> Analysis<'t> {
     /// transitional configuration following it (see the note below
     /// Spec 6.3 in the paper).
     pub fn com_compatible(&self, a: ConfigId, b: ConfigId) -> bool {
-        match (self.reg(a), self.reg(b)) {
-            (Some(x), Some(y)) => x == y,
-            _ => false,
-        }
+        self.reg(a).is_some_and(|x| self.reg(b) == Some(x))
     }
 
-    /// All deliveries of message `m` by process `q`.
-    pub fn deliveries_by(&self, m: MessageId, q: ProcessId) -> Vec<&DeliverInfo> {
-        self.delivers
-            .get(&m)
-            .map(|v| v.iter().filter(|d| d.r.pid == q.as_usize()).collect())
-            .unwrap_or_default()
+    /// Every message sent or delivered, in id order, with its send and its
+    /// deliveries: one merge of `sends` and `delivers`, no lookups.
+    fn messages(&self) -> impl Iterator<Item = (MessageId, Option<&SendInfo>, &[DeliverInfo])> {
+        let mut sends = self.sends.iter().peekable();
+        let mut delivers = self.delivers.iter().peekable();
+        std::iter::from_fn(move || {
+            let m = [sends.peek().map(|s| *s.0), delivers.peek().map(|d| *d.0)];
+            let m = m.into_iter().flatten().min()?;
+            let send = sends.next_if(|s| *s.0 == m).map(|s| s.1);
+            let delivs = delivers.next_if(|d| *d.0 == m).map_or(&[][..], |d| d.1);
+            Some((m, send, delivs))
+        })
+    }
+
+    /// True if one of `delivs` is by process `q`, in a configuration
+    /// com-compatible with `c`.
+    fn delivered_in_com(&self, delivs: &[DeliverInfo], q: usize, c: ConfigId) -> bool {
+        delivs
+            .iter()
+            .any(|d| d.r.pid == q && self.com_compatible(d.config, c))
     }
 
     /// True if process `q` has a failure event in a configuration
     /// com-compatible with `c`.
     pub fn failed_in_com(&self, q: ProcessId, c: ConfigId) -> bool {
-        self.fails
-            .iter()
-            .any(|(r, f)| r.pid == q.as_usize() && self.com_compatible(*f, c))
+        self.reg(c)
+            .is_some_and(|reg| self.failed_in.contains(&(q.as_usize(), reg)))
     }
 }
 
@@ -272,15 +282,7 @@ impl<'t> Analysis<'t> {
 /// Returns the full list of violations if the trace breaks any
 /// specification of the extended virtual synchrony model.
 pub fn check_all(trace: &Trace) -> Result<(), Vec<Violation>> {
-    let a = Analysis::build(trace);
-    let mut v = a.registry_violations.clone();
-    v.extend(specs::check_spec1(&a));
-    v.extend(specs::check_spec2(&a));
-    v.extend(specs::check_spec3(&a));
-    v.extend(specs::check_spec4(&a));
-    v.extend(specs::check_spec5(&a));
-    v.extend(specs::check_spec6(&a));
-    v.extend(specs::check_spec7(&a));
+    let v = Analysis::build(trace).violations();
     if v.is_empty() {
         Ok(())
     } else {
@@ -476,10 +478,7 @@ impl fmt::Display for ConformanceReport {
 /// ```
 pub fn report(trace: &Trace) -> ConformanceReport {
     let a = Analysis::build(trace);
-    let violations = match check_all(trace) {
-        Ok(()) => Vec::new(),
-        Err(v) => v,
-    };
+    let violations = a.violations();
     ConformanceReport {
         processes: trace.num_processes(),
         events: trace.len(),

@@ -1,11 +1,18 @@
 //! The individual specification predicates (Specs 1–7, §2.1 of the paper).
+//!
+//! Each pass reads the `→` witness through [`EventGraph`](super::EventGraph)'s
+//! vector timestamps and walks the trace, or one merge of the per-message
+//! indexes, a bounded number of times: no pass enumerates pairs of events
+//! or messages.
 
-use super::{Analysis, EvRef, Violation};
+use super::{Analysis, DeliverInfo, EvRef, Violation};
 use crate::EvsEvent;
 use evs_membership::ConfigId;
 use evs_order::{MessageId, Service};
-use evs_sim::ProcessId;
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
+
+/// Per process, `(position in its log, message)` pairs in log order.
+type ByPosition = Vec<Vec<(usize, MessageId)>>;
 
 /// **Basic Delivery (Specs 1.1–1.4).**
 ///
@@ -18,7 +25,8 @@ use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 ///   underlying the delivery's configuration, and the send precedes the
 ///   delivery.
 /// * 1.4 — sends happen in regular configurations; a message is sent by one
-///   process, once; no process delivers the same message twice.
+///   process, once (duplicate sends are reported while indexing); no
+///   process delivers the same message twice.
 pub fn check_spec1(a: &Analysis<'_>) -> Vec<Violation> {
     let mut v = Vec::new();
     if !a.graph.precedes_acyclic() {
@@ -28,10 +36,9 @@ pub fn check_spec1(a: &Analysis<'_>) -> Vec<Violation> {
                 .to_string(),
         });
     }
-
-    for (m, delivs) in &a.delivers {
-        let Some(send) = a.sends.get(m) else {
-            for d in delivs {
+    for (m, send, delivs) in a.messages() {
+        for d in delivs {
+            let Some(send) = send else {
                 v.push(Violation {
                     spec: "1.3",
                     detail: format!(
@@ -39,19 +46,16 @@ pub fn check_spec1(a: &Analysis<'_>) -> Vec<Violation> {
                         d.r.pid, d.config
                     ),
                 });
-            }
-            continue;
-        };
-        for d in delivs {
-            match a.reg(d.config) {
-                Some(reg) if reg == send.config => {}
-                _ => v.push(Violation {
+                continue;
+            };
+            if a.reg(d.config) != Some(send.config) {
+                v.push(Violation {
                     spec: "1.3",
                     detail: format!(
                         "P{} delivers {m} in {} whose regular configuration is not the sending configuration {}",
                         d.r.pid, d.config, send.config
                     ),
-                }),
+                });
             }
             if !a.graph.precedes(send.r, d.r) {
                 v.push(Violation {
@@ -60,27 +64,18 @@ pub fn check_spec1(a: &Analysis<'_>) -> Vec<Violation> {
                 });
             }
         }
-    }
-
-    for (m, send) in &a.sends {
-        if !send.config.is_regular() {
+        if let Some(send) = send.filter(|s| !s.config.is_regular()) {
             v.push(Violation {
                 spec: "1.4",
                 detail: format!("{m} sent in non-regular configuration {}", send.config),
             });
         }
-    }
-    // (Duplicate sends are reported during indexing.)
-    for (m, delivs) in &a.delivers {
-        let mut per_proc: HashMap<usize, u32> = HashMap::new();
-        for d in delivs {
-            *per_proc.entry(d.r.pid).or_insert(0) += 1;
-        }
-        for (pid, count) in per_proc {
-            if count > 1 {
+        // Deliveries are indexed in process order.
+        for by_one in delivs.chunk_by(|x, y| x.r.pid == y.r.pid) {
+            if by_one.len() > 1 {
                 v.push(Violation {
                     spec: "1.4",
-                    detail: format!("P{pid} delivers {m} {count} times"),
+                    detail: format!("P{} delivers {m} {} times", by_one[0].r.pid, by_one.len()),
                 });
             }
         }
@@ -100,13 +95,18 @@ pub fn check_spec1(a: &Analysis<'_>) -> Vec<Violation> {
 pub fn check_spec2(a: &Analysis<'_>) -> Vec<Violation> {
     let mut v = Vec::new();
 
-    // --- 2.2 (and first-event sanity): scan each process's history.
+    // --- 2.2 (and first-event sanity): scan each process's history,
+    // noting where it ends: (last installed configuration, failed after
+    // it?).
+    let mut finals: Vec<Option<(ConfigId, bool)>> = Vec::new();
     for (pid, log) in a.trace.events.iter().enumerate() {
         let mut current: Option<ConfigId> = None;
+        let mut last = None;
         for (idx, (_, ev)) in log.iter().enumerate() {
             match ev {
                 EvsEvent::DeliverConf(c) => {
                     current = Some(c.id);
+                    last = Some((c.id, false));
                 }
                 EvsEvent::Send { config, .. }
                 | EvsEvent::Deliver { config, .. }
@@ -121,44 +121,26 @@ pub fn check_spec2(a: &Analysis<'_>) -> Vec<Violation> {
                     }
                     if matches!(ev, EvsEvent::Fail { .. }) {
                         current = None; // next event must be a recovery conf change
+                        last = last.map(|(c, _)| (c, true));
                     }
                 }
             }
         }
+        finals.push(last);
     }
 
     // --- 2.1: quiescent agreement on the final configuration.
     // For each process p whose history ends in configuration c without a
     // failure in c, every member of c must also end in c without failing.
-    let final_state = |pid: usize| -> Option<(ConfigId, bool)> {
-        // Returns (last installed configuration, failed after it?).
-        let log = &a.trace.events[pid];
-        let mut last_conf = None;
-        let mut failed = false;
-        for (_, ev) in log {
-            match ev {
-                EvsEvent::DeliverConf(c) => {
-                    last_conf = Some(c.id);
-                    failed = false;
-                }
-                EvsEvent::Fail { .. } => failed = true,
-                _ => {}
-            }
-        }
-        last_conf.map(|c| (c, failed))
-    };
-    for pid in 0..a.trace.num_processes() {
-        let Some((c, failed)) = final_state(pid) else {
+    for (pid, &fin) in finals.iter().enumerate() {
+        let Some((c, false)) = fin else {
             continue;
         };
-        if failed {
-            continue;
-        }
         let Some(cfg) = a.configs.get(&c) else {
             continue;
         };
         for &q in &cfg.members {
-            match final_state(q.as_usize()) {
+            match finals.get(q.as_usize()).copied().flatten() {
                 Some((qc, qfailed)) if qc == c && !qfailed => {}
                 other => v.push(Violation {
                     spec: "2.1",
@@ -175,32 +157,22 @@ pub fn check_spec2(a: &Analysis<'_>) -> Vec<Violation> {
 /// fails before leaving them.
 pub fn check_spec3(a: &Analysis<'_>) -> Vec<Violation> {
     let mut v = Vec::new();
-    for (m, send) in &a.sends {
+    for (m, send, delivs) in a.messages() {
+        let Some(send) = send else {
+            continue;
+        };
         let pid = send.r.pid;
-        let delivered = a
-            .deliveries_by(*m, send.sender)
-            .iter()
-            .any(|d| a.com_compatible(d.config, send.config));
-        if delivered {
+        if a.delivered_in_com(delivs, pid, send.config) {
             continue;
         }
         // Scan forward from the send: did the process leave com(c) without
-        // failing?
-        let log = &a.trace.events[pid];
-        let mut left_without_failure = false;
-        for (_, ev) in log.iter().skip(send.r.idx + 1) {
-            match ev {
-                EvsEvent::Fail { config } if a.com_compatible(*config, send.config) => {
-                    break; // failed in com(c): exempt
-                }
-                EvsEvent::DeliverConf(c2) if !a.com_compatible(c2.id, send.config) => {
-                    left_without_failure = true;
-                    break;
-                }
-                _ => {}
-            }
-        }
-        if left_without_failure {
+        // failing (a failure in com(c) exempts it)?
+        let left = (a.trace.events[pid][send.r.idx + 1..].iter()).find_map(|(_, ev)| match ev {
+            EvsEvent::Fail { config } if a.com_compatible(*config, send.config) => Some(false),
+            EvsEvent::DeliverConf(c2) if !a.com_compatible(c2.id, send.config) => Some(true),
+            _ => None,
+        });
+        if left == Some(true) {
             v.push(Violation {
                 spec: "3",
                 detail: format!(
@@ -213,44 +185,41 @@ pub fn check_spec3(a: &Analysis<'_>) -> Vec<Violation> {
     v
 }
 
-/// Splits a process's history into configuration segments:
-/// `(configuration, messages delivered in it, index of next segment)`.
-fn segments(a: &Analysis<'_>, pid: usize) -> Vec<(ConfigId, BTreeSet<MessageId>)> {
-    let mut segs: Vec<(ConfigId, BTreeSet<MessageId>)> = Vec::new();
-    for (_, ev) in &a.trace.events[pid] {
-        match ev {
-            EvsEvent::DeliverConf(c) => segs.push((c.id, BTreeSet::new())),
-            EvsEvent::Deliver { id, .. } => {
-                if let Some(last) = segs.last_mut() {
-                    last.1.insert(*id);
-                }
-            }
-            _ => {}
-        }
-    }
-    segs
-}
-
 /// **Failure Atomicity (Spec 4).** Processes that proceed together from
 /// configuration `c` to configuration `c'''` deliver the same set of
 /// messages in `c`.
 pub fn check_spec4(a: &Analysis<'_>) -> Vec<Violation> {
     let mut v = Vec::new();
     // (c, c''') → (first process seen, its delivered set in c)
-    let mut by_transition: HashMap<(ConfigId, ConfigId), (usize, BTreeSet<MessageId>)> =
-        HashMap::new();
-    for pid in 0..a.trace.num_processes() {
-        let segs = segments(a, pid);
-        for w in segs.windows(2) {
-            let (c, delivered) = (&w[0].0, &w[0].1);
-            let next = w[1].0;
-            match by_transition.get(&(*c, next)) {
+    let mut by_transition: HashMap<(ConfigId, ConfigId), (usize, Vec<MessageId>)> = HashMap::new();
+    for (pid, log) in a.trace.events.iter().enumerate() {
+        // The configuration segments of pid's history, each with the sorted
+        // set of messages delivered in it.
+        let mut segs: Vec<(ConfigId, Vec<MessageId>)> = Vec::new();
+        for (_, ev) in log {
+            match (ev, segs.last_mut()) {
+                (EvsEvent::DeliverConf(c), _) => segs.push((c.id, Vec::new())),
+                (EvsEvent::Deliver { id, .. }, Some(seg)) => seg.1.push(*id),
+                _ => {}
+            }
+        }
+        for i in 1..segs.len() {
+            let (c, next) = (segs[i - 1].0, segs[i].0);
+            let mut delivered = std::mem::take(&mut segs[i - 1].1);
+            delivered.sort_unstable();
+            delivered.dedup();
+            match by_transition.get(&(c, next)) {
                 None => {
-                    by_transition.insert((*c, next), (pid, delivered.clone()));
+                    by_transition.insert((c, next), (pid, delivered));
                 }
-                Some((other, set)) if set != delivered => {
-                    let only_theirs: Vec<_> = set.difference(delivered).collect();
-                    let only_ours: Vec<_> = delivered.difference(set).collect();
+                Some((other, set)) if *set != delivered => {
+                    let extra = |x: &[MessageId], y: &[MessageId]| -> Vec<MessageId> {
+                        x.iter()
+                            .copied()
+                            .filter(|m| y.binary_search(m).is_err())
+                            .collect()
+                    };
+                    let (only_theirs, only_ours) = (extra(set, &delivered), extra(&delivered, set));
                     v.push(Violation {
                         spec: "4",
                         detail: format!(
@@ -268,57 +237,79 @@ pub fn check_spec4(a: &Analysis<'_>) -> Vec<Violation> {
 /// **Causal Delivery (Spec 5).** Within one configuration, if
 /// `send(m) → send(m')` and a process delivers `m'`, it delivers `m`
 /// first.
+///
+/// The sends of one sender that precede `send(m')` are a prefix of its
+/// sends, `horizon(send(m'))` long, so each deliverer keeps, per sending
+/// configuration and sender, its first send there not yet delivered; a
+/// delivery of `m'` is in order when every such pointer has passed the
+/// horizon. Sends in `send(m')`'s own strongly connected block (only on a
+/// cycle) do not strictly precede it and are exempt.
 pub fn check_spec5(a: &Analysis<'_>) -> Vec<Violation> {
-    let mut v = Vec::new();
-    // Group sends by configuration.
-    let mut by_config: BTreeMap<ConfigId, Vec<(MessageId, EvRef)>> = BTreeMap::new();
+    // Each configuration's sends, per sender in its order, and the
+    // deliverer's pointer into each sender's list: its first send there
+    // the deliverer has not delivered.
+    let n = a.trace.num_processes();
+    let mut sent: BTreeMap<ConfigId, (ByPosition, Vec<usize>)> = BTreeMap::new();
     for (m, s) in &a.sends {
-        by_config.entry(s.config).or_default().push((*m, s.r));
+        let (senders, _) = sent
+            .entry(s.config)
+            .or_insert_with(|| (vec![Vec::new(); n], vec![0; n]));
+        senders[s.r.pid].push((s.r.idx, *m));
     }
-    for (config, sends) in &by_config {
-        for (m2, s2) in sends {
-            let Some(delivs2) = a.delivers.get(m2) else {
+    for sends in sent.values_mut().flat_map(|(senders, _)| senders) {
+        sends.sort_unstable();
+    }
+
+    // (configuration, m', m, deliverer, position) per delivery out of order.
+    let mut missed = Vec::new();
+    let logs = &a.trace.events;
+    let mut done: Vec<Vec<bool>> = logs.iter().map(|l| vec![false; l.len()]).collect();
+    for (q, log) in logs.iter().enumerate() {
+        done.iter_mut().for_each(|d| d.fill(false));
+        sent.values_mut().for_each(|(_, next)| next.fill(0));
+        for (idx, (_, ev)) in log.iter().enumerate() {
+            let EvsEvent::Deliver { id: m2, config, .. } = ev else {
                 continue;
             };
-            for (m1, s1) in sends {
-                if m1 == m2 || !a.graph.precedes(*s1, *s2) || a.graph.precedes(*s2, *s1) {
-                    continue;
+            let s2 = a
+                .sends
+                .get(m2)
+                .filter(|s| a.com_compatible(*config, s.config));
+            let Some(s2) = s2 else {
+                continue;
+            };
+            done[s2.r.pid][s2.r.idx] = true;
+            let (senders, next) = sent.get_mut(&s2.config).expect("indexed above");
+            for (p, (sends, next)) in senders.iter().zip(next).enumerate() {
+                while *next < sends.len() && done[p][sends[*next].0] {
+                    *next += 1;
                 }
-                // send(m1) strictly precedes send(m2) in configuration
-                // `config`: every deliverer of m2 (in a com-compatible
-                // configuration) must deliver m1 first.
-                for d2 in delivs2 {
-                    if !a.com_compatible(d2.config, *config) {
-                        continue;
-                    }
-                    let q = ProcessId::new(d2.r.pid as u32);
-                    let d1 = a
-                        .deliveries_by(*m1, q)
-                        .into_iter()
-                        .find(|d| a.com_compatible(d.config, *config))
-                        .copied();
-                    match d1 {
-                        None => v.push(Violation {
-                            spec: "5",
-                            detail: format!(
-                                "P{} delivers {m2} but not its causal predecessor {m1} (config {config})",
-                                d2.r.pid
-                            ),
-                        }),
-                        Some(d1) if d1.r.idx >= d2.r.idx => v.push(Violation {
-                            spec: "5",
-                            detail: format!(
-                                "P{} delivers {m1} after {m2} despite send({m1}) -> send({m2})",
-                                d2.r.pid
-                            ),
-                        }),
-                        Some(_) => {}
+                let horizon = a.graph.horizon(s2.r, p);
+                for &(i, m1) in sends[*next..].iter().take_while(|s| s.0 < horizon) {
+                    if !done[p][i] && !a.graph.precedes(s2.r, EvRef { pid: p, idx: i }) {
+                        missed.push((s2.config, *m2, m1, q, idx));
                     }
                 }
             }
         }
     }
-    v
+    missed.sort_unstable();
+    (missed.into_iter())
+        .map(|(c, m2, m1, q, _)| {
+            let later = a
+                .delivers
+                .get(&m1)
+                .is_some_and(|d| a.delivered_in_com(d, q, c));
+            Violation {
+                spec: "5",
+                detail: if later {
+                    format!("P{q} delivers {m1} after {m2} despite send({m1}) -> send({m2})")
+                } else {
+                    format!("P{q} delivers {m2} but not its causal predecessor {m1} (config {c})")
+                },
+            }
+        })
+        .collect()
 }
 
 /// **Totally Ordered Delivery (Specs 6.1–6.3).**
@@ -339,57 +330,76 @@ pub fn check_spec6(a: &Analysis<'_>) -> Vec<Violation> {
         });
     }
 
-    // --- 6.3, evaluated per underlying regular configuration.
-    // Collect each process's in-order deliveries per regular configuration:
-    // (process, [(message, delivery configuration)] in delivery order).
-    type PerProcessDeliveries = Vec<(usize, Vec<(MessageId, ConfigId)>)>;
-    let mut per_reg: BTreeMap<ConfigId, PerProcessDeliveries> = BTreeMap::new();
-    for pid in 0..a.trace.num_processes() {
-        let mut lists: BTreeMap<ConfigId, Vec<(MessageId, ConfigId)>> = BTreeMap::new();
-        for (_, ev) in &a.trace.events[pid] {
-            if let EvsEvent::Deliver { id, config, .. } = ev {
-                if let Some(reg) = a.reg(*config) {
-                    lists.entry(reg).or_default().push((*id, *config));
+    // --- 6.3, per underlying regular configuration r: which processes
+    // deliver there at all, then what each of those misses — messages
+    // sent in r that someone else delivers in r.
+    let in_realm = |d: &DeliverInfo, r| a.reg(d.config) == Some(r);
+    let mut active = BTreeSet::new();
+    for (pid, log) in a.trace.events.iter().enumerate() {
+        let mut last = None;
+        for (_, ev) in log {
+            if let EvsEvent::Deliver { config, .. } = ev {
+                if last.replace(*config) != Some(*config) {
+                    active.extend(a.reg(*config).map(|r| (r, pid)));
                 }
             }
-        }
-        for (reg, list) in lists {
-            per_reg.entry(reg).or_default().push((pid, list));
         }
     }
-    for (reg, lists) in &per_reg {
-        // All (m, m') pairs delivered in that order by some process.
-        let mut before_pairs: HashSet<(MessageId, MessageId)> = HashSet::new();
-        for (_, list) in lists {
-            for i in 0..list.len() {
-                for j in (i + 1)..list.len() {
-                    before_pairs.insert((list[i].0, list[j].0));
+    let mut missing: BTreeMap<(ConfigId, usize), Vec<MessageId>> = BTreeMap::new();
+    for (m, send, delivs) in a.messages() {
+        let Some(r) = send.map(|s| s.config) else {
+            continue;
+        };
+        if delivs.iter().any(|d| in_realm(d, r)) {
+            for &(_, pid) in active.range((r, 0)..=(r, usize::MAX)) {
+                if !delivs.iter().any(|d| d.r.pid == pid && in_realm(d, r)) {
+                    missing.entry((r, pid)).or_default().push(m);
                 }
             }
         }
-        for (pid, list) in lists {
-            let delivered: HashSet<MessageId> = list.iter().map(|(m, _)| *m).collect();
-            for (m2, c2) in list {
-                let Some(members) = a.configs.get(c2).map(|c| &c.members) else {
-                    continue;
-                };
-                for &(m1, mm2) in &before_pairs {
-                    if mm2 != *m2 || delivered.contains(&m1) {
-                        continue;
-                    }
-                    let Some(s1) = a.sends.get(&m1) else {
-                        continue;
-                    };
-                    if s1.config == *reg && members.contains(&s1.sender) {
-                        v.push(Violation {
-                            spec: "6.3",
-                            detail: format!(
-                                "P{pid} delivers {m2} in {c2} but skipped {m1} (ordered earlier) whose sender {} is a member of {c2}",
-                                s1.sender
-                            ),
-                        });
-                    }
+    }
+    // Per (r, process), where each process delivers the messages it
+    // skipped in r: some process delivers m before m' iff one of these
+    // positions is below one of its deliveries of m'.
+    let at: BTreeMap<(ConfigId, usize), ByPosition> = (missing.into_iter())
+        .map(|((r, pid), skipped)| {
+            let mut at = vec![Vec::new(); a.trace.num_processes()];
+            for m1 in skipped {
+                for d in a.delivers[&m1].iter().filter(|d| in_realm(d, r)) {
+                    at[d.r.pid].push((d.r.idx, m1));
                 }
+            }
+            at.iter_mut().for_each(|at| at.sort_unstable());
+            ((r, pid), at)
+        })
+        .collect();
+    for (pid, log) in a.trace.events.iter().enumerate() {
+        for (_, ev) in log {
+            let EvsEvent::Deliver {
+                id: m2, config: c2, ..
+            } = ev
+            else {
+                continue;
+            };
+            let Some(r) = a.reg(*c2) else {
+                continue;
+            };
+            let (Some(at), Some(c)) = (at.get(&(r, pid)), a.configs.get(c2)) else {
+                continue;
+            };
+            let gaps: BTreeSet<MessageId> = (a.delivers[m2].iter().filter(|d| in_realm(d, r)))
+                .flat_map(|d| at[d.r.pid].iter().take_while(move |s| s.0 < d.r.idx))
+                .map(|&(_, m1)| m1)
+                .filter(|m1| c.members.contains(&a.sends[m1].sender))
+                .collect();
+            for m1 in gaps {
+                v.push(Violation {
+                    spec: "6.3",
+                    detail: format!(
+                        "P{pid} delivers {m2} in {c2} but skipped {m1} (ordered earlier) whose sender {} is a member of {c2}",
+                        a.sends[&m1].sender
+                    ),
+                });
             }
         }
     }
@@ -405,21 +415,16 @@ pub fn check_spec6(a: &Analysis<'_>) -> Vec<Violation> {
 ///   every member installed that configuration.
 pub fn check_spec7(a: &Analysis<'_>) -> Vec<Violation> {
     let mut v = Vec::new();
-    for (m, delivs) in &a.delivers {
-        for d in delivs {
-            if d.service != Service::Safe {
-                continue;
-            }
+    for (m, _, delivs) in a.messages() {
+        for d in delivs.iter().filter(|d| d.service == Service::Safe) {
             let Some(cfg) = a.configs.get(&d.config) else {
                 continue;
             };
             // --- 7.1
             for &q in &cfg.members {
-                let delivered = a
-                    .deliveries_by(*m, q)
-                    .iter()
-                    .any(|dq| a.com_compatible(dq.config, d.config));
-                if !delivered && !a.failed_in_com(q, d.config) {
+                if !a.delivered_in_com(delivs, q.as_usize(), d.config)
+                    && !a.failed_in_com(q, d.config)
+                {
                     v.push(Violation {
                         spec: "7.1",
                         detail: format!(
@@ -431,12 +436,9 @@ pub fn check_spec7(a: &Analysis<'_>) -> Vec<Violation> {
             }
             // --- 7.2
             if d.config.is_regular() {
+                let installs = a.conf_delivs.get(&d.config).map_or(&[][..], |l| l);
                 for &q in &cfg.members {
-                    let installed = a
-                        .conf_delivs
-                        .get(&d.config)
-                        .is_some_and(|l| l.iter().any(|r| r.pid == q.as_usize()));
-                    if !installed {
+                    if !installs.iter().any(|r| r.pid == q.as_usize()) {
                         v.push(Violation {
                             spec: "7.2",
                             detail: format!(
@@ -457,7 +459,7 @@ mod tests {
     use super::*;
     use crate::checker::Analysis;
     use crate::{Configuration, Trace};
-    use evs_sim::SimTime;
+    use evs_sim::{ProcessId, SimTime};
 
     fn p(i: u32) -> ProcessId {
         ProcessId::new(i)

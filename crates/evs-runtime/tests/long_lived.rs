@@ -3,13 +3,13 @@
 //! window, not the number of messages the configuration ever ordered. With
 //! a report listing every ordinal received, the frame passed UDP's
 //! 65,507 bytes after ~8,000 messages and the recovery below never
-//! completed.
+//! completed. The whole trace, every message of it, then passes the
+//! specification checker.
 
-use evs_core::{ConfigId, Delivery, EvsParams, EvsProcess, Payload, Service};
+use evs_core::{checker, EvsParams, EvsProcess, Payload, Service, Trace};
 use evs_runtime::Cluster;
 use evs_sim::ProcessId;
 use evs_telemetry::{names, RunReport};
-use std::collections::BTreeMap;
 use std::time::Duration;
 
 const WAIT: Duration = Duration::from_secs(60);
@@ -39,29 +39,6 @@ fn submit(net: &Cluster, at: u32, service: Service, first: usize, count: usize) 
     });
 }
 
-/// Per configuration, a rolling hash of the ids a member delivered in it,
-/// after each delivery (the specification checker is cubic in the trace;
-/// 20,000 messages are beyond it).
-fn digest(node: &EvsProcess<Payload>) -> BTreeMap<ConfigId, Vec<u64>> {
-    let mut per_config: BTreeMap<ConfigId, Vec<u64>> = BTreeMap::new();
-    for d in node.deliveries() {
-        match d {
-            Delivery::Config(c) => {
-                per_config.entry(c.id).or_default();
-            }
-            Delivery::Message { id, config, .. } => {
-                let hashes = per_config.entry(*config).or_default();
-                let mut hash = hashes.last().copied().unwrap_or(0);
-                for word in [u64::from(id.sender.index()), id.counter] {
-                    hash = (hash ^ word).wrapping_mul(0x0100_0000_01B3);
-                }
-                hashes.push(hash);
-            }
-        }
-    }
-    per_config
-}
-
 #[test]
 fn a_long_lived_configuration_recovers_over_udp() {
     let net = Cluster::udp_loopback(N).expect("bind loopback sockets");
@@ -87,7 +64,6 @@ fn a_long_lived_configuration_recovers_over_udp() {
         }
         assert!(net.wait_until(WAIT, delivered(sent)), "all delivered");
     }
-    let loaded = net.inspect(p(0), |node, _| node.current_config().id);
 
     // What a member retains is what may still be in flight — a few
     // rotations of stamping — however much the configuration has ordered.
@@ -120,33 +96,7 @@ fn a_long_lived_configuration_recovers_over_udp() {
     assert!(net.wait_until(WAIT, delivered(sent + 2)));
     assert_windowed("after the merge");
 
-    // Members that were in a configuration together delivered the same
-    // messages in it, in the same order: all of them where the
-    // configuration was quiet when it ended, as the loaded and the merged
-    // one were; one a prefix of the other's anywhere else.
-    let merged = net.inspect(p(0), |node, _| node.current_config().id);
-    let digests: Vec<_> = everyone
-        .iter()
-        .map(|&q| net.inspect(q, |node, _| digest(node)))
-        .collect();
-    assert!(digests[0][&loaded].len() >= MESSAGES);
-    for (q, theirs) in digests.iter().enumerate().skip(1) {
-        for quiet in [loaded, merged] {
-            assert_eq!(
-                theirs.get(&quiet),
-                digests[0].get(&quiet),
-                "P{q} in {quiet}"
-            );
-        }
-        for (config, in_config) in theirs {
-            let ours = digests[0].get(config).map_or(&[][..], |v| v);
-            if let Some(shared) = in_config.len().min(ours.len()).checked_sub(1) {
-                assert_eq!(in_config[shared], ours[shared], "P{q} and P0 in {config}");
-            }
-        }
-    }
-
     let report = RunReport::collect(&net.telemetry_handles());
     assert_eq!(report.total(names::OVERSIZED_DATAGRAMS_DROPPED), 0);
-    net.shutdown();
+    checker::assert_evs(&Trace::new(net.shutdown()));
 }

@@ -345,6 +345,39 @@ fn checker_rejects_order_gap() {
 }
 
 #[test]
+fn checker_reports_violations_in_a_stable_order() {
+    // Two members each deliver P2's message twice (Spec 1.4) after skipping
+    // two messages of P0's, a member of their configuration (Spec 6.3): the
+    // list must come out the same on every call.
+    let c = cfg(1, &[0, 1, 2]);
+    let twice = vec![
+        (t(0), EvsEvent::DeliverConf(c.clone())),
+        (t(4), ev_deliver(2, 1, &c, Service::Agreed, 3)),
+        (t(5), ev_deliver(2, 1, &c, Service::Agreed, 3)),
+    ];
+    let mut sender = twice.clone();
+    sender.insert(1, (t(1), ev_send(2, 1, &c, Service::Agreed)));
+    let trace = Trace::new(vec![
+        vec![
+            (t(0), EvsEvent::DeliverConf(c.clone())),
+            (t(1), ev_send(0, 1, &c, Service::Agreed)),
+            (t(2), ev_send(0, 2, &c, Service::Agreed)),
+            (t(3), ev_deliver(0, 1, &c, Service::Agreed, 1)),
+            (t(4), ev_deliver(0, 2, &c, Service::Agreed, 2)),
+            (t(5), ev_deliver(2, 1, &c, Service::Agreed, 3)),
+        ],
+        twice,
+        sender,
+    ]);
+    let first = checker::check_all(&trace).unwrap_err();
+    assert!(first.iter().filter(|v| v.spec == "1.4").count() >= 2);
+    assert!(first.iter().filter(|v| v.spec == "6.3").count() >= 2);
+    for _ in 1..16 {
+        assert_eq!(checker::check_all(&trace).unwrap_err(), first);
+    }
+}
+
+#[test]
 fn checker_rejects_safe_delivery_violation() {
     // Spec 7.1: a safe message delivered by P0 in c; member P1 neither
     // delivers it nor fails.
