@@ -46,17 +46,8 @@ use evs_order::{MessageId, OrderedMsg, Ring, RingMsg, RingOut, RingSnapshot, Ser
 use evs_sim::{Ctx, Node, ProcessId, SimTime, TimerId, TimerKind};
 use evs_store::{NullStorage, Replay, ReplayError, Storage};
 use evs_telemetry::{names, Counter, LogHistogram, Telemetry, TelemetryEvent};
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
-
-/// Stable per-service counter name for a delivery.
-fn delivered_counter(service: Service) -> &'static str {
-    match service {
-        Service::Causal => names::DELIVERED_CAUSAL,
-        Service::Agreed => names::DELIVERED_AGREED,
-        Service::Safe => names::DELIVERED_SAFE,
-    }
-}
 
 /// Stable service-level label used in telemetry events.
 fn service_name(service: Service) -> &'static str {
@@ -249,7 +240,8 @@ pub struct EvsProcess<P> {
     /// ids are stamped in counter order (the ring's `pending` queue is
     /// FIFO, and a new configuration takes the old one's unsent
     /// submissions before the buffered ones), so anything at or below it
-    /// is a retransmission.
+    /// is a retransmission. Delivery follows the ordinals, so own ids are
+    /// delivered in counter order too.
     sent_upto: u64,
     /// A token waiting out its pacing delay before being forwarded
     /// (§3/Totem: the token is paced so an idle ring does not spin).
@@ -267,9 +259,20 @@ pub struct EvsProcess<P> {
     refused: Option<ReplayError>,
     /// Adopted from the driver's `Ctx` at `on_start`; detached until then.
     telemetry: Telemetry,
-    /// Origination instants of this process's own in-flight messages, so
-    /// their local delivery can be observed into the latency histograms.
-    origin_times: HashMap<MessageId, SimTime>,
+    /// Origination instants of this process's own in-flight messages, by
+    /// message-id counter, so their local delivery can be observed into
+    /// the latency histograms. Ids are allocated in counter order and own
+    /// messages are delivered in counter order (see `sent_upto`), so this
+    /// is a queue: a delivery pops its entry off the front, after any
+    /// entries for ids that will never be delivered.
+    origin_times: VecDeque<(u64, SimTime)>,
+    /// Highest own message-id counter delivered; own deliveries are
+    /// counter-monotone, which `origin_times` relies on.
+    own_delivered_upto: u64,
+    /// Per-service delivered-message counters, resolved on the first
+    /// delivery of each service (so a report lists only the services that
+    /// were delivered) and dropped whenever the telemetry handle changes.
+    delivered_counters: [Option<Counter>; 3],
     lat_causal: LogHistogram,
     lat_agreed: LogHistogram,
     lat_safe: LogHistogram,
@@ -373,7 +376,9 @@ impl<P: Clone + fmt::Debug + 'static> EvsProcess<P> {
             tick_armed: None,
             refused: None,
             telemetry: Telemetry::disabled(),
-            origin_times: HashMap::new(),
+            origin_times: VecDeque::new(),
+            own_delivered_upto: 0,
+            delivered_counters: Default::default(),
             lat_causal: LogHistogram::detached(),
             lat_agreed: LogHistogram::detached(),
             lat_safe: LogHistogram::detached(),
@@ -487,6 +492,7 @@ impl<P: Clone + fmt::Debug + 'static> EvsProcess<P> {
         if let Mode::Regular { ring } = &mut self.mode {
             ring.set_telemetry(self.telemetry.clone());
         }
+        self.delivered_counters = Default::default();
         self.lat_causal = self.telemetry.log_histogram(names::DELIVERY_LATENCY_CAUSAL);
         self.lat_agreed = self.telemetry.log_histogram(names::DELIVERY_LATENCY_AGREED);
         self.lat_safe = self.telemetry.log_histogram(names::DELIVERY_LATENCY_SAFE);
@@ -670,7 +676,7 @@ impl<P: Clone + fmt::Debug + 'static> EvsProcess<P> {
     /// token to stamp it into the total order).
     fn originate(&mut self, ctx: &mut ECtx<'_, P>, service: Service) -> MessageId {
         let id = self.next_message_id();
-        self.origin_times.insert(id, ctx.now());
+        self.origin_times.push_back((id.counter, ctx.now()));
         self.telemetry.record(
             ctx.now().ticks(),
             TelemetryEvent::MessageOriginated {
@@ -753,13 +759,27 @@ impl<P: Clone + fmt::Debug + 'static> EvsProcess<P> {
 
     fn deliver_msg(&mut self, ctx: &mut ECtx<'_, P>, msg: OrderedMsg<P>, config: ConfigId) {
         if msg.id.sender == self.me {
-            if let Some(t0) = self.origin_times.remove(&msg.id) {
-                let hist = match msg.service {
-                    Service::Causal => &self.lat_causal,
-                    Service::Agreed => &self.lat_agreed,
-                    Service::Safe => &self.lat_safe,
-                };
-                hist.observe(ctx.now().since(t0));
+            let counter = msg.id.counter;
+            debug_assert!(
+                counter > self.own_delivered_upto,
+                "own delivery {counter} after {}",
+                self.own_delivered_upto
+            );
+            self.own_delivered_upto = counter;
+            // Entries below `counter` are ids that will never be delivered.
+            while let Some(&(c, t0)) = self.origin_times.front() {
+                if c > counter {
+                    break;
+                }
+                self.origin_times.pop_front();
+                if c == counter {
+                    let hist = match msg.service {
+                        Service::Causal => &self.lat_causal,
+                        Service::Agreed => &self.lat_agreed,
+                        Service::Safe => &self.lat_safe,
+                    };
+                    hist.observe(ctx.now().since(t0));
+                }
             }
         }
         ctx.emit(EvsEvent::Deliver {
@@ -780,7 +800,7 @@ impl<P: Clone + fmt::Debug + 'static> EvsProcess<P> {
                 transitional: config.transitional,
             },
         );
-        self.telemetry.counter(delivered_counter(msg.service)).inc();
+        self.delivered_counter(msg.service).inc();
         self.delivered.push(Delivery::Message {
             id: msg.id,
             seq: msg.seq,
@@ -788,6 +808,16 @@ impl<P: Clone + fmt::Debug + 'static> EvsProcess<P> {
             service: msg.service,
             payload: msg.payload,
         });
+    }
+
+    /// The delivered-message counter of `service`, resolved by name once.
+    fn delivered_counter(&mut self, service: Service) -> &Counter {
+        let (slot, name) = match service {
+            Service::Causal => (0, names::DELIVERED_CAUSAL),
+            Service::Agreed => (1, names::DELIVERED_AGREED),
+            Service::Safe => (2, names::DELIVERED_SAFE),
+        };
+        self.delivered_counters[slot].get_or_insert_with(|| self.telemetry.counter(name))
     }
 
     fn drain_ring_deliveries(&mut self, ctx: &mut ECtx<'_, P>) {

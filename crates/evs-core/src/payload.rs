@@ -1,6 +1,21 @@
 //! Zero-copy application payloads.
+//!
+//! A [`Payload`] is a view: a shared, immutable `Arc<[u8]>` buffer plus
+//! the byte range of it that is the payload. A payload built by the
+//! application ([`From<Vec<u8>>`](Payload#impl-From<Vec<u8>>-for-Payload),
+//! [`Payload::copy_from_slice`]) views its whole buffer. The wire decoder
+//! copies each data-carrying frame once, into one buffer, and hands out
+//! every payload of the frame as a view into it (see [`crate::wire`]): a
+//! 16-message batch costs one payload allocation, not sixteen.
+//!
+//! The rule that comes with views: a view holds its whole buffer. A
+//! payload decoded from a batch keeps the batch's buffer — its sibling
+//! payloads and the message headers between them — alive until the last
+//! view of it is dropped. For a lone `Data` or `Rebroadcast` frame the
+//! buffer is exactly the payload bytes, so nothing else is retained.
 
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::ops::Deref;
 use std::sync::Arc;
 
@@ -11,11 +26,13 @@ use std::sync::Arc;
 /// simulator and live driver fan a broadcast out to every destination, link
 /// faults duplicate packets, and recovery rebroadcasts hand whole stores
 /// across configurations. With a `Vec<u8>` payload each of those is a fresh
-/// allocation and copy; `Payload` wraps the bytes in an `Arc<[u8]>` so every
+/// allocation and copy; `Payload` views a range of an `Arc<[u8]>` so every
 /// copy is a reference-count bump on one shared backing buffer.
 ///
-/// The buffer is built once (from a `Vec<u8>` or slice) and immutable from
-/// then on, which is exactly the lifecycle of a message payload.
+/// The buffer is built once (from a `Vec<u8>`, a slice or a decoded frame)
+/// and immutable from then on, which is exactly the lifecycle of a message
+/// payload. Equality and hashing look only at the viewed bytes: a view and
+/// an owned copy of the same bytes are equal and hash alike.
 ///
 /// # Examples
 ///
@@ -27,8 +44,12 @@ use std::sync::Arc;
 /// assert!(p.ptr_eq(&q));
 /// assert_eq!(&*q, &[1, 2, 3]);
 /// ```
-#[derive(Clone, Default, PartialEq, Eq, Hash)]
-pub struct Payload(Arc<[u8]>);
+#[derive(Clone, Default)]
+pub struct Payload {
+    buf: Arc<[u8]>,
+    start: u32,
+    len: u32,
+}
 
 impl Payload {
     /// Creates an empty payload.
@@ -37,35 +58,76 @@ impl Payload {
     }
 
     /// Copies a slice into a new payload buffer.
+    ///
+    /// # Panics
+    ///
+    /// If `data` is longer than `u32::MAX` bytes: a payload never
+    /// truncates.
     pub fn copy_from_slice(data: &[u8]) -> Self {
-        Payload(Arc::from(data))
+        Payload::whole(Arc::from(data))
+    }
+
+    /// A view of all of `buf`.
+    fn whole(buf: Arc<[u8]>) -> Self {
+        let len = u32::try_from(buf.len()).expect("a payload is at most u32::MAX bytes");
+        Payload { buf, start: 0, len }
+    }
+
+    /// A view of `buf[start..start + len]`. The wire decoder's constructor:
+    /// it checks the range against the frame before it builds a view.
+    pub(crate) fn view(buf: &Arc<[u8]>, start: u32, len: u32) -> Self {
+        debug_assert!(start as usize + len as usize <= buf.len());
+        Payload {
+            buf: Arc::clone(buf),
+            start,
+            len,
+        }
     }
 
     /// Length in bytes.
     pub fn len(&self) -> usize {
-        self.0.len()
+        self.len as usize
     }
 
     /// Whether the payload is empty.
     pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
+        self.len == 0
     }
 
     /// The payload bytes.
     pub fn as_slice(&self) -> &[u8] {
-        &self.0
+        let start = self.start as usize;
+        &self.buf[start..start + self.len as usize]
     }
 
-    /// True if `self` and `other` share the same backing buffer — the
-    /// zero-copy property itself, checkable in tests.
+    /// True if `self` and `other` view the same range of the same backing
+    /// buffer — the zero-copy property itself, checkable in tests. Two
+    /// views of one decoded frame over different ranges are not `ptr_eq`.
     pub fn ptr_eq(&self, other: &Payload) -> bool {
-        Arc::ptr_eq(&self.0, &other.0)
+        Arc::ptr_eq(&self.buf, &other.buf) && self.start == other.start && self.len == other.len
+    }
+}
+
+impl PartialEq for Payload {
+    fn eq(&self, other: &Payload) -> bool {
+        self.as_slice() == other.as_slice()
+    }
+}
+
+impl Eq for Payload {}
+
+impl Hash for Payload {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.as_slice().hash(state);
     }
 }
 
 impl From<Vec<u8>> for Payload {
+    /// # Panics
+    ///
+    /// If `data` is longer than `u32::MAX` bytes.
     fn from(data: Vec<u8>) -> Self {
-        Payload(Arc::from(data))
+        Payload::whole(Arc::from(data))
     }
 }
 
@@ -85,13 +147,13 @@ impl Deref for Payload {
     type Target = [u8];
 
     fn deref(&self) -> &[u8] {
-        &self.0
+        self.as_slice()
     }
 }
 
 impl AsRef<[u8]> for Payload {
     fn as_ref(&self) -> &[u8] {
-        &self.0
+        self.as_slice()
     }
 }
 
@@ -99,7 +161,7 @@ impl fmt::Debug for Payload {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         // Payloads can be large; show the length and a short prefix.
         write!(f, "Payload[{}b", self.len())?;
-        for b in self.0.iter().take(8) {
+        for b in self.iter().take(8) {
             write!(f, " {b:02x}")?;
         }
         if self.len() > 8 {
@@ -126,6 +188,20 @@ mod tests {
         let d = Payload::from(vec![9u8; 1024]);
         assert_eq!(a, d);
         assert!(!a.ptr_eq(&d));
+    }
+
+    #[test]
+    fn views_of_one_buffer_are_their_ranges() {
+        assert_eq!(std::mem::size_of::<Payload>(), 24);
+        let buf: Arc<[u8]> = Arc::from(&b"headerPAYLOADtail"[..]);
+        let body = Payload::view(&buf, 6, 7);
+        let tail = Payload::view(&buf, 13, 4);
+        assert_eq!((&*body, body.len()), (&b"PAYLOAD"[..], 7));
+        assert_eq!(tail.as_slice(), b"tail");
+        assert_eq!(body, Payload::from(b"PAYLOAD"));
+        assert!(body.ptr_eq(&body.clone()) && !body.ptr_eq(&tail));
+        assert!(Payload::view(&buf, 17, 0).is_empty());
+        assert_eq!(format!("{body:?}"), "Payload[7b 50 41 59 4c 4f 41 44]");
     }
 
     #[test]

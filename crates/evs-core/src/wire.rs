@@ -15,6 +15,10 @@
 //! truncation are all errors — a malformed datagram must never turn into a
 //! plausible protocol message.
 //!
+//! [`decode`] copies a data-carrying frame once: every payload of it is a
+//! [`Payload`] view into one buffer, so a batch costs two allocations
+//! whatever its size.
+//!
 //! Two hot-path conveniences for transports:
 //!
 //! * [`encode_into`] encodes into a caller-owned [`BytesMut`], so a send
@@ -45,6 +49,7 @@ use evs_membership::{ConfigId, MembMsg};
 use evs_order::{MessageId, OrderedMsg, RingMsg, Service, Token};
 use evs_sim::ProcessId;
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 /// Cap on the ordinals one [`ExchangeState`] may list above its floor. A
 /// run costs 16 bytes on the wire however long it is, so the element count
@@ -213,19 +218,54 @@ fn put_ordered_msg(out: &mut BytesMut, m: &OrderedMsg<Payload>) {
     put_bytes(out, &m.payload);
 }
 
+/// The payloads of one data-carrying frame (`Data`, `Rebroadcast`,
+/// `Batch`), decoded as views into one buffer.
+///
+/// The buffer is allocated at the frame's first payload and holds the rest
+/// of the frame from that payload's first byte: for a `Data` or
+/// `Rebroadcast` frame, whose payload is the last field, exactly the
+/// payload; for a batch, every later payload too, and the message headers
+/// between them. A malformed frame therefore allocates at most its length.
+struct FramePayloads<'a> {
+    frame: &'a [u8],
+    /// The buffer and the frame offset of its first byte.
+    buf: Option<(Arc<[u8]>, usize)>,
+}
+
+impl<'a> FramePayloads<'a> {
+    /// Reads the next length-prefixed payload off `g`, a cursor over the
+    /// rest of this frame.
+    #[inline(always)]
+    fn next(&mut self, g: &mut Get<'a>) -> Result<Payload> {
+        let len = g.count(MAX_LEN, 1)?;
+        let at = self.frame.len() - g.remaining();
+        g.bytes(len)?;
+        // A view's range is `u32`: a frame past 4 GiB starts a new buffer
+        // where the next view would not fit.
+        if matches!(&self.buf, Some((_, base)) if at + len - base > u32::MAX as usize) {
+            self.buf = None;
+        }
+        let frame = self.frame;
+        let (buf, base) = self
+            .buf
+            .get_or_insert_with(|| (Arc::from(&frame[at..]), at));
+        Ok(Payload::view(buf, (at - *base) as u32, len as u32))
+    }
+}
+
 // Inlined into the batch loop: built in place, a message is not copied
 // out of a returned `Result`.
 #[inline(always)]
-fn get_ordered_msg(g: &mut Get) -> Result<OrderedMsg<Payload>> {
+fn get_ordered_msg<'a>(
+    g: &mut Get<'a>,
+    payloads: &mut FramePayloads<'a>,
+) -> Result<OrderedMsg<Payload>> {
     Ok(OrderedMsg {
         config: get_config(g)?,
         seq: g.u64()?,
         id: get_message_id(g)?,
         service: get_service(g)?,
-        payload: {
-            let len = g.count(MAX_LEN, 1)?;
-            Payload::copy_from_slice(g.bytes(len)?)
-        },
+        payload: payloads.next(g)?,
     })
 }
 
@@ -454,20 +494,26 @@ pub fn batch_parts(
 
 /// Decodes one EVS frame from a byte slice.
 ///
+/// The frame is copied once, lazily: the payloads of a data-carrying frame
+/// are views into one buffer holding the frame from its first payload on
+/// (see [`Payload`]), so a batch of any size costs two allocations — the
+/// message list and that buffer.
+///
 /// # Errors
 ///
 /// Returns a [`DecodeError`] on truncation, unknown tags, oversized length
 /// prefixes, or trailing bytes.
 pub fn decode(frame: &[u8]) -> Result<EvsMsg<Payload>> {
     let mut g = Get::le(frame);
+    let mut payloads = FramePayloads { frame, buf: None };
     let msg = match g.u8()? {
         0 => EvsMsg::Memb(get_memb(&mut g)?),
-        1 => EvsMsg::Ring(RingMsg::Data(get_ordered_msg(&mut g)?)),
+        1 => EvsMsg::Ring(RingMsg::Data(get_ordered_msg(&mut g, &mut payloads)?)),
         2 => EvsMsg::Ring(RingMsg::Token(get_token(&mut g)?)),
         3 => EvsMsg::Exchange(get_exchange(&mut g)?),
         4 => EvsMsg::Rebroadcast {
             proposal: get_config(&mut g)?,
-            msg: get_ordered_msg(&mut g)?,
+            msg: get_ordered_msg(&mut g, &mut payloads)?,
         },
         5 => EvsMsg::RecoveryAck {
             proposal: get_config(&mut g)?,
@@ -476,7 +522,7 @@ pub fn decode(frame: &[u8]) -> Result<EvsMsg<Payload>> {
             let len = g.count(MAX_LEN, ORDERED_MSG_HEADER)?;
             let mut msgs = Vec::with_capacity(len);
             for _ in 0..len {
-                msgs.push(get_ordered_msg(&mut g)?);
+                msgs.push(get_ordered_msg(&mut g, &mut payloads)?);
             }
             EvsMsg::Ring(RingMsg::Batch(msgs))
         }

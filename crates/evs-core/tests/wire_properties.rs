@@ -1,5 +1,6 @@
 //! Property-based tests of the wire codec: canonical round-trips for
-//! arbitrary frames and for packed datagrams. Robustness against
+//! arbitrary frames and for packed datagrams, and decoded payloads as
+//! views — their bytes, equality, hashing and `ptr_eq`. Robustness against
 //! arbitrary and mutated bytes is `tests/decoders_total.rs`'s, at the
 //! workspace root, with every other decoder.
 
@@ -51,6 +52,19 @@ fn ordered_msg() -> impl Strategy<Value = OrderedMsg<Payload>> {
             service,
             payload: Payload::from(payload),
         })
+}
+
+/// A message whose payload is empty half of the time and otherwise up to
+/// 4 KiB.
+fn large_ordered_msg() -> impl Strategy<Value = OrderedMsg<Payload>> {
+    let payload = prop_oneof![
+        Just(Vec::new()),
+        proptest::collection::vec(any::<u8>(), 0..=4096),
+    ];
+    (ordered_msg(), payload).prop_map(|(m, payload)| OrderedMsg {
+        payload: Payload::from(payload),
+        ..m
+    })
 }
 
 fn token() -> impl Strategy<Value = Token> {
@@ -194,6 +208,30 @@ proptest! {
         }
     }
 
+    /// A batch of any payloads — empty ones, 4 KiB ones, none at all —
+    /// comes back byte for byte, and every payload is its own bytes even
+    /// once the frame it was decoded from is gone.
+    #[test]
+    fn batches_round_trip_byte_for_byte(
+        msgs in proptest::collection::vec(large_ordered_msg(), 0..8),
+    ) {
+        let mut bytes = wire::encode(&EvsMsg::Ring(RingMsg::Batch(msgs.clone())));
+        let back = match wire::decode(&bytes) {
+            Ok(EvsMsg::Ring(RingMsg::Batch(back))) => back,
+            other => return Err(TestCaseError::fail(format!("decoded to {other:?}"))),
+        };
+        prop_assert_eq!(wire::encode(&EvsMsg::Ring(RingMsg::Batch(back.clone()))), bytes.clone());
+        // The views copied the frame: overwriting and dropping it changes
+        // nothing they read.
+        bytes.fill(0xEE);
+        drop(bytes);
+        prop_assert_eq!(back.len(), msgs.len());
+        for (got, sent) in back.iter().zip(&msgs) {
+            prop_assert_eq!(&got.payload, &sent.payload);
+            prop_assert_eq!((got.seq, got.id, got.service), (sent.seq, sent.id, sent.service));
+        }
+    }
+
     /// A datagram cut at any byte boundary either errors cleanly or parses
     /// as exactly the whole frames that fit — never a partial frame, never
     /// a panic.
@@ -216,6 +254,48 @@ proptest! {
         }
     }
 
+}
+
+/// Decodes a batch of two messages carrying `a` and `b`: two views into
+/// one frame buffer.
+fn decoded_pair(a: &[u8], b: &[u8]) -> (Payload, Payload) {
+    let msg = |seq: u64, body: &[u8]| OrderedMsg {
+        config: ConfigId::regular(5, ProcessId::new(0)),
+        seq,
+        id: MessageId::new(ProcessId::new(1), seq),
+        service: Service::Agreed,
+        payload: Payload::copy_from_slice(body),
+    };
+    let frame = wire::encode(&EvsMsg::Ring(RingMsg::Batch(vec![msg(1, a), msg(2, b)])));
+    match wire::decode(&frame) {
+        Ok(EvsMsg::Ring(RingMsg::Batch(mut msgs))) if msgs.len() == 2 => {
+            let second = msgs.pop().unwrap().payload;
+            (msgs.pop().unwrap().payload, second)
+        }
+        other => panic!("decoded to {other:?}"),
+    }
+}
+
+#[test]
+fn a_view_and_an_owned_copy_are_one_set_element() {
+    let (view, other) = decoded_pair(b"same bytes", b"other bytes");
+    let owned = Payload::from(b"same bytes".to_vec());
+    assert_eq!(view, owned);
+    assert_ne!(view, other);
+    let set: std::collections::HashSet<Payload> = [view.clone(), owned, view].into();
+    assert_eq!(set.len(), 1, "a view and its owned copy hash alike");
+}
+
+#[test]
+fn ptr_eq_is_one_buffer_and_one_range() {
+    // Equal bytes, one buffer, two ranges: equal, but not the same view.
+    let (first, second) = decoded_pair(b"twin", b"twin");
+    assert_eq!(first, second);
+    assert!(!first.ptr_eq(&second));
+    assert!(first.ptr_eq(&first.clone()) && second.clone().ptr_eq(&second));
+    // Two empty views at different offsets are distinct views too.
+    let (empty, after) = decoded_pair(b"", b"");
+    assert!(!empty.ptr_eq(&after));
 }
 
 /// The report's size follows the holes in the in-flight window, not the
