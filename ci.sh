@@ -4,8 +4,8 @@
 #
 #   ./ci.sh              # the standard gate: every step below, in order
 #   ./ci.sh <step>       # one step: build-test, checker-scale, e2e-smoke,
-#                        #   chaos-smoke, corruption-smoke, kill-recovery,
-#                        #   obs-smoke, bench-diff, soaks, lint
+#                        #   chaos-smoke, corruption-smoke, trace-hash,
+#                        #   kill-recovery, obs-smoke, bench-diff, soaks, lint
 #   ./ci.sh bench-smoke  # refresh BENCH_baseline.json (not in the gate)
 #   ./ci.sh loc          # print the non-test line count CHANGES.md quotes
 #
@@ -26,6 +26,11 @@
 # more than twice that at 2k (a pairwise step would be a hundred times),
 # or if the step takes over a minute.
 #
+# trace-hash runs 150 generated plans of each of four fault mixes
+# (default, hunting, kill, corruption; seeds 5000-5149) on the simulator
+# and prints one sha256 of their full traces per mix: behaviour-preserving
+# changes leave all four unchanged (the files stay in target/verdicts/).
+#
 # e2e-smoke runs the BENCHMARK.json command for 2 s per workload: wall
 # time is machine-dependent, so it gates only that the benchmark builds
 # from this tree, that every run is correct with no failed operation, and
@@ -34,8 +39,8 @@
 # every machine: 753 and 6,733 B/op with a ring store that is never
 # pruned, under 30 with one pruned at the safe line; ~10 on broker_udp_wal,
 # where a session or ledger entry that outlives its op would pass 16).
-# peak_heap_mb is windowed on all four at about 3x what they read (0.75,
-# 2.7, 7.3 and 0.38 MB): a decoded payload is a view that keeps its whole
+# peak_heap_mb is windowed on all four at about 3x what they read (0.74,
+# 2.1, 7.3 and 0.39 MB): a decoded payload is a view that keeps its whole
 # frame buffer alive, so one message retained past its batch holds every
 # byte of the batch, which shows as a peak before it shows per op. It
 # runs directly after build-test: a benchmark that no longer builds or
@@ -109,6 +114,16 @@ corruption_smoke() {
     hashed_chaos corruption --corruption --jobs 4 --iters 200 --seed 648312 --keep-going
     echo "== chaos: fixed-seed live corruption smoke (same vocabulary, real threads) =="
     chaos --corruption --live --n 3 --jobs 4 --iters 60 --seed 271828
+}
+
+trace_hash() {
+    echo "== trace hash (full simulator traces of 600 generated plans) =="
+    cargo build -q --release --offline --example trace_hash
+    mkdir -p target/verdicts
+    for mix in default hunting kill corruption; do
+        ./target/release/examples/trace_hash "$mix" >"target/verdicts/trace-$mix.txt"
+        sha256sum "target/verdicts/trace-$mix.txt"
+    done
 }
 
 kill_recovery() {
@@ -229,6 +244,7 @@ all)
     e2e_smoke
     chaos_smoke
     corruption_smoke
+    trace_hash
     kill_recovery
     obs_smoke
     bench_diff
@@ -236,8 +252,8 @@ all)
     lint
     echo "ci: all green"
     ;;
-build-test | checker-scale | chaos-smoke | corruption-smoke | kill-recovery | obs-smoke | \
-    bench-smoke | bench-diff | e2e-smoke | soaks | loc | lint)
+build-test | checker-scale | chaos-smoke | corruption-smoke | trace-hash | kill-recovery | \
+    obs-smoke | bench-smoke | bench-diff | e2e-smoke | soaks | loc | lint)
     "$(echo "$1" | tr - _)"
     ;;
 *)

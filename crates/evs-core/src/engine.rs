@@ -25,10 +25,10 @@
 //!
 //! Durability follows §2's failure model ("a process may fail and recover
 //! with stable storage intact"): the engine journals a [`WalRecord`] to its
-//! [`Storage`] backend at every §3 step boundary — message-id leases and
-//! sends, configuration deliveries, the Step 5.c obligation set, the
-//! delivered/stable cut, proposal epochs, and the `fail_p(c)` mark of a
-//! clean crash. A recovered (or respawned) process folds the log back into
+//! [`Storage`] backend at every §3 step boundary — message-id leases,
+//! each stamping burst's send high-water mark, configuration deliveries,
+//! the Step 5.c obligation set, the delivered/stable cut, proposal epochs,
+//! and the `fail_p(c)` mark of a clean crash. A recovered (or respawned) process folds the log back into
 //! the counters it needs (see [`crate::persist`]), emits the failure the
 //! dead incarnation never got to record if it was killed outright, and
 //! rejoins as a singleton regular configuration under its old identity,
@@ -699,38 +699,46 @@ impl<P: Clone + fmt::Debug + 'static> EvsProcess<P> {
             unreachable!("submit_to_ring requires regular mode");
         };
         if let Some(stamped) = ring.submit(id, service, payload) {
-            // Singleton ring: stamped immediately.
-            self.log_send(ctx, &stamped);
+            // Singleton ring: stamped immediately, a burst of one.
+            if let Some(sent) = self.log_send(ctx, &stamped) {
+                self.wal_append(sent);
+            }
             self.drain_ring_deliveries(ctx);
         }
     }
 
-    fn log_send(&mut self, ctx: &mut ECtx<'_, P>, msg: &OrderedMsg<P>) {
-        if msg.id.sender == self.me && msg.id.counter > self.sent_upto {
-            self.sent_upto = msg.id.counter;
-            self.wal_append(WalRecord::Sent {
-                counter: msg.id.counter,
+    /// Records `send_p(msg)` if `msg` is an own message sent for the first
+    /// time, and returns the `Sent` record that journals it. The caller
+    /// appends only the last such record of a stamping burst: stamping
+    /// follows counter order (see `sent_upto`), so that one carries the
+    /// burst's highest counter, which is all `persist::fold` reads.
+    fn log_send(&mut self, ctx: &mut ECtx<'_, P>, msg: &OrderedMsg<P>) -> Option<WalRecord> {
+        if msg.id.sender != self.me || msg.id.counter <= self.sent_upto {
+            return None;
+        }
+        self.sent_upto = msg.id.counter;
+        ctx.emit(EvsEvent::Send {
+            id: msg.id,
+            config: msg.config,
+            service: msg.service,
+        });
+        self.telemetry.record(
+            ctx.now().ticks(),
+            TelemetryEvent::MessageSent {
                 epoch: msg.config.epoch,
                 rep: msg.config.rep.index(),
+                sender: msg.id.sender.index(),
+                counter: msg.id.counter,
                 seq: msg.seq,
-            });
-            ctx.emit(EvsEvent::Send {
-                id: msg.id,
-                config: msg.config,
-                service: msg.service,
-            });
-            self.telemetry.record(
-                ctx.now().ticks(),
-                TelemetryEvent::MessageSent {
-                    epoch: msg.config.epoch,
-                    rep: msg.config.rep.index(),
-                    sender: msg.id.sender.index(),
-                    counter: msg.id.counter,
-                    seq: msg.seq,
-                    service: service_name(msg.service),
-                },
-            );
-        }
+                service: service_name(msg.service),
+            },
+        );
+        Some(WalRecord::Sent {
+            counter: msg.id.counter,
+            epoch: msg.config.epoch,
+            rep: msg.config.rep.index(),
+            seq: msg.seq,
+        })
     }
 
     fn deliver_conf(&mut self, ctx: &mut ECtx<'_, P>, cfg: Configuration) {
@@ -851,8 +859,17 @@ impl<P: Clone + fmt::Debug + 'static> EvsProcess<P> {
     /// Broadcasts an accumulated visit burst: a single message goes out as
     /// a plain `Data` frame, several go out as one `Batch` frame — one
     /// transmit per destination for the whole burst instead of one per
-    /// message.
-    fn flush_data_batch(&mut self, ctx: &mut ECtx<'_, P>, batch: &mut Vec<OrderedMsg<P>>) {
+    /// message. The burst's `Sent` record, if it stamped any own message,
+    /// is journaled first, so the log still runs ahead of the send.
+    fn flush_data_batch(
+        &mut self,
+        ctx: &mut ECtx<'_, P>,
+        batch: &mut Vec<OrderedMsg<P>>,
+        sent: &mut Option<WalRecord>,
+    ) {
+        if let Some(rec) = sent.take() {
+            self.wal_append(rec);
+        }
         match batch.len() {
             0 => {}
             1 => {
@@ -867,18 +884,22 @@ impl<P: Clone + fmt::Debug + 'static> EvsProcess<P> {
         // One token visit can emit a burst — up to `max_per_visit` freshly
         // stamped messages plus served retransmissions. Pack consecutive
         // data messages into one frame; the token (paced separately below)
-        // still leaves after the data it refers to.
+        // still leaves after the data it refers to. The burst journals one
+        // `Sent`: that of its last own first send, its high-water mark.
         let mut batch: Vec<OrderedMsg<P>> = Vec::with_capacity(outs.len());
+        let mut sent = None;
         let mut sent_data = false;
         for out in outs {
             match out {
                 RingOut::Data(msg) => {
-                    self.log_send(ctx, &msg);
+                    if let Some(rec) = self.log_send(ctx, &msg) {
+                        sent = Some(rec);
+                    }
                     batch.push(msg);
                     sent_data = true;
                 }
                 RingOut::TokenTo(to, tok) => {
-                    self.flush_data_batch(ctx, &mut batch);
+                    self.flush_data_batch(ctx, &mut batch, &mut sent);
                     // A loaded ring is rotation-bound: every pacing delay
                     // multiplies straight into delivery latency, so a visit
                     // that moved data (or left work queued) forwards the
@@ -898,7 +919,7 @@ impl<P: Clone + fmt::Debug + 'static> EvsProcess<P> {
                 }
             }
         }
-        self.flush_data_batch(ctx, &mut batch);
+        self.flush_data_batch(ctx, &mut batch, &mut sent);
         self.drain_ring_deliveries(ctx);
     }
 
@@ -2285,6 +2306,101 @@ mod tests {
             sent_counters(&env)[0] > sent,
             "ids resume above every id the dead incarnation used"
         );
+    }
+
+    /// The records appended since the log held `from` of them.
+    fn appended_since(node: &mut EvsProcess<&'static str>, from: usize) -> Vec<WalRecord> {
+        let replay = node.storage_mut().replay().expect("replay");
+        replay.records[from..]
+            .iter()
+            .map(|r| WalRecord::decode(r).expect("intact record"))
+            .collect()
+    }
+
+    fn wal_len(node: &mut EvsProcess<&'static str>) -> usize {
+        node.storage_mut().replay().expect("replay").records.len()
+    }
+
+    #[test]
+    fn a_token_visit_journals_one_sent_for_its_burst() {
+        let (mut node, mut env) = started();
+        let cfg = ConfigId::regular(1, p(0));
+        let max = node.params.max_per_visit;
+        node.mode = Mode::Regular {
+            ring: Ring::new(p(0), cfg, vec![p(0), p(1), p(2)], max),
+        };
+        for _ in 0..max {
+            env.with(|ctx| node.submit(ctx, Service::Agreed, "m"));
+        }
+        let token = |token_id, seq, aru, rtr: &[u64]| {
+            EvsMsg::Ring(RingMsg::Token(evs_order::Token {
+                config: cfg,
+                token_id,
+                seq,
+                aru,
+                aru_id: None,
+                rtr: rtr.iter().copied().collect(),
+                rotation: 0,
+            }))
+        };
+
+        // The visit stamps all 16 own messages: one `Sent`, the 16th's,
+        // then the drain's `Cut`.
+        let before = wal_len(&mut node);
+        env.with(|ctx| node.on_message(ctx, p(2), token(1, 0, 0, &[])));
+        let last = max as u64;
+        assert_eq!(sent_counters(&env).len(), max, "every send is traced");
+        assert_eq!(
+            appended_since(&mut node, before),
+            vec![
+                WalRecord::Sent {
+                    counter: last,
+                    epoch: 1,
+                    rep: 0,
+                    seq: last,
+                },
+                WalRecord::Cut {
+                    epoch: 1,
+                    rep: 0,
+                    transitional: false,
+                    seq: last,
+                },
+            ]
+        );
+
+        // Serving retransmissions of already-sent ids journals no `Sent`.
+        let before = wal_len(&mut node);
+        let ((), out) =
+            env.with(|ctx| node.on_message(ctx, p(2), token(4, last, last, &[1, 2, 3])));
+        assert!(
+            out.iter()
+                .any(|m| matches!(m, EvsMsg::Ring(RingMsg::Batch(b)) if b.len() == 3)),
+            "the three requests were served: {out:?}"
+        );
+        assert!(
+            !appended_since(&mut node, before)
+                .iter()
+                .any(|r| matches!(r, WalRecord::Sent { .. })),
+            "a retransmission is not a send"
+        );
+        assert_eq!(sent_counters(&env).len(), max, "nor traced as one");
+    }
+
+    #[test]
+    fn a_singleton_journals_one_sent_per_submit() {
+        let (mut node, mut env) = started();
+        let before = wal_len(&mut node);
+        for _ in 0..3 {
+            env.with(|ctx| node.submit(ctx, Service::Agreed, "m"));
+        }
+        let sent: Vec<u64> = appended_since(&mut node, before)
+            .into_iter()
+            .filter_map(|r| match r {
+                WalRecord::Sent { counter, .. } => Some(counter),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(sent, vec![1, 2, 3]);
     }
 
     #[test]

@@ -44,9 +44,13 @@ pub const LEASE_BLOCK: u64 = 1024;
 /// How many records the engine lets pile up before it compacts the log
 /// into one [`Checkpoint`] in steady state. 4096 records of 41 framed
 /// bytes at most stay under one default 256 KiB `evs-store` segment, so a
-/// compaction retires a single file, a replay folds a few thousand records
-/// at most, and the snapshot's `fdatasync` is paid once per several
-/// thousand messages, not per token visit.
+/// compaction retires a single file and a replay folds a few thousand
+/// records at most. On a loaded ring of n members a process appends one
+/// [`WalRecord::Sent`] per own visit and one [`WalRecord::Cut`] per
+/// delivered burst: n + 1 records per rotation of up to
+/// n × `max_per_visit` messages. So the snapshot's `fdatasync` is paid
+/// once per 4096 / (n + 1) rotations (1,024 at n = 3, up to 49,152
+/// messages), not per token visit.
 pub const WAL_COMPACT_RECORDS: u64 = 4096;
 
 /// One entry in the engine's write-ahead log.
@@ -56,7 +60,12 @@ pub enum WalRecord {
     /// sync. Written (and synced) *before* the first id past the previous
     /// lease is handed out, so a kill can never observe a reused id.
     Lease(u64),
-    /// `send_p(m)`: a message of ours was stamped into the total order.
+    /// The send high-water mark: the last own message a token visit (or a
+    /// singleton's submit) stamped into the total order. One record stands
+    /// for the whole stamping burst: stamping follows counter order, and
+    /// the fold reads only the largest counter and epoch — every counter
+    /// also lies under a synced [`WalRecord::Lease`], so a kill that loses
+    /// part of a burst recovers the same counter.
     Sent {
         /// The message-id counter value of the send.
         counter: u64,

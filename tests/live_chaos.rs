@@ -180,11 +180,17 @@ fn generated_hunting_plans_pass_conformance_on_the_live_driver() {
             .run_live(&plan)
             .expect("every generated step is live-supported now");
         assert!(outcome.settled, "seed {seed} failed to settle");
-        assert!(
-            !outcome.failed(),
-            "seed {seed} violated conformance: {:?}",
-            outcome.failure
-        );
+        // A live failure does not replay bit for bit, so the message
+        // carries everything needed to rerun the plan on the simulator
+        // (`chaos --replay <file>` of the plan text).
+        if let Some(failure) = &outcome.failure {
+            panic!(
+                "seed {seed} violated conformance {:?}\n--- plan ---\n{}--- violations ---\n{}",
+                failure.specs,
+                plan.to_text(),
+                failure.details
+            );
+        }
     }
     // The hunting mix is loss-heavy; this seed range must actually have
     // exercised the formerly simulator-only vocabulary.
