@@ -12,17 +12,23 @@
 //! * [`BatchUdpDriver`] (Linux, 64-bit): one `sendmmsg(2)` per outbound
 //!   flush and one `recvmmsg(2)` (with `MSG_WAITFORONE`) per inbound
 //!   reap, so a burst of N datagrams costs one syscall instead of N.
+//!   Inside that syscall, a run of datagrams with one destination and
+//!   one length is one `UDP_SEGMENT` send (Linux ≥ 4.18), and with
+//!   `UDP_GRO` on (Linux ≥ 5.0) the receiver reads it back as one
+//!   coalesced buffer that the driver cuts into the original datagrams.
+//!   The kernel then walks the stack once per run, not once per datagram.
 //! * [`LoopUdpDriver`] (portable): plain `send_to`/`recv_from` loops
 //!   with byte-for-byte identical observable behaviour — the unit tests
-//!   below prove the equivalence by running the same payload set through
+//!   prove the equivalence by running the same payload set through
 //!   both drivers.
 //!
 //! This is the **only** crate in the workspace that contains `unsafe`:
-//! the `sendmmsg`/`recvmmsg` declarations are hand-written `extern "C"`
-//! items (std already links libc, so the symbols resolve without adding
-//! a libc crate), and every other crate keeps its
+//! the `sendmmsg`/`recvmmsg`/`setsockopt`/`getsockopt` declarations are
+//! hand-written `extern "C"` items (std already links libc, so the symbols
+//! resolve without adding a libc crate), and every other crate keeps its
 //! `#![forbid(unsafe_code)]`. The unsafety is confined to the
-//! `ffi`-facing batch module and never escapes the safe driver API.
+//! `ffi`-facing batch module, every block states why it is sound, and
+//! none of it escapes the safe driver API.
 //!
 //! Blocking model: [`SocketDriver::complete`] takes an optional timeout
 //! and doubles as the event loop's *park* — the caller computes its next
@@ -34,21 +40,25 @@
 //! reactor.
 
 #![deny(unsafe_op_in_unsafe_fn)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 #![warn(missing_docs)]
 
 use std::io;
 use std::net::{SocketAddr, UdpSocket};
 use std::time::Duration;
 
-/// Maximum datagrams reaped by one [`SocketDriver::complete`] call.
+/// Maximum kernel reads made by one [`SocketDriver::complete`] call.
 ///
-/// Also the `vlen` passed to `recvmmsg`. Bounded so one reap cannot
-/// starve timer processing on a flooded socket.
+/// Also the `vlen` passed to `recvmmsg`. A read is one datagram, or, on
+/// a [`BatchUdpDriver`] with `UDP_GRO`, up to 64 coalesced ones, so one
+/// reap returns at most 64 × this many completions. Bounded so one reap
+/// cannot starve timer processing on a flooded socket.
 pub const RECV_BATCH: usize = 32;
 
-/// Maximum datagrams handed to one `sendmmsg` call. Outbound queues
-/// longer than this are flushed in consecutive batches by a single
-/// [`SocketDriver::submit`] call.
+/// Maximum `mmsghdr`s handed to one `sendmmsg` call, each one datagram
+/// or one segmented run of them. Outbound queues longer than this are
+/// flushed in consecutive batches by a single [`SocketDriver::submit`]
+/// call.
 pub const SEND_BATCH: usize = 64;
 
 /// Largest datagram the drivers can receive without truncation: the
@@ -69,8 +79,10 @@ pub type Completion = (SocketAddr, Vec<u8>);
 ///   until [`submit`](SocketDriver::submit).
 /// * [`submit`](SocketDriver::submit) sends every queued datagram, in
 ///   push order per destination, and returns how many went out.
-/// * [`complete`](SocketDriver::complete) appends up to [`RECV_BATCH`]
-///   received datagrams to `out` and returns the count. With
+/// * [`complete`](SocketDriver::complete) appends the datagrams of up to
+///   [`RECV_BATCH`] kernel reads to `out`, one [`Completion`] per
+///   datagram in arrival order (a coalesced read is cut back into the
+///   datagrams that were sent), and returns the count. With
 ///   `Some(timeout)` it blocks in the kernel until the first datagram or
 ///   the deadline (this is the event loop's park); with `None` (or a
 ///   zero timeout) it drains only what is already queued and never
@@ -88,7 +100,8 @@ pub trait SocketDriver: Send {
     /// Flushes the outbound queue to the wire; returns datagrams sent.
     fn submit(&mut self) -> io::Result<usize>;
 
-    /// Reaps up to [`RECV_BATCH`] inbound datagrams into `out`,
+    /// Reaps up to [`RECV_BATCH`] kernel reads into `out`, one
+    /// completion per datagram (a `UDP_GRO` read holds up to 64),
     /// blocking up to `timeout` for the first one. Returns the number
     /// appended; `Ok(0)` means the wait timed out (or, for
     /// `None`/zero timeouts, that nothing was queued).
@@ -99,7 +112,8 @@ pub trait SocketDriver: Send {
     ) -> io::Result<usize>;
 
     /// Short static name of the driver ("batch" / "loop") for telemetry
-    /// and bench labels.
+    /// and bench labels. A [`BatchUdpDriver`] whose kernel refused
+    /// segmentation says "batch-unsegmented", so the downgrade shows.
     fn name(&self) -> &'static str;
 
     /// Largest datagram this medium carries; a larger one must not be
@@ -268,348 +282,7 @@ impl SocketDriver for LoopUdpDriver {
 }
 
 #[cfg(all(target_os = "linux", target_pointer_width = "64"))]
-mod batch {
-    //! The `sendmmsg`/`recvmmsg` fast path. All `unsafe` in the
-    //! workspace lives in this module.
-
-    use super::{is_timeout, Completion, SocketDriver, MAX_DATAGRAM, RECV_BATCH, SEND_BATCH};
-    use std::io;
-    use std::net::{Ipv4Addr, SocketAddr, SocketAddrV4, UdpSocket};
-    use std::os::fd::AsRawFd;
-    use std::ptr;
-    use std::time::Duration;
-
-    /// `AF_INET`.
-    const AF_INET: u16 = 2;
-    /// `MSG_DONTWAIT`: reap only what is already queued, never block.
-    const MSG_DONTWAIT: i32 = 0x40;
-    /// `MSG_WAITFORONE`: block (honouring `SO_RCVTIMEO`) for the first
-    /// datagram, then turn on `MSG_DONTWAIT` for the rest of the batch.
-    const MSG_WAITFORONE: i32 = 0x10000;
-
-    /// `struct iovec` (Linux, 64-bit).
-    #[repr(C)]
-    struct IoVec {
-        base: *mut u8,
-        len: usize,
-    }
-
-    /// `struct sockaddr_in`, network byte order where the ABI says so.
-    #[repr(C)]
-    #[derive(Clone, Copy)]
-    struct SockAddrIn {
-        family: u16,
-        port_be: u16,
-        addr_be: u32,
-        zero: [u8; 8],
-    }
-
-    impl SockAddrIn {
-        fn from_v4(sa: &SocketAddrV4) -> SockAddrIn {
-            SockAddrIn {
-                family: AF_INET,
-                port_be: sa.port().to_be(),
-                addr_be: u32::from(*sa.ip()).to_be(),
-                zero: [0; 8],
-            }
-        }
-
-        fn zeroed() -> SockAddrIn {
-            SockAddrIn {
-                family: 0,
-                port_be: 0,
-                addr_be: 0,
-                zero: [0; 8],
-            }
-        }
-
-        fn to_socket_addr(self) -> SocketAddr {
-            SocketAddr::V4(SocketAddrV4::new(
-                Ipv4Addr::from(u32::from_be(self.addr_be)),
-                u16::from_be(self.port_be),
-            ))
-        }
-    }
-
-    /// `struct msghdr` (Linux, 64-bit). glibc declares `msg_iovlen` and
-    /// `msg_controllen` as `size_t`; musl as `int` plus explicit
-    /// padding. On little-endian 64-bit targets writing them as `usize`
-    /// produces identical bytes for the values this module uses (always
-    /// `< 2^31`), so one layout serves both libcs.
-    #[repr(C)]
-    struct MsgHdr {
-        name: *mut SockAddrIn,
-        namelen: u32,
-        iov: *mut IoVec,
-        iovlen: usize,
-        control: *mut u8,
-        controllen: usize,
-        flags: i32,
-    }
-
-    /// `struct mmsghdr`: a `msghdr` plus the kernel-reported datagram
-    /// length.
-    #[repr(C)]
-    struct MMsgHdr {
-        hdr: MsgHdr,
-        len: u32,
-    }
-
-    /// `struct timespec` (64-bit), for `recvmmsg`'s (unused — we pass
-    /// null and rely on `SO_RCVTIMEO`) timeout parameter type.
-    #[repr(C)]
-    struct TimeSpec {
-        sec: i64,
-        nsec: i64,
-    }
-
-    // std links libc, so these resolve without a libc crate dependency.
-    extern "C" {
-        fn sendmmsg(fd: i32, msgvec: *mut MMsgHdr, vlen: u32, flags: i32) -> i32;
-        fn recvmmsg(
-            fd: i32,
-            msgvec: *mut MMsgHdr,
-            vlen: u32,
-            flags: i32,
-            timeout: *mut TimeSpec,
-        ) -> i32;
-    }
-
-    /// The kernel-batched driver: `sendmmsg` on submit, `recvmmsg` with
-    /// `MSG_WAITFORONE` on complete. IPv4 only — [`super::driver_for`]
-    /// routes IPv6 sockets to the portable driver.
-    pub struct BatchUdpDriver {
-        socket: UdpSocket,
-        sendq: Vec<(SocketAddrV4, Vec<u8>)>,
-        /// Persistent receive buffers, one per `recvmmsg` slot. Their
-        /// backing storage never reallocates, so iovec pointers built
-        /// per call stay valid for the call's duration.
-        recv_bufs: Vec<Vec<u8>>,
-        recv_names: Vec<SockAddrIn>,
-        recv_iovs: Vec<IoVec>,
-        recv_hdrs: Vec<MMsgHdr>,
-        send_names: Vec<SockAddrIn>,
-        send_iovs: Vec<IoVec>,
-        send_hdrs: Vec<MMsgHdr>,
-        /// Cached `SO_RCVTIMEO`; `None` until the first request so the
-        /// inherited (unknown) socket state is never trusted.
-        read_timeout: Option<Option<Duration>>,
-    }
-
-    // The raw pointers inside the scratch vectors only ever point into
-    // the same struct's buffers and are rebuilt before every syscall, so
-    // moving the driver across threads is safe.
-    unsafe impl Send for BatchUdpDriver {}
-
-    impl BatchUdpDriver {
-        /// Wraps a bound IPv4 socket. Fails if the socket is IPv6 (the
-        /// sockaddr marshalling here is `sockaddr_in` only).
-        pub fn new(socket: UdpSocket) -> io::Result<BatchUdpDriver> {
-            if !socket.local_addr()?.is_ipv4() {
-                return Err(io::Error::new(
-                    io::ErrorKind::Unsupported,
-                    "BatchUdpDriver is IPv4-only; use LoopUdpDriver for IPv6",
-                ));
-            }
-            // `recvmmsg` blocking behaviour relies on a blocking socket
-            // plus SO_RCVTIMEO; make the mode explicit.
-            socket.set_nonblocking(false)?;
-            Ok(BatchUdpDriver {
-                socket,
-                sendq: Vec::new(),
-                recv_bufs: (0..RECV_BATCH).map(|_| vec![0u8; MAX_DATAGRAM]).collect(),
-                recv_names: Vec::with_capacity(RECV_BATCH),
-                recv_iovs: Vec::with_capacity(RECV_BATCH),
-                recv_hdrs: Vec::with_capacity(RECV_BATCH),
-                send_names: Vec::with_capacity(SEND_BATCH),
-                send_iovs: Vec::with_capacity(SEND_BATCH),
-                send_hdrs: Vec::with_capacity(SEND_BATCH),
-                read_timeout: None,
-            })
-        }
-
-        fn want_read_timeout(&mut self, t: Option<Duration>) -> io::Result<()> {
-            if self.read_timeout != Some(t) {
-                self.socket.set_read_timeout(t)?;
-                self.read_timeout = Some(t);
-            }
-            Ok(())
-        }
-
-        /// Sends every queued datagram with `sendmmsg`, [`SEND_BATCH`] at a
-        /// time, and returns how many went out.
-        fn send_queued(&mut self) -> io::Result<usize> {
-            let fd = self.socket.as_raw_fd();
-            let mut sent = 0usize;
-            for chunk in self.sendq.chunks(SEND_BATCH) {
-                self.send_names.clear();
-                self.send_iovs.clear();
-                self.send_hdrs.clear();
-                for (to, buf) in chunk {
-                    self.send_names.push(SockAddrIn::from_v4(to));
-                    self.send_iovs.push(IoVec {
-                        // sendmmsg never writes through the iovec; the
-                        // mut cast is an ABI formality.
-                        base: buf.as_ptr() as *mut u8,
-                        len: buf.len(),
-                    });
-                }
-                let names = self.send_names.as_mut_ptr();
-                let iovs = self.send_iovs.as_mut_ptr();
-                for k in 0..chunk.len() {
-                    self.send_hdrs.push(MMsgHdr {
-                        hdr: MsgHdr {
-                            // SAFETY: k < chunk.len() == send_names.len()
-                            // == send_iovs.len(); the vectors are not
-                            // touched again until after the syscall.
-                            name: unsafe { names.add(k) },
-                            namelen: std::mem::size_of::<SockAddrIn>() as u32,
-                            iov: unsafe { iovs.add(k) },
-                            iovlen: 1,
-                            control: ptr::null_mut(),
-                            controllen: 0,
-                            flags: 0,
-                        },
-                        len: 0,
-                    });
-                }
-                let mut done = 0usize;
-                while done < self.send_hdrs.len() {
-                    // SAFETY: hdrs[done..] are valid mmsghdrs whose
-                    // name/iov pointers reference live, correctly sized
-                    // storage owned by self / chunk for the whole call.
-                    let n = unsafe {
-                        sendmmsg(
-                            fd,
-                            self.send_hdrs.as_mut_ptr().add(done),
-                            (self.send_hdrs.len() - done) as u32,
-                            0,
-                        )
-                    };
-                    if n < 0 {
-                        let e = io::Error::last_os_error();
-                        if e.kind() == io::ErrorKind::Interrupted {
-                            continue;
-                        }
-                        return Err(e);
-                    }
-                    done += n as usize;
-                    sent += n as usize;
-                }
-            }
-            Ok(sent)
-        }
-    }
-
-    impl SocketDriver for BatchUdpDriver {
-        fn local_addr(&self) -> io::Result<SocketAddr> {
-            self.socket.local_addr()
-        }
-
-        fn push(&mut self, to: SocketAddr, payload: Vec<u8>) {
-            match to {
-                SocketAddr::V4(sa) => self.sendq.push((sa, payload)),
-                // IPv6 destinations cannot come out of an IPv4-bound
-                // socket anyway; keep the datagram and let submit()'s
-                // plain send_to surface the OS error to the caller.
-                SocketAddr::V6(_) => self
-                    .sendq
-                    .push((SocketAddrV4::new(Ipv4Addr::UNSPECIFIED, 0), payload)),
-            }
-        }
-
-        fn pending(&self) -> usize {
-            self.sendq.len()
-        }
-
-        fn submit(&mut self) -> io::Result<usize> {
-            let sent = self.send_queued();
-            // Sent or failed, the queue is spent; clearing it in place keeps
-            // its capacity, so the next burst queues without regrowing it.
-            self.sendq.clear();
-            sent
-        }
-
-        fn complete(
-            &mut self,
-            timeout: Option<Duration>,
-            out: &mut Vec<Completion>,
-        ) -> io::Result<usize> {
-            let fd = self.socket.as_raw_fd();
-            let flags = match timeout {
-                Some(d) if !d.is_zero() => {
-                    self.want_read_timeout(Some(d))?;
-                    MSG_WAITFORONE
-                }
-                _ => MSG_DONTWAIT,
-            };
-            self.recv_names.clear();
-            self.recv_iovs.clear();
-            self.recv_hdrs.clear();
-            for buf in &mut self.recv_bufs {
-                self.recv_names.push(SockAddrIn::zeroed());
-                self.recv_iovs.push(IoVec {
-                    base: buf.as_mut_ptr(),
-                    len: buf.len(),
-                });
-            }
-            let names = self.recv_names.as_mut_ptr();
-            let iovs = self.recv_iovs.as_mut_ptr();
-            for k in 0..RECV_BATCH {
-                self.recv_hdrs.push(MMsgHdr {
-                    hdr: MsgHdr {
-                        // SAFETY: k < RECV_BATCH == recv_names.len() ==
-                        // recv_iovs.len(); storage lives in self.
-                        name: unsafe { names.add(k) },
-                        namelen: std::mem::size_of::<SockAddrIn>() as u32,
-                        iov: unsafe { iovs.add(k) },
-                        iovlen: 1,
-                        control: ptr::null_mut(),
-                        controllen: 0,
-                        flags: 0,
-                    },
-                    len: 0,
-                });
-            }
-            // SAFETY: hdrs reference RECV_BATCH live buffers of
-            // MAX_DATAGRAM bytes each; null timeout defers blocking
-            // behaviour to SO_RCVTIMEO + flags.
-            let n = unsafe {
-                recvmmsg(
-                    fd,
-                    self.recv_hdrs.as_mut_ptr(),
-                    RECV_BATCH as u32,
-                    flags,
-                    ptr::null_mut(),
-                )
-            };
-            if n < 0 {
-                let e = io::Error::last_os_error();
-                if is_timeout(&e) || e.kind() == io::ErrorKind::Interrupted {
-                    return Ok(0);
-                }
-                return Err(e);
-            }
-            let n = n as usize;
-            for k in 0..n {
-                let len = (self.recv_hdrs[k].len as usize).min(MAX_DATAGRAM);
-                out.push((
-                    self.recv_names[k].to_socket_addr(),
-                    self.recv_bufs[k][..len].to_vec(),
-                ));
-            }
-            Ok(n)
-        }
-
-        fn name(&self) -> &'static str {
-            "batch"
-        }
-
-        fn max_datagram(&self) -> usize {
-            MAX_DATAGRAM
-        }
-    }
-}
+mod batch;
 
 #[cfg(all(target_os = "linux", target_pointer_width = "64"))]
 pub use batch::BatchUdpDriver;

@@ -1,7 +1,7 @@
 //! The link-fault decorator on its own: two members on the in-memory
-//! medium, each receiving through a `FaultyDriver`, no worker and no
-//! threads — what arrives, what is counted and what is decided is all
-//! observable at the driver surface.
+//! medium (or, once, on loopback UDP), each receiving through a
+//! `FaultyDriver`, no worker and no threads — what arrives, what is
+//! counted and what is decided is all observable at the driver surface.
 
 use evs_net::{Completion, SocketDriver};
 use evs_runtime::{Faults, FaultyDriver, LinkFault, MemDriver, TICK};
@@ -25,36 +25,41 @@ struct Pair {
     drivers: [FaultyDriver; 2],
     telemetry: [Telemetry; 2],
     /// A non-member address on the same medium.
-    outsider: MemDriver,
+    outsider: Box<dyn SocketDriver>,
 }
 
-fn pair(seed: u64) -> Pair {
-    let hub = Arc::default();
+/// Two members and an outsider over `medium`, which binds address `i`
+/// and returns its driver.
+fn pair_over(seed: u64, mut medium: impl FnMut(u16) -> Box<dyn SocketDriver>) -> Pair {
     let faults = Faults::new(2);
     faults.set_seed(seed);
     let telemetry = [Telemetry::enabled(0), Telemetry::enabled(1)];
-    let member = |i: u16| {
-        FaultyDriver::new(
-            Box::new(MemDriver::bind(&hub, addr(i))),
-            p(i as u32),
-            vec![addr(0), addr(1)],
-            Arc::clone(&faults),
-            telemetry[i as usize].clone(),
-        )
+    let [d0, d1] = [medium(0), medium(1)];
+    let peers = [&d0, &d1].map(|d| d.local_addr().expect("addr")).to_vec();
+    let member = |i: u32, inner| {
+        let telemetry = telemetry[i as usize].clone();
+        FaultyDriver::new(inner, p(i), peers.clone(), Arc::clone(&faults), telemetry)
     };
+    let drivers = [member(0, d0), member(1, d1)];
     Pair {
-        drivers: [member(0), member(1)],
-        outsider: MemDriver::bind(&hub, addr(9)),
+        drivers,
+        outsider: medium(9),
         faults,
         telemetry,
     }
 }
 
+fn pair(seed: u64) -> Pair {
+    let hub = Arc::default();
+    pair_over(seed, |i| Box::new(MemDriver::bind(&hub, addr(i))))
+}
+
 impl Pair {
     /// Sends datagrams `0..count` (one byte-pair each) from `from` to `to`.
     fn send(&mut self, from: usize, to: usize, count: u16) {
+        let to = self.drivers[to].local_addr().expect("addr");
         for k in 0..count {
-            self.drivers[from].push(addr(to as u16), k.to_le_bytes().to_vec());
+            self.drivers[from].push(to, k.to_le_bytes().to_vec());
         }
         self.drivers[from].submit().expect("submit");
     }
@@ -115,7 +120,8 @@ fn a_fully_lossy_link_delivers_nothing_and_counts_every_packet() {
     // non-member address is not the decorator's business.
     net.faults.set_all(LinkFault::lossy(100));
     net.send(1, 1, 3);
-    net.outsider.push(addr(1), vec![7, 0]);
+    let to = net.drivers[1].local_addr().expect("addr");
+    net.outsider.push(to, vec![7, 0]);
     net.outsider.submit().expect("submit");
     assert_eq!(net.pump(1, Pair::received(4)), vec![0, 1, 2, 7]);
 }
@@ -215,4 +221,50 @@ fn same_seed_and_same_arrivals_make_the_same_decisions() {
     assert!(first.len() > 200 / 2, "the policy was applied");
     assert_eq!(first, run(0xFEED), "same seed, same arrival sequence");
     assert_ne!(first, run(0xBEEF), "another seed is another stream");
+}
+
+/// Over two batched UDP drivers a burst of equal datagrams is one
+/// segmented send and one coalesced read, yet the link policy still
+/// decides datagram by datagram.
+#[cfg(all(target_os = "linux", target_pointer_width = "64"))]
+#[test]
+fn policies_apply_per_datagram_inside_one_coalesced_read() {
+    use evs_net::{BatchUdpDriver, RECV_BATCH};
+    let mut net = pair_over(5, |_| {
+        let socket = std::net::UdpSocket::bind("127.0.0.1:0").expect("bind loopback");
+        Box::new(BatchUdpDriver::new(socket).expect("batch"))
+    });
+    const BURST: u16 = 64;
+    const { assert!(BURST as usize > RECV_BATCH) };
+
+    net.faults.set_link(p(0), p(1), LinkFault::lossy(50));
+    net.send(0, 1, BURST);
+    // One blocking reap: its first read is the whole burst.
+    let mut got: Vec<Completion> = Vec::new();
+    net.drivers[1]
+        .complete(Some(Duration::from_secs(5)), &mut got)
+        .expect("complete");
+    let dropped = net.count(1, names::LINK_DROPS);
+    assert_eq!(got.len() as u64 + dropped, u64::from(BURST), "one reap");
+    assert!(
+        (1..u64::from(BURST)).contains(&dropped),
+        "{dropped} dropped"
+    );
+    let kept: Vec<u16> = got
+        .iter()
+        .map(|(_, d)| u16::from_le_bytes([d[0], d[1]]))
+        .collect();
+    assert!(kept.windows(2).all(|w| w[0] < w[1]), "survivors in order");
+
+    let duplicate = LinkFault {
+        dup_pct: 100,
+        ..LinkFault::default()
+    };
+    net.faults.set_link(p(0), p(1), duplicate);
+    net.send(0, 1, BURST);
+    let mut got = net.pump(1, Pair::received(2 * BURST as usize));
+    got.sort_unstable();
+    let twice: Vec<u16> = (0..BURST).flat_map(|k| [k, k]).collect();
+    assert_eq!(got, twice, "every datagram arrives exactly twice");
+    assert_eq!(net.count(1, names::LINK_DUPLICATES), u64::from(BURST));
 }

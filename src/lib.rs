@@ -34,8 +34,10 @@
 //!   `README.md`).
 //! * [`net`] — kernel-batched UDP socket drivers behind the
 //!   io_uring-shaped `SocketDriver` trait: one `sendmmsg`/`recvmmsg`
-//!   syscall per batch on Linux, a byte-for-byte-equivalent portable
-//!   fallback elsewhere (see the "Performance" section of `README.md`).
+//!   syscall per batch on Linux, with a same-destination run of
+//!   datagrams as one `UDP_SEGMENT` send and one `UDP_GRO` read, and a
+//!   byte-for-byte-equivalent portable fallback elsewhere (see the
+//!   "Performance" section of `README.md`).
 //! * [`runtime`] — the one live worker loop: a clock-free `Worker` over a
 //!   `SocketDriver`, the in-memory medium, link faults as a driver
 //!   decorator, and the thread-per-node `Cluster` the live tests, the
