@@ -47,6 +47,9 @@
 # runs against this tree, or protocol or broker state that grows with a
 # run's age again, should cost two minutes to find, not the gate.
 #
+# lint also guards the layering: evs-inspect reads evs-core's traces, so
+# neither evs-core nor evs-telemetry may depend on it (cargo tree).
+#
 # Fails on the first broken step.
 set -eu
 
@@ -229,6 +232,13 @@ loc() {
 }
 
 lint() {
+    echo "== layering (evs-inspect sits above the protocol: no evs-core or evs-telemetry dependency on it) =="
+    for crate in evs-core evs-telemetry; do
+        deps=$(cargo tree --offline -e normal -p "$crate")
+        case "$deps" in
+        *evs-inspect*) echo "lint: $crate depends on evs-inspect" && exit 1 ;;
+        esac
+    done
     echo "== rustfmt =="
     cargo fmt --check
     echo "== clippy (-D warnings, redundant clones surfaced) =="

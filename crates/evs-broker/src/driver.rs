@@ -19,7 +19,6 @@ use crate::broker::{Broker, BrokerParams, Reply};
 use crate::ledger::OpLedger;
 use crate::proto;
 use crate::session::SubmitOutcome;
-use evs_core::checker::CheckFailure;
 use evs_core::{Delivery, EvsCluster, Payload, Trace};
 use evs_sim::{Action, NetConfig, ProcessId};
 use evs_telemetry::{names, Counter, Telemetry};
@@ -415,15 +414,6 @@ impl BrokerCluster {
         self.cluster.trace()
     }
 
-    /// Runs the full EVS specification suite over the daemon group.
-    ///
-    /// # Errors
-    ///
-    /// Returns the checker's failure if the trace breaks a specification.
-    pub fn check(&self) -> Result<(), CheckFailure> {
-        self.cluster.check()
-    }
-
     /// Per-daemon telemetry handles.
     pub fn daemon_telemetry(&self) -> Vec<Telemetry> {
         self.cluster.telemetry_handles()
@@ -443,6 +433,7 @@ impl BrokerCluster {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use evs_core::checker;
 
     fn smoke_cfg() -> BrokerClusterConfig {
         BrokerClusterConfig {
@@ -482,7 +473,7 @@ mod tests {
         assert!(bc.duplicate_applications().is_empty());
         assert!(bc.acked_never_applied().is_empty());
         assert_eq!(bc.broker(0).inflight() + bc.broker(1).inflight(), 0);
-        bc.check().expect("conformance");
+        checker::check_all(&bc.trace()).expect("conformance");
     }
 
     #[test]
@@ -514,7 +505,7 @@ mod tests {
         assert!(bc.duplicate_applications().is_empty());
         assert!(bc.deduped_total() > 0, "resubmissions were deduped");
         assert_eq!(bc.applied_total(), 10 * 3);
-        bc.check().expect("conformance");
+        checker::check_all(&bc.trace()).expect("conformance");
     }
 
     #[test]
@@ -547,7 +538,7 @@ mod tests {
         );
         assert!(bc.duplicate_applications().is_empty());
         assert!(bc.acked_never_applied().is_empty());
-        bc.check().expect("conformance");
+        checker::check_all(&bc.trace()).expect("conformance");
     }
 
     #[test]

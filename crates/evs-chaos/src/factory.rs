@@ -344,16 +344,18 @@ impl Factory {
         } else {
             self.orchestrator.run_sim(&plan)
         };
-        // Two frames per run: the pre-heal dumps, where fault-induced
+        // Two frames per run: the pre-heal one, where fault-induced
         // anomalies are still visible (a stuck recovery, an undelivered
-        // message), and the end-of-run dumps, where only what survived the
+        // message), and the end-of-run one, where only what survived the
         // heal remains. Coverage counts a detector once per run.
         let mut anomalies: Vec<&'static str> = Vec::new();
-        for dumps in [&outcome.mid_dumps, &outcome.dumps] {
-            if dumps.is_empty() {
+        for frame in [&outcome.mid, &outcome.end] {
+            if frame.dumps.is_empty() {
                 continue;
             }
-            for a in InspectReport::analyze_with(dumps, &self.config.anomaly).anomalies {
+            let report =
+                InspectReport::analyze_with(&frame.trace, &frame.dumps, &self.config.anomaly);
+            for a in report.anomalies {
                 if !anomalies.contains(&a.kind) {
                     anomalies.push(a.kind);
                 }

@@ -63,7 +63,7 @@ mod shrink;
 pub use campaign::{Campaign, CampaignConfig, CampaignStats, CounterExample};
 pub use factory::{plan_shape, Factory, FactoryConfig, FactoryCoverage, FactoryReport};
 pub use gen::{FaultMix, GenConfig, ScenarioGen};
-pub use orchestrator::{conformance, ChaosFailure, ChaosOutcome, Orchestrator};
+pub use orchestrator::{conformance, ChaosFailure, ChaosOutcome, Frame, Orchestrator};
 pub use plan::{BitTarget, FaultPlan, FaultStep, PlanError, STEP_KINDS};
 pub use shrink::{ShrinkResult, Shrinker};
 

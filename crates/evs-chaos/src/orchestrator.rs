@@ -16,9 +16,8 @@
 
 use crate::plan::{BitTarget, FaultPlan, FaultStep, PlanError};
 use evs_broker::{BrokerCluster, BrokerClusterConfig};
-use evs_core::checker;
 use evs_core::{CorruptionKind, EvsCluster, EvsProcess, Payload, Trace};
-use evs_inspect::collect_dumps;
+use evs_inspect::{check_all_with_telemetry, collect_dumps};
 use evs_runtime::{Cluster, LinkFault, TICK};
 use evs_sim::{Action, NetConfig, ProcessId};
 use evs_telemetry::{RecordedEvent, RunReport, Telemetry};
@@ -51,6 +50,16 @@ impl ChaosFailure {
 /// Per-process flight-recorder dumps, keyed by process index.
 pub type ProcessDumps = Vec<(u32, Vec<RecordedEvent>)>;
 
+/// A run photographed at one instant: its trace and every process's
+/// flight-recorder dump, the two inputs of an `evs-inspect` analysis.
+#[derive(Clone, Debug, Default)]
+pub struct Frame {
+    /// The §2 events so far.
+    pub trace: Trace,
+    /// The flight recorders' contents (empty when telemetry is off).
+    pub dumps: ProcessDumps,
+}
+
 /// The result of one chaos run.
 #[derive(Clone, Debug)]
 pub struct ChaosOutcome {
@@ -61,17 +70,17 @@ pub struct ChaosOutcome {
     pub failure: Option<ChaosFailure>,
     /// Aggregated per-process telemetry (empty when telemetry is off).
     pub report: RunReport,
-    /// Per-process flight-recorder dumps (empty when telemetry is off) —
-    /// raw material for `evs-inspect` timeline and anomaly analysis of
-    /// this run, e.g. the factory's detector-coverage accounting.
-    pub dumps: ProcessDumps,
-    /// Flight-recorder dumps captured *between the last plan step and the
-    /// heal* (empty when telemetry is off). The end-of-run dumps above see
-    /// a healed cluster, and several anomaly detectors key on the state a
-    /// recording *ends* in (a recovery still stuck, a message still
-    /// undelivered, an obligation set still growing) — anomalies the heal
-    /// legitimately erases. This mid-run frame is where they are visible.
-    pub mid_dumps: ProcessDumps,
+    /// The run at its end — raw material for `evs-inspect` span and
+    /// anomaly analysis of this run, e.g. the factory's detector-coverage
+    /// accounting.
+    pub end: Frame,
+    /// The run *between the last plan step and the heal*. The end frame
+    /// above sees a healed cluster, and several anomaly detectors key on
+    /// the state a recording *ends* in (a recovery still stuck, a message
+    /// still undelivered, an obligation set still growing) — anomalies the
+    /// heal legitimately erases. This mid-run frame is where they are
+    /// visible.
+    pub mid: Frame,
 }
 
 impl ChaosOutcome {
@@ -170,14 +179,13 @@ impl Orchestrator {
         (cluster, settled)
     }
 
-    /// [`Orchestrator::execute`], also returning the flight-recorder dumps
-    /// captured between the last plan step and the heal (see
-    /// [`ChaosOutcome::mid_dumps`]).
+    /// [`Orchestrator::execute`], also returning the frame captured
+    /// between the last plan step and the heal (see [`ChaosOutcome::mid`]).
     ///
     /// # Panics
     ///
     /// Panics if the plan fails [`FaultPlan::validate`].
-    pub fn execute_observed(&self, plan: &FaultPlan) -> (EvsCluster<String>, bool, ProcessDumps) {
+    pub fn execute_observed(&self, plan: &FaultPlan) -> (EvsCluster<String>, bool, Frame) {
         plan.validate().expect("fault plan must validate");
         let n = plan.n as usize;
         let mut cluster = EvsCluster::<String>::builder(n)
@@ -257,7 +265,10 @@ impl Orchestrator {
         }
         // The anomalies the injected faults caused are about to be healed
         // away; photograph them first.
-        let mid_dumps = collect_dumps(&cluster.telemetry_handles());
+        let mid = Frame {
+            trace: cluster.trace(),
+            dumps: collect_dumps(&cluster.telemetry_handles()),
+        };
         // Heal everything so the liveness-flavored specifications apply:
         // a correct engine must always re-stabilize from here.
         cluster.sim_mut().apply(Action::SetDropProb(0.0));
@@ -271,7 +282,7 @@ impl Orchestrator {
             cluster.recover(ProcessId::new(i as u32));
         }
         let settled = cluster.run_until_settled(self.settle_budget);
-        (cluster, settled, mid_dumps)
+        (cluster, settled, mid)
     }
 
     /// Builds a broker-fronted cluster (one broker per daemon), applies
@@ -289,13 +300,13 @@ impl Orchestrator {
         (bc, settled)
     }
 
-    /// [`Orchestrator::execute_broker`], also returning the pre-heal
-    /// flight-recorder dumps (see [`ChaosOutcome::mid_dumps`]).
+    /// [`Orchestrator::execute_broker`], also returning the pre-heal frame
+    /// (see [`ChaosOutcome::mid`]).
     ///
     /// # Panics
     ///
     /// Panics if the plan fails [`FaultPlan::validate`].
-    pub fn execute_broker_observed(&self, plan: &FaultPlan) -> (BrokerCluster, bool, ProcessDumps) {
+    pub fn execute_broker_observed(&self, plan: &FaultPlan) -> (BrokerCluster, bool, Frame) {
         plan.validate().expect("fault plan must validate");
         let n = plan.n as usize;
         let mut bc = BrokerCluster::new(BrokerClusterConfig {
@@ -363,9 +374,12 @@ impl Orchestrator {
                 }
             }
         }
-        // Photograph the pre-heal anomalies (see ChaosOutcome::mid_dumps).
-        let mut mid_dumps = collect_dumps(&bc.daemon_telemetry());
-        mid_dumps.extend(collect_dumps(bc.broker_telemetry()));
+        // Photograph the pre-heal anomalies (see ChaosOutcome::mid).
+        let mut mid = Frame {
+            trace: bc.trace(),
+            dumps: collect_dumps(&bc.daemon_telemetry()),
+        };
+        mid.dumps.extend(collect_dumps(bc.broker_telemetry()));
         // Heal everything so the liveness-flavored specifications apply —
         // and reconnect every dead broker, which resubmits its unacked
         // ops: the replay the dedup ledgers must absorb exactly once.
@@ -387,7 +401,7 @@ impl Orchestrator {
         bc.pump(20_000);
         settled = settled && bc.cluster_mut().run_until_settled(self.settle_budget);
         bc.pump(256);
-        (bc, settled, mid_dumps)
+        (bc, settled, mid)
     }
 
     /// Runs `plan` on the broker client path and checks the full
@@ -400,16 +414,19 @@ impl Orchestrator {
     ///
     /// Panics if the plan fails [`FaultPlan::validate`].
     pub fn run_broker(&self, plan: &FaultPlan) -> ChaosOutcome {
-        let (bc, settled, mid_dumps) = self.execute_broker_observed(plan);
+        let (bc, settled, mid) = self.execute_broker_observed(plan);
         let handles = bc.daemon_telemetry();
         let mut all = handles.clone();
         all.extend(bc.broker_telemetry().iter().cloned());
         let report = RunReport::collect(&all);
-        let dumps = collect_dumps(&all);
+        let end = Frame {
+            trace: bc.trace(),
+            dumps: collect_dumps(&all),
+        };
         let failure = if settled {
             let mut specs: Vec<String> = Vec::new();
             let mut details = String::new();
-            if let Some(f) = conformance(&bc.trace(), &handles, plan.n as usize) {
+            if let Some(f) = conformance(&end.trace, &handles, plan.n as usize) {
                 specs.extend(f.specs);
                 details.push_str(&f.details);
             }
@@ -450,8 +467,8 @@ impl Orchestrator {
             settled,
             failure,
             report,
-            dumps,
-            mid_dumps,
+            end,
+            mid,
         }
     }
 
@@ -467,12 +484,15 @@ impl Orchestrator {
         if plan.has_broker_steps() {
             return self.run_broker(plan);
         }
-        let (cluster, settled, mid_dumps) = self.execute_observed(plan);
+        let (cluster, settled, mid) = self.execute_observed(plan);
         let handles = cluster.telemetry_handles();
         let report = RunReport::collect(&handles);
-        let dumps = collect_dumps(&handles);
+        let end = Frame {
+            trace: cluster.trace(),
+            dumps: collect_dumps(&handles),
+        };
         let failure = if settled {
-            conformance(&cluster.trace(), &handles, plan.n as usize)
+            conformance(&end.trace, &handles, plan.n as usize)
         } else {
             Some(ChaosFailure {
                 specs: vec!["settle".to_string()],
@@ -486,8 +506,8 @@ impl Orchestrator {
             settled,
             failure,
             report,
-            dumps,
-            mid_dumps,
+            end,
+            mid,
         }
     }
 
@@ -579,8 +599,15 @@ impl Orchestrator {
                 }
             }
         }
-        // Photograph the pre-heal anomalies (see ChaosOutcome::mid_dumps).
-        let mid_dumps = collect_dumps(&net.telemetry_handles());
+        // Photograph the pre-heal anomalies (see ChaosOutcome::mid).
+        let mid = Frame {
+            trace: Trace::new(
+                (0..n as u32)
+                    .map(|p| net.inspect(ProcessId::new(p), |_, trace| trace.to_vec()))
+                    .collect(),
+            ),
+            dumps: collect_dumps(&net.telemetry_handles()),
+        };
         // Heal everything, like the simulator path: perfect links again,
         // one component, everyone up. The liveness-flavored specifications
         // apply from here.
@@ -591,11 +618,13 @@ impl Orchestrator {
         }
         let settled = formed && net.wait_until(Duration::from_secs(30), settled_with(n));
         let handles = net.telemetry_handles();
+        let end = Frame {
+            trace: Trace::new(net.shutdown()),
+            dumps: collect_dumps(&handles),
+        };
         let report = RunReport::collect(&handles);
-        let dumps = collect_dumps(&handles);
-        let trace = Trace::new(net.shutdown());
         let failure = if settled {
-            conformance(&trace, &handles, n)
+            conformance(&end.trace, &handles, n)
         } else {
             Some(ChaosFailure {
                 specs: vec!["settle".to_string()],
@@ -606,8 +635,8 @@ impl Orchestrator {
             settled,
             failure,
             report,
-            dumps,
-            mid_dumps,
+            end,
+            mid,
         })
     }
 }
@@ -618,7 +647,7 @@ impl Orchestrator {
 pub fn conformance(trace: &Trace, handles: &[Telemetry], n: usize) -> Option<ChaosFailure> {
     let mut specs: Vec<String> = Vec::new();
     let mut details = String::new();
-    if let Err(failure) = checker::check_all_with_telemetry(trace, handles) {
+    if let Err(failure) = check_all_with_telemetry(trace, handles) {
         specs.extend(failure.violations.iter().map(|v| v.spec.to_string()));
         details.push_str(&failure.to_string());
         // The primary/VS layers assume a lawful EVS trace; checking them on

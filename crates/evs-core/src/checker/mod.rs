@@ -38,7 +38,6 @@ use core::fmt;
 use evs_membership::ConfigId;
 use evs_order::{MessageId, Service};
 use evs_sim::ProcessId;
-use evs_telemetry::{RecordedEvent, Telemetry};
 use std::collections::{BTreeMap, HashSet};
 
 /// A single specification violation.
@@ -303,103 +302,6 @@ pub fn assert_evs(trace: &Trace) {
             report.push_str(&format!("  {v}\n"));
         }
         panic!("{report}\ntrace:\n{trace}");
-    }
-}
-
-/// A failed specification check together with the flight-recorder dumps of
-/// every telemetry-enabled process — the last events each process recorded
-/// before the violation was detected.
-///
-/// Produced by [`check_all_with_telemetry`]; its [`Display`](fmt::Display)
-/// rendering prints the violations first and then one `process N` section
-/// per dump, each event on a `[t=..] ..` line, so a panicking test shows
-/// the recent protocol history alongside the broken specification.
-#[derive(Clone, Debug)]
-pub struct CheckFailure {
-    /// Every specification violation found in the trace.
-    pub violations: Vec<Violation>,
-    /// Per-process flight-recorder contents, `(pid, last-K events)`,
-    /// oldest first. Only telemetry-enabled processes appear.
-    pub dumps: Vec<(u32, Vec<RecordedEvent>)>,
-}
-
-/// How much of the merged timeline a failure report prints. Flight
-/// recorders are bounded per process, but a multi-process merge can still
-/// run long; the spans below the timeline summarize what is elided.
-const FAILURE_TIMELINE_CAP: usize = 160;
-
-impl CheckFailure {
-    /// The full `evs-inspect` analysis of the attached dumps: merged
-    /// causal timeline, per-message and per-configuration lifecycle
-    /// spans, anomaly detection.
-    pub fn inspect(&self) -> evs_inspect::InspectReport {
-        evs_inspect::InspectReport::analyze(&self.dumps)
-    }
-}
-
-impl fmt::Display for CheckFailure {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "{} violation(s):", self.violations.len())?;
-        for v in &self.violations {
-            writeln!(f, "  {v}")?;
-        }
-        if self.dumps.is_empty() {
-            write!(f, "no flight-recorder dumps (telemetry detached)")?;
-        } else {
-            writeln!(f, "flight recorder (merged across processes):")?;
-            for (pid, events) in &self.dumps {
-                writeln!(f, "  process {pid}: {} event(s) recorded", events.len())?;
-            }
-            let report = self.inspect();
-            for line in report.to_text(Some(FAILURE_TIMELINE_CAP)).lines() {
-                writeln!(f, "  {line}")?;
-            }
-        }
-        Ok(())
-    }
-}
-
-/// Like [`check_all`], but on violation attaches the flight-recorder dump
-/// of every telemetry-enabled process in `handles`, giving the failure
-/// report the recent protocol history that led up to it.
-///
-/// Detached handles contribute no dump; passing an empty iterator makes
-/// this equivalent to [`check_all`] with the violations wrapped in a
-/// [`CheckFailure`].
-///
-/// # Errors
-///
-/// Returns a [`CheckFailure`] if the trace breaks any specification of the
-/// extended virtual synchrony model.
-pub fn check_all_with_telemetry<'h>(
-    trace: &Trace,
-    handles: impl IntoIterator<Item = &'h Telemetry>,
-) -> Result<(), CheckFailure> {
-    match check_all(trace) {
-        Ok(()) => Ok(()),
-        Err(violations) => {
-            let dumps = handles
-                .into_iter()
-                .filter_map(|t| t.pid().map(|pid| (pid, t.flight_dump())))
-                .collect();
-            Err(CheckFailure { violations, dumps })
-        }
-    }
-}
-
-/// Like [`assert_evs`], but the panic message includes the flight-recorder
-/// dumps from [`check_all_with_telemetry`] — convenient in telemetry-enabled
-/// tests.
-///
-/// # Panics
-///
-/// Panics if the trace violates the model.
-pub fn assert_evs_with_telemetry<'h>(
-    trace: &Trace,
-    handles: impl IntoIterator<Item = &'h Telemetry>,
-) {
-    if let Err(failure) = check_all_with_telemetry(trace, handles) {
-        panic!("extended virtual synchrony violated:\n{failure}\ntrace:\n{trace}");
     }
 }
 

@@ -1,6 +1,5 @@
 //! A convenience harness: a whole EVS group under the simulator.
 
-use crate::checker::{self, CheckFailure};
 use crate::{Configuration, Delivery, EvsParams, EvsProcess, Trace};
 use evs_order::Service;
 use evs_sim::{Action, NetConfig, ProcessId, Sim, SimTime};
@@ -249,18 +248,6 @@ impl<P: Clone + fmt::Debug + Send + 'static> EvsCluster<P> {
     /// Empty when the cluster was built without telemetry.
     pub fn run_report(&self) -> RunReport {
         RunReport::collect(&self.sim.telemetry_handles())
-    }
-
-    /// Runs the full specification check over the cluster's trace; on
-    /// violation the [`CheckFailure`] carries each enabled process's
-    /// flight-recorder dump.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`CheckFailure`] if the trace breaks any specification of
-    /// the extended virtual synchrony model.
-    pub fn check(&self) -> Result<(), CheckFailure> {
-        checker::check_all_with_telemetry(&self.trace(), &self.telemetry_handles())
     }
 
     /// Low-level access to the simulator for advanced schedules.

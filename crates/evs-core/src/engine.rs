@@ -64,10 +64,6 @@ const TICK: TimerKind = TimerKind(1);
 /// Fires when a paced token is due to be forwarded to the successor.
 const TOKEN_SEND: TimerKind = TimerKind(2);
 
-/// Label of the [`TelemetryEvent::StableWrite`] a clean crash records for
-/// its durable `FailMark`.
-const STABLE_KEY: &str = "evs-engine";
-
 /// Cap on buffered frames for configurations we have not installed yet.
 const FUTURE_BUFFER_CAP: usize = 4096;
 
@@ -269,10 +265,11 @@ pub struct EvsProcess<P> {
     /// Highest own message-id counter delivered; own deliveries are
     /// counter-monotone, which `origin_times` relies on.
     own_delivered_upto: u64,
-    /// Per-service delivered-message counters, resolved on the first
-    /// delivery of each service (so a report lists only the services that
-    /// were delivered) and dropped whenever the telemetry handle changes.
-    delivered_counters: [Option<Counter>; 3],
+    /// The counters of the §2 facts `emit` records (sent, delivered,
+    /// configurations delivered, then delivered per service), each
+    /// resolved on its first fact (so a report lists only what happened)
+    /// and dropped whenever the telemetry handle changes.
+    fact_counters: [Option<Counter>; 6],
     lat_causal: LogHistogram,
     lat_agreed: LogHistogram,
     lat_safe: LogHistogram,
@@ -378,7 +375,7 @@ impl<P: Clone + fmt::Debug + 'static> EvsProcess<P> {
             telemetry: Telemetry::disabled(),
             origin_times: VecDeque::new(),
             own_delivered_upto: 0,
-            delivered_counters: Default::default(),
+            fact_counters: Default::default(),
             lat_causal: LogHistogram::detached(),
             lat_agreed: LogHistogram::detached(),
             lat_safe: LogHistogram::detached(),
@@ -492,7 +489,7 @@ impl<P: Clone + fmt::Debug + 'static> EvsProcess<P> {
         if let Mode::Regular { ring } = &mut self.mode {
             ring.set_telemetry(self.telemetry.clone());
         }
-        self.delivered_counters = Default::default();
+        self.fact_counters = Default::default();
         self.lat_causal = self.telemetry.log_histogram(names::DELIVERY_LATENCY_CAUSAL);
         self.lat_agreed = self.telemetry.log_histogram(names::DELIVERY_LATENCY_AGREED);
         self.lat_safe = self.telemetry.log_histogram(names::DELIVERY_LATENCY_SAFE);
@@ -717,20 +714,12 @@ impl<P: Clone + fmt::Debug + 'static> EvsProcess<P> {
             return None;
         }
         self.sent_upto = msg.id.counter;
-        ctx.emit(EvsEvent::Send {
-            id: msg.id,
-            config: msg.config,
-            service: msg.service,
-        });
-        self.telemetry.record(
-            ctx.now().ticks(),
-            TelemetryEvent::MessageSent {
-                epoch: msg.config.epoch,
-                rep: msg.config.rep.index(),
-                sender: msg.id.sender.index(),
-                counter: msg.id.counter,
-                seq: msg.seq,
-                service: service_name(msg.service),
+        self.emit(
+            ctx,
+            EvsEvent::Send {
+                id: msg.id,
+                config: msg.config,
+                service: msg.service,
             },
         );
         Some(WalRecord::Sent {
@@ -750,16 +739,7 @@ impl<P: Clone + fmt::Debug + 'static> EvsProcess<P> {
             transitional: cfg.id.transitional,
         });
         self.wal_sync();
-        ctx.emit(EvsEvent::DeliverConf(cfg.clone()));
-        self.telemetry.record(
-            ctx.now().ticks(),
-            TelemetryEvent::ConfigDelivered {
-                epoch: cfg.id.epoch,
-                rep: cfg.id.rep.index(),
-                members: cfg.members.len() as u32,
-                regular: cfg.is_regular(),
-            },
-        );
+        self.emit(ctx, EvsEvent::DeliverConf(cfg.clone()));
         self.current_config = cfg.clone();
         self.config_shadow = shadow_of(cfg.id);
         self.delivered.push(Delivery::Config(cfg));
@@ -790,25 +770,15 @@ impl<P: Clone + fmt::Debug + 'static> EvsProcess<P> {
                 }
             }
         }
-        ctx.emit(EvsEvent::Deliver {
-            id: msg.id,
-            config,
-            service: msg.service,
-            seq: msg.seq,
-        });
-        self.telemetry.record(
-            ctx.now().ticks(),
-            TelemetryEvent::MessageDelivered {
-                epoch: config.epoch,
-                rep: config.rep.index(),
-                sender: msg.id.sender.index(),
-                counter: msg.id.counter,
+        self.emit(
+            ctx,
+            EvsEvent::Deliver {
+                id: msg.id,
+                config,
+                service: msg.service,
                 seq: msg.seq,
-                service: service_name(msg.service),
-                transitional: config.transitional,
             },
         );
-        self.delivered_counter(msg.service).inc();
         self.delivered.push(Delivery::Message {
             id: msg.id,
             seq: msg.seq,
@@ -818,14 +788,29 @@ impl<P: Clone + fmt::Debug + 'static> EvsProcess<P> {
         });
     }
 
-    /// The delivered-message counter of `service`, resolved by name once.
-    fn delivered_counter(&mut self, service: Service) -> &Counter {
-        let (slot, name) = match service {
-            Service::Causal => (0, names::DELIVERED_CAUSAL),
-            Service::Agreed => (1, names::DELIVERED_AGREED),
-            Service::Safe => (2, names::DELIVERED_SAFE),
-        };
-        self.delivered_counters[slot].get_or_insert_with(|| self.telemetry.counter(name))
+    /// Records one §2 fact. The trace entry is its only record; the
+    /// fact's counters are bumped from the same call.
+    fn emit(&mut self, ctx: &mut ECtx<'_, P>, event: EvsEvent) {
+        match &event {
+            EvsEvent::Send { .. } => self.fact_counter(0, names::MESSAGES_SENT).inc(),
+            EvsEvent::Deliver { service, .. } => {
+                self.fact_counter(1, names::MESSAGES_DELIVERED).inc();
+                let (slot, name) = match service {
+                    Service::Causal => (3, names::DELIVERED_CAUSAL),
+                    Service::Agreed => (4, names::DELIVERED_AGREED),
+                    Service::Safe => (5, names::DELIVERED_SAFE),
+                };
+                self.fact_counter(slot, name).inc();
+            }
+            EvsEvent::DeliverConf(_) => self.fact_counter(2, names::CONFIGS_DELIVERED).inc(),
+            EvsEvent::Fail { .. } => {}
+        }
+        ctx.emit(event);
+    }
+
+    /// The counter `name` cached in `slot`, resolved by name once.
+    fn fact_counter(&mut self, slot: usize, name: &'static str) -> &Counter {
+        self.fact_counters[slot].get_or_insert_with(|| self.telemetry.counter(name))
     }
 
     fn drain_ring_deliveries(&mut self, ctx: &mut ECtx<'_, P>) {
@@ -1359,7 +1344,7 @@ impl<P: Clone + fmt::Debug + 'static> EvsProcess<P> {
                 },
             );
         }
-        ctx.emit(EvsEvent::Fail { config });
+        self.emit(ctx, EvsEvent::Fail { config });
         self.repair_counter();
         self.persist.max_epoch = self
             .persist
@@ -1598,7 +1583,7 @@ impl<P: Clone + fmt::Debug + 'static> EvsProcess<P> {
             if rec.undead_suspect {
                 self.telemetry.counter(names::WAL_SUPPRESSED_FAILS).inc();
             } else {
-                ctx.emit(EvsEvent::Fail { config: undead });
+                self.emit(ctx, EvsEvent::Fail { config: undead });
             }
         }
         // Durable-medium rot: records lost to a CRC gap or rejected by the
@@ -1769,7 +1754,7 @@ impl<P: Clone + fmt::Debug + 'static> Node for EvsProcess<P> {
         // excommunicated for it, and the fail must still name a
         // configuration that was really installed (Spec 2.2).
         let config = self.installed_config_id();
-        ctx.emit(EvsEvent::Fail { config });
+        self.emit(ctx, EvsEvent::Fail { config });
         self.persist.max_epoch = self.persist.max_epoch.max(self.membership.max_epoch());
         let persist = self.persist;
         // A clean crash marks the log with its exact counters, so replay
@@ -1782,10 +1767,6 @@ impl<P: Clone + fmt::Debug + 'static> Node for EvsProcess<P> {
             max_epoch: persist.max_epoch,
         });
         self.wal_sync();
-        self.telemetry.record(
-            ctx.now().ticks(),
-            TelemetryEvent::StableWrite { key: STABLE_KEY },
-        );
     }
 
     fn on_recover(&mut self, ctx: &mut ECtx<'_, P>) {

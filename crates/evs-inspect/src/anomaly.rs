@@ -365,10 +365,10 @@ fn message_lifecycle_gaps(messages: &[MessageSpan], out: &mut Vec<Anomaly>) {
                 pid: Some(m.sender),
                 epoch: m.epoch,
                 detail: format!(
-                    "P{}#{} was stamped (ord {}) but never delivered anywhere",
+                    "P{}#{} was stamped at t={} but never delivered anywhere",
                     m.sender,
                     m.counter,
-                    m.seq.unwrap_or(0)
+                    m.stamped_at.unwrap_or(0)
                 ),
             });
         } else if m.originated_at.is_some() && m.stamped_at.is_none() {
@@ -390,6 +390,8 @@ fn message_lifecycle_gaps(messages: &[MessageSpan], out: &mut Vec<Anomaly>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use evs_core::trace_io::parse_trace;
+    use evs_core::Trace;
     use evs_telemetry::json;
     use evs_telemetry::Telemetry;
 
@@ -418,8 +420,8 @@ mod tests {
             );
         }
         let tl = Timeline::from_handles([&t]);
-        let msgs = MessageSpan::derive(&tl);
-        let cfgs = ConfigSpan::derive(&tl);
+        let msgs = MessageSpan::derive(&tl, &Trace::default());
+        let cfgs = ConfigSpan::derive(&tl, &Trace::default());
         let anomalies = detect(&tl, &msgs, &cfgs, &AnomalyConfig::default());
         assert!(
             anomalies
@@ -456,8 +458,8 @@ mod tests {
             },
         );
         let tl = Timeline::from_handles([&t]);
-        let msgs = MessageSpan::derive(&tl);
-        let cfgs = ConfigSpan::derive(&tl);
+        let msgs = MessageSpan::derive(&tl, &Trace::default());
+        let cfgs = ConfigSpan::derive(&tl, &Trace::default());
         let anomalies = detect(&tl, &msgs, &cfgs, &AnomalyConfig::default());
         assert!(
             !anomalies.iter().any(|a| a.kind == "stuck_recovery"),
@@ -510,8 +512,8 @@ mod tests {
         let tl = Timeline::from_handles([&t]);
         let anomalies = detect(
             &tl,
-            &MessageSpan::derive(&tl),
-            &ConfigSpan::derive(&tl),
+            &MessageSpan::derive(&tl, &Trace::default()),
+            &ConfigSpan::derive(&tl, &Trace::default()),
             &AnomalyConfig::default(),
         );
         assert!(anomalies.is_empty(), "{anomalies:?}");
@@ -544,8 +546,8 @@ mod tests {
         let tl = Timeline::from_handles([&a, &b]);
         let anomalies = detect(
             &tl,
-            &MessageSpan::derive(&tl),
-            &ConfigSpan::derive(&tl),
+            &MessageSpan::derive(&tl, &Trace::default()),
+            &ConfigSpan::derive(&tl, &Trace::default()),
             &AnomalyConfig::default(),
         );
         assert!(
@@ -579,8 +581,8 @@ mod tests {
         let tl = Timeline::from_handles([&stormy]);
         let anomalies = detect(
             &tl,
-            &MessageSpan::derive(&tl),
-            &ConfigSpan::derive(&tl),
+            &MessageSpan::derive(&tl, &Trace::default()),
+            &ConfigSpan::derive(&tl, &Trace::default()),
             &cfg,
         );
         assert!(
@@ -613,8 +615,8 @@ mod tests {
         let tl = Timeline::from_handles([&lossy]);
         let anomalies = detect(
             &tl,
-            &MessageSpan::derive(&tl),
-            &ConfigSpan::derive(&tl),
+            &MessageSpan::derive(&tl, &Trace::default()),
+            &ConfigSpan::derive(&tl, &Trace::default()),
             &cfg,
         );
         assert!(
@@ -653,6 +655,34 @@ mod tests {
         assert!(detect_one(0, true, true).is_empty());
         // Normal replay.
         assert!(detect_one(7, false, true).is_empty());
+    }
+
+    #[test]
+    fn message_gaps_join_the_trace_with_the_timeline() {
+        // P0#1 was originated and sent but never delivered; P0#2 was
+        // originated but never sent.
+        let t = Telemetry::enabled(0);
+        for counter in [1, 2] {
+            t.record(
+                counter,
+                TelemetryEvent::MessageOriginated {
+                    sender: 0,
+                    counter,
+                    service: "safe",
+                },
+            );
+        }
+        let trace = parse_trace("process 0\n  @3 send 0#1 R1.0 safe\n").unwrap();
+        let tl = Timeline::from_handles([&t]);
+        let msgs = MessageSpan::derive(&tl, &trace);
+        let anomalies = detect(&tl, &msgs, &[], &AnomalyConfig::default());
+        let kinds: Vec<&str> = anomalies.iter().map(|a| a.kind).collect();
+        assert_eq!(
+            kinds,
+            ["undelivered_message", "unstamped_message"],
+            "{anomalies:?}"
+        );
+        assert_eq!(anomalies[0].epoch, Some(1));
     }
 
     #[test]

@@ -7,7 +7,8 @@
 //! with [`dump_to_json`] and writes it next to its peers
 //! ([`write_dumps`]); any process — or a later invocation long after the
 //! run exited — re-ingests the whole directory with [`load_dumps`] and
-//! feeds the result straight into
+//! feeds the result, beside the run's trace (journaled or written with
+//! `evs_core::trace_io`), straight into
 //! [`InspectReport::analyze`](crate::InspectReport::analyze).
 //!
 //! The format is one flat JSON object per event — `{"at":…,"name":…,`
@@ -16,10 +17,9 @@
 //! identifier ([`TelemetryEvent::name`]), which uniquely determines the
 //! variant. Like every JSON document in this workspace the emission is
 //! hand-rolled and the parser is [`evs_telemetry::json`]; the `&'static str`
-//! fields of
-//! [`TelemetryEvent`] (service levels, membership states, stable-storage
-//! keys) are re-interned against the known vocabulary on the way back in,
-//! so an unknown token is a parse failure, not a leaked allocation.
+//! fields of [`TelemetryEvent`] (service levels, membership states) are
+//! re-interned against the known vocabulary on the way back in, so an
+//! unknown token is a parse failure, not a leaked allocation.
 
 use evs_telemetry::json::{self, push_json_string, Value};
 use evs_telemetry::{names, RecordedEvent, TelemetryEvent};
@@ -99,49 +99,6 @@ pub fn event_to_json(rec: &RecordedEvent) -> String {
             );
             push_json_string(&mut out, service);
         }
-        TelemetryEvent::MessageSent {
-            epoch,
-            rep,
-            sender,
-            counter,
-            seq,
-            service,
-        } => {
-            let _ = write!(
-                out,
-                ",\"epoch\":{epoch},\"rep\":{rep},\"sender\":{sender},\
-                 \"counter\":{counter},\"seq\":{seq},\"service\":"
-            );
-            push_json_string(&mut out, service);
-        }
-        TelemetryEvent::MessageDelivered {
-            epoch,
-            rep,
-            sender,
-            counter,
-            seq,
-            service,
-            transitional,
-        } => {
-            let _ = write!(
-                out,
-                ",\"epoch\":{epoch},\"rep\":{rep},\"sender\":{sender},\
-                 \"counter\":{counter},\"seq\":{seq},\"service\":"
-            );
-            push_json_string(&mut out, service);
-            let _ = write!(out, ",\"transitional\":{transitional}");
-        }
-        TelemetryEvent::ConfigDelivered {
-            epoch,
-            rep,
-            members,
-            regular,
-        } => {
-            let _ = write!(
-                out,
-                ",\"epoch\":{epoch},\"rep\":{rep},\"members\":{members},\"regular\":{regular}"
-            );
-        }
         TelemetryEvent::RecoveryStepEntered { step, epoch }
         | TelemetryEvent::RecoveryStepReached { step, epoch }
         | TelemetryEvent::RecoveryStepExited { step, epoch } => {
@@ -149,10 +106,6 @@ pub fn event_to_json(rec: &RecordedEvent) -> String {
         }
         TelemetryEvent::ObligationSetSize { size } => {
             let _ = write!(out, ",\"size\":{size}");
-        }
-        TelemetryEvent::StableWrite { key } => {
-            out.push_str(",\"key\":");
-            push_json_string(&mut out, key);
         }
         TelemetryEvent::StorageRecovered {
             records,
@@ -254,12 +207,10 @@ fn intern(v: &Value, key: &str, table: &[&'static str]) -> Option<&'static str> 
     table.iter().find(|t| **t == s).copied()
 }
 
-/// The service levels `evs-core` stamps into message events.
+/// The service levels `evs-core` stamps into originations.
 const SERVICES: &[&str] = &["causal", "agreed", "safe"];
 /// The membership state names `evs-membership` records transitions with.
 const MEMB_STATES: &[&str] = &["stable", "gather", "commit"];
-/// The stable-storage keys the engine writes (one today).
-const STABLE_KEYS: &[&str] = &["evs-engine"];
 
 /// Parses one event back from its [`event_to_json`] object. Returns
 /// `None` on a missing/ill-typed field, an unknown `name`, or a string
@@ -317,29 +268,6 @@ pub fn event_from_json(v: &Value) -> Option<RecordedEvent> {
             counter: field_u64(v, "counter")?,
             service: intern(v, "service", SERVICES)?,
         },
-        names::MESSAGES_SENT => TelemetryEvent::MessageSent {
-            epoch: field_u64(v, "epoch")?,
-            rep: field_u32(v, "rep")?,
-            sender: field_u32(v, "sender")?,
-            counter: field_u64(v, "counter")?,
-            seq: field_u64(v, "seq")?,
-            service: intern(v, "service", SERVICES)?,
-        },
-        names::MESSAGES_DELIVERED => TelemetryEvent::MessageDelivered {
-            epoch: field_u64(v, "epoch")?,
-            rep: field_u32(v, "rep")?,
-            sender: field_u32(v, "sender")?,
-            counter: field_u64(v, "counter")?,
-            seq: field_u64(v, "seq")?,
-            service: intern(v, "service", SERVICES)?,
-            transitional: field_bool(v, "transitional")?,
-        },
-        names::CONFIGS_DELIVERED => TelemetryEvent::ConfigDelivered {
-            epoch: field_u64(v, "epoch")?,
-            rep: field_u32(v, "rep")?,
-            members: field_u32(v, "members")?,
-            regular: field_bool(v, "regular")?,
-        },
         names::RECOVERY_STEPS_ENTERED => TelemetryEvent::RecoveryStepEntered {
             step: field_u8(v, "step")?,
             epoch: field_u64(v, "epoch")?,
@@ -354,9 +282,6 @@ pub fn event_from_json(v: &Value) -> Option<RecordedEvent> {
         },
         names::OBLIGATION_SET_SAMPLES => TelemetryEvent::ObligationSetSize {
             size: field_u32(v, "size")?,
-        },
-        names::STABLE_WRITES => TelemetryEvent::StableWrite {
-            key: intern(v, "key", STABLE_KEYS)?,
         },
         names::STORAGE_RECOVERIES => TelemetryEvent::StorageRecovered {
             records: field_u64(v, "records")?,
@@ -496,6 +421,7 @@ pub fn load_dumps(dir: &Path) -> io::Result<Vec<(u32, Vec<RecordedEvent>)>> {
 mod tests {
     use super::*;
     use crate::InspectReport;
+    use evs_core::Trace;
 
     /// One instance of every variant, so the round-trip test breaks the
     /// moment a new variant is added without a serialization arm.
@@ -544,34 +470,10 @@ mod tests {
                 counter: 4,
                 service: "agreed",
             },
-            TelemetryEvent::MessageSent {
-                epoch: 2,
-                rep: 0,
-                sender: 1,
-                counter: 4,
-                seq: 11,
-                service: "agreed",
-            },
-            TelemetryEvent::MessageDelivered {
-                epoch: 2,
-                rep: 0,
-                sender: 1,
-                counter: 4,
-                seq: 11,
-                service: "agreed",
-                transitional: true,
-            },
-            TelemetryEvent::ConfigDelivered {
-                epoch: 2,
-                rep: 0,
-                members: 3,
-                regular: false,
-            },
             TelemetryEvent::RecoveryStepEntered { step: 2, epoch: 2 },
             TelemetryEvent::RecoveryStepReached { step: 4, epoch: 2 },
             TelemetryEvent::RecoveryStepExited { step: 6, epoch: 2 },
             TelemetryEvent::ObligationSetSize { size: 5 },
-            TelemetryEvent::StableWrite { key: "evs-engine" },
             TelemetryEvent::StorageRecovered {
                 records: 12,
                 snapshot: true,
@@ -658,7 +560,7 @@ mod tests {
         fs::write(dir.join("notes.txt"), "not a dump").unwrap();
         let back = load_dumps(&dir).expect("load");
         assert_eq!(back, dumps);
-        let report = InspectReport::analyze(&back);
+        let report = InspectReport::analyze(&Trace::default(), &back);
         assert_eq!(report.timeline.processes, 2);
         fs::remove_dir_all(&dir).unwrap();
     }

@@ -2,34 +2,39 @@
 //! correlation, lifecycle spans and anomaly detection.
 //!
 //! Every process in a run — simulated, live (`evs-runtime`), or driven by a
-//! chaos campaign — carries a bounded flight recorder of structured
-//! [`TelemetryEvent`](evs_telemetry::TelemetryEvent)s. This crate ingests
-//! those per-process dumps and turns them into something a human can
-//! read:
+//! chaos campaign — writes the paper's §2 events (send, deliver,
+//! deliver_conf, fail) into its `evs_core::Trace`, and carries a bounded
+//! flight recorder of the structured
+//! [`TelemetryEvent`](evs_telemetry::TelemetryEvent)s around them (token
+//! ring, membership, recovery steps, originations). This crate reads a
+//! run's trace beside those per-process dumps and turns them into
+//! something a human can read:
 //!
 //! * [`Timeline`] — the dumps merged into one causally-ordered global
 //!   view, keyed by tick / process / local order, deterministic in the
 //!   ingestion order of the dumps.
-//! * [`MessageSpan`] — per-message lifecycle: originate → token stamp
-//!   (the paper's `ord` assignment) → first delivery → last delivery, in
-//!   ticks and token rotations.
+//! * [`MessageSpan`] — per-message lifecycle: originate → `send_p(m)`,
+//!   the token stamp → first delivery → last delivery, in ticks and token
+//!   rotations.
 //! * [`ConfigSpan`] — per-configuration-change lifecycle: membership
 //!   commit → the recovery algorithm of §3 (Steps 2–6, with the paper's
 //!   step names, entered/reached/exited per process) → install →
-//!   transitional and regular `deliver_conf`.
+//!   transitional and regular `deliver_conf_p(c)`.
 //! * [`Anomaly`] — symptoms worth a look even when no specification is
 //!   violated: stuck recovery, token starvation, hole-request storms,
 //!   obligation-set growth, messages that never complete their lifecycle.
 //!
-//! [`InspectReport::analyze`] runs the whole pipeline; the conformance
-//! checker attaches its text rendering to every violation report, and the
-//! examples print it at end of run. [`SpanReport`] is the JSON-stable
-//! subset (spans + anomalies) that survives a round-trip through
-//! [`SpanReport::to_json`] / [`SpanReport::from_json`].
+//! [`InspectReport::analyze`] runs the whole pipeline;
+//! [`check_all_with_telemetry`] runs the conformance checker and attaches
+//! its text rendering to every violation report, and the examples print it
+//! at end of run. [`SpanReport`] is the JSON-stable subset (spans +
+//! anomalies) that survives a round-trip through [`SpanReport::to_json`] /
+//! [`SpanReport::from_json`].
 //!
-//! The crate depends only on `evs-telemetry`, so every protocol crate —
-//! including `evs-core`'s checker — can use it without a cycle; its JSON
-//! goes through `evs_telemetry::json`, the workspace's one codec. The [`dump`]
+//! The crate sits above the protocol: it depends on `evs-core` (the trace
+//! and its checker) and `evs-telemetry` (the dumps), and no protocol crate
+//! depends on it. Its JSON goes through `evs_telemetry::json`, the
+//! workspace's one codec. The [`dump`]
 //! module serializes per-process flight dumps to JSON files and loads
 //! them back, so a multi-OS-process run (`examples/udp_cluster.rs`) can
 //! be analyzed long after its processes exited.
@@ -38,12 +43,14 @@
 #![warn(missing_docs)]
 
 pub mod anomaly;
+pub mod check;
 pub mod dump;
 pub mod report;
 pub mod spans;
 pub mod timeline;
 
 pub use anomaly::{Anomaly, AnomalyConfig, ANOMALY_KINDS};
+pub use check::{assert_evs_with_telemetry, check_all_with_telemetry, CheckFailure};
 pub use dump::{dump_from_json, dump_to_json, load_dumps, write_dumps};
 pub use report::{InspectReport, SpanReport};
 pub use spans::{step_name, ConfigSpan, MessageSpan, StepSpan};

@@ -1,15 +1,20 @@
-//! Lifecycle spans derived from the merged timeline.
+//! Lifecycle spans: the trace's §2 events joined with the merged
+//! timeline.
 //!
 //! Two kinds, matching the two lifecycles of the paper:
 //!
 //! * [`MessageSpan`] — one per message identity (`sender`, `counter`):
-//!   originate → token stamp (the instant the message gets its `ord` in a
-//!   configuration's total order) → first delivery → last delivery,
-//!   measured in ticks and in token rotations observed by the sender.
+//!   originate (timeline) → `send_p(m)`, the token stamp → first delivery
+//!   → last delivery (trace), measured in ticks and in token rotations
+//!   observed by the sender (timeline).
 //! * [`ConfigSpan`] — one per configuration change (`epoch`, `rep`):
 //!   membership commit → recovery Steps 2–6 of §3 (entered / reached /
-//!   exited per process, with the paper's step names) → install →
-//!   transitional and regular `deliver_conf` events.
+//!   exited per process, with the paper's step names) → install
+//!   (timeline) → transitional and regular `deliver_conf_p(c)` (trace).
+//!
+//! The trace is whole and the flight recorders are bounded, so a span may
+//! lack its timeline half (an origination evicted from its ring) but
+//! never its trace half.
 //!
 //! Spans survive a JSON round-trip ([`MessageSpan::to_json`] /
 //! [`MessageSpan::from_json`], likewise for [`ConfigSpan`]) so failure
@@ -17,6 +22,7 @@
 //! them.
 
 use crate::timeline::Timeline;
+use evs_core::{EvsEvent, Trace};
 use evs_telemetry::json::{push_json_string, Value};
 use evs_telemetry::TelemetryEvent;
 use std::collections::BTreeMap;
@@ -65,7 +71,8 @@ pub struct MessageSpan {
     pub epoch: Option<u64>,
     /// Representative of that configuration.
     pub rep: Option<u32>,
-    /// The message's `ord` in that configuration's total order.
+    /// The message's `ord` in that configuration's total order, from its
+    /// first delivery (`send_p(m)` carries none).
     pub seq: Option<u64>,
     /// Tick the application handed the message to the engine.
     pub originated_at: Option<u64>,
@@ -139,9 +146,10 @@ impl MessageSpan {
         }
     }
 
-    /// Derives every message span on the timeline, ordered by stamping
-    /// configuration and `ord` (unstamped messages last, by identity).
-    pub fn derive(tl: &Timeline) -> Vec<MessageSpan> {
+    /// Derives every message span of the trace and the timeline, ordered
+    /// by stamping configuration and `ord` (unstamped messages last, by
+    /// identity).
+    pub fn derive(tl: &Timeline, trace: &Trace) -> Vec<MessageSpan> {
         let mut spans: BTreeMap<(u32, u64), MessageSpan> = BTreeMap::new();
         // Rotation ticks observed per (pid, epoch), for the rotation
         // distance of each span.
@@ -159,45 +167,40 @@ impl MessageSpan {
                     min_opt(&mut s.originated_at, e.at);
                     s.service = service.to_string();
                 }
-                TelemetryEvent::MessageSent {
-                    epoch,
-                    rep,
-                    sender,
-                    counter,
-                    seq,
-                    service,
-                } => {
-                    let s = spans
-                        .entry((sender, counter))
-                        .or_insert_with(|| MessageSpan::new(sender, counter));
-                    min_opt(&mut s.stamped_at, e.at);
-                    s.epoch = Some(epoch);
-                    s.rep = Some(rep);
-                    s.seq = Some(seq);
-                    s.service = service.to_string();
-                }
-                TelemetryEvent::MessageDelivered {
-                    sender,
-                    counter,
-                    service,
-                    transitional,
-                    ..
-                } => {
-                    let s = spans
-                        .entry((sender, counter))
-                        .or_insert_with(|| MessageSpan::new(sender, counter));
-                    min_opt(&mut s.first_delivered_at, e.at);
-                    max_opt(&mut s.completed_at, e.at);
-                    s.deliveries += 1;
-                    if transitional {
-                        s.transitional_deliveries += 1;
-                    }
-                    if s.service.is_empty() {
-                        s.service = service.to_string();
-                    }
-                }
                 TelemetryEvent::TokenRotated { epoch, .. } => {
                     rotations.entry((e.pid, epoch)).or_default().push(e.at);
+                }
+                _ => {}
+            }
+        }
+        for (t, event) in trace.events.iter().flatten() {
+            let at = t.ticks();
+            let (EvsEvent::Send { id, service, .. } | EvsEvent::Deliver { id, service, .. }) =
+                event
+            else {
+                continue;
+            };
+            let (sender, counter) = (id.sender.index(), id.counter);
+            let s = spans
+                .entry((sender, counter))
+                .or_insert_with(|| MessageSpan::new(sender, counter));
+            if s.service.is_empty() {
+                s.service = service.to_string();
+            }
+            match event {
+                EvsEvent::Send { config, .. } => {
+                    min_opt(&mut s.stamped_at, at);
+                    s.epoch = Some(config.epoch);
+                    s.rep = Some(config.rep.index());
+                }
+                EvsEvent::Deliver { config, seq, .. } => {
+                    min_opt(&mut s.first_delivered_at, at);
+                    max_opt(&mut s.completed_at, at);
+                    s.deliveries += 1;
+                    if config.transitional {
+                        s.transitional_deliveries += 1;
+                    }
+                    s.seq.get_or_insert(*seq);
                 }
                 _ => {}
             }
@@ -223,6 +226,9 @@ impl MessageSpan {
         match (self.epoch, self.rep, self.seq) {
             (Some(e), Some(r), Some(q)) => {
                 let _ = write!(line, " ord {q} in R{e}@P{r}");
+            }
+            (Some(e), Some(r), None) => {
+                let _ = write!(line, " in R{e}@P{r}");
             }
             _ => line.push_str(" (never stamped)"),
         }
@@ -321,14 +327,14 @@ impl ConfigSpan {
         }
     }
 
-    /// Derives every configuration-change span on the timeline, ordered
-    /// by `(epoch, rep)`.
+    /// Derives every configuration-change span of the timeline and the
+    /// trace, ordered by `(epoch, rep)`.
     ///
     /// Recovery-step and transitional-configuration events carry only the
     /// proposal epoch, so when concurrent partitions propose the same
     /// epoch under different representatives (possible after a split)
     /// those rows attach to every span of that epoch.
-    pub fn derive(tl: &Timeline) -> Vec<ConfigSpan> {
+    pub fn derive(tl: &Timeline, trace: &Trace) -> Vec<ConfigSpan> {
         let mut spans: BTreeMap<(u64, u32), ConfigSpan> = BTreeMap::new();
         // (epoch, step) -> (first, last, pids)
         let mut steps: BTreeMap<(u64, u8), (u64, u64, Vec<u32>)> = BTreeMap::new();
@@ -378,23 +384,6 @@ impl ConfigSpan {
                         e.at,
                     );
                 }
-                TelemetryEvent::ConfigDelivered {
-                    epoch,
-                    rep,
-                    members,
-                    regular,
-                } => {
-                    if regular {
-                        min_opt(
-                            &mut span_slot(&mut spans, epoch, rep, members).delivered_regular_at,
-                            e.at,
-                        );
-                    } else {
-                        let slot = transitional.entry(epoch).or_default();
-                        let at = slot.entry(rep).or_insert(e.at);
-                        *at = (*at).min(e.at);
-                    }
-                }
                 TelemetryEvent::RecoveryStepEntered { step, epoch } => {
                     let at = entered.entry(epoch).or_insert(e.at);
                     *at = (*at).min(e.at);
@@ -412,6 +401,26 @@ impl ConfigSpan {
                     step_event(epoch, step, e.pid, e.at);
                 }
                 _ => {}
+            }
+        }
+        for (t, event) in trace.events.iter().flatten() {
+            let EvsEvent::DeliverConf(cfg) = event else {
+                continue;
+            };
+            let (epoch, rep, at) = (cfg.id.epoch, cfg.id.rep.index(), t.ticks());
+            if cfg.is_regular() {
+                let members = cfg.members.len() as u32;
+                min_opt(
+                    &mut span_slot(&mut spans, epoch, rep, members).delivered_regular_at,
+                    at,
+                );
+            } else {
+                let first = transitional
+                    .entry(epoch)
+                    .or_default()
+                    .entry(rep)
+                    .or_insert(at);
+                *first = (*first).min(at);
             }
         }
         for s in spans.values_mut() {
@@ -572,10 +581,14 @@ fn opt_u64(v: &Value, key: &str) -> Option<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use evs_core::trace_io::parse_trace;
     use evs_telemetry::json;
     use evs_telemetry::Telemetry;
 
-    fn timeline() -> Timeline {
+    /// One message's and one configuration change's life on two
+    /// processes: the §2 events in the trace, everything around them on
+    /// the timeline.
+    fn run() -> (Timeline, Trace) {
         let p0 = Telemetry::enabled(0);
         let p1 = Telemetry::enabled(1);
         p0.record(
@@ -587,37 +600,12 @@ mod tests {
             },
         );
         p0.record(
-            5,
-            TelemetryEvent::MessageSent {
-                epoch: 1,
-                rep: 0,
-                sender: 0,
-                counter: 1,
-                seq: 1,
-                service: "agreed",
-            },
-        );
-        p0.record(
             6,
             TelemetryEvent::TokenRotated {
                 epoch: 1,
                 rotations: 1,
             },
         );
-        for (t, pid) in [(6u64, &p0), (7, &p1)] {
-            pid.record(
-                t,
-                TelemetryEvent::MessageDelivered {
-                    epoch: 1,
-                    rep: 0,
-                    sender: 0,
-                    counter: 1,
-                    seq: 1,
-                    service: "agreed",
-                    transitional: false,
-                },
-            );
-        }
         p0.record(
             10,
             TelemetryEvent::ConfigCommitted {
@@ -643,25 +631,7 @@ mod tests {
                 13,
                 TelemetryEvent::RecoveryStepReached { step: 5, epoch: 2 },
             );
-            pid.record(
-                14,
-                TelemetryEvent::ConfigDelivered {
-                    epoch: 2,
-                    rep: 0,
-                    members: 2,
-                    regular: false,
-                },
-            );
             pid.record(15, TelemetryEvent::RecoveryStepExited { step: 6, epoch: 2 });
-            pid.record(
-                15,
-                TelemetryEvent::ConfigDelivered {
-                    epoch: 2,
-                    rep: 0,
-                    members: 2,
-                    regular: true,
-                },
-            );
         }
         p0.record(
             10,
@@ -671,12 +641,26 @@ mod tests {
                 members: 2,
             },
         );
-        Timeline::from_handles([&p0, &p1])
+        let trace = parse_trace(
+            "process 0
+  @5 send 0#1 R1.0 agreed
+  @6 dlv 0#1 R1.0 agreed 1
+  @14 conf T2.0 * 0 1
+  @15 conf R2.0 * 0 1
+process 1
+  @7 dlv 0#1 R1.0 agreed 1
+  @14 conf T2.0 * 0 1
+  @15 conf R2.0 * 0 1
+",
+        )
+        .expect("fixture trace parses");
+        (Timeline::from_handles([&p0, &p1]), trace)
     }
 
     #[test]
     fn message_span_covers_the_lifecycle() {
-        let spans = MessageSpan::derive(&timeline());
+        let (tl, trace) = run();
+        let spans = MessageSpan::derive(&tl, &trace);
         assert_eq!(spans.len(), 1);
         let s = &spans[0];
         assert_eq!((s.sender, s.counter), (0, 1));
@@ -690,12 +674,28 @@ mod tests {
     }
 
     #[test]
+    fn a_span_without_its_origination_still_has_its_trace_half() {
+        // The origination was evicted from the flight recorder (here: no
+        // recorder at all); the trace alone still stamps and delivers it.
+        let (_, trace) = run();
+        let spans = MessageSpan::derive(&Timeline::default(), &trace);
+        let s = &spans[0];
+        assert_eq!((s.originated_at, s.stamped_at), (None, Some(5)));
+        assert_eq!(
+            (s.service.as_str(), s.seq, s.deliveries),
+            ("agreed", Some(1), 2)
+        );
+    }
+
+    #[test]
     fn config_span_maps_recovery_steps() {
-        let spans = ConfigSpan::derive(&timeline());
+        let (tl, trace) = run();
+        let spans = ConfigSpan::derive(&tl, &trace);
         assert_eq!(spans.len(), 1, "{spans:?}");
         let s = spans.iter().find(|s| s.epoch == 2).unwrap();
         assert_eq!(s.committed_at, Some(10));
         assert_eq!(s.installed_at, Some(10));
+        assert_eq!(s.delivered_regular_at, Some(15));
         assert_eq!(s.recovery_entered_at, Some(11));
         assert_eq!(s.recovery_exited_at, Some(15));
         assert_eq!(s.transitional, vec![(0, 14)]);
@@ -712,12 +712,12 @@ mod tests {
 
     #[test]
     fn spans_round_trip_through_json() {
-        let tl = timeline();
-        for s in MessageSpan::derive(&tl) {
+        let (tl, trace) = run();
+        for s in MessageSpan::derive(&tl, &trace) {
             let v = json::parse(&s.to_json()).unwrap();
             assert_eq!(MessageSpan::from_json(&v).unwrap(), s);
         }
-        for s in ConfigSpan::derive(&tl) {
+        for s in ConfigSpan::derive(&tl, &trace) {
             let v = json::parse(&s.to_json()).unwrap();
             assert_eq!(ConfigSpan::from_json(&v).unwrap(), s);
         }

@@ -6,12 +6,14 @@
 //! — so the same loop runs live and in lock-step.
 //!
 //! One dispatch is, in this order: the engine callback; the trace journal
-//! write, if a journal is attached; then encoding (each frame once, a data
-//! batch split into frames that fit a datagram), packing (one datagram per
-//! destination, more when the budget is reached) and a single `submit`. The
-//! journal therefore holds every event a dispatch produced before any
-//! datagram of that dispatch can leave — no peer can observe an effect of
-//! an event the journal would lose to a kill.
+//! write, if a journal is attached, after which the worker drops the
+//! dispatch's events (the journal is now their record); then encoding
+//! (each frame once, a data batch split into frames that fit a datagram),
+//! packing (one datagram per destination, more when the budget is reached)
+//! and a single `submit`. The journal therefore holds every event a
+//! dispatch produced before any datagram of that dispatch can leave — no
+//! peer can observe an effect of an event the journal would lose to a
+//! kill.
 
 use crate::TICK;
 use bytes::BytesMut;
@@ -42,9 +44,11 @@ pub struct Worker {
     /// a broadcast loops back through the medium).
     peers: Vec<SocketAddr>,
     stable: StableStore,
+    /// The events not yet journaled: with a journal, at most the current
+    /// dispatch's; without one, the whole history.
     trace: ProcessTrace,
-    /// The durable trace journal and how many `trace` entries it holds.
-    journal: Option<(File, usize)>,
+    /// The durable trace journal.
+    journal: Option<File>,
     next_timer_id: u64,
     /// `(due tick, id, kind)`.
     timers: Vec<(u64, TimerId, TimerKind)>,
@@ -98,12 +102,13 @@ impl Worker {
     }
 
     /// Attaches a durable trace journal: from now on every dispatch
-    /// appends the events it produced to `journal` before it sends. A
-    /// plain `write(2)` survives `SIGKILL` — the data is in the kernel's
-    /// page cache when the call returns, and only a machine crash (outside
-    /// the paper's §2 failure model) can lose it.
+    /// appends the events it produced to `journal` before it sends, and
+    /// the worker keeps none of them once written. A plain `write(2)`
+    /// survives `SIGKILL` — the data is in the kernel's page cache when
+    /// the call returns, and only a machine crash (outside the paper's §2
+    /// failure model) can lose it.
     pub fn attach_journal(&mut self, journal: File) {
-        self.journal = Some((journal, self.trace.len()));
+        self.journal = Some(journal);
     }
 
     /// The engine.
@@ -111,12 +116,13 @@ impl Worker {
         &self.node
     }
 
-    /// The events recorded so far.
+    /// The events recorded and not journaled: the whole history of a
+    /// worker without a journal, nothing between dispatches of one with.
     pub fn trace(&self) -> &[(SimTime, EvsEvent)] {
         &self.trace
     }
 
-    /// Consumes the worker, keeping its event history.
+    /// Consumes the worker, keeping the events [`Worker::trace`] holds.
     pub fn into_trace(self) -> ProcessTrace {
         self.trace
     }
@@ -224,17 +230,20 @@ impl Worker {
         self.outbox[to].clear();
     }
 
+    /// Writes the events the worker holds to the journal, if one is
+    /// attached, and drops them once written.
     fn journal_new_events(&mut self) -> io::Result<()> {
-        let Some((file, written)) = self.journal.as_mut() else {
+        let Some(file) = self.journal.as_mut() else {
             return Ok(());
         };
         let mut batch = String::new();
-        for (t, ev) in &self.trace[*written..] {
+        for (t, ev) in &self.trace {
             trace_io::format_event(&mut batch, *t, ev);
             batch.push('\n');
         }
-        *written = self.trace.len();
-        file.write_all(batch.as_bytes())
+        file.write_all(batch.as_bytes())?;
+        self.trace.clear();
+        Ok(())
     }
 
     /// Sends one datagram outside the protocol (a control-plane reply).

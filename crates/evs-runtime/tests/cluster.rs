@@ -3,12 +3,13 @@
 //! paths (kill then recover over the in-memory log, drop then reopen over
 //! an on-disk one), every run checked against the paper's specifications.
 
-use evs_core::{checker, EvsEvent, EvsParams, EvsProcess, Payload, Service, Trace};
+use evs_core::{checker, trace_io, EvsEvent, EvsParams, EvsProcess, Payload, Service, Trace};
 use evs_runtime::{Cluster, MemDriver, ProcessTrace, Worker};
 use evs_sim::ProcessId;
 use evs_store::FileStorage;
 use evs_telemetry::{names, Phase, RunReport, Telemetry};
 use std::collections::BTreeSet;
+use std::fs::{self, File};
 use std::net::SocketAddr;
 use std::time::{Duration, Instant};
 
@@ -177,6 +178,88 @@ fn drop_then_reopen_over_a_file_wal_never_reuses_a_message_id() {
     assert_no_message_id_reused(&trace);
     checker::assert_evs(&Trace::new(trace));
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Messages [`push_messages`] sends, and how many per dispatch.
+const MESSAGES: usize = 10_000;
+const BURST: usize = 100;
+
+/// Runs a one-member worker on virtual ticks that forms, submits
+/// [`MESSAGES`] agreed messages [`BURST`] per dispatch and delivers them
+/// all, journaling to `journal` if given. With a journal the worker must
+/// hold no event between dispatches. Returns the events it still holds.
+fn push_messages(journal: Option<File>) -> ProcessTrace {
+    let addr = SocketAddr::from(([127, 0, 0, 1], 20_000));
+    let mut worker = Worker::new(
+        p(0),
+        EvsProcess::new(p(0), EvsParams::default()),
+        Box::new(MemDriver::bind(&Default::default(), addr)),
+        vec![addr],
+        Telemetry::disabled(),
+    );
+    let journaled = journal.is_some();
+    if let Some(file) = journal {
+        worker.attach_journal(file);
+    }
+    let holds_nothing = |worker: &Worker| {
+        assert!(
+            !journaled || worker.trace().is_empty(),
+            "a journaled worker holds {} event(s) between dispatches",
+            worker.trace().len()
+        );
+    };
+    let mut now = 0;
+    worker.start(now).expect("start");
+    holds_nothing(&worker);
+    let mut submitted = 0;
+    while submitted < MESSAGES || !delivered(MESSAGES)(worker.node()) {
+        assert!(now < 10_000_000, "no progress");
+        while worker.step(&|| now, None, &mut Vec::new()).expect("step") > 0 {
+            holds_nothing(&worker);
+        }
+        holds_nothing(&worker);
+        if worker.node().is_settled() && submitted < MESSAGES {
+            let first = submitted;
+            worker
+                .dispatch(now, Phase::Dispatch, move |node, ctx| {
+                    for k in first..first + BURST {
+                        node.submit(
+                            ctx,
+                            Service::Agreed,
+                            Payload::from(format!("m{k}").into_bytes()),
+                        );
+                    }
+                })
+                .expect("dispatch");
+            submitted += BURST;
+            holds_nothing(&worker);
+        } else {
+            now = worker
+                .next_deadline()
+                .expect("a deadline is armed")
+                .max(now);
+        }
+    }
+    worker.into_trace()
+}
+
+#[test]
+fn a_journaled_worker_keeps_no_history_and_journals_it_all() {
+    let path = std::env::temp_dir().join(format!("evs-runtime-journal-{}.txt", std::process::id()));
+    let held = push_messages(Some(File::create(&path).expect("create journal")));
+    assert!(held.is_empty(), "{} event(s) held at the end", held.len());
+    // The same run without a journal keeps its history; the journal of
+    // the first run is that history, line for line.
+    let kept = push_messages(None);
+    assert!(kept.len() > 2 * MESSAGES, "every send and delivery kept");
+    let text = fs::read_to_string(&path).expect("read journal");
+    let journal: ProcessTrace = text
+        .lines()
+        .enumerate()
+        .map(|(k, line)| trace_io::parse_event(line, k + 1).expect("journal line parses"))
+        .collect();
+    assert_eq!(journal, kept);
+    let _ = fs::remove_file(&path);
 }
 
 #[test]

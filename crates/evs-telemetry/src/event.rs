@@ -4,16 +4,21 @@
 //! `&'static str`) so this crate sits below every protocol crate with no
 //! type dependencies. Each variant maps to a concept of the paper — see
 //! the "Telemetry ↔ paper" table in `DESIGN.md` for the full mapping
-//! (e.g. `ConfigDelivered` ↔ `deliver_conf_p(c)` giving `reg_p(c)` /
-//! `trans_p(c)`, `ObligationSetSize` ↔ the obligation sets of §3).
+//! (e.g. `RecoveryStepReached` ↔ the steps of the §3 recovery algorithm,
+//! `ObligationSetSize` ↔ the obligation sets of §3).
 //!
-//! Events are **span-grade**: message events carry the message identity
-//! (`sender`, `counter` — the paper's unique message id) and, once
-//! stamped, the ordinal `seq` in its configuration's total order (the
-//! paper's `ord`); configuration events carry the full identifier
-//! (`epoch`, `rep`). `evs-inspect` merges the flight-recorder dumps of
-//! every process on these keys into one causally-ordered timeline and
-//! derives per-message and per-configuration lifecycle spans from it.
+//! The four events of the paper's §2 model — `send_p`, `deliver_p`,
+//! `deliver_conf_p` and `fail_p` — are not in this vocabulary: their one
+//! record is `evs_core::EvsEvent`, the trace the specification checker
+//! judges. This vocabulary is what surrounds them: the token ring,
+//! membership, recovery steps, storage, link faults, brokers and chaos.
+//!
+//! Events are **span-grade**: an origination carries the message identity
+//! (`sender`, `counter` — the paper's unique message id); configuration
+//! and recovery events carry the epoch (and representative) they concern.
+//! `evs-inspect` merges the flight-recorder dumps of every process into
+//! one causally-ordered timeline and joins it with the trace on these
+//! keys to derive per-message and per-configuration lifecycle spans.
 
 use crate::names;
 use std::fmt;
@@ -115,54 +120,6 @@ pub enum TelemetryEvent {
         /// Requested service level ("causal", "agreed", "safe").
         service: &'static str,
     },
-    /// The engine originated a message (`send_p(m)`): the instant it is
-    /// stamped with its ordinal in the configuration's total order.
-    MessageSent {
-        /// Epoch of the configuration of origination.
-        epoch: u64,
-        /// Representative of the configuration of origination.
-        rep: u32,
-        /// Originating process of the message identity.
-        sender: u32,
-        /// Sender-local monotone counter of the message identity.
-        counter: u64,
-        /// The message's ordinal (`ord`) in the configuration's total
-        /// order.
-        seq: u64,
-        /// Requested service level ("causal", "agreed", "safe").
-        service: &'static str,
-    },
-    /// The engine delivered a message to the application
-    /// (`deliver_p(m, c)`).
-    MessageDelivered {
-        /// Epoch of the configuration of delivery.
-        epoch: u64,
-        /// Representative of the configuration of delivery.
-        rep: u32,
-        /// Originating process of the message identity.
-        sender: u32,
-        /// Sender-local monotone counter of the message identity.
-        counter: u64,
-        /// The message's ordinal (`ord`) in its regular configuration's
-        /// total order.
-        seq: u64,
-        /// The message's service level.
-        service: &'static str,
-        /// True if delivered in a transitional configuration.
-        transitional: bool,
-    },
-    /// The engine delivered a configuration change
-    /// (`deliver_conf_p(c)`, establishing `reg_p(c)` or `trans_p(c)`).
-    ConfigDelivered {
-        /// Epoch of the delivered configuration.
-        epoch: u64,
-        /// Representative of the delivered configuration.
-        rep: u32,
-        /// Size of the delivered membership.
-        members: u32,
-        /// True for a regular configuration, false for transitional.
-        regular: bool,
-    },
     /// The engine entered the recovery algorithm (§3 Step 2).
     RecoveryStepEntered {
         /// The recovery step entered (2 on entry).
@@ -190,11 +147,6 @@ pub enum TelemetryEvent {
     ObligationSetSize {
         /// Number of processes in the obligation set.
         size: u32,
-    },
-    /// A write to crash-surviving stable storage.
-    StableWrite {
-        /// The stable-storage key written.
-        key: &'static str,
     },
     /// A recovering process rebuilt its engine state from durable stable
     /// storage (the write-ahead log and/or a snapshot). `records == 0`
@@ -315,7 +267,7 @@ pub enum TelemetryEvent {
 impl TelemetryEvent {
     /// Number of event kinds — the length of [`TelemetryEvent::KIND_NAMES`]
     /// and the exclusive upper bound of [`TelemetryEvent::kind`].
-    pub const KINDS: usize = 31;
+    pub const KINDS: usize = 27;
 
     /// Counter name per kind, indexed by [`TelemetryEvent::kind`]. Every
     /// name is a constant of [`crate::names`].
@@ -331,14 +283,10 @@ impl TelemetryEvent {
         names::CONFIGS_COMMITTED,
         names::CONFIGS_INSTALLED,
         names::MESSAGES_ORIGINATED,
-        names::MESSAGES_SENT,
-        names::MESSAGES_DELIVERED,
-        names::CONFIGS_DELIVERED,
         names::RECOVERY_STEPS_ENTERED,
         names::RECOVERY_STEP_MARKS,
         names::RECOVERY_STEPS_EXITED,
         names::OBLIGATION_SET_SAMPLES,
-        names::STABLE_WRITES,
         names::STORAGE_RECOVERIES,
         names::LINK_DROPS,
         names::LINK_DELAYS,
@@ -372,26 +320,22 @@ impl TelemetryEvent {
             TelemetryEvent::ConfigCommitted { .. } => 8,
             TelemetryEvent::ConfigInstalled { .. } => 9,
             TelemetryEvent::MessageOriginated { .. } => 10,
-            TelemetryEvent::MessageSent { .. } => 11,
-            TelemetryEvent::MessageDelivered { .. } => 12,
-            TelemetryEvent::ConfigDelivered { .. } => 13,
-            TelemetryEvent::RecoveryStepEntered { .. } => 14,
-            TelemetryEvent::RecoveryStepReached { .. } => 15,
-            TelemetryEvent::RecoveryStepExited { .. } => 16,
-            TelemetryEvent::ObligationSetSize { .. } => 17,
-            TelemetryEvent::StableWrite { .. } => 18,
-            TelemetryEvent::StorageRecovered { .. } => 19,
-            TelemetryEvent::LinkPacketDropped { .. } => 20,
-            TelemetryEvent::LinkPacketDelayed { .. } => 21,
-            TelemetryEvent::LinkPacketDuplicated { .. } => 22,
-            TelemetryEvent::SessionOpened { .. } => 23,
-            TelemetryEvent::BatchFlushed { .. } => 24,
-            TelemetryEvent::BackpressureSignaled { .. } => 25,
-            TelemetryEvent::BrokerReattached { .. } => 26,
-            TelemetryEvent::ChaosRunExecuted { .. } => 27,
-            TelemetryEvent::ChaosViolationFound { .. } => 28,
-            TelemetryEvent::ChaosPlanShrunk { .. } => 29,
-            TelemetryEvent::ChaosProgress { .. } => 30,
+            TelemetryEvent::RecoveryStepEntered { .. } => 11,
+            TelemetryEvent::RecoveryStepReached { .. } => 12,
+            TelemetryEvent::RecoveryStepExited { .. } => 13,
+            TelemetryEvent::ObligationSetSize { .. } => 14,
+            TelemetryEvent::StorageRecovered { .. } => 15,
+            TelemetryEvent::LinkPacketDropped { .. } => 16,
+            TelemetryEvent::LinkPacketDelayed { .. } => 17,
+            TelemetryEvent::LinkPacketDuplicated { .. } => 18,
+            TelemetryEvent::SessionOpened { .. } => 19,
+            TelemetryEvent::BatchFlushed { .. } => 20,
+            TelemetryEvent::BackpressureSignaled { .. } => 21,
+            TelemetryEvent::BrokerReattached { .. } => 22,
+            TelemetryEvent::ChaosRunExecuted { .. } => 23,
+            TelemetryEvent::ChaosViolationFound { .. } => 24,
+            TelemetryEvent::ChaosPlanShrunk { .. } => 25,
+            TelemetryEvent::ChaosProgress { .. } => 26,
         }
     }
 
@@ -402,25 +346,21 @@ impl TelemetryEvent {
     }
 
     /// The flight-recorder retention class of this event (see
-    /// [`EventClass`]). Message-lifecycle and configuration/recovery spans
-    /// are retained in separate rings so that a client-load burst of
+    /// [`EventClass`]). Originations and configuration/recovery spans are
+    /// retained in separate rings so that a client-load burst of
     /// originations — which a broker front-end produces at the same rate
-    /// as token circulation — can only evict other message events, never
+    /// as token circulation — can only evict other originations, never
     /// the configuration and recovery spans a post-mortem needs.
     pub fn class(&self) -> EventClass {
         match self {
-            TelemetryEvent::MessageOriginated { .. }
-            | TelemetryEvent::MessageSent { .. }
-            | TelemetryEvent::MessageDelivered { .. } => EventClass::MessageSpan,
+            TelemetryEvent::MessageOriginated { .. } => EventClass::MessageSpan,
             TelemetryEvent::MembershipTransition { .. }
             | TelemetryEvent::ConfigCommitted { .. }
             | TelemetryEvent::ConfigInstalled { .. }
-            | TelemetryEvent::ConfigDelivered { .. }
             | TelemetryEvent::RecoveryStepEntered { .. }
             | TelemetryEvent::RecoveryStepReached { .. }
             | TelemetryEvent::RecoveryStepExited { .. }
             | TelemetryEvent::ObligationSetSize { .. }
-            | TelemetryEvent::StableWrite { .. }
             | TelemetryEvent::StorageRecovered { .. }
             | TelemetryEvent::BrokerReattached { .. } => EventClass::ConfigSpan,
             _ => EventClass::HighRate,
@@ -436,8 +376,9 @@ pub enum EventClass {
     /// Token circulation, link faults, per-session traffic — the volume
     /// class; any burst may evict only other high-rate events.
     HighRate,
-    /// Message lifecycle spans (originated/sent/delivered). Moderate in a
-    /// protocol-level run, burst-prone under a broker client load.
+    /// Message originations — the one message-lifecycle fact that is not
+    /// in the trace. Moderate in a protocol-level run, burst-prone under a
+    /// broker client load.
     MessageSpan,
     /// Configuration, membership, recovery and storage spans — the rare,
     /// run-defining events a post-mortem can least afford to lose.
@@ -505,51 +446,6 @@ impl fmt::Display for TelemetryEvent {
             } => {
                 write!(f, "originated {service} message P{sender}#{counter}")
             }
-            TelemetryEvent::MessageSent {
-                epoch,
-                rep,
-                sender,
-                counter,
-                seq,
-                service,
-            } => {
-                write!(
-                    f,
-                    "sent {service} message P{sender}#{counter} (ord {seq} in R{epoch}@P{rep})"
-                )
-            }
-            TelemetryEvent::MessageDelivered {
-                epoch,
-                rep,
-                sender,
-                counter,
-                seq,
-                service,
-                transitional,
-            } => {
-                let kind = if *transitional { "T" } else { "R" };
-                write!(
-                    f,
-                    "delivered {service} message P{sender}#{counter} \
-                     (ord {seq}, {kind}{epoch}@P{rep})"
-                )
-            }
-            TelemetryEvent::ConfigDelivered {
-                epoch,
-                rep,
-                members,
-                regular,
-            } => {
-                let kind = if *regular {
-                    "regular R"
-                } else {
-                    "transitional T"
-                };
-                write!(
-                    f,
-                    "delivered {kind}{epoch}@P{rep} configuration ({members} members)"
-                )
-            }
             TelemetryEvent::RecoveryStepEntered { step, epoch } => {
                 write!(
                     f,
@@ -568,9 +464,6 @@ impl fmt::Display for TelemetryEvent {
             },
             TelemetryEvent::ObligationSetSize { size } => {
                 write!(f, "obligation set extended to {size} process(es)")
-            }
-            TelemetryEvent::StableWrite { key } => {
-                write!(f, "stable-storage write ({key})")
             }
             TelemetryEvent::StorageRecovered {
                 records,
@@ -677,26 +570,14 @@ mod tests {
     }
 
     #[test]
-    fn message_events_carry_identity_and_ord() {
-        let sent = TelemetryEvent::MessageSent {
-            epoch: 2,
-            rep: 0,
+    fn origination_carries_the_message_identity() {
+        let originated = TelemetryEvent::MessageOriginated {
             sender: 1,
             counter: 9,
-            seq: 4,
             service: "safe",
         };
-        assert_eq!(sent.name(), "messages_sent");
-        assert_eq!(sent.to_string(), "sent safe message P1#9 (ord 4 in R2@P0)");
-        let delivered = TelemetryEvent::MessageDelivered {
-            epoch: 2,
-            rep: 0,
-            sender: 1,
-            counter: 9,
-            seq: 4,
-            service: "safe",
-            transitional: true,
-        };
-        assert!(delivered.to_string().contains("T2@P0"));
+        assert_eq!(originated.name(), "messages_originated");
+        assert_eq!(originated.class(), EventClass::MessageSpan);
+        assert_eq!(originated.to_string(), "originated safe message P1#9");
     }
 }

@@ -5,7 +5,11 @@
 //! protocol crate, so the ring (`evs-order`), the membership algorithm
 //! (`evs-membership`) and the engine (`evs-core`) can all emit the same
 //! [`TelemetryEvent`] vocabulary through one [`Telemetry`] handle that
-//! the driver (`evs-sim`) threads through its `Ctx`.
+//! the driver (`evs-sim`) threads through its `Ctx`. The paper's own §2
+//! events (send, deliver, deliver_conf, fail) are not part of it: their
+//! one record is the engine's `EvsEvent` trace, which the engine counts
+//! into the `messages_sent`, `messages_delivered` and `configs_delivered`
+//! counters as it writes it.
 //!
 //! Three pieces:
 //!
@@ -192,12 +196,9 @@ mod tests {
         assert_eq!(t.pid(), None);
         t.record(
             1,
-            TelemetryEvent::MessageSent {
-                epoch: 1,
-                rep: 0,
+            TelemetryEvent::MessageOriginated {
                 sender: 0,
                 counter: 1,
-                seq: 1,
                 service: "agreed",
             },
         );

@@ -42,9 +42,11 @@ pub const CONFIGS_INSTALLED: &str = "configs_installed";
 
 /// Messages handed to the engine by the application (awaiting stamp).
 pub const MESSAGES_ORIGINATED: &str = "messages_originated";
-/// Messages stamped into a total order and broadcast (`send_p(m)`).
+/// Messages stamped into a total order and broadcast: the engine's
+/// `EvsEvent::Send` trace entries (`send_p(m)`).
 pub const MESSAGES_SENT: &str = "messages_sent";
-/// Messages delivered to the application (`deliver_p(m, c)`).
+/// Messages delivered to the application: the engine's `EvsEvent::Deliver`
+/// trace entries (`deliver_p(m, c)`).
 pub const MESSAGES_DELIVERED: &str = "messages_delivered";
 /// Causal-service deliveries.
 pub const DELIVERED_CAUSAL: &str = "delivered_causal";
@@ -52,7 +54,8 @@ pub const DELIVERED_CAUSAL: &str = "delivered_causal";
 pub const DELIVERED_AGREED: &str = "delivered_agreed";
 /// Safe-service deliveries.
 pub const DELIVERED_SAFE: &str = "delivered_safe";
-/// Configuration changes delivered (`deliver_conf_p(c)`).
+/// Configuration changes delivered: the engine's `EvsEvent::DeliverConf`
+/// trace entries (`deliver_conf_p(c)`).
 pub const CONFIGS_DELIVERED: &str = "configs_delivered";
 /// Entries into the recovery algorithm (§3 Step 2).
 pub const RECOVERY_STEPS_ENTERED: &str = "recovery_steps_entered";
@@ -64,8 +67,6 @@ pub const RECOVERY_STEP_MARKS: &str = "recovery_step_marks";
 pub const OBLIGATION_SET_SAMPLES: &str = "obligation_set_samples";
 /// Gauge: current obligation-set size.
 pub const OBLIGATION_SET_SIZE: &str = "obligation_set_size";
-/// Crash-surviving stable-storage writes.
-pub const STABLE_WRITES: &str = "stable_writes";
 /// Histogram: ticks from origination to local delivery of a process's own
 /// causal-service messages.
 pub const DELIVERY_LATENCY_CAUSAL: &str = "delivery_latency_causal";

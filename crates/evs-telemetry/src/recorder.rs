@@ -49,7 +49,7 @@ struct Rings {
     seq: u64,
     /// High-rate traffic (token circulation, link faults, sessions, ...).
     recent: VecDeque<(u64, RecordedEvent)>,
-    /// Message lifecycle spans — burst-prone under a broker client load,
+    /// Message originations — burst-prone under a broker client load,
     /// but protected from token-rate eviction.
     messages: VecDeque<(u64, RecordedEvent)>,
     /// Configuration / recovery / storage spans — protected from both.
@@ -225,23 +225,22 @@ mod tests {
         let rec = FlightRecorder::new(4);
         rec.push(
             0,
-            TelemetryEvent::ConfigDelivered {
+            TelemetryEvent::ConfigInstalled {
                 epoch: 7,
                 rep: 0,
                 members: 3,
-                regular: true,
             },
         );
         for i in 1..1000 {
             rec.push(i, originated(i));
         }
         let dump = rec.dump();
-        // The configuration delivery outlived 999 originations; the
+        // The configuration install outlived 999 originations; the
         // message ring kept only its own last 4.
         assert_eq!(dump.len(), 5);
         assert!(matches!(
             dump[0].event,
-            TelemetryEvent::ConfigDelivered { .. }
+            TelemetryEvent::ConfigInstalled { .. }
         ));
         assert_eq!(dump[4].at, 999);
     }
@@ -255,7 +254,7 @@ mod tests {
             rec.push(100 + i, originated(i)); // message span
             rec.push(
                 200 + i,
-                TelemetryEvent::StableWrite { key: "engine" }, // config span
+                TelemetryEvent::ObligationSetSize { size: 1 }, // config span
             );
         }
         let dump = rec.dump();
@@ -271,7 +270,7 @@ mod tests {
             .count();
         let cfg = dump
             .iter()
-            .filter(|r| matches!(r.event, TelemetryEvent::StableWrite { .. }))
+            .filter(|r| matches!(r.event, TelemetryEvent::ObligationSetSize { .. }))
             .count();
         assert_eq!((high, msg, cfg), (2, 2, 2));
     }

@@ -17,7 +17,7 @@
 //! the test suite's property tests.
 
 use evs::core::{EvsCluster, Service};
-use evs::inspect::InspectReport;
+use evs::inspect::{check_all_with_telemetry, InspectReport};
 use evs::sim::ProcessId;
 use evs::telemetry::RunReport;
 use evs::vs::{check_vs, filter_trace, MajorityPrimary, PrimaryHistory};
@@ -93,7 +93,7 @@ fn run_round(seed: u64) -> (usize, usize, RunReport, InspectReport) {
     let trace = cluster.trace();
     // The dump-aware check: on violation the failure report carries every
     // process's flight-recorder tail alongside the broken specification.
-    if let Err(failure) = cluster.check() {
+    if let Err(failure) = check_all_with_telemetry(&trace, &cluster.telemetry_handles()) {
         let path = format!("/tmp/evs-soak-{seed}.trace");
         let _ = std::fs::write(&path, evs::core::trace_io::format_trace(&trace));
         eprintln!("seed {seed}: EVS violations:\n{failure}\ntrace archived to {path}");
@@ -112,7 +112,7 @@ fn run_round(seed: u64) -> (usize, usize, RunReport, InspectReport) {
         eprintln!("seed {seed}: VS violations: {errors:#?}\ntrace archived to {path}");
         std::process::exit(1);
     }
-    let inspect = InspectReport::from_handles(&cluster.telemetry_handles());
+    let inspect = InspectReport::from_handles(&trace, &cluster.telemetry_handles());
     (trace.len(), msg as usize, cluster.run_report(), inspect)
 }
 

@@ -15,7 +15,9 @@
 //! gets its own UDP socket, frames are serialized with `evs_core::wire`,
 //! broadcast is a unicast fan-out to the peer ports, and timers run on
 //! real time. At the end the collected traces — from a genuinely
-//! networked execution — are verified against the paper's specifications.
+//! networked execution — are verified against the paper's specifications,
+//! and the post-mortem (the trace as `trace.txt` beside one flight dump
+//! per process) is written, reloaded and analyzed again from disk.
 //!
 //! `--orchestrate` closes the last gap between the repository and the
 //! paper's §2 failure model ("a processor that fails may subsequently
@@ -30,7 +32,8 @@
 //! rejoins. Afterwards the orchestrator reassembles the per-process
 //! journals (dropping at most one torn final line each) and runs the full
 //! conformance suite: Specifications 1.1–7.2, the primary-component
-//! properties, and the §5 reduction to virtual synchrony.
+//! properties, and the §5 reduction to virtual synchrony. The same
+//! reassembled trace feeds the post-mortem's lifecycle spans.
 //!
 //! Every mode runs the one live worker loop, [`evs::runtime::Worker`]
 //! (DESIGN.md "The live worker loop"): the in-process modes as an
@@ -64,7 +67,7 @@
 //! is the self-checking CI variant.
 
 use evs::broker::{Broker, BrokerParams, SubmitOutcome};
-use evs::core::{checker, trace_io, EvsParams, EvsProcess, Payload, Service, Trace};
+use evs::core::{trace_io, EvsParams, EvsProcess, Payload, Service, Trace};
 use evs::net::{self, Completion};
 use evs::obs::{self, Exposition, TopState};
 use evs::runtime::{self, Cluster, Worker, MAX_PARK};
@@ -529,7 +532,7 @@ fn orchestrate(seed: u64) {
     // but the reincarnation's dump must show the storage recovery and no
     // silent-state-loss anomaly.
     let reloaded = evs::inspect::load_dumps(&dir).expect("reload dumps");
-    let report = evs::inspect::InspectReport::analyze(&reloaded);
+    let report = evs::inspect::InspectReport::analyze(&trace, &reloaded);
     assert!(
         !report
             .anomalies
@@ -538,9 +541,18 @@ fn orchestrate(seed: u64) {
         "recovery replayed zero records: {:?}",
         report.anomalies
     );
+    // The message spans come from the journals: stamped and delivered.
+    let complete = report
+        .messages
+        .iter()
+        .filter(|m| m.stamped_at.is_some() && m.deliveries > 0)
+        .count();
+    assert!(complete > 0, "no stamped-and-delivered message span");
     println!(
-        "-- post-mortem dumps: {} process(es), {} anomaly flag(s)",
+        "-- post-mortem: {} dump(s), {} message span(s) stamped and delivered, \
+         {} anomaly flag(s)",
         reloaded.len(),
+        complete,
         report.anomalies.len()
     );
     println!("-- artifacts under {}", dir.display());
@@ -600,16 +612,16 @@ fn submit(cluster: &Cluster, at: usize, service: Service, payload: Payload) {
 }
 
 /// Shuts the cluster down and verifies the networked execution against
-/// the model. Returns the members' telemetry handles.
-fn shut_down_and_check(cluster: Cluster) -> Vec<Telemetry> {
+/// the model. Returns the trace and the members' telemetry handles.
+fn shut_down_and_check(cluster: Cluster) -> (Trace, Vec<Telemetry>) {
     let telemetry_handles = cluster.telemetry_handles();
     let trace = Trace::new(cluster.shutdown());
     println!(
         "-- collected {} events from the UDP run; checking Specifications 1.1–7.2…",
         trace.len()
     );
-    checker::assert_evs_with_telemetry(&trace, &telemetry_handles);
-    telemetry_handles
+    evs::inspect::assert_evs_with_telemetry(&trace, &telemetry_handles);
+    (trace, telemetry_handles)
 }
 
 fn demo() {
@@ -627,7 +639,7 @@ fn demo() {
     );
     println!("-- safe message delivered by every process");
 
-    let telemetry_handles = shut_down_and_check(cluster);
+    let (trace, telemetry_handles) = shut_down_and_check(cluster);
     println!("   all extended virtual synchrony specifications hold over UDP ✓");
 
     // The same metrics the simulator runs report, here measured over a
@@ -640,31 +652,37 @@ fn demo() {
     println!("\n-- lifecycle spans (timeline tail):");
     print!(
         "{}",
-        evs::inspect::InspectReport::from_handles(&telemetry_handles).to_text(Some(20))
+        evs::inspect::InspectReport::from_handles(&trace, &telemetry_handles).to_text(Some(20))
     );
 
-    // On-disk post-mortem: one JSON dump file per process, re-ingested
-    // from disk. In a real multi-OS-process deployment no analyzer can
-    // hold live telemetry handles for every participant, so this file
-    // round-trip is the workflow that survives process exit. The dumps
-    // land next to the chaos repro artifacts so every post-mortem input
-    // lives under one directory.
+    // On-disk post-mortem: the trace and one JSON dump file per process,
+    // re-ingested from disk. In a real multi-OS-process deployment no
+    // analyzer can hold live telemetry handles for every participant, so
+    // this file round-trip is the workflow that survives process exit.
+    // The files land next to the chaos repro artifacts so every
+    // post-mortem input lives under one directory.
     let dir = std::path::Path::new("chaos-artifacts").join("udp-postmortem");
     let dumps = evs::inspect::collect_dumps(&telemetry_handles);
     let paths = evs::inspect::write_dumps(&dir, &dumps).expect("write post-mortem dumps");
+    let trace_path = dir.join("trace.txt");
+    fs::write(&trace_path, trace_io::format_trace(&trace)).expect("write post-mortem trace");
     println!(
-        "\n-- post-mortem dumps ({} file(s) under {}):",
+        "\n-- post-mortem ({} dump file(s) and {} under {}):",
         paths.len(),
+        trace_path.display(),
         dir.display()
     );
     let reloaded = evs::inspect::load_dumps(&dir).expect("reload post-mortem dumps");
-    let report = evs::inspect::InspectReport::analyze(&reloaded);
+    let text = fs::read_to_string(&trace_path).expect("reload post-mortem trace");
+    let trace = trace_io::parse_trace(&text).expect("post-mortem trace parses");
+    let report = evs::inspect::InspectReport::analyze(&trace, &reloaded);
     assert_eq!(report.timeline.processes, N);
     println!(
-        "   reloaded from disk: {} process(es), {} event(s), {} anomaly(ies) — \
-         analysis works after every process is gone",
+        "   reloaded from disk: {} process(es), {} event(s), {} message span(s), \
+         {} anomaly(ies) — analysis works after every process is gone",
         report.timeline.processes,
         report.timeline.entries.len(),
+        report.messages.len(),
         report.anomalies.len()
     );
 }

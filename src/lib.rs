@@ -25,7 +25,7 @@
 //!   phase-time attribution for the live driver loops, the
 //!   single-datagram `OBS?` scrape protocol with a text exposition
 //!   format, and the `evs-top` dashboard model.
-//! * [`inspect`] — run analysis over the flight recorders: the merged
+//! * [`inspect`] — run analysis over a trace and the flight recorders: the merged
 //!   causal timeline, per-message and per-configuration lifecycle spans,
 //!   and anomaly detection (stuck recovery, token starvation, ...).
 //! * [`chaos`] — deterministic fault injection: the fault-plan DSL,

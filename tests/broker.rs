@@ -17,6 +17,7 @@
 
 use evs::broker::{BrokerCluster, BrokerClusterConfig, SubmitOutcome};
 use evs::core::Payload;
+use evs::inspect::check_all_with_telemetry;
 use evs::sim::ProcessId;
 use proptest::prelude::*;
 use std::collections::HashSet;
@@ -87,7 +88,7 @@ fn drain_and_verify(mut bc: BrokerCluster, expected: &[(u64, u64)]) -> Result<()
     prop_assert_eq!(seen, want, "replied set != accepted set");
     // The daemon group itself still satisfies every specification.
     bc.cluster_mut().run_until_settled(2_000_000);
-    if let Err(f) = bc.check() {
+    if let Err(f) = check_all_with_telemetry(&bc.trace(), &bc.daemon_telemetry()) {
         return Err(TestCaseError::fail(format!("conformance: {f:?}")));
     }
     Ok(())

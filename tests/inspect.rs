@@ -63,7 +63,7 @@ fn timeline_merge_is_ingestion_order_independent() {
 #[test]
 fn lifecycle_spans_match_the_run() {
     let cluster = scenario();
-    let report = InspectReport::from_handles(&cluster.telemetry_handles());
+    let report = InspectReport::from_handles(&cluster.trace(), &cluster.telemetry_handles());
     assert!(!report.is_empty());
     // Every submission grew into a span that originated, got stamped by
     // the token, and was delivered at least once.
@@ -99,7 +99,7 @@ fn lifecycle_spans_match_the_run() {
 #[test]
 fn span_report_json_round_trips() {
     let cluster = scenario();
-    let report = InspectReport::from_handles(&cluster.telemetry_handles());
+    let report = InspectReport::from_handles(&cluster.trace(), &cluster.telemetry_handles());
     let spans = report.span_report();
     let doc = spans.to_json();
     let back = SpanReport::from_json(&doc).expect("span report parses back");

@@ -136,8 +136,9 @@ fn lossy_jittery_net_delivers_everything_after_heal() {
     }
     let handles = net.telemetry_handles();
     let report = RunReport::collect(&handles);
-    let inspect = InspectReport::from_handles(&handles);
-    checker::assert_evs(&Trace::new(net.shutdown()));
+    let trace = Trace::new(net.shutdown());
+    let inspect = InspectReport::from_handles(&trace, &handles);
+    checker::assert_evs(&trace);
     assert!(
         report.total("link_drops") > 0,
         "links must actually be lossy"

@@ -4,9 +4,8 @@
 //! of the trace, and a violation ships the flight recorder with it.
 
 use evs::core::EvsEvent;
-use evs::core::{
-    checker, Configuration, EvsCluster, EvsParams, EvsProcess, Payload, Service, Trace,
-};
+use evs::core::{Configuration, EvsCluster, EvsParams, EvsProcess, Payload, Service, Trace};
+use evs::inspect::{assert_evs_with_telemetry, check_all_with_telemetry};
 use evs::membership::ConfigId;
 use evs::runtime::Cluster;
 use evs::sim::ProcessId;
@@ -71,7 +70,7 @@ fn sim_run_produces_populated_report() {
     let report = cluster.run_report();
     assert_populated(&report, "sim");
     // The trace is conformant, so the dump-aware check passes too.
-    cluster.check().unwrap();
+    check_all_with_telemetry(&cluster.trace(), &cluster.telemetry_handles()).unwrap();
 }
 
 #[test]
@@ -133,7 +132,7 @@ fn live_run_produces_populated_report() {
     );
     let handles = net.telemetry_handles();
     let trace = Trace::new(net.shutdown());
-    checker::assert_evs_with_telemetry(&trace, &handles);
+    assert_evs_with_telemetry(&trace, &handles);
     let report = RunReport::collect(&handles);
     assert_populated(&report, "live");
 }
@@ -156,8 +155,8 @@ fn forced_violation_dumps_the_flight_recorder() {
             rotations: 1,
         },
     );
-    let failure = checker::check_all_with_telemetry(&trace, [&telemetry])
-        .expect_err("bogus trace must be rejected");
+    let failure =
+        check_all_with_telemetry(&trace, [&telemetry]).expect_err("bogus trace must be rejected");
     assert!(!failure.violations.is_empty());
     let rendered = failure.to_string();
     assert!(
@@ -170,8 +169,7 @@ fn forced_violation_dumps_the_flight_recorder() {
     );
     // Detached handles contribute nothing.
     let detached = Telemetry::disabled();
-    let failure =
-        checker::check_all_with_telemetry(&trace, [&detached]).expect_err("still rejected");
+    let failure = check_all_with_telemetry(&trace, [&detached]).expect_err("still rejected");
     assert!(failure.dumps.is_empty());
     assert!(failure.to_string().contains("telemetry detached"));
 }
@@ -233,7 +231,7 @@ fn random_schedule_counters_agree_with_the_trace() {
         cluster.recover(p(i as u32));
     }
     assert!(cluster.run_until_settled(3_000_000), "failed to quiesce");
-    cluster.check().unwrap();
+    check_all_with_telemetry(&cluster.trace(), &cluster.telemetry_handles()).unwrap();
 
     let trace = cluster.trace();
     let report = cluster.run_report();
@@ -247,17 +245,37 @@ fn random_schedule_counters_agree_with_the_trace() {
             proc.pid
         );
     }
-    // The engine's counters and the checker's trace describe the same run.
-    let sends = trace
-        .iter()
-        .filter(|(_, _, e)| matches!(e, EvsEvent::Send { .. }))
-        .count() as u64;
-    let delivers = trace
-        .iter()
-        .filter(|(_, _, e)| matches!(e, EvsEvent::Deliver { .. }))
-        .count() as u64;
-    assert_eq!(report.total("messages_sent"), sends);
-    assert_eq!(report.total("messages_delivered"), delivers);
+    // The engine's counters and the checker's trace describe the same run,
+    // process by process: each counter counts one kind of trace entry.
+    for proc in &report.processes {
+        let log = trace.of(p(proc.pid));
+        let count =
+            |kind: fn(&EvsEvent) -> bool| log.iter().filter(|(_, e)| kind(e)).count() as u64;
+        let counter = |name| proc.counters.get(name).copied().unwrap_or(0);
+        assert_eq!(
+            counter("messages_sent"),
+            count(|e| matches!(e, EvsEvent::Send { .. })),
+            "P{}: messages_sent",
+            proc.pid
+        );
+        assert_eq!(
+            counter("messages_delivered"),
+            count(|e| matches!(e, EvsEvent::Deliver { .. })),
+            "P{}: messages_delivered",
+            proc.pid
+        );
+        assert_eq!(
+            counter("configs_delivered"),
+            count(|e| matches!(e, EvsEvent::DeliverConf(_))),
+            "P{}: configs_delivered",
+            proc.pid
+        );
+    }
+    assert_eq!(report.processes.len(), N, "every process reported");
+    assert!(
+        report.total("configs_delivered") > N as u64,
+        "the schedule reconfigured"
+    );
     assert!(report.total("delivered_safe") <= report.total("messages_delivered"));
     assert!(report.total("token_rotations") > 0);
 }
@@ -276,5 +294,5 @@ fn detached_cluster_reports_nothing() {
     let report = cluster.run_report();
     assert!(report.is_empty());
     assert_eq!(report.to_json(), "{\"processes\":[],\"totals\":{}}");
-    cluster.check().unwrap();
+    check_all_with_telemetry(&cluster.trace(), &cluster.telemetry_handles()).unwrap();
 }
