@@ -67,7 +67,7 @@ chaos() { ./target/release/examples/chaos "$@"; }
 
 # A fixed-seed simulator campaign whose output must not change under a
 # refactor: tee'd to target/verdicts/<name>.txt and hashed, so verdict
-# identity with the parent is three equal hashes, not a hand-run diff.
+# identity with the parent is four equal hashes, not a hand-run diff.
 hashed_chaos() {
     out=target/verdicts/$1
     shift
@@ -109,6 +109,8 @@ chaos_smoke() {
     chaos --hunting --live --n 3 --jobs 4 --iters 200 --seed 424242
     echo "== chaos: fixed-seed kill/restart smoke (durability mix, simulator) =="
     hashed_chaos kill-chaos --kill-chaos --iters 200 --seed 90125 --keep-going
+    echo "== chaos: fixed-seed broker smoke (client-path mix, broker-fronted simulator) =="
+    hashed_chaos broker --broker-chaos --iters 400 --seed 5151 --keep-going
 }
 
 corruption_smoke() {

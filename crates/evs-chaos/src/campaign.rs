@@ -1,10 +1,13 @@
 //! Chaos campaigns: seeded sweeps of generated fault plans, with
-//! automatic shrinking of any failure into a replayable counterexample.
+//! coverage accounting and automatic shrinking of any failure into a
+//! replayable counterexample.
 
+use crate::corpus::Coverage;
 use crate::gen::ScenarioGen;
 use crate::orchestrator::{ChaosFailure, ChaosOutcome, Orchestrator};
 use crate::plan::FaultPlan;
 use crate::shrink::Shrinker;
+use evs_inspect::{AnomalyConfig, InspectReport};
 use evs_telemetry::{names, RunReport, Telemetry, TelemetryEvent};
 
 /// A failing plan, its shrunken form, and what it violates — everything
@@ -54,10 +57,14 @@ impl CounterExample {
 pub struct CampaignStats {
     /// Plans executed.
     pub runs: u64,
+    /// Plans executed on the live threaded driver.
+    pub live_runs: u64,
     /// Plans that violated a property (or failed to settle).
     pub failures: u64,
     /// Total schedule steps executed.
     pub steps: u64,
+    /// What the executed plans exercised.
+    pub coverage: Coverage,
 }
 
 /// Configuration of a [`Campaign`].
@@ -73,16 +80,18 @@ pub struct CampaignConfig {
     pub progress_every: u64,
     /// Worker threads executing plans (`<= 1` runs on the caller's
     /// thread). Seeds are striped across the workers and the results
-    /// merged back in iteration order, so stats, telemetry, artifacts —
-    /// and, under `stop_on_failure`, *which* failure is kept (the
-    /// earliest iteration) — are identical to a sequential run
-    /// regardless of thread timing.
+    /// merged back in iteration order, so stats, coverage, telemetry,
+    /// artifacts — and, under `stop_on_failure`, *which* failure is kept
+    /// (the earliest iteration) — do not depend on the worker count or
+    /// on thread timing.
     pub jobs: usize,
-    /// Execute plans on the live multi-threaded driver
+    /// Every `live_every`-th plan runs on the live multi-threaded driver
     /// ([`Orchestrator::run_live`]) instead of the deterministic
-    /// simulator. Shrinking then replays candidates on the live driver
-    /// too — slower, and subject to real scheduling nondeterminism.
-    pub live: bool,
+    /// simulator: `0` never, `1` every plan. A plan the live driver cannot
+    /// run (broker steps) runs on the simulator instead and is not counted
+    /// as a live run. A live failure is shrunk on the live driver —
+    /// slower, and subject to real scheduling nondeterminism.
+    pub live_every: u64,
 }
 
 impl Default for CampaignConfig {
@@ -92,21 +101,48 @@ impl Default for CampaignConfig {
             shrink: true,
             progress_every: 100,
             jobs: 1,
-            live: false,
+            live_every: 0,
         }
     }
 }
 
-/// One executed iteration of a sharded campaign, before the deterministic
-/// merge.
-struct ShardRun {
+/// Thresholds of the per-run anomaly pass. Deliberately *aggressive* —
+/// far below `AnomalyConfig::default()` — because coverage measures
+/// whether detectors *can* fire under hostile schedules, not whether a
+/// production run is sick.
+const COVERAGE_ANOMALY: AnomalyConfig = AnomalyConfig {
+    starvation_factor: 2,
+    starvation_min_ticks: 20,
+    hole_storm_threshold: 4,
+    obligation_growth_run: 2,
+    retx_storm_threshold: 4,
+    retx_storm_factor: 1,
+};
+
+/// One executed plan, before the deterministic merge.
+struct PlanRun {
     i: u64,
     seed: u64,
+    live: bool,
     plan: FaultPlan,
+    /// The anomaly detectors that fired on this run.
+    anomalies: Vec<&'static str>,
     failure: Option<ChaosFailure>,
 }
 
-/// A seeded sweep: generate plan, run, check, shrink on failure.
+/// Runs `plan` on the live threaded driver or the simulator.
+fn run_on(orchestrator: &Orchestrator, plan: &FaultPlan, live: bool) -> ChaosOutcome {
+    if live {
+        orchestrator
+            .run_live(plan)
+            .expect("live-compatible plans validate")
+    } else {
+        orchestrator.run_sim(plan)
+    }
+}
+
+/// A seeded sweep: generate plan, run, check, count coverage, shrink on
+/// failure.
 ///
 /// The campaign carries its own harness-level [`Telemetry`] handle;
 /// chaos run/violation/shrink events land in the same metrics/flight
@@ -122,7 +158,9 @@ pub struct Campaign {
 }
 
 impl Campaign {
-    /// Builds a campaign from its parts.
+    /// Builds a campaign from its parts. Keep the orchestrator's telemetry
+    /// attached for the anomaly-detector ledger: it reads each run's
+    /// flight-recorder dumps, and a detached orchestrator records none.
     pub fn new(
         generator: ScenarioGen,
         orchestrator: Orchestrator,
@@ -149,128 +187,103 @@ impl Campaign {
         RunReport::collect([&self.telemetry])
     }
 
-    /// Executes one plan on the configured driver (simulator by default,
-    /// the live threaded driver when [`CampaignConfig::live`] is set).
-    fn run_plan(&self, plan: &FaultPlan) -> ChaosOutcome {
-        if self.config.live {
-            self.orchestrator
-                .run_live(plan)
-                .expect("generated plans validate")
-        } else {
-            self.orchestrator.run_sim(plan)
-        }
-    }
-
     /// Runs `iterations` seeds starting at `base_seed` (seed `base_seed +
     /// i` for iteration `i` — campaigns are fully described by those two
     /// numbers). Returns the stats and every counterexample found.
     ///
-    /// With [`CampaignConfig::jobs`] `> 1` the seeds are striped across
-    /// that many worker threads; each worker executes its shard in
-    /// iteration order (stopping at its own first failure under
-    /// `stop_on_failure`), and the merge replays the executed runs in
-    /// global iteration order — identical counters, heartbeats and
-    /// counterexamples to the sequential sweep, wall-clock divided by the
-    /// worker count.
+    /// The seeds are striped across [`CampaignConfig::jobs`] workers;
+    /// each executes its shard in iteration order (stopping at its own
+    /// first failure under `stop_on_failure`), and the merge replays the
+    /// executed runs in global iteration order — the same counters,
+    /// heartbeats, coverage and counterexamples whatever the worker count,
+    /// wall-clock divided by it.
     pub fn run(&self, base_seed: u64, iterations: u64) -> (CampaignStats, Vec<CounterExample>) {
         let jobs = self.config.jobs.max(1).min(iterations.max(1) as usize);
-        if jobs > 1 {
-            let runs = self.run_shards(base_seed, iterations, jobs);
-            return self.merge(runs, iterations);
-        }
-        let mut stats = CampaignStats::default();
-        let mut found = Vec::new();
-        for i in 0..iterations {
-            let seed = base_seed.wrapping_add(i);
-            let plan = self.generator.plan(seed);
-            stats.runs += 1;
-            stats.steps += plan.steps.len() as u64;
-            let outcome = self.run_plan(&plan);
-            self.telemetry.record(
-                i,
-                TelemetryEvent::ChaosRunExecuted {
-                    seed,
-                    steps: plan.steps.len() as u32,
-                    failed: outcome.failed(),
-                },
-            );
-            if let Some(failure) = outcome.failure {
-                stats.failures += 1;
-                self.telemetry.record(
-                    i,
-                    TelemetryEvent::ChaosViolationFound {
-                        seed,
-                        specs: failure.specs.len() as u32,
-                    },
-                );
-                found.push(self.shrink_failure(i, seed, plan, failure));
-                if self.config.stop_on_failure {
-                    break;
-                }
-            }
-            self.heartbeat(i, stats.runs, iterations, stats.failures, true);
-        }
-        (stats, found)
+        self.merge(self.run_shards(base_seed, iterations, jobs), iterations)
     }
 
-    /// Fans the seed range out over `jobs` scoped worker threads — worker
-    /// `w` executes iterations `w, w + jobs, w + 2·jobs, …` in order,
-    /// stopping at its shard's first failure under `stop_on_failure` —
-    /// and returns every executed run sorted by iteration. No worker
-    /// signals another: each shard's executed set depends only on the
-    /// seeds, so the merged result is deterministic whatever the thread
-    /// timing. Progress lines (stderr only) come from a shared counter so
-    /// a long parallel soak stays observable in real time.
-    fn run_shards(&self, base_seed: u64, iterations: u64, jobs: usize) -> Vec<ShardRun> {
+    /// Executes iteration `i`: generate, run on its driver, and pass the
+    /// flight dumps through the anomaly detectors.
+    fn execute(&self, i: u64, seed: u64) -> PlanRun {
+        let plan = self.generator.plan(seed);
+        let every = self.config.live_every;
+        let live = every > 0 && (i + 1).is_multiple_of(every) && plan.live_compatible();
+        let outcome = run_on(&self.orchestrator, &plan, live);
+        // Two frames per run: the pre-heal one, where fault-induced
+        // anomalies are still visible (a stuck recovery, an undelivered
+        // message), and the end-of-run one, where only what survived the
+        // heal remains. Coverage counts a detector once per run.
+        let mut anomalies: Vec<&'static str> = Vec::new();
+        for frame in [&outcome.mid, &outcome.end] {
+            if frame.dumps.is_empty() {
+                continue;
+            }
+            let report = InspectReport::analyze_with(&frame.trace, &frame.dumps, &COVERAGE_ANOMALY);
+            for a in report.anomalies {
+                if !anomalies.contains(&a.kind) {
+                    anomalies.push(a.kind);
+                }
+            }
+        }
+        PlanRun {
+            i,
+            seed,
+            live,
+            plan,
+            anomalies,
+            failure: outcome.failure,
+        }
+    }
+
+    /// Stripes the seed range over `jobs` workers — worker `w` executes
+    /// iterations `w, w + jobs, w + 2·jobs, …` in order, stopping at its
+    /// shard's first failure under `stop_on_failure` — and returns every
+    /// executed run sorted by iteration. One worker runs on the caller's
+    /// thread; more run as scoped threads. No worker signals another:
+    /// each shard's executed set depends only on the seeds, so the merged
+    /// result is deterministic whatever the thread timing. Progress lines
+    /// (stderr only) come from a shared counter so a long soak stays
+    /// observable in real time.
+    fn run_shards(&self, base_seed: u64, iterations: u64, jobs: usize) -> Vec<PlanRun> {
         use std::sync::atomic::{AtomicU64, Ordering};
         let done = AtomicU64::new(0);
         let failed_so_far = AtomicU64::new(0);
-        let mut runs: Vec<ShardRun> = Vec::new();
+        let shard = |w: usize| {
+            let mut out = Vec::new();
+            let mut i = w as u64;
+            while i < iterations {
+                let run = self.execute(i, base_seed.wrapping_add(i));
+                let failed = run.failure.is_some();
+                out.push(run);
+                if failed {
+                    failed_so_far.fetch_add(1, Ordering::Relaxed);
+                }
+                let d = done.fetch_add(1, Ordering::Relaxed) + 1;
+                let every = self.config.progress_every;
+                if every != 0 && d.is_multiple_of(every) {
+                    let failures = failed_so_far.load(Ordering::Relaxed);
+                    // Live progress for the obs plane too: a campaign
+                    // scraped via `evs-top --obs` shows these gauges
+                    // advancing. Same-value races between shards are
+                    // harmless (both write a value that was true when
+                    // read).
+                    self.set_progress_gauges(d, iterations, failures);
+                    eprintln!("chaos progress: {d}/{iterations} plan(s), {failures} failure(s)");
+                }
+                if failed && self.config.stop_on_failure {
+                    break;
+                }
+                i += jobs as u64;
+            }
+            out
+        };
+        if jobs == 1 {
+            return shard(0);
+        }
+        let mut runs: Vec<PlanRun> = Vec::new();
         std::thread::scope(|s| {
-            let workers: Vec<_> = (0..jobs)
-                .map(|w| {
-                    let done = &done;
-                    let failed_so_far = &failed_so_far;
-                    s.spawn(move || {
-                        let mut out = Vec::new();
-                        let mut i = w as u64;
-                        while i < iterations {
-                            let seed = base_seed.wrapping_add(i);
-                            let plan = self.generator.plan(seed);
-                            let outcome = self.run_plan(&plan);
-                            let failed = outcome.failed();
-                            out.push(ShardRun {
-                                i,
-                                seed,
-                                plan,
-                                failure: outcome.failure,
-                            });
-                            if failed {
-                                failed_so_far.fetch_add(1, Ordering::Relaxed);
-                            }
-                            let d = done.fetch_add(1, Ordering::Relaxed) + 1;
-                            let every = self.config.progress_every;
-                            if every != 0 && d.is_multiple_of(every) {
-                                let failures = failed_so_far.load(Ordering::Relaxed);
-                                // Live progress for the obs plane too: a
-                                // campaign scraped via `evs-top --obs`
-                                // shows these gauges advancing. Same-value
-                                // races between shards are harmless (both
-                                // write a value that was true when read).
-                                self.set_progress_gauges(d, iterations, failures);
-                                eprintln!(
-                                    "chaos progress: {d}/{iterations} plan(s), {failures} failure(s)"
-                                );
-                            }
-                            if failed && self.config.stop_on_failure {
-                                break;
-                            }
-                            i += jobs as u64;
-                        }
-                        out
-                    })
-                })
-                .collect();
+            let shard = &shard;
+            let workers: Vec<_> = (0..jobs).map(|w| s.spawn(move || shard(w))).collect();
             for worker in workers {
                 runs.extend(worker.join().expect("campaign worker panicked"));
             }
@@ -279,24 +292,28 @@ impl Campaign {
         runs
     }
 
-    /// Replays executed runs in iteration order: stats, telemetry events,
-    /// shrinking — exactly what the sequential loop records. Under
-    /// `stop_on_failure`, runs after the earliest failing iteration
-    /// (executed by other shards before their own stop) are discarded,
-    /// every iteration up to that one was executed by some shard, and the
-    /// result matches a sequential stop at that iteration.
-    fn merge(&self, runs: Vec<ShardRun>, iterations: u64) -> (CampaignStats, Vec<CounterExample>) {
+    /// Replays executed runs in iteration order: stats, coverage,
+    /// telemetry events, shrinking. Under `stop_on_failure`, runs after
+    /// the earliest failing iteration (executed by other shards before
+    /// their own stop) are discarded; every iteration up to that one was
+    /// executed by some shard, so the result is a stop at that iteration.
+    fn merge(&self, runs: Vec<PlanRun>, iterations: u64) -> (CampaignStats, Vec<CounterExample>) {
         let mut stats = CampaignStats::default();
+        stats.coverage.expected_kinds = self.generator.config().mix.generable_kinds();
         let mut found = Vec::new();
         for run in runs {
-            let ShardRun {
+            let PlanRun {
                 i,
                 seed,
+                live,
                 plan,
+                anomalies,
                 failure,
             } = run;
             stats.runs += 1;
+            stats.live_runs += live as u64;
             stats.steps += plan.steps.len() as u64;
+            stats.coverage.count(&plan, &anomalies);
             self.telemetry.record(
                 i,
                 TelemetryEvent::ChaosRunExecuted {
@@ -314,21 +331,21 @@ impl Campaign {
                         specs: failure.specs.len() as u32,
                     },
                 );
-                found.push(self.shrink_failure(i, seed, plan, failure));
+                found.push(self.shrink(i, seed, plan, failure, live));
                 if self.config.stop_on_failure {
                     break;
                 }
             }
             // The workers already printed progress live; only the
             // telemetry event is replayed here.
-            self.heartbeat(i, stats.runs, iterations, stats.failures, false);
+            self.heartbeat(i, stats.runs, iterations, stats.failures);
         }
         (stats, found)
     }
 
-    /// Records (and, when `print` is set, prints) the periodic campaign
-    /// heartbeat when `done` crosses a `progress_every` boundary.
-    fn heartbeat(&self, at: u64, done: u64, total: u64, failures: u64, print: bool) {
+    /// Records the periodic campaign heartbeat when `done` crosses a
+    /// `progress_every` boundary.
+    fn heartbeat(&self, at: u64, done: u64, total: u64, failures: u64) {
         let every = self.config.progress_every;
         if every == 0 || done == 0 || !done.is_multiple_of(every) {
             return;
@@ -342,15 +359,12 @@ impl Campaign {
             },
         );
         self.set_progress_gauges(done, total, failures);
-        if print {
-            eprintln!("chaos progress: {done}/{total} plan(s), {failures} failure(s)");
-        }
     }
 
     /// Mirrors campaign progress into gauges so the live observability
     /// plane (an `ObsResponder` scraping this campaign's telemetry) sees
     /// it without parsing stderr. Setting a gauge is idempotent, so the
-    /// parallel merge replaying heartbeats stays deterministic.
+    /// merge replaying heartbeats stays deterministic.
     fn set_progress_gauges(&self, done: u64, total: u64, failures: u64) {
         self.telemetry
             .gauge(names::CHAOS_CAMPAIGN_DONE)
@@ -363,27 +377,22 @@ impl Campaign {
             .set(failures as i64);
     }
 
-    /// Shrinks one failing plan into a [`CounterExample`] (identity shrink
-    /// when shrinking is disabled).
-    pub fn shrink_failure(
+    /// Shrinks one failing plan into a [`CounterExample`] on the driver it
+    /// failed on (identity shrink when shrinking is disabled).
+    fn shrink(
         &self,
         at: u64,
         seed: u64,
         plan: FaultPlan,
         failure: ChaosFailure,
+        live: bool,
     ) -> CounterExample {
         let target_spec = failure.primary_spec().to_string();
         let (shrunk, checks) = if self.config.shrink {
-            let target = target_spec.clone();
-            let orch = self.orchestrator.clone();
-            let live = self.config.live;
-            let result = self.shrinker.shrink(&plan, move |candidate| {
-                let outcome = if live {
-                    orch.run_live(candidate).expect("shrunken plans validate")
-                } else {
-                    orch.run_sim(candidate)
-                };
-                outcome.failure.is_some_and(|f| f.specs.contains(&target))
+            let result = self.shrinker.shrink(&plan, |candidate| {
+                run_on(&self.orchestrator, candidate, live)
+                    .failure
+                    .is_some_and(|f| f.specs.contains(&target_spec))
             });
             (result.plan, result.checks)
         } else {
@@ -409,9 +418,32 @@ impl Campaign {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use crate::gen::GenConfig;
+    use crate::gen::{FaultMix, GenConfig};
+
+    /// A keep-going sweep of small factory-mix plans with telemetry
+    /// attached, so every coverage ledger fills in.
+    pub(crate) fn factory_campaign(jobs: usize) -> Campaign {
+        let cfg = GenConfig {
+            n: 3,
+            max_steps: 6,
+            max_run: 800,
+            mix: FaultMix::factory(),
+            ..GenConfig::default()
+        };
+        Campaign::new(
+            ScenarioGen::new(cfg),
+            Orchestrator::default(),
+            Shrinker::default(),
+            CampaignConfig {
+                stop_on_failure: false,
+                progress_every: 4,
+                jobs,
+                ..CampaignConfig::default()
+            },
+        )
+    }
 
     #[test]
     fn small_campaign_on_the_correct_engine_is_clean() {
@@ -433,50 +465,54 @@ mod tests {
         let report = campaign.report();
         assert_eq!(report.total("chaos_runs"), 8);
         assert_eq!(report.total("chaos_violations"), 0);
+        // A detached orchestrator records no dumps: no detector ledger.
+        assert!(stats.coverage.anomalies.is_empty());
     }
 
     #[test]
-    fn parallel_campaign_matches_sequential() {
+    fn the_sweep_does_not_depend_on_the_worker_count() {
+        let one = factory_campaign(1);
+        let three = factory_campaign(3);
+        let (stats_one, found_one) = one.run(0xFAC7_1000, 9);
+        let (stats_three, found_three) = three.run(0xFAC7_1000, 9);
+        assert_eq!(stats_one, stats_three);
+        assert_eq!(stats_one.coverage, stats_three.coverage);
+        assert!(!stats_one.coverage.kinds.is_empty());
+        let seeds = |found: &[CounterExample]| found.iter().map(|c| c.seed).collect::<Vec<_>>();
+        assert_eq!(seeds(&found_one), seeds(&found_three));
+        assert_eq!(one.report().to_text(), three.report().to_text());
+    }
+
+    #[test]
+    fn live_slots_run_broker_plans_on_the_simulator() {
         let cfg = GenConfig {
             n: 3,
-            max_steps: 5,
-            max_run: 800,
+            mix: FaultMix::broker_chaos(),
             ..GenConfig::default()
         };
-        let base = Campaign::new(
-            ScenarioGen::new(cfg.clone()),
+        let gen = ScenarioGen::new(cfg);
+        let base = 2;
+        assert!((base..base + 2).all(|seed| gen.plan(seed).has_broker_steps()));
+        let campaign = Campaign::new(
+            gen,
             Orchestrator::detached(),
             Shrinker::default(),
             CampaignConfig {
-                stop_on_failure: false,
+                live_every: 1,
                 ..CampaignConfig::default()
             },
         );
-        let sharded = Campaign::new(
-            ScenarioGen::new(cfg),
-            Orchestrator::detached(),
-            Shrinker::default(),
-            CampaignConfig {
-                stop_on_failure: false,
-                jobs: 3,
-                ..CampaignConfig::default()
-            },
-        );
-        let (seq_stats, seq_found) = base.run(4_400, 9);
-        let (par_stats, par_found) = sharded.run(4_400, 9);
-        assert_eq!(seq_stats, par_stats);
-        assert_eq!(seq_found.len(), par_found.len());
-        assert_eq!(
-            base.report().total("chaos_runs"),
-            sharded.report().total("chaos_runs")
-        );
+        let (stats, found) = campaign.run(base, 2);
+        assert_eq!(stats.runs, 2);
+        assert_eq!(stats.live_runs, 0);
+        assert!(found.is_empty(), "{found:?}");
     }
 
     #[test]
     fn parallel_stop_on_failure_keeps_the_earliest_counterexample() {
         // A synthetic check of the merge rule itself: hand the merge
-        // out-of-order shard results with two failures and verify only
-        // the earliest survives, with stats cut at that iteration.
+        // shard results with two failures and verify only the earliest
+        // survives, with stats cut at that iteration.
         let campaign = Campaign::new(
             ScenarioGen::new(GenConfig::default()),
             Orchestrator::detached(),
@@ -487,40 +523,18 @@ mod tests {
             },
         );
         let gen = ScenarioGen::new(GenConfig::default());
-        let fail = |specs: &[&str]| {
-            Some(ChaosFailure {
+        let run = |i: u64, specs: &[&str]| PlanRun {
+            i,
+            seed: 100 + i,
+            live: false,
+            plan: gen.plan(100 + i),
+            anomalies: Vec::new(),
+            failure: (!specs.is_empty()).then(|| ChaosFailure {
                 specs: specs.iter().map(|s| s.to_string()).collect(),
                 details: "synthetic".to_string(),
-            })
+            }),
         };
-        let runs = vec![
-            ShardRun {
-                i: 5,
-                seed: 105,
-                plan: gen.plan(105),
-                failure: fail(&["6.1"]),
-            },
-            ShardRun {
-                i: 0,
-                seed: 100,
-                plan: gen.plan(100),
-                failure: None,
-            },
-            ShardRun {
-                i: 2,
-                seed: 102,
-                plan: gen.plan(102),
-                failure: fail(&["3"]),
-            },
-            ShardRun {
-                i: 1,
-                seed: 101,
-                plan: gen.plan(101),
-                failure: None,
-            },
-        ];
-        let mut runs = runs;
-        runs.sort_by_key(|r| r.i);
+        let runs = vec![run(0, &[]), run(1, &[]), run(2, &["3"]), run(5, &["6.1"])];
         let (stats, found) = campaign.merge(runs, 6);
         assert_eq!(stats.runs, 3); // iterations 0, 1, 2 — nothing after the cut
         assert_eq!(stats.failures, 1);
@@ -545,7 +559,7 @@ mod tests {
             specs: vec!["3".to_string(), "6.1".to_string()],
             details: "synthetic".to_string(),
         };
-        let ce = campaign.shrink_failure(0, 3, plan.clone(), failure);
+        let ce = campaign.shrink(0, 3, plan.clone(), failure, false);
         let replayed = FaultPlan::from_text(&ce.artifact()).unwrap();
         assert_eq!(replayed, plan);
         assert_eq!(ce.target_spec, "3");

@@ -12,21 +12,24 @@
 //!   plain-text artifact format, so every failure replays from a file.
 //! * [`ScenarioGen`] — seeded, weighted random plan generation
 //!   (deterministic: same seed, same plan).
-//! * [`Orchestrator`] — executes plans with the full vocabulary against
-//!   the simulated cluster or the live threaded driver (whose per-link
-//!   fault layer carries `DropPct`/`Delay` under real concurrency) and
-//!   runs the complete conformance suite: Specifications 1.1–7.2, the
-//!   primary-component properties, and the §5 VS reduction. Plans with
-//!   broker steps run on the broker client path (`evs-broker`'s
-//!   [`BrokerCluster`](evs_broker::BrokerCluster), one broker per
-//!   daemon), which additionally checks the client-op exactly-once
-//!   invariants (`broker-dedup`, `broker-ack`).
+//! * [`Orchestrator`] — one plan interpreter over three substrates: the
+//!   simulated cluster, the live threaded driver (whose per-link fault
+//!   layer carries `DropPct`/`Delay` under real concurrency), and, for
+//!   plans with broker steps, `evs-broker`'s
+//!   [`BrokerCluster`](evs_broker::BrokerCluster) (one broker per
+//!   daemon). Every run gets the complete conformance suite:
+//!   Specifications 1.1–7.2, the primary-component properties, and the
+//!   §5 VS reduction, plus the client-op exactly-once invariants
+//!   (`broker-dedup`, `broker-ack`) on the broker path.
 //! * [`Shrinker`] — delta-debugging minimization by step removal,
 //!   adjacent-`Run` merging, process-id remapping and parameter
 //!   reduction, re-checking every candidate.
-//! * [`Campaign`] — the loop: generate, run, check, shrink, report
-//!   (with chaos events wired into `evs-telemetry`); `jobs > 1` stripes
-//!   seeds across worker threads with a deterministic merge.
+//! * [`Campaign`] — the one sweep loop: generate, run (every
+//!   `live_every`-th plan on the live driver), check, count
+//!   [`Coverage`], shrink, report (with chaos events wired into
+//!   `evs-telemetry`). Seeds are striped across `jobs` workers with a
+//!   deterministic merge; [`persist_corpus`] writes the failures and an
+//!   `index.json` for a standing soak (`chaos --factory`).
 //!
 //! The `chaos-mutation` cargo feature rebuilds `evs-core` with a
 //! deliberate protocol bug (a skipped obligation-set union in the recovery
@@ -54,14 +57,14 @@
 #![warn(missing_docs)]
 
 mod campaign;
-mod factory;
+mod corpus;
 mod gen;
 mod orchestrator;
 mod plan;
 mod shrink;
 
 pub use campaign::{Campaign, CampaignConfig, CampaignStats, CounterExample};
-pub use factory::{plan_shape, Factory, FactoryConfig, FactoryCoverage, FactoryReport};
+pub use corpus::{persist_corpus, plan_shape, Coverage};
 pub use gen::{FaultMix, GenConfig, ScenarioGen};
 pub use orchestrator::{conformance, ChaosFailure, ChaosOutcome, Frame, Orchestrator};
 pub use plan::{BitTarget, FaultPlan, FaultStep, PlanError, STEP_KINDS};

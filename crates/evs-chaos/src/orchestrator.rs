@@ -1,13 +1,13 @@
 //! Executes fault plans against the protocol stack and runs the full
 //! conformance suite on the resulting trace.
 //!
-//! The simulator path ([`Orchestrator::run_sim`]) supports the entire step
-//! vocabulary and is deterministic; the live-thread path
-//! ([`Orchestrator::run_live`]) supports the same vocabulary — the
-//! network knobs (`DropPct`, `Delay`) map onto the live driver's per-link
-//! [`LinkFault`] policies — and exists to show the same plans exercising
-//! the same code under real concurrency, with faults interleaving real
-//! thread schedules.
+//! One interpreter walks a plan's steps and drives a `Substrate`: the
+//! deterministic simulator ([`Orchestrator::run_sim`]), the same simulator
+//! behind one broker per daemon for plans with broker steps, or the live
+//! threaded driver ([`Orchestrator::run_live`]), where the network knobs
+//! (`DropPct`, `Delay`) map onto per-link [`LinkFault`] policies so the
+//! same plans exercise the same code under real concurrency, with faults
+//! interleaving real thread schedules.
 //!
 //! "Conformance" here is everything the workspace can check: the EVS
 //! specifications 1.1–7.2 (with flight-recorder dumps attached on
@@ -18,6 +18,7 @@ use crate::plan::{BitTarget, FaultPlan, FaultStep, PlanError};
 use evs_broker::{BrokerCluster, BrokerClusterConfig};
 use evs_core::{CorruptionKind, EvsCluster, EvsProcess, Payload, Trace};
 use evs_inspect::{check_all_with_telemetry, collect_dumps};
+use evs_order::Service;
 use evs_runtime::{Cluster, LinkFault, TICK};
 use evs_sim::{Action, NetConfig, ProcessId};
 use evs_telemetry::{RecordedEvent, RunReport, Telemetry};
@@ -71,7 +72,7 @@ pub struct ChaosOutcome {
     /// Aggregated per-process telemetry (empty when telemetry is off).
     pub report: RunReport,
     /// The run at its end — raw material for `evs-inspect` span and
-    /// anomaly analysis of this run, e.g. the factory's detector-coverage
+    /// anomaly analysis of this run, e.g. a campaign's detector-coverage
     /// accounting.
     pub end: Frame,
     /// The run *between the last plan step and the heal*. The end frame
@@ -124,36 +125,327 @@ fn components(labels: &[u8]) -> Vec<Vec<ProcessId>> {
     groups
 }
 
-/// Decodes a corruption-class step into its target process and the
-/// engine-level injection. `None` for every other step kind.
-fn corruption(step: &FaultStep) -> Option<(u8, CorruptionKind)> {
-    Some(match step {
-        FaultStep::BitFlip { p, target, bit } => {
-            let bit = *bit as u32;
-            let kind = match target {
-                BitTarget::Aru => CorruptionKind::AruBit(bit),
-                BitTarget::Seq => CorruptionKind::SeqBit(bit),
-                BitTarget::Counter => CorruptionKind::CounterBit(bit),
-            };
-            (*p, kind)
+fn pid(i: u8) -> ProcessId {
+    ProcessId::new(i as u32)
+}
+
+/// What a plan runs on: the seam between the one plan interpreter
+/// ([`Orchestrator::drive`]) and a cluster. It has one method per step
+/// kind, named after it (`Recover` and `Restart` share `recover`, the
+/// corruption kinds share `corrupt`), plus formation, the heal, the
+/// settle and what a frame and a verdict read. Each implementation keeps
+/// its own substrate's rules: which steps a down process skips, what
+/// `Mcast` submits, what `Run` waits on.
+trait Substrate: Sized {
+    /// Names the cluster in a settle failure.
+    const NAME: &'static str;
+    /// Forms the group. False if it never formed: the plan's steps are
+    /// then skipped and the run does not settle.
+    fn form(&mut self, budget: u64) -> bool;
+    fn split(&mut self, groups: &[Vec<ProcessId>]);
+    fn merge(&mut self);
+    fn crash(&mut self, p: ProcessId);
+    fn kill(&mut self, p: ProcessId);
+    fn recover(&mut self, p: ProcessId);
+    fn drop_pct(&mut self, pct: u8);
+    fn delay(&mut self, lo: u64, hi: u64);
+    /// `count` messages from `from`, numbered by the run-wide counter `msg`.
+    fn mcast(&mut self, from: ProcessId, count: u8, service: Service, msg: &mut u32);
+    fn run(&mut self, ticks: u32);
+    /// Only a broker-fronted cluster has brokers.
+    fn broker_kill(&mut self, _b: usize) {}
+    fn broker_reconnect(&mut self, _b: usize) {}
+    fn corrupt(&mut self, p: ProcessId, kind: CorruptionKind);
+    /// The heal's first step: no loss and the default latency again.
+    fn heal_links(&mut self) {
+        let net = NetConfig::default();
+        self.drop_pct(0);
+        self.delay(net.latency_min, net.latency_max);
+    }
+    /// Runs the healed cluster to quiescence; true if it settled.
+    fn settle(&mut self, budget: u64) -> bool;
+    /// The §2 events so far.
+    fn trace(&self) -> Trace;
+    /// The daemons' telemetry handles: the ones the checker reads.
+    fn handles(&self) -> Vec<Telemetry>;
+    /// Every telemetry handle: the daemons', then any front end's.
+    fn all_handles(&self) -> Vec<Telemetry> {
+        self.handles()
+    }
+    /// Properties beyond the conformance suite this substrate violated,
+    /// each with its rendered detail.
+    fn extra_verdicts(&self) -> Vec<(&'static str, String)> {
+        Vec::new()
+    }
+    /// Ends the run and returns its final trace.
+    fn into_trace(self) -> Trace {
+        self.trace()
+    }
+}
+
+/// The deterministic simulator. A down process sends nothing and takes no
+/// corruption, so only the payloads it does send are numbered.
+impl Substrate for EvsCluster<String> {
+    const NAME: &'static str = "cluster";
+    fn form(&mut self, budget: u64) -> bool {
+        // The plan runs whatever formation did: the settle judges it.
+        self.run_until_settled(budget);
+        true
+    }
+    fn split(&mut self, groups: &[Vec<ProcessId>]) {
+        let groups: Vec<&[ProcessId]> = groups.iter().map(Vec::as_slice).collect();
+        self.partition(&groups);
+    }
+    fn merge(&mut self) {
+        self.merge_all();
+    }
+    fn crash(&mut self, p: ProcessId) {
+        EvsCluster::crash(self, p);
+    }
+    fn kill(&mut self, p: ProcessId) {
+        EvsCluster::kill(self, p);
+    }
+    fn recover(&mut self, p: ProcessId) {
+        EvsCluster::recover(self, p);
+    }
+    fn drop_pct(&mut self, pct: u8) {
+        self.sim_mut()
+            .apply(Action::SetDropProb(pct as f64 / 100.0));
+    }
+    fn delay(&mut self, lo: u64, hi: u64) {
+        self.sim_mut().apply(Action::SetLatency(lo, hi));
+    }
+    fn mcast(&mut self, from: ProcessId, count: u8, service: Service, msg: &mut u32) {
+        if self.is_alive(from) {
+            for _ in 0..count {
+                *msg += 1;
+                self.submit(from, service, format!("c{msg}"));
+            }
         }
-        FaultStep::SeqWrap(p) => (*p, CorruptionKind::SeqWrap),
-        FaultStep::ConfDesync(p) => (*p, CorruptionKind::ConfDesync),
-        FaultStep::WalByte { p, record, offset } => (
-            *p,
-            CorruptionKind::WalByte {
-                record: *record as u64,
-                offset: *offset as u64,
-            },
-        ),
-        FaultStep::WalTrunc { p, bytes } => (
-            *p,
-            CorruptionKind::WalTrunc {
-                bytes: *bytes as u64,
-            },
-        ),
-        _ => return None,
-    })
+    }
+    fn run(&mut self, ticks: u32) {
+        self.run_for(ticks as u64);
+    }
+    fn corrupt(&mut self, p: ProcessId, kind: CorruptionKind) {
+        if self.is_alive(p) {
+            self.sim_mut()
+                .invoke(p, move |node, _ctx| node.inject_corruption(kind));
+        }
+    }
+    fn settle(&mut self, budget: u64) -> bool {
+        self.run_until_settled(budget)
+    }
+    fn trace(&self) -> Trace {
+        EvsCluster::trace(self)
+    }
+    fn handles(&self) -> Vec<Telemetry> {
+        self.telemetry_handles()
+    }
+}
+
+/// The simulator behind one broker per daemon: `Mcast` becomes client ops
+/// through broker `from`, and the exactly-once invariants are checked on
+/// top of conformance.
+impl Substrate for BrokerCluster {
+    const NAME: &'static str = "broker-fronted cluster";
+    fn form(&mut self, budget: u64) -> bool {
+        BrokerCluster::form(self, budget);
+        true
+    }
+    fn split(&mut self, groups: &[Vec<ProcessId>]) {
+        let groups: Vec<&[ProcessId]> = groups.iter().map(Vec::as_slice).collect();
+        self.partition(&groups);
+    }
+    fn merge(&mut self) {
+        self.merge_all();
+    }
+    fn crash(&mut self, p: ProcessId) {
+        BrokerCluster::crash(self, p);
+    }
+    fn kill(&mut self, p: ProcessId) {
+        BrokerCluster::kill(self, p);
+    }
+    fn recover(&mut self, p: ProcessId) {
+        BrokerCluster::recover(self, p);
+    }
+    fn drop_pct(&mut self, pct: u8) {
+        self.set_drop_prob(pct as f64 / 100.0);
+    }
+    fn delay(&mut self, lo: u64, hi: u64) {
+        self.set_latency(lo, hi);
+    }
+    fn mcast(&mut self, from: ProcessId, count: u8, _service: Service, msg: &mut u32) {
+        // A dead or backpressuring broker drops the burst, like a down
+        // process on the daemon path. One client per broker keeps
+        // per-client sequences long enough to replay.
+        let client = 100 + from.as_usize() as u64;
+        for _ in 0..count {
+            *msg += 1;
+            let op = Payload::from(msg.to_be_bytes().to_vec());
+            let _ = self.submit(from.as_usize(), client, op);
+        }
+    }
+    fn run(&mut self, ticks: u32) {
+        self.pump(ticks as u64);
+    }
+    fn broker_kill(&mut self, b: usize) {
+        self.kill_broker(b);
+    }
+    fn broker_reconnect(&mut self, b: usize) {
+        let _ = self.reconnect_broker(b);
+    }
+    fn corrupt(&mut self, p: ProcessId, kind: CorruptionKind) {
+        if self.is_alive(p) {
+            self.cluster_mut()
+                .sim_mut()
+                .invoke(p, move |node, _ctx| node.inject_corruption(kind));
+        }
+    }
+    fn settle(&mut self, budget: u64) -> bool {
+        // Reconnect every dead broker, which resubmits its unacked ops:
+        // the replay the dedup ledgers must absorb exactly once.
+        for b in 0..self.daemons() {
+            if !self.broker_alive(b) {
+                let _ = self.reconnect_broker(b);
+            }
+        }
+        let settled = self.cluster_mut().run_until_settled(budget);
+        // Drain the client pipeline: flush still-pending batches, deliver
+        // them, apply through the ledgers and route the replies.
+        self.pump(20_000);
+        let settled = settled && self.cluster_mut().run_until_settled(budget);
+        self.pump(256);
+        settled
+    }
+    fn trace(&self) -> Trace {
+        BrokerCluster::trace(self)
+    }
+    fn handles(&self) -> Vec<Telemetry> {
+        self.daemon_telemetry()
+    }
+    fn all_handles(&self) -> Vec<Telemetry> {
+        let mut all = self.daemon_telemetry();
+        all.extend(self.broker_telemetry().iter().cloned());
+        all
+    }
+    /// `"broker-dedup"`: a daemon ledger applied the same client op twice.
+    /// `"broker-ack"`: a reply was routed for an op no daemon applied.
+    fn extra_verdicts(&self) -> Vec<(&'static str, String)> {
+        let mut out = Vec::new();
+        let dups = self.duplicate_applications();
+        if !dups.is_empty() {
+            out.push((
+                "broker-dedup",
+                format!(
+                    "exactly-once violated: {} duplicate application(s) \
+                     (daemon, client, seq), first: {:?}\n",
+                    dups.len(),
+                    &dups[..dups.len().min(8)]
+                ),
+            ));
+        }
+        let ghosts = self.acked_never_applied();
+        if !ghosts.is_empty() {
+            out.push((
+                "broker-ack",
+                format!(
+                    "{} reply(ies) routed for ops no daemon applied, first: {:?}\n",
+                    ghosts.len(),
+                    &ghosts[..ghosts.len().min(8)]
+                ),
+            ));
+        }
+        out
+    }
+}
+
+/// A live [`Cluster`] over the in-memory medium: real threads, real time,
+/// wall-clock budgets.
+struct Live {
+    net: Cluster,
+    n: usize,
+    /// The simulator's drop and latency knobs are independent global
+    /// settings; one net-wide link policy mirrors them, and each step
+    /// updates its own part of it.
+    policy: LinkFault,
+}
+
+impl Live {
+    fn wait_settled(&self, timeout: Duration) -> bool {
+        let n = self.n;
+        self.net
+            .wait_until(timeout, move |node: &EvsProcess<Payload>| {
+                node.is_settled() && node.current_config().members.len() == n
+            })
+    }
+}
+
+impl Substrate for Live {
+    const NAME: &'static str = "live cluster";
+    fn form(&mut self, _budget: u64) -> bool {
+        self.wait_settled(Duration::from_secs(20))
+    }
+    fn split(&mut self, groups: &[Vec<ProcessId>]) {
+        self.net.faults().partition(groups);
+    }
+    fn merge(&mut self) {
+        self.net.faults().merge_all();
+    }
+    fn crash(&mut self, p: ProcessId) {
+        self.net.crash(p);
+    }
+    fn kill(&mut self, p: ProcessId) {
+        self.net.kill(p);
+    }
+    fn recover(&mut self, p: ProcessId) {
+        self.net.recover(p);
+    }
+    fn drop_pct(&mut self, pct: u8) {
+        self.policy.drop_pct = pct;
+        self.net.faults().set_all(self.policy);
+    }
+    fn delay(&mut self, lo: u64, hi: u64) {
+        (self.policy.delay_lo, self.policy.delay_hi) = (lo, hi);
+        self.net.faults().set_all(self.policy);
+    }
+    fn mcast(&mut self, from: ProcessId, count: u8, service: Service, msg: &mut u32) {
+        // (A down process runs no command: nothing to skip.)
+        for _ in 0..count {
+            *msg += 1;
+            let payload = Payload::from(format!("c{msg}").into_bytes());
+            self.net
+                .invoke(from, move |node, ctx| node.submit(ctx, service, payload));
+        }
+    }
+    fn run(&mut self, ticks: u32) {
+        std::thread::sleep(TICK * ticks);
+    }
+    fn corrupt(&mut self, p: ProcessId, kind: CorruptionKind) {
+        self.net
+            .invoke(p, move |node, _ctx| node.inject_corruption(kind));
+    }
+    fn heal_links(&mut self) {
+        self.net.faults().set_all(LinkFault::default());
+    }
+    fn settle(&mut self, _budget: u64) -> bool {
+        self.wait_settled(Duration::from_secs(30))
+    }
+    fn trace(&self) -> Trace {
+        Trace::new(
+            (0..self.n as u32)
+                .map(|p| {
+                    self.net
+                        .inspect(ProcessId::new(p), |_, trace| trace.to_vec())
+                })
+                .collect(),
+        )
+    }
+    fn handles(&self) -> Vec<Telemetry> {
+        self.net.telemetry_handles()
+    }
+    fn into_trace(self) -> Trace {
+        Trace::new(self.net.shutdown())
+    }
 }
 
 impl Orchestrator {
@@ -169,7 +461,8 @@ impl Orchestrator {
     /// Builds a cluster, applies every step of `plan`, heals the network
     /// (drop/latency reset, merge, recover), and lets it settle. Returns
     /// the cluster and whether it settled — the raw material for both
-    /// [`Orchestrator::run_sim`] and trace-comparison tests.
+    /// [`Orchestrator::run_sim`] and trace-comparison tests. Broker steps
+    /// are skipped: plans carrying them run behind brokers in `run_sim`.
     ///
     /// # Panics
     ///
@@ -186,281 +479,119 @@ impl Orchestrator {
     ///
     /// Panics if the plan fails [`FaultPlan::validate`].
     pub fn execute_observed(&self, plan: &FaultPlan) -> (EvsCluster<String>, bool, Frame) {
+        self.drive(plan, || {
+            EvsCluster::<String>::builder(plan.n as usize)
+                .net(NetConfig {
+                    seed: plan.seed,
+                    ..NetConfig::default()
+                })
+                .telemetry(self.telemetry)
+                .build()
+        })
+    }
+
+    /// The one plan interpreter: builds the substrate, forms the group,
+    /// applies every step of `plan`, photographs the pre-heal frame, heals
+    /// (perfect links, one component, everyone recovered) and settles.
+    /// Returns the substrate, whether it settled, and the pre-heal frame.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the plan fails [`FaultPlan::validate`].
+    fn drive<S: Substrate>(&self, plan: &FaultPlan, build: impl FnOnce() -> S) -> (S, bool, Frame) {
         plan.validate().expect("fault plan must validate");
-        let n = plan.n as usize;
-        let mut cluster = EvsCluster::<String>::builder(n)
-            .net(NetConfig {
-                seed: plan.seed,
-                ..NetConfig::default()
-            })
-            .telemetry(self.telemetry)
-            .build();
-        cluster.run_until_settled(self.formation_budget);
-        let mut down = vec![false; n];
+        let mut sub = build();
+        let formed = sub.form(self.formation_budget);
         let mut msg = 0u32;
-        for step in &plan.steps {
-            match step {
-                FaultStep::Split(labels) => {
-                    let groups = components(labels);
-                    let groups: Vec<&[ProcessId]> = groups.iter().map(Vec::as_slice).collect();
-                    cluster.partition(&groups);
-                }
-                FaultStep::Merge => cluster.merge_all(),
-                FaultStep::Crash(i) => {
-                    cluster.crash(ProcessId::new(*i as u32));
-                    down[*i as usize] = true;
-                }
-                FaultStep::Kill(i) => {
-                    cluster.kill(ProcessId::new(*i as u32));
-                    down[*i as usize] = true;
-                }
-                FaultStep::Recover(i) | FaultStep::Restart(i) => {
-                    cluster.recover(ProcessId::new(*i as u32));
-                    down[*i as usize] = false;
-                }
-                FaultStep::DropPct(pct) => {
-                    cluster
-                        .sim_mut()
-                        .apply(Action::SetDropProb(*pct as f64 / 100.0));
-                }
-                FaultStep::Delay(lo, hi) => {
-                    cluster.sim_mut().apply(Action::SetLatency(*lo, *hi));
-                }
-                FaultStep::Mcast {
-                    from,
-                    count,
-                    service,
-                } => {
-                    if !down[*from as usize] {
-                        for _ in 0..*count {
-                            msg += 1;
-                            cluster.submit(
-                                ProcessId::new(*from as u32),
-                                *service,
-                                format!("c{msg}"),
-                            );
-                        }
+        if formed {
+            for step in &plan.steps {
+                match step {
+                    FaultStep::Split(labels) => sub.split(&components(labels)),
+                    FaultStep::Merge => sub.merge(),
+                    FaultStep::Crash(i) => sub.crash(pid(*i)),
+                    FaultStep::Kill(i) => sub.kill(pid(*i)),
+                    FaultStep::Recover(i) | FaultStep::Restart(i) => sub.recover(pid(*i)),
+                    FaultStep::DropPct(pct) => sub.drop_pct(*pct),
+                    FaultStep::Delay(lo, hi) => sub.delay(*lo, *hi),
+                    FaultStep::Mcast {
+                        from,
+                        count,
+                        service,
+                    } => sub.mcast(pid(*from), *count, *service, &mut msg),
+                    FaultStep::Run(t) => sub.run(*t),
+                    FaultStep::BrokerKill(b) => sub.broker_kill(*b as usize),
+                    FaultStep::BrokerReconnect(b) => sub.broker_reconnect(*b as usize),
+                    FaultStep::BitFlip { p, target, bit } => {
+                        let bit = *bit as u32;
+                        let kind = match target {
+                            BitTarget::Aru => CorruptionKind::AruBit(bit),
+                            BitTarget::Seq => CorruptionKind::SeqBit(bit),
+                            BitTarget::Counter => CorruptionKind::CounterBit(bit),
+                        };
+                        sub.corrupt(pid(*p), kind);
                     }
-                }
-                FaultStep::Run(t) => cluster.run_for(*t as u64),
-                // Meaningless without the broker front-end; plans carrying
-                // them are dispatched to `execute_broker` by `run_sim`, so
-                // a direct `execute` call just skips them.
-                FaultStep::BrokerKill(_) | FaultStep::BrokerReconnect(_) => {}
-                FaultStep::BitFlip { .. }
-                | FaultStep::SeqWrap(_)
-                | FaultStep::ConfDesync(_)
-                | FaultStep::WalByte { .. }
-                | FaultStep::WalTrunc { .. } => {
-                    let (p, kind) = corruption(step).expect("corruption step decodes");
-                    if !down[p as usize] {
-                        cluster
-                            .sim_mut()
-                            .invoke(ProcessId::new(p as u32), move |node, _ctx| {
-                                node.inject_corruption(kind)
-                            });
-                    }
+                    FaultStep::SeqWrap(p) => sub.corrupt(pid(*p), CorruptionKind::SeqWrap),
+                    FaultStep::ConfDesync(p) => sub.corrupt(pid(*p), CorruptionKind::ConfDesync),
+                    FaultStep::WalByte { p, record, offset } => sub.corrupt(
+                        pid(*p),
+                        CorruptionKind::WalByte {
+                            record: *record as u64,
+                            offset: *offset as u64,
+                        },
+                    ),
+                    FaultStep::WalTrunc { p, bytes } => sub.corrupt(
+                        pid(*p),
+                        CorruptionKind::WalTrunc {
+                            bytes: *bytes as u64,
+                        },
+                    ),
                 }
             }
         }
         // The anomalies the injected faults caused are about to be healed
         // away; photograph them first.
         let mid = Frame {
-            trace: cluster.trace(),
-            dumps: collect_dumps(&cluster.telemetry_handles()),
+            trace: sub.trace(),
+            dumps: collect_dumps(&sub.all_handles()),
         };
         // Heal everything so the liveness-flavored specifications apply:
         // a correct engine must always re-stabilize from here.
-        cluster.sim_mut().apply(Action::SetDropProb(0.0));
-        let default_net = NetConfig::default();
-        cluster.sim_mut().apply(Action::SetLatency(
-            default_net.latency_min,
-            default_net.latency_max,
-        ));
-        cluster.merge_all();
-        for i in 0..n {
-            cluster.recover(ProcessId::new(i as u32));
+        sub.heal_links();
+        sub.merge();
+        for i in 0..plan.n {
+            sub.recover(pid(i));
         }
-        let settled = cluster.run_until_settled(self.settle_budget);
-        (cluster, settled, mid)
+        let settled = formed && sub.settle(self.settle_budget);
+        (sub, settled, mid)
     }
 
-    /// Builds a broker-fronted cluster (one broker per daemon), applies
-    /// every step of `plan` with `Mcast` reinterpreted as client ops
-    /// through the broker pipeline, heals everything (network knobs,
-    /// merge, daemon recovery, broker reconnection — the reconnects replay
-    /// unacked ops through the dedup ledgers), and drains the pipeline.
-    /// Returns the harness and whether the daemon group settled.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the plan fails [`FaultPlan::validate`].
-    pub fn execute_broker(&self, plan: &FaultPlan) -> (BrokerCluster, bool) {
-        let (bc, settled, _) = self.execute_broker_observed(plan);
-        (bc, settled)
-    }
-
-    /// [`Orchestrator::execute_broker`], also returning the pre-heal frame
-    /// (see [`ChaosOutcome::mid`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the plan fails [`FaultPlan::validate`].
-    pub fn execute_broker_observed(&self, plan: &FaultPlan) -> (BrokerCluster, bool, Frame) {
-        plan.validate().expect("fault plan must validate");
-        let n = plan.n as usize;
-        let mut bc = BrokerCluster::new(BrokerClusterConfig {
-            daemons: n,
-            brokers: n,
-            seed: plan.seed,
-            telemetry: self.telemetry,
-            ..BrokerClusterConfig::default()
-        });
-        bc.form(self.formation_budget);
-        let mut down = vec![false; n];
-        let mut msg = 0u32;
-        for step in &plan.steps {
-            match step {
-                FaultStep::Split(labels) => {
-                    let groups = components(labels);
-                    let groups: Vec<&[ProcessId]> = groups.iter().map(Vec::as_slice).collect();
-                    bc.partition(&groups);
-                }
-                FaultStep::Merge => bc.merge_all(),
-                FaultStep::Crash(i) => {
-                    bc.crash(ProcessId::new(*i as u32));
-                    down[*i as usize] = true;
-                }
-                FaultStep::Kill(i) => {
-                    bc.kill(ProcessId::new(*i as u32));
-                    down[*i as usize] = true;
-                }
-                FaultStep::Recover(i) | FaultStep::Restart(i) => {
-                    bc.recover(ProcessId::new(*i as u32));
-                    down[*i as usize] = false;
-                }
-                FaultStep::DropPct(pct) => bc.set_drop_prob(*pct as f64 / 100.0),
-                FaultStep::Delay(lo, hi) => bc.set_latency(*lo, *hi),
-                FaultStep::Mcast { from, count, .. } => {
-                    // Client ops through broker `from`; a dead or
-                    // backpressuring broker drops the burst, like a down
-                    // process on the daemon path. One client per broker
-                    // keeps per-client sequences long enough to replay.
-                    let client = 100 + *from as u64;
-                    for _ in 0..*count {
-                        msg += 1;
-                        let op = Payload::from(msg.to_be_bytes().to_vec());
-                        let _ = bc.submit(*from as usize, client, op);
-                    }
-                }
-                FaultStep::Run(t) => bc.pump(*t as u64),
-                FaultStep::BrokerKill(b) => bc.kill_broker(*b as usize),
-                FaultStep::BrokerReconnect(b) => {
-                    let _ = bc.reconnect_broker(*b as usize);
-                }
-                FaultStep::BitFlip { .. }
-                | FaultStep::SeqWrap(_)
-                | FaultStep::ConfDesync(_)
-                | FaultStep::WalByte { .. }
-                | FaultStep::WalTrunc { .. } => {
-                    let (p, kind) = corruption(step).expect("corruption step decodes");
-                    if !down[p as usize] {
-                        bc.cluster_mut()
-                            .sim_mut()
-                            .invoke(ProcessId::new(p as u32), move |node, _ctx| {
-                                node.inject_corruption(kind)
-                            });
-                    }
-                }
-            }
-        }
-        // Photograph the pre-heal anomalies (see ChaosOutcome::mid).
-        let mut mid = Frame {
-            trace: bc.trace(),
-            dumps: collect_dumps(&bc.daemon_telemetry()),
-        };
-        mid.dumps.extend(collect_dumps(bc.broker_telemetry()));
-        // Heal everything so the liveness-flavored specifications apply —
-        // and reconnect every dead broker, which resubmits its unacked
-        // ops: the replay the dedup ledgers must absorb exactly once.
-        bc.set_drop_prob(0.0);
-        let default_net = NetConfig::default();
-        bc.set_latency(default_net.latency_min, default_net.latency_max);
-        bc.merge_all();
-        for i in 0..n {
-            bc.recover(ProcessId::new(i as u32));
-        }
-        for b in 0..n {
-            if !bc.broker_alive(b) {
-                let _ = bc.reconnect_broker(b);
-            }
-        }
-        let mut settled = bc.cluster_mut().run_until_settled(self.settle_budget);
-        // Drain the client pipeline: flush still-pending batches, deliver
-        // them, apply through the ledgers and route the replies.
-        bc.pump(20_000);
-        settled = settled && bc.cluster_mut().run_until_settled(self.settle_budget);
-        bc.pump(256);
-        (bc, settled, mid)
-    }
-
-    /// Runs `plan` on the broker client path and checks the full
-    /// conformance suite plus the broker exactly-once invariants:
-    /// `"broker-dedup"` (a daemon ledger applied the same client op
-    /// twice) and `"broker-ack"` (a reply was routed for an op no daemon
-    /// applied).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the plan fails [`FaultPlan::validate`].
-    pub fn run_broker(&self, plan: &FaultPlan) -> ChaosOutcome {
-        let (bc, settled, mid) = self.execute_broker_observed(plan);
-        let handles = bc.daemon_telemetry();
-        let mut all = handles.clone();
-        all.extend(bc.broker_telemetry().iter().cloned());
-        let report = RunReport::collect(&all);
+    /// Ends a driven run and judges it: the conformance suite plus the
+    /// substrate's own verdicts, or `"settle"` if it never re-stabilized.
+    fn judge<S: Substrate>(
+        &self,
+        plan: &FaultPlan,
+        (sub, settled, mid): (S, bool, Frame),
+    ) -> ChaosOutcome {
+        let handles = sub.handles();
+        let all = sub.all_handles();
+        let extra = sub.extra_verdicts();
         let end = Frame {
-            trace: bc.trace(),
+            trace: sub.into_trace(),
             dumps: collect_dumps(&all),
         };
+        let report = RunReport::collect(&all);
         let failure = if settled {
-            let mut specs: Vec<String> = Vec::new();
-            let mut details = String::new();
-            if let Some(f) = conformance(&end.trace, &handles, plan.n as usize) {
-                specs.extend(f.specs);
-                details.push_str(&f.details);
+            let (mut specs, mut details) = conformance(&end.trace, &handles, plan.n as usize)
+                .map_or_else(Default::default, |f| (f.specs, f.details));
+            for (spec, detail) in extra {
+                specs.push(spec.to_string());
+                details.push_str(&detail);
             }
-            let dups = bc.duplicate_applications();
-            if !dups.is_empty() {
-                specs.push("broker-dedup".to_string());
-                details.push_str(&format!(
-                    "exactly-once violated: {} duplicate application(s) \
-                     (daemon, client, seq), first: {:?}\n",
-                    dups.len(),
-                    &dups[..dups.len().min(8)]
-                ));
-            }
-            let ghosts = bc.acked_never_applied();
-            if !ghosts.is_empty() {
-                specs.push("broker-ack".to_string());
-                details.push_str(&format!(
-                    "{} reply(ies) routed for ops no daemon applied, first: {:?}\n",
-                    ghosts.len(),
-                    &ghosts[..ghosts.len().min(8)]
-                ));
-            }
-            if specs.is_empty() {
-                None
-            } else {
-                Some(finish(specs, details))
-            }
+            (!specs.is_empty()).then(|| finish(specs, details))
         } else {
             Some(ChaosFailure {
                 specs: vec!["settle".to_string()],
-                details: format!(
-                    "broker-fronted cluster failed to re-stabilize within {} ticks after healing",
-                    self.settle_budget
-                ),
+                details: format!("{} failed to re-stabilize after healing", S::NAME),
             })
         };
         ChaosOutcome {
@@ -473,42 +604,34 @@ impl Orchestrator {
     }
 
     /// Runs `plan` under the deterministic simulator and checks the full
-    /// conformance suite. Plans containing broker steps are dispatched to
-    /// [`Orchestrator::run_broker`] — the whole generated plan space runs
-    /// through this one entry point.
+    /// conformance suite. Plans with broker steps run behind one broker
+    /// per daemon, `Mcast` becoming client ops, and are also checked for
+    /// the exactly-once invariants: `"broker-dedup"` (a daemon ledger
+    /// applied the same client op twice) and `"broker-ack"` (a reply was
+    /// routed for an op no daemon applied). The whole generated plan space
+    /// runs through this one entry point.
     ///
     /// # Panics
     ///
     /// Panics if the plan fails [`FaultPlan::validate`].
     pub fn run_sim(&self, plan: &FaultPlan) -> ChaosOutcome {
         if plan.has_broker_steps() {
-            return self.run_broker(plan);
-        }
-        let (cluster, settled, mid) = self.execute_observed(plan);
-        let handles = cluster.telemetry_handles();
-        let report = RunReport::collect(&handles);
-        let end = Frame {
-            trace: cluster.trace(),
-            dumps: collect_dumps(&handles),
-        };
-        let failure = if settled {
-            conformance(&end.trace, &handles, plan.n as usize)
+            self.judge(plan, self.drive(plan, || self.broker_cluster(plan)))
         } else {
-            Some(ChaosFailure {
-                specs: vec!["settle".to_string()],
-                details: format!(
-                    "cluster failed to re-stabilize within {} ticks after healing",
-                    self.settle_budget
-                ),
-            })
-        };
-        ChaosOutcome {
-            settled,
-            failure,
-            report,
-            end,
-            mid,
+            self.judge(plan, self.execute_observed(plan))
         }
+    }
+
+    /// The simulator behind one broker per daemon, for a plan with broker
+    /// steps.
+    fn broker_cluster(&self, plan: &FaultPlan) -> BrokerCluster {
+        BrokerCluster::new(BrokerClusterConfig {
+            daemons: plan.n as usize,
+            brokers: plan.n as usize,
+            seed: plan.seed,
+            telemetry: self.telemetry,
+            ..BrokerClusterConfig::default()
+        })
     }
 
     /// Runs `plan` on a live [`Cluster`] over the in-memory medium — same
@@ -534,110 +657,16 @@ impl Orchestrator {
                         .to_string(),
             });
         }
-        let n = plan.n as usize;
-        let net = Cluster::in_memory(n, self.telemetry);
-        let faults = net.faults();
-        faults.set_seed(plan.seed);
-        let settled_with = |k: usize| {
-            move |node: &EvsProcess<Payload>| {
-                node.is_settled() && node.current_config().members.len() == k
+        let live = || {
+            let net = Cluster::in_memory(plan.n as usize, self.telemetry);
+            net.faults().set_seed(plan.seed);
+            Live {
+                net,
+                n: plan.n as usize,
+                policy: LinkFault::default(),
             }
         };
-        let formed = net.wait_until(Duration::from_secs(20), settled_with(n));
-        let mut msg = 0u32;
-        // The simulator's drop and latency knobs are independent global
-        // settings; mirror that with one net-wide link policy that either
-        // step updates its own part of.
-        let mut policy = LinkFault::default();
-        if formed {
-            for step in &plan.steps {
-                match step {
-                    FaultStep::Split(labels) => faults.partition(&components(labels)),
-                    FaultStep::Merge => faults.merge_all(),
-                    FaultStep::Crash(i) => net.crash(ProcessId::new(*i as u32)),
-                    FaultStep::Kill(i) => net.kill(ProcessId::new(*i as u32)),
-                    FaultStep::Recover(i) | FaultStep::Restart(i) => {
-                        net.recover(ProcessId::new(*i as u32));
-                    }
-                    FaultStep::DropPct(pct) => {
-                        policy.drop_pct = *pct;
-                        faults.set_all(policy);
-                    }
-                    FaultStep::Delay(lo, hi) => {
-                        (policy.delay_lo, policy.delay_hi) = (*lo, *hi);
-                        faults.set_all(policy);
-                    }
-                    FaultStep::Mcast {
-                        from,
-                        count,
-                        service,
-                    } => {
-                        // (A down process runs no command: nothing to skip.)
-                        let service = *service;
-                        for _ in 0..*count {
-                            msg += 1;
-                            let payload = Payload::from(format!("c{msg}").into_bytes());
-                            net.invoke(ProcessId::new(*from as u32), move |node, ctx| {
-                                node.submit(ctx, service, payload)
-                            });
-                        }
-                    }
-                    FaultStep::Run(t) => std::thread::sleep(TICK * *t),
-                    FaultStep::BrokerKill(_) | FaultStep::BrokerReconnect(_) => {
-                        unreachable!("run_live rejects broker plans up front")
-                    }
-                    FaultStep::BitFlip { .. }
-                    | FaultStep::SeqWrap(_)
-                    | FaultStep::ConfDesync(_)
-                    | FaultStep::WalByte { .. }
-                    | FaultStep::WalTrunc { .. } => {
-                        let (p, kind) = corruption(step).expect("corruption step decodes");
-                        net.invoke(ProcessId::new(p as u32), move |node, _ctx| {
-                            node.inject_corruption(kind)
-                        });
-                    }
-                }
-            }
-        }
-        // Photograph the pre-heal anomalies (see ChaosOutcome::mid).
-        let mid = Frame {
-            trace: Trace::new(
-                (0..n as u32)
-                    .map(|p| net.inspect(ProcessId::new(p), |_, trace| trace.to_vec()))
-                    .collect(),
-            ),
-            dumps: collect_dumps(&net.telemetry_handles()),
-        };
-        // Heal everything, like the simulator path: perfect links again,
-        // one component, everyone up. The liveness-flavored specifications
-        // apply from here.
-        faults.set_all(LinkFault::default());
-        faults.merge_all();
-        for i in 0..n {
-            net.recover(ProcessId::new(i as u32));
-        }
-        let settled = formed && net.wait_until(Duration::from_secs(30), settled_with(n));
-        let handles = net.telemetry_handles();
-        let end = Frame {
-            trace: Trace::new(net.shutdown()),
-            dumps: collect_dumps(&handles),
-        };
-        let report = RunReport::collect(&handles);
-        let failure = if settled {
-            conformance(&end.trace, &handles, n)
-        } else {
-            Some(ChaosFailure {
-                specs: vec!["settle".to_string()],
-                details: "live cluster failed to re-stabilize after healing".to_string(),
-            })
-        };
-        Ok(ChaosOutcome {
-            settled,
-            failure,
-            report,
-            end,
-            mid,
-        })
+        Ok(self.judge(plan, self.drive(plan, live)))
     }
 }
 
@@ -819,8 +848,9 @@ mod tests {
     #[test]
     fn broker_execution_is_deterministic() {
         let orch = Orchestrator::detached();
-        let (a, sa) = orch.execute_broker(&broker_plan());
-        let (b, sb) = orch.execute_broker(&broker_plan());
+        let plan = broker_plan();
+        let (a, sa, _) = orch.drive(&plan, || orch.broker_cluster(&plan));
+        let (b, sb, _) = orch.drive(&plan, || orch.broker_cluster(&plan));
         assert_eq!(sa, sb);
         assert_eq!(a.trace().events, b.trace().events);
         assert_eq!(a.replies(), b.replies());

@@ -19,27 +19,30 @@
 //!
 //! Every iteration generates one fault plan (`--seed` + iteration index),
 //! executes it under the deterministic simulator — or, with `--live`, on
-//! the real multi-threaded driver with per-link fault injection — and
+//! the real multi-threaded driver with per-link fault injection (plans
+//! with broker steps, which it cannot run, stay on the simulator) — and
 //! checks the full conformance suite (Specifications 1.1–7.2, primary
 //! component, §5 VS reduction). `--jobs N` stripes the seeds across N
-//! worker threads; the merged stats and artifacts are identical to a
-//! sequential sweep. On failure the plan is delta-debugged down to a minimal
-//! counterexample and written to `chaos-artifacts/chaos-repro-<seed>.txt`;
-//! replay it later with `--replay`. `--kill-chaos` swaps in the durability
-//! mix (process kills with no farewell callback plus WAL restarts);
+//! worker threads; the merged stats and artifacts do not depend on N. On
+//! failure the plan is delta-debugged down to a minimal counterexample
+//! and written to `chaos-artifacts/chaos-repro-<seed>.txt`; replay it
+//! later with `--replay`. `--kill-chaos` swaps in the durability mix
+//! (process kills with no farewell callback plus WAL restarts);
 //! `--corruption` the self-stabilization mix (counter bit flips, sequence
 //! wrap, configuration desync and WAL rot layered over kill/restart).
-//! `--factory` runs the coverage-accounting soak instead: every failure is
-//! shrunk and persisted under an atomically-rewritten
-//! `chaos-artifacts/index.json`, live-driver runs are mixed in every
-//! `--live-every` plans, and the final report shows which fault kinds,
-//! plan shapes and inspect anomaly detectors the soak exercised
-//! (`--strict-coverage` turns a never-fired fault kind into a nonzero
-//! exit). `--self-test` (requires the `chaos-mutation` feature)
-//! proves the pipeline end to end by hunting a deliberately broken engine.
+//! `--factory` is the same campaign as a coverage-accounting soak: it
+//! keeps going past failures, defaults to the full-vocabulary mix with
+//! telemetry attached, persists every shrunk failure under an
+//! atomically-rewritten `chaos-artifacts/index.json`, runs every
+//! `--live-every`-th plan on the live driver (every 64th with a bare
+//! `--live`), and reports which fault kinds, plan shapes and inspect
+//! anomaly detectors the soak exercised (`--strict-coverage` turns a
+//! never-fired fault kind into a nonzero exit). `--self-test` (requires
+//! the `chaos-mutation` feature) proves the pipeline end to end by
+//! hunting a deliberately broken engine.
 
 use evs::chaos::{
-    Campaign, CampaignConfig, CounterExample, Factory, FactoryConfig, FaultPlan, GenConfig,
+    persist_corpus, Campaign, CampaignConfig, CampaignStats, CounterExample, FaultPlan, GenConfig,
     Orchestrator, ScenarioGen, Shrinker,
 };
 
@@ -73,14 +76,15 @@ fn usage() -> ! {
          --hunting selects the loss-heavy mix (overridden by later --mix flags)\n\
          --kill-chaos selects the durability mix (kill -9 / WAL-restart heavy)\n\
          --broker-chaos selects the client-path mix (broker kill/reconnect replays;\n\
-         \x20             simulator only — broker steps have no live driver)\n\
+         \x20             its plans run on the simulator even under --live)\n\
          --corruption selects the self-stabilization mix (bit flips, sequence wrap,\n\
          \x20             configuration desync, WAL rot over kill/restart)\n\
-         --factory runs the coverage-accounting soak instead of a campaign: every\n\
-         \x20             failure is shrunk and indexed under chaos-artifacts/index.json,\n\
+         --factory runs the campaign as a coverage-accounting soak: it keeps going,\n\
+         \x20             every failure is shrunk and indexed under chaos-artifacts/index.json,\n\
          \x20             and the report shows fault-kind / plan-shape / anomaly-detector\n\
          \x20             coverage (defaults to the full-vocabulary factory mix)\n\
-         --live-every N runs every Nth factory iteration on the live driver\n\
+         --live-every N runs every Nth plan on the live driver (--live alone: every\n\
+         \x20             plan, or every 64th under --factory)\n\
          --strict-coverage exits nonzero if a generable fault kind never fired\n\
          --obs answers OBS? scrapes while the campaign runs (watch progress\n\
          \x20             live with `cargo run --release --example evs_top`)\n\
@@ -312,57 +316,28 @@ fn self_test(args: &Args) -> ! {
     }
 }
 
-fn factory(args: &Args) -> ! {
-    let mut gen_cfg = args.gen_cfg.clone();
-    if !args.mix_overridden {
-        // The factory's job is coverage; default to the one mix that can
-        // generate the entire step vocabulary.
-        gen_cfg.mix = evs::chaos::FaultMix::factory();
-    }
-    let live_every = match (args.live_every, args.live) {
-        (0, true) => 64, // --live without a cadence: sprinkle live runs in
-        (n, _) => n,
-    };
+/// Ends a `--factory` soak: the coverage report, the persisted corpus,
+/// every counterexample, and the strict-coverage gate.
+fn factory_report(args: &Args, stats: &CampaignStats, found: &[CounterExample]) -> ! {
     println!(
-        "== chaos factory: {} seed(s) from {:#x}, {} process(es), {} job(s), live every {} ==",
-        args.iters,
-        args.seed,
-        args.n,
-        args.jobs.max(1),
-        if live_every == 0 {
-            "never".to_string()
-        } else {
-            format!("{live_every} plan(s)")
-        }
+        "== chaos factory: {} run(s) ({} live), {} step(s), {} failure(s) ==",
+        stats.runs, stats.live_runs, stats.steps, stats.failures
     );
-    let factory = Factory::new(
-        ScenarioGen::new(gen_cfg),
-        // Telemetry stays attached: detector coverage reads each run's
-        // flight-recorder dumps.
-        Orchestrator::default(),
-        Shrinker::default(),
-        FactoryConfig {
-            jobs: args.jobs,
-            live_every,
-            ..FactoryConfig::default()
-        },
-    );
-    let report = factory.run(args.seed, args.iters);
-    print!("{}", report.to_text());
-    match factory.persist(&report) {
+    print!("{}", stats.coverage.to_text());
+    let dir = std::path::Path::new("chaos-artifacts");
+    match persist_corpus(dir, args.seed, stats, found) {
         Ok(path) => println!("  corpus index written to {}", path.display()),
         Err(e) => {
             eprintln!("could not persist the corpus index: {e}");
             std::process::exit(1)
         }
     }
-    let mut bad = false;
-    for ce in &report.counterexamples {
+    for ce in found {
         report_counterexample(ce);
-        bad = true;
     }
+    let mut bad = !found.is_empty();
     if args.strict_coverage {
-        let never = report.coverage.never_fired_kinds(&report.expected_kinds);
+        let never = stats.coverage.never_fired_kinds();
         if never.is_empty() {
             println!("strict coverage: every generable fault kind fired ✓");
         } else {
@@ -390,27 +365,46 @@ fn main() {
         eprintln!("built with a planted mutation: only --self-test and --replay make sense");
         std::process::exit(2)
     }
-    if args.factory {
-        factory(&args);
-    }
 
+    let mut gen_cfg = args.gen_cfg.clone();
+    if args.factory && !args.mix_overridden {
+        // The factory's job is coverage; default to the one mix that can
+        // generate the entire step vocabulary.
+        gen_cfg.mix = evs::chaos::FaultMix::factory();
+    }
+    let live_every = match (args.live_every, args.live) {
+        (0, true) if args.factory => 64, // sprinkle live runs into a soak
+        (0, true) => 1,
+        (n, _) => n,
+    };
+    let (mode, driver) = match (args.factory, live_every) {
+        (true, 0) => ("factory", "live every never".to_string()),
+        (true, n) => ("factory", format!("live every {n} plan(s)")),
+        (false, _) if args.live => ("campaign", "live driver".to_string()),
+        (false, _) => ("campaign", "simulator driver".to_string()),
+    };
     println!(
-        "== chaos campaign: {} seed(s) from {:#x}, {} process(es), {} job(s), {} driver ==",
+        "== chaos {mode}: {} seed(s) from {:#x}, {} process(es), {} job(s), {driver} ==",
         args.iters,
         args.seed,
         args.n,
         args.jobs.max(1),
-        if args.live { "live" } else { "simulator" }
     );
     let campaign = Campaign::new(
-        ScenarioGen::new(args.gen_cfg.clone()),
-        Orchestrator::detached(),
+        ScenarioGen::new(gen_cfg),
+        // A soak keeps telemetry attached: detector coverage reads each
+        // run's flight-recorder dumps.
+        if args.factory {
+            Orchestrator::default()
+        } else {
+            Orchestrator::detached()
+        },
         Shrinker::default(),
         CampaignConfig {
-            stop_on_failure: !args.keep_going,
+            stop_on_failure: !args.keep_going && !args.factory,
             shrink: true,
             jobs: args.jobs,
-            live: args.live,
+            live_every,
             ..CampaignConfig::default()
         },
     );
@@ -437,6 +431,9 @@ fn main() {
         None
     };
     let (stats, found) = campaign.run(args.seed, args.iters);
+    if args.factory {
+        factory_report(&args, &stats, &found);
+    }
     println!(
         "  {} run(s), {} schedule step(s), {} failure(s)",
         stats.runs, stats.steps, stats.failures
