@@ -141,6 +141,9 @@ obs_smoke() {
     echo "== obs smoke (OBS? scrapes: seq advance, monotone counters, phase coverage, driver kind) =="
     cargo build -q --release --offline --example udp_cluster --example evs_top
     ./target/release/examples/udp_cluster --obs-smoke
+    # The live client tier: 256 client sockets through the broker
+    # front-end, every op replied exactly once, the broker scraped live.
+    ./target/release/examples/udp_cluster --broker 256
     # And the dashboard end to end: a short served cluster in the
     # background (killed by the EXIT trap if a later line fails), two
     # evs_top frames scraped against it.

@@ -1,15 +1,15 @@
 //! The broker: a prepare-batch pipeline between client sessions and one
 //! attached EVS daemon.
 //!
-//! Ops accepted from sessions accumulate until a size or latency bound,
-//! then flush as **one** batched multicast frame — the daemon group
-//! orders a handful of batches instead of thousands of individual client
-//! ops. Replies route back per client off the batch's agreed/safe
-//! delivery at the attached daemon, and on a daemon loss the broker
-//! reattaches to a survivor and resubmits everything still unacked (the
-//! daemon-side [`OpLedger`](crate::OpLedger) dedups the overlap).
+//! Each accepted op is encoded into the open batch frame on arrival; the
+//! frame flushes at a size or latency bound as **one** batched multicast
+//! — the daemon group orders a handful of batches instead of thousands of
+//! individual client ops. Replies route back per client off the batch's
+//! agreed/safe delivery at the attached daemon, and on a daemon loss the
+//! broker reattaches to a survivor and resubmits everything still unacked
+//! (the daemon-side [`OpLedger`](crate::OpLedger) dedups the overlap).
 
-use crate::proto::{self, BatchEntry, BATCH_HEADER_BYTES};
+use crate::proto::{self, BatchFrame};
 use crate::session::{Session, SubmitOutcome};
 use evs_core::{EvsParams, Payload};
 use evs_order::Service;
@@ -74,9 +74,17 @@ pub struct Broker {
     attached: ProcessId,
     /// `BTreeMap` so reattachment resubmits in deterministic client order.
     sessions: BTreeMap<u64, Session>,
-    pending: VecDeque<BatchEntry>,
-    pending_bytes: usize,
-    /// Tick the oldest pending op arrived at (latency-bound clock).
+    /// The batch accepted ops are encoded into.
+    open: BatchFrame,
+    /// Frames the size or op bound closed, with their op counts, for the
+    /// next flush to return.
+    sealed: VecDeque<(Payload, usize)>,
+    /// Flushed frames not yet seen delivered. With the open and sealed
+    /// frames they hold every unacked op's bytes (sessions hold only
+    /// sequence numbers), which a reattachment resubmits.
+    retained: VecDeque<Payload>,
+    /// Latency-bound clock: the tick the oldest pending op arrived, or of
+    /// the last poll that flushed a full batch, if later.
     pending_since: u64,
     inflight_ops: usize,
     params: BrokerParams,
@@ -111,8 +119,9 @@ impl Broker {
             id,
             attached,
             sessions: BTreeMap::new(),
-            pending: VecDeque::new(),
-            pending_bytes: 0,
+            open: BatchFrame::new(id),
+            sealed: VecDeque::new(),
+            retained: VecDeque::new(),
             pending_since: 0,
             inflight_ops: 0,
             c_submitted: telemetry.counter(names::BROKER_OPS_SUBMITTED),
@@ -129,7 +138,7 @@ impl Broker {
     /// after every mutation of the inflight/pending queues.
     fn update_depth_gauges(&self) {
         self.g_inflight.set(self.inflight_ops as i64);
-        self.g_pending.set(self.pending.len() as i64);
+        self.g_pending.set(self.pending() as i64);
     }
 
     /// This broker's identifier (stamped into every batch frame).
@@ -154,7 +163,14 @@ impl Broker {
 
     /// Ops accumulated but not yet flushed.
     pub fn pending(&self) -> usize {
-        self.pending.len()
+        self.open.ops() + self.sealed.iter().map(|(_, ops)| ops).sum::<usize>()
+    }
+
+    /// Bytes of the batch frames held: open, sealed, and flushed but not seen delivered.
+    pub fn held_bytes(&self) -> usize {
+        let frames = self.sealed.iter().map(|(f, _)| f).chain(&self.retained);
+        let entries = self.open.encoded_len() - proto::BATCH_HEADER_BYTES;
+        entries + frames.map(|f| f.len()).sum::<usize>()
     }
 
     /// Opens a session for `client` (idempotent).
@@ -175,29 +191,29 @@ impl Broker {
                         client,
                     },
                 );
-                slot.insert(Session::new(client, self.params.session_inflight))
+                slot.insert(Session::new(self.params.session_inflight))
             }
         }
     }
 
-    /// Accepts one op from `client` into the prepare-batch pipeline. A
-    /// first submit from an unknown client opens its session implicitly.
-    pub fn submit(&mut self, at: u64, client: u64, op: Payload) -> SubmitOutcome {
+    /// Accepts one op from `client` into the prepare-batch pipeline,
+    /// copying it into the open batch frame. A first submit from an
+    /// unknown client opens its session implicitly.
+    pub fn submit(&mut self, at: u64, client: u64, op: &[u8]) -> SubmitOutcome {
         let budget_full = self.inflight_ops >= self.params.broker_inflight;
         let session = self.session(at, client);
         let accepted = if budget_full {
             None
         } else {
-            session.try_submit(op.clone())
+            session.try_submit()
         };
         let Some(seq) = accepted else {
             return self.backpressure(at, client);
         };
-        if self.pending.is_empty() {
+        if self.pending() == 0 {
             self.pending_since = at;
         }
-        self.pending_bytes += proto::ENTRY_HEADER_BYTES + op.len();
-        self.pending.push_back(BatchEntry { client, seq, op });
+        self.encode(client, seq, op);
         self.inflight_ops += 1;
         self.c_submitted.inc();
         self.update_depth_gauges();
@@ -215,66 +231,66 @@ impl Broker {
         SubmitOutcome::Backpressure
     }
 
+    /// Encodes one op into the open frame, sealing the frame first if the
+    /// op would take it past the byte bound, and after if it is then full
+    /// or still past it (one oversized op): the greedy cut, each batch at
+    /// least one op.
+    fn encode(&mut self, client: u64, seq: u64, op: &[u8]) {
+        let (max_bytes, entry) = (self.params.max_batch_bytes, proto::ENTRY_HEADER_BYTES);
+        if self.open.encoded_len() + entry + op.len() > max_bytes {
+            self.seal();
+        }
+        self.open.push(client, seq, op);
+        if self.open.ops() >= self.params.max_batch_ops || self.open.encoded_len() > max_bytes {
+            self.seal();
+        }
+    }
+
+    /// Closes the open frame, if it holds any op, for the next flush.
+    fn seal(&mut self) {
+        let ops = self.open.ops();
+        if ops > 0 {
+            self.sealed.push_back((self.open.seal(), ops));
+        }
+    }
+
     /// Flushes any batches whose size, op-count or latency bound is due.
     /// Each returned frame is one EVS `submit` for the attached daemon.
     pub fn poll_flush(&mut self, at: u64) -> Vec<Payload> {
-        let mut out = Vec::new();
-        while self.size_bound_reached() {
-            out.push(self.cut_batch(at));
+        if !self.sealed.is_empty() {
+            self.pending_since = at;
         }
-        if !self.pending.is_empty()
-            && at.saturating_sub(self.pending_since) >= self.params.flush_interval
-        {
-            out.push(self.cut_batch(at));
+        if at.saturating_sub(self.pending_since) >= self.params.flush_interval {
+            self.seal();
         }
-        out
+        self.flush(at)
     }
 
     /// Flushes everything pending regardless of bounds (shutdown, or a
     /// bench draining its tail).
     pub fn force_flush(&mut self, at: u64) -> Vec<Payload> {
-        let mut out = Vec::new();
-        while !self.pending.is_empty() {
-            out.push(self.cut_batch(at));
+        self.seal();
+        self.flush(at)
+    }
+
+    /// Returns every sealed frame, keeping each until its delivery.
+    fn flush(&mut self, at: u64) -> Vec<Payload> {
+        let mut out = Vec::with_capacity(self.sealed.len());
+        while let Some((frame, ops)) = self.sealed.pop_front() {
+            self.h_batch_ops.observe(ops as u64);
+            self.update_depth_gauges();
+            self.telemetry.record(
+                at,
+                TelemetryEvent::BatchFlushed {
+                    broker: self.id,
+                    ops: ops as u32,
+                    bytes: frame.len() as u64,
+                },
+            );
+            self.retained.push_back(frame.clone());
+            out.push(frame);
         }
         out
-    }
-
-    fn size_bound_reached(&self) -> bool {
-        self.pending.len() >= self.params.max_batch_ops
-            || BATCH_HEADER_BYTES + self.pending_bytes > self.params.max_batch_bytes
-    }
-
-    /// Drains pending ops from the front into one encoded batch frame,
-    /// greedily up to the size/op bounds (always at least one op).
-    fn cut_batch(&mut self, at: u64) -> Payload {
-        let mut entries = Vec::new();
-        let mut bytes = BATCH_HEADER_BYTES;
-        while let Some(front) = self.pending.front() {
-            let len = front.encoded_len();
-            if !entries.is_empty()
-                && (entries.len() >= self.params.max_batch_ops
-                    || bytes + len > self.params.max_batch_bytes)
-            {
-                break;
-            }
-            bytes += len;
-            self.pending_bytes -= len;
-            entries.push(self.pending.pop_front().expect("front just seen"));
-        }
-        self.pending_since = at;
-        let frame = proto::encode_batch(self.id, &entries);
-        self.h_batch_ops.observe(entries.len() as u64);
-        self.update_depth_gauges();
-        self.telemetry.record(
-            at,
-            TelemetryEvent::BatchFlushed {
-                broker: self.id,
-                ops: entries.len() as u32,
-                bytes: frame.len() as u64,
-            },
-        );
-        frame
     }
 
     /// Routes one delivered application payload. Frames that are not
@@ -304,33 +320,41 @@ impl Broker {
                 });
             }
         }
+        // This delivery acked every op of the frame it equals.
+        if let Some(i) = self.retained.iter().position(|held| **held == *frame) {
+            self.retained.remove(i);
+        }
+        if self.inflight_ops == 0 {
+            // Also frames whose ops were acked through a resubmitted copy.
+            self.retained.clear();
+        }
         let _ = at;
         self.update_depth_gauges();
         replies
     }
 
     /// Reattaches to daemon `to` after losing the previous attachment:
-    /// the pending queue is rebuilt from every session's unacked window
-    /// (a superset of what was pending — ops whose batch flushed but
-    /// whose delivery was never observed are resubmitted too), and the
-    /// rebuilt batches are returned for immediate submission at `to`.
-    /// The daemon-side ledger makes the overlap exactly-once.
+    /// every unacked op — pending, or flushed but never seen delivered —
+    /// is re-encoded from the frames that hold it, in client then
+    /// sequence order, and the rebuilt batches are returned for immediate
+    /// submission at `to`. The daemon-side ledger makes the overlap
+    /// exactly-once.
     pub fn reattach(&mut self, at: u64, to: ProcessId) -> Vec<Payload> {
         self.attached = to;
-        self.pending.clear();
-        self.pending_bytes = 0;
+        self.seal();
+        let sealed = self.sealed.drain(..).map(|(frame, _)| frame);
+        let held: Vec<Payload> = self.retained.drain(..).chain(sealed).collect();
+        // Every op in a frame has its session: sessions are never closed.
+        let mut unacked: Vec<_> = held
+            .iter()
+            .flat_map(|frame| proto::decode_batch(frame).expect("own frame").1)
+            .filter(|e| self.sessions[&e.client].is_unacked(e.seq))
+            .collect();
+        unacked.sort_unstable_by_key(|e| (e.client, e.seq));
+        debug_assert_eq!(unacked.len(), self.inflight_ops, "unacked op without bytes");
         self.pending_since = at;
-        let mut resubmitted = 0u64;
-        for session in self.sessions.values() {
-            for (seq, op) in session.unacked() {
-                self.pending_bytes += proto::ENTRY_HEADER_BYTES + op.len();
-                self.pending.push_back(BatchEntry {
-                    client: session.client(),
-                    seq,
-                    op: op.clone(),
-                });
-                resubmitted += 1;
-            }
+        for e in &unacked {
+            self.encode(e.client, e.seq, e.op);
         }
         self.update_depth_gauges();
         self.telemetry.record(
@@ -338,7 +362,7 @@ impl Broker {
             TelemetryEvent::BrokerReattached {
                 broker: self.id,
                 to: to.index(),
-                resubmitted,
+                resubmitted: unacked.len() as u64,
             },
         );
         self.force_flush(at)
@@ -360,15 +384,15 @@ mod tests {
         }
     }
 
-    fn op(n: usize) -> Payload {
-        Payload::from(vec![0xAB; n])
+    fn op(n: usize) -> Vec<u8> {
+        vec![0xAB; n]
     }
 
     #[test]
     fn accumulates_until_the_latency_bound() {
         let mut b = Broker::new(0, ProcessId::new(0), small_params());
-        assert_eq!(b.submit(0, 1, op(4)), SubmitOutcome::Accepted { seq: 1 });
-        assert_eq!(b.submit(2, 2, op(4)), SubmitOutcome::Accepted { seq: 1 });
+        assert_eq!(b.submit(0, 1, &op(4)), SubmitOutcome::Accepted { seq: 1 });
+        assert_eq!(b.submit(2, 2, &op(4)), SubmitOutcome::Accepted { seq: 1 });
         assert!(b.poll_flush(5).is_empty(), "latency bound not reached");
         let batches = b.poll_flush(10);
         assert_eq!(batches.len(), 1);
@@ -382,7 +406,7 @@ mod tests {
     fn op_count_bound_cuts_a_batch_immediately() {
         let mut b = Broker::new(1, ProcessId::new(0), small_params());
         for client in 0..5 {
-            b.submit(0, client, op(1));
+            b.submit(0, client, &op(1));
         }
         let batches = b.poll_flush(0);
         assert_eq!(batches.len(), 1, "4-op bound cut one batch");
@@ -397,7 +421,7 @@ mod tests {
         // Each entry is 20 + 80 = 100 bytes against a 200-byte budget:
         // header + one entry fits, two entries do not.
         for client in 0..3 {
-            b.submit(0, client, op(80));
+            b.submit(0, client, &op(80));
         }
         let batches = b.force_flush(0);
         assert_eq!(batches.len(), 3);
@@ -411,14 +435,14 @@ mod tests {
         let mut b = Broker::new(0, ProcessId::new(0), small_params());
         for _ in 0..3 {
             assert!(matches!(
-                b.submit(0, 7, op(1)),
+                b.submit(0, 7, &op(1)),
                 SubmitOutcome::Accepted { .. }
             ));
         }
-        assert_eq!(b.submit(0, 7, op(1)), SubmitOutcome::Backpressure);
+        assert_eq!(b.submit(0, 7, &op(1)), SubmitOutcome::Backpressure);
         // Another client is unaffected.
         assert!(matches!(
-            b.submit(0, 8, op(1)),
+            b.submit(0, 8, &op(1)),
             SubmitOutcome::Accepted { .. }
         ));
     }
@@ -428,18 +452,18 @@ mod tests {
         let mut b = Broker::new(0, ProcessId::new(0), small_params());
         for client in 0..8 {
             assert!(matches!(
-                b.submit(0, client, op(1)),
+                b.submit(0, client, &op(1)),
                 SubmitOutcome::Accepted { .. }
             ));
         }
-        assert_eq!(b.submit(0, 100, op(1)), SubmitOutcome::Backpressure);
+        assert_eq!(b.submit(0, 100, &op(1)), SubmitOutcome::Backpressure);
     }
 
     #[test]
     fn delivery_acks_and_routes_replies_once() {
         let mut b = Broker::new(3, ProcessId::new(0), small_params());
-        b.submit(0, 1, op(1));
-        b.submit(0, 2, op(1));
+        b.submit(0, 1, &op(1));
+        b.submit(0, 2, &op(1));
         let batches = b.force_flush(0);
         assert_eq!(batches.len(), 1);
         let replies = b.on_delivered(5, &batches[0]);
@@ -455,13 +479,13 @@ mod tests {
     #[test]
     fn foreign_batches_and_noise_route_nothing() {
         let mut b = Broker::new(0, ProcessId::new(0), small_params());
-        b.submit(0, 1, op(1));
+        b.submit(0, 1, &op(1));
         let other = proto::encode_batch(
             9,
-            &[BatchEntry {
+            &[proto::BatchEntry {
                 client: 1,
                 seq: 1,
-                op: op(1),
+                op: Payload::from(op(1)),
             }],
         );
         assert!(b.on_delivered(0, &other).is_empty());
@@ -472,15 +496,15 @@ mod tests {
     #[test]
     fn reattach_resubmits_everything_unacked() {
         let mut b = Broker::new(0, ProcessId::new(0), small_params());
-        b.submit(0, 1, op(1));
-        b.submit(0, 2, op(1));
+        b.submit(0, 1, &op(1));
+        b.submit(0, 2, &op(1));
         let flushed = b.force_flush(0);
-        b.submit(1, 1, op(1)); // still pending, never flushed
-                               // Only client 1's first op gets acked before the daemon dies.
+        b.submit(1, 1, &op(1)); // still pending, never flushed
+                                // Only client 1's first op gets acked before the daemon dies.
         let first = proto::decode_batch(&flushed[0]).unwrap().1[0];
         let partial = proto::encode_batch(
             0,
-            &[BatchEntry {
+            &[proto::BatchEntry {
                 client: first.client,
                 seq: first.seq,
                 op: Payload::copy_from_slice(first.op),
@@ -505,10 +529,10 @@ mod tests {
     fn telemetry_counts_the_pipeline() {
         let t = Telemetry::enabled(0);
         let mut b = Broker::with_telemetry(0, ProcessId::new(0), small_params(), t.clone());
-        b.submit(0, 1, op(1));
-        b.submit(0, 1, op(1));
-        b.submit(0, 1, op(1));
-        b.submit(0, 1, op(1)); // window of 3 → backpressure
+        b.submit(0, 1, &op(1));
+        b.submit(0, 1, &op(1));
+        b.submit(0, 1, &op(1));
+        b.submit(0, 1, &op(1)); // window of 3 → backpressure
         let batches = b.force_flush(0);
         b.on_delivered(1, &batches[0]);
         let snap = t.snapshot().unwrap();
@@ -526,8 +550,8 @@ mod tests {
     fn depth_gauges_follow_the_queues() {
         let t = Telemetry::enabled(0);
         let mut b = Broker::with_telemetry(0, ProcessId::new(0), small_params(), t.clone());
-        b.submit(0, 1, op(1));
-        b.submit(0, 2, op(1));
+        b.submit(0, 1, &op(1));
+        b.submit(0, 2, &op(1));
         let snap = t.snapshot().unwrap();
         assert_eq!(snap.gauges[names::BROKER_INFLIGHT_OPS], 2);
         assert_eq!(snap.gauges[names::BROKER_PENDING_OPS], 2);

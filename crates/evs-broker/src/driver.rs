@@ -202,7 +202,7 @@ impl BrokerCluster {
             return SubmitOutcome::Backpressure;
         }
         let at = self.cluster.now().ticks();
-        self.brokers[b].broker.submit(at, client, op)
+        self.brokers[b].broker.submit(at, client, &op)
     }
 
     /// Advances the whole system `ticks` ticks: flushes due batches into
@@ -278,8 +278,7 @@ impl BrokerCluster {
                 let Delivery::Message { payload, .. } = delivery else {
                     continue;
                 };
-                let payload = payload.clone();
-                for Reply { client, seq } in slot.broker.on_delivered(at, &payload) {
+                for Reply { client, seq } in slot.broker.on_delivered(at, payload) {
                     self.replies.push(RoutedReply {
                         broker: slot.broker.id(),
                         client,

@@ -11,13 +11,14 @@
 //!
 //! 1. **Sessions** ([`Session`]) — each client connects to one broker,
 //!    which stamps its ops with dense per-client sequence numbers and
-//!    holds them in a bounded in-flight window. Full window ⇒
-//!    [`SubmitOutcome::Backpressure`], never unbounded buffering.
-//! 2. **Prepare-batch** ([`Broker`]) — accepted ops accumulate until a
-//!    size bound (sharing [`EvsParams::max_datagram_bytes`] with the live
-//!    driver's ring packing) or a latency bound, then flush as **one**
-//!    batched multicast frame ([`proto`]) submitted to the attached
-//!    daemon under the agreed (or safe) service.
+//!    keeps the unacked numbers in a bounded in-flight window. Full
+//!    window ⇒ [`SubmitOutcome::Backpressure`], never unbounded buffering.
+//! 2. **Prepare-batch** ([`Broker`]) — each accepted op is copied once,
+//!    into the open batch frame ([`proto`]), which flushes at a size
+//!    bound (sharing [`EvsParams::max_datagram_bytes`] with the live
+//!    driver's ring packing) or a latency bound as **one** batched
+//!    multicast submitted to the attached daemon under the agreed (or
+//!    safe) service, and is kept until seen delivered.
 //! 3. **Apply + dedup** ([`OpLedger`]) — every daemon applies each
 //!    delivered batch entry exactly once per `(client, seq)`; the ledger
 //!    is what makes broker reconnects *redelivery-safe*.

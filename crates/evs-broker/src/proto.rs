@@ -87,19 +87,60 @@ pub fn is_batch(bytes: &[u8]) -> bool {
 /// the ring store, broadcast fan-out and delivery logs all alias this one
 /// buffer.
 pub fn encode_batch(broker: u32, entries: &[BatchEntry]) -> Payload {
-    let total: usize =
-        BATCH_HEADER_BYTES + entries.iter().map(BatchEntry::encoded_len).sum::<usize>();
-    let mut out = Vec::with_capacity(total);
-    out.put_slice(&BATCH_MAGIC);
-    out.put_u32(broker);
-    out.put_u32(entries.len() as u32);
+    let mut frame = BatchFrame::new(broker);
     for e in entries {
-        out.put_u64(e.client);
-        out.put_u64(e.seq);
-        out.put_u32(e.op.len() as u32);
-        out.put_slice(&e.op);
+        frame.push(e.client, e.seq, &e.op);
     }
-    Payload::from(out)
+    frame.seal()
+}
+
+/// A batch frame built one entry at a time: the broker copies each op
+/// into its open frame on arrival, once.
+#[derive(Debug)]
+pub(crate) struct BatchFrame {
+    /// Header, its entry count patched at seal, and the entries so far.
+    buf: Vec<u8>,
+    ops: usize,
+}
+
+impl BatchFrame {
+    /// An empty frame of broker `broker`.
+    pub(crate) fn new(broker: u32) -> Self {
+        let mut buf = Vec::with_capacity(BATCH_HEADER_BYTES);
+        buf.put_slice(&BATCH_MAGIC);
+        buf.put_u32(broker);
+        buf.put_u32(0);
+        BatchFrame { buf, ops: 0 }
+    }
+
+    /// Entries encoded so far.
+    pub(crate) fn ops(&self) -> usize {
+        self.ops
+    }
+
+    /// The frame's encoded size so far, header included.
+    pub(crate) fn encoded_len(&self) -> usize {
+        self.buf.len()
+    }
+
+    /// Appends one entry.
+    pub(crate) fn push(&mut self, client: u64, seq: u64, op: &[u8]) {
+        self.buf.put_u64(client);
+        self.buf.put_u64(seq);
+        self.buf.put_u32(op.len() as u32);
+        self.buf.put_slice(op);
+        self.ops += 1;
+    }
+
+    /// The finished frame, in one allocation. This frame is left empty
+    /// and keeps its buffer for the next one.
+    pub(crate) fn seal(&mut self) -> Payload {
+        self.buf[8..BATCH_HEADER_BYTES].copy_from_slice(&(self.ops as u32).to_be_bytes());
+        let frame = Payload::copy_from_slice(&self.buf);
+        self.buf.truncate(BATCH_HEADER_BYTES);
+        self.ops = 0;
+        frame
+    }
 }
 
 /// One client op of a delivered batch, borrowed from the frame: a daemon
@@ -144,11 +185,10 @@ pub fn encode_submit(client: u64, op: &[u8]) -> Vec<u8> {
     out
 }
 
-/// Decodes a client submit frame into `(client, op)`.
-pub fn decode_submit(bytes: &[u8]) -> Option<(u64, Payload)> {
-    decode_frame(bytes, &SUBMIT_MAGIC, |g| {
-        Ok((g.u64()?, Payload::copy_from_slice(op_bytes(g)?)))
-    })
+/// Decodes a client submit frame into `(client, op)`, the op a view into
+/// `bytes` for [`Broker::submit`](crate::Broker::submit) to copy.
+pub fn decode_submit(bytes: &[u8]) -> Option<(u64, &[u8])> {
+    decode_frame(bytes, &SUBMIT_MAGIC, |g| Ok((g.u64()?, op_bytes(g)?)))
 }
 
 /// Encodes a broker reply frame (broker → client).
@@ -247,8 +287,7 @@ mod tests {
     #[test]
     fn client_frames_round_trip() {
         let s = encode_submit(42, b"balance?");
-        let (client, op) = decode_submit(&s).expect("submit");
-        assert_eq!((client, op.as_slice()), (42, &b"balance?"[..]));
+        assert_eq!(decode_submit(&s), Some((42, &b"balance?"[..])));
 
         let r = encode_reply(42, 9);
         assert_eq!(decode_reply(&r), Some((42, 9)));

@@ -1,7 +1,6 @@
 //! Per-client sessions: sequence stamping, a bounded in-flight window,
 //! and the unacked set a reconnecting broker resubmits.
 
-use evs_core::Payload;
 use std::collections::VecDeque;
 
 /// What happened to one client submit.
@@ -23,46 +22,38 @@ pub enum SubmitOutcome {
 /// One client's connection state at a broker.
 ///
 /// A session stamps each accepted op with the next per-client sequence
-/// number and keeps it in a bounded in-flight window until the broker
-/// observes its delivery. The window is both the backpressure bound and
-/// the redelivery source: everything still in it when the broker loses
-/// its daemon is resubmitted to the surviving configuration, and the
-/// daemon-side [`OpLedger`](crate::OpLedger) makes that resubmission safe.
+/// number and keeps the number in a bounded in-flight window until the
+/// broker observes the op's delivery. The window is the backpressure bound
+/// and names what a reconnect resubmits, from the op bytes in the
+/// [`Broker`](crate::Broker)'s frames; the daemon-side
+/// [`OpLedger`](crate::OpLedger) makes that resubmission safe.
 #[derive(Debug)]
 pub struct Session {
-    client: u64,
     next_seq: u64,
-    /// Unacked ops in sequence order.
-    inflight: VecDeque<(u64, Payload)>,
+    /// Unacked sequence numbers, ascending.
+    inflight: VecDeque<u64>,
     limit: usize,
 }
 
 impl Session {
-    /// Opens a session for `client` with an in-flight window of `limit`
-    /// ops.
-    pub fn new(client: u64, limit: usize) -> Self {
+    /// Opens a session with an in-flight window of `limit` ops.
+    pub fn new(limit: usize) -> Self {
         Session {
-            client,
             next_seq: 1,
             inflight: VecDeque::new(),
             limit: limit.max(1),
         }
     }
 
-    /// The client this session belongs to.
-    pub fn client(&self) -> u64 {
-        self.client
-    }
-
-    /// Accepts `op` into the window, returning its sequence number —
-    /// or `None` (backpressure) when the window is full.
-    pub fn try_submit(&mut self, op: Payload) -> Option<u64> {
+    /// Admits one op into the window, returning its sequence number — or
+    /// `None` (backpressure) when the window is full.
+    pub fn try_submit(&mut self) -> Option<u64> {
         if self.inflight.len() >= self.limit {
             return None;
         }
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.inflight.push_back((seq, op));
+        self.inflight.push_back(seq);
         Some(seq)
     }
 
@@ -70,17 +61,19 @@ impl Session {
     /// first time; a second ack of the same seq (a redelivery in an old
     /// configuration racing the reconnect) is an idempotent `false`.
     pub fn ack(&mut self, seq: u64) -> bool {
-        if let Some(i) = self.inflight.iter().position(|(s, _)| *s == seq) {
-            self.inflight.remove(i);
-            true
-        } else {
-            false
+        match self.inflight.binary_search(&seq) {
+            Ok(i) => {
+                self.inflight.remove(i);
+                true
+            }
+            Err(_) => false,
         }
     }
 
-    /// The unacked ops, in sequence order — what a reconnect resubmits.
-    pub fn unacked(&self) -> impl Iterator<Item = (u64, &Payload)> {
-        self.inflight.iter().map(|(seq, op)| (*seq, op))
+    /// True while the op with sequence number `seq` awaits its ack — what
+    /// a reconnect resubmits.
+    pub fn is_unacked(&self, seq: u64) -> bool {
+        self.inflight.binary_search(&seq).is_ok()
     }
 
     /// Number of unacked ops in the window.
@@ -95,42 +88,41 @@ mod tests {
 
     #[test]
     fn stamps_dense_sequence_numbers() {
-        let mut s = Session::new(9, 4);
-        assert_eq!(s.try_submit(Payload::new()), Some(1));
-        assert_eq!(s.try_submit(Payload::new()), Some(2));
-        assert_eq!(s.try_submit(Payload::new()), Some(3));
-        assert_eq!(s.client(), 9);
+        let mut s = Session::new(4);
+        assert_eq!(s.try_submit(), Some(1));
+        assert_eq!(s.try_submit(), Some(2));
+        assert_eq!(s.try_submit(), Some(3));
         assert_eq!(s.inflight_len(), 3);
     }
 
     #[test]
     fn full_window_backpressures_without_burning_a_seq() {
-        let mut s = Session::new(0, 2);
-        assert_eq!(s.try_submit(Payload::new()), Some(1));
-        assert_eq!(s.try_submit(Payload::new()), Some(2));
-        assert_eq!(s.try_submit(Payload::new()), None);
+        let mut s = Session::new(2);
+        assert_eq!(s.try_submit(), Some(1));
+        assert_eq!(s.try_submit(), Some(2));
+        assert_eq!(s.try_submit(), None);
         assert!(s.ack(1));
         // The freed slot reuses the *next* number, not a hole.
-        assert_eq!(s.try_submit(Payload::new()), Some(3));
+        assert_eq!(s.try_submit(), Some(3));
     }
 
     #[test]
     fn ack_is_idempotent_and_order_insensitive() {
-        let mut s = Session::new(0, 8);
+        let mut s = Session::new(8);
         for _ in 0..3 {
-            s.try_submit(Payload::new());
+            s.try_submit();
         }
         assert!(s.ack(2));
         assert!(!s.ack(2));
         assert!(!s.ack(99));
-        let left: Vec<u64> = s.unacked().map(|(seq, _)| seq).collect();
+        let left: Vec<u64> = (0..5).filter(|&seq| s.is_unacked(seq)).collect();
         assert_eq!(left, vec![1, 3]);
     }
 
     #[test]
     fn zero_limit_still_admits_one() {
-        let mut s = Session::new(0, 0);
-        assert_eq!(s.try_submit(Payload::new()), Some(1));
-        assert_eq!(s.try_submit(Payload::new()), None);
+        let mut s = Session::new(0);
+        assert_eq!(s.try_submit(), Some(1));
+        assert_eq!(s.try_submit(), None);
     }
 }

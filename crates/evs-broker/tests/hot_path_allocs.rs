@@ -1,13 +1,17 @@
-//! Allocation counts on the broker tier's per-op path, pinned: a delivered
-//! batch decodes into views with one allocation (the entry list), an
-//! in-order ledger application allocates nothing, and routing a batch's
-//! replies allocates the entry list and the reply list, nothing per op.
+//! Allocation counts on the broker tier's per-op path, pinned: a warm
+//! submit — its decode and its copy into the open batch frame — allocates
+//! nothing, a flush allocates the same few times whatever its op count, a
+//! delivered batch decodes into views with one allocation (the entry
+//! list), an in-order ledger application allocates nothing, and routing a
+//! batch's replies allocates the entry list and the reply list, nothing
+//! per op — after which the broker holds no frame: each flushed frame is
+//! kept until a delivery equal to it.
 //!
 //! The counting allocator (after `bench/src/alloc.rs`) counts per thread,
 //! so tests running side by side do not see each other's allocations.
 
 use evs_broker::proto::{self, BatchEntry};
-use evs_broker::{Broker, BrokerParams, OpLedger};
+use evs_broker::{Broker, BrokerParams, OpLedger, SubmitOutcome};
 use evs_core::Payload;
 use evs_sim::ProcessId;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -131,14 +135,83 @@ fn in_order_ledger_application_allocates_nothing() {
     assert!(ledger.contains(CLIENTS - 1, 4) && !ledger.contains(0, 5));
 }
 
+/// One op of `OP_BYTES` from each of the first `ops` clients, as submit
+/// datagrams.
+fn submits(ops: u64) -> Vec<Vec<u8>> {
+    (0..ops)
+        .map(|client| proto::encode_submit(client, &[client as u8; OP_BYTES]))
+        .collect()
+}
+
+/// Decodes and submits every datagram at tick `at`.
+fn submit_all(broker: &mut Broker, at: u64, datagrams: &[Vec<u8>]) {
+    for datagram in datagrams {
+        let (client, op) = proto::decode_submit(datagram).expect("a submit frame");
+        let outcome = broker.submit(at, client, op);
+        assert!(matches!(outcome, SubmitOutcome::Accepted { .. }));
+    }
+}
+
+/// A broker that has carried one full batch from every client through
+/// flush and delivery: its sessions, open frame and queues have their
+/// capacity.
+fn warm_broker(datagrams: &[Vec<u8>]) -> Broker {
+    let mut broker = Broker::new(0, ProcessId::new(0), BrokerParams::default());
+    submit_all(&mut broker, 0, datagrams);
+    for frame in broker.force_flush(0) {
+        broker.on_delivered(0, &frame);
+    }
+    assert_eq!(broker.inflight(), 0);
+    broker
+}
+
+#[test]
+fn a_warm_submit_allocates_nothing() {
+    let datagrams = submits(OPS);
+    let mut broker = warm_broker(&datagrams);
+    let (allocs, _, ()) = allocs_of(|| submit_all(&mut broker, 1, &datagrams));
+    assert_eq!(broker.pending(), OPS as usize);
+    assert_eq!(
+        allocs, 0,
+        "decode is a view, the copy lands in the open frame"
+    );
+}
+
+#[test]
+fn a_flush_allocates_the_same_for_any_op_count() {
+    let datagrams = submits(OPS);
+    let mut broker = warm_broker(&datagrams);
+    let mut counts = Vec::new();
+    for ops in [1, 16, OPS as usize] {
+        submit_all(&mut broker, 1, &datagrams[..ops]);
+        let (allocs, bytes, frames) = allocs_of(|| broker.force_flush(1));
+        assert_eq!(frames.len(), 1);
+        assert!(
+            bytes as usize <= frames[0].len() + 128,
+            "{bytes} B for a {} B frame",
+            frames[0].len()
+        );
+        counts.push(allocs);
+        for frame in frames {
+            broker.on_delivered(2, &frame);
+        }
+    }
+    assert!(
+        counts.iter().all(|&n| n == counts[0] && n <= 2),
+        "{counts:?} allocations: the frame and the list it is returned in"
+    );
+}
+
 #[test]
 fn routing_a_batch_of_replies_allocates_twice() {
     let mut broker = Broker::new(0, ProcessId::new(0), BrokerParams::default());
-    for client in 0..OPS {
-        broker.submit(0, client, Payload::from(vec![client as u8; OP_BYTES]));
-    }
+    submit_all(&mut broker, 0, &submits(OPS));
     let batches = broker.force_flush(0);
     assert_eq!(batches.len(), 1, "one batch");
+    assert!(
+        broker.held_bytes() >= batches[0].len(),
+        "kept until delivered"
+    );
     let (allocs, _, replies) = allocs_of(|| broker.on_delivered(1, &batches[0]));
     assert_eq!(replies.len(), OPS as usize);
     assert_eq!(broker.inflight(), 0);
@@ -146,4 +219,45 @@ fn routing_a_batch_of_replies_allocates_twice() {
         allocs <= 2,
         "{allocs} allocations: entry list and reply list only"
     );
+    assert_eq!(broker.held_bytes(), 0, "every op acked, no frame retained");
+}
+
+#[test]
+fn a_delivered_frame_is_released_while_later_ones_wait() {
+    let params = BrokerParams {
+        max_batch_ops: 4,
+        ..BrokerParams::default()
+    };
+    let mut broker = Broker::new(0, ProcessId::new(0), params);
+    submit_all(&mut broker, 0, &submits(5));
+    let batches = broker.force_flush(0);
+    assert_eq!(batches.len(), 2, "4-op bound");
+    assert_eq!(broker.held_bytes(), batches[0].len() + batches[1].len());
+    // A copy, as a daemon decoding it off the wire would deliver it.
+    let decoded = Payload::copy_from_slice(&batches[0]);
+    assert!(!decoded.ptr_eq(&batches[0]));
+    broker.on_delivered(1, &decoded);
+    assert_eq!(broker.held_bytes(), batches[1].len());
+    broker.on_delivered(2, &batches[1]);
+    assert_eq!(broker.held_bytes(), 0);
+}
+
+#[test]
+fn frames_acked_through_a_resubmitted_copy_are_released() {
+    let mut broker = Broker::new(0, ProcessId::new(0), BrokerParams::default());
+    let datagrams = submits(2);
+    let mut originals = Vec::new();
+    for datagram in &datagrams {
+        submit_all(&mut broker, 0, std::slice::from_ref(datagram));
+        originals.extend(broker.force_flush(0));
+    }
+    let resubmitted = broker.reattach(1, ProcessId::new(1));
+    assert_eq!((originals.len(), resubmitted.len()), (2, 1));
+    // The originals' deliveries ack both ops; the one resubmitted frame,
+    // equal to neither, is never seen.
+    for frame in &originals {
+        broker.on_delivered(2, frame);
+    }
+    assert_eq!(broker.inflight(), 0);
+    assert_eq!(broker.held_bytes(), 0);
 }

@@ -1,13 +1,168 @@
-//! Differential properties of the broker's two per-op decisions: a batch
-//! frame decodes into views equal field for field to what was encoded, and
+//! Differential properties of the broker's per-op decisions: a batch
+//! frame decodes into views equal field for field to what was encoded,
 //! the ledger's floor-and-sparse bookkeeping answers exactly like the set
-//! of every `(client, seq)` ever applied.
+//! of every `(client, seq)` ever applied, and the broker, which encodes
+//! each op into its batch frame as the op arrives, cuts, acks and
+//! resubmits exactly like a queue of whole ops cut greedily at flush time.
 
-use evs_broker::proto::{self, BatchEntry};
-use evs_broker::OpLedger;
+use evs_broker::proto::{self, BatchEntry, BATCH_HEADER_BYTES};
+use evs_broker::{Broker, BrokerParams, OpLedger, Reply, SubmitOutcome};
 use evs_core::Payload;
+use evs_sim::ProcessId;
+use evs_telemetry::{names, Telemetry};
 use proptest::prelude::*;
-use std::collections::HashSet;
+use std::collections::{BTreeMap, HashSet, VecDeque};
+
+const BROKER: u32 = 5;
+
+/// The reference batcher: every accepted op waits whole in a FIFO, and a
+/// flush cuts the FIFO greedily from the front into frames. Sessions keep
+/// each unacked op's bytes, which a reattachment queues again.
+struct Model {
+    params: BrokerParams,
+    /// Per client: the next seq and the unacked `(seq, op)`s.
+    sessions: BTreeMap<u64, (u64, VecDeque<(u64, Payload)>)>,
+    pending: VecDeque<BatchEntry>,
+    pending_since: u64,
+    inflight: usize,
+}
+
+impl Model {
+    fn submit(&mut self, at: u64, client: u64, op: &[u8]) -> SubmitOutcome {
+        let full = self.inflight >= self.params.broker_inflight;
+        let (next, window) = self.sessions.entry(client).or_insert((1, VecDeque::new()));
+        if full || window.len() >= self.params.session_inflight.max(1) {
+            return SubmitOutcome::Backpressure;
+        }
+        let seq = *next;
+        *next += 1;
+        window.push_back((seq, Payload::from(op)));
+        if self.pending.is_empty() {
+            self.pending_since = at;
+        }
+        self.pending.push_back(BatchEntry {
+            client,
+            seq,
+            op: Payload::from(op),
+        });
+        self.inflight += 1;
+        SubmitOutcome::Accepted { seq }
+    }
+
+    fn poll_flush(&mut self, at: u64) -> Vec<Payload> {
+        let mut out = Vec::new();
+        while self.pending.len() >= self.params.max_batch_ops
+            || BATCH_HEADER_BYTES
+                + self
+                    .pending
+                    .iter()
+                    .map(BatchEntry::encoded_len)
+                    .sum::<usize>()
+                > self.params.max_batch_bytes
+        {
+            out.push(self.cut(at));
+        }
+        if !self.pending.is_empty()
+            && at.saturating_sub(self.pending_since) >= self.params.flush_interval
+        {
+            out.push(self.cut(at));
+        }
+        out
+    }
+
+    fn force_flush(&mut self, at: u64) -> Vec<Payload> {
+        let mut out = Vec::new();
+        while !self.pending.is_empty() {
+            out.push(self.cut(at));
+        }
+        out
+    }
+
+    /// One frame of the longest FIFO prefix within both bounds, and never
+    /// less than one op.
+    fn cut(&mut self, at: u64) -> Payload {
+        let (mut n, mut bytes) = (0, BATCH_HEADER_BYTES);
+        while let Some(e) = self.pending.get(n) {
+            if n > 0
+                && (n >= self.params.max_batch_ops
+                    || bytes + e.encoded_len() > self.params.max_batch_bytes)
+            {
+                break;
+            }
+            bytes += e.encoded_len();
+            n += 1;
+        }
+        self.pending_since = at;
+        let batch: Vec<BatchEntry> = self.pending.drain(..n).collect();
+        proto::encode_batch(BROKER, &batch)
+    }
+
+    fn on_delivered(&mut self, frame: &[u8]) -> Vec<Reply> {
+        let Some((BROKER, entries)) = proto::decode_batch(frame) else {
+            return Vec::new();
+        };
+        let mut replies = Vec::new();
+        for e in entries {
+            let Some((_, window)) = self.sessions.get_mut(&e.client) else {
+                continue;
+            };
+            if let Some(i) = window.iter().position(|(seq, _)| *seq == e.seq) {
+                window.remove(i);
+                self.inflight -= 1;
+                replies.push(Reply {
+                    client: e.client,
+                    seq: e.seq,
+                });
+            }
+        }
+        replies
+    }
+
+    fn reattach(&mut self, at: u64) -> Vec<Payload> {
+        self.pending.clear();
+        for (&client, (_, window)) in &self.sessions {
+            for (seq, op) in window {
+                self.pending.push_back(BatchEntry {
+                    client,
+                    seq: *seq,
+                    op: op.clone(),
+                });
+            }
+        }
+        self.pending_since = at;
+        self.force_flush(at)
+    }
+}
+
+/// One call into the broker (and the model), or the clock moving.
+#[derive(Clone, Debug)]
+enum Step {
+    Submit {
+        client: u64,
+        len: usize,
+    },
+    Tick(u64),
+    Poll,
+    Force,
+    /// Delivers the frame flushed this many frames ago, modulo all flushed
+    /// so far: repeats are duplicate deliveries.
+    Deliver(usize),
+    Reattach,
+}
+
+fn step() -> impl Strategy<Value = Step> {
+    // Small ops, ops two of which just fit or just miss the default
+    // 60,000-byte budget, and ops alone at or over it.
+    let len = prop_oneof![0usize..64, 29_970usize..29_996, 59_960usize..60_010];
+    (0u8..15, 0u64..6, len, 0usize..8).prop_map(|(kind, n, len, back)| match kind {
+        0..=5 => Step::Submit { client: n % 5, len },
+        6 | 7 => Step::Tick(n),
+        8 | 9 => Step::Poll,
+        10 => Step::Force,
+        11..=13 => Step::Deliver(back),
+        _ => Step::Reattach,
+    })
+}
 
 fn entry() -> impl Strategy<Value = BatchEntry> {
     (
@@ -97,5 +252,70 @@ proptest! {
                 }
             }
         }
+    }
+
+    #[test]
+    fn encoding_on_accept_cuts_like_the_greedy_queue(
+        max_batch_ops in 1usize..5,
+        flush_interval in 0u64..6,
+        session_inflight in 1usize..5,
+        broker_inflight in 2usize..10,
+        steps in proptest::collection::vec(step(), 0..80),
+    ) {
+        let params = BrokerParams {
+            max_batch_ops,
+            flush_interval,
+            session_inflight,
+            broker_inflight,
+            ..BrokerParams::default()
+        };
+        let telemetry = Telemetry::enabled(0);
+        let mut broker =
+            Broker::with_telemetry(BROKER, ProcessId::new(0), params.clone(), telemetry.clone());
+        let mut model = Model {
+            params,
+            sessions: BTreeMap::new(),
+            pending: VecDeque::new(),
+            pending_since: 0,
+            inflight: 0,
+        };
+        let (mut at, mut flushed) = (0u64, Vec::<Payload>::new());
+        for (i, step) in steps.into_iter().enumerate() {
+            let (frames, want) = match step {
+                Step::Submit { client, len } => {
+                    let op = vec![i as u8; len];
+                    prop_assert_eq!(broker.submit(at, client, &op), model.submit(at, client, &op));
+                    (Vec::new(), Vec::new())
+                }
+                Step::Tick(ticks) => {
+                    at += ticks;
+                    (Vec::new(), Vec::new())
+                }
+                Step::Poll => (broker.poll_flush(at), model.poll_flush(at)),
+                Step::Force => (broker.force_flush(at), model.force_flush(at)),
+                Step::Reattach => (
+                    broker.reattach(at, ProcessId::new(1)),
+                    model.reattach(at),
+                ),
+                Step::Deliver(back) => {
+                    if let Some(frame) = flushed.iter().rev().cycle().nth(back) {
+                        prop_assert_eq!(broker.on_delivered(at, frame), model.on_delivered(frame));
+                    }
+                    (Vec::new(), Vec::new())
+                }
+            };
+            prop_assert_eq!(&frames, &want);
+            flushed.extend(frames);
+            prop_assert_eq!(broker.pending(), model.pending.len());
+            prop_assert_eq!(broker.inflight(), model.inflight);
+            if broker.inflight() == 0 {
+                prop_assert_eq!(broker.held_bytes(), 0);
+            }
+        }
+        let snap = telemetry.snapshot().expect("enabled");
+        let batches = snap.counters.get(names::BROKER_BATCHES_FLUSHED).copied().unwrap_or(0);
+        prop_assert_eq!(batches, flushed.len() as u64);
+        prop_assert_eq!(snap.gauges[names::BROKER_PENDING_OPS], model.pending.len() as i64);
+        prop_assert_eq!(snap.gauges[names::BROKER_INFLIGHT_OPS], model.inflight as i64);
     }
 }

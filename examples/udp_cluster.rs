@@ -46,10 +46,10 @@
 //!
 //! `--broker` runs the client tier live: the same three UDP daemons, plus
 //! an `evs_broker::Broker` front-end on its own socket. Every client is a
-//! real UDP socket speaking a two-frame protocol — `EVBS` (magic, client
-//! id, op bytes) submits one op, `EVBR` (magic, client id, seq) is the
-//! reply routed after the op's batch reaches agreed delivery at the
-//! broker's attached daemon. The broker aggregates client ops into
+//! real UDP socket speaking the client frames of `evs_broker::proto` —
+//! `EVBS` (client id, op bytes) submits one op, `EVBR` (client id, seq)
+//! is the reply routed after the op's batch reaches agreed delivery at
+//! the broker's attached daemon. The broker aggregates client ops into
 //! batched multicast frames exactly as the simulator driver does, so the
 //! group orders a handful of batches while hundreds of client ops
 //! complete; at shutdown the networked traces are checked against the
@@ -66,7 +66,7 @@
 //! so `cargo run --example evs_top` has something to watch; `--obs-smoke`
 //! is the self-checking CI variant.
 
-use evs::broker::{Broker, BrokerParams, SubmitOutcome};
+use evs::broker::{proto, Broker, BrokerParams, SubmitOutcome};
 use evs::core::{trace_io, EvsParams, EvsProcess, Payload, Service, Trace};
 use evs::net::{self, Completion};
 use evs::obs::{self, Exposition, TopState};
@@ -839,13 +839,6 @@ fn obs_smoke() {
 // --broker: real UDP clients served through an evs-broker front-end
 // ---------------------------------------------------------------------------
 
-/// Magic prefix of a client→broker submit datagram:
-/// `EVBS · client id (8 LE) · op bytes`.
-const CLIENT_SUBMIT_MAGIC: &[u8; 4] = b"EVBS";
-/// Magic prefix of a broker→client reply datagram:
-/// `EVBR · client id (8 LE) · seq (8 LE)`.
-const CLIENT_REPLY_MAGIC: &[u8; 4] = b"EVBR";
-
 struct BrokerStats {
     ops: u64,
     replies: u64,
@@ -854,7 +847,8 @@ struct BrokerStats {
 
 /// The broker front-end thread: client submits in over UDP, batched
 /// multicast frames out to daemon 0, replies back over UDP off agreed
-/// delivery. Exits once `stop` fires and nothing is left in flight.
+/// delivery. Exits once `stop` fires (or its sender is gone) and nothing
+/// is left in flight, or five seconds after that.
 ///
 /// The socket edge is the same `SocketDriver` the daemons use: client
 /// bursts reap in `recvmmsg` batches and a delivery's whole reply
@@ -883,10 +877,10 @@ fn run_broker_front_end(
     };
     let mut cursor = 0usize;
     let mut completions: Vec<Completion> = Vec::with_capacity(net::RECV_BATCH);
-    let mut stopping = false;
+    let mut stopping: Option<Instant> = None;
     loop {
-        if !stopping && stop.try_recv().is_ok() {
-            stopping = true;
+        if stopping.is_none() && !matches!(stop.try_recv(), Err(mpsc::TryRecvError::Empty)) {
+            stopping = Some(Instant::now());
         }
         // Drain the client socket greedily, a completion batch at a time
         // (bounded so flushing and reply routing stay responsive under a
@@ -903,10 +897,9 @@ fn run_broker_front_end(
                 .complete(timeout, &mut completions)
                 .unwrap_or_else(|e| panic!("broker socket error: {e}"));
             for (from, pkt) in completions.drain(..) {
-                if pkt.len() >= 12 && pkt[..4] == *CLIENT_SUBMIT_MAGIC {
-                    let client = u64::from_le_bytes(pkt[4..12].try_into().unwrap());
+                if let Some((client, op)) = proto::decode_submit(&pkt) {
                     return_addrs.insert(client, from);
-                    match broker.submit(now(), client, Payload::from(&pkt[12..])) {
+                    match broker.submit(now(), client, op) {
                         SubmitOutcome::Accepted { .. } => stats.ops += 1,
                         // A real deployment would nack so the client
                         // retries; this demo sizes its load under the
@@ -934,7 +927,7 @@ fn run_broker_front_end(
         }
         // Batched frames into the ring (force the tail out when stopping).
         let t = now();
-        let frames = if stopping {
+        let frames = if stopping.is_some() {
             broker.force_flush(t)
         } else {
             broker.poll_flush(t)
@@ -954,11 +947,7 @@ fn run_broker_front_end(
             for reply in broker.on_delivered(t, frame) {
                 stats.replies += 1;
                 if let Some(addr) = return_addrs.get(&reply.client) {
-                    let mut pkt = Vec::with_capacity(20);
-                    pkt.extend_from_slice(CLIENT_REPLY_MAGIC);
-                    pkt.extend_from_slice(&reply.client.to_le_bytes());
-                    pkt.extend_from_slice(&reply.seq.to_le_bytes());
-                    driver.push(*addr, pkt);
+                    driver.push(*addr, proto::encode_reply(reply.client, reply.seq));
                 }
             }
         }
@@ -968,8 +957,10 @@ fn run_broker_front_end(
         if driver.pending() > 0 {
             driver.submit().expect("broker socket submit");
         }
-        if stopping && broker.inflight() == 0 && broker.pending() == 0 {
-            break;
+        if let Some(since) = stopping {
+            if broker.inflight() + broker.pending() == 0 || since.elapsed().as_secs() >= 5 {
+                break;
+            }
         }
     }
     stats
@@ -981,9 +972,11 @@ fn broker_demo(clients: usize) {
 
     let broker_socket = UdpSocket::bind("127.0.0.1:0").expect("bind broker socket");
     let broker_addr = broker_socket.local_addr().unwrap();
-    let (stop_tx, stop_rx) = mpsc::channel();
     let broker_telemetry = Telemetry::enabled(N as u32);
     let stats = std::thread::scope(|scope| {
+        // Created in here so that a client-side panic drops the sender
+        // and stops the broker thread: the run fails instead of hanging.
+        let (stop_tx, stop_rx) = mpsc::channel();
         let broker_thread = scope
             .spawn(|| run_broker_front_end(broker_socket, &cluster, stop_rx, broker_telemetry));
         println!("-- broker front-end listening on {broker_addr}, attached to daemon 0");
@@ -1011,57 +1004,47 @@ fn broker_demo(clients: usize) {
 
 const OPS_PER_CLIENT: usize = 4;
 
-/// The client side of `--broker`: every client submits its ops over its
-/// own socket, collects every reply, then the broker is scraped live.
-fn run_clients(clients: usize, broker_addr: SocketAddr) {
-    // Every client is its own UDP socket; all ops go out before any reply
-    // is read, so the broker sees genuinely concurrent sessions.
-    let client_sockets: Vec<UdpSocket> = (0..clients)
-        .map(|_| UdpSocket::bind("127.0.0.1:0").expect("bind client"))
-        .collect();
-    for s in &client_sockets {
-        s.set_read_timeout(Some(Duration::from_millis(10)))
-            .expect("set timeout");
-    }
-    for (c, s) in client_sockets.iter().enumerate() {
-        for k in 0..OPS_PER_CLIENT {
-            let mut pkt = Vec::with_capacity(32);
-            pkt.extend_from_slice(CLIENT_SUBMIT_MAGIC);
-            pkt.extend_from_slice(&(c as u64).to_le_bytes());
-            pkt.extend_from_slice(format!("op-{c}-{k}").as_bytes());
-            s.send_to(&pkt, broker_addr).expect("client submit");
-        }
-    }
-    let total_ops = clients * OPS_PER_CLIENT;
-    println!("-- {clients} clients submitted {total_ops} ops");
+/// Clients whose ops go out in one burst: the broker's socket buffer holds
+/// a few hundred small datagrams, and nothing retries a dropped submit.
+const CLIENT_BURST: usize = 16;
 
-    // Collect every reply; each client waits on its own socket.
-    let deadline = Instant::now() + Duration::from_secs(60);
+/// The client side of `--broker`: every client submits its ops over its
+/// own socket and collects every reply, then the broker is scraped live.
+/// Panics if a reply takes over five seconds.
+fn run_clients(clients: usize, broker_addr: SocketAddr) {
+    // Every client is its own UDP socket; a burst's ops all go out before
+    // any of its replies is read, so the broker sees concurrent sessions.
+    let client_sockets: Vec<UdpSocket> = (0..clients)
+        .map(|_| {
+            let s = UdpSocket::bind("127.0.0.1:0").expect("bind client");
+            s.set_read_timeout(Some(Duration::from_secs(5)))
+                .expect("set timeout");
+            s
+        })
+        .collect();
     let mut buf = [0u8; 64];
-    let mut acked = vec![0usize; clients];
-    loop {
-        let done = acked.iter().filter(|&&a| a >= OPS_PER_CLIENT).count();
-        if done == clients {
-            break;
+    for first in (0..clients).step_by(CLIENT_BURST) {
+        let burst = first..clients.min(first + CLIENT_BURST);
+        for c in burst.clone() {
+            for k in 0..OPS_PER_CLIENT {
+                let pkt = proto::encode_submit(c as u64, format!("op-{c}-{k}").as_bytes());
+                client_sockets[c]
+                    .send_to(&pkt, broker_addr)
+                    .expect("client submit");
+            }
         }
-        assert!(
-            Instant::now() < deadline,
-            "client replies stalled: {done}/{clients} clients fully acked"
-        );
-        for (c, s) in client_sockets.iter().enumerate() {
-            while acked[c] < OPS_PER_CLIENT {
-                match s.recv_from(&mut buf) {
-                    Ok((len, _)) if len >= 20 && &buf[..4] == CLIENT_REPLY_MAGIC => {
-                        let client = u64::from_le_bytes(buf[4..12].try_into().unwrap());
-                        assert_eq!(client, c as u64, "reply routed to the wrong client");
-                        acked[c] += 1;
-                    }
-                    Ok(_) => {}
-                    Err(_) => break,
-                }
+        for c in burst {
+            for _ in 0..OPS_PER_CLIENT {
+                let Ok((len, _)) = client_sockets[c].recv_from(&mut buf) else {
+                    panic!("client replies stalled: {c}/{clients} clients fully acked");
+                };
+                let client = proto::decode_reply(&buf[..len]).map(|(client, _)| client);
+                assert_eq!(client, Some(c as u64), "reply routed to the wrong client");
             }
         }
     }
+    let total_ops = clients * OPS_PER_CLIENT;
+    println!("-- {clients} clients submitted {total_ops} ops, {CLIENT_BURST} clients a burst");
     println!("-- every client observed all {OPS_PER_CLIENT} replies");
 
     // The broker is still serving: scrape it live, like evs-top would.
