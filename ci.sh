@@ -28,8 +28,11 @@
 #
 # trace-hash runs 150 generated plans of each of four fault mixes
 # (default, hunting, kill, corruption; seeds 5000-5149) on the simulator
-# and prints one sha256 of their full traces per mix: behaviour-preserving
-# changes leave all four unchanged (the files stay in target/verdicts/).
+# and hashes their full traces per mix (the files stay in
+# target/verdicts/). It fails if a hash differs from verdicts.sha256,
+# which also holds the four fixed-seed simulator campaigns' hashes that
+# chaos-smoke and corruption-smoke check: behaviour-preserving changes
+# leave all eight unchanged.
 #
 # e2e-smoke runs the BENCHMARK.json command for 2 s per workload: wall
 # time is machine-dependent, so it gates only that the benchmark builds
@@ -65,17 +68,25 @@ trap cleanup EXIT
 
 chaos() { ./target/release/examples/chaos "$@"; }
 
+# Fails unless the verdict file $1 hashes to its line in verdicts.sha256.
+# A change that alters a verdict on purpose updates that file and says so
+# in CHANGES.md.
+check_verdict() {
+    sha256sum "$1"
+    awk -v f="$1" '$2 == f' verdicts.sha256 | sha256sum -c -
+}
+
 # A fixed-seed simulator campaign whose output must not change under a
-# refactor: tee'd to target/verdicts/<name>.txt and hashed, so verdict
-# identity with the parent is four equal hashes, not a hand-run diff.
+# refactor: tee'd to target/verdicts/<name>.txt and checked against its
+# committed hash.
 hashed_chaos() {
     out=target/verdicts/$1
     shift
     mkdir -p target/verdicts
     rm -f "$out.failed"
     { chaos "$@" || echo "$?" >"$out.failed"; } | tee "$out.txt"
-    sha256sum "$out.txt"
     [ ! -e "$out.failed" ]
+    check_verdict "$out.txt"
 }
 
 build_test() {
@@ -127,7 +138,7 @@ trace_hash() {
     mkdir -p target/verdicts
     for mix in default hunting kill corruption; do
         ./target/release/examples/trace_hash "$mix" >"target/verdicts/trace-$mix.txt"
-        sha256sum "target/verdicts/trace-$mix.txt"
+        check_verdict "target/verdicts/trace-$mix.txt"
     done
 }
 

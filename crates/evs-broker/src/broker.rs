@@ -9,14 +9,15 @@
 //! broker reattaches to a survivor and resubmits everything still unacked
 //! (the daemon-side [`OpLedger`](crate::OpLedger) dedups the overlap).
 
+use crate::clientmap::ClientMap;
 use crate::proto::{self, BatchFrame};
 use crate::session::{Session, SubmitOutcome};
 use evs_core::{EvsParams, Payload};
 use evs_order::Service;
 use evs_sim::ProcessId;
 use evs_telemetry::{names, Counter, Gauge, LogHistogram, Telemetry, TelemetryEvent};
-use std::collections::btree_map::Entry;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::hash_map::Entry;
+use std::collections::VecDeque;
 
 /// Tunables of one broker's prepare-batch pipeline and queues.
 #[derive(Clone, Debug)]
@@ -72,8 +73,9 @@ pub struct Reply {
 pub struct Broker {
     id: u32,
     attached: ProcessId,
-    /// `BTreeMap` so reattachment resubmits in deterministic client order.
-    sessions: BTreeMap<u64, Session>,
+    /// Keyed by client id. Never iterated: reattachment sorts the unacked
+    /// ops it finds in the held frames by `(client, seq)` itself.
+    sessions: ClientMap<Session>,
     /// The batch accepted ops are encoded into.
     open: BatchFrame,
     /// Frames the size or op bound closed, with their op counts, for the
@@ -118,7 +120,7 @@ impl Broker {
         Broker {
             id,
             attached,
-            sessions: BTreeMap::new(),
+            sessions: ClientMap::default(),
             open: BatchFrame::new(id),
             sealed: VecDeque::new(),
             retained: VecDeque::new(),

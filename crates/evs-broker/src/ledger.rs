@@ -9,26 +9,18 @@
 //! `(client, seq)` pair is applied to application state.
 //!
 //! Per client the ledger keeps a contiguous *floor* (every seq below it
-//! has been applied) plus a sparse set of applied seqs above the floor,
-//! so memory stays proportional to reordering, not to history.
+//! has been applied) plus the applied seqs above the floor, so memory
+//! stays proportional to reordering, not to history.
 
-use std::collections::{BTreeSet, HashMap};
-
-#[derive(Debug, Default)]
-struct ClientLedger {
-    /// Lowest sequence number not yet known applied; every seq below it
-    /// has been. Sequence numbers start at 1.
-    floor: u64,
-    /// Applied seqs at or above `floor` (reordering tail), compacted into
-    /// the floor as it becomes contiguous.
-    sparse: BTreeSet<u64>,
-}
+use crate::clientmap::ClientMap;
+use crate::seqset::SeqSet;
 
 /// Tracks which `(client, seq)` ops a daemon has applied. One per daemon;
 /// deterministic given the delivery order it is fed.
 #[derive(Debug, Default)]
 pub struct OpLedger {
-    clients: HashMap<u64, ClientLedger>,
+    /// Each client's applied seqs.
+    clients: ClientMap<SeqSet>,
 }
 
 impl OpLedger {
@@ -41,36 +33,22 @@ impl OpLedger {
     /// its first application — the caller applies the op to application
     /// state — and false for a duplicate, which must be discarded.
     pub fn apply(&mut self, client: u64, seq: u64) -> bool {
-        let c = self.clients.entry(client).or_insert(ClientLedger {
-            floor: 1,
-            sparse: BTreeSet::new(),
-        });
+        let applied = self.clients.entry(client).or_default();
         // The planted `broker-mutation` bug skips the floor check: ops
         // already compacted below the floor — exactly what a broker
         // resubmits across a reconnect — are applied a second time.
         #[cfg(not(feature = "broker-mutation"))]
-        if seq < c.floor {
+        if seq < applied.floor() {
             return false;
         }
-        if c.sparse.contains(&seq) {
-            return false;
-        }
-        if seq == c.floor {
-            c.floor += 1;
-        } else {
-            c.sparse.insert(seq);
-        }
-        while c.sparse.remove(&c.floor) {
-            c.floor += 1;
-        }
-        true
+        applied.insert(seq)
     }
 
     /// True if `(client, seq)` has been applied.
     pub fn contains(&self, client: u64, seq: u64) -> bool {
         self.clients
             .get(&client)
-            .is_some_and(|c| seq < c.floor || c.sparse.contains(&seq))
+            .is_some_and(|applied| applied.contains(seq))
     }
 
     /// Number of clients with any applied op.

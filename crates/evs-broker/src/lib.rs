@@ -11,7 +11,7 @@
 //!
 //! 1. **Sessions** ([`Session`]) — each client connects to one broker,
 //!    which stamps its ops with dense per-client sequence numbers and
-//!    keeps the unacked numbers in a bounded in-flight window. Full
+//!    counts the unacked numbers in a bounded in-flight window. Full
 //!    window ⇒ [`SubmitOutcome::Backpressure`], never unbounded buffering.
 //! 2. **Prepare-batch** ([`Broker`]) — each accepted op is copied once,
 //!    into the open batch frame ([`proto`]), which flushes at a size
@@ -38,9 +38,11 @@
 #![warn(missing_docs)]
 
 mod broker;
+mod clientmap;
 mod driver;
 mod ledger;
 pub mod proto;
+mod seqset;
 mod session;
 
 pub use broker::{Broker, BrokerParams, Reply};

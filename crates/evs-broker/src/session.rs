@@ -1,7 +1,7 @@
 //! Per-client sessions: sequence stamping, a bounded in-flight window,
 //! and the unacked set a reconnecting broker resubmits.
 
-use std::collections::VecDeque;
+use crate::seqset::SeqSet;
 
 /// What happened to one client submit.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -22,16 +22,18 @@ pub enum SubmitOutcome {
 /// One client's connection state at a broker.
 ///
 /// A session stamps each accepted op with the next per-client sequence
-/// number and keeps the number in a bounded in-flight window until the
-/// broker observes the op's delivery. The window is the backpressure bound
+/// number and counts it in a bounded in-flight window until the broker
+/// observes the op's delivery: the unacked seqs are the issued ones that
+/// are not in the acked set, so a session whose acks arrive in order is a
+/// few words inline, with no buffer. The window is the backpressure bound
 /// and names what a reconnect resubmits, from the op bytes in the
 /// [`Broker`](crate::Broker)'s frames; the daemon-side
 /// [`OpLedger`](crate::OpLedger) makes that resubmission safe.
 #[derive(Debug)]
 pub struct Session {
     next_seq: u64,
-    /// Unacked sequence numbers, ascending.
-    inflight: VecDeque<u64>,
+    /// Acked sequence numbers.
+    acked: SeqSet,
     limit: usize,
 }
 
@@ -40,7 +42,7 @@ impl Session {
     pub fn new(limit: usize) -> Self {
         Session {
             next_seq: 1,
-            inflight: VecDeque::new(),
+            acked: SeqSet::default(),
             limit: limit.max(1),
         }
     }
@@ -48,12 +50,11 @@ impl Session {
     /// Admits one op into the window, returning its sequence number — or
     /// `None` (backpressure) when the window is full.
     pub fn try_submit(&mut self) -> Option<u64> {
-        if self.inflight.len() >= self.limit {
+        if self.inflight_len() >= self.limit {
             return None;
         }
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.inflight.push_back(seq);
         Some(seq)
     }
 
@@ -61,24 +62,18 @@ impl Session {
     /// first time; a second ack of the same seq (a redelivery in an old
     /// configuration racing the reconnect) is an idempotent `false`.
     pub fn ack(&mut self, seq: u64) -> bool {
-        match self.inflight.binary_search(&seq) {
-            Ok(i) => {
-                self.inflight.remove(i);
-                true
-            }
-            Err(_) => false,
-        }
+        (self.acked.floor()..self.next_seq).contains(&seq) && self.acked.insert(seq)
     }
 
     /// True while the op with sequence number `seq` awaits its ack — what
     /// a reconnect resubmits.
     pub fn is_unacked(&self, seq: u64) -> bool {
-        self.inflight.binary_search(&seq).is_ok()
+        seq < self.next_seq && !self.acked.contains(seq)
     }
 
     /// Number of unacked ops in the window.
     pub fn inflight_len(&self) -> usize {
-        self.inflight.len()
+        (self.next_seq - self.acked.floor()) as usize - self.acked.tail_len()
     }
 }
 

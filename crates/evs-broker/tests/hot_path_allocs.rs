@@ -5,7 +5,10 @@
 //! list), an in-order ledger application allocates nothing, and routing a
 //! batch's replies allocates the entry list and the reply list, nothing
 //! per op — after which the broker holds no frame: each flushed frame is
-//! kept until a delivery equal to it.
+//! kept until a delivery equal to it. A whole warm round for 1,024 known
+//! clients allocates per frame, never per op; and since no broker map is
+//! ever iterated, two brokers hashing client ids under different seeds
+//! answer the same calls with the same bytes.
 //!
 //! The counting allocator (after `bench/src/alloc.rs`) counts per thread,
 //! so tests running side by side do not see each other's allocations.
@@ -260,4 +263,84 @@ fn frames_acked_through_a_resubmitted_copy_are_released() {
     }
     assert_eq!(broker.inflight(), 0);
     assert_eq!(broker.held_bytes(), 0);
+}
+
+#[test]
+fn a_warm_round_for_known_clients_allocates_per_frame_not_per_op() {
+    const CLIENTS: u64 = 1024;
+    let datagrams = submits(CLIENTS);
+    let mut broker = warm_broker(&datagrams);
+    let mut ledgers: Vec<OpLedger> = (0..3).map(|_| OpLedger::new()).collect();
+    let mut round = |at: u64| {
+        submit_all(&mut broker, at, &datagrams);
+        let frames = broker.force_flush(at);
+        let mut replies = 0;
+        for frame in &frames {
+            for ledger in &mut ledgers {
+                let (_, entries) = proto::decode_batch(frame).expect("a batch");
+                assert!(entries.iter().all(|e| ledger.apply(e.client, e.seq)));
+            }
+            replies += broker.on_delivered(at, frame).len();
+        }
+        assert_eq!(replies, CLIENTS as usize);
+        frames.len() as u64
+    };
+    round(1);
+    let (allocs, _, frames) = allocs_of(|| round(2));
+    assert_eq!(broker.inflight(), 0);
+    // Per frame: the frame, the broker's entry and reply lists, and each
+    // ledger's entry list; plus the list the flush returns.
+    assert!(
+        allocs <= frames * 6 + 1,
+        "{allocs} allocations for {CLIENTS} ops in {frames} frames"
+    );
+}
+
+#[test]
+fn brokers_hashing_under_different_seeds_answer_byte_for_byte_alike() {
+    // Each broker's session map draws its own seed: these two lay the
+    // same client ids out in different orders.
+    let mut brokers = [(); 2].map(|()| {
+        let params = BrokerParams {
+            max_batch_ops: 96,
+            session_inflight: 3,
+            ..BrokerParams::default()
+        };
+        Broker::new(0, ProcessId::new(0), params)
+    });
+    // Every outcome, reply list and frame, as bytes (a `Payload`'s
+    // `Debug` shows only a prefix).
+    let mut outputs: [Vec<Vec<u8>>; 2] = Default::default();
+    for (broker, out) in brokers.iter_mut().zip(&mut outputs) {
+        let mut rng = 0x5EED_u64;
+        let mut flushed: Vec<Payload> = Vec::new();
+        for at in 0..2_000u64 {
+            rng = rng.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+            let pick = (rng >> 33) as usize;
+            let frames = match pick % 20 {
+                0..=11 => {
+                    let client = (rng >> 13) % 1024;
+                    let outcome = broker.submit(at, client, &client.to_le_bytes());
+                    out.push(format!("{outcome:?}").into_bytes());
+                    Vec::new()
+                }
+                12 | 13 => broker.poll_flush(at),
+                // An earlier frame, delivered (again): replies in entry
+                // order, duplicates silent.
+                14..=16 if !flushed.is_empty() => {
+                    let replies = broker.on_delivered(at, &flushed[pick % flushed.len()]);
+                    out.push(format!("{replies:?}").into_bytes());
+                    Vec::new()
+                }
+                17 => broker.reattach(at, ProcessId::new(1)),
+                _ => broker.force_flush(at),
+            };
+            out.extend(frames.iter().map(|frame| frame.to_vec()));
+            flushed.extend(frames);
+        }
+        out.push(format!("{} {}", broker.inflight(), broker.held_bytes()).into_bytes());
+    }
+    let replied = outputs[0].iter().any(|line| line.starts_with(b"[Reply"));
+    assert!(replied, "deliveries routed replies");
+    assert!(outputs[0] == outputs[1], "output depends on the map seed");
 }

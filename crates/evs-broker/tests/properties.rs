@@ -1,17 +1,18 @@
 //! Differential properties of the broker's per-op decisions: a batch
 //! frame decodes into views equal field for field to what was encoded,
-//! the ledger's floor-and-sparse bookkeeping answers exactly like the set
-//! of every `(client, seq)` ever applied, and the broker, which encodes
+//! the ledger's floor-and-tail bookkeeping answers exactly like the set
+//! of every `(client, seq)` ever applied, a session's acked set answers
+//! exactly like a window of the unacked seqs, and the broker, which encodes
 //! each op into its batch frame as the op arrives, cuts, acks and
 //! resubmits exactly like a queue of whole ops cut greedily at flush time.
 
 use evs_broker::proto::{self, BatchEntry, BATCH_HEADER_BYTES};
-use evs_broker::{Broker, BrokerParams, OpLedger, Reply, SubmitOutcome};
+use evs_broker::{Broker, BrokerParams, OpLedger, Reply, Session, SubmitOutcome};
 use evs_core::Payload;
 use evs_sim::ProcessId;
 use evs_telemetry::{names, Telemetry};
 use proptest::prelude::*;
-use std::collections::{BTreeMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashSet, VecDeque};
 
 const BROKER: u32 = 5;
 
@@ -203,6 +204,42 @@ fn deliveries() -> impl Strategy<Value = Vec<(u64, u64)>> {
     })
 }
 
+/// Which seq an ack or an apply names, relative to what the client has
+/// been issued (or applied in order) so far.
+#[derive(Clone, Copy, Debug)]
+enum Pick {
+    /// The oldest seq still at or above the floor mark: in order.
+    Next,
+    /// A seq ahead of the mark, out of order.
+    Ahead(u64),
+    /// A seq the mark has passed: a duplicate, possibly below the floor.
+    Behind(u64),
+    /// A seq never issued, or seq 0, which never is.
+    Never(u64),
+}
+
+fn pick() -> impl Strategy<Value = Pick> {
+    (0u8..10, 0u64..6).prop_map(|(kind, n)| match kind {
+        0..=3 => Pick::Next,
+        4 | 5 => Pick::Ahead(n + 1),
+        6 | 7 => Pick::Behind(n),
+        8 => Pick::Never(n),
+        _ => Pick::Never(0),
+    })
+}
+
+/// The seq `pick` names for a client whose lowest open seq is `mark` and
+/// whose next unissued seq is `next`.
+fn resolve(pick: Pick, mark: u64, next: u64) -> u64 {
+    match pick {
+        Pick::Next => mark,
+        Pick::Ahead(n) => mark + n,
+        Pick::Behind(n) => mark.saturating_sub(n + 1),
+        Pick::Never(0) => 0,
+        Pick::Never(n) => next + n - 1,
+    }
+}
+
 proptest! {
     #[test]
     fn decoded_views_equal_the_encoded_entries(
@@ -250,6 +287,70 @@ proptest! {
                 for s in 1..12 {
                     prop_assert_eq!(ledger.contains(c, s), model.contains(&(c, s)));
                 }
+            }
+        }
+    }
+
+    // Same: below-floor duplicates are what the planted bug lets through.
+    #[cfg(not(feature = "broker-mutation"))]
+    #[test]
+    fn the_ledger_agrees_with_a_btree_set(
+        steps in proptest::collection::vec((0u64..3, pick()), 0..400),
+    ) {
+        let mut ledger = OpLedger::new();
+        let mut model = BTreeSet::new();
+        for (client, pick) in steps {
+            // Seqs start at 1: from a client's first sighting on, the
+            // ledger reads the never-issued seq 0 as applied.
+            model.insert((client, 0));
+            // The mark: the client's lowest seq not applied yet.
+            let mark = (1..).find(|&s| !model.contains(&(client, s))).expect("finite");
+            // The ledger never learns what was issued: "never issued" is
+            // far ahead.
+            let seq = resolve(pick, mark, mark + 64);
+            prop_assert_eq!(
+                ledger.apply(client, seq),
+                model.insert((client, seq)),
+                "apply({}, {})", client, seq
+            );
+            let top = model.range((client, 0)..(client + 1, 0)).last().map_or(0, |&(_, s)| s);
+            for s in 0..top + 3 {
+                prop_assert_eq!(ledger.contains(client, s), model.contains(&(client, s)));
+            }
+        }
+    }
+
+    #[test]
+    fn a_session_acks_like_a_window_of_unacked_seqs(
+        limit in 0usize..6,
+        steps in proptest::collection::vec(prop_oneof![Just(None), pick().prop_map(Some)], 0..200),
+    ) {
+        let mut session = Session::new(limit);
+        // The old session: the unacked seqs, ascending, and the next seq.
+        let (mut window, mut next) = (VecDeque::<u64>::new(), 1u64);
+        for step in steps {
+            match step {
+                None => {
+                    let want = (window.len() < limit.max(1)).then(|| {
+                        window.push_back(next);
+                        next += 1;
+                        next - 1
+                    });
+                    prop_assert_eq!(session.try_submit(), want);
+                }
+                Some(pick) => {
+                    let mark = window.front().copied().unwrap_or(next);
+                    let seq = resolve(pick, mark, next);
+                    let want = match window.binary_search(&seq) {
+                        Ok(i) => window.remove(i).is_some(),
+                        Err(_) => false,
+                    };
+                    prop_assert_eq!(session.ack(seq), want, "ack({})", seq);
+                }
+            }
+            prop_assert_eq!(session.inflight_len(), window.len());
+            for s in 0..next + 3 {
+                prop_assert_eq!(session.is_unacked(s), window.contains(&s), "seq {}", s);
             }
         }
     }

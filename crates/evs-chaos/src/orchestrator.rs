@@ -16,7 +16,7 @@
 
 use crate::plan::{BitTarget, FaultPlan, FaultStep, PlanError};
 use evs_broker::{BrokerCluster, BrokerClusterConfig};
-use evs_core::{CorruptionKind, EvsCluster, EvsProcess, Payload, Trace};
+use evs_core::{CorruptionKind, EvsCluster, Payload, Trace};
 use evs_inspect::{check_all_with_telemetry, collect_dumps};
 use evs_order::Service;
 use evs_runtime::{Cluster, LinkFault, TICK};
@@ -371,12 +371,26 @@ struct Live {
 }
 
 impl Live {
+    /// Waits until the cluster, not each member alone, has settled: every
+    /// member settled in one configuration of all `n`, every member at the
+    /// same `high_seen` (so at the same delivery mark), and no datagram
+    /// held back on a link. A member's own check passes while a message
+    /// its sender already delivered is still on the way to it; the
+    /// sender's `high_seen`, or the held datagram, gives that away.
     fn wait_settled(&self, timeout: Duration) -> bool {
         let n = self.n;
-        self.net
-            .wait_until(timeout, move |node: &EvsProcess<Payload>| {
-                node.is_settled() && node.current_config().members.len() == n
-            })
+        self.net.wait_for(timeout, |net| {
+            let marks: Vec<_> = (0..n as u32)
+                .map(|p| {
+                    net.inspect(ProcessId::new(p), move |node, _| {
+                        let config = node.current_config();
+                        let settled = node.is_settled() && config.members.len() == n;
+                        settled.then(|| (config.id, node.obs().high_seen))
+                    })
+                })
+                .collect();
+            marks[0].is_some() && marks.iter().all(|m| *m == marks[0]) && net.faults().held() == 0
+        })
     }
 }
 

@@ -202,13 +202,21 @@ impl Cluster {
         timeout: Duration,
         pred: impl Fn(&EvsProcess<Payload>) -> bool + Send + Clone + 'static,
     ) -> bool {
+        self.wait_for(timeout, |cluster| {
+            nodes.iter().all(|&p| {
+                let pred = pred.clone();
+                cluster.inspect(p, move |node, _| pred(node))
+            })
+        })
+    }
+
+    /// Polls `holds`, a predicate over the whole cluster (it may compare
+    /// what several nodes and the fault table say), until it holds or the
+    /// timeout expires. Returns whether it held.
+    pub fn wait_for(&self, timeout: Duration, mut holds: impl FnMut(&Cluster) -> bool) -> bool {
         let deadline = Instant::now() + timeout;
         loop {
-            let holds = |&p: &ProcessId| {
-                let pred = pred.clone();
-                self.inspect(p, move |node, _| pred(node))
-            };
-            if nodes.iter().all(holds) {
+            if holds(self) {
                 return true;
             }
             if Instant::now() >= deadline {

@@ -17,6 +17,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::io;
 use std::net::SocketAddr;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, PoisonError, RwLock, RwLockWriteGuard};
 use std::time::{Duration, Instant};
 
@@ -77,23 +78,36 @@ struct Table {
 /// The fault state every [`FaultyDriver`] of one cluster shares: who can
 /// reach whom, and how each link misbehaves. Reconfigurable while the
 /// cluster runs; a change applies to datagrams not yet received.
-pub struct Faults(RwLock<Table>);
+pub struct Faults {
+    table: RwLock<Table>,
+    /// Datagrams the drivers receiving through this table hold back.
+    held: AtomicUsize,
+}
 
 impl Faults {
     /// `n` fully connected members over perfect links.
     pub fn new(n: usize) -> Arc<Faults> {
-        Arc::new(Faults(RwLock::new(Table {
-            topology: Topology::fully_connected(n),
-            links: vec![vec![LinkFault::default(); n]; n],
-            seed: 0,
-        })))
+        Arc::new(Faults {
+            table: RwLock::new(Table {
+                topology: Topology::fully_connected(n),
+                links: vec![vec![LinkFault::default(); n]; n],
+                seed: 0,
+            }),
+            held: AtomicUsize::new(0),
+        })
+    }
+
+    /// Datagrams every [`FaultyDriver`] on this table holds back right
+    /// now: each is still to arrive, however settled its receiver looks.
+    pub fn held(&self) -> usize {
+        self.held.load(Ordering::SeqCst)
     }
 
     // Every update is one assignment or one `Topology` call, so the table
     // is valid at every step and a lock poisoned by a panicking test
     // thread is recovered rather than cascaded to the workers.
     fn write(&self) -> RwLockWriteGuard<'_, Table> {
-        self.0.write().unwrap_or_else(PoisonError::into_inner)
+        self.table.write().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Repartitions the network into `groups`.
@@ -142,7 +156,7 @@ pub struct FaultyDriver {
     /// One random stream per sending peer, created at first use.
     rngs: Vec<Option<SmallRng>>,
     /// Datagrams held back by a delay, reorder or duplicate decision:
-    /// `(receivable at, sender, bytes)`.
+    /// `(receivable at, sender, bytes)`, counted in [`Faults::held`].
     held: Vec<(Instant, usize, Vec<u8>)>,
     telemetry: Telemetry,
     /// Tick zero of the recorded events.
@@ -174,7 +188,11 @@ impl FaultyDriver {
     /// The policy and stream seed of the link from `from`, unless a
     /// partition separates the two.
     fn link(&self, from: usize) -> Option<(LinkFault, u64)> {
-        let table = self.faults.0.read().unwrap_or_else(PoisonError::into_inner);
+        let table = self
+            .faults
+            .table
+            .read()
+            .unwrap_or_else(PoisonError::into_inner);
         let reachable = table
             .topology
             .reachable(ProcessId::new(from as u32), self.me);
@@ -218,17 +236,28 @@ impl FaultyDriver {
         }
         if roll(rng, fault.dup_pct) {
             let echo = now + TICK * (ticks + SHUFFLE_TICKS) as u32;
-            self.held.push((echo, sender, datagram.clone()));
+            self.hold(echo, sender, datagram.clone());
             let event = TelemetryEvent::LinkPacketDuplicated { from, to };
             self.telemetry.record(at, event);
         }
         if ticks == 0 {
             return out.push((from_addr, datagram));
         }
-        self.held
-            .push((now + TICK * ticks as u32, sender, datagram));
+        self.hold(now + TICK * ticks as u32, sender, datagram);
         let event = TelemetryEvent::LinkPacketDelayed { from, to, ticks };
         self.telemetry.record(at, event);
+    }
+
+    fn hold(&mut self, at: Instant, sender: usize, datagram: Vec<u8>) {
+        self.faults.held.fetch_add(1, Ordering::SeqCst);
+        self.held.push((at, sender, datagram));
+    }
+}
+
+impl Drop for FaultyDriver {
+    fn drop(&mut self) {
+        let held = self.held.len();
+        self.faults.held.fetch_sub(held, Ordering::SeqCst);
     }
 }
 
@@ -261,6 +290,7 @@ impl SocketDriver for FaultyDriver {
         let now = Instant::now();
         while let Some(pos) = self.held.iter().position(|(at, ..)| *at <= now) {
             let (_, from, datagram) = self.held.remove(pos);
+            self.faults.held.fetch_sub(1, Ordering::SeqCst);
             if self.link(from).is_some() {
                 out.push((self.peers[from], datagram));
             }
