@@ -146,6 +146,12 @@ kill_recovery() {
     echo "== kill-recovery smoke (real kill -9 of an OS process, WAL respawn) =="
     cargo build -q --release --offline --example udp_cluster
     ./target/release/examples/udp_cluster --orchestrate 7
+    # The post-mortem is the n journals alone: no second file format.
+    if ls chaos-artifacts/udp-kill-7/*.json >/dev/null 2>&1; then
+        echo "kill-recovery: a JSON file in chaos-artifacts/udp-kill-7" && exit 1
+    fi
+    echo "== in-process UDP demo (its post-mortem document reloads to the same report) =="
+    ./target/release/examples/udp_cluster
 }
 
 obs_smoke() {

@@ -8,11 +8,9 @@
 
 use crate::spans::{step_name, ConfigSpan, MessageSpan};
 use crate::timeline::Timeline;
-use evs_telemetry::json::{push_json_string, Value};
 use evs_telemetry::TelemetryEvent;
 use std::collections::BTreeMap;
 use std::fmt;
-use std::fmt::Write as _;
 
 /// Detection thresholds. The defaults suit the workspace's simulator
 /// scales; tune per deployment.
@@ -92,47 +90,6 @@ impl fmt::Display for Anomaly {
             write!(f, " epoch {e}")?;
         }
         write!(f, ": {}", self.detail)
-    }
-}
-
-impl Anomaly {
-    /// The anomaly as a JSON object.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"kind\":");
-        push_json_string(&mut out, self.kind);
-        match self.pid {
-            Some(p) => {
-                let _ = write!(out, ",\"pid\":{p}");
-            }
-            None => out.push_str(",\"pid\":null"),
-        }
-        match self.epoch {
-            Some(e) => {
-                let _ = write!(out, ",\"epoch\":{e}");
-            }
-            None => out.push_str(",\"epoch\":null"),
-        }
-        out.push_str(",\"detail\":");
-        push_json_string(&mut out, &self.detail);
-        out.push('}');
-        out
-    }
-
-    /// Parses an anomaly back from [`Anomaly::to_json`] output. The kind
-    /// is re-interned against the known tags (unknown kinds are kept as
-    /// `"unknown"`).
-    pub fn from_json(v: &Value) -> Option<Anomaly> {
-        let kind = v.get("kind")?.as_str()?;
-        Some(Anomaly {
-            kind: ANOMALY_KINDS
-                .iter()
-                .find(|k| **k == kind)
-                .copied()
-                .unwrap_or("unknown"),
-            pid: v.get("pid").and_then(Value::as_u64).map(|p| p as u32),
-            epoch: v.get("epoch").and_then(Value::as_u64),
-            detail: v.get("detail")?.as_str()?.to_string(),
-        })
     }
 }
 
@@ -392,7 +349,6 @@ mod tests {
     use super::*;
     use evs_core::trace_io::parse_trace;
     use evs_core::Trace;
-    use evs_telemetry::json;
     use evs_telemetry::Telemetry;
 
     #[test]
@@ -683,17 +639,5 @@ mod tests {
             "{anomalies:?}"
         );
         assert_eq!(anomalies[0].epoch, Some(1));
-    }
-
-    #[test]
-    fn anomaly_round_trips_through_json() {
-        let a = Anomaly {
-            kind: "hole_request_storm",
-            pid: Some(2),
-            epoch: Some(7),
-            detail: "a \"quoted\" detail".to_string(),
-        };
-        let v = json::parse(&a.to_json()).unwrap();
-        assert_eq!(Anomaly::from_json(&v).unwrap(), a);
     }
 }

@@ -27,31 +27,29 @@
 //! [`InspectReport::analyze`] runs the whole pipeline;
 //! [`check_all_with_telemetry`] runs the conformance checker and attaches
 //! its text rendering to every violation report, and the examples print it
-//! at end of run. [`SpanReport`] is the JSON-stable subset (spans +
-//! anomalies) that survives a round-trip through [`SpanReport::to_json`] /
-//! [`SpanReport::from_json`].
+//! at end of run.
 //!
 //! The crate sits above the protocol: it depends on `evs-core` (the trace
 //! and its checker) and `evs-telemetry` (the dumps), and no protocol crate
-//! depends on it. Its JSON goes through `evs_telemetry::json`, the
-//! workspace's one codec. The [`dump`]
-//! module serializes per-process flight dumps to JSON files and loads
-//! them back, so a multi-OS-process run (`examples/udp_cluster.rs`) can
-//! be analyzed long after its processes exited.
+//! depends on it. It has no file format of its own. A run's post-mortem
+//! is one `evs_core::trace_io` document, whose `process` sections carry
+//! the trace events and the flight dump alike;
+//! `trace_io::parse_postmortem` returns exactly the `(trace, dumps)`
+//! pair [`InspectReport::analyze`] takes, so a multi-OS-process run
+//! (`examples/udp_cluster.rs`, each member appending its dump to its own
+//! trace journal) can be analyzed long after its processes exited.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod anomaly;
 pub mod check;
-pub mod dump;
 pub mod report;
 pub mod spans;
 pub mod timeline;
 
 pub use anomaly::{Anomaly, AnomalyConfig, ANOMALY_KINDS};
 pub use check::{assert_evs_with_telemetry, check_all_with_telemetry, CheckFailure};
-pub use dump::{dump_from_json, dump_to_json, load_dumps, write_dumps};
-pub use report::{InspectReport, SpanReport};
+pub use report::InspectReport;
 pub use spans::{step_name, ConfigSpan, MessageSpan, StepSpan};
 pub use timeline::{collect_dumps, Timeline, TimelineEntry};

@@ -4,7 +4,6 @@ use crate::anomaly::{self, Anomaly, AnomalyConfig};
 use crate::spans::{ConfigSpan, MessageSpan};
 use crate::timeline::{collect_dumps, Timeline};
 use evs_core::Trace;
-use evs_telemetry::json::{self, Value};
 use evs_telemetry::{RecordedEvent, Telemetry};
 use std::fmt::Write as _;
 
@@ -61,16 +60,6 @@ impl InspectReport {
         self.timeline.entries.is_empty() && self.messages.is_empty() && self.configs.is_empty()
     }
 
-    /// The span-level data without the timeline (this is what survives a
-    /// JSON round-trip).
-    pub fn span_report(&self) -> SpanReport {
-        SpanReport {
-            messages: self.messages.clone(),
-            configs: self.configs.clone(),
-            anomalies: self.anomalies.clone(),
-        }
-    }
-
     /// Full human-readable rendering. `cap` bounds the timeline and each
     /// span section to its last `cap` entries (`None` prints them all).
     pub fn to_text(&self, cap: Option<usize>) -> String {
@@ -109,66 +98,6 @@ fn tail<'a, T>(out: &mut String, items: &'a [T], cap: Option<usize>) -> &'a [T] 
         let _ = writeln!(out, "  ... ({skip} earlier span(s) omitted)");
     }
     &items[skip..]
-}
-
-/// The serializable part of an [`InspectReport`]: spans and anomalies.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct SpanReport {
-    /// Per-message lifecycle spans.
-    pub messages: Vec<MessageSpan>,
-    /// Per-configuration-change lifecycle spans.
-    pub configs: Vec<ConfigSpan>,
-    /// Detected anomalies.
-    pub anomalies: Vec<Anomaly>,
-}
-
-impl SpanReport {
-    /// Renders the report as one JSON document.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"messages\":[");
-        for (i, m) in self.messages.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&m.to_json());
-        }
-        out.push_str("],\"configs\":[");
-        for (i, c) in self.configs.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&c.to_json());
-        }
-        out.push_str("],\"anomalies\":[");
-        for (i, a) in self.anomalies.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&a.to_json());
-        }
-        out.push_str("]}");
-        out
-    }
-
-    /// Parses a report back from [`SpanReport::to_json`] output.
-    pub fn from_json(doc: &str) -> Option<SpanReport> {
-        let v = json::parse(doc).ok()?;
-        let list = |key: &str| -> Option<Vec<Value>> { Some(v.get(key)?.as_array()?.to_vec()) };
-        Some(SpanReport {
-            messages: list("messages")?
-                .iter()
-                .map(MessageSpan::from_json)
-                .collect::<Option<Vec<_>>>()?,
-            configs: list("configs")?
-                .iter()
-                .map(ConfigSpan::from_json)
-                .collect::<Option<Vec<_>>>()?,
-            anomalies: list("anomalies")?
-                .iter()
-                .map(Anomaly::from_json)
-                .collect::<Option<Vec<_>>>()?,
-        })
-    }
 }
 
 #[cfg(test)]
@@ -249,13 +178,5 @@ mod tests {
         let rep = InspectReport::analyze(&Trace::default(), &[]);
         assert!(rep.is_empty());
         assert!(rep.to_text(None).contains("no flight-recorder data"));
-    }
-
-    #[test]
-    fn span_report_round_trips() {
-        let (trace, dumps) = sample();
-        let rep = InspectReport::analyze(&trace, &dumps).span_report();
-        let doc = rep.to_json();
-        assert_eq!(SpanReport::from_json(&doc).unwrap(), rep);
     }
 }

@@ -15,15 +15,9 @@
 //! The trace is whole and the flight recorders are bounded, so a span may
 //! lack its timeline half (an origination evicted from its ring) but
 //! never its trace half.
-//!
-//! Spans survive a JSON round-trip ([`MessageSpan::to_json`] /
-//! [`MessageSpan::from_json`], likewise for [`ConfigSpan`]) so failure
-//! artifacts can be post-processed outside the process that produced
-//! them.
 
 use crate::timeline::Timeline;
 use evs_core::{EvsEvent, Trace};
-use evs_telemetry::json::{push_json_string, Value};
 use evs_telemetry::TelemetryEvent;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -262,52 +256,6 @@ impl MessageSpan {
         }
         line
     }
-
-    /// The span as a JSON object.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        let _ = write!(
-            out,
-            "\"sender\":{},\"counter\":{},",
-            self.sender, self.counter
-        );
-        out.push_str("\"service\":");
-        push_json_string(&mut out, &self.service);
-        push_opt(&mut out, "epoch", self.epoch);
-        push_opt(&mut out, "rep", self.rep.map(u64::from));
-        push_opt(&mut out, "seq", self.seq);
-        push_opt(&mut out, "originated", self.originated_at);
-        push_opt(&mut out, "stamped", self.stamped_at);
-        push_opt(&mut out, "first_delivered", self.first_delivered_at);
-        push_opt(&mut out, "completed", self.completed_at);
-        let _ = write!(
-            out,
-            ",\"deliveries\":{},\"transitional_deliveries\":{}",
-            self.deliveries, self.transitional_deliveries
-        );
-        push_opt(&mut out, "rotations", self.rotations);
-        out.push('}');
-        out
-    }
-
-    /// Parses a span back from [`MessageSpan::to_json`] output.
-    pub fn from_json(v: &Value) -> Option<MessageSpan> {
-        Some(MessageSpan {
-            sender: v.get("sender")?.as_u64()? as u32,
-            counter: v.get("counter")?.as_u64()?,
-            service: v.get("service")?.as_str()?.to_string(),
-            epoch: opt_u64(v, "epoch"),
-            rep: opt_u64(v, "rep").map(|r| r as u32),
-            seq: opt_u64(v, "seq"),
-            originated_at: opt_u64(v, "originated"),
-            stamped_at: opt_u64(v, "stamped"),
-            first_delivered_at: opt_u64(v, "first_delivered"),
-            completed_at: opt_u64(v, "completed"),
-            deliveries: v.get("deliveries")?.as_u64()? as u32,
-            transitional_deliveries: v.get("transitional_deliveries")?.as_u64()? as u32,
-            rotations: opt_u64(v, "rotations"),
-        })
-    }
 }
 
 impl ConfigSpan {
@@ -488,101 +436,11 @@ impl ConfigSpan {
         }
         out
     }
-
-    /// The span as a JSON object.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        let _ = write!(
-            out,
-            "\"epoch\":{},\"rep\":{},\"members\":{}",
-            self.epoch, self.rep, self.members
-        );
-        push_opt(&mut out, "committed", self.committed_at);
-        push_opt(&mut out, "installed", self.installed_at);
-        push_opt(&mut out, "delivered_regular", self.delivered_regular_at);
-        out.push_str(",\"transitional\":[");
-        for (i, (rep, at)) in self.transitional.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{{\"rep\":{rep},\"at\":{at}}}");
-        }
-        out.push(']');
-        push_opt(&mut out, "recovery_entered", self.recovery_entered_at);
-        push_opt(&mut out, "recovery_exited", self.recovery_exited_at);
-        let _ = write!(out, ",\"aborted\":{}", self.aborted);
-        out.push_str(",\"steps\":[");
-        for (i, s) in self.steps.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"step\":{},\"first\":{},\"last\":{},\"processes\":{}}}",
-                s.step, s.first_at, s.last_at, s.processes
-            );
-        }
-        out.push_str("]}");
-        out
-    }
-
-    /// Parses a span back from [`ConfigSpan::to_json`] output.
-    pub fn from_json(v: &Value) -> Option<ConfigSpan> {
-        let transitional = v
-            .get("transitional")?
-            .as_array()?
-            .iter()
-            .map(|t| Some((t.get("rep")?.as_u64()? as u32, t.get("at")?.as_u64()?)))
-            .collect::<Option<Vec<_>>>()?;
-        let steps = v
-            .get("steps")?
-            .as_array()?
-            .iter()
-            .map(|s| {
-                Some(StepSpan {
-                    step: s.get("step")?.as_u64()? as u8,
-                    first_at: s.get("first")?.as_u64()?,
-                    last_at: s.get("last")?.as_u64()?,
-                    processes: s.get("processes")?.as_u64()? as u32,
-                })
-            })
-            .collect::<Option<Vec<_>>>()?;
-        Some(ConfigSpan {
-            epoch: v.get("epoch")?.as_u64()?,
-            rep: v.get("rep")?.as_u64()? as u32,
-            members: v.get("members")?.as_u64()? as u32,
-            committed_at: opt_u64(v, "committed"),
-            installed_at: opt_u64(v, "installed"),
-            delivered_regular_at: opt_u64(v, "delivered_regular"),
-            transitional,
-            recovery_entered_at: opt_u64(v, "recovery_entered"),
-            recovery_exited_at: opt_u64(v, "recovery_exited"),
-            aborted: matches!(v.get("aborted"), Some(Value::Bool(true))),
-            steps,
-        })
-    }
 }
-
-fn push_opt(out: &mut String, key: &str, v: Option<u64>) {
-    out.push(',');
-    push_json_string(out, key);
-    match v {
-        Some(v) => {
-            let _ = write!(out, ":{v}");
-        }
-        None => out.push_str(":null"),
-    }
-}
-
-fn opt_u64(v: &Value, key: &str) -> Option<u64> {
-    v.get(key).and_then(Value::as_u64)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use evs_core::trace_io::parse_trace;
-    use evs_telemetry::json;
     use evs_telemetry::Telemetry;
 
     /// One message's and one configuration change's life on two
@@ -708,18 +566,5 @@ process 1
         let text = s.to_text();
         assert!(text.contains("determine transitional configuration"));
         assert!(text.contains("entered t=11 .. exited t=15"));
-    }
-
-    #[test]
-    fn spans_round_trip_through_json() {
-        let (tl, trace) = run();
-        for s in MessageSpan::derive(&tl, &trace) {
-            let v = json::parse(&s.to_json()).unwrap();
-            assert_eq!(MessageSpan::from_json(&v).unwrap(), s);
-        }
-        for s in ConfigSpan::derive(&tl, &trace) {
-            let v = json::parse(&s.to_json()).unwrap();
-            assert_eq!(ConfigSpan::from_json(&v).unwrap(), s);
-        }
     }
 }

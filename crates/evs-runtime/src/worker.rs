@@ -23,10 +23,11 @@ use evs_obs::Exposition;
 use evs_order::RingMsg;
 use evs_sim::{Ctx, Effect, Node, ProcessId, SimTime, StableStore, TimerId, TimerKind};
 use evs_telemetry::{names, Counter, Phase, PhaseClock, Telemetry};
-use std::fs::File;
-use std::io::{self, Write as _};
+use std::fs::{File, OpenOptions};
+use std::io::{self, Read as _, Write as _};
 use std::net::SocketAddr;
 use std::ops::Range;
+use std::path::Path;
 use std::time::Duration;
 
 /// The context an engine callback runs in.
@@ -109,6 +110,33 @@ impl Worker {
     /// failure model) can lose it.
     pub fn attach_journal(&mut self, journal: File) {
         self.journal = Some(journal);
+    }
+
+    /// Opens the trace journal at `path` for [`Worker::attach_journal`],
+    /// creating it if absent, and returns it with the tick a
+    /// reincarnation's clock resumes at: one past the largest tick of any
+    /// parseable line. A `SIGKILL` may have torn the predecessor's last
+    /// line; it is cut back to the last newline first, so the next line
+    /// written starts a line of its own.
+    pub fn open_journal(path: &Path) -> io::Result<(File, u64)> {
+        let mut file = OpenOptions::new()
+            .create(true)
+            .read(true)
+            .append(true)
+            .open(path)?;
+        let mut bytes = Vec::new();
+        file.read_to_end(&mut bytes)?;
+        let whole = bytes.iter().rposition(|b| *b == b'\n').map_or(0, |i| i + 1);
+        if whole < bytes.len() {
+            file.set_len(whole as u64)?;
+        }
+        let resume = String::from_utf8_lossy(&bytes[..whole])
+            .lines()
+            .filter_map(|l| trace_io::parse_line(l, 0).ok())
+            .map(|l| l.at().saturating_add(1))
+            .max()
+            .unwrap_or(0);
+        Ok((file, resume))
     }
 
     /// The engine.

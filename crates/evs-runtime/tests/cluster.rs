@@ -256,9 +256,47 @@ fn a_journaled_worker_keeps_no_history_and_journals_it_all() {
     let journal: ProcessTrace = text
         .lines()
         .enumerate()
-        .map(|(k, line)| trace_io::parse_event(line, k + 1).expect("journal line parses"))
+        .map(|(k, line)| match trace_io::parse_line(line, k + 1) {
+            Ok(trace_io::Line::Event(t, ev)) => (t, ev),
+            other => panic!("journal line {}: {other:?}", k + 1),
+        })
         .collect();
     assert_eq!(journal, kept);
+    let _ = fs::remove_file(&path);
+}
+
+#[test]
+fn a_torn_journal_tail_is_cut_before_the_reincarnation_appends() {
+    let path = std::env::temp_dir().join(format!("evs-runtime-torn-{}.txt", std::process::id()));
+    // Killed before its first line was whole: nothing survives.
+    fs::write(&path, "@7 fai").expect("write journal");
+    let (_, resume) = Worker::open_journal(&path).expect("open journal");
+    assert_eq!((resume, fs::read(&path).expect("read").len()), (0, 0));
+    // Two whole lines, the second a flight-dump line with the largest
+    // tick, then a line killed mid-token.
+    let kept = "@3 conf R1.0 * 0\n@40 token_rotations 1 2\n";
+    fs::write(&path, format!("{kept}@41 send 0#1 R1.0 saf")).expect("write journal");
+    let (journal, resume) = Worker::open_journal(&path).expect("open journal");
+    assert_eq!(resume, 41);
+    let addr = SocketAddr::from(([127, 0, 0, 1], 20_001));
+    let mut worker = Worker::new(
+        p(0),
+        EvsProcess::new(p(0), EvsParams::default()),
+        Box::new(MemDriver::bind(&Default::default(), addr)),
+        vec![addr],
+        Telemetry::disabled(),
+    );
+    worker.attach_journal(journal);
+    worker.start(resume).expect("start");
+    let text = fs::read_to_string(&path).expect("read journal");
+    assert!(text.starts_with(kept), "{text}");
+    assert!(
+        text.len() > kept.len(),
+        "the reincarnation journaled nothing"
+    );
+    for (k, line) in text.lines().enumerate() {
+        trace_io::parse_line(line, k + 1).expect("every journal line parses");
+    }
     let _ = fs::remove_file(&path);
 }
 

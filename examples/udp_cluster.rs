@@ -16,8 +16,9 @@
 //! broadcast is a unicast fan-out to the peer ports, and timers run on
 //! real time. At the end the collected traces — from a genuinely
 //! networked execution — are verified against the paper's specifications,
-//! and the post-mortem (the trace as `trace.txt` beside one flight dump
-//! per process) is written, reloaded and analyzed again from disk.
+//! and the post-mortem (one `trace_io` document holding the trace and
+//! every process's flight dump) is written, reloaded and analyzed again
+//! from disk, to the same report.
 //!
 //! `--orchestrate` closes the last gap between the repository and the
 //! paper's §2 failure model ("a processor that fails may subsequently
@@ -33,7 +34,8 @@
 //! journals (dropping at most one torn final line each) and runs the full
 //! conformance suite: Specifications 1.1–7.2, the primary-component
 //! properties, and the §5 reduction to virtual synchrony. The same
-//! reassembled trace feeds the post-mortem's lifecycle spans.
+//! journals, where each member appended its flight dump at shutdown,
+//! feed the post-mortem's lifecycle spans.
 //!
 //! Every mode runs the one live worker loop, [`evs::runtime::Worker`]
 //! (DESIGN.md "The live worker loop"): the in-process modes as an
@@ -67,7 +69,8 @@
 //! is the self-checking CI variant.
 
 use evs::broker::{proto, Broker, BrokerParams, SubmitOutcome};
-use evs::core::{trace_io, EvsParams, EvsProcess, Payload, Service, Trace};
+use evs::core::trace_io::{self, Dumps, Line};
+use evs::core::{EvsParams, EvsProcess, Payload, Service, Trace};
 use evs::net::{self, Completion};
 use evs::obs::{self, Exposition, TopState};
 use evs::runtime::{self, Cluster, Worker, MAX_PARK};
@@ -75,6 +78,7 @@ use evs::sim::ProcessId;
 use evs::store::FileStorage;
 use evs::telemetry::{names, Phase, RunReport, Telemetry};
 use std::fs;
+use std::io::Write as _;
 use std::net::{SocketAddr, UdpSocket};
 use std::path::{Path, PathBuf};
 use std::sync::mpsc;
@@ -165,12 +169,7 @@ fn child(args: &[String]) {
     // keyed by process id, so a reincarnation finds its predecessor's.
     let storage = FileStorage::open(dir.join(format!("wal-p{index}"))).expect("open WAL");
     let journal_path = dir.join(format!("trace-p{index}.txt"));
-    let base_ticks = last_journaled_tick(&journal_path).map_or(0, |t| t + 1);
-    let journal = fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(&journal_path)
-        .expect("open trace journal");
+    let (journal, base_ticks) = Worker::open_journal(&journal_path).expect("open trace journal");
 
     let telemetry = Telemetry::enabled(index as u32);
     let mut worker = Worker::new(
@@ -196,9 +195,18 @@ fn child(args: &[String]) {
         for (from, datagram) in foreign.drain(..) {
             if let Some(body) = datagram.strip_prefix(CONTROL_MAGIC) {
                 if handle_control(&mut worker, now(), body, from) {
-                    // This incarnation's telemetry dump, for the post-mortem.
-                    let dumps = evs::inspect::collect_dumps([&telemetry]);
-                    let _ = evs::inspect::write_dumps(&dir, &dumps);
+                    // This incarnation's flight dump, for the post-mortem:
+                    // appended to its journal, after every event.
+                    let mut lines = String::new();
+                    for rec in telemetry.flight_dump() {
+                        trace_io::format_recorded(&mut lines, &rec);
+                        lines.push('\n');
+                    }
+                    fs::OpenOptions::new()
+                        .append(true)
+                        .open(&journal_path)
+                        .and_then(|mut f| f.write_all(lines.as_bytes()))
+                        .expect("append the flight dump to the journal");
                     return;
                 }
             }
@@ -242,16 +250,6 @@ fn handle_control(worker: &mut Worker, now: u64, body: &[u8], from: SocketAddr) 
         _ => {}
     }
     false
-}
-
-/// The tick of the last parseable line in a trace journal, so a
-/// reincarnation's clock can resume after it.
-fn last_journaled_tick(path: &Path) -> Option<u64> {
-    let text = fs::read_to_string(path).ok()?;
-    text.lines()
-        .rev()
-        .find_map(|l| trace_io::parse_event(l.trim(), 0).ok())
-        .map(|(t, _)| t.ticks())
 }
 
 // ---------------------------------------------------------------------------
@@ -501,7 +499,7 @@ fn orchestrate(seed: u64) {
     });
     println!("-- post-restart traffic delivered by every process, including the reincarnation");
 
-    // Shutdown: each child writes its telemetry dump and exits.
+    // Shutdown: each child appends its flight dump to its journal and exits.
     for &i in &all {
         ctrl.send(i, b"Q");
     }
@@ -511,7 +509,7 @@ fn orchestrate(seed: u64) {
 
     // Reassemble the run from the durable journals alone — exactly what
     // an operator doing a post-mortem would have — and check everything.
-    let trace = load_journals(&dir, N);
+    let (trace, dumps) = load_journals(&dir, N);
     println!(
         "\n-- reassembled {} events from {} on-disk journals; checking Specifications 1.1–7.2, \
          primary component, and the §5 VS reduction…",
@@ -531,8 +529,17 @@ fn orchestrate(seed: u64) {
     // incarnation never got to write one (that is the point of SIGKILL),
     // but the reincarnation's dump must show the storage recovery and no
     // silent-state-loss anomaly.
-    let reloaded = evs::inspect::load_dumps(&dir).expect("reload dumps");
-    let report = evs::inspect::InspectReport::analyze(&trace, &reloaded);
+    let recovered = dumps.iter().any(|(pid, dump)| {
+        *pid as usize == victim
+            && dump
+                .iter()
+                .any(|rec| rec.event.name() == names::STORAGE_RECOVERIES)
+    });
+    assert!(
+        recovered,
+        "the reincarnation's dump shows no storage recovery"
+    );
+    let report = evs::inspect::InspectReport::analyze(&trace, &dumps);
     assert!(
         !report
             .anomalies
@@ -551,7 +558,7 @@ fn orchestrate(seed: u64) {
     println!(
         "-- post-mortem: {} dump(s), {} message span(s) stamped and delivered, \
          {} anomaly flag(s)",
-        reloaded.len(),
+        dumps.len(),
         complete,
         report.anomalies.len()
     );
@@ -559,20 +566,23 @@ fn orchestrate(seed: u64) {
     println!("\nOK seed={seed} victim={victim}");
 }
 
-/// Reads every per-process trace journal back into one [`Trace`]. A
-/// journal's final line may be torn by `SIGKILL`; it is dropped. Any
-/// earlier malformed line is a real bug and panics.
-fn load_journals(dir: &Path, n: usize) -> Trace {
+/// Reads every per-process journal back into one [`Trace`] and the
+/// flight dumps the members appended at shutdown. A journal's final line
+/// may be torn by `SIGKILL`; it is dropped. Any earlier malformed line is
+/// a real bug and panics.
+fn load_journals(dir: &Path, n: usize) -> (Trace, Dumps) {
     let mut events = Vec::with_capacity(n);
+    let mut dumps = Vec::new();
     for i in 0..n {
         let path = dir.join(format!("trace-p{i}.txt"));
         let text =
             fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()));
         let lines: Vec<&str> = text.lines().collect();
-        let mut log = Vec::with_capacity(lines.len());
+        let (mut log, mut dump) = (Vec::with_capacity(lines.len()), Vec::new());
         for (k, line) in lines.iter().enumerate() {
-            match trace_io::parse_event(line.trim(), k + 1) {
-                Ok(entry) => log.push(entry),
+            match trace_io::parse_line(line, k + 1) {
+                Ok(Line::Event(t, ev)) => log.push((t, ev)),
+                Ok(Line::Recorded(rec)) => dump.push(rec),
                 Err(e) if k + 1 == lines.len() => {
                     eprintln!("   (journal {i}: dropped torn final line: {e})");
                 }
@@ -580,8 +590,11 @@ fn load_journals(dir: &Path, n: usize) -> Trace {
             }
         }
         events.push(log);
+        if !dump.is_empty() {
+            dumps.push((i as u32, dump));
+        }
     }
-    Trace::new(events)
+    (Trace::new(events), dumps)
 }
 
 // ---------------------------------------------------------------------------
@@ -649,41 +662,34 @@ fn demo() {
 
     // Cross-process correlation of the same run: merged causal timeline,
     // per-message and per-configuration lifecycle spans, anomalies.
-    println!("\n-- lifecycle spans (timeline tail):");
-    print!(
-        "{}",
-        evs::inspect::InspectReport::from_handles(&trace, &telemetry_handles).to_text(Some(20))
-    );
-
-    // On-disk post-mortem: the trace and one JSON dump file per process,
-    // re-ingested from disk. In a real multi-OS-process deployment no
-    // analyzer can hold live telemetry handles for every participant, so
-    // this file round-trip is the workflow that survives process exit.
-    // The files land next to the chaos repro artifacts so every
-    // post-mortem input lives under one directory.
-    let dir = std::path::Path::new("chaos-artifacts").join("udp-postmortem");
     let dumps = evs::inspect::collect_dumps(&telemetry_handles);
-    let paths = evs::inspect::write_dumps(&dir, &dumps).expect("write post-mortem dumps");
-    let trace_path = dir.join("trace.txt");
-    fs::write(&trace_path, trace_io::format_trace(&trace)).expect("write post-mortem trace");
+    let report = evs::inspect::InspectReport::analyze(&trace, &dumps);
+    println!("\n-- lifecycle spans (timeline tail):");
+    print!("{}", report.to_text(Some(20)));
+
+    // On-disk post-mortem: the trace and every flight dump in one
+    // document, re-ingested from disk. In a real multi-OS-process
+    // deployment no analyzer can hold live telemetry handles for every
+    // participant, so this file round-trip is the workflow that survives
+    // process exit. The file lands next to the chaos repro artifacts so
+    // every post-mortem input lives under one directory.
+    let dir = Path::new("chaos-artifacts").join("udp-postmortem");
+    fs::create_dir_all(&dir).expect("create post-mortem dir");
+    let path = dir.join("postmortem.txt");
+    fs::write(&path, trace_io::format_postmortem(&trace, &dumps)).expect("write post-mortem");
+    let text = fs::read_to_string(&path).expect("reload post-mortem");
+    let (trace, dumps) = trace_io::parse_postmortem(&text).expect("post-mortem parses");
+    let reloaded = evs::inspect::InspectReport::analyze(&trace, &dumps);
+    assert_eq!(reloaded, report, "the post-mortem lost something");
     println!(
-        "\n-- post-mortem ({} dump file(s) and {} under {}):",
-        paths.len(),
-        trace_path.display(),
-        dir.display()
-    );
-    let reloaded = evs::inspect::load_dumps(&dir).expect("reload post-mortem dumps");
-    let text = fs::read_to_string(&trace_path).expect("reload post-mortem trace");
-    let trace = trace_io::parse_trace(&text).expect("post-mortem trace parses");
-    let report = evs::inspect::InspectReport::analyze(&trace, &reloaded);
-    assert_eq!(report.timeline.processes, N);
-    println!(
-        "   reloaded from disk: {} process(es), {} event(s), {} message span(s), \
-         {} anomaly(ies) — analysis works after every process is gone",
-        report.timeline.processes,
-        report.timeline.entries.len(),
-        report.messages.len(),
-        report.anomalies.len()
+        "\n-- post-mortem {}: reloaded from disk, {} process(es), {} event(s), \
+         {} message span(s), {} anomaly(ies), the same report — analysis works \
+         after every process is gone",
+        path.display(),
+        reloaded.timeline.processes,
+        reloaded.timeline.entries.len(),
+        reloaded.messages.len(),
+        reloaded.anomalies.len()
     );
 }
 

@@ -22,7 +22,6 @@ use evs_broker::proto::{self, BatchEntry};
 use evs_core::persist::{Checkpoint, WalRecord};
 use evs_core::recovery::ExchangeState;
 use evs_core::{trace_io, wire, Configuration, EvsEvent, EvsMsg, Payload, Trace};
-use evs_inspect::{dump_from_json, dump_to_json};
 use evs_membership::{ConfigId, MembMsg};
 use evs_obs::Exposition;
 use evs_order::{MessageId, OrderedMsg, RingMsg, Service, Token};
@@ -240,10 +239,10 @@ const DECODERS: &[Decoder] = &[
         corpus: || vec![trace_io::format_trace(&trace_sample()).into_bytes()],
     },
     Decoder {
-        name: "dump_from_json",
+        name: "trace_io::parse_postmortem",
         form: Form::Text,
-        run: dump,
-        corpus: || vec![dump_to_json(2, &dump_sample()).into_bytes()],
+        run: postmortem,
+        corpus: || vec![trace_io::format_postmortem(&trace_sample(), &dumps_sample()).into_bytes()],
     },
 ];
 
@@ -346,9 +345,14 @@ fn trace(input: &[u8]) -> Verdict {
     accepted(text("trace_io::parse_trace", doc, || trace_io::parse_trace(doc)).ok())
 }
 
-fn dump(input: &[u8]) -> Verdict {
+fn postmortem(input: &[u8]) -> Verdict {
     let doc = utf8(input);
-    accepted(text("dump_from_json", doc, || dump_from_json(doc)))
+    accepted(
+        text("trace_io::parse_postmortem", doc, || {
+            trace_io::parse_postmortem(doc)
+        })
+        .ok(),
+    )
 }
 
 // --- valid encodings ------------------------------------------------------------
@@ -545,7 +549,6 @@ fn json_corpus() -> Vec<Vec<u8>> {
     let report = evs_telemetry::RunReport::collect([&telemetry_sample()]);
     vec![
         report.to_json().into_bytes(),
-        dump_to_json(2, &dump_sample()).into_bytes(),
         r#"{"a":[1,-2,3.5e1,true,false,null,"s\"\\\n\u0001é"],"b":{}}"#
             .as_bytes()
             .to_vec(),
@@ -592,26 +595,120 @@ fn trace_sample() -> Trace {
     ])
 }
 
-fn dump_sample() -> Vec<RecordedEvent> {
-    let event = |at, event| RecordedEvent { at, event };
-    vec![
-        event(
-            1,
-            TelemetryEvent::MessageOriginated {
-                sender: 0,
-                counter: 1,
-                service: "safe",
-            },
-        ),
-        event(
-            4,
-            TelemetryEvent::MembershipTransition {
-                from: "gather",
-                to: "commit",
-            },
-        ),
-        event(7, TelemetryEvent::RecoveryStepReached { step: 3, epoch: 2 }),
-    ]
+/// One event of every telemetry kind, in [`TelemetryEvent::KIND_NAMES`]
+/// order; `every_telemetry_kind_round_trips` fails if a kind is missing.
+fn every_telemetry_kind() -> Vec<RecordedEvent> {
+    use TelemetryEvent::*;
+    let events = [
+        TokenReceived {
+            epoch: 1,
+            token_id: 2,
+            aru: 3,
+        },
+        TokenForwarded {
+            epoch: 1,
+            token_id: 2,
+            to: 4,
+        },
+        TokenRetransmitted {
+            epoch: 1,
+            token_id: 2,
+        },
+        TokenRotated {
+            epoch: 1,
+            rotations: 7,
+        },
+        RetransmissionsServed { epoch: 1, count: 5 },
+        HolesRequested { epoch: 1, count: 6 },
+        SafeLineAdvanced {
+            epoch: 1,
+            safe_line: 9,
+        },
+        MembershipTransition {
+            from: "gather",
+            to: "commit",
+        },
+        ConfigCommitted {
+            epoch: 2,
+            rep: 0,
+            members: 3,
+        },
+        ConfigInstalled {
+            epoch: 2,
+            rep: 0,
+            members: 3,
+        },
+        MessageOriginated {
+            sender: 0,
+            counter: 1,
+            service: "safe",
+        },
+        RecoveryStepEntered { step: 2, epoch: 2 },
+        RecoveryStepReached { step: 3, epoch: 2 },
+        RecoveryStepExited { step: 6, epoch: 2 },
+        ObligationSetSize { size: 5 },
+        StorageRecovered {
+            records: 12,
+            snapshot: true,
+            wal: false,
+        },
+        LinkPacketDropped { from: 0, to: 1 },
+        LinkPacketDelayed {
+            from: 0,
+            to: 1,
+            ticks: 3,
+        },
+        LinkPacketDuplicated { from: 0, to: 1 },
+        SessionOpened {
+            broker: 0,
+            client: u64::MAX,
+        },
+        BatchFlushed {
+            broker: 0,
+            ops: u32::MAX,
+            bytes: 40_960,
+        },
+        BackpressureSignaled {
+            broker: 0,
+            client: 1_000_001,
+        },
+        BrokerReattached {
+            broker: 0,
+            to: 2,
+            resubmitted: 17,
+        },
+        ChaosRunExecuted {
+            seed: 42,
+            steps: 6,
+            failed: false,
+        },
+        ChaosViolationFound { seed: 42, specs: 2 },
+        ChaosPlanShrunk {
+            from_steps: 9,
+            to_steps: 2,
+            checks: 30,
+        },
+        ChaosProgress {
+            done: 10,
+            total: 100,
+            failures: 1,
+        },
+    ];
+    events
+        .into_iter()
+        .zip(1..)
+        .map(|(event, at)| RecordedEvent { at, event })
+        .collect()
+}
+
+/// Flight dumps beside [`trace_sample`]: every kind on process 1, and
+/// one on a process the trace never reached.
+fn dumps_sample() -> Vec<(u32, Vec<RecordedEvent>)> {
+    let late = RecordedEvent {
+        at: 40,
+        event: TelemetryEvent::ObligationSetSize { size: 1 },
+    };
+    vec![(1, every_telemetry_kind()), (3, vec![late])]
 }
 
 // --- the harness -------------------------------------------------------------------
@@ -749,10 +846,11 @@ fn decoding_inverts_encoding() {
     let t = trace_sample();
     let back = trace_io::parse_trace(&trace_io::format_trace(&t)).expect("trace");
     assert_eq!(back.events, t.events);
-    assert_eq!(
-        dump_from_json(&dump_to_json(2, &dump_sample())),
-        Some((2, dump_sample()))
-    );
+    let dumps = dumps_sample();
+    let (back, back_dumps) =
+        trace_io::parse_postmortem(&trace_io::format_postmortem(&t, &dumps)).expect("post-mortem");
+    assert_eq!(&back.events[..t.num_processes()], &t.events[..]);
+    assert_eq!(back_dumps, dumps);
     let report = evs_telemetry::RunReport::collect([&telemetry_sample()]);
     let v = json::parse(&report.to_json()).expect("report");
     let sent = v.get("totals").and_then(|t| t.get("messages_sent"));
@@ -821,6 +919,44 @@ fn an_exposition_with_extra_fields_is_refused() {
     let hist = text.lines().find(|l| l.starts_with("hist ")).expect("hist");
     let extra = text.replacen(hist, &format!("{hist} 7"), 1);
     assert!(Exposition::parse(&extra).is_err());
+}
+
+#[test]
+fn every_telemetry_kind_round_trips() {
+    let sample = every_telemetry_kind();
+    let names: Vec<&str> = sample.iter().map(|rec| rec.event.name()).collect();
+    assert_eq!(names, TelemetryEvent::KIND_NAMES, "one sample per kind");
+    for rec in sample {
+        let mut line = String::new();
+        trace_io::format_recorded(&mut line, &rec);
+        assert_eq!(
+            trace_io::parse_line(&line, 1),
+            Ok(trace_io::Line::Recorded(rec)),
+            "{line}"
+        );
+    }
+}
+
+#[test]
+fn hostile_flight_dump_lines_are_refused() {
+    for (line, why) in [
+        ("@1 tokens_recieved 1 2 3", "unknown event kind"),
+        ("@1 token_rotations 1", "missing rotations"),
+        ("@1 token_rotations 1 7 7", "trailing tokens"),
+        ("@1 messages_originated 0 1 express", "bad service"),
+        ("@1 membership_transitions stable Gather", "bad to"),
+        ("@1 storage_recoveries 1 yes true", "bad snapshot"),
+        ("@1 recovery_step_marks 256 2", "bad step"),
+        ("@1 configs_installed 2 4294967296 3", "bad rep"),
+        ("@1 obligation_set_samples -1", "bad size"),
+    ] {
+        let doc = format!("process 0\n  {line}\n");
+        let parsed = text("trace_io::parse_postmortem", &doc, || {
+            trace_io::parse_postmortem(&doc)
+        });
+        let err = parsed.expect_err(line);
+        assert!(err.reason.contains(why), "{line}: {err}");
+    }
 }
 
 #[test]

@@ -1,10 +1,12 @@
 //! Cross-process run analysis (`evs::inspect`) over real executions: the
 //! merged timeline is independent of dump ingestion order, lifecycle
-//! spans derived from a live cluster match what the run actually did, and
-//! the JSON renderings round-trip through the crate's own parser.
+//! spans derived from a live cluster match what the run actually did, a
+//! run's post-mortem document loses nothing the analysis reads, and the
+//! run report's JSON parses with the workspace's own parser.
 
+use evs::core::trace_io::{format_postmortem, parse_postmortem};
 use evs::core::{EvsCluster, Service};
-use evs::inspect::{collect_dumps, InspectReport, SpanReport, Timeline};
+use evs::inspect::{collect_dumps, InspectReport, Timeline};
 use evs::sim::ProcessId;
 use evs::telemetry::json;
 
@@ -96,16 +98,20 @@ fn lifecycle_spans_match_the_run() {
     assert!(text.contains("recovery (§3)"), "{text}");
 }
 
+/// Written and parsed back, a run's post-mortem document — its trace and
+/// every flight dump as `trace_io` lines — yields the same report.
 #[test]
-fn span_report_json_round_trips() {
+fn a_post_mortem_document_is_lossless() {
     let cluster = scenario();
-    let report = InspectReport::from_handles(&cluster.trace(), &cluster.telemetry_handles());
-    let spans = report.span_report();
-    let doc = spans.to_json();
-    let back = SpanReport::from_json(&doc).expect("span report parses back");
-    assert_eq!(back.messages, spans.messages);
-    assert_eq!(back.configs, spans.configs);
-    assert_eq!(back.anomalies.len(), spans.anomalies.len());
+    let trace = cluster.trace();
+    let dumps = collect_dumps(&cluster.telemetry_handles());
+    let report = InspectReport::analyze(&trace, &dumps);
+    assert!(!report.messages.is_empty() && !report.configs.is_empty());
+    let (back, back_dumps) =
+        parse_postmortem(&format_postmortem(&trace, &dumps)).expect("the post-mortem parses back");
+    assert_eq!(back.events, trace.events);
+    assert_eq!(back_dumps, dumps);
+    assert_eq!(InspectReport::analyze(&back, &back_dumps), report);
 }
 
 #[test]
