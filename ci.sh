@@ -93,7 +93,9 @@ build_test() {
     echo "== build (release) =="
     cargo build --release --offline --workspace
     echo "== tests =="
-    cargo test -q --offline --workspace
+    # Every test binary runs even after one fails, so a failure list is
+    # complete; the step still fails on any failure.
+    cargo test -q --offline --workspace --no-fail-fast
     echo "== chaos: mutation self-test (pipeline catches a planted bug) =="
     # Only this one integration test runs with the deliberately broken engine;
     # the rest of the workspace's tests would (correctly) fail against it.

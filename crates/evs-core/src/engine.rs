@@ -24,11 +24,12 @@
 //! frozen old-configuration snapshot, exactly as the paper prescribes.
 //!
 //! Durability follows §2's failure model ("a process may fail and recover
-//! with stable storage intact"): the engine journals a [`WalRecord`] to its
-//! [`Storage`] backend at every §3 step boundary — message-id leases,
-//! each stamping burst's send high-water mark, configuration deliveries,
-//! the Step 5.c obligation set, the delivered/stable cut, proposal epochs,
-//! and the `fail_p(c)` mark of a clean crash. A recovered (or respawned) process folds the log back into
+//! with stable storage intact"): the engine journals, and syncs, only what
+//! a restart reads back — message-id leases, configuration deliveries,
+//! proposal epochs, the `fail_p(c)` mark of a clean crash, and the
+//! checkpoints that compact them (see the durability contract in
+//! DESIGN.md). Nothing is journaled per message beyond one lease per
+//! [`LEASE_BLOCK`] ids. A recovered (or respawned) process folds the log back into
 //! the counters it needs (see [`crate::persist`]), emits the failure the
 //! dead incarnation never got to record if it was killed outright, and
 //! rejoins as a singleton regular configuration under its old identity,
@@ -440,15 +441,23 @@ impl<P: Clone + fmt::Debug + 'static> EvsProcess<P> {
         }
     }
 
-    /// Replaces the log with one checkpoint. Best effort like every other
-    /// write: on an I/O error the records stay and the next trigger tries
-    /// again.
+    /// Replaces the log with one checkpoint, then re-journals its counter
+    /// and epoch as a synced [`WalRecord::Lease`] and [`WalRecord::Epoch`]:
+    /// should the snapshot later prove unreadable, they still bound every
+    /// id and configuration epoch the checkpoint stood for, and the
+    /// restart proceeds instead of refusing (see
+    /// [`crate::persist::Recovered::counter_bounded`]). Best effort like
+    /// every other write: on an I/O error the records stay and the next
+    /// trigger tries again.
     fn write_checkpoint(&mut self, cp: Checkpoint) {
         cp.encode(&mut self.wal_buf);
         self.wal_since_checkpoint = 0;
         if self.storage.snapshot(&self.wal_buf).is_ok() {
             self.telemetry.counter(names::SNAPSHOT_WRITES).inc();
         }
+        self.wal_append(WalRecord::Lease(cp.msg_counter));
+        self.wal_append(WalRecord::Epoch(cp.max_epoch));
+        self.wal_sync();
     }
 
     /// Steady-state compaction, run at the end of every callback: once
@@ -458,7 +467,7 @@ impl<P: Clone + fmt::Debug + 'static> EvsProcess<P> {
     /// largest epoch seen and the installed configuration, so a kill at
     /// any point after it still owes — and names — the right `fail_p(c)`.
     /// Outside a settled regular configuration the log is left alone: the
-    /// obligation set and the Step 2–6 boundaries are live there.
+    /// Step 2–6 boundaries are live there.
     fn maybe_compact(&mut self) {
         if self.wal_since_checkpoint < WAL_COMPACT_RECORDS
             || self.frozen
@@ -697,21 +706,18 @@ impl<P: Clone + fmt::Debug + 'static> EvsProcess<P> {
         };
         if let Some(stamped) = ring.submit(id, service, payload) {
             // Singleton ring: stamped immediately, a burst of one.
-            if let Some(sent) = self.log_send(ctx, &stamped) {
-                self.wal_append(sent);
-            }
+            self.log_send(ctx, &stamped);
             self.drain_ring_deliveries(ctx);
         }
     }
 
     /// Records `send_p(msg)` if `msg` is an own message sent for the first
-    /// time, and returns the `Sent` record that journals it. The caller
-    /// appends only the last such record of a stamping burst: stamping
-    /// follows counter order (see `sent_upto`), so that one carries the
-    /// burst's highest counter, which is all `persist::fold` reads.
-    fn log_send(&mut self, ctx: &mut ECtx<'_, P>, msg: &OrderedMsg<P>) -> Option<WalRecord> {
+    /// time. Nothing is journaled: the id already lies under a synced
+    /// [`WalRecord::Lease`] and its configuration under a synced
+    /// [`WalRecord::ConfDelivered`] (or the checkpoint that replaced it).
+    fn log_send(&mut self, ctx: &mut ECtx<'_, P>, msg: &OrderedMsg<P>) {
         if msg.id.sender != self.me || msg.id.counter <= self.sent_upto {
-            return None;
+            return;
         }
         self.sent_upto = msg.id.counter;
         self.emit(
@@ -722,12 +728,6 @@ impl<P: Clone + fmt::Debug + 'static> EvsProcess<P> {
                 service: msg.service,
             },
         );
-        Some(WalRecord::Sent {
-            counter: msg.id.counter,
-            epoch: msg.config.epoch,
-            rep: msg.config.rep.index(),
-            seq: msg.seq,
-        })
     }
 
     fn deliver_conf(&mut self, ctx: &mut ECtx<'_, P>, cfg: Configuration) {
@@ -814,47 +814,20 @@ impl<P: Clone + fmt::Debug + 'static> EvsProcess<P> {
     }
 
     fn drain_ring_deliveries(&mut self, ctx: &mut ECtx<'_, P>) {
-        let mut delivered_any = false;
         while let Mode::Regular { ring } = &mut self.mode {
             let Some((msg, _class)) = ring.pop_delivery() else {
                 break;
             };
             let config = msg.config;
             self.deliver_msg(ctx, msg, config);
-            delivered_any = true;
-        }
-        if delivered_any {
-            // Journal the advanced delivered/stable cut (one record per
-            // drain burst, not per message).
-            let cut = match &self.mode {
-                Mode::Regular { ring } => Some((ring.config(), ring.delivered_upto())),
-                Mode::Recovery(_) => None,
-            };
-            if let Some((cfg, seq)) = cut {
-                self.wal_append(WalRecord::Cut {
-                    epoch: cfg.epoch,
-                    rep: cfg.rep.index(),
-                    transitional: cfg.transitional,
-                    seq,
-                });
-            }
         }
     }
 
     /// Broadcasts an accumulated visit burst: a single message goes out as
     /// a plain `Data` frame, several go out as one `Batch` frame — one
     /// transmit per destination for the whole burst instead of one per
-    /// message. The burst's `Sent` record, if it stamped any own message,
-    /// is journaled first, so the log still runs ahead of the send.
-    fn flush_data_batch(
-        &mut self,
-        ctx: &mut ECtx<'_, P>,
-        batch: &mut Vec<OrderedMsg<P>>,
-        sent: &mut Option<WalRecord>,
-    ) {
-        if let Some(rec) = sent.take() {
-            self.wal_append(rec);
-        }
+    /// message.
+    fn flush_data_batch(&mut self, ctx: &mut ECtx<'_, P>, batch: &mut Vec<OrderedMsg<P>>) {
         match batch.len() {
             0 => {}
             1 => {
@@ -869,22 +842,18 @@ impl<P: Clone + fmt::Debug + 'static> EvsProcess<P> {
         // One token visit can emit a burst — up to `max_per_visit` freshly
         // stamped messages plus served retransmissions. Pack consecutive
         // data messages into one frame; the token (paced separately below)
-        // still leaves after the data it refers to. The burst journals one
-        // `Sent`: that of its last own first send, its high-water mark.
+        // still leaves after the data it refers to.
         let mut batch: Vec<OrderedMsg<P>> = Vec::with_capacity(outs.len());
-        let mut sent = None;
         let mut sent_data = false;
         for out in outs {
             match out {
                 RingOut::Data(msg) => {
-                    if let Some(rec) = self.log_send(ctx, &msg) {
-                        sent = Some(rec);
-                    }
+                    self.log_send(ctx, &msg);
                     batch.push(msg);
                     sent_data = true;
                 }
                 RingOut::TokenTo(to, tok) => {
-                    self.flush_data_batch(ctx, &mut batch, &mut sent);
+                    self.flush_data_batch(ctx, &mut batch);
                     // A loaded ring is rotation-bound: every pacing delay
                     // multiplies straight into delivery latency, so a visit
                     // that moved data (or left work queued) forwards the
@@ -904,7 +873,7 @@ impl<P: Clone + fmt::Debug + 'static> EvsProcess<P> {
                 }
             }
         }
-        self.flush_data_batch(ctx, &mut batch, &mut sent);
+        self.flush_data_batch(ctx, &mut batch);
         self.drain_ring_deliveries(ctx);
     }
 
@@ -1047,13 +1016,10 @@ impl<P: Clone + fmt::Debug + 'static> EvsProcess<P> {
                 proposal: rec.proposal.id,
             });
         }
+        // Step 5.c's obligation set is not journaled: it belongs to this
+        // recovery attempt, which a kill ends, and a reincarnation starts
+        // as a singleton with an empty set.
         let all_acked = rec.my_ack_sent && trans.iter().all(|q| rec.acks.contains(q));
-        if acked_now {
-            // Step 5.c boundary: the promise to deliver the obligation set
-            // must survive a kill between the ack and Step 6.
-            let members: Vec<u32> = self.obligations.iter().map(|p| p.index()).collect();
-            self.wal_append(WalRecord::Obligations(members));
-        }
         if all_acked {
             self.finish_recovery(ctx);
         }
@@ -1129,7 +1095,6 @@ impl<P: Clone + fmt::Debug + 'static> EvsProcess<P> {
             },
         );
         self.obligations.clear();
-        self.wal_append(WalRecord::Obligations(Vec::new()));
         // Record the retirement, not just the gauge: inspect's
         // obligation-growth detector needs to see Step 5.c obligations
         // coming back down once a round completes.
@@ -1358,6 +1323,9 @@ impl<P: Clone + fmt::Debug + 'static> EvsProcess<P> {
             msg_counter: persist.msg_counter,
             max_epoch: persist.max_epoch,
         });
+        // The fold takes a FailMark's exact counter over every lease
+        // before it: the next incarnation's first id takes a fresh lease.
+        self.lease_limit = self.persist.msg_counter;
         self.wal_sync();
         let epoch = self.persist.max_epoch + 1;
         self.persist.max_epoch = epoch;
@@ -1592,9 +1560,10 @@ impl<P: Clone + fmt::Debug + 'static> EvsProcess<P> {
         // is written at `counter + LEASE_BLOCK` with `counter` at most one
         // past the old ceiling), so skipping that much per lost record is
         // provably past any id the lost records could have leased — ids
-        // skip, never reuse (Spec 1.4). Plain torn tails need no skip:
-        // leases are synced before their first id is used, so a tail can
-        // only lose the record that was mid-write.
+        // skip, never reuse (Spec 1.4). A damaged tail counts too: every
+        // record the engine writes is synced, so the tail is as likely as
+        // any record to be the lease or install the fold needs, and the
+        // storage backend reports it as one more gap after the last record.
         let poisoned_total = rec.poisoned + corrupt_gaps;
         let mut msg_counter = rec.msg_counter;
         let mut max_epoch = rec.max_epoch;
@@ -1642,9 +1611,10 @@ impl<P: Clone + fmt::Debug + 'static> Node for EvsProcess<P> {
         self.propagate_telemetry();
         // A fresh incarnation over a non-empty stable store is a restarted
         // process (the udp orchestrator's `kill -9` + respawn path):
-        // rebuild from the WAL instead of booting at epoch 0.
+        // rebuild from the WAL instead of booting at epoch 0. A log whose
+        // every record was damaged is not a fresh medium either.
         if let Ok(replay) = self.storage.replay() {
-            if !replay.is_empty() {
+            if !replay.is_empty() || replay.corrupt_gaps > 0 {
                 self.restart_from_wal(ctx, replay);
                 return;
             }
@@ -2238,12 +2208,35 @@ mod tests {
         (node, env, telemetry)
     }
 
+    /// Excommunicates `node` once: a configuration-id flip the next sweep
+    /// catches. The round journals a `FailMark` and the fresh singleton's
+    /// configuration records — the cheapest way a singleton grows its log
+    /// with records the engine writes.
+    fn excommunicate_once(node: &mut EvsProcess<&'static str>, env: &mut Env) {
+        node.inject_corruption(CorruptionKind::ConfDesync);
+        env.with(|ctx| node.on_timer(ctx, TICK));
+    }
+
     #[test]
     fn steady_state_compaction_survives_a_kill() {
         let (mut node, mut env) = started();
+        // Excommunicate just until the log compacts, so no configuration
+        // record follows the checkpoint: the restart must name the failed
+        // configuration from the checkpoint alone.
+        let mut rounds = 0;
+        while node
+            .storage_mut()
+            .replay()
+            .expect("replay")
+            .snapshot
+            .is_none()
+        {
+            excommunicate_once(&mut node, &mut env);
+            rounds += 1;
+        }
+        assert!(rounds > 1, "the trigger takes many rounds");
         let installed = node.current_config().id;
-        // A singleton journals a Sent and a Cut per message.
-        let sent = WAL_COMPACT_RECORDS / 2 + 300;
+        let sent = 300;
         for _ in 0..sent {
             env.with(|ctx| node.submit(ctx, Service::Agreed, "m"));
         }
@@ -2253,19 +2246,23 @@ mod tests {
         assert_eq!(cp.installed, Some(installed));
         assert_eq!(cp.max_epoch, installed.epoch);
         assert!((replay.records.len() as u64) < WAL_COMPACT_RECORDS);
+        assert!(
+            replay.records.iter().all(|r| !matches!(
+                WalRecord::decode(r),
+                Some(WalRecord::ConfDelivered { .. } | WalRecord::FailMark { .. })
+            )),
+            "nothing after the checkpoint names a configuration"
+        );
 
         // kill -9: the machine keeps what was synced — the checkpoint and
-        // the records up to the last lease — and no fail_p(c) was written.
+        // every record after it, since each one is synced — and no
+        // fail_p(c) was written for the last configuration.
         let synced = replay
             .records
             .iter()
             .rposition(|r| matches!(WalRecord::decode(r), Some(WalRecord::Lease(_))))
             .expect("a lease was taken after the checkpoint");
-        assert!(
-            synced + 1 < replay.records.len(),
-            "an unsynced tail to lose"
-        );
-        replay.records.truncate(synced + 1);
+        assert_eq!(synced + 1, replay.records.len(), "the lease is the tail");
         replay.wal_present = true;
         let (mut next, mut env, _) = started_over(replay);
         let fails: Vec<ConfigId> = env
@@ -2287,101 +2284,6 @@ mod tests {
             sent_counters(&env)[0] > sent,
             "ids resume above every id the dead incarnation used"
         );
-    }
-
-    /// The records appended since the log held `from` of them.
-    fn appended_since(node: &mut EvsProcess<&'static str>, from: usize) -> Vec<WalRecord> {
-        let replay = node.storage_mut().replay().expect("replay");
-        replay.records[from..]
-            .iter()
-            .map(|r| WalRecord::decode(r).expect("intact record"))
-            .collect()
-    }
-
-    fn wal_len(node: &mut EvsProcess<&'static str>) -> usize {
-        node.storage_mut().replay().expect("replay").records.len()
-    }
-
-    #[test]
-    fn a_token_visit_journals_one_sent_for_its_burst() {
-        let (mut node, mut env) = started();
-        let cfg = ConfigId::regular(1, p(0));
-        let max = node.params.max_per_visit;
-        node.mode = Mode::Regular {
-            ring: Ring::new(p(0), cfg, vec![p(0), p(1), p(2)], max),
-        };
-        for _ in 0..max {
-            env.with(|ctx| node.submit(ctx, Service::Agreed, "m"));
-        }
-        let token = |token_id, seq, aru, rtr: &[u64]| {
-            EvsMsg::Ring(RingMsg::Token(evs_order::Token {
-                config: cfg,
-                token_id,
-                seq,
-                aru,
-                aru_id: None,
-                rtr: rtr.iter().copied().collect(),
-                rotation: 0,
-            }))
-        };
-
-        // The visit stamps all 16 own messages: one `Sent`, the 16th's,
-        // then the drain's `Cut`.
-        let before = wal_len(&mut node);
-        env.with(|ctx| node.on_message(ctx, p(2), token(1, 0, 0, &[])));
-        let last = max as u64;
-        assert_eq!(sent_counters(&env).len(), max, "every send is traced");
-        assert_eq!(
-            appended_since(&mut node, before),
-            vec![
-                WalRecord::Sent {
-                    counter: last,
-                    epoch: 1,
-                    rep: 0,
-                    seq: last,
-                },
-                WalRecord::Cut {
-                    epoch: 1,
-                    rep: 0,
-                    transitional: false,
-                    seq: last,
-                },
-            ]
-        );
-
-        // Serving retransmissions of already-sent ids journals no `Sent`.
-        let before = wal_len(&mut node);
-        let ((), out) =
-            env.with(|ctx| node.on_message(ctx, p(2), token(4, last, last, &[1, 2, 3])));
-        assert!(
-            out.iter()
-                .any(|m| matches!(m, EvsMsg::Ring(RingMsg::Batch(b)) if b.len() == 3)),
-            "the three requests were served: {out:?}"
-        );
-        assert!(
-            !appended_since(&mut node, before)
-                .iter()
-                .any(|r| matches!(r, WalRecord::Sent { .. })),
-            "a retransmission is not a send"
-        );
-        assert_eq!(sent_counters(&env).len(), max, "nor traced as one");
-    }
-
-    #[test]
-    fn a_singleton_journals_one_sent_per_submit() {
-        let (mut node, mut env) = started();
-        let before = wal_len(&mut node);
-        for _ in 0..3 {
-            env.with(|ctx| node.submit(ctx, Service::Agreed, "m"));
-        }
-        let sent: Vec<u64> = appended_since(&mut node, before)
-            .into_iter()
-            .filter_map(|r| match r {
-                WalRecord::Sent { counter, .. } => Some(counter),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(sent, vec![1, 2, 3]);
     }
 
     #[test]

@@ -15,10 +15,13 @@
 //! * the last **configuration delivered** with no failure mark after it —
 //!   a kill leaves no `fail_p(c)` in the trace, so the next incarnation
 //!   must emit one on the dead incarnation's behalf before it re-enters
-//!   the system (see [`Recovered::undead`]);
-//! * the **obligation set** of §3 Step 5.c and the **delivered/stable
-//!   cut**, persisted for post-mortem audit of what the dead incarnation
-//!   had promised and delivered.
+//!   the system (see [`Recovered::undead`]).
+//!
+//! The engine writes only the records those three need — `Lease`,
+//! `ConfDelivered`, `Epoch`, `FailMark` — plus checkpoints, and syncs each.
+//! `Sent`, `Cut` and `Obligations` are decode-only: earlier versions wrote
+//! them, so the decoder keeps their tags and the fold still reads them,
+//! and a log from such a version folds to the same state.
 //!
 //! The encoding is deliberately trivial: one tag byte followed by
 //! fixed-width little-endian fields (`evs-store` owns framing, CRCs and
@@ -45,12 +48,9 @@ pub const LEASE_BLOCK: u64 = 1024;
 /// into one [`Checkpoint`] in steady state. 4096 records of 41 framed
 /// bytes at most stay under one default 256 KiB `evs-store` segment, so a
 /// compaction retires a single file and a replay folds a few thousand
-/// records at most. On a loaded ring of n members a process appends one
-/// [`WalRecord::Sent`] per own visit and one [`WalRecord::Cut`] per
-/// delivered burst: n + 1 records per rotation of up to
-/// n × `max_per_visit` messages. So the snapshot's `fdatasync` is paid
-/// once per 4096 / (n + 1) rotations (1,024 at n = 3, up to 49,152
-/// messages), not per token visit.
+/// records at most. In steady state a process appends one
+/// [`WalRecord::Lease`] per [`LEASE_BLOCK`] own messages and three records
+/// per configuration change, so the trigger is rare.
 pub const WAL_COMPACT_RECORDS: u64 = 4096;
 
 /// One entry in the engine's write-ahead log.
@@ -60,12 +60,11 @@ pub enum WalRecord {
     /// sync. Written (and synced) *before* the first id past the previous
     /// lease is handed out, so a kill can never observe a reused id.
     Lease(u64),
-    /// The send high-water mark: the last own message a token visit (or a
-    /// singleton's submit) stamped into the total order. One record stands
-    /// for the whole stamping burst: stamping follows counter order, and
-    /// the fold reads only the largest counter and epoch — every counter
-    /// also lies under a synced [`WalRecord::Lease`], so a kill that loses
-    /// part of a burst recovers the same counter.
+    /// Decode-only: the send high-water mark earlier versions journaled
+    /// per stamping burst. The engine no longer writes it — its counter
+    /// always lies under a synced [`WalRecord::Lease`] and its epoch under
+    /// a synced [`WalRecord::ConfDelivered`] or [`Checkpoint`] — but the
+    /// fold still reads both from old logs.
     Sent {
         /// The message-id counter value of the send.
         counter: u64,
@@ -86,11 +85,13 @@ pub enum WalRecord {
         /// True for transitional configurations.
         transitional: bool,
     },
-    /// §3 Step 5.c: the obligation set after this process acknowledged
-    /// (empty when Step 6 retires it).
+    /// Decode-only: the §3 Step 5.c obligation set earlier versions
+    /// journaled. Nothing reads it back — a reincarnation starts as a
+    /// singleton with no obligations — so the fold skips it.
     Obligations(Vec<u32>),
-    /// The delivered/stable cut: everything up to ring ordinal `seq` in
-    /// the named configuration has been delivered locally.
+    /// Decode-only: the delivered/stable cut earlier versions journaled
+    /// per delivery burst. The fold still reads its epoch, which a synced
+    /// [`WalRecord::ConfDelivered`] or [`Checkpoint`] already carries.
     Cut {
         /// Epoch of the configuration the cut is taken in.
         epoch: u64,
@@ -389,9 +390,6 @@ pub struct Recovered {
     /// while a *missing* fail never does, so a suspect undead must be
     /// suppressed rather than guessed at.
     pub undead_suspect: bool,
-    /// The last-persisted §3 Step 5.c obligation set (audit only — a
-    /// restarted singleton starts with no obligations).
-    pub obligations: Vec<u32>,
     /// Decoded records folded in (snapshot excluded).
     pub records: u64,
     /// Records that were CRC-clean but failed to decode — rewritten state,
@@ -400,11 +398,14 @@ pub struct Recovered {
     /// Typed classification of the first poisoned record (or snapshot).
     pub poison: Option<ReplayError>,
     /// True when *something* in the replay bounded the message counter: a
-    /// decoded snapshot, or any surviving `Lease`/`Sent`/`FailMark`
-    /// record. False with [`ReplayError::BadSnapshot`] means every lease
-    /// the dead incarnation took may be hidden inside the unreadable
-    /// snapshot — no skip distance is provably safe, and the engine
-    /// refuses to start (see `EvsProcess::start_refused`).
+    /// decoded snapshot, or any surviving `Lease`/`FailMark` record (or
+    /// an old log's `Sent`). False with [`ReplayError::BadSnapshot`] means
+    /// every lease the dead incarnation took may be hidden inside the
+    /// unreadable snapshot — no skip distance is provably safe, and the
+    /// engine refuses to start (see `EvsProcess::start_refused`). The
+    /// engine journals a synced `Lease` of the checkpoint's counter right
+    /// after every snapshot, so this happens only when a kill lands
+    /// between the two writes.
     pub counter_bounded: bool,
 }
 
@@ -504,7 +505,7 @@ pub fn fold(snapshot: Option<&[u8]>, records: &[Vec<u8>], gaps_at: &[u64]) -> Re
                 // again: nothing newer can hide before it.
                 suspect = false;
             }
-            WalRecord::Obligations(members) => out.obligations = members,
+            WalRecord::Obligations(_) => {}
             WalRecord::Cut { epoch, .. } => out.max_epoch = out.max_epoch.max(epoch),
             WalRecord::Epoch(epoch) => out.max_epoch = out.max_epoch.max(epoch),
             WalRecord::FailMark {

@@ -7,10 +7,9 @@
 //! provided:
 //!
 //! * [`FileStorage`] — an on-disk WAL with CRC-checked, length-delimited
-//!   records, segment rotation, snapshot-triggered compaction, and
-//!   torn-write truncation on replay (a partial tail record — the signature
-//!   of a `kill -9` mid-write — is discarded, never a panic and never an
-//!   error).
+//!   records, segment rotation, snapshot-triggered compaction, and a
+//!   read-only replay (a damaged record is skipped and counted, never a
+//!   panic and never an error).
 //! * [`NullStorage`] — an in-memory stand-in with identical semantics,
 //!   keeping the deterministic simulator and the benchmarks in one flat
 //!   buffer while still exercising every persist point.
@@ -21,16 +20,25 @@
 //! absurd allocation. Replay distinguishes the two ways a log can be
 //! damaged:
 //!
-//! * a **torn tail** — a partial final record with nothing valid after it,
-//!   the signature of a `kill -9` mid-write — is truncated away;
+//! * a **damaged tail** — a final record whose frame fails with nothing
+//!   valid after it — is skipped. It may be a `kill -9` mid-write
+//!   or bit rot in the last record; the two look alike, so
+//!   [`FileStorage::replay`] counts it as one more gap, positioned after
+//!   the last record ([`Replay::corrupt_gaps`], [`Replay::gap_positions`]).
+//!   A caller that syncs every record it writes cannot tell a torn write
+//!   from a lost synced record, and must assume the worse;
 //! * a **mid-log corruption** — a record whose CRC fails but which is
 //!   followed by further valid records, the signature of in-place bit rot —
 //!   is *resynchronized over*: the scan skips forward to the next valid
-//!   frame, keeps everything after the damage, counts the gap
-//!   ([`Scan::gaps`] / [`Replay::corrupt_gaps`]) and rewrites the segment
-//!   so the next replay sees a clean log. Treating bit rot like a torn
-//!   tail would silently discard every record after the flipped bit —
+//!   frame, keeps everything after the damage and counts the gap
+//!   ([`Scan::gaps`] / [`Replay::corrupt_gaps`]). Treating bit rot like a
+//!   torn tail would silently discard every record after the flipped bit —
 //!   including id leases and failure marks whose loss breaks Spec 1.4.
+//!
+//! Replay repairs nothing. Both kinds of damage stay on disk, and every
+//! replay reports them again, until the next snapshot retires the old
+//! segments. A restart that skips ids past the damage writes that skip in
+//! its checkpoint, so a kill during the restart cannot forget the skip.
 //!
 //! Callers that know the record semantics layer typed validation on top:
 //! a CRC-valid record with an impossible payload (unknown tag, absurd
@@ -282,9 +290,9 @@ pub struct Replay {
     /// Bytes discarded as torn or corrupt (partial tail writes plus
     /// resynchronized gap bytes).
     pub torn_bytes: u64,
-    /// Mid-log corruption gaps resynchronized over — in-place bit rot,
-    /// not torn tails. Each gap may have swallowed at most the records
-    /// it covered; the engine widens its id-lease skip accordingly.
+    /// Damaged stretches of the log: mid-log gaps resynchronized over
+    /// (in-place bit rot), plus one for a damaged tail. Each may have
+    /// swallowed records; the engine widens its id-lease skip accordingly.
     pub corrupt_gaps: u64,
     /// Where each gap sits, as indices into [`Replay::records`] (the
     /// per-segment [`Scan::gap_positions`], offset into the global record
@@ -314,7 +322,10 @@ impl Replay {
 ///   a subsequent `replay` returns that blob plus only the records
 ///   appended after it (log compaction).
 /// * `replay` never fails on torn or corrupt data — it returns the
-///   longest clean prefix and truncates the damage away.
+///   intact records and counts the damage. It never writes: the damage
+///   stays on disk, and is counted again by every replay, until the next
+///   `snapshot` retires it. A caller that skips past the damage must
+///   therefore write that skip durably before the damage can disappear.
 pub trait Storage: Send {
     /// Appends one record to the log.
     fn append(&mut self, record: &[u8]) -> io::Result<()>;
@@ -486,8 +497,8 @@ const SNAPSHOT_FILE: &str = "snapshot.bin";
 /// Layout: `wal-<seq>.log` segments (monotone `seq`, rotated at
 /// [`DEFAULT_SEGMENT_BYTES`]) plus an optional `snapshot.bin`. Every open
 /// starts a fresh segment, so an incarnation never appends behind a torn
-/// tail; replay truncates torn tails in place and ignores segments past
-/// the first damage.
+/// tail; replay leaves the damage in place and ignores segments past the
+/// first damaged tail.
 ///
 /// Appends are unbuffered `write(2)` calls: once `append` returns, the
 /// bytes are in the operating system and survive `kill -9`. `sync` adds
@@ -653,37 +664,15 @@ impl Storage for FileStorage {
             replay
                 .gap_positions
                 .extend(scan.gap_positions.iter().map(|&g| base + g));
-            if scan.gaps > 0 {
-                // Mid-segment corruption: self-heal by rewriting the
-                // segment from its valid records (tmp + rename, so a
-                // crash mid-heal leaves the old file intact) — the next
-                // replay sees a clean log and reports no damage.
-                let mut clean = Vec::new();
-                for rec in &scan.records {
-                    encode_record(rec, &mut clean);
-                }
-                let tmp = self.dir.join(format!("wal-{seq}.heal"));
-                let heal = (|| {
-                    let mut file = File::create(&tmp)?;
-                    file.write_all(&clean)?;
-                    file.sync_data()?;
-                    fs::rename(&tmp, &path)
-                })();
-                heal?;
-                self.active = None;
-            } else if tail > 0 {
-                // Torn tail only: truncate the damage away in place so
-                // the next replay sees a clean log.
-                OpenOptions::new()
-                    .write(true)
-                    .open(&path)?
-                    .set_len(scan.scanned as u64)?;
-                self.active = None;
-            }
             replay.records.extend(scan.records);
             if tail > 0 {
-                // A torn tail means writing stopped mid-record here:
-                // ignore any later segment — it was written after the
+                // A damaged tail is a lost record at the end of the log:
+                // rot in a complete final record reads exactly like a
+                // write torn by a kill, so it is counted as a gap after
+                // the last record, never as an ordinary end of log.
+                replay.corrupt_gaps += 1;
+                replay.gap_positions.push(replay.records.len() as u64);
+                // Ignore any later segment — it was written after the
                 // damage and cannot be trusted to follow a record we
                 // discarded. (A resynchronized gap does NOT shadow later
                 // segments: the records after it prove writing continued
@@ -902,7 +891,7 @@ mod tests {
     fn torn_tail_is_truncated_at_every_byte_boundary() {
         // Build one clean segment, then replay every possible truncation
         // of it: each must yield a clean prefix of the records, never an
-        // error, and repair the file so the next replay agrees.
+        // error, and leave the file alone until a snapshot retires it.
         let records = recs(8);
         let mut log = Vec::new();
         let mut ends = Vec::new(); // clean prefix length after record i
@@ -917,8 +906,8 @@ mod tests {
             assert_eq!(scan.records, records[..whole].to_vec());
             assert_eq!(scan.clean_len, ends[..whole].last().copied().unwrap_or(0));
         }
-        // The on-disk path agrees with the in-memory scan, and truncation
-        // repairs the file in place.
+        // The on-disk path agrees with the in-memory scan, and every
+        // replay reports the damage until a snapshot retires it.
         let dir = TempDir::new("torn");
         fs::create_dir_all(dir.path()).unwrap();
         let cut = ends[4] + 3; // mid-header of record 5
@@ -927,10 +916,24 @@ mod tests {
         let r = s.replay().unwrap();
         assert_eq!(r.records, records[..5].to_vec());
         assert_eq!(r.torn_bytes, 3);
+        assert_eq!(
+            (r.corrupt_gaps, r.gap_positions),
+            (1, vec![5]),
+            "a damaged tail is a lost record after the last one"
+        );
         assert!(r.wal_present);
-        let repaired = fs::read(dir.path().join("wal-0.log")).unwrap();
-        assert_eq!(repaired.len(), ends[4], "torn tail truncated in place");
-        assert_eq!(s.replay().unwrap().torn_bytes, 0);
+        let kept = fs::read(dir.path().join("wal-0.log")).unwrap();
+        assert_eq!(kept.len(), cut, "replay never writes");
+        let again = s.replay().unwrap();
+        assert_eq!(
+            (again.records, again.torn_bytes, again.corrupt_gaps),
+            (records[..5].to_vec(), 3, 1),
+            "the damage counts until a snapshot retires it"
+        );
+        s.snapshot(b"past-the-damage").unwrap();
+        let after = s.replay().unwrap();
+        assert_eq!((after.torn_bytes, after.corrupt_gaps), (0, 0));
+        assert!(after.records.is_empty());
     }
 
     #[test]
@@ -959,8 +962,8 @@ mod tests {
     }
 
     #[test]
-    fn file_storage_self_heals_a_corrupt_segment() {
-        let dir = TempDir::new("heal");
+    fn file_storage_keeps_a_corrupt_segment_until_a_snapshot() {
+        let dir = TempDir::new("keep");
         let records = recs(6);
         {
             let mut s = FileStorage::open(dir.path()).unwrap();
@@ -986,11 +989,16 @@ mod tests {
         assert_eq!(r.records, expect, "records after the gap survive");
         assert_eq!(r.corrupt_gaps, 1);
         assert!(r.torn_bytes > 0);
-        // The heal rewrote the segment: a second replay is clean.
+        // Replay never writes: a second replay reports the same gap...
         let again = s.replay().unwrap();
         assert_eq!(again.records, expect);
-        assert_eq!(again.corrupt_gaps, 0);
-        assert_eq!(again.torn_bytes, 0);
+        assert_eq!(again.corrupt_gaps, 1);
+        assert_eq!(fs::read(&path).unwrap(), bytes, "the segment is untouched");
+        // ...until a snapshot retires the damaged segment.
+        s.snapshot(b"past-the-gap").unwrap();
+        let after = s.replay().unwrap();
+        assert_eq!((after.corrupt_gaps, after.torn_bytes), (0, 0));
+        assert!(after.records.is_empty());
     }
 
     #[test]
@@ -1030,23 +1038,25 @@ mod tests {
             s.append(r).unwrap();
         }
         s.sync().unwrap();
-        assert!(s.corrupt_record_byte(2, 3).unwrap());
-        let r = s.replay().unwrap();
-        assert_eq!(r.corrupt_gaps, 1, "flipped byte reads as a gap");
-        assert_eq!(r.records.len(), records.len() - 1);
-        // Heal happened; now rot the tail. The budget rounds up to a
-        // whole record, which is replaced by an empty scar — same
-        // physical claim as the in-memory store, so replay keeps the
-        // record *count* and the fold sees positional evidence.
+        // Rot the tail. The budget rounds up to a whole record, which is
+        // replaced by an empty scar — same physical claim as the
+        // in-memory store, so replay keeps the record *count* and the
+        // fold sees positional evidence.
         let removed = s.truncate_tail(3).unwrap();
         assert!(removed >= 3, "whole-record rounding");
         let r = s.replay().unwrap();
-        assert_eq!(r.records.len(), records.len() - 1);
+        assert_eq!(r.records.len(), records.len());
         assert_eq!(r.records.last(), Some(&Vec::new()));
         assert_eq!(r.torn_bytes, 0, "a scar is a valid (empty) frame");
-        // Scars survive a second replay untouched.
-        let again = s.replay().unwrap();
-        assert_eq!(again.records.len(), records.len() - 1);
+        // Now flip a byte mid-log: a gap, with the scar still behind it,
+        // replay after replay (replay never writes).
+        assert!(s.corrupt_record_byte(2, 3).unwrap());
+        for _ in 0..2 {
+            let r = s.replay().unwrap();
+            assert_eq!(r.corrupt_gaps, 1, "flipped byte reads as a gap");
+            assert_eq!(r.records.len(), records.len() - 1);
+            assert_eq!(r.records.last(), Some(&Vec::new()));
+        }
     }
 
     #[test]
@@ -1231,6 +1241,7 @@ mod tests {
         let r = s.replay().unwrap();
         assert_eq!(r.records, vec![b"one".to_vec()]);
         assert!(r.torn_bytes > 0);
+        assert_eq!((r.corrupt_gaps, r.gap_positions), (1, vec![1]));
     }
 
     #[test]

@@ -9,8 +9,10 @@
 // config block sets, but the `..default()` idiom is what real proptest needs.
 #![allow(clippy::needless_update)]
 
-use evs::core::persist::{self, LEASE_BLOCK, WAL_COMPACT_RECORDS};
-use evs::core::{checker, EvsCluster, EvsEvent, EvsParams, EvsProcess, Payload, Service, Trace};
+use evs::core::persist::{self, WalRecord, LEASE_BLOCK, WAL_COMPACT_RECORDS};
+use evs::core::{
+    checker, CorruptionKind, EvsCluster, EvsEvent, EvsParams, EvsProcess, Payload, Service, Trace,
+};
 use evs::runtime::{Ectx, MemDriver, Worker};
 use evs::sim::ProcessId;
 use evs::store::{encode_record, scan_records, FileStorage, Replay, Storage, RECORD_HEADER};
@@ -394,19 +396,27 @@ fn steady_state_compaction_survives_a_kill_on_disk() {
         0,
     );
     a.run(300_000);
+    // Each excommunication journals a FailMark and the fresh singleton's
+    // configuration records. Stop as soon as the log compacts, so no
+    // configuration record follows the checkpoint: the restart must name
+    // the failed configuration from the checkpoint alone.
+    let mut rounds = 0;
+    while !dir.join("snapshot.bin").exists() {
+        a.dispatch(|node, _| node.inject_corruption(CorruptionKind::ConfDesync));
+        a.run(1_000);
+        rounds += 1;
+    }
     let installed = a.node().current_config().id;
-    // A singleton journals a Sent and a Cut per message: well past the
-    // compaction trigger, and some way into the next stretch of log.
-    let sent = WAL_COMPACT_RECORDS / 2 + 300;
+    assert!(installed.epoch >= rounds, "every round excommunicated");
+    let sent = 300;
     for _ in 0..sent {
         a.dispatch(|node, ctx| node.submit(ctx, Service::Agreed, b"m".into()));
     }
     assert_eq!(a.node().current_config().id, installed);
     drop(a); // kill: no on_crash, only the disk remains...
 
-    // ...minus the tail the machine never synced.
-    let lost = unsynced.load(Relaxed);
-    assert!(lost > 0, "an unsynced tail to lose");
+    // ...all of it: every record the engine writes is synced.
+    assert_eq!(unsynced.load(Relaxed), 0, "a kill loses nothing");
     let segments: Vec<_> = std::fs::read_dir(&dir)
         .expect("wal dir")
         .map(|e| e.expect("entry").path())
@@ -416,12 +426,7 @@ fn steady_state_compaction_survives_a_kill_on_disk() {
         panic!("the compaction retired every older segment: {segments:?}");
     };
     let len = std::fs::metadata(segment).expect("segment").len();
-    assert!(lost < len, "something synced follows the checkpoint");
-    std::fs::OpenOptions::new()
-        .write(true)
-        .open(segment)
-        .and_then(|f| f.set_len(len - lost))
-        .expect("drop the tail");
+    assert!(len > 0, "something synced follows the checkpoint");
 
     // What is left is one checkpoint and a short stretch of records.
     let mut storage = FileStorage::open(&dir).expect("reopen WAL");
@@ -430,6 +435,18 @@ fn steady_state_compaction_survives_a_kill_on_disk() {
     assert!(replay.snapshot.is_some(), "the log was compacted mid-run");
     assert!(folded.records > 0 && folded.records < WAL_COMPACT_RECORDS);
     assert_eq!((folded.undead, folded.poisoned), (Some(installed), 0));
+    let cp = replay
+        .snapshot
+        .as_deref()
+        .and_then(persist::Checkpoint::decode);
+    assert_eq!(cp.expect("a checkpoint").installed, Some(installed));
+    assert!(
+        replay.records.iter().all(|r| !matches!(
+            WalRecord::decode(r),
+            Some(WalRecord::ConfDelivered { .. } | WalRecord::FailMark { .. })
+        )),
+        "nothing after the checkpoint names a configuration"
+    );
 
     let mut b = Solo::new(
         EvsProcess::with_storage(p(0), EvsParams::default(), Box::new(storage)),
@@ -500,6 +517,169 @@ fn torn_on_disk_tail_truncates_to_clean_prefix() {
     assert_eq!(replay.records, records[..4].to_vec());
     assert!(replay.torn_bytes > 0);
     assert!(replay.wal_present);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Flips one payload bit of the newest record in the on-disk WAL under
+/// `dir` and returns the record it held — rot in a complete, synced final
+/// record, which replay cannot tell from a write torn by a kill.
+fn rot_last_record(dir: &std::path::Path) -> WalRecord {
+    let segment = std::fs::read_dir(dir)
+        .expect("wal dir")
+        .map(|e| e.expect("entry").path())
+        .filter(|q| std::fs::metadata(q).is_ok_and(|m| m.len() > 0))
+        .filter_map(|q| {
+            let name = q.file_name()?.to_str()?;
+            let seq: u64 = name
+                .strip_prefix("wal-")?
+                .strip_suffix(".log")?
+                .parse()
+                .ok()?;
+            Some((seq, q))
+        })
+        .max()
+        .expect("a non-empty segment")
+        .1;
+    let mut bytes = std::fs::read(&segment).expect("segment");
+    let scan = scan_records(&bytes);
+    assert_eq!(scan.scanned, bytes.len(), "an intact log to rot");
+    let last = scan.records.last().expect("a record to rot");
+    let rec = WalRecord::decode(last).expect("an intact record");
+    let at = bytes.len() - last.len() + 1; // past the tag, inside a value
+    bytes[at] ^= 0x04;
+    std::fs::write(&segment, &bytes).expect("rot");
+    rec
+}
+
+#[test]
+fn tail_rot_in_a_final_lease_skips_past_its_ceiling() {
+    // Every record is synced, so a singleton that sent a few messages
+    // ends its log with the Lease that covers them. Dropping a rotten
+    // final record as if it were a torn write would restart the counter
+    // below ids already sent (Spec 1.4). One that sent nothing holds its
+    // first ConfDelivered alone, and rot in it must not read as a fresh
+    // medium that starts over at epoch 0.
+    for submits in [3, 0] {
+        let dir =
+            std::env::temp_dir().join(format!("evs-tailrot-{}-{submits}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let storage = Box::new(FileStorage::open(&dir).expect("open WAL"));
+        let mut a = Solo::new(
+            EvsProcess::with_storage(p(0), EvsParams::default(), storage),
+            0,
+        );
+        a.run(300_000);
+        for i in 0..submits {
+            let payload = Payload::from(format!("pre-{i}").into_bytes());
+            a.dispatch(|node, ctx| node.submit(ctx, Service::Safe, payload));
+            a.run(20_000);
+        }
+        let (trace1, end1) = (a.worker.trace().to_vec(), a.now);
+        drop(a);
+        let ceiling = 1 + LEASE_BLOCK;
+        let rotten = if submits > 0 {
+            WalRecord::Lease(ceiling)
+        } else {
+            WalRecord::ConfDelivered {
+                epoch: 0,
+                rep: 0,
+                transitional: false,
+            }
+        };
+        assert_eq!(rot_last_record(&dir), rotten);
+        // Two restarts killed between their replay and their checkpoint:
+        // each replay must still see the damage, or the second restart
+        // would forget the skip the first one owed.
+        for _ in 0..2 {
+            let mut disk = FileStorage::open(&dir).expect("reopen WAL");
+            let replay = disk.replay().expect("replay");
+            assert_eq!(replay.corrupt_gaps, 1, "the damaged tail is a gap");
+        }
+
+        let storage = Box::new(FileStorage::open(&dir).expect("reopen WAL"));
+        let mut b = Solo::new(
+            EvsProcess::with_storage(p(0), EvsParams::default(), storage),
+            end1 + 1,
+        );
+        b.run(300_000);
+        assert!(b.node().current_config().id.epoch > LEASE_BLOCK);
+        b.dispatch(|node, ctx| node.submit(ctx, Service::Safe, b"after-rot".into()));
+        b.run(100_000);
+        assert!(b.delivered("after-rot"), "reincarnation makes progress");
+        let counters: Vec<u64> = b
+            .worker
+            .trace()
+            .iter()
+            .filter_map(|(_, e)| match e {
+                EvsEvent::Send { id, .. } => Some(id.counter),
+                _ => None,
+            })
+            .collect();
+        assert!(
+            counters.iter().all(|&c| c > ceiling),
+            "ids resume past the rotten lease's ceiling: {counters:?}"
+        );
+        let mut life = trace1;
+        life.extend(b.worker.into_trace());
+        checker::assert_evs(&Trace::new(vec![life])); // no id sent twice
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+#[test]
+fn tail_rot_in_a_final_install_names_no_older_configuration() {
+    // A ring member's log ends with its formation's regular
+    // ConfDelivered, right after the transitional one. Dropping the
+    // rotten install as a torn write would leave the transitional
+    // configuration as the one the kill owes a fail_p(c) for — a fail in
+    // a configuration the process had already left (Spec 2.2).
+    let mut cluster = EvsCluster::<String>::builder(3).build();
+    assert!(cluster.run_until_settled(300_000));
+    let installed = cluster.config(p(0)).id;
+    let mut journal = None;
+    cluster.sim_mut().invoke(p(0), |node, _| {
+        journal = Some(node.storage_mut().replay().expect("replay"));
+    });
+    let journal = journal.expect("p0's journal");
+    assert!(journal.snapshot.is_none());
+    let dir = std::env::temp_dir().join(format!("evs-installrot-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut disk = FileStorage::open(&dir).expect("open WAL");
+    for rec in &journal.records {
+        disk.append(rec).expect("append");
+    }
+    disk.sync().expect("sync");
+    drop(disk);
+    assert_eq!(
+        rot_last_record(&dir),
+        WalRecord::ConfDelivered {
+            epoch: installed.epoch,
+            rep: installed.rep.index(),
+            transitional: false,
+        }
+    );
+
+    let storage = Box::new(FileStorage::open(&dir).expect("reopen WAL"));
+    let mut b = Solo::new(
+        EvsProcess::with_storage(p(0), EvsParams::default(), storage),
+        0,
+    );
+    b.run(300_000);
+    assert!(b.node().is_settled(), "reincarnation settles");
+    let fails: Vec<_> = b
+        .worker
+        .trace()
+        .iter()
+        .filter_map(|(_, e)| match e {
+            EvsEvent::Fail { config } => Some(*config),
+            _ => None,
+        })
+        .collect();
+    assert!(
+        fails.iter().all(|c| *c == installed),
+        "no fail names a configuration older than {installed:?}: {fails:?}"
+    );
+    assert!(b.node().current_config().id.epoch > installed.epoch + LEASE_BLOCK);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -674,6 +854,88 @@ fn killed_process_in_simulation_recovers_via_wal() {
         "the WAL must supply fail_p({killed_in:?})"
     );
     checker::assert_evs(&trace);
+}
+
+#[test]
+fn ids_sent_after_an_excommunication_survive_a_kill() {
+    // An excommunication's FailMark carries the exact counter, and the
+    // fold takes a FailMark over every lease before it: the ids sent
+    // after it need a synced lease of their own, or the kill's
+    // reincarnation sends them again (Spec 1.4).
+    let mut cluster = EvsCluster::<String>::builder(1).build();
+    assert!(cluster.run_until_settled(300_000));
+    for i in 0..4 {
+        cluster.submit(p(0), Service::Agreed, format!("pre-{i}"));
+    }
+    cluster.sim_mut().invoke(p(0), |node, _| {
+        node.inject_corruption(CorruptionKind::ConfDesync)
+    });
+    assert!(cluster.run_until_settled(300_000));
+    for i in 0..3 {
+        cluster.submit(p(0), Service::Agreed, format!("between-{i}"));
+    }
+    assert!(cluster.run_until_settled(300_000));
+    cluster.kill(p(0));
+    cluster.recover(p(0));
+    assert!(cluster.run_until_settled(300_000));
+    cluster.submit(p(0), Service::Agreed, "post".into());
+    assert!(cluster.run_until_settled(300_000));
+    let trace = cluster.trace();
+    let fails = trace.of(p(0)).iter();
+    let fails = fails.filter(|(_, e)| matches!(e, EvsEvent::Fail { .. }));
+    assert_eq!(fails.count(), 2, "the excommunication and the kill");
+    checker::assert_evs(&trace); // no id sent twice
+}
+
+#[test]
+fn a_ring_journals_one_lease_per_block_and_nothing_per_message() {
+    // What a loaded ring journals: its formation's Epoch and
+    // ConfDelivered records, then one Lease per LEASE_BLOCK ids at the
+    // sender, and nothing per message or per delivery anywhere.
+    let mut cluster = EvsCluster::<String>::builder(3).build();
+    assert!(cluster.run_until_settled(300_000));
+    let logs = |cluster: &mut EvsCluster<String>| -> Vec<Vec<WalRecord>> {
+        let mut logs = vec![Vec::new(); 3];
+        for (i, log) in logs.iter_mut().enumerate() {
+            cluster.sim_mut().invoke(p(i as u32), |node, _| {
+                let replay = node.storage_mut().replay().expect("replay");
+                assert!(replay.snapshot.is_none(), "no compaction");
+                *log = replay
+                    .records
+                    .iter()
+                    .map(|r| WalRecord::decode(r).unwrap())
+                    .collect();
+            });
+        }
+        logs
+    };
+    let formed = logs(&mut cluster);
+    for log in &formed {
+        assert!(
+            log.iter()
+                .all(|r| matches!(r, WalRecord::Epoch(_) | WalRecord::ConfDelivered { .. })),
+            "formation journals its configuration records only: {log:?}"
+        );
+    }
+    const MESSAGES: u64 = 10_000;
+    for i in 0..MESSAGES {
+        cluster.submit(p(0), Service::Agreed, i.to_string());
+        if i % 256 == 255 {
+            cluster.run_for(2_000);
+        }
+    }
+    assert!(cluster.run_until_settled(2_000_000));
+    assert_eq!(texts(&cluster, p(2)).len() as u64, MESSAGES);
+    // Lease k is taken at id (k - 1)(LEASE_BLOCK + 1) + 1 and claims
+    // LEASE_BLOCK ids past it.
+    let leases: Vec<WalRecord> = (0..MESSAGES.div_ceil(LEASE_BLOCK))
+        .map(|k| WalRecord::Lease(k * (LEASE_BLOCK + 1) + 1 + LEASE_BLOCK))
+        .collect();
+    for (i, (log, formed)) in logs(&mut cluster).iter().zip(&formed).enumerate() {
+        assert_eq!(&log[..formed.len()], &formed[..]);
+        let want = if i == 0 { &leases[..] } else { &[] };
+        assert_eq!(&log[formed.len()..], want, "P{i} journals its leases only");
+    }
 }
 
 #[test]
