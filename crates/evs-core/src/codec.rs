@@ -7,11 +7,15 @@
 //! broker frames (`evs_broker::proto`) all decode through it; the one
 //! writer they share is the vendored `bytes::BufMut`.
 //!
+//! Integers are fixed-width, except where a format opts into [`Get::var`]:
+//! canonical LEB128, written by [`put_var`].
+//!
 //! Caps are the caller's to state. [`Get::count`] takes the largest
 //! element count the format allows and the fewest bytes one element can
 //! occupy, so a collection is presized from what the input can hold, not
 //! from what a hostile prefix claims.
 
+use bytes::BufMut;
 use core::fmt;
 
 /// Sanity cap for any single length prefix (collections, payloads).
@@ -22,8 +26,8 @@ pub const MAX_LEN: u64 = 1 << 24;
 pub enum DecodeError {
     /// The buffer ended before the value was complete.
     UnexpectedEof,
-    /// An enum tag byte had no corresponding variant, or a collection was
-    /// not in its canonical order.
+    /// An enum tag byte had no corresponding variant, or a value or a
+    /// collection was not in its canonical form.
     BadTag {
         /// Which enum (or ordering rule) was being decoded.
         what: &'static str,
@@ -151,6 +155,30 @@ impl<'a, const BE: bool> Get<'a, BE> {
         })
     }
 
+    /// A `u64` in unsigned LEB128: seven bits a byte, the least
+    /// significant group first, the high bit set on every byte but the
+    /// last. Only the shortest spelling is accepted — no final zero group
+    /// after the first byte, no tenth byte above 1, no eleventh byte — so
+    /// every accepted input re-encodes to itself through [`put_var`].
+    #[inline]
+    pub fn var(&mut self) -> Result<u64> {
+        let mut v = 0;
+        for (i, &b) in self.buf.iter().enumerate().take(10) {
+            if (i == 9 && b > 1) || (i > 0 && b == 0) {
+                return Err(DecodeError::BadTag {
+                    what: "canonical LEB128 u64",
+                    tag: b,
+                });
+            }
+            v |= u64::from(b & 0x7f) << (7 * i);
+            if b & 0x80 == 0 {
+                self.buf = &self.buf[i + 1..];
+                return Ok(v);
+            }
+        }
+        Err(DecodeError::UnexpectedEof)
+    }
+
     /// A `u32` element count or byte length, checked twice: against `max`,
     /// the cap the caller's format states, and against the input — `n`
     /// elements of at least `min_elem_bytes` each must fit in what is
@@ -159,6 +187,18 @@ impl<'a, const BE: bool> Get<'a, BE> {
     #[inline]
     pub fn count(&mut self, max: u64, min_elem_bytes: usize) -> Result<usize> {
         let n = u64::from(self.u32()?);
+        self.fitting(n, max, min_elem_bytes)
+    }
+
+    /// [`Get::count`] for a count written as a [`Get::var`].
+    #[inline]
+    pub fn var_count(&mut self, max: u64, min_elem_bytes: usize) -> Result<usize> {
+        let n = self.var()?;
+        self.fitting(n, max, min_elem_bytes)
+    }
+
+    #[inline]
+    fn fitting(&self, n: u64, max: u64, min_elem_bytes: usize) -> Result<usize> {
         if n > max {
             return Err(DecodeError::OversizedLength { len: n });
         }
@@ -177,6 +217,21 @@ impl<'a, const BE: bool> Get<'a, BE> {
             remaining => Err(DecodeError::TrailingBytes { remaining }),
         }
     }
+}
+
+/// Appends `v` as the LEB128 integer [`Get::var`] reads: one byte below
+/// 128, ten at most.
+#[inline]
+pub fn put_var(out: &mut impl BufMut, mut v: u64) {
+    let mut buf = [0; 10];
+    let mut n = 0;
+    while v >= 0x80 {
+        buf[n] = v as u8 | 0x80;
+        v >>= 7;
+        n += 1;
+    }
+    buf[n] = v as u8;
+    out.put_slice(&buf[..=n]);
 }
 
 #[cfg(test)]
@@ -210,6 +265,55 @@ mod tests {
                 tag: 2
             })
         );
+    }
+
+    #[test]
+    fn var_round_trips_at_every_width() {
+        let mut out = Vec::new();
+        for shift in 0..64 {
+            for v in [1u64 << shift, (1 << shift) - 1, u64::MAX >> shift] {
+                out.clear();
+                put_var(&mut out, v);
+                assert_eq!(
+                    out.len(),
+                    (64 - v.leading_zeros() as usize).div_ceil(7).max(1)
+                );
+                let mut g = Get::le(&out);
+                assert_eq!(g.var(), Ok(v));
+                g.finish().unwrap();
+            }
+        }
+    }
+
+    #[test]
+    fn var_refuses_every_spelling_but_the_shortest() {
+        let bad = |what: &[u8], tag| {
+            let mut g = Get::le(what);
+            assert_eq!(
+                g.var(),
+                Err(DecodeError::BadTag {
+                    what: "canonical LEB128 u64",
+                    tag
+                }),
+                "{what:02x?}"
+            );
+            assert_eq!(g.remaining(), what.len(), "a failed read consumes nothing");
+        };
+        // Overlong: 1 spelled in two bytes, 0 in two.
+        bad(&[0x81, 0x00], 0);
+        bad(&[0x80, 0x00], 0);
+        // Bit 64 and above in the tenth byte, and an eleventh byte.
+        let mut max = [0xff; 10];
+        max[9] = 0x01;
+        assert_eq!(Get::le(&max).var(), Ok(u64::MAX));
+        max[9] = 0x02;
+        bad(&max, 2);
+        let mut eleven = [0x80; 11];
+        eleven[10] = 0x01;
+        bad(&eleven, 0x80);
+        // Truncation mid-integer.
+        assert_eq!(Get::le(&[0x80]).var(), Err(DecodeError::UnexpectedEof));
+        assert_eq!(Get::le(&[]).var(), Err(DecodeError::UnexpectedEof));
     }
 
     #[test]

@@ -240,8 +240,8 @@ pub struct EvsProcess<P> {
     /// is a retransmission. Delivery follows the ordinals, so own ids are
     /// delivered in counter order too.
     sent_upto: u64,
-    /// A token waiting out its pacing delay before being forwarded
-    /// (§3/Totem: the token is paced so an idle ring does not spin).
+    /// A token waiting out its pacing delay before being forwarded: a
+    /// quiescent ring paces its token so it does not spin.
     pending_token: Option<(ProcessId, evs_order::Token)>,
     /// The armed maintenance timer: the deadline it fires at and its id.
     /// The engine re-arms it to the *earliest* pending protocol deadline
@@ -844,31 +844,30 @@ impl<P: Clone + fmt::Debug + 'static> EvsProcess<P> {
         // data messages into one frame; the token (paced separately below)
         // still leaves after the data it refers to.
         let mut batch: Vec<OrderedMsg<P>> = Vec::with_capacity(outs.len());
-        let mut sent_data = false;
         for out in outs {
             match out {
                 RingOut::Data(msg) => {
                     self.log_send(ctx, &msg);
                     batch.push(msg);
-                    sent_data = true;
                 }
                 RingOut::TokenTo(to, tok) => {
                     self.flush_data_batch(ctx, &mut batch);
-                    // A loaded ring is rotation-bound: every pacing delay
-                    // multiplies straight into delivery latency, so a visit
-                    // that moved data (or left work queued) forwards the
-                    // token right behind the data it refers to. Pacing is
-                    // only what keeps an *idle* ring from spinning at CPU
-                    // speed, so idle visits still hold the token briefly.
-                    let busy = sent_data
-                        || matches!(&self.mode, Mode::Regular { ring } if ring.pending_len() > 0);
-                    if busy {
-                        self.pending_token = None;
-                        ctx.unicast(to, EvsMsg::Ring(RingMsg::Token(tok)));
-                    } else {
-                        // Pace the token: hold it briefly before forwarding.
+                    // A message turns safe only when the token's aru has
+                    // covered it on two visits in a row, so while one is
+                    // unsafe (or a submission waits to be stamped) every
+                    // hold multiplies into its latency: such a visit
+                    // forwards the token right behind its data. Only a
+                    // quiescent ring holds the token for `token_pace`,
+                    // which is what keeps an idle ring from spinning at
+                    // CPU speed.
+                    let quiescent =
+                        matches!(&self.mode, Mode::Regular { ring } if ring.is_quiescent(&tok));
+                    if quiescent {
                         self.pending_token = Some((to, tok));
                         ctx.set_timer(self.params.token_pace, TOKEN_SEND);
+                    } else {
+                        self.pending_token = None;
+                        ctx.unicast(to, EvsMsg::Ring(RingMsg::Token(tok)));
                     }
                 }
             }
@@ -1799,15 +1798,7 @@ mod tests {
             &mut self,
             f: impl FnOnce(&mut ECtx<'_, &'static str>) -> R,
         ) -> (R, Vec<EvsMsg<&'static str>>) {
-            let mut ctx = Ctx::detached(
-                p(0),
-                self.now,
-                &mut self.stable,
-                &mut self.trace,
-                &mut self.next_timer,
-            );
-            let r = f(&mut ctx);
-            let effects = ctx.take_effects();
+            let (r, effects) = self.effects(f);
             let sent = effects
                 .into_iter()
                 .filter_map(|e| match e {
@@ -1817,6 +1808,22 @@ mod tests {
                 })
                 .collect();
             (r, sent)
+        }
+
+        /// Runs `f` and returns every effect it requested, timers too.
+        fn effects<R>(
+            &mut self,
+            f: impl FnOnce(&mut ECtx<'_, &'static str>) -> R,
+        ) -> (R, Vec<evs_sim::Effect<EvsMsg<&'static str>>>) {
+            let mut ctx = Ctx::detached(
+                p(0),
+                self.now,
+                &mut self.stable,
+                &mut self.trace,
+                &mut self.next_timer,
+            );
+            let r = f(&mut ctx);
+            (r, ctx.take_effects())
         }
     }
 
@@ -1911,6 +1918,162 @@ mod tests {
             .next_back()
             .unwrap();
         assert_eq!(last_counter, 2, "counter persisted across the crash");
+    }
+
+    /// Hands `node` the token `token_id` from `p(1)`, with `seq` and `aru`
+    /// at 1. Returns whether the visit forwarded the token and whether it
+    /// armed the pacing timer.
+    fn visit(node: &mut EvsProcess<&'static str>, env: &mut Env, token_id: u64) -> (bool, bool) {
+        let tok = evs_order::Token {
+            config: ConfigId::regular(1, p(0)),
+            token_id,
+            seq: 1,
+            aru: 1,
+            aru_id: None,
+            rtr: Vec::new(),
+            rotation: 0,
+        };
+        let (_, effects) = env.effects(|ctx| {
+            node.on_message(ctx, p(1), EvsMsg::Ring(RingMsg::Token(tok)));
+        });
+        let forwarded = effects.iter().any(|e| {
+            matches!(e, evs_sim::Effect::Unicast(to, EvsMsg::Ring(RingMsg::Token(_))) if *to == p(1))
+        });
+        let paced = effects
+            .iter()
+            .any(|e| matches!(e, evs_sim::Effect::SetTimer(_, _, TOKEN_SEND)));
+        (forwarded, paced)
+    }
+
+    /// `p(0)` in the ring `{p(0), p(1)}`, holding the safe message 1 that
+    /// `p(1)` stamped.
+    fn on_two_member_ring() -> (EvsProcess<&'static str>, Env) {
+        let (mut node, mut env) = started();
+        let cfg = ConfigId::regular(1, p(0));
+        node.mode = Mode::Regular {
+            ring: Ring::new(p(0), cfg, vec![p(0), p(1)], 16),
+        };
+        let msg = OrderedMsg {
+            config: cfg,
+            seq: 1,
+            id: MessageId::new(p(1), 1),
+            service: Service::Safe,
+            payload: "unsafe",
+        };
+        env.with(|ctx| node.on_message(ctx, p(1), EvsMsg::Ring(RingMsg::Data(msg))));
+        (node, env)
+    }
+
+    #[test]
+    fn a_visit_that_leaves_a_message_unsafe_forwards_the_token_at_once() {
+        let (mut node, mut env) = on_two_member_ring();
+        // The aru covers message 1 for the first time: not yet safe, and
+        // this visit stamps nothing.
+        assert_eq!(visit(&mut node, &mut env, 2), (true, false));
+        assert!(node.pending_token.is_none());
+    }
+
+    #[test]
+    fn a_quiescent_visit_holds_the_token_for_the_pace() {
+        let (mut node, mut env) = on_two_member_ring();
+        visit(&mut node, &mut env, 2);
+        // The second visit in a row with the aru at 1 makes it safe: the
+        // ring is quiescent and the token waits out `token_pace`.
+        assert_eq!(visit(&mut node, &mut env, 4), (false, true));
+        assert!(node.pending_token.is_some());
+        let safe = node.deliveries().iter().filter_map(|d| d.payload()).next();
+        assert_eq!(safe, Some(&"unsafe"));
+    }
+
+    /// Five engines on the simulator, every hop exactly one tick: a hop
+    /// the token was held on takes `1 + token_pace` ticks.
+    #[test]
+    fn a_burst_is_back_to_paced_hops_within_two_rotations_and_n_hops() {
+        use evs_sim::{NetConfig, Sim};
+        let n = 5;
+        let params = EvsParams::default();
+        let pace = params.token_pace;
+        let net = NetConfig {
+            latency_min: 1,
+            latency_max: 1,
+            drop_prob: 0.0,
+            seed: 7,
+        };
+        let mut sim = Sim::new(n, net, |q| {
+            EvsProcess::<&'static str>::new(q, params.clone())
+        });
+        sim.enable_telemetry();
+        let settled = |sim: &Sim<EvsProcess<&'static str>>| {
+            evs_sim::all_ids(n).into_iter().all(|q| {
+                let node = sim.node(q);
+                node.is_settled() && node.current_config().members.len() == n
+            })
+        };
+        while !settled(&sim) {
+            assert!(sim.now().ticks() < 100_000, "no ring of {n} formed");
+            let t = sim.now() + 100;
+            sim.run_until(t);
+        }
+        let burst_at = sim.now().ticks();
+        sim.invoke(p(2), |node, ctx| {
+            for _ in 0..40 {
+                node.submit(ctx, Service::Safe, "burst");
+            }
+        });
+        let end = sim.now() + 250;
+        sim.run_until(end);
+
+        // Every visit since the burst, in hop order: token id, tick, holder.
+        let mut hops: Vec<(u64, u64, ProcessId)> = evs_sim::all_ids(n)
+            .into_iter()
+            .flat_map(|q| {
+                let dump = sim.telemetry(q).flight_dump();
+                dump.into_iter().filter_map(move |r| match r.event {
+                    TelemetryEvent::TokenReceived { token_id, .. } if r.at >= burst_at => {
+                        Some((token_id, r.at, q))
+                    }
+                    _ => None,
+                })
+            })
+            .collect();
+        hops.sort_unstable();
+        assert!(
+            hops.windows(2).all(|w| w[1].0 == w[0].0 + 1),
+            "a hop is missing"
+        );
+        let held: Vec<bool> = hops
+            .windows(2)
+            .map(|w| match w[1].1 - w[0].1 {
+                1 => false,
+                gap => {
+                    assert_eq!(gap, 1 + pace, "a hop is neither immediate nor paced");
+                    true
+                }
+            })
+            .collect();
+
+        let last_stamp = sim
+            .trace(p(2))
+            .iter()
+            .filter(|(_, e)| matches!(e, EvsEvent::Send { .. }))
+            .map(|(t, _)| t.ticks())
+            .max()
+            .expect("the burst was stamped");
+        let k = hops
+            .iter()
+            .position(|&(_, at, q)| q == p(2) && at == last_stamp)
+            .expect("the last stamping visit");
+        assert!(
+            k > 0 && !held[k - 1] && !held[k],
+            "the burst is paced: {held:?}"
+        );
+        // The rest of the rotation the last stamp started leaves messages
+        // unsafe, so it runs unpaced; two rotations and n hops on, every
+        // visit is quiescent and holds the token, for as long as we look.
+        assert!(!held[k + 1], "{held:?}");
+        let quiet = k + 2 * n + n;
+        assert!(held.len() > quiet + 3 * n, "window too short: {held:?}");
+        assert!(held[quiet..].iter().all(|&h| h), "spins unpaced: {held:?}");
     }
 
     #[test]

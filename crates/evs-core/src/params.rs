@@ -13,10 +13,12 @@ pub struct EvsParams {
     /// Parameters of the underlying membership protocol.
     pub membership: MembershipParams,
     /// Pause between receiving the token and forwarding it to the
-    /// successor (Totem's token pacing). Simulated networks pace the token
-    /// through transmission latency anyway; on a live transport with
-    /// microsecond channels, pacing is what keeps an idle ring from
-    /// spinning at CPU speed.
+    /// successor, on quiescent visits only: nothing left to stamp and
+    /// every message ordered so far safe here. Any other visit forwards
+    /// the token at once, since each hold adds to safe-delivery latency.
+    /// Simulated networks pace the token through transmission latency
+    /// anyway; on a live transport with microsecond channels, pacing is
+    /// what keeps an idle ring from spinning at CPU speed.
     pub token_pace: u64,
     /// Quiet time after forwarding the token before retransmitting it
     /// the first time. Consecutive retransmissions of the same forward

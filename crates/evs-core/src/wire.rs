@@ -2,14 +2,19 @@
 //!
 //! The simulator moves typed messages directly; a real deployment (UDP
 //! multicast, as Totem/Transis used) needs a byte encoding, and the live
-//! worker loop (`evs-runtime`) uses it on every medium, in memory too. This module provides a hand-rolled, dependency-light
-//! codec for `EvsMsg<Payload>` — the zero-copy payload type the rest of
-//! the stack hands around — covering every nested protocol type:
-//! configuration identifiers, ring data, data batches and tokens,
-//! membership frames, and recovery exchange state.
+//! worker loop (`evs-runtime`) uses it on every medium, in memory too.
+//! This module is a hand-rolled, dependency-light codec for
+//! `EvsMsg<Payload>` — the zero-copy payload type the rest of the stack
+//! hands around — covering every nested protocol type: configuration
+//! identifiers, ring data, data batches and tokens, membership frames,
+//! and recovery exchange state.
 //!
 //! Layout conventions: fixed-width little-endian integers, one-byte tags
 //! for enums, `u32` length prefixes for collections, `0`/`1` for booleans.
+//! The token is the one exception: every integer of it, its counts and
+//! its configuration's included, is canonical LEB128 ([`Get::var`]), so
+//! the frame the ring passes on every hop is about 15 bytes where
+//! fixed-width integers take 51.
 //! Decoding reads through the checked [`Get`] cursor and is strict:
 //! trailing garbage inside a frame, unknown tags, non-canonical sets and
 //! truncation are all errors — a malformed datagram must never turn into a
@@ -41,7 +46,7 @@
 //! assert!(matches!(back, EvsMsg::Memb(MembMsg::Heartbeat { .. })));
 //! ```
 
-use crate::codec::{DecodeError, Get, Result, MAX_LEN};
+use crate::codec::{put_var, DecodeError, Get, Result, MAX_LEN};
 use crate::recovery::ExchangeState;
 use crate::{EvsMsg, Payload};
 use bytes::{BufMut, BytesMut};
@@ -61,7 +66,6 @@ const MAX_RECEIVED: u64 = 1 << 20;
 /// Wire bytes of the fixed-width elements collections are made of: the
 /// least one element can occupy, which bounds a count's presize.
 const PID_BYTES: usize = 4;
-const ORDINAL_BYTES: usize = 8;
 const RUN_BYTES: usize = 16;
 
 // --- primitive helpers -------------------------------------------------
@@ -269,40 +273,92 @@ fn get_ordered_msg<'a>(
     })
 }
 
+/// The token is the one frame whose integers are LEB128 ([`put_var`]):
+/// it crosses every hop of the ring, idle or loaded, and its fields are
+/// small — `aru` rides as its distance below `seq`, each retransmission
+/// request after the first as its distance above the one before. A token
+/// no ring forwards (`aru` above `seq`, requests out of order) encodes
+/// to bytes no peer accepts.
 fn put_token(out: &mut BytesMut, t: &Token) {
-    put_config(out, t.config);
-    out.put_u64_le(t.token_id);
-    out.put_u64_le(t.seq);
-    out.put_u64_le(t.aru);
+    put_var(out, t.config.epoch);
+    put_var(out, t.config.rep.index().into());
+    out.put_u8(u8::from(t.config.transitional));
+    put_var(out, t.token_id);
+    put_var(out, t.seq);
+    put_var(out, t.seq.wrapping_sub(t.aru));
     match t.aru_id {
         None => out.put_u8(0),
         Some(p) => {
             out.put_u8(1);
-            put_pid(out, p);
+            put_var(out, p.index().into());
         }
     }
-    put_set(out, &t.rtr, |out, s| out.put_u64_le(s));
-    out.put_u64_le(t.rotation);
+    put_var(out, t.rtr.len() as u64);
+    let mut prev = 0;
+    for &s in &t.rtr {
+        put_var(out, s.wrapping_sub(prev));
+        prev = s;
+    }
+    put_var(out, t.rotation);
+}
+
+fn get_var_pid(g: &mut Get) -> Result<ProcessId> {
+    let p = g.var()?;
+    u32::try_from(p)
+        .map(ProcessId::new)
+        .map_err(|_| DecodeError::BadTag {
+            what: "u32 process id",
+            tag: 0,
+        })
 }
 
 fn get_token(g: &mut Get) -> Result<Token> {
+    let config = ConfigId {
+        epoch: g.var()?,
+        rep: get_var_pid(g)?,
+        transitional: g.bool()?,
+    };
+    let token_id = g.var()?;
+    let seq = g.var()?;
+    let below = g.var()?;
+    let aru = seq.checked_sub(below).ok_or(DecodeError::BadTag {
+        what: "aru at or below seq",
+        tag: 0,
+    })?;
+    let aru_id = match g.u8()? {
+        0 => None,
+        1 => Some(get_var_pid(g)?),
+        tag => {
+            return Err(DecodeError::BadTag {
+                what: "Option<ProcessId>",
+                tag,
+            })
+        }
+    };
+    // One byte at least per request, so the list is presized from the
+    // input: 8 heap bytes for each byte of it.
+    let n = g.var_count(MAX_LEN, 1)?;
+    let mut rtr: Vec<u64> = Vec::with_capacity(n);
+    for _ in 0..n {
+        let step = g.var()?;
+        let s = match rtr.last() {
+            None => Some(step),
+            Some(&prev) if step > 0 => prev.checked_add(step),
+            Some(_) => None,
+        };
+        rtr.push(s.ok_or(DecodeError::BadTag {
+            what: "ascending retransmission requests",
+            tag: 0,
+        })?);
+    }
     Ok(Token {
-        config: get_config(g)?,
-        token_id: g.u64()?,
-        seq: g.u64()?,
-        aru: g.u64()?,
-        aru_id: match g.u8()? {
-            0 => None,
-            1 => Some(get_pid(g)?),
-            tag => {
-                return Err(DecodeError::BadTag {
-                    what: "Option<ProcessId>",
-                    tag,
-                })
-            }
-        },
-        rtr: get_set(g, ORDINAL_BYTES, "ascending u64 set", Get::u64)?,
-        rotation: g.u64()?,
+        config,
+        token_id,
+        seq,
+        aru,
+        aru_id,
+        rtr,
+        rotation: g.var()?,
     })
 }
 
@@ -637,7 +693,7 @@ mod tests {
                 seq: 56,
                 aru: 54,
                 aru_id: Some(p(4)),
-                rtr: [3, 9, 27].into_iter().collect(),
+                rtr: vec![3, 9, 27],
                 rotation: 12,
             })),
             EvsMsg::Ring(RingMsg::Token(Token {
@@ -646,7 +702,7 @@ mod tests {
                 seq: 0,
                 aru: 0,
                 aru_id: None,
-                rtr: BTreeSet::new(),
+                rtr: Vec::new(),
                 rotation: 0,
             })),
             EvsMsg::Exchange(ExchangeState {

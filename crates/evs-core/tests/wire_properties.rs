@@ -67,24 +67,36 @@ fn large_ordered_msg() -> impl Strategy<Value = OrderedMsg<Payload>> {
     })
 }
 
+/// A token field: small, anywhere, or an extreme of the LEB128 widths.
+fn token_field() -> impl Strategy<Value = u64> {
+    prop_oneof![0u64..10_000, any::<u64>(), Just(u64::MAX), Just(0)]
+}
+
+fn token_pid() -> impl Strategy<Value = ProcessId> {
+    prop_oneof![0u32..64, any::<u32>(), Just(u32::MAX)].prop_map(ProcessId::new)
+}
+
+/// Any token a ring can forward: `aru` at most `seq`, requests ascending.
 fn token() -> impl Strategy<Value = Token> {
     (
-        config_id(),
-        0u64..10_000,
-        0u64..10_000,
-        0u64..10_000,
-        proptest::option::of(pid()),
-        proptest::collection::btree_set(0u64..500, 0..20),
-        0u64..1000,
+        (token_field(), token_pid(), any::<bool>()),
+        (token_field(), token_field(), token_field()),
+        proptest::option::of(token_pid()),
+        proptest::collection::btree_set(token_field(), 0..20),
+        token_field(),
     )
         .prop_map(
-            |(config, token_id, seq, aru, aru_id, rtr, rotation)| Token {
-                config,
+            |((epoch, rep, transitional), (token_id, seq, below), aru_id, rtr, rotation)| Token {
+                config: ConfigId {
+                    epoch,
+                    rep,
+                    transitional,
+                },
                 token_id,
                 seq,
-                aru,
+                aru: seq - below.min(seq),
                 aru_id,
-                rtr,
+                rtr: rtr.into_iter().collect(),
                 rotation,
             },
         )
@@ -185,6 +197,16 @@ proptest! {
         let bytes = wire::encode(&EvsMsg::Exchange(e.clone()));
         match wire::decode(&bytes) {
             Ok(EvsMsg::Exchange(back)) => prop_assert_eq!(back, e),
+            other => prop_assert!(false, "decoded to {:?}", other),
+        }
+    }
+
+    /// A token comes back as it went in, `u64::MAX` fields included.
+    #[test]
+    fn token_round_trips(t in token()) {
+        let bytes = wire::encode(&EvsMsg::Ring(RingMsg::Token(t.clone())));
+        match wire::decode(&bytes) {
+            Ok(EvsMsg::Ring(RingMsg::Token(back))) => prop_assert_eq!(back, t),
             other => prop_assert!(false, "decoded to {:?}", other),
         }
     }

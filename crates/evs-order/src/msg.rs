@@ -3,7 +3,6 @@
 use core::fmt;
 use evs_membership::ConfigId;
 use evs_sim::ProcessId;
-use std::collections::BTreeSet;
 
 /// A system-wide unique message identifier.
 ///
@@ -142,8 +141,11 @@ pub struct Token {
     pub aru: u64,
     /// The process that last lowered `aru` (None when `aru == seq`).
     pub aru_id: Option<ProcessId>,
-    /// Retransmission requests: ordinals some member is missing.
-    pub rtr: BTreeSet<u64>,
+    /// Retransmission requests: ordinals some member is missing,
+    /// strictly ascending. A sorted list and not a set: the token is
+    /// decoded from every datagram that claims to carry one, and a list
+    /// costs 8 heap bytes an ordinal however the requests were spelled.
+    pub rtr: Vec<u64>,
     /// Completed rotations (diagnostics; incremented at the representative).
     pub rotation: u64,
 }

@@ -4,7 +4,7 @@ use crate::{MessageId, OrderedMsg, RingMsg, Service, Token};
 use evs_membership::ConfigId;
 use evs_sim::{ProcessId, SimTime};
 use evs_telemetry::{names, Counter, LogHistogram, Telemetry, TelemetryEvent};
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 /// Ring ordinals at or beyond this value mark the configuration as
 /// exhausted: the ring refuses to stamp past it and reports itself
@@ -279,6 +279,15 @@ impl<P: Clone> Ring<P> {
         self.pending.len()
     }
 
+    /// True when the ring has nothing left to move once `tok` leaves
+    /// this visit: no submission waits to be stamped and the safe line
+    /// has reached the token's `seq`, so every message ordered so far is
+    /// safe here. Until then each hop the token is held adds to the
+    /// latency of a message still waiting to become safe.
+    pub fn is_quiescent(&self, tok: &Token) -> bool {
+        self.pending.is_empty() && self.safe_line >= tok.seq
+    }
+
     /// True when this ring is a singleton (ordinals are assigned directly,
     /// no token circulates).
     pub fn is_singleton(&self) -> bool {
@@ -376,7 +385,7 @@ impl<P: Clone> Ring<P> {
             seq: 0,
             aru: 0,
             aru_id: None,
-            rtr: BTreeSet::new(),
+            rtr: Vec::new(),
             rotation: 0,
         };
         self.on_token(now, token)
@@ -566,15 +575,14 @@ impl<P: Clone> Ring<P> {
             tok.rtr.retain(|&seq| self.stored_msg(seq).is_none());
         }
 
-        // 2. Request our own holes.
-        let mut holes = 0u64;
-        for hole in (self.my_aru + 1)..=tok.seq {
-            if self.stored_msg(hole).is_none() {
-                tok.rtr.insert(hole);
-                holes += 1;
-            }
-        }
+        // 2. Request our own holes, merged into the ascending requests.
+        let requested = tok.rtr.len();
+        tok.rtr
+            .extend(((self.my_aru + 1)..=tok.seq).filter(|&hole| self.stored_msg(hole).is_none()));
+        let holes = (tok.rtr.len() - requested) as u64;
         if holes > 0 {
+            tok.rtr.sort_unstable();
+            tok.rtr.dedup();
             self.telemetry.record(
                 now.ticks(),
                 TelemetryEvent::HolesRequested {
@@ -1250,7 +1258,7 @@ mod tests {
             seq: u64::MAX / 2,
             aru: 0,
             aru_id: None,
-            rtr: BTreeSet::new(),
+            rtr: Vec::new(),
             rotation: 0,
         };
         assert!(r.on_token(SimTime::from_ticks(1), tok).is_empty());
@@ -1262,7 +1270,7 @@ mod tests {
             seq: 0,
             aru: 0,
             aru_id: None,
-            rtr: BTreeSet::new(),
+            rtr: Vec::new(),
             rotation: 0,
         };
         assert!(!r.on_token(SimTime::from_ticks(2), sane).is_empty());

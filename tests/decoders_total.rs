@@ -19,6 +19,7 @@
 //! `a_maximal_exchange_stays_within_its_ordinal_allowance` pins it.
 
 use evs_broker::proto::{self, BatchEntry};
+use evs_core::codec::DecodeError;
 use evs_core::persist::{Checkpoint, WalRecord};
 use evs_core::recovery::ExchangeState;
 use evs_core::{trace_io, wire, Configuration, EvsEvent, EvsMsg, Payload, Trace};
@@ -390,7 +391,7 @@ fn frames() -> Vec<EvsMsg<Payload>> {
             seq: 3,
             aru: 2,
             aru_id: Some(p(1)),
-            rtr: BTreeSet::from([1, 2]),
+            rtr: vec![1, 2],
             rotation: 5,
         })),
         EvsMsg::Exchange(exchange(2, BTreeSet::from([3, 4, 7]))),
@@ -399,6 +400,16 @@ fn frames() -> Vec<EvsMsg<Payload>> {
             msg: msg(4, b"x"),
         },
         EvsMsg::RecoveryAck { proposal: c },
+        // Every LEB128 field of the token at its widest.
+        EvsMsg::Ring(RingMsg::Token(Token {
+            config: ConfigId::regular(u64::MAX, p(u32::MAX)),
+            token_id: u64::MAX,
+            seq: u64::MAX,
+            aru: 0,
+            aru_id: Some(p(u32::MAX)),
+            rtr: vec![0, u64::MAX],
+            rotation: u64::MAX,
+        })),
     ]
 }
 
@@ -864,6 +875,109 @@ fn a_5_byte_batch_frame_reserves_nothing() {
         wire_decode(&[6, 0xff, 0xff, 0xff, 0x00]),
         Verdict::Rejected
     ));
+}
+
+/// The token of [`frames`], spelled field by field in its LEB128 layout:
+/// tag, epoch, rep, transitional, token id, seq, seq − aru, aru id,
+/// request count, requests as steps, rotation.
+fn token_fields() -> Vec<Vec<u8>> {
+    [
+        &[2][..],
+        &[4],
+        &[1],
+        &[0],
+        &[9],
+        &[3],
+        &[1],
+        &[1, 1],
+        &[2],
+        &[1, 1],
+        &[5],
+    ]
+    .map(<[u8]>::to_vec)
+    .to_vec()
+}
+
+#[test]
+fn hostile_tokens_are_refused() {
+    let token = |fields: &[Vec<u8>]| fields.concat();
+    assert_eq!(
+        token(&token_fields()),
+        wire_corpus()[7],
+        "the layout spelled"
+    );
+    let with = |i: usize, bytes: &[u8]| {
+        let mut fields = token_fields();
+        fields[i] = bytes.to_vec();
+        token(&fields)
+    };
+    let mut eleven = vec![0x80; 10];
+    eleven.push(1);
+    let mut tenth_above_1 = vec![0xff; 9];
+    tenth_above_1.push(2);
+    let above_u32 = [0x80, 0x80, 0x80, 0x80, 0x10]; // 1 << 32
+    let two_to_63 = [0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01];
+    let u64_max = [0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01];
+    let bad = |what, tag| DecodeError::BadTag { what, tag };
+    let leb = |tag| bad("canonical LEB128 u64", tag);
+    let requests = bad("ascending retransmission requests", 0);
+    let pid = bad("u32 process id", 0);
+    for (why, frame, err) in [
+        ("overlong varint", with(4, &[0x89, 0x00]), leb(0)),
+        ("overlong zero", with(6, &[0x80, 0x00]), leb(0)),
+        ("11-byte varint", with(4, &eleven), leb(0x80)),
+        ("10th byte above 1", with(5, &tenth_above_1), leb(2)),
+        (
+            "seq − aru above seq",
+            with(6, &[4]),
+            bad("aru at or below seq", 0),
+        ),
+        (
+            "request count beyond the input",
+            with(8, &[0xc8, 0x01]),
+            DecodeError::UnexpectedEof,
+        ),
+        (
+            "request count of 2^63",
+            with(8, &two_to_63),
+            DecodeError::OversizedLength { len: 1 << 63 },
+        ),
+        ("repeated request", with(9, &[1, 0]), requests.clone()),
+        (
+            "request past u64::MAX",
+            with(9, &[&u64_max[..], &[1]].concat()),
+            requests,
+        ),
+        ("rep above u32::MAX", with(2, &above_u32), pid.clone()),
+        (
+            "aru id above u32::MAX",
+            with(7, &[&[1][..], &above_u32].concat()),
+            pid,
+        ),
+        (
+            "truncated varint",
+            [token(&token_fields()[..5]), vec![0x80]].concat(),
+            DecodeError::UnexpectedEof,
+        ),
+    ] {
+        assert!(
+            matches!(wire_decode(&frame), Verdict::Rejected),
+            "{why}: {frame:02x?}"
+        );
+        assert_eq!(wire::decode(&frame).err(), Some(err), "{why}");
+    }
+}
+
+/// One byte a request is the densest a token gets, and a request list
+/// costs 8 heap bytes an entry, so even a token of nothing but requests
+/// stays within the binary bound.
+#[test]
+fn a_token_of_one_byte_requests_stays_within_its_bound() {
+    let mut fields = token_fields();
+    fields[8] = vec![0xe8, 0x07]; // 1000
+    fields[9] = vec![1; 1000];
+    let frame = fields.concat();
+    assert!(matches!(wire_decode(&frame), Verdict::Accepted(Some(_))));
 }
 
 #[test]
