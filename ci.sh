@@ -50,7 +50,11 @@
 # op_latency_p50_us is windowed on fault_n5_safe at 1,200 us: its light
 # load of safe ops waits on token hops, and reads about 480 us when only
 # a quiescent ring holds the token, about 1,650 us when every visit that
-# stamps nothing waits out token_pace. It
+# stamps nothing waits out token_pace. wire_b_per_op is windowed at 240
+# on ring_64b_agreed and at 560 on fault_n5_safe: data frames whose
+# integers are LEB128 and whose batch carries its configuration once
+# read about 216 and 480 B/op, and fixed-width message headers read 309
+# and 626 (the byte counts of ring_64b_agreed repeat from run to run). It
 # runs directly after build-test: a benchmark that no longer builds or
 # runs against this tree, or protocol or broker state that grows with a
 # run's age again, should cost two minutes to find, not the gate.
@@ -191,7 +195,7 @@ bench_diff() {
 }
 
 e2e_smoke() {
-    echo "== e2e smoke (the BENCHMARK.json command: builds, correct, 0 failed, heap and fault_n5_safe p50 windows) =="
+    echo "== e2e smoke (the BENCHMARK.json command: builds, correct, 0 failed, heap, wire and fault_n5_safe p50 windows) =="
     # An --offline build rewrites bench/Cargo.lock in place when the
     # committed file lists a package the tree no longer has; the EXIT
     # trap puts the committed file back so the tree stays clean.
@@ -205,20 +209,22 @@ e2e_smoke() {
         heap=$(metric heap_b_per_op)
         peak=$(metric peak_heap_mb)
         p50=$(metric op_latency_p50_us)
-        p50_max=""
+        wire=$(metric wire_b_per_op)
+        p50_max="" wire_max=""
         case "$w" in
-        ring_64b_agreed) heap_max=64 peak_max=2.5 ;;
+        ring_64b_agreed) heap_max=64 peak_max=2.5 wire_max=240 ;;
         ring_2k_safe) heap_max=256 peak_max=8 ;;
         broker_udp_wal) heap_max=16 peak_max=22 ;;
-        *) heap_max="" peak_max=1.2 p50_max=1200 ;;
+        *) heap_max="" peak_max=1.2 p50_max=1200 wire_max=560 ;;
         esac
         case "$verdict" in
-        *'"correct": true'*'"failed": 0,'*) echo "  $w: correct, 0 failed, $heap heap B/op, $peak peak MB, p50 $p50 us" ;;
+        *'"correct": true'*'"failed": 0,'*) echo "  $w: correct, 0 failed, $heap heap B/op, $peak peak MB, p50 $p50 us, $wire wire B/op" ;;
         *) echo "e2e-smoke: $w: $verdict" && exit 1 ;;
         esac
         within heap_b_per_op "$heap" "$heap_max" "unbounded state?"
         within peak_heap_mb "$peak" "$peak_max" "unbounded state?"
         within op_latency_p50_us "$p50" "$p50_max" "a token held on an unsafe ring?"
+        within wire_b_per_op "$wire" "$wire_max" "fixed-width data frames?"
     done
 }
 

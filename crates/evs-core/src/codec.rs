@@ -8,7 +8,10 @@
 //! writer they share is the vendored `bytes::BufMut`.
 //!
 //! Integers are fixed-width, except where a format opts into [`Get::var`]:
-//! canonical LEB128, written by [`put_var`].
+//! canonical LEB128, written by [`put_var`]. The wire's token and data
+//! frames do. A data batch writes its one configuration once and each
+//! message's `seq` as a step above the one before, so it can only say one
+//! configuration in strictly ascending `seq`.
 //!
 //! Caps are the caller's to state. [`Get::count`] takes the largest
 //! element count the format allows and the fewest bytes one element can
@@ -162,6 +165,16 @@ impl<'a, const BE: bool> Get<'a, BE> {
     /// every accepted input re-encodes to itself through [`put_var`].
     #[inline]
     pub fn var(&mut self) -> Result<u64> {
+        // Most fields of a data frame fit one byte.
+        if let [b @ 0..=0x7f, rest @ ..] = self.buf {
+            self.buf = rest;
+            return Ok(u64::from(*b));
+        }
+        self.long_var()
+    }
+
+    /// [`Get::var`] past its first byte.
+    fn long_var(&mut self) -> Result<u64> {
         let mut v = 0;
         for (i, &b) in self.buf.iter().enumerate().take(10) {
             if (i == 9 && b > 1) || (i > 0 && b == 0) {
@@ -223,6 +236,10 @@ impl<'a, const BE: bool> Get<'a, BE> {
 /// 128, ten at most.
 #[inline]
 pub fn put_var(out: &mut impl BufMut, mut v: u64) {
+    if v < 0x80 {
+        out.put_u8(v as u8);
+        return;
+    }
     let mut buf = [0; 10];
     let mut n = 0;
     while v >= 0x80 {

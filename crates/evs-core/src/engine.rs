@@ -1150,9 +1150,8 @@ impl<P: Clone + fmt::Debug + 'static> EvsProcess<P> {
     fn handle_ring_frame(&mut self, ctx: &mut ECtx<'_, P>, from: ProcessId, frame: RingMsg<P>) {
         let frame_config = match &frame {
             RingMsg::Data(m) => m.config,
-            // A batch is homogeneous by construction; a hostile mixed batch
-            // is still safe because the ring checks each message's
-            // configuration again on acceptance.
+            // A batch carries one configuration: the wire writes it once
+            // and the decoder gives it to every message.
             RingMsg::Batch(b) => match b.first() {
                 Some(m) => m.config,
                 None => return, // an empty batch carries nothing

@@ -9,12 +9,20 @@
 //! identifiers, ring data, data batches and tokens, membership frames,
 //! and recovery exchange state.
 //!
-//! Layout conventions: fixed-width little-endian integers, one-byte tags
-//! for enums, `u32` length prefixes for collections, `0`/`1` for booleans.
-//! The token is the one exception: every integer of it, its counts and
-//! its configuration's included, is canonical LEB128 ([`Get::var`]), so
-//! the frame the ring passes on every hop is about 15 bytes where
-//! fixed-width integers take 51.
+//! Layout conventions: one-byte tags for enums, `0`/`1` for booleans, and
+//! two integer spellings. The frames the ring sends per hop and per
+//! message — the token and the data frames (`Data`, `Batch`,
+//! `Rebroadcast`) — write every integer, count and length as canonical
+//! LEB128 ([`Get::var`]): the token is about 15 bytes where fixed-width
+//! integers take 51, and a message costs about 7 header bytes besides its
+//! payload where fixed-width integers take 38. A batch writes its
+//! configuration once and each message's `seq` as its step above the one
+//! before, so it holds one configuration in strictly ascending `seq`, the
+//! only batch a token visit builds. The membership and recovery frames
+//! keep fixed-width little-endian integers and `u32` length prefixes:
+//! they are sent a few times per configuration change, not per message,
+//! so their bytes do not show in what an operation costs, and their
+//! fixed offsets keep them simple to read and to damage on purpose.
 //! Decoding reads through the checked [`Get`] cursor and is strict:
 //! trailing garbage inside a frame, unknown tags, non-canonical sets and
 //! truncation are all errors — a malformed datagram must never turn into a
@@ -67,6 +75,20 @@ const MAX_RECEIVED: u64 = 1 << 20;
 /// least one element can occupy, which bounds a count's presize.
 const PID_BYTES: usize = 4;
 const RUN_BYTES: usize = 16;
+/// The least one message of a data frame occupies: a one-byte varint each
+/// for its `seq` step, sender, counter and payload length, and its service.
+const MIN_MSG_BYTES: usize = 5;
+
+/// Frame tags. The data frames took new ones with their LEB128 layout, and
+/// their fixed-width tags 1, 4 and 6 are refused, so a frame of that
+/// layout never parses as a plausible message.
+const MEMB: u8 = 0;
+const TOKEN: u8 = 2;
+const EXCHANGE: u8 = 3;
+const RECOVERY_ACK: u8 = 5;
+const DATA: u8 = 7;
+const REBROADCAST: u8 = 8;
+const BATCH: u8 = 9;
 
 // --- primitive helpers -------------------------------------------------
 
@@ -92,6 +114,42 @@ fn get_config(g: &mut Get) -> Result<ConfigId> {
     })
 }
 
+fn put_var_pid(out: &mut BytesMut, p: ProcessId) {
+    put_var(out, p.index().into());
+}
+
+#[inline]
+fn get_var_pid(g: &mut Get) -> Result<ProcessId> {
+    let p = g.var()?;
+    u32::try_from(p)
+        .map(ProcessId::new)
+        .map_err(|_| DecodeError::BadTag {
+            what: "u32 process id",
+            tag: 0,
+        })
+}
+
+/// A configuration in a LEB128 frame: epoch and representative as
+/// varints, then the transitional flag.
+fn put_var_config(out: &mut BytesMut, c: ConfigId) {
+    put_var(out, c.epoch);
+    put_var_pid(out, c.rep);
+    out.put_u8(u8::from(c.transitional));
+}
+
+fn get_var_config(g: &mut Get) -> Result<ConfigId> {
+    Ok(ConfigId {
+        epoch: g.var()?,
+        rep: get_var_pid(g)?,
+        transitional: g.bool()?,
+    })
+}
+
+/// Bytes [`put_var`] spends on `v`.
+fn var_len(v: u64) -> usize {
+    (64 - (v | 1).leading_zeros() as usize).div_ceil(7)
+}
+
 fn put_service(out: &mut BytesMut, s: Service) {
     out.put_u8(match s {
         Service::Causal => 0,
@@ -110,23 +168,6 @@ fn get_service(g: &mut Get) -> Result<Service> {
             tag,
         }),
     }
-}
-
-fn put_message_id(out: &mut BytesMut, id: MessageId) {
-    put_pid(out, id.sender);
-    out.put_u64_le(id.counter);
-}
-
-fn get_message_id(g: &mut Get) -> Result<MessageId> {
-    Ok(MessageId {
-        sender: get_pid(g)?,
-        counter: g.u64()?,
-    })
-}
-
-fn put_bytes(out: &mut BytesMut, b: &[u8]) {
-    out.put_u32_le(b.len() as u32);
-    out.put_slice(b);
 }
 
 /// Writes a set as its size followed by its elements, ascending.
@@ -214,12 +255,28 @@ fn get_received(g: &mut Get) -> Result<(u64, BTreeSet<u64>)> {
 
 // --- protocol types -----------------------------------------------------
 
-fn put_ordered_msg(out: &mut BytesMut, m: &OrderedMsg<Payload>) {
-    put_config(out, m.config);
-    out.put_u64_le(m.seq);
-    put_message_id(out, m.id);
+/// Writes one message of a data frame, whose configuration the frame
+/// carries: `seq` as its step above `prev` (the previous message's, or 0),
+/// then sender, counter, service and the length-prefixed payload. A `seq`
+/// not above `prev` wraps to a step the decoder refuses.
+fn put_msg(out: &mut BytesMut, m: &OrderedMsg<Payload>, prev: u64) {
+    put_var(out, m.seq.wrapping_sub(prev));
+    put_var_pid(out, m.id.sender);
+    put_var(out, m.id.counter);
     put_service(out, m.service);
-    put_bytes(out, &m.payload);
+    put_var(out, m.payload.len() as u64);
+    out.put_slice(&m.payload);
+}
+
+/// Bytes [`put_msg`] spends on `m`.
+fn msg_len(m: &OrderedMsg<Payload>, prev: u64) -> usize {
+    let len = m.payload.len();
+    var_len(m.seq.wrapping_sub(prev))
+        + var_len(m.id.sender.index().into())
+        + var_len(m.id.counter)
+        + 1
+        + var_len(len as u64)
+        + len
 }
 
 /// The payloads of one data-carrying frame (`Data`, `Rebroadcast`,
@@ -241,7 +298,7 @@ impl<'a> FramePayloads<'a> {
     /// rest of this frame.
     #[inline(always)]
     fn next(&mut self, g: &mut Get<'a>) -> Result<Payload> {
-        let len = g.count(MAX_LEN, 1)?;
+        let len = g.var_count(MAX_LEN, 1)?;
         let at = self.frame.len() - g.remaining();
         g.bytes(len)?;
         // A view's range is `u32`: a frame past 4 GiB starts a new buffer
@@ -257,32 +314,42 @@ impl<'a> FramePayloads<'a> {
     }
 }
 
+/// Reads one message written by [`put_msg`] in a frame of `config`.
 // Inlined into the batch loop: built in place, a message is not copied
 // out of a returned `Result`.
 #[inline(always)]
-fn get_ordered_msg<'a>(
+fn get_msg<'a>(
     g: &mut Get<'a>,
     payloads: &mut FramePayloads<'a>,
+    config: ConfigId,
+    prev: u64,
 ) -> Result<OrderedMsg<Payload>> {
+    let seq = prev
+        .checked_add(g.var()?)
+        .filter(|&seq| seq > prev)
+        .ok_or(DecodeError::BadTag {
+            what: "ascending seq",
+            tag: 0,
+        })?;
     Ok(OrderedMsg {
-        config: get_config(g)?,
-        seq: g.u64()?,
-        id: get_message_id(g)?,
+        config,
+        seq,
+        id: MessageId {
+            sender: get_var_pid(g)?,
+            counter: g.var()?,
+        },
         service: get_service(g)?,
         payload: payloads.next(g)?,
     })
 }
 
-/// The token is the one frame whose integers are LEB128 ([`put_var`]):
-/// it crosses every hop of the ring, idle or loaded, and its fields are
-/// small — `aru` rides as its distance below `seq`, each retransmission
-/// request after the first as its distance above the one before. A token
-/// no ring forwards (`aru` above `seq`, requests out of order) encodes
-/// to bytes no peer accepts.
+/// The token crosses every hop of the ring, idle or loaded, and its
+/// fields are small — `aru` rides as its distance below `seq`, each
+/// retransmission request after the first as its distance above the one
+/// before. A token no ring forwards (`aru` above `seq`, requests out of
+/// order) encodes to bytes no peer accepts.
 fn put_token(out: &mut BytesMut, t: &Token) {
-    put_var(out, t.config.epoch);
-    put_var(out, t.config.rep.index().into());
-    out.put_u8(u8::from(t.config.transitional));
+    put_var_config(out, t.config);
     put_var(out, t.token_id);
     put_var(out, t.seq);
     put_var(out, t.seq.wrapping_sub(t.aru));
@@ -290,7 +357,7 @@ fn put_token(out: &mut BytesMut, t: &Token) {
         None => out.put_u8(0),
         Some(p) => {
             out.put_u8(1);
-            put_var(out, p.index().into());
+            put_var_pid(out, p);
         }
     }
     put_var(out, t.rtr.len() as u64);
@@ -302,22 +369,8 @@ fn put_token(out: &mut BytesMut, t: &Token) {
     put_var(out, t.rotation);
 }
 
-fn get_var_pid(g: &mut Get) -> Result<ProcessId> {
-    let p = g.var()?;
-    u32::try_from(p)
-        .map(ProcessId::new)
-        .map_err(|_| DecodeError::BadTag {
-            what: "u32 process id",
-            tag: 0,
-        })
-}
-
 fn get_token(g: &mut Get) -> Result<Token> {
-    let config = ConfigId {
-        epoch: g.var()?,
-        rep: get_var_pid(g)?,
-        transitional: g.bool()?,
-    };
+    let config = get_var_config(g)?;
     let token_id = g.var()?;
     let seq = g.var()?;
     let below = g.var()?;
@@ -472,39 +525,58 @@ pub fn encode_into(msg: &EvsMsg<Payload>, out: &mut BytesMut) {
     out.clear();
     match msg {
         EvsMsg::Memb(m) => {
-            out.put_u8(0);
+            out.put_u8(MEMB);
             put_memb(out, m);
         }
         EvsMsg::Ring(RingMsg::Data(d)) => {
-            out.put_u8(1);
-            put_ordered_msg(out, d);
+            out.put_u8(DATA);
+            put_var_config(out, d.config);
+            put_msg(out, d, 0);
         }
         EvsMsg::Ring(RingMsg::Token(t)) => {
-            out.put_u8(2);
+            out.put_u8(TOKEN);
             put_token(out, t);
         }
         EvsMsg::Exchange(e) => {
-            out.put_u8(3);
+            out.put_u8(EXCHANGE);
             put_exchange(out, e);
         }
         EvsMsg::Rebroadcast { proposal, msg } => {
-            out.put_u8(4);
-            put_config(out, *proposal);
-            put_ordered_msg(out, msg);
+            out.put_u8(REBROADCAST);
+            put_var_config(out, *proposal);
+            put_var_config(out, msg.config);
+            put_msg(out, msg, 0);
         }
         EvsMsg::RecoveryAck { proposal } => {
-            out.put_u8(5);
+            out.put_u8(RECOVERY_ACK);
             put_config(out, *proposal);
         }
         EvsMsg::Ring(RingMsg::Batch(msgs)) => put_batch(out, msgs),
     }
 }
 
+/// A batch is its count, then — unless it is empty — its one
+/// configuration and its messages, each `seq` a step above the one before.
+///
+/// # Panics
+///
+/// If the messages do not share one configuration: the format has no way
+/// to say so, and a batch must never come back as a different one.
 fn put_batch(out: &mut BytesMut, msgs: &[OrderedMsg<Payload>]) {
-    out.put_u8(6);
-    out.put_u32_le(msgs.len() as u32);
+    out.put_u8(BATCH);
+    put_var(out, msgs.len() as u64);
+    let Some(first) = msgs.first() else {
+        return;
+    };
+    put_var_config(out, first.config);
+    let mut prev = 0;
     for m in msgs {
-        put_ordered_msg(out, m);
+        assert!(
+            m.config == first.config,
+            "a batch carries one configuration"
+        );
+        put_msg(out, m, prev);
+        prev = m.seq;
     }
 }
 
@@ -516,11 +588,6 @@ pub fn encode_batch_into(msgs: &[OrderedMsg<Payload>], out: &mut BytesMut) {
     put_batch(out, msgs);
 }
 
-/// Bytes a data batch frame spends before its first message: tag, count.
-const BATCH_FRAME_HEADER: usize = 1 + 4;
-/// Bytes one message of a data frame spends besides its payload:
-/// configuration, ordinal, message id, service, payload length.
-const ORDERED_MSG_HEADER: usize = 13 + 8 + 12 + 1 + 4;
 /// The length header [`pack_into`] puts in front of every frame.
 const PACK_HEADER: usize = 4;
 
@@ -533,18 +600,24 @@ pub fn batch_parts(
     budget: usize,
 ) -> impl Iterator<Item = &[OrderedMsg<Payload>]> {
     std::iter::from_fn(move || {
-        let mut bytes = PACK_HEADER + BATCH_FRAME_HEADER;
+        let first = msgs.first()?;
+        // Tag and configuration; the count's varint is added per message,
+        // and each part's first `seq` is a step from 0.
+        let c = first.config;
+        let mut bytes = PACK_HEADER + 1 + var_len(c.epoch) + var_len(c.rep.index().into()) + 1;
+        let mut prev = 0;
         let mut n = 0;
         for m in msgs {
-            bytes += ORDERED_MSG_HEADER + m.payload.len();
-            if n > 0 && bytes > budget {
+            bytes += msg_len(m, prev);
+            if n > 0 && bytes + var_len(n as u64 + 1) > budget {
                 break;
             }
+            prev = m.seq;
             n += 1;
         }
         let (part, rest) = msgs.split_at(n);
         msgs = rest;
-        (n > 0).then_some(part)
+        Some(part)
     })
 }
 
@@ -563,22 +636,33 @@ pub fn decode(frame: &[u8]) -> Result<EvsMsg<Payload>> {
     let mut g = Get::le(frame);
     let mut payloads = FramePayloads { frame, buf: None };
     let msg = match g.u8()? {
-        0 => EvsMsg::Memb(get_memb(&mut g)?),
-        1 => EvsMsg::Ring(RingMsg::Data(get_ordered_msg(&mut g, &mut payloads)?)),
-        2 => EvsMsg::Ring(RingMsg::Token(get_token(&mut g)?)),
-        3 => EvsMsg::Exchange(get_exchange(&mut g)?),
-        4 => EvsMsg::Rebroadcast {
+        MEMB => EvsMsg::Memb(get_memb(&mut g)?),
+        DATA => {
+            let config = get_var_config(&mut g)?;
+            EvsMsg::Ring(RingMsg::Data(get_msg(&mut g, &mut payloads, config, 0)?))
+        }
+        TOKEN => EvsMsg::Ring(RingMsg::Token(get_token(&mut g)?)),
+        EXCHANGE => EvsMsg::Exchange(get_exchange(&mut g)?),
+        REBROADCAST => {
+            let proposal = get_var_config(&mut g)?;
+            let config = get_var_config(&mut g)?;
+            EvsMsg::Rebroadcast {
+                proposal,
+                msg: get_msg(&mut g, &mut payloads, config, 0)?,
+            }
+        }
+        RECOVERY_ACK => EvsMsg::RecoveryAck {
             proposal: get_config(&mut g)?,
-            msg: get_ordered_msg(&mut g, &mut payloads)?,
         },
-        5 => EvsMsg::RecoveryAck {
-            proposal: get_config(&mut g)?,
-        },
-        6 => {
-            let len = g.count(MAX_LEN, ORDERED_MSG_HEADER)?;
-            let mut msgs = Vec::with_capacity(len);
-            for _ in 0..len {
-                msgs.push(get_ordered_msg(&mut g, &mut payloads)?);
+        BATCH => {
+            let len = g.var_count(MAX_LEN, MIN_MSG_BYTES)?;
+            let mut msgs: Vec<OrderedMsg<Payload>> = Vec::with_capacity(len);
+            if len > 0 {
+                let config = get_var_config(&mut g)?;
+                for _ in 0..len {
+                    let prev = msgs.last().map_or(0, |m| m.seq);
+                    msgs.push(get_msg(&mut g, &mut payloads, config, prev)?);
+                }
             }
             EvsMsg::Ring(RingMsg::Batch(msgs))
         }
@@ -598,7 +682,18 @@ pub fn decode(frame: &[u8]) -> Result<EvsMsg<Payload>> {
 /// Appends one encoded frame to a datagram under construction, prefixed
 /// with a `u32` little-endian length header. Pair with [`unpack_frames`]
 /// on the receive side.
+///
+/// A buffer too small for the frame grows to hold it and an eighth more,
+/// not to double: a LEB128 frame is a few bytes longer than the last of
+/// its kind once its integers widen, and a datagram buffer reused for
+/// every send would otherwise double for those few bytes.
 pub fn pack_into(frame: &[u8], out: &mut BytesMut) {
+    let need = PACK_HEADER + frame.len();
+    if out.capacity() - out.len() < need {
+        let mut grown = BytesMut::with_capacity(out.len() + need + frame.len() / 8);
+        grown.put_slice(out);
+        *out = grown;
+    }
     out.put_u32_le(frame.len() as u32);
     out.put_slice(frame);
 }
@@ -789,14 +884,12 @@ mod tests {
     #[test]
     fn oversized_length_is_rejected() {
         // Data frame with a payload length beyond MAX_LEN.
-        let cfg = ConfigId::regular(1, p(0));
         let mut out = BytesMut::new();
-        out.put_u8(1); // Ring::Data
-        put_config(&mut out, cfg);
-        out.put_u64_le(1);
-        put_message_id(&mut out, MessageId::new(p(0), 1));
+        out.put_u8(DATA);
+        put_var_config(&mut out, ConfigId::regular(1, p(0)));
+        out.put_slice(&[1, 0, 1]); // seq step, sender, counter
         put_service(&mut out, Service::Agreed);
-        out.put_u32_le(u32::MAX); // absurd payload length
+        put_var(&mut out, u32::MAX.into()); // absurd payload length
         assert!(matches!(
             decode(&out),
             Err(DecodeError::OversizedLength { .. })
@@ -937,6 +1030,18 @@ mod tests {
             .iter()
             .any(|p| p.len() == 1 && p[0].payload.len() == 2_000));
         assert_eq!(batch_parts(&[], budget).count(), 0);
+    }
+
+    #[test]
+    fn a_reused_datagram_buffer_grows_by_an_eighth_not_double() {
+        let mut out = BytesMut::new();
+        pack_into(&[7; 1_000], &mut out);
+        assert_eq!(out.capacity(), 4 + 1_000 + 125);
+        // The next frame of the kind, a few bytes longer, fits as it is.
+        out.clear();
+        pack_into(&[7; 1_010], &mut out);
+        assert_eq!(out.capacity(), 1_129);
+        assert_eq!(unpack_frames(&out).unwrap(), [&[7; 1_010][..]]);
     }
 
     #[test]

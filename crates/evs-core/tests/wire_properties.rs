@@ -33,65 +33,97 @@ fn service() -> impl Strategy<Value = Service> {
     ]
 }
 
-fn message_id() -> impl Strategy<Value = MessageId> {
-    (pid(), 0u64..10_000).prop_map(|(sender, counter)| MessageId { sender, counter })
-}
-
-fn ordered_msg() -> impl Strategy<Value = OrderedMsg<Payload>> {
-    (
-        config_id(),
-        1u64..10_000,
-        message_id(),
-        service(),
-        proptest::collection::vec(any::<u8>(), 0..200),
-    )
-        .prop_map(|(config, seq, id, service, payload)| OrderedMsg {
-            config,
-            seq,
-            id,
-            service,
-            payload: Payload::from(payload),
-        })
-}
-
-/// A message whose payload is empty half of the time and otherwise up to
-/// 4 KiB.
-fn large_ordered_msg() -> impl Strategy<Value = OrderedMsg<Payload>> {
-    let payload = prop_oneof![
-        Just(Vec::new()),
-        proptest::collection::vec(any::<u8>(), 0..=4096),
-    ];
-    (ordered_msg(), payload).prop_map(|(m, payload)| OrderedMsg {
-        payload: Payload::from(payload),
-        ..m
-    })
-}
-
-/// A token field: small, anywhere, or an extreme of the LEB128 widths.
-fn token_field() -> impl Strategy<Value = u64> {
+/// A field of a LEB128 frame: small, anywhere, or an extreme of the
+/// varint widths.
+fn wide_field() -> impl Strategy<Value = u64> {
     prop_oneof![0u64..10_000, any::<u64>(), Just(u64::MAX), Just(0)]
 }
 
-fn token_pid() -> impl Strategy<Value = ProcessId> {
+fn wide_pid() -> impl Strategy<Value = ProcessId> {
     prop_oneof![0u32..64, any::<u32>(), Just(u32::MAX)].prop_map(ProcessId::new)
+}
+
+fn wide_config() -> impl Strategy<Value = ConfigId> {
+    (wide_field(), wide_pid(), any::<bool>()).prop_map(|(epoch, rep, transitional)| ConfigId {
+        epoch,
+        rep,
+        transitional,
+    })
+}
+
+/// A message ordinal: never 0, small or anywhere up to `u64::MAX`.
+fn seq() -> impl Strategy<Value = u64> {
+    prop_oneof![1u64..10_000, 1..=u64::MAX, Just(u64::MAX)]
+}
+
+/// A message's fields besides its configuration: `seq`, sender, counter,
+/// service, payload.
+type MsgFields = (u64, ProcessId, u64, Service, Vec<u8>);
+
+fn msg_fields(payload: impl Strategy<Value = Vec<u8>>) -> impl Strategy<Value = MsgFields> {
+    (seq(), wide_pid(), wide_field(), service(), payload)
+}
+
+fn message(
+    config: ConfigId,
+    (seq, sender, counter, service, payload): MsgFields,
+) -> OrderedMsg<Payload> {
+    OrderedMsg {
+        config,
+        seq,
+        id: MessageId { sender, counter },
+        service,
+        payload: Payload::from(payload),
+    }
+}
+
+fn small_payload() -> impl Strategy<Value = Vec<u8>> {
+    proptest::collection::vec(any::<u8>(), 0..200)
+}
+
+fn ordered_msg() -> impl Strategy<Value = OrderedMsg<Payload>> {
+    (wide_config(), msg_fields(small_payload()))
+        .prop_map(|(config, fields)| message(config, fields))
+}
+
+/// Any batch a token visit can build: up to `max` messages of one
+/// configuration in strictly ascending `seq`, from mixed senders. The wire
+/// format can say nothing else.
+fn batch(
+    payload: impl Strategy<Value = Vec<u8>>,
+    max: usize,
+) -> impl Strategy<Value = Vec<OrderedMsg<Payload>>> {
+    (
+        wide_config(),
+        proptest::collection::vec(msg_fields(payload), 0..max),
+    )
+        .prop_map(|(config, mut fields)| {
+            fields.sort_by_key(|f| f.0);
+            fields.dedup_by_key(|f| f.0);
+            fields.into_iter().map(|f| message(config, f)).collect()
+        })
+}
+
+/// A payload that is empty half of the time and otherwise up to 4 KiB.
+fn large_payload() -> impl Strategy<Value = Vec<u8>> {
+    prop_oneof![
+        Just(Vec::new()),
+        proptest::collection::vec(any::<u8>(), 0..=4096),
+    ]
 }
 
 /// Any token a ring can forward: `aru` at most `seq`, requests ascending.
 fn token() -> impl Strategy<Value = Token> {
     (
-        (token_field(), token_pid(), any::<bool>()),
-        (token_field(), token_field(), token_field()),
-        proptest::option::of(token_pid()),
-        proptest::collection::btree_set(token_field(), 0..20),
-        token_field(),
+        wide_config(),
+        (wide_field(), wide_field(), wide_field()),
+        proptest::option::of(wide_pid()),
+        proptest::collection::btree_set(wide_field(), 0..20),
+        wide_field(),
     )
         .prop_map(
-            |((epoch, rep, transitional), (token_id, seq, below), aru_id, rtr, rotation)| Token {
-                config: ConfigId {
-                    epoch,
-                    rep,
-                    transitional,
-                },
+            |(config, (token_id, seq, below), aru_id, rtr, rotation)| Token {
+                config,
                 token_id,
                 seq,
                 aru: seq - below.min(seq),
@@ -169,11 +201,10 @@ fn frame() -> impl Strategy<Value = EvsMsg<Payload>> {
     prop_oneof![
         memb_msg().prop_map(EvsMsg::Memb),
         ordered_msg().prop_map(|m| EvsMsg::Ring(RingMsg::Data(m))),
-        proptest::collection::vec(ordered_msg(), 0..5)
-            .prop_map(|b| EvsMsg::Ring(RingMsg::Batch(b))),
+        batch(small_payload(), 5).prop_map(|b| EvsMsg::Ring(RingMsg::Batch(b))),
         token().prop_map(|t| EvsMsg::Ring(RingMsg::Token(t))),
         exchange().prop_map(EvsMsg::Exchange),
-        (config_id(), ordered_msg())
+        (wide_config(), ordered_msg())
             .prop_map(|(proposal, msg)| EvsMsg::Rebroadcast { proposal, msg }),
         config_id().prop_map(|proposal| EvsMsg::RecoveryAck { proposal }),
     ]
@@ -235,7 +266,7 @@ proptest! {
     /// once the frame it was decoded from is gone.
     #[test]
     fn batches_round_trip_byte_for_byte(
-        msgs in proptest::collection::vec(large_ordered_msg(), 0..8),
+        msgs in batch(large_payload(), 8),
     ) {
         let mut bytes = wire::encode(&EvsMsg::Ring(RingMsg::Batch(msgs.clone())));
         let back = match wire::decode(&bytes) {
@@ -250,7 +281,10 @@ proptest! {
         prop_assert_eq!(back.len(), msgs.len());
         for (got, sent) in back.iter().zip(&msgs) {
             prop_assert_eq!(&got.payload, &sent.payload);
-            prop_assert_eq!((got.seq, got.id, got.service), (sent.seq, sent.id, sent.service));
+            prop_assert_eq!(
+                (got.config, got.seq, got.id, got.service),
+                (sent.config, sent.seq, sent.id, sent.service)
+            );
         }
     }
 
@@ -276,6 +310,39 @@ proptest! {
         }
     }
 
+}
+
+/// A batch the format cannot say never comes back as a different batch:
+/// the encoder refuses a second configuration outright, and a `seq` that
+/// does not ascend encodes to a step the decoder refuses.
+#[test]
+fn an_illegal_batch_never_comes_back_as_a_different_one() {
+    let msg = |epoch: u64, seq: u64| OrderedMsg {
+        config: ConfigId::regular(epoch, ProcessId::new(0)),
+        seq,
+        id: MessageId::new(ProcessId::new(1), seq),
+        service: Service::Agreed,
+        payload: Payload::from(b"m"),
+    };
+    let mixed = EvsMsg::Ring(RingMsg::Batch(vec![msg(5, 1), msg(6, 2)]));
+    let refused = std::panic::catch_unwind(|| wire::encode(&mixed));
+    let reason = refused.expect_err("a mixed batch encodes");
+    assert_eq!(
+        reason.downcast_ref::<&str>(),
+        Some(&"a batch carries one configuration")
+    );
+    for seqs in [[2, 2], [3, 2], [u64::MAX, 1]] {
+        let batch = seqs.iter().map(|&seq| msg(5, seq)).collect();
+        let bytes = wire::encode(&EvsMsg::Ring(RingMsg::Batch(batch)));
+        assert_eq!(
+            wire::decode(&bytes).err(),
+            Some(DecodeError::BadTag {
+                what: "ascending seq",
+                tag: 0
+            }),
+            "seqs {seqs:?}"
+        );
+    }
 }
 
 /// Decodes a batch of two messages carrying `a` and `b`: two views into

@@ -169,9 +169,10 @@ pub enum RingMsg<P> {
     /// a single frame. The token holder stamps up to `max_per_visit`
     /// messages (and serves retransmission requests) per visit; packing the
     /// burst into one frame turns that into one transmit per destination
-    /// instead of one per message. All elements belong to the same
-    /// configuration; a receiver treats the batch exactly as the same
-    /// messages arriving back to back.
+    /// instead of one per message. A batch holds one configuration in
+    /// strictly ascending `seq` — the visit's served retransmissions, then
+    /// its stamps — which is all the wire format can say; a receiver
+    /// treats it exactly as the same messages arriving back to back.
     Batch(Vec<OrderedMsg<P>>),
     /// The token, unicast to the ring successor.
     Token(Token),

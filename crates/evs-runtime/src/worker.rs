@@ -60,6 +60,7 @@ pub struct Worker {
     /// an `OBS?` scrape can say where this worker's time goes.
     phase: PhaseClock,
     oversized_dropped: Counter,
+    frames_refused: Counter,
     backstop_fired: Counter,
     /// Advances once per `OBS?` reply and resets with the process, which
     /// is how `evs-top` spots a respawn.
@@ -92,6 +93,7 @@ impl Worker {
             alive: true,
             phase: PhaseClock::new(&telemetry),
             oversized_dropped: telemetry.counter(names::OVERSIZED_DATAGRAMS_DROPPED),
+            frames_refused: telemetry.counter(names::FRAMES_REFUSED),
             backstop_fired: telemetry.counter(names::PARK_BACKSTOP_FIRED),
             telemetry,
             obs_seq: 0,
@@ -351,12 +353,21 @@ impl Worker {
             self.phase.mark(Phase::Control);
             return reply;
         };
-        // A crashed process hears nothing; a malformed datagram is noise.
-        let (true, Ok(frames)) = (self.alive, wire::unpack_frames(&datagram)) else {
+        // A crashed process hears nothing. A malformed datagram or frame
+        // is dropped and counted.
+        if !self.alive {
+            return Ok(());
+        }
+        let Ok(frames) = wire::unpack_frames(&datagram) else {
+            self.frames_refused.inc();
             return Ok(());
         };
         let from = ProcessId::new(from as u32);
-        let msgs: Vec<_> = frames.iter().filter_map(|f| wire::decode(f).ok()).collect();
+        let refused = &self.frames_refused;
+        let msgs: Vec<_> = frames
+            .iter()
+            .filter_map(|f| wire::decode(f).inspect_err(|_| refused.inc()).ok())
+            .collect();
         self.phase.mark(Phase::Decode);
         for msg in msgs {
             // The ring's ordering work rides the token: account it apart.
@@ -397,6 +408,7 @@ impl Worker {
                 "oversized_dropped",
                 self.oversized_dropped.get().to_string(),
             ),
+            ("frames_refused", self.frames_refused.get().to_string()),
             ("park_backstop_fired", self.backstop_fired.get().to_string()),
         ]
         .map(|(key, value)| (key.to_string(), value));

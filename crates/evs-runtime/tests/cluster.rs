@@ -3,7 +3,8 @@
 //! paths (kill then recover over the in-memory log, drop then reopen over
 //! an on-disk one), every run checked against the paper's specifications.
 
-use evs_core::{checker, trace_io, EvsEvent, EvsParams, EvsProcess, Payload, Service, Trace};
+use evs_core::{checker, trace_io, wire, EvsEvent, EvsParams, EvsProcess, Payload, Service, Trace};
+use evs_net::SocketDriver;
 use evs_runtime::{Cluster, MemDriver, ProcessTrace, Worker};
 use evs_sim::ProcessId;
 use evs_store::FileStorage;
@@ -367,4 +368,51 @@ fn a_park_that_ends_with_no_timer_armed_is_counted() {
     worker.kill();
     worker.step(&|| 0, cap, &mut Vec::new()).expect("step");
     assert_eq!(telemetry.counter(names::PARK_BACKSTOP_FIRED).get(), 1);
+}
+
+/// Bytes from a hex string.
+fn unhex(hex: &str) -> Vec<u8> {
+    (0..hex.len())
+        .step_by(2)
+        .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).expect("hex"))
+        .collect()
+}
+
+#[test]
+fn a_frame_of_another_wire_format_is_refused_and_counted() {
+    // The golden `data` frame (`tests/golden_bytes.rs`) as the fixed-width
+    // layout spelled it, and as the LEB128 layout spells it now.
+    let fixed_width = unhex(
+        "012a0000000000000003000000000700000000000000020000006a00000000000000020500000068656c6c6f",
+    );
+    let leb128 = unhex("072a030007026a020568656c6c6f");
+    let hub = Default::default();
+    let (addr, peer_addr) = (
+        SocketAddr::from(([127, 0, 0, 1], 20_002)),
+        SocketAddr::from(([127, 0, 0, 1], 20_003)),
+    );
+    let telemetry = Telemetry::enabled(0);
+    let mut worker = Worker::new(
+        p(0),
+        EvsProcess::new(p(0), EvsParams::default()),
+        Box::new(MemDriver::bind(&hub, addr)),
+        vec![addr, peer_addr],
+        telemetry.clone(),
+    );
+    let mut peer = MemDriver::bind(&hub, peer_addr);
+    let mut hand = |datagram: Vec<u8>| {
+        peer.push(addr, datagram);
+        peer.submit().expect("submit");
+        assert_eq!(worker.step(&|| 0, None, &mut Vec::new()).expect("step"), 1);
+        assert!(worker.node().deliveries().is_empty(), "delivered");
+        telemetry.counter(names::FRAMES_REFUSED).get()
+    };
+    assert_eq!(hand(wire::pack_frames([&fixed_width])), 1);
+    assert_eq!(
+        hand(wire::pack_frames([&leb128])),
+        1,
+        "the LEB128 frame decodes"
+    );
+    // A datagram whose length header runs past its end is one refusal.
+    assert_eq!(hand(vec![0xff]), 2);
 }

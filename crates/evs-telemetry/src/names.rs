@@ -131,6 +131,10 @@ pub const STORE_FLOOR: &str = "store_floor";
 /// the medium carries (`SocketDriver::max_datagram`) — a recovery frame
 /// past UDP's 65,507 B is lost and counted, not fatal.
 pub const OVERSIZED_DATAGRAMS_DROPPED: &str = "oversized_datagrams_dropped";
+/// Frames from a member address that the worker refused: one for a
+/// datagram that does not unpack, one for each packed frame that does not
+/// decode. A peer on another wire format shows here, not as a silent stall.
+pub const FRAMES_REFUSED: &str = "frames_refused";
 /// Parks of a live worker that ended at the `MAX_PARK` backstop with no
 /// timer armed: a deadline the engine failed to arm. Must stay 0.
 pub const PARK_BACKSTOP_FIRED: &str = "park_backstop_fired";

@@ -801,9 +801,10 @@ fn obs_smoke() {
         };
         assert_eq!(e2.info["driver"], driver, "node {i}: socket driver");
         // Nor any other silent degradation: no deadline the engine failed
-        // to arm, no frame too large for the socket.
+        // to arm, no frame too large for the socket, no frame refused.
         assert_eq!(e2.info["park_backstop_fired"], "0", "node {i}");
         assert_eq!(e2.info["oversized_dropped"], "0", "node {i}");
+        assert_eq!(e2.info["frames_refused"], "0", "node {i}");
         // The ring store is a window above the safe line, not a history:
         // of everything sent, at most what one rotation stamps is retained.
         let store_len: usize = e2.info[names::STORE_LEN].parse().expect("store_len");
@@ -823,7 +824,7 @@ fn obs_smoke() {
     println!("-- {N} nodes scraped twice: seqs advance, counters monotone, phase");
     println!("   fractions sum to ~1 and cover ≥95% of loop time, text round-trips,");
     println!(
-        "   socket driver is `{}`, no park backstop fired, no oversized datagram,",
+        "   socket driver is `{}`, no park backstop fired, no oversized datagram or refused frame,",
         second[0].info["driver"]
     );
     println!("   ring store pruned to a window, delivery latency exported");

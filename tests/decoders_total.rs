@@ -410,7 +410,28 @@ fn frames() -> Vec<EvsMsg<Payload>> {
             rtr: vec![0, u64::MAX],
             rotation: u64::MAX,
         })),
+        // Every LEB128 field of the data frames at its widest: a 10-byte
+        // `seq` step and counter, a `u32::MAX` sender beside a small one.
+        EvsMsg::Ring(RingMsg::Batch(vec![
+            wide(1, p(u32::MAX), u64::MAX),
+            wide(u64::MAX, p(0), 0),
+        ])),
+        EvsMsg::Rebroadcast {
+            proposal: ConfigId::transitional(u64::MAX, p(u32::MAX)),
+            msg: wide(u64::MAX, p(u32::MAX), u64::MAX),
+        },
     ]
+}
+
+/// A message of the widest configuration.
+fn wide(seq: u64, sender: ProcessId, counter: u64) -> OrderedMsg<Payload> {
+    OrderedMsg {
+        config: ConfigId::regular(u64::MAX, p(u32::MAX)),
+        seq,
+        id: MessageId::new(sender, counter),
+        service: Service::Agreed,
+        payload: Payload::from(b"w"),
+    }
 }
 
 fn exchange(floor: u64, received: BTreeSet<u64>) -> ExchangeState {
@@ -868,11 +889,12 @@ fn decoding_inverts_encoding() {
     assert_eq!(sent, Some(&json::Value::Int(17)));
 }
 
-/// A count prefix may not presize more than the bytes behind it can hold.
+/// A count prefix may not presize more than the bytes behind it can hold:
+/// the batch tag, then a count of `MAX_LEN − 1` on an empty body.
 #[test]
 fn a_5_byte_batch_frame_reserves_nothing() {
     assert!(matches!(
-        wire_decode(&[6, 0xff, 0xff, 0xff, 0x00]),
+        wire_decode(&[9, 0xff, 0xff, 0xff, 0x07]),
         Verdict::Rejected
     ));
 }
@@ -977,6 +999,196 @@ fn a_token_of_one_byte_requests_stays_within_its_bound() {
     fields[8] = vec![0xe8, 0x07]; // 1000
     fields[9] = vec![1; 1000];
     let frame = fields.concat();
+    assert!(matches!(wire_decode(&frame), Verdict::Accepted(Some(_))));
+}
+
+/// The batch of [`frames`], spelled field by field in its LEB128 layout:
+/// tag, count, epoch, rep, transitional, then per message its `seq` step,
+/// sender, counter, service, payload length and payload.
+fn batch_fields() -> Vec<Vec<u8>> {
+    [
+        &[9][..],
+        &[2],
+        &[4],
+        &[1],
+        &[0],
+        &[2],
+        &[2],
+        &[2],
+        &[2],
+        &[2],
+        b"ab",
+        &[1],
+        &[2],
+        &[3],
+        &[2],
+        &[0],
+    ]
+    .map(<[u8]>::to_vec)
+    .to_vec()
+}
+
+/// The fields of [`batch_fields`] that are varints.
+const BATCH_VARINTS: [usize; 11] = [1, 2, 3, 5, 6, 7, 9, 11, 12, 13, 15];
+
+/// The data frame of [`frames`], spelled likewise: tag, epoch, rep,
+/// transitional, `seq` (a step from 0), sender, counter, service, payload
+/// length, payload.
+fn data_fields() -> Vec<Vec<u8>> {
+    [
+        &[7][..],
+        &[4],
+        &[1],
+        &[0],
+        &[1],
+        &[2],
+        &[1],
+        &[2],
+        &[7],
+        b"payload",
+    ]
+    .map(<[u8]>::to_vec)
+    .to_vec()
+}
+
+/// The rebroadcast of [`frames`], spelled likewise: tag, the proposal's
+/// epoch, rep and flag, then the message's configuration and fields.
+fn rebroadcast_fields() -> Vec<Vec<u8>> {
+    [
+        &[8][..],
+        &[4],
+        &[1],
+        &[0],
+        &[4],
+        &[1],
+        &[0],
+        &[4],
+        &[2],
+        &[4],
+        &[2],
+        &[1],
+        b"x",
+    ]
+    .map(<[u8]>::to_vec)
+    .to_vec()
+}
+
+#[test]
+fn hostile_data_frames_are_refused() {
+    let corpus = wire_corpus();
+    for (fields, at, name) in [
+        (batch_fields(), 6, "batch"),
+        (data_fields(), 5, "data"),
+        (rebroadcast_fields(), 9, "rebroadcast"),
+    ] {
+        assert_eq!(fields.concat(), corpus[at], "the {name} layout spelled");
+    }
+    let with = |fields: Vec<Vec<u8>>, i: usize, bytes: &[u8]| {
+        let mut fields = fields;
+        fields[i] = bytes.to_vec();
+        fields.concat()
+    };
+    let batch = |i, bytes: &[u8]| with(batch_fields(), i, bytes);
+    let two_to_63 = [0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01];
+    let u64_max = [0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01];
+    let above_u32 = [0x80, 0x80, 0x80, 0x80, 0x10]; // 1 << 32
+    let bad = |what, tag| DecodeError::BadTag { what, tag };
+    let leb = bad("canonical LEB128 u64", 0);
+    let seq = bad("ascending seq", 0);
+    let pid = bad("u32 process id", 0);
+    // The same value spelled one byte longer than it must be.
+    let overlong = |field: &[u8]| vec![field[0] | 0x80, 0x00];
+    let mut cases: Vec<(String, Vec<u8>, DecodeError)> = Vec::new();
+    for i in BATCH_VARINTS {
+        let frame = batch(i, &overlong(&batch_fields()[i]));
+        cases.push((format!("overlong batch field {i}"), frame, leb.clone()));
+    }
+    for i in [1, 2, 4, 5, 6, 8] {
+        let frame = with(data_fields(), i, &overlong(&data_fields()[i]));
+        cases.push((format!("overlong data field {i}"), frame, leb.clone()));
+    }
+    for i in [1, 2, 4, 5, 7, 8, 9, 11] {
+        let frame = with(rebroadcast_fields(), i, &overlong(&rebroadcast_fields()[i]));
+        cases.push((
+            format!("overlong rebroadcast field {i}"),
+            frame,
+            leb.clone(),
+        ));
+    }
+    let old = |hex: &str| -> Vec<u8> {
+        (0..hex.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).expect("hex"))
+            .collect()
+    };
+    for (why, frame, err) in [
+        ("a first seq of 0", batch(5, &[0]), seq.clone()),
+        ("a seq step of 0", batch(11, &[0]), seq.clone()),
+        (
+            "a seq step past u64::MAX",
+            batch(11, &u64_max),
+            seq.clone(),
+        ),
+        ("a lone message's seq of 0", with(data_fields(), 4, &[0]), seq),
+        (
+            "a count beyond the input",
+            batch(1, &[0xc8, 0x01]),
+            DecodeError::UnexpectedEof,
+        ),
+        (
+            "a count of 2^63",
+            batch(1, &two_to_63),
+            DecodeError::OversizedLength { len: 1 << 63 },
+        ),
+        ("a sender above u32::MAX", batch(12, &above_u32), pid.clone()),
+        ("a rep above u32::MAX", batch(3, &above_u32), pid),
+        (
+            "a payload length past the frame",
+            batch(15, &[1]),
+            DecodeError::UnexpectedEof,
+        ),
+        (
+            "a truncated varint",
+            [batch_fields()[..7].concat(), vec![0x80]].concat(),
+            DecodeError::UnexpectedEof,
+        ),
+        // The fixed-width layout's vectors, as its build wrote them.
+        (
+            "a fixed-width data frame",
+            old("012a0000000000000003000000000700000000000000020000006a00000000000000020500000068656c6c6f"),
+            bad("EvsMsg", 1),
+        ),
+        (
+            "a fixed-width batch",
+            old("06020000002a0000000000000003000000000800000000000000020000006b00000000000000010200000061622a0000000000000003000000000900000000000000020000006c000000000000000000000000"),
+            bad("EvsMsg", 6),
+        ),
+        (
+            "a fixed-width rebroadcast",
+            old("042b0000000000000001000000012a0000000000000003000000000500000000000000020000006800000000000000010100000078"),
+            bad("EvsMsg", 4),
+        ),
+    ] {
+        cases.push((why.to_string(), frame, err));
+    }
+    for (why, frame, err) in cases {
+        assert!(
+            matches!(wire_decode(&frame), Verdict::Rejected),
+            "{why}: {frame:02x?}"
+        );
+        assert_eq!(wire::decode(&frame).err(), Some(err), "{why}");
+    }
+}
+
+/// Five bytes a message is the densest a batch gets, and a decoded
+/// message costs 72 heap bytes, so even a batch of nothing but empty
+/// messages stays within the binary bound.
+#[test]
+fn a_batch_of_5_byte_messages_stays_within_its_bound() {
+    let mut frame = vec![9, 0xe8, 0x07, 4, 1, 0]; // 1000 messages
+    for _ in 0..1000 {
+        frame.extend_from_slice(&[1, 0, 0, 0, 0]);
+    }
     assert!(matches!(wire_decode(&frame), Verdict::Accepted(Some(_))));
 }
 

@@ -1,7 +1,8 @@
 //! Golden bytes: every frame and record the system puts on the wire or on
 //! disk, pinned as hex. A codec refactor must leave each of these vectors
 //! byte-identical — a peer running the previous build, or a log it wrote,
-//! has to keep decoding.
+//! has to keep decoding. A vector changes only with a deliberate format
+//! change, and CHANGES.md lists each such change with its old and new hex.
 
 use evs_broker::proto::{self, BatchEntry};
 use evs_core::persist::{Checkpoint, WalRecord};
@@ -203,20 +204,21 @@ fn actual() -> Vec<(&'static str, String)> {
 }
 
 /// Captured from the codec before it moved onto one cursor; a change here
-/// is a wire or disk format change, not a refactor. The token's vector is
-/// the one taken since, for its LEB128 layout.
+/// is a wire or disk format change, not a refactor. The token's vector and
+/// the data frames' (`data`, `batch`, `rebroadcast`) are the ones taken
+/// since, for their LEB128 layouts.
 const GOLDEN: &[(&str, &str)] = &[
     ("heartbeat", "00002a000000000000000300000000"),
     ("join", "0001030000000000000002000000090000001100000000000000"),
     ("commit", "00022a00000000000000030000000003000000000000000100000002000000"),
     ("ack", "00032b000000000000000100000001"),
     ("install", "00042a000000000000000300000000"),
-    ("data", "012a0000000000000003000000000700000000000000020000006a00000000000000020500000068656c6c6f"),
-    ("batch", "06020000002a0000000000000003000000000800000000000000020000006b00000000000000010200000061622a0000000000000003000000000900000000000000020000006c000000000000000000000000"),
+    ("data", "072a030007026a020568656c6c6f"),
+    ("batch", "09022a030008026b0102616201026c0000"),
     ("token", "022a0300d20938020104030306120c"),
     ("exchange_gap_free", "032a00000000000000030000000002000000290000000000000000000000000000000000000000010000000100000000000000204e000000000000204e000000000000164e00000000000000000000"),
     ("exchange_holes", "032a000000000000000300000000010000002900000000000000000000000003000000000000000300000004000000000000000300000000000000080000000000000001000000000000000b0000000000000001000000000000000b000000000000000300000000000000020000000000000001000000"),
-    ("rebroadcast", "042b0000000000000001000000012a0000000000000003000000000500000000000000020000006800000000000000010100000078"),
+    ("rebroadcast", "082b01012a0300050268010178"),
     ("recovery_ack", "052a000000000000000300000000"),
     ("lease", "010004000000000000204d47d6"),
     ("sent", "0207000000000000000300000000000000010000002a00000000000000ca76ae98"),
