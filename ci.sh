@@ -6,7 +6,7 @@
 #   ./ci.sh <step>       # one step: build-test, checker-scale, e2e-smoke,
 #                        #   chaos-smoke, corruption-smoke, trace-hash,
 #                        #   kill-recovery, obs-smoke, bench-diff, soaks, lint
-#   ./ci.sh bench-smoke  # refresh BENCH_baseline.json (not in the gate)
+#   ./ci.sh bench-smoke  # refresh BENCH_baseline.txt (not in the gate)
 #   ./ci.sh loc          # print the non-test line count CHANGES.md quotes
 #
 # The soaks step runs whatever these select (all optional, all off by default):
@@ -15,11 +15,11 @@
 #   BENCH_SMOKE=1 (bench baseline refresh)
 #
 # bench-diff re-runs the deterministic smoke scenarios and compares every
-# counter against BENCH_baseline.json (cost counters one-sided, fixed-load
-# work counters two-sided). Widen the allowance for a run with
-# BENCH_DIFF_TOLERANCE (a fraction, e.g. 0.5 for ±50%); after an
-# intentional protocol change, refresh the baseline with
-# ./ci.sh bench-smoke and commit the diff.
+# counter against BENCH_baseline.txt, one telemetry exposition per
+# scenario (cost counters one-sided, fixed-load work counters two-sided,
+# a scenario on one side only fails); after an intentional protocol
+# change, refresh the baseline with ./ci.sh bench-smoke and commit the
+# diff.
 #
 # checker-scale times the specification checker on fixed-seed traces of
 # ~2k, ~20k and ~200k events and fails if the per-event cost at 200k is
@@ -60,7 +60,9 @@
 # run's age again, should cost two minutes to find, not the gate.
 #
 # lint also guards the layering: evs-inspect reads evs-core's traces, so
-# neither evs-core nor evs-telemetry may depend on it (cargo tree).
+# neither evs-core nor evs-telemetry may depend on it, and evs-telemetry,
+# the bottom crate that holds the one metrics document, depends on
+# nothing at all (cargo tree).
 #
 # Fails on the first broken step.
 set -eu
@@ -185,13 +187,13 @@ obs_smoke() {
 }
 
 bench_smoke() {
-    echo "== bench smoke (writes BENCH_baseline.json) =="
-    cargo run -q --release --offline -p evs-bench --bin bench_smoke -- BENCH_baseline.json
+    echo "== bench smoke (writes BENCH_baseline.txt) =="
+    cargo run -q --release --offline -p evs-bench --bin bench_smoke -- BENCH_baseline.txt
 }
 
 bench_diff() {
-    echo "== bench diff (counter regressions vs BENCH_baseline.json) =="
-    cargo run -q --release --offline -p evs-bench --bin bench_diff -- BENCH_baseline.json
+    echo "== bench diff (counter regressions vs BENCH_baseline.txt) =="
+    cargo run -q --release --offline -p evs-bench --bin bench_diff -- BENCH_baseline.txt
 }
 
 e2e_smoke() {
@@ -271,13 +273,17 @@ loc() {
 }
 
 lint() {
-    echo "== layering (evs-inspect sits above the protocol: no evs-core or evs-telemetry dependency on it) =="
+    echo "== layering (no evs-core or evs-telemetry dependency on evs-inspect; evs-telemetry depends on nothing) =="
     for crate in evs-core evs-telemetry; do
         deps=$(cargo tree --offline -e normal -p "$crate")
         case "$deps" in
         *evs-inspect*) echo "lint: $crate depends on evs-inspect" && exit 1 ;;
         esac
     done
+    # The tree of a crate without dependencies is its own line alone.
+    if [ "$(cargo tree --offline -e normal -p evs-telemetry | wc -l)" -ne 1 ]; then
+        echo "lint: evs-telemetry has a dependency" && exit 1
+    fi
     echo "== rustfmt =="
     cargo fmt --check
     echo "== clippy (-D warnings, redundant clones surfaced) =="

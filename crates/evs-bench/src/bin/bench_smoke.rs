@@ -5,18 +5,18 @@
 //!
 //! ```text
 //! cargo run --release -p evs-bench --bin bench_smoke            # stdout + file
-//! cargo run --release -p evs-bench --bin bench_smoke -- out.json
+//! cargo run --release -p evs-bench --bin bench_smoke -- out.txt
 //! ```
 //!
 //! It finishes in seconds: it runs the [`evs_bench::smoke`] scenarios and
-//! emits one [`evs_bench::report_json_with_extras`] line per scenario,
+//! emits one telemetry exposition per scenario ([`evs_bench::diff::baseline_text`]),
 //! simulated-time figures included. `ci.sh bench-smoke` runs it and
 //! stores the output as
-//! `BENCH_baseline.json` at the repository root; `ci.sh bench-diff`
+//! `BENCH_baseline.txt` at the repository root; `ci.sh bench-diff`
 //! (the `bench_diff` binary) re-runs the same scenarios and fails CI when
 //! a counter drifts outside tolerance — see [`evs_bench::diff`].
 
-use evs_bench::smoke;
+use evs_bench::{diff, smoke};
 
 fn main() {
     let out_path = std::env::args().nth(1);
@@ -31,7 +31,7 @@ fn main() {
             s.safe_ticks
         );
     }
-    let body = smoke::baseline_json(&scenarios);
+    let body = diff::baseline_text(&scenarios);
     match out_path {
         Some(path) => {
             std::fs::write(&path, &body).unwrap_or_else(|e| {

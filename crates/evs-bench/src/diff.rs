@@ -1,9 +1,11 @@
 //! The bench-regression diff gate behind `./ci.sh bench-diff`.
 //!
 //! The [`crate::smoke`] scenarios are deterministic, so their counter
-//! totals are exactly reproducible for unchanged code. This module re-runs
-//! them and compares every counter (plus the simulated-time figures) per
-//! scenario against the committed `BENCH_baseline.json`, with per-counter
+//! totals are exactly reproducible for unchanged code. This module writes
+//! them as `BENCH_baseline.txt` — one telemetry [`Exposition`] per
+//! scenario, concatenated, each named by its `info scenario` line — and
+//! re-runs them to compare every counter (plus the simulated-time
+//! figures) per scenario against the committed file, with per-counter
 //! thresholds:
 //!
 //! * **Cost counters** (token rotations, retransmissions, hole requests,
@@ -15,77 +17,32 @@
 //!   fixed, so movement in *either* direction means the protocol changed
 //!   what it does, not just how expensive it is. A drop in
 //!   `messages_delivered` is lost deliveries, never a win.
-//! * **Derived latency figures** (`latency_*_p50_ticks` /
-//!   `latency_*_p99_ticks`, merged into the totals by the smoke runner)
-//!   gate one-sided like cost counters: they are simulated-tick
-//!   percentiles, exact per seed, and only getting slower is a
-//!   regression.
+//! * **Derived latency figures** (`agreed_ticks`, `safe_ticks` and the
+//!   `latency_*_p50_ticks` / `latency_*_p99_ticks` percentiles) gate
+//!   one-sided like cost counters: they are simulated ticks, exact per
+//!   seed, and only getting slower is a regression.
 //!
-//! The tolerance is relative with an absolute floor (so tiny counters
-//! aren't gated at ±0), and can be widened per-run via the
-//! `BENCH_DIFF_TOLERANCE` environment variable — a fraction, e.g. `0.5`
-//! for ±50%. Intentional protocol changes shift the baseline instead:
+//! The tolerance is relative with an absolute floor, so tiny counters
+//! aren't gated at ±0. A scenario the run has and the baseline lacks
+//! fails too: an empty or truncated baseline compares nothing.
+//! Intentional protocol changes shift the baseline instead:
 //! `./ci.sh bench-smoke` regenerates it, and the diff shows up in review.
 
 use crate::smoke;
-use evs_telemetry::json::{self, Value};
+use evs_telemetry::{Exposition, EXPO_HEADER};
 use std::collections::BTreeMap;
 use std::fmt;
 
-/// Default relative tolerance (fraction of the baseline value).
-pub const DEFAULT_RELATIVE: f64 = 0.2;
+/// Relative tolerance (fraction of the baseline value).
+pub const RELATIVE_TOLERANCE: f64 = 0.2;
 /// Absolute slack floor, so near-zero counters aren't gated at ±0.
-pub const DEFAULT_ABSOLUTE: u64 = 4;
-/// Environment variable overriding the relative tolerance.
-pub const TOLERANCE_ENV: &str = "BENCH_DIFF_TOLERANCE";
+pub const ABSOLUTE_TOLERANCE: u64 = 4;
 
-/// Per-metric drift allowance: `max(absolute, relative × baseline)`.
-#[derive(Clone, Copy, Debug)]
-pub struct Thresholds {
-    /// Allowed drift as a fraction of the baseline value.
-    pub relative: f64,
-    /// Minimum allowed drift regardless of the baseline's magnitude.
-    pub absolute: u64,
-}
-
-impl Default for Thresholds {
-    fn default() -> Self {
-        Thresholds {
-            relative: DEFAULT_RELATIVE,
-            absolute: DEFAULT_ABSOLUTE,
-        }
-    }
-}
-
-impl Thresholds {
-    /// The defaults, with the relative tolerance overridden by the
-    /// `BENCH_DIFF_TOLERANCE` environment variable when set.
-    ///
-    /// # Errors
-    ///
-    /// Fails when the variable is set but not a non-negative number.
-    pub fn from_env() -> Result<Thresholds, String> {
-        let mut t = Thresholds::default();
-        if let Ok(raw) = std::env::var(TOLERANCE_ENV) {
-            let parsed: f64 = raw
-                .trim()
-                .parse()
-                .map_err(|_| format!("{TOLERANCE_ENV}={raw:?} is not a number"))?;
-            if !parsed.is_finite() || parsed < 0.0 {
-                return Err(format!(
-                    "{TOLERANCE_ENV}={raw:?} must be a non-negative fraction"
-                ));
-            }
-            t.relative = parsed;
-        }
-        Ok(t)
-    }
-
-    /// The allowed absolute drift for a metric whose baseline is `base`.
-    pub fn slack(&self, base: u64) -> u64 {
-        let rel = (base as f64 * self.relative).round() as u64;
-        rel.max(self.absolute)
-    }
+/// The drift allowed for a metric whose baseline is `base`:
+/// `max(ABSOLUTE_TOLERANCE, RELATIVE_TOLERANCE × base)`.
+pub fn slack(base: u64) -> u64 {
+    let rel = (base as f64 * RELATIVE_TOLERANCE).round() as u64;
+    rel.max(ABSOLUTE_TOLERANCE)
 }
 
 /// True for metrics gated two-sided (fixed-load work counters, where a
@@ -107,9 +64,11 @@ pub fn two_sided(metric: &str) -> bool {
 pub struct Regression {
     /// Scenario key, e.g. `bench_smoke/n3`.
     pub scenario: String,
-    /// Metric name (a counter total, `agreed_ticks`, or `safe_ticks`).
+    /// Metric name (a counter total or a tick figure), or `<scenario>`
+    /// for a whole scenario missing from one side.
     pub metric: String,
-    /// Value recorded in the committed baseline (`None`: metric is new).
+    /// Value recorded in the committed baseline (`None`: the scenario is
+    /// not in the baseline).
     pub baseline: Option<u64>,
     /// Value measured by this run (`None`: metric disappeared).
     pub current: Option<u64>,
@@ -138,7 +97,7 @@ pub struct DiffReport {
     pub compared: usize,
     /// Everything that moved outside its allowance.
     pub regressions: Vec<Regression>,
-    /// Non-gating observations (new metrics, new scenarios).
+    /// Non-gating observations (metrics new in this run).
     pub notes: Vec<String>,
 }
 
@@ -167,64 +126,8 @@ impl DiffReport {
 /// Per-scenario metric maps, keyed by [`smoke::Scenario::key`]-style keys.
 pub type MetricMap = BTreeMap<String, BTreeMap<String, u64>>;
 
-/// Splits a full scenario name (`bench_smoke/n3/agreed_ticks30/...`) into
-/// its stable key and the tick metrics embedded in the remaining segments.
-fn split_scenario_name(name: &str) -> (String, Vec<(String, u64)>) {
-    let mut key_parts = Vec::new();
-    let mut metrics = Vec::new();
-    for part in name.split('/') {
-        let tick_metric = ["agreed_ticks", "safe_ticks"]
-            .iter()
-            .find_map(|m| part.strip_prefix(m).map(|rest| (*m, rest)));
-        match tick_metric {
-            Some((metric, rest)) if rest.parse::<u64>().is_ok() => {
-                metrics.push((metric.to_string(), rest.parse().unwrap_or(0)));
-            }
-            _ => key_parts.push(part),
-        }
-    }
-    (key_parts.join("/"), metrics)
-}
-
-/// Parses `BENCH_baseline.json` into per-scenario metric maps (counter
-/// totals plus the tick figures embedded in each scenario name).
-///
-/// # Errors
-///
-/// Fails on malformed JSON or a shape other than the smoke baseline's
-/// `[{"scenario": .., "totals": {..}, ..}, ..]`.
-pub fn parse_baseline(text: &str) -> Result<MetricMap, String> {
-    let value = json::parse(text).map_err(|e| format!("baseline is not valid JSON: {e}"))?;
-    let scenarios = value
-        .as_array()
-        .ok_or("baseline is not a JSON array of scenarios")?;
-    let mut out = MetricMap::new();
-    for entry in scenarios {
-        let obj = entry.as_object().ok_or("scenario entry is not an object")?;
-        let name = obj
-            .get("scenario")
-            .and_then(Value::as_str)
-            .ok_or("scenario entry lacks a \"scenario\" name")?;
-        let totals = obj
-            .get("totals")
-            .and_then(Value::as_object)
-            .ok_or_else(|| format!("scenario {name} lacks a \"totals\" object"))?;
-        let (key, ticks) = split_scenario_name(name);
-        let mut metrics: BTreeMap<String, u64> = ticks.into_iter().collect();
-        for (counter, v) in totals {
-            let v = v
-                .as_u64()
-                .ok_or_else(|| format!("{name}: counter {counter} is not a u64"))?;
-            metrics.insert(counter.clone(), v);
-        }
-        if out.insert(key.clone(), metrics).is_some() {
-            return Err(format!("baseline has two scenarios with key {key}"));
-        }
-    }
-    Ok(out)
-}
-
-/// The comparable metrics of one freshly-run smoke scenario.
+/// The comparable metrics of one freshly-run smoke scenario: its counter
+/// totals plus the two tick figures.
 pub fn current_metrics(s: &smoke::Scenario) -> BTreeMap<String, u64> {
     let mut metrics = s.totals.clone();
     metrics.insert("agreed_ticks".to_string(), s.agreed_ticks);
@@ -232,23 +135,105 @@ pub fn current_metrics(s: &smoke::Scenario) -> BTreeMap<String, u64> {
     metrics
 }
 
-/// Compares a parsed baseline against freshly-run scenarios.
-pub fn compare(baseline: &MetricMap, current: &[smoke::Scenario], t: &Thresholds) -> DiffReport {
+/// Renders the scenarios as the baseline file: per scenario one
+/// exposition whose `info scenario` line is its key and whose counters
+/// are its [`current_metrics`].
+pub fn baseline_text(scenarios: &[smoke::Scenario]) -> String {
+    let mut out = String::new();
+    for s in scenarios {
+        let expo = Exposition {
+            info: [("scenario".to_string(), s.key())].into(),
+            counters: current_metrics(s),
+            ..Exposition::default()
+        };
+        out.push_str(&expo.to_text());
+    }
+    out
+}
+
+/// Why the baseline file did not parse, and on which line.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct BaselineError {
+    /// The offending line of the whole file, 1-based.
+    pub line: usize,
+    /// What was wrong with it.
+    pub what: String,
+}
+
+impl fmt::Display for BaselineError {
+    /// `<line>: <what>`, to follow the file name.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}: {}", self.line, self.what)
+    }
+}
+
+/// Parses the baseline file into per-scenario metric maps: it splits the
+/// text at each exposition header and reads each part with
+/// [`Exposition::parse`].
+///
+/// # Errors
+///
+/// Fails on the first part that is not a canonical exposition, that lacks
+/// an `info scenario` line, or whose scenario an earlier part named.
+pub fn parse_baseline(text: &str) -> Result<MetricMap, BaselineError> {
+    let mut out = MetricMap::new();
+    let mut first = 1;
+    for part in split_at_headers(text) {
+        let expo = Exposition::parse(part).map_err(|e| BaselineError {
+            line: first + e.line - 1,
+            what: e.what.to_string(),
+        })?;
+        let fail = |what| BaselineError { line: first, what };
+        let key = expo
+            .info
+            .get("scenario")
+            .ok_or_else(|| fail("exposition has no `info scenario` line".to_string()))?;
+        if out.contains_key(key) {
+            return Err(fail(format!("a second scenario {key}")));
+        }
+        out.insert(key.clone(), expo.counters);
+        first += part.lines().count();
+    }
+    Ok(out)
+}
+
+/// `text` cut before every header line but the first (one part for an
+/// empty text, which then fails to parse).
+fn split_at_headers(text: &str) -> Vec<&str> {
+    let mut cuts = vec![0];
+    let mut at = 0;
+    for line in text.split_inclusive('\n') {
+        if at > 0 && line.strip_suffix('\n').unwrap_or(line) == EXPO_HEADER {
+            cuts.push(at);
+        }
+        at += line.len();
+    }
+    cuts.push(text.len());
+    cuts.windows(2).map(|w| &text[w[0]..w[1]]).collect()
+}
+
+/// Compares a parsed baseline against freshly-run scenarios. A scenario
+/// on one side only is a regression.
+pub fn compare(baseline: &MetricMap, current: &[smoke::Scenario]) -> DiffReport {
     let mut report = DiffReport::default();
     let mut seen = Vec::new();
     for s in current {
         let key = s.key();
         seen.push(key.clone());
         let Some(base) = baseline.get(&key) else {
-            report
-                .notes
-                .push(format!("{key}: new scenario, not in the baseline"));
+            report.regressions.push(Regression {
+                scenario: key,
+                metric: "<scenario>".to_string(),
+                baseline: None,
+                current: None,
+                allowed: 0,
+            });
             continue;
         };
         let cur = current_metrics(s);
         for (metric, &b) in base {
             report.compared += 1;
-            let allowed = t.slack(b);
+            let allowed = slack(b);
             match cur.get(metric) {
                 None => report.regressions.push(Regression {
                     scenario: key.clone(),
@@ -298,107 +283,133 @@ pub fn compare(baseline: &MetricMap, current: &[smoke::Scenario], t: &Thresholds
 mod tests {
     use super::*;
 
-    const BASELINE: &str = r#"[
-        {"scenario":"bench_smoke/n3/agreed_ticks30/safe_ticks50",
-         "totals":{"messages_sent":128,"token_rotations":1000,"holes_requested":5}}
-    ]"#;
+    fn run(label: &'static str, totals: &[(&str, u64)], ticks: (u64, u64)) -> smoke::Scenario {
+        smoke::Scenario {
+            n: if label.is_empty() { 3 } else { 5 },
+            label,
+            agreed_ticks: ticks.0,
+            safe_ticks: ticks.1,
+            totals: totals.iter().map(|&(k, v)| (k.to_string(), v)).collect(),
+        }
+    }
 
     fn scenario(sent: u64, rotations: u64, holes: u64) -> smoke::Scenario {
-        let totals: BTreeMap<String, u64> = [
-            ("messages_sent".to_string(), sent),
-            ("token_rotations".to_string(), rotations),
-            ("holes_requested".to_string(), holes),
-        ]
-        .into_iter()
-        .collect();
-        smoke::Scenario {
-            n: 3,
-            label: "",
-            agreed_ticks: 30,
-            safe_ticks: 50,
-            totals,
-            json: String::new(),
-        }
+        let totals = [
+            ("messages_sent", sent),
+            ("token_rotations", rotations),
+            ("holes_requested", holes),
+        ];
+        run("", &totals, (30, 50))
+    }
+
+    fn baseline() -> MetricMap {
+        parse_baseline(&baseline_text(&[scenario(128, 1000, 5)])).unwrap()
     }
 
     #[test]
     fn unchanged_run_is_clean_and_improvements_pass() {
-        let base = parse_baseline(BASELINE).unwrap();
-        let t = Thresholds::default();
-        assert!(compare(&base, &[scenario(128, 1000, 5)], &t).is_clean());
+        let base = baseline();
+        assert!(compare(&base, &[scenario(128, 1000, 5)]).is_clean());
         // Cost counters gate one-sided: a cheaper run is clean.
-        assert!(compare(&base, &[scenario(128, 500, 0)], &t).is_clean());
+        assert!(compare(&base, &[scenario(128, 500, 0)]).is_clean());
     }
 
     #[test]
     fn cost_regression_and_work_drop_both_fail() {
-        let base = parse_baseline(BASELINE).unwrap();
-        let t = Thresholds::default();
+        let base = baseline();
         // token_rotations +50% is far outside the 20% allowance.
-        let r = compare(&base, &[scenario(128, 1500, 5)], &t);
+        let r = compare(&base, &[scenario(128, 1500, 5)]);
         assert_eq!(r.regressions.len(), 1, "{}", r.to_text());
         assert_eq!(r.regressions[0].metric, "token_rotations");
         // messages_sent is two-sided: losing half the sends also fails.
-        let r = compare(&base, &[scenario(64, 1000, 5)], &t);
+        let r = compare(&base, &[scenario(64, 1000, 5)]);
         assert_eq!(r.regressions.len(), 1, "{}", r.to_text());
         assert_eq!(r.regressions[0].metric, "messages_sent");
     }
 
     #[test]
     fn absolute_floor_spares_tiny_counters_and_missing_scenario_fails() {
-        let base = parse_baseline(BASELINE).unwrap();
-        let t = Thresholds::default();
+        let base = baseline();
         // holes_requested 5 -> 8 is +60%, but within the absolute floor.
-        assert!(compare(&base, &[scenario(128, 1000, 8)], &t).is_clean());
-        let r = compare(&base, &[], &t);
+        assert!(compare(&base, &[scenario(128, 1000, 8)]).is_clean());
+        let r = compare(&base, &[]);
         assert_eq!(r.regressions.len(), 1);
         assert_eq!(r.regressions[0].metric, "<scenario>");
     }
 
     #[test]
-    fn scenario_names_split_into_key_and_tick_metrics() {
-        let (key, ticks) = split_scenario_name("bench_smoke/n5/agreed_ticks22/safe_ticks85");
-        assert_eq!(key, "bench_smoke/n5");
+    fn a_scenario_missing_from_the_baseline_fails() {
+        // An empty or truncated baseline compares nothing: that is a
+        // failure, not a clean run.
+        let r = compare(&MetricMap::new(), &[scenario(128, 1000, 5)]);
+        assert!(!r.is_clean(), "{}", r.to_text());
+        assert_eq!(r.compared, 0);
+        assert_eq!(r.regressions[0].scenario, "bench_smoke/n3");
+        assert!(r.to_text().contains("missing from the baseline"));
+    }
+
+    #[test]
+    fn the_baseline_text_reads_back_as_the_current_metrics() {
+        let scenarios = [
+            run(
+                "",
+                &[("token_rotations", 30), ("messages_sent", 128)],
+                (21, 57),
+            ),
+            run("window4", &[("token_rotations", 90)], (40, 90)),
+        ];
+        let text = baseline_text(&scenarios);
+        assert_eq!(text.matches(EXPO_HEADER).count(), 2);
+        assert!(text.contains("info scenario bench_smoke/n5/window4\n"));
+        let want: MetricMap = scenarios
+            .iter()
+            .map(|s| (s.key(), current_metrics(s)))
+            .collect();
+        assert_eq!(parse_baseline(&text), Ok(want));
+    }
+
+    #[test]
+    fn a_malformed_baseline_names_its_line() {
+        let scenarios = [scenario(128, 1000, 5), run("loss5", &[], (1, 2))];
+        let text = baseline_text(&scenarios);
+        // The first exposition has header, pid, seq, info and five
+        // counters, then end: the second's `seq` is line 13.
+        let second = "seq 0\ninfo scenario bench_smoke/n5";
+        let broken = text.replace(second, "seq x\ninfo scenario bench_smoke/n5");
+        let err = parse_baseline(&broken).unwrap_err();
+        assert_eq!(err.line, 13, "{err}");
+        assert_eq!(err.to_string(), "13: malformed exposition line");
+        let unnamed = text.replace("info scenario bench_smoke/n5/loss5\n", "");
+        assert_eq!(parse_baseline(&unnamed).unwrap_err().line, 11);
+        // The second exposition has two counters: the repeat starts at 18.
         assert_eq!(
-            ticks,
-            vec![
-                ("agreed_ticks".to_string(), 22),
-                ("safe_ticks".to_string(), 85)
-            ]
+            parse_baseline(&format!("{text}{text}")).unwrap_err().line,
+            18
         );
+        assert_eq!(parse_baseline("").unwrap_err().line, 1);
     }
 
     #[test]
     fn labelled_scenarios_key_apart_from_their_base() {
-        let base = parse_baseline(
-            r#"[
-            {"scenario":"bench_smoke/n5/agreed_ticks21/safe_ticks57","totals":{"token_rotations":30}},
-            {"scenario":"bench_smoke/n5/window4/agreed_ticks40/safe_ticks90","totals":{"token_rotations":90}}
-        ]"#,
-        )
-        .unwrap();
+        let both = [
+            run("", &[("token_rotations", 30)], (21, 57)),
+            run("window4", &[("token_rotations", 90)], (40, 90)),
+        ];
+        let base = parse_baseline(&baseline_text(&both)).unwrap();
         assert_eq!(
             base.keys().collect::<Vec<_>>(),
-            ["bench_smoke/n5", "bench_smoke/n5/window4"]
+            ["bench_smoke/n3", "bench_smoke/n5/window4"]
         );
         assert_eq!(base["bench_smoke/n5/window4"]["safe_ticks"], 90);
-        let run = |label, rotations, agreed_ticks, safe_ticks| smoke::Scenario {
-            n: 5,
-            label,
-            agreed_ticks,
-            safe_ticks,
-            totals: [("token_rotations".to_string(), rotations)].into(),
-            json: String::new(),
-        };
-        assert_eq!(run("window4", 90, 40, 90).key(), "bench_smoke/n5/window4");
-        let t = Thresholds::default();
-        let both = [run("", 30, 21, 57), run("window4", 90, 40, 90)];
-        assert!(compare(&base, &both, &t).is_clean());
+        assert!(compare(&base, &both).is_clean());
         // Each scenario is held to its own line: the ablation's 90
         // rotations would be a regression against the base's 30.
-        let swapped = [run("", 90, 21, 57), run("window4", 90, 40, 90)];
-        let r = compare(&base, &swapped, &t);
+        let swapped = [
+            run("", &[("token_rotations", 90)], (21, 57)),
+            run("window4", &[("token_rotations", 90)], (40, 90)),
+        ];
+        let r = compare(&base, &swapped);
         assert_eq!(r.regressions.len(), 1, "{}", r.to_text());
-        assert_eq!(r.regressions[0].scenario, "bench_smoke/n5");
+        assert_eq!(r.regressions[0].scenario, "bench_smoke/n3");
     }
 }

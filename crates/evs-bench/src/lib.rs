@@ -6,10 +6,11 @@
 //! which are exact per seed: a diff between two runs of the same code is
 //! zero, so any drift is a signal CI can gate on.
 //!
-//! * [`smoke`] — the fixed scenarios behind `BENCH_baseline.json`
+//! * [`smoke`] — the fixed scenarios behind `BENCH_baseline.txt`
 //!   (`./ci.sh bench-smoke`, the `bench_smoke` binary).
-//! * [`diff`] — re-runs them and compares every counter against the
-//!   committed baseline (`./ci.sh bench-diff`, the `bench_diff` binary).
+//! * [`diff`] — writes and reads that baseline (one telemetry exposition
+//!   per scenario), re-runs the scenarios and compares every counter
+//!   against it (`./ci.sh bench-diff`, the `bench_diff` binary).
 //!
 //! Wall-clock cost is measured by the separate `bench/` workspace that
 //! `BENCHMARK.json` drives. See `EXPERIMENTS.md` (B1, B2, B7–B9) for what
@@ -20,7 +21,6 @@
 
 use evs_core::{EvsCluster, EvsEvent, Service};
 use evs_sim::{ProcessId, SimTime};
-use evs_telemetry::json;
 
 /// The latest timestamp of an event matching `pred` anywhere in the trace.
 fn last_event_time(trace: &evs_core::Trace, pred: impl Fn(&EvsEvent) -> bool) -> Option<SimTime> {
@@ -31,34 +31,6 @@ fn last_event_time(trace: &evs_core::Trace, pred: impl Fn(&EvsEvent) -> bool) ->
         .filter(|(_, e)| pred(e))
         .map(|(t, _)| *t)
         .max()
-}
-
-/// Serializes a scenario's counter snapshot as a JSON object — the
-/// machine-readable line `BENCH_baseline.json` stores per scenario, so
-/// runs can be diffed (`messages_sent`, `token_retransmissions`,
-/// `token_rotations`, …).
-///
-/// The object is `{"scenario": .., "totals": {..}, "report": <RunReport>}`;
-/// `totals` sums each counter across processes, with `extras` (derived
-/// figures such as delivery-latency percentiles in ticks) merged in; an
-/// extra with the same name as a counter wins.
-pub fn report_json_with_extras(
-    scenario: &str,
-    cluster: &EvsCluster<u64>,
-    extras: &std::collections::BTreeMap<String, u64>,
-) -> String {
-    let report = cluster.run_report();
-    let mut totals: std::collections::BTreeMap<String, u64> =
-        report.counter_totals().into_iter().collect();
-    totals.extend(extras.iter().map(|(k, v)| (k.clone(), *v)));
-    let mut out = String::from("{\"scenario\":");
-    json::push_json_string(&mut out, scenario);
-    out.push_str(",\"totals\":{");
-    json::push_members(&mut out, &totals);
-    out.push_str("},\"report\":");
-    out.push_str(&report.to_json());
-    out.push('}');
-    out
 }
 
 /// Submits `k` messages round-robin and runs until everything is delivered
@@ -80,7 +52,7 @@ pub fn pump_messages(cluster: &mut EvsCluster<u64>, k: u64, service: Service) ->
     end.since(start)
 }
 
-/// The deterministic smoke scenarios behind `BENCH_baseline.json` and the
+/// The deterministic smoke scenarios behind `BENCH_baseline.txt` and the
 /// `./ci.sh bench-diff` regression gate.
 ///
 /// One fixed message load pumped through settled clusters, same seeds
@@ -94,10 +66,10 @@ pub fn pump_messages(cluster: &mut EvsCluster<u64>, k: u64, service: Service) ->
 ///   of the flow-control window, the loss rate and the token pacing
 ///   (B7, B8, B9) on n = 5; read each against `n5`.
 pub mod smoke {
-    use super::{pump_messages, report_json_with_extras};
+    use super::pump_messages;
     use evs_core::{EvsCluster, EvsParams, Service};
     use evs_sim::NetConfig;
-    use evs_telemetry::{names, LogHistogramSnapshot, RunReport};
+    use evs_telemetry::{counter_totals, names, LogHistogramSnapshot, Telemetry};
     use std::collections::BTreeMap;
 
     /// Fixed base seed for every smoke scenario.
@@ -106,7 +78,7 @@ pub mod smoke {
     pub const MESSAGES: u64 = 64;
 
     /// One executed smoke scenario: its counter totals plus the
-    /// simulated-time figures, and the JSON line the baseline file stores.
+    /// simulated-time figures.
     pub struct Scenario {
         /// Cluster size.
         pub n: usize,
@@ -116,18 +88,14 @@ pub mod smoke {
         pub agreed_ticks: u64,
         /// Simulated ticks to deliver the safe-service load everywhere.
         pub safe_ticks: u64,
-        /// Counter totals summed across processes.
+        /// Counter totals summed across processes, with the merged
+        /// delivery-latency percentiles (`latency_*_ticks`) added.
         pub totals: BTreeMap<String, u64>,
-        /// The [`report_json_with_extras`] line (what `BENCH_baseline.json`
-        /// records).
-        pub json: String,
     }
 
     impl Scenario {
         /// The stable scenario key both sides of a diff are matched on:
-        /// the cluster size plus the label, if any. Tick figures are
-        /// embedded in the full scenario name, so the key deliberately
-        /// stops before them.
+        /// the cluster size plus the label, if any.
         pub fn key(&self) -> String {
             key(self.n, self.label)
         }
@@ -202,27 +170,20 @@ pub mod smoke {
                 assert!(cluster.run_until_settled(1_000_000), "formation stalled");
                 let agreed_ticks = pump_messages(&mut cluster, MESSAGES, Service::Agreed);
                 let safe_ticks = pump_messages(&mut cluster, MESSAGES, Service::Safe);
-                let name = format!(
-                    "{}/agreed_ticks{agreed_ticks}/safe_ticks{safe_ticks}",
-                    key(n, label)
-                );
-                let report = cluster.run_report();
-                let mut extras = BTreeMap::new();
+                let mut totals = counter_totals(&cluster.snapshots());
+                let handles = cluster.telemetry_handles();
                 for service in [Service::Agreed, Service::Safe] {
-                    if let Some(lat) = merged_histogram(&report, latency_name(service)) {
-                        extras.insert(format!("latency_{service}_p50_ticks"), lat.percentile(0.50));
-                        extras.insert(format!("latency_{service}_p99_ticks"), lat.percentile(0.99));
+                    if let Some(lat) = merged_histogram(&handles, latency_name(service)) {
+                        totals.insert(format!("latency_{service}_p50_ticks"), lat.percentile(0.50));
+                        totals.insert(format!("latency_{service}_p99_ticks"), lat.percentile(0.99));
                     }
                 }
-                let mut totals = report.counter_totals();
-                totals.extend(extras.iter().map(|(k, v)| (k.clone(), *v)));
                 Scenario {
                     n,
                     label,
                     agreed_ticks,
                     safe_ticks,
                     totals,
-                    json: report_json_with_extras(&name, &cluster, &extras),
                 }
             })
             .collect()
@@ -237,24 +198,19 @@ pub mod smoke {
         }
     }
 
-    /// Merges the named histogram across every process of the report;
-    /// `None` when no process recorded it.
-    fn merged_histogram(report: &RunReport, name: &str) -> Option<LogHistogramSnapshot> {
+    /// Merges the named histogram's buckets across every enabled handle;
+    /// `None` when telemetry is detached. A snapshot's per-process
+    /// quantile summaries cannot be combined into a cross-process
+    /// quantile, so the percentiles are read from the merged buckets.
+    fn merged_histogram(handles: &[Telemetry], name: &'static str) -> Option<LogHistogramSnapshot> {
         let mut merged: Option<LogHistogramSnapshot> = None;
-        for h in report
-            .processes
+        for h in handles
             .iter()
-            .filter_map(|p| p.log_histograms.get(name))
+            .filter_map(|t| t.log_histogram(name).snapshot())
         {
-            merged.get_or_insert_with(Default::default).merge(h);
+            merged.get_or_insert_with(Default::default).merge(&h);
         }
         merged
-    }
-
-    /// Serializes the scenarios as the baseline file's JSON array.
-    pub fn baseline_json(scenarios: &[Scenario]) -> String {
-        let lines: Vec<&str> = scenarios.iter().map(|s| s.json.as_str()).collect();
-        format!("[\n{}\n]\n", lines.join(",\n"))
     }
 }
 

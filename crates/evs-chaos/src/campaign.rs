@@ -8,7 +8,7 @@ use crate::orchestrator::{ChaosFailure, ChaosOutcome, Orchestrator};
 use crate::plan::FaultPlan;
 use crate::shrink::Shrinker;
 use evs_inspect::{AnomalyConfig, InspectReport};
-use evs_telemetry::{names, RunReport, Telemetry, TelemetryEvent};
+use evs_telemetry::{names, Exposition, Telemetry, TelemetryEvent};
 
 /// A failing plan, its shrunken form, and what it violates — everything
 /// needed to file (and replay) a bug.
@@ -146,8 +146,8 @@ fn run_on(orchestrator: &Orchestrator, plan: &FaultPlan, live: bool) -> ChaosOut
 ///
 /// The campaign carries its own harness-level [`Telemetry`] handle;
 /// chaos run/violation/shrink events land in the same metrics/flight
-/// recorder machinery as the protocol's own events, so a campaign report
-/// reads like any other run report.
+/// recorder machinery as the protocol's own events, so a campaign's
+/// snapshot reads like any process's.
 #[derive(Clone, Debug)]
 pub struct Campaign {
     generator: ScenarioGen,
@@ -182,9 +182,11 @@ impl Campaign {
         &self.telemetry
     }
 
-    /// The harness-level telemetry aggregated as a [`RunReport`].
-    pub fn report(&self) -> RunReport {
-        RunReport::collect([&self.telemetry])
+    /// A snapshot of the harness-level telemetry.
+    pub fn snapshot(&self) -> Exposition {
+        self.telemetry
+            .snapshot()
+            .expect("a campaign's telemetry is always enabled")
     }
 
     /// Runs `iterations` seeds starting at `base_seed` (seed `base_seed +
@@ -462,9 +464,9 @@ pub(crate) mod tests {
         let (stats, found) = campaign.run(7_000, 8);
         assert_eq!(stats.runs, 8);
         assert_eq!(stats.failures, 0, "{found:?}");
-        let report = campaign.report();
-        assert_eq!(report.total("chaos_runs"), 8);
-        assert_eq!(report.total("chaos_violations"), 0);
+        let counters = campaign.snapshot().counters;
+        assert_eq!(counters["chaos_runs"], 8);
+        assert_eq!(counters.get("chaos_violations").copied().unwrap_or(0), 0);
         // A detached orchestrator records no dumps: no detector ledger.
         assert!(stats.coverage.anomalies.is_empty());
     }
@@ -480,7 +482,7 @@ pub(crate) mod tests {
         assert!(!stats_one.coverage.kinds.is_empty());
         let seeds = |found: &[CounterExample]| found.iter().map(|c| c.seed).collect::<Vec<_>>();
         assert_eq!(seeds(&found_one), seeds(&found_three));
-        assert_eq!(one.report().to_text(), three.report().to_text());
+        assert_eq!(one.snapshot(), three.snapshot());
     }
 
     #[test]

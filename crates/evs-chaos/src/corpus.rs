@@ -30,7 +30,6 @@
 use crate::campaign::{CampaignStats, CounterExample};
 use crate::plan::{FaultPlan, FaultStep};
 use evs_inspect::ANOMALY_KINDS;
-use evs_telemetry::json::push_json_string;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 use std::io;
@@ -256,6 +255,25 @@ fn adopt_loose_artifacts(dir: &Path, entries: &mut Vec<IndexEntry>) -> io::Resul
     Ok(())
 }
 
+/// Appends `s` as a JSON string literal, quotes and escapes included.
+fn push_json_string(out: &mut String, s: &str) {
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+}
+
 /// Renders `index.json`: sweep provenance, the three coverage ledgers,
 /// the never-fired lists, and one row per artifact.
 fn render_index(base_seed: u64, stats: &CampaignStats, entries: &[IndexEntry]) -> String {
@@ -339,6 +357,13 @@ fn render_index(base_seed: u64, stats: &CampaignStats, entries: &[IndexEntry]) -
 mod tests {
     use super::*;
     use crate::campaign::tests::factory_campaign;
+
+    #[test]
+    fn strings_are_escaped() {
+        let mut s = String::new();
+        push_json_string(&mut s, "a\"b\\c\nd\u{1}");
+        assert_eq!(s, "\"a\\\"b\\\\c\\nd\\u0001\"");
+    }
 
     #[test]
     fn small_soak_on_the_correct_engine_is_clean_and_counts_coverage() {

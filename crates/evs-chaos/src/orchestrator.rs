@@ -21,7 +21,7 @@ use evs_inspect::{check_all_with_telemetry, collect_dumps};
 use evs_order::Service;
 use evs_runtime::{Cluster, LinkFault, TICK};
 use evs_sim::{Action, NetConfig, ProcessId};
-use evs_telemetry::{RecordedEvent, RunReport, Telemetry};
+use evs_telemetry::{Exposition, RecordedEvent, Telemetry};
 use evs_vs::{check_vs, filter_trace, MajorityPrimary, PrimaryHistory};
 use std::time::Duration;
 
@@ -69,8 +69,8 @@ pub struct ChaosOutcome {
     pub settled: bool,
     /// The conformance failure, if any (`"settle"` when `!settled`).
     pub failure: Option<ChaosFailure>,
-    /// Aggregated per-process telemetry (empty when telemetry is off).
-    pub report: RunReport,
+    /// One telemetry snapshot per process (empty when telemetry is off).
+    pub snapshots: Vec<Exposition>,
     /// The run at its end — raw material for `evs-inspect` span and
     /// anomaly analysis of this run, e.g. a campaign's detector-coverage
     /// accounting.
@@ -99,7 +99,7 @@ pub struct Orchestrator {
     /// Ticks allowed for the final heal-and-settle phase.
     pub settle_budget: u64,
     /// Attach per-process telemetry (flight recorder in failure reports,
-    /// run reports on outcomes). Costs a little speed.
+    /// telemetry snapshots on outcomes). Costs a little speed.
     pub telemetry: bool,
 }
 
@@ -593,7 +593,7 @@ impl Orchestrator {
             trace: sub.into_trace(),
             dumps: collect_dumps(&all),
         };
-        let report = RunReport::collect(&all);
+        let snapshots = all.iter().filter_map(Telemetry::snapshot).collect();
         let failure = if settled {
             let (mut specs, mut details) = conformance(&end.trace, &handles, plan.n as usize)
                 .map_or_else(Default::default, |f| (f.specs, f.details));
@@ -611,7 +611,7 @@ impl Orchestrator {
         ChaosOutcome {
             settled,
             failure,
-            report,
+            snapshots,
             end,
             mid,
         }
@@ -727,6 +727,7 @@ fn finish(mut specs: Vec<String>, details: String) -> ChaosFailure {
 mod tests {
     use super::*;
     use evs_order::Service;
+    use evs_telemetry::total;
 
     fn quiet_plan() -> FaultPlan {
         FaultPlan {
@@ -748,14 +749,14 @@ mod tests {
         let outcome = Orchestrator::default().run_sim(&quiet_plan());
         assert!(outcome.settled);
         assert!(!outcome.failed(), "{:?}", outcome.failure);
-        assert!(outcome.report.total("messages_sent") >= 2);
+        assert!(total(&outcome.snapshots, "messages_sent") >= 2);
     }
 
     #[test]
     fn detached_orchestrator_reports_nothing() {
         let outcome = Orchestrator::detached().run_sim(&quiet_plan());
         assert!(!outcome.failed());
-        assert!(outcome.report.is_empty());
+        assert!(outcome.snapshots.is_empty());
     }
 
     #[test]
@@ -814,10 +815,10 @@ mod tests {
         assert!(outcome.settled);
         assert!(!outcome.failed(), "{:?}", outcome.failure);
         assert!(
-            outcome.report.total("storage_recoveries") >= 1,
+            total(&outcome.snapshots, "storage_recoveries") >= 1,
             "the restarted process must report a storage recovery"
         );
-        assert!(outcome.report.total("wal_replay_records") >= 1);
+        assert!(total(&outcome.snapshots, "wal_replay_records") >= 1);
     }
 
     fn broker_plan() -> FaultPlan {
@@ -854,7 +855,7 @@ mod tests {
         assert!(outcome.settled);
         assert!(!outcome.failed(), "{:?}", outcome.failure);
         assert!(
-            outcome.report.total("broker_batches_flushed") >= 1,
+            total(&outcome.snapshots, "broker_batches_flushed") >= 1,
             "client ops must ride the broker pipeline"
         );
     }
@@ -940,15 +941,15 @@ mod tests {
         assert!(outcome.settled, "cluster re-stabilized after every fault");
         assert!(!outcome.failed(), "{:?}", outcome.failure);
         assert!(
-            outcome.report.total("corruptions_injected") >= 6,
+            total(&outcome.snapshots, "corruptions_injected") >= 6,
             "all injections landed"
         );
         assert!(
-            outcome.report.total("corruption_excomms") >= 3,
+            total(&outcome.snapshots, "corruption_excomms") >= 3,
             "ring bit flip, wrap and desync each excommunicated"
         );
         assert!(
-            outcome.report.total("corruption_repairs") >= 1,
+            total(&outcome.snapshots, "corruption_repairs") >= 1,
             "the persistent counter repaired in place"
         );
     }
@@ -969,7 +970,7 @@ mod tests {
             .expect("corruption steps are live-supported");
         assert!(outcome.settled);
         assert!(!outcome.failed(), "{:?}", outcome.failure);
-        assert!(outcome.report.total("corruptions_injected") >= 6);
+        assert!(total(&outcome.snapshots, "corruptions_injected") >= 6);
     }
 
     #[test]

@@ -105,10 +105,10 @@ fn pipeline_catches_shrinks_and_replays_the_planted_dedup_bug() {
     let _ = std::fs::remove_file(&path);
 
     // Telemetry recorded the campaign: runs, the violation, the shrink.
-    let report = campaign.report();
-    assert!(report.total("chaos_runs") >= 1);
-    assert_eq!(report.total("chaos_violations"), 1);
-    assert_eq!(report.total("chaos_shrinks"), 1);
+    let counters = campaign.snapshot().counters;
+    assert!(counters["chaos_runs"] >= 1);
+    assert_eq!(counters["chaos_violations"], 1);
+    assert_eq!(counters["chaos_shrinks"], 1);
 }
 
 #[test]

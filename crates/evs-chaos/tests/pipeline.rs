@@ -14,6 +14,7 @@ use evs_chaos::{
     FaultPlan, FaultStep, GenConfig, Orchestrator, ScenarioGen, ShrinkResult, Shrinker,
 };
 use evs_order::Service;
+use evs_telemetry::total;
 use proptest::prelude::*;
 
 proptest! {
@@ -132,5 +133,5 @@ fn live_driver_runs_a_plan_conformantly() {
         .expect("plan is live-compatible");
     assert!(outcome.settled, "live cluster failed to settle");
     assert!(!outcome.failed(), "{:?}", outcome.failure);
-    assert!(outcome.report.total("messages_sent") >= 2);
+    assert!(total(&outcome.snapshots, "messages_sent") >= 2);
 }

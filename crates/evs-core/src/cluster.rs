@@ -3,7 +3,7 @@
 use crate::{Configuration, Delivery, EvsParams, EvsProcess, Trace};
 use evs_order::Service;
 use evs_sim::{Action, NetConfig, ProcessId, Sim, SimTime};
-use evs_telemetry::{RunReport, Telemetry};
+use evs_telemetry::{Exposition, Telemetry};
 use std::fmt;
 
 /// Builder for [`EvsCluster`].
@@ -244,10 +244,15 @@ impl<P: Clone + fmt::Debug + Send + 'static> EvsCluster<P> {
         self.sim.telemetry_handles()
     }
 
-    /// Aggregates every enabled process's metrics into a [`RunReport`].
-    /// Empty when the cluster was built without telemetry.
-    pub fn run_report(&self) -> RunReport {
-        RunReport::collect(&self.sim.telemetry_handles())
+    /// One snapshot per process, in process order; sum them with
+    /// [`evs_telemetry::counter_totals`]. Empty when the cluster was built
+    /// without telemetry.
+    pub fn snapshots(&self) -> Vec<Exposition> {
+        self.sim
+            .telemetry_handles()
+            .iter()
+            .filter_map(Telemetry::snapshot)
+            .collect()
     }
 
     /// Low-level access to the simulator for advanced schedules.

@@ -8,8 +8,11 @@
 //! while a 200k check streams tens of megabytes through the last-level
 //! cache and first-touches most of its memory (the allocator returns
 //! blocks that large to the kernel). On a 2-vCPU VM with 2 MiB of L2 per
-//! core, where a first-touch page fault costs ~1.5 µs, the 200k figure is
-//! 1.3–1.7 times the 2k one.
+//! core, where a first-touch page fault costs ~1.5 µs, the 200k figure
+//! reads 1.78–2.27 times the 2k one, with the checker unchanged, so the
+//! gate fails about one run in three to five. ROADMAP.md's fix-first
+//! item "`checker-scale` fails one run in three to five" is the repair:
+//! flatten the checker's indexes, and keep the 2× bound.
 //!
 //! Every sample checks the same volume of events — a hundred distinct 2k
 //! traces, ten 20k ones, or one 200k one — so each reads its input from

@@ -4,14 +4,13 @@
 //! post-mortem: flight-recorder dumps merged by `evs-inspect` after a
 //! run ends. `evs-obs` makes a *running* cluster observable:
 //!
-//! * [`Exposition`] — a line-oriented text snapshot of one process's
-//!   telemetry (counters, gauges, log-histogram quantiles, phase-time
-//!   fractions, free-form info keys) with a monotonic sequence number so
-//!   scrapers compute rates from deltas. The format round-trips through
-//!   [`Exposition::parse`].
 //! * [`serve`] — the single-datagram `OBS?` scrape protocol: a process
 //!   answers a 4-byte query on a UDP socket it already owns (or on an
-//!   [`ObsResponder`] sidecar thread) with one exposition datagram.
+//!   [`ObsResponder`] sidecar thread) with one datagram: the text of an
+//!   [`evs_telemetry::Exposition`], the workspace's one metrics document
+//!   (counters, gauges, log-histogram quantiles, phase-time fractions,
+//!   free-form info keys), whose monotonic sequence number lets scrapers
+//!   compute rates from deltas.
 //! * [`TopState`] — the `evs-top` dashboard model: it records scrapes
 //!   per endpoint, detects kill/respawn incarnations from sequence
 //!   regressions, and renders a refreshing terminal table of per-node
@@ -25,10 +24,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod expo;
 pub mod serve;
 mod top;
 
-pub use expo::{Exposition, HistStat, PhaseStat, EXPO_HEADER};
 pub use serve::{is_query, scrape, ObsResponder, OBS_MAGIC};
 pub use top::{NodeState, Sample, TopState};

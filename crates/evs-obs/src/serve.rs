@@ -13,7 +13,7 @@
 //! for a fully-instrumented daemon is a few KB, far under the 64 KB
 //! datagram ceiling [`scrape`] receives into.
 
-use crate::expo::Exposition;
+use evs_telemetry::Exposition;
 use std::io;
 use std::net::{SocketAddr, UdpSocket};
 use std::path::Path;

@@ -5,8 +5,7 @@
 //! rendered `String` back — so it is unit-testable without a terminal
 //! and reusable by the CI smoke (which asserts on one rendered frame).
 
-use crate::expo::Exposition;
-use evs_telemetry::{names, Phase};
+use evs_telemetry::{names, Exposition, Phase};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 

@@ -15,7 +15,7 @@ use crate::{ticks_since, MAX_PARK};
 use evs_core::{EvsEvent, EvsParams, EvsProcess, Payload};
 use evs_net::{LoopUdpDriver, SocketDriver};
 use evs_sim::{ProcessId, SimTime};
-use evs_telemetry::{Phase, Telemetry};
+use evs_telemetry::{Exposition, Phase, Telemetry};
 use std::io;
 use std::net::{SocketAddr, UdpSocket};
 use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
@@ -114,6 +114,15 @@ impl Cluster {
     /// Every member's telemetry handle, in process order.
     pub fn telemetry_handles(&self) -> Vec<Telemetry> {
         self.telemetry.clone()
+    }
+
+    /// One snapshot per member, in process order (empty when the cluster
+    /// runs without telemetry).
+    pub fn snapshots(&self) -> Vec<Exposition> {
+        self.telemetry
+            .iter()
+            .filter_map(Telemetry::snapshot)
+            .collect()
     }
 
     /// The partition and link-fault table the members receive through.

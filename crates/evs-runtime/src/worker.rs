@@ -19,10 +19,9 @@ use crate::TICK;
 use bytes::BytesMut;
 use evs_core::{trace_io, wire, EvsEvent, EvsMsg, EvsProcess, Payload};
 use evs_net::{Completion, SocketDriver};
-use evs_obs::Exposition;
 use evs_order::RingMsg;
 use evs_sim::{Ctx, Effect, Node, ProcessId, SimTime, StableStore, TimerId, TimerKind};
-use evs_telemetry::{names, Counter, Phase, PhaseClock, Telemetry};
+use evs_telemetry::{names, Counter, Exposition, Phase, PhaseClock, Telemetry};
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read as _, Write as _};
 use std::net::SocketAddr;

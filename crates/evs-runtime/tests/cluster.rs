@@ -8,7 +8,7 @@ use evs_net::SocketDriver;
 use evs_runtime::{Cluster, MemDriver, ProcessTrace, Worker};
 use evs_sim::ProcessId;
 use evs_store::FileStorage;
-use evs_telemetry::{names, Phase, RunReport, Telemetry};
+use evs_telemetry::{names, total, Phase, Telemetry};
 use std::collections::BTreeSet;
 use std::fs::{self, File};
 use std::net::SocketAddr;
@@ -76,10 +76,10 @@ fn scripted_scenario(net: Cluster) {
 
     // The loaded run never leaned on the park backstop and never met a
     // datagram the medium could not carry.
-    let report = RunReport::collect(&net.telemetry_handles());
-    assert!(report.total(names::TOKEN_ROTATIONS) > 0);
-    assert_eq!(report.total(names::PARK_BACKSTOP_FIRED), 0);
-    assert_eq!(report.total(names::OVERSIZED_DATAGRAMS_DROPPED), 0);
+    let run = net.snapshots();
+    assert!(total(&run, names::TOKEN_ROTATIONS) > 0);
+    assert_eq!(total(&run, names::PARK_BACKSTOP_FIRED), 0);
+    assert_eq!(total(&run, names::OVERSIZED_DATAGRAMS_DROPPED), 0);
     checker::assert_evs(&Trace::new(net.shutdown()));
 }
 
@@ -98,7 +98,7 @@ fn a_cluster_without_telemetry_stays_detached() {
     let net = Cluster::in_memory(2, false);
     assert!(net.wait_until(WAIT, settled_with(2)));
     assert!(net.telemetry_handles().iter().all(|t| !t.is_enabled()));
-    assert!(RunReport::collect(&net.telemetry_handles()).is_empty());
+    assert!(net.snapshots().is_empty());
     net.shutdown();
 }
 
@@ -311,16 +311,16 @@ fn a_datagram_too_large_for_udp_is_dropped_and_counted_not_fatal() {
         let big = Payload::from(vec![0xAB; evs_net::MAX_DATAGRAM + 1]);
         node.submit(ctx, Service::Agreed, big)
     });
-    let total = |name| RunReport::collect(&net.telemetry_handles()).total(name);
+    let sum = |name| total(&net.snapshots(), name);
     let give_up = Instant::now() + WAIT;
-    while total(names::OVERSIZED_DATAGRAMS_DROPPED) == 0 {
+    while sum(names::OVERSIZED_DATAGRAMS_DROPPED) == 0 {
         assert!(Instant::now() < give_up, "the frame was never stamped");
         std::thread::sleep(Duration::from_millis(1));
     }
     // Both workers are still serving: the token keeps rotating, and
     // shutdown reports no I/O error.
-    let before = total(names::TOKEN_ROTATIONS);
-    while total(names::TOKEN_ROTATIONS) == before {
+    let before = sum(names::TOKEN_ROTATIONS);
+    while sum(names::TOKEN_ROTATIONS) == before {
         assert!(Instant::now() < give_up, "the ring stopped");
         std::thread::sleep(Duration::from_millis(1));
     }
@@ -342,8 +342,8 @@ fn a_visit_that_stamps_two_large_messages_is_sent_in_datagrams_that_fit() {
         net.wait_until(WAIT, delivered(2)),
         "both delivered everywhere"
     );
-    let report = RunReport::collect(&net.telemetry_handles());
-    assert_eq!(report.total(names::OVERSIZED_DATAGRAMS_DROPPED), 0);
+    let run = net.snapshots();
+    assert_eq!(total(&run, names::OVERSIZED_DATAGRAMS_DROPPED), 0);
     checker::assert_evs(&Trace::new(net.shutdown()));
 }
 

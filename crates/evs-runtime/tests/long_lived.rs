@@ -9,7 +9,7 @@
 use evs_core::{checker, EvsParams, EvsProcess, Payload, Service, Trace};
 use evs_runtime::Cluster;
 use evs_sim::ProcessId;
-use evs_telemetry::{names, RunReport};
+use evs_telemetry::{names, total};
 use std::time::Duration;
 
 const WAIT: Duration = Duration::from_secs(60);
@@ -96,7 +96,7 @@ fn a_long_lived_configuration_recovers_over_udp() {
     assert!(net.wait_until(WAIT, delivered(sent + 2)));
     assert_windowed("after the merge");
 
-    let report = RunReport::collect(&net.telemetry_handles());
-    assert_eq!(report.total(names::OVERSIZED_DATAGRAMS_DROPPED), 0);
+    let run = net.snapshots();
+    assert_eq!(total(&run, names::OVERSIZED_DATAGRAMS_DROPPED), 0);
     checker::assert_evs(&Trace::new(net.shutdown()));
 }

@@ -75,6 +75,4 @@ pub use time::SimTime;
 
 // Re-exported so drivers and applications can configure and harvest
 // telemetry without naming the bottom crate directly.
-pub use evs_telemetry::{
-    ProcessReport, RecordedEvent, RunReport, Telemetry, TelemetryEvent, DEFAULT_FLIGHT_CAPACITY,
-};
+pub use evs_telemetry::{RecordedEvent, Telemetry, TelemetryEvent, DEFAULT_FLIGHT_CAPACITY};

@@ -1,6 +1,9 @@
 //! The text exposition format: one process's telemetry as a
-//! line-oriented snapshot that survives a UDP datagram and round-trips
-//! through [`Exposition::parse`].
+//! line-oriented snapshot — the workspace's one metrics document. An
+//! `OBS?` scrape answers with one, [`Telemetry::snapshot`] returns one,
+//! a run's snapshot is one per process (summed by [`counter_totals`] and
+//! [`total`]), and the bench baseline is one per scenario, concatenated.
+//! Every one round-trips through [`Exposition::parse`].
 //!
 //! Format (one record per line, space-separated):
 //!
@@ -25,9 +28,10 @@
 //! The `end` trailer guards against datagram truncation: a parse
 //! without it fails.
 
-use evs_telemetry::{names, Phase, ProcessReport, Telemetry};
+use crate::metrics::Registry;
+use crate::{names, Phase, Telemetry};
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 
 /// First line of every exposition: magic + format version.
 pub const EXPO_HEADER: &str = "EVSOBS 1";
@@ -83,32 +87,39 @@ pub struct Exposition {
 impl Exposition {
     /// Builds a snapshot of `telemetry` with the given sequence number
     /// and extra info keys. Returns `None` on a detached handle.
-    ///
-    /// Phase entries are derived from the `phase_ns_*` counters written
-    /// by a `PhaseClock`; processes without one simply expose no
-    /// `phase` lines.
     pub fn from_telemetry(
         seq: u64,
         telemetry: &Telemetry,
         info: impl IntoIterator<Item = (String, String)>,
     ) -> Option<Exposition> {
-        let report = telemetry.snapshot()?;
-        Some(Exposition::from_report(seq, &report, info))
+        let mut expo = telemetry.snapshot()?;
+        expo.seq = seq;
+        expo.info = info
+            .into_iter()
+            .map(|(k, v)| {
+                (
+                    k.split_whitespace().collect::<Vec<_>>().join("_"),
+                    v.replace(['\n', '\r'], " "),
+                )
+            })
+            .collect();
+        Some(expo)
     }
 
-    /// Builds a snapshot from an already-taken [`ProcessReport`].
-    pub fn from_report(
-        seq: u64,
-        report: &ProcessReport,
-        info: impl IntoIterator<Item = (String, String)>,
-    ) -> Exposition {
+    /// Snapshots every instrument of `registry` (sequence 0, no info).
+    ///
+    /// Phase entries are derived from the `phase_ns_*` counters written
+    /// by a `PhaseClock`; processes without one simply expose no
+    /// `phase` lines.
+    pub(crate) fn from_registry(pid: u32, registry: &Registry) -> Exposition {
+        let counters = registry.counter_values();
         let mut phases = BTreeMap::new();
         let total: u64 = Phase::ALL
             .iter()
-            .filter_map(|p| report.counters.get(p.counter_name()))
+            .filter_map(|p| counters.get(p.counter_name()))
             .sum();
         for p in Phase::ALL {
-            let ns = report.counters.get(p.counter_name()).copied().unwrap_or(0);
+            let ns = counters.get(p.counter_name()).copied().unwrap_or(0);
             // checked_div: no phase clock ran → no phase lines at all.
             let Some(ppm) = ns.saturating_mul(1_000_000).checked_div(total) else {
                 break;
@@ -116,25 +127,17 @@ impl Exposition {
             phases.insert(p.name().to_string(), PhaseStat { ns, ppm });
         }
         Exposition {
-            pid: report.pid,
-            seq,
-            info: info
+            pid,
+            seq: 0,
+            info: BTreeMap::new(),
+            counters,
+            gauges: registry.gauge_values(),
+            hists: registry
+                .log_histogram_values()
                 .into_iter()
-                .map(|(k, v)| {
-                    (
-                        k.split_whitespace().collect::<Vec<_>>().join("_"),
-                        v.replace(['\n', '\r'], " "),
-                    )
-                })
-                .collect(),
-            counters: report.counters.clone(),
-            gauges: report.gauges.clone(),
-            hists: report
-                .log_histograms
-                .iter()
                 .map(|(name, h)| {
                     (
-                        name.clone(),
+                        name,
                         HistStat {
                             count: h.count,
                             sum: h.sum,
@@ -212,42 +215,48 @@ impl Exposition {
     /// reason), missing or extra fields, blank lines and any other text
     /// `to_text` would not have produced are rejected. A missing `end`
     /// trailer means the datagram was truncated.
-    pub fn parse(text: &str) -> Result<Exposition, String> {
-        let mut lines = text.lines();
-        match lines.next() {
-            Some(EXPO_HEADER) => {}
-            Some(other) => return Err(format!("bad exposition header: {other:?}")),
-            None => return Err("empty exposition".to_string()),
+    ///
+    /// # Errors
+    ///
+    /// A [`ParseError`] naming the first offending line (1-based).
+    pub fn parse(text: &str) -> Result<Exposition, ParseError> {
+        let at = |line: usize, what| ParseError { line, what };
+        let mut lines = text.lines().zip(1..);
+        if lines.next().map(|(l, _)| l) != Some(EXPO_HEADER) {
+            return Err(at(1, ParseErrorKind::Header));
         }
         let mut expo = Exposition::default();
         let mut ended = false;
-        for line in lines {
+        let mut last = 1;
+        for (line, n) in lines {
+            last = n;
             if ended {
-                return Err(format!("trailing line after end: {line:?}"));
+                return Err(at(n, ParseErrorKind::AfterEnd));
             }
+            let malformed = at(n, ParseErrorKind::Malformed);
             let (kind, rest) = line.split_once(' ').unwrap_or((line, ""));
-            let keyed = || rest.split_once(' ').ok_or_else(|| bad(line));
+            let keyed = || rest.split_once(' ').ok_or(malformed);
             match kind {
                 "end" => ended = true,
-                "pid" => [expo.pid] = fields(rest, line)?,
-                "seq" => [expo.seq] = fields(rest, line)?,
+                "pid" => [expo.pid] = fields(rest).ok_or(malformed)?,
+                "seq" => [expo.seq] = fields(rest).ok_or(malformed)?,
                 "info" => {
                     let (key, value) = keyed()?;
                     expo.info.insert(key.to_string(), value.to_string());
                 }
                 "counter" => {
                     let (key, value) = keyed()?;
-                    let [n] = fields(value, line)?;
+                    let [n] = fields(value).ok_or(malformed)?;
                     expo.counters.insert(key.to_string(), n);
                 }
                 "gauge" => {
                     let (key, value) = keyed()?;
-                    let [n] = fields(value, line)?;
+                    let [n] = fields(value).ok_or(malformed)?;
                     expo.gauges.insert(key.to_string(), n);
                 }
                 "hist" => {
                     let (key, value) = keyed()?;
-                    let [count, sum, max, p50, p90, p99] = fields(value, line)?;
+                    let [count, sum, max, p50, p90, p99] = fields(value).ok_or(malformed)?;
                     let h = HistStat {
                         count,
                         sum,
@@ -260,51 +269,107 @@ impl Exposition {
                 }
                 "phase" => {
                     let (key, value) = keyed()?;
-                    let [ns, ppm] = fields(value, line)?;
+                    let [ns, ppm] = fields(value).ok_or(malformed)?;
                     expo.phases.insert(key.to_string(), PhaseStat { ns, ppm });
                 }
-                _ => return Err(format!("unknown exposition line: {line:?}")),
+                _ => return Err(at(n, ParseErrorKind::UnknownLine)),
             }
         }
         if !ended {
-            return Err("truncated exposition: missing end trailer".to_string());
+            return Err(at(last + 1, ParseErrorKind::Truncated));
         }
         // Order, duplicates, spacing and number spelling are checked in one
         // place: the canonical rendering of what was read must be the input.
-        if expo.to_text() != text {
-            return Err("non-canonical exposition text".to_string());
+        // The error names the first line (newline included) that differs.
+        let canonical = expo.to_text();
+        if canonical != text {
+            let line = canonical
+                .split_inclusive('\n')
+                .zip(text.split_inclusive('\n'))
+                .position(|(a, b)| a != b)
+                .map_or(last + 1, |i| i + 1);
+            return Err(at(line, ParseErrorKind::NonCanonical));
         }
         Ok(expo)
     }
 }
 
-fn bad(line: &str) -> String {
-    format!("malformed exposition line: {line:?}")
+/// Why [`Exposition::parse`] refused a text, and on which line.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct ParseError {
+    /// The offending line, 1-based.
+    pub line: usize,
+    /// What was wrong with it.
+    pub what: ParseErrorKind,
 }
 
+/// What [`Exposition::parse`] found wrong.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum ParseErrorKind {
+    /// The first line is not [`EXPO_HEADER`] (or the text is empty).
+    Header,
+    /// A line kind the format does not have (version skew).
+    UnknownLine,
+    /// A known line kind with missing, extra or non-numeric fields.
+    Malformed,
+    /// A line after the `end` trailer.
+    AfterEnd,
+    /// No `end` trailer: the text was cut short.
+    Truncated,
+    /// Well-formed lines that `to_text` would have written otherwise
+    /// (order, duplicates, spacing, number spelling).
+    NonCanonical,
+}
+
+impl fmt::Display for ParseErrorKind {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            ParseErrorKind::Header => "missing exposition header",
+            ParseErrorKind::UnknownLine => "unknown exposition line",
+            ParseErrorKind::Malformed => "malformed exposition line",
+            ParseErrorKind::AfterEnd => "line after the end trailer",
+            ParseErrorKind::Truncated => "truncated exposition: missing end trailer",
+            ParseErrorKind::NonCanonical => "non-canonical exposition text",
+        })
+    }
+}
+
+impl fmt::Display for ParseError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "line {}: {}", self.line, self.what)
+    }
+}
+
+impl std::error::Error for ParseError {}
+
 /// Exactly `N` space-separated numbers, no more and no fewer.
-fn fields<T: std::str::FromStr + Copy + Default, const N: usize>(
-    text: &str,
-    line: &str,
-) -> Result<[T; N], String> {
+fn fields<T: std::str::FromStr + Copy + Default, const N: usize>(text: &str) -> Option<[T; N]> {
     let mut out = [T::default(); N];
     let mut parts = text.split(' ');
     for slot in &mut out {
-        *slot = parts
-            .next()
-            .and_then(|p| p.parse().ok())
-            .ok_or_else(|| bad(line))?;
+        *slot = parts.next()?.parse().ok()?;
     }
-    match parts.next() {
-        None => Ok(out),
-        Some(_) => Err(bad(line)),
+    parts.next().is_none().then_some(out)
+}
+
+/// Sums each counter across a run's snapshots (one per process).
+pub fn counter_totals(run: &[Exposition]) -> BTreeMap<String, u64> {
+    let mut totals: BTreeMap<String, u64> = BTreeMap::new();
+    for (name, v) in run.iter().flat_map(|e| &e.counters) {
+        *totals.entry(name.clone()).or_insert(0) += v;
     }
+    totals
+}
+
+/// The summed value of one counter across a run's snapshots.
+pub fn total(run: &[Exposition], counter: &str) -> u64 {
+    run.iter().filter_map(|e| e.counters.get(counter)).sum()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use evs_telemetry::PhaseClock;
+    use crate::PhaseClock;
 
     #[test]
     fn exposition_round_trips() {
@@ -363,21 +428,47 @@ mod tests {
     }
 
     #[test]
-    fn parse_rejects_truncation_and_skew() {
+    fn parse_names_the_offending_line() {
         let t = Telemetry::enabled(0);
         t.counter(names::MESSAGES_SENT).add(1);
         let text = Exposition::from_telemetry(3, &t, []).unwrap().to_text();
+        let err = |text: &str| Exposition::parse(text).unwrap_err();
+        let at = |line, what| ParseError { line, what };
+        // Header, pid, seq, one counter, end: the trailer is line 5.
         let truncated = text.strip_suffix("end\n").unwrap();
-        assert!(Exposition::parse(truncated)
-            .unwrap_err()
-            .contains("truncated"));
-        assert!(Exposition::parse("NOPE 9\nend\n")
-            .unwrap_err()
-            .contains("header"));
-        assert!(Exposition::parse(&format!("{EXPO_HEADER}\nwat 1\nend\n"))
-            .unwrap_err()
-            .contains("unknown"));
-        assert!(Exposition::parse(&format!("{EXPO_HEADER}\ncounter x notanum\nend\n")).is_err());
+        assert_eq!(err(truncated), at(5, ParseErrorKind::Truncated));
+        assert_eq!(err(""), at(1, ParseErrorKind::Header));
+        assert_eq!(err("NOPE 9\nend\n"), at(1, ParseErrorKind::Header));
+        let skewed = format!("{EXPO_HEADER}\nwat 1\nend\n");
+        assert_eq!(err(&skewed), at(2, ParseErrorKind::UnknownLine));
+        let garbled = text.replace("messages_sent 1", "messages_sent notanum");
+        assert_eq!(err(&garbled), at(4, ParseErrorKind::Malformed));
+        assert_eq!(
+            err(&format!("{text}end\n")),
+            at(6, ParseErrorKind::AfterEnd)
+        );
+        let padded = text.replace("seq 3", "seq 03");
+        assert_eq!(err(&padded), at(3, ParseErrorKind::NonCanonical));
+        let unterminated = text.strip_suffix('\n').unwrap();
+        assert_eq!(err(unterminated), at(5, ParseErrorKind::NonCanonical));
+        assert_eq!(err(&skewed).to_string(), "line 2: unknown exposition line");
+    }
+
+    #[test]
+    fn totals_sum_across_processes() {
+        let a = Telemetry::enabled(0);
+        a.counter("messages_sent").add(3);
+        a.counter("token_rotations").add(10);
+        let b = Telemetry::enabled(1);
+        b.counter("messages_sent").add(4);
+        let run: Vec<Exposition> = [&a, &b, &Telemetry::disabled()]
+            .into_iter()
+            .filter_map(Telemetry::snapshot)
+            .collect();
+        assert_eq!(run.len(), 2);
+        assert_eq!(total(&run, "messages_sent"), 7);
+        assert_eq!(counter_totals(&run)["token_rotations"], 10);
+        assert_eq!(total(&run, "absent"), 0);
     }
 
     #[test]

@@ -18,11 +18,10 @@
 //! * [`FlightRecorder`] — a bounded ring buffer of the last K
 //!   [`TelemetryEvent`]s, dumped when a specification checker reports a
 //!   violation.
-//! * [`RunReport`] — an aggregated cross-process snapshot, rendered as
-//!   human text or JSON.
-//!
-//! The [`json`] module is the workspace's one JSON codec: the escaper
-//! every emitter writes with and the one parser that reads documents back.
+//! * [`Exposition`] — the one snapshot type and its one text codec: what
+//!   [`Telemetry::snapshot`] returns, what an `OBS?` scrape carries, and
+//!   what the bench baseline stores. A run's snapshot is one exposition
+//!   per process, summed by [`counter_totals`] and [`total`].
 //!
 //! The [`names`] module holds the canonical `&'static str` constants for
 //! every counter/gauge/histogram; instrumented layers and analysis code
@@ -39,21 +38,22 @@
 #![warn(missing_docs)]
 
 mod event;
-pub mod json;
+mod expo;
 mod metrics;
 pub mod names;
 mod phase;
 mod recorder;
-pub mod report;
 
 pub use event::{EventClass, TelemetryEvent};
+pub use expo::{
+    counter_totals, total, Exposition, HistStat, ParseError, ParseErrorKind, PhaseStat, EXPO_HEADER,
+};
 pub use metrics::{
     log_bucket_bound, log_bucket_index, Counter, Gauge, LogHistogram, LogHistogramSnapshot,
     Registry, LOG_BUCKET_COUNT,
 };
 pub use phase::{Phase, PhaseClock};
 pub use recorder::{FlightRecorder, RecordedEvent, DEFAULT_FLIGHT_CAPACITY};
-pub use report::{ProcessReport, RunReport};
 
 use std::sync::{Arc, OnceLock};
 
@@ -162,15 +162,12 @@ impl Telemetry {
         }
     }
 
-    /// A point-in-time copy of every instrument, or `None` when
-    /// detached.
-    pub fn snapshot(&self) -> Option<ProcessReport> {
-        self.0.as_ref().map(|inner| ProcessReport {
-            pid: inner.pid,
-            counters: inner.registry.counter_values(),
-            gauges: inner.registry.gauge_values(),
-            log_histograms: inner.registry.log_histogram_values(),
-        })
+    /// A point-in-time copy of every instrument as an [`Exposition`]
+    /// (sequence 0, no info keys), or `None` when detached.
+    pub fn snapshot(&self) -> Option<Exposition> {
+        self.0
+            .as_ref()
+            .map(|inner| Exposition::from_registry(inner.pid, &inner.registry))
     }
 
     /// The flight recorder's retained suffix, oldest first (empty when

@@ -216,8 +216,7 @@ mod tests {
         assert!(snap.counters[names::PHASE_NS_PARK] > snap.counters[names::PHASE_NS_DISPATCH]);
         assert_eq!(snap.counters[names::PHASE_MARKS], 100);
         assert_eq!(
-            snap.log_histograms[names::PHASE_DUR_PARK].count
-                + snap.log_histograms[names::PHASE_DUR_DISPATCH].count,
+            snap.hists[names::PHASE_DUR_PARK].count + snap.hists[names::PHASE_DUR_DISPATCH].count,
             100
         );
     }

@@ -227,7 +227,9 @@ fn replay(path: &str, live: bool) -> ! {
     } else {
         orch.run_sim(&plan)
     };
-    print!("{}", outcome.report.to_text());
+    for expo in &outcome.snapshots {
+        print!("{}", expo.to_text());
+    }
     match outcome.failure {
         None => {
             println!("replay: all specifications hold ✓");
@@ -438,7 +440,7 @@ fn main() {
         "  {} run(s), {} schedule step(s), {} failure(s)",
         stats.runs, stats.steps, stats.failures
     );
-    print!("{}", campaign.report().to_text());
+    print!("{}", campaign.snapshot().to_text());
     if found.is_empty() {
         println!("chaos campaign clean: every schedule conformant ✓");
     } else {

@@ -19,7 +19,7 @@
 use evs::core::{EvsCluster, Service};
 use evs::inspect::{check_all_with_telemetry, InspectReport};
 use evs::sim::ProcessId;
-use evs::telemetry::RunReport;
+use evs::telemetry::{counter_totals, Exposition};
 use evs::vs::{check_vs, filter_trace, MajorityPrimary, PrimaryHistory};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -27,7 +27,7 @@ use std::collections::BTreeMap;
 
 const N: usize = 5;
 
-fn run_round(seed: u64) -> (usize, usize, RunReport, InspectReport) {
+fn run_round(seed: u64) -> (usize, usize, Vec<Exposition>, InspectReport) {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut cluster = EvsCluster::<String>::builder(N)
         .seed(seed)
@@ -113,7 +113,7 @@ fn run_round(seed: u64) -> (usize, usize, RunReport, InspectReport) {
         std::process::exit(1);
     }
     let inspect = InspectReport::from_handles(&trace, &cluster.telemetry_handles());
-    (trace.len(), msg as usize, cluster.run_report(), inspect)
+    (trace.len(), msg as usize, cluster.snapshots(), inspect)
 }
 
 fn main() {
@@ -131,17 +131,17 @@ fn main() {
     let mut total_events = 0usize;
     let mut total_msgs = 0usize;
     let mut cumulative: BTreeMap<String, u64> = BTreeMap::new();
-    let mut last_report = RunReport::default();
+    let mut last_snapshots = Vec::new();
     let mut last_inspect = None;
     for round in 0..rounds {
         let seed = base_seed.wrapping_add(round);
-        let (events, msgs, report, inspect) = run_round(seed);
+        let (events, msgs, snapshots, inspect) = run_round(seed);
         total_events += events;
         total_msgs += msgs;
-        for (name, value) in report.counter_totals() {
+        for (name, value) in counter_totals(&snapshots) {
             *cumulative.entry(name).or_default() += value;
         }
-        last_report = report;
+        last_snapshots = snapshots;
         last_inspect = Some(inspect);
         if round % 5 == 4 || round + 1 == rounds {
             println!(
@@ -151,8 +151,10 @@ fn main() {
         }
     }
     println!("soak complete: every round conformant ✓");
-    println!("\n-- telemetry, final round:");
-    print!("{}", last_report.to_text());
+    println!("\n-- telemetry, final round (one exposition per process):");
+    for expo in &last_snapshots {
+        print!("{}", expo.to_text());
+    }
     if let Some(inspect) = last_inspect {
         println!("\n-- lifecycle spans, final round (timeline tail):");
         print!("{}", inspect.to_text(Some(20)));

@@ -60,7 +60,7 @@
 //! Every worker — loopback daemon, `--child` OS process, broker
 //! front-end — also answers the `OBS?` live-scrape protocol on the UDP
 //! socket it already owns: a 4-byte query datagram from any non-member
-//! address gets one [`evs::obs::Exposition`] text datagram back, carrying
+//! address gets one [`evs::telemetry::Exposition`] text datagram back, carrying
 //! counters, gauges, log-histogram quantiles, per-phase loop-time
 //! fractions and info keys (socket driver kind, configuration id, ARU
 //! lag, membership, recovery state, oversized datagrams dropped, park
@@ -72,11 +72,11 @@ use evs::broker::{proto, Broker, BrokerParams, SubmitOutcome};
 use evs::core::trace_io::{self, Dumps, Line};
 use evs::core::{EvsParams, EvsProcess, Payload, Service, Trace};
 use evs::net::{self, Completion};
-use evs::obs::{self, Exposition, TopState};
+use evs::obs::{self, TopState};
 use evs::runtime::{self, Cluster, Worker, MAX_PARK};
 use evs::sim::ProcessId;
 use evs::store::FileStorage;
-use evs::telemetry::{names, Phase, RunReport, Telemetry};
+use evs::telemetry::{names, Exposition, Phase, Telemetry};
 use std::fs;
 use std::io::Write as _;
 use std::net::{SocketAddr, UdpSocket};
@@ -657,8 +657,10 @@ fn demo() {
 
     // The same metrics the simulator runs report, here measured over a
     // genuinely networked execution.
-    println!("\n-- telemetry:");
-    print!("{}", RunReport::collect(&telemetry_handles).to_text());
+    println!("\n-- telemetry (one exposition per process):");
+    for expo in telemetry_handles.iter().filter_map(Telemetry::snapshot) {
+        print!("{}", expo.to_text());
+    }
 
     // Cross-process correlation of the same run: merged causal timeline,
     // per-message and per-configuration lifecycle spans, anomalies.

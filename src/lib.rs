@@ -19,12 +19,12 @@
 //!   with stable storage intact" made literal (see the "Durability"
 //!   section of `README.md`).
 //! * [`telemetry`] — metrics, structured tracing and the per-process
-//!   flight recorder wired through every layer above (see the
-//!   "Observability" section of `README.md`).
+//!   flight recorder wired through every layer above, and the one
+//!   snapshot document, the text exposition (see the "Observability"
+//!   section of `README.md`).
 //! * [`obs`] — the live observability plane on top of [`telemetry`]:
-//!   phase-time attribution for the live driver loops, the
-//!   single-datagram `OBS?` scrape protocol with a text exposition
-//!   format, and the `evs-top` dashboard model.
+//!   the single-datagram `OBS?` scrape protocol that answers with an
+//!   exposition, and the `evs-top` dashboard model.
 //! * [`inspect`] — run analysis over a trace and the flight recorders: the merged
 //!   causal timeline, per-message and per-configuration lifecycle spans,
 //!   and anomaly detection (stuck recovery, token starvation, ...).

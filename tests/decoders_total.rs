@@ -24,10 +24,9 @@ use evs_core::persist::{Checkpoint, WalRecord};
 use evs_core::recovery::ExchangeState;
 use evs_core::{trace_io, wire, Configuration, EvsEvent, EvsMsg, Payload, Trace};
 use evs_membership::{ConfigId, MembMsg};
-use evs_obs::Exposition;
 use evs_order::{MessageId, OrderedMsg, RingMsg, Service, Token};
 use evs_sim::{ProcessId, SimTime};
-use evs_telemetry::{json, Phase, PhaseClock, RecordedEvent, Telemetry, TelemetryEvent};
+use evs_telemetry::{Exposition, Phase, PhaseClock, RecordedEvent, Telemetry, TelemetryEvent};
 use proptest::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -222,12 +221,6 @@ const DECODERS: &[Decoder] = &[
         corpus: store_corpus,
     },
     Decoder {
-        name: "json::parse",
-        form: Form::Text,
-        run: json_parse,
-        corpus: json_corpus,
-    },
-    Decoder {
         name: "Exposition::parse",
         form: Form::Text,
         run: exposition,
@@ -328,11 +321,6 @@ fn store_scan(input: &[u8]) -> Verdict {
 
 fn utf8(input: &[u8]) -> &str {
     std::str::from_utf8(input).expect("prepared as text")
-}
-
-fn json_parse(input: &[u8]) -> Verdict {
-    let doc = utf8(input);
-    accepted(text("json::parse", doc, || json::parse(doc)).ok())
 }
 
 fn exposition(input: &[u8]) -> Verdict {
@@ -575,16 +563,6 @@ fn telemetry_sample() -> Telemetry {
     clock.mark(Phase::Park);
     clock.mark(Phase::Dispatch);
     t
-}
-
-fn json_corpus() -> Vec<Vec<u8>> {
-    let report = evs_telemetry::RunReport::collect([&telemetry_sample()]);
-    vec![
-        report.to_json().into_bytes(),
-        r#"{"a":[1,-2,3.5e1,true,false,null,"s\"\\\n\u0001é"],"b":{}}"#
-            .as_bytes()
-            .to_vec(),
-    ]
 }
 
 fn exposition_sample() -> Exposition {
@@ -883,10 +861,6 @@ fn decoding_inverts_encoding() {
         trace_io::parse_postmortem(&trace_io::format_postmortem(&t, &dumps)).expect("post-mortem");
     assert_eq!(&back.events[..t.num_processes()], &t.events[..]);
     assert_eq!(back_dumps, dumps);
-    let report = evs_telemetry::RunReport::collect([&telemetry_sample()]);
-    let v = json::parse(&report.to_json()).expect("report");
-    let sent = v.get("totals").and_then(|t| t.get("messages_sent"));
-    assert_eq!(sent, Some(&json::Value::Int(17)));
 }
 
 /// A count prefix may not presize more than the bytes behind it can hold:
@@ -1218,15 +1192,6 @@ fn a_strict_bool_refuses_every_other_byte() {
         *body.last_mut().expect("a flag") = flag;
         assert!(matches!(wal_record(&sealed(&body)), Verdict::Rejected));
     }
-}
-
-#[test]
-fn json_nesting_past_the_limit_is_an_error_not_an_abort() {
-    let nest = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
-    assert!(json::parse(&nest(128)).is_ok());
-    assert!(json::parse(&nest(129)).is_err());
-    assert!(json::parse(&"[".repeat(10_000)).is_err());
-    assert!(json::parse(&"{\"\":".repeat(10_000)).is_err());
 }
 
 #[test]

@@ -2,13 +2,14 @@
 //! merged timeline is independent of dump ingestion order, lifecycle
 //! spans derived from a live cluster match what the run actually did, a
 //! run's post-mortem document loses nothing the analysis reads, and the
-//! run report's JSON parses with the workspace's own parser.
+//! run's telemetry snapshots read back exactly through the one metrics
+//! codec.
 
 use evs::core::trace_io::{format_postmortem, parse_postmortem};
 use evs::core::{EvsCluster, Service};
 use evs::inspect::{collect_dumps, InspectReport, Timeline};
 use evs::sim::ProcessId;
-use evs::telemetry::json;
+use evs::telemetry::{counter_totals, names, Exposition};
 
 fn p(i: u32) -> ProcessId {
     ProcessId::new(i)
@@ -115,29 +116,21 @@ fn a_post_mortem_document_is_lossless() {
 }
 
 #[test]
-fn run_report_json_parses_with_the_inspect_parser() {
+fn run_snapshots_read_back_exactly() {
     let cluster = scenario();
-    let report = cluster.run_report();
-    let doc = report.to_json();
-    let value = json::parse(&doc).expect("RunReport::to_json is valid JSON");
-    let obj = value.as_object().expect("top-level object");
-    let processes = obj
-        .get("processes")
-        .and_then(|v| v.as_array())
-        .expect("processes array");
-    assert_eq!(processes.len(), 3);
-    // The parsed totals agree with the in-memory report, counter by
-    // counter — the same contract the bench-diff gate relies on.
-    let totals = obj
-        .get("totals")
-        .and_then(|v| v.as_object())
-        .expect("totals object");
-    for (name, value) in report.counter_totals() {
-        assert_eq!(
-            totals.get(&name).and_then(|v| v.as_u64()),
-            Some(value),
-            "counter {name}"
-        );
-    }
-    assert_eq!(totals.len(), report.counter_totals().len());
+    let run = cluster.snapshots();
+    assert_eq!(run.len(), 3);
+    let back: Vec<Exposition> = run
+        .iter()
+        .map(|e| Exposition::parse(&e.to_text()).expect("a snapshot's text parses"))
+        .collect();
+    assert_eq!(back, run);
+    // Totals summed over the parsed text agree with the live registries:
+    // the contract the bench-diff gate relies on.
+    let delivered: u64 = cluster
+        .telemetry_handles()
+        .iter()
+        .map(|t| t.counter(names::MESSAGES_DELIVERED).get())
+        .sum();
+    assert_eq!(counter_totals(&back)[names::MESSAGES_DELIVERED], delivered);
 }

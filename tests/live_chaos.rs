@@ -16,7 +16,7 @@ use evs::core::{checker, EvsProcess, Payload, Service, Trace};
 use evs::inspect::InspectReport;
 use evs::runtime::{Cluster, LinkFault};
 use evs::sim::ProcessId;
-use evs::telemetry::RunReport;
+use evs::telemetry::total;
 use std::time::Duration;
 
 fn p(i: u32) -> ProcessId {
@@ -75,15 +75,14 @@ fn fully_dead_link_heals_after_the_policy_lifts() {
         net.wait_until(Duration::from_secs(30), delivered("through-the-outage")),
         "the safe message reaches every process after the heal"
     );
-    let handles = net.telemetry_handles();
-    let report = RunReport::collect(&handles);
+    let run = net.snapshots();
     checker::assert_evs(&Trace::new(net.shutdown()));
     assert!(
-        report.total("link_drops") > 0,
+        total(&run, "link_drops") > 0,
         "the dead link must actually have eaten packets"
     );
     assert!(
-        report.total("token_retransmissions") > 0,
+        total(&run, "token_retransmissions") > 0,
         "healing under loss must go through retransmission"
     );
 }
@@ -135,16 +134,16 @@ fn lossy_jittery_net_delivers_everything_after_heal() {
         );
     }
     let handles = net.telemetry_handles();
-    let report = RunReport::collect(&handles);
+    let run = net.snapshots();
     let trace = Trace::new(net.shutdown());
     let inspect = InspectReport::from_handles(&trace, &handles);
     checker::assert_evs(&trace);
     assert!(
-        report.total("link_drops") > 0,
+        total(&run, "link_drops") > 0,
         "links must actually be lossy"
     );
     assert!(
-        report.total("token_retransmissions") > 0,
+        total(&run, "token_retransmissions") > 0,
         "sustained loss must be answered by retransmission"
     );
     assert!(
@@ -224,5 +223,5 @@ fn handwritten_live_plan_with_every_knob_passes() {
         .expect("plan validates");
     assert!(outcome.settled);
     assert!(!outcome.failed(), "{:?}", outcome.failure);
-    assert!(outcome.report.total("messages_sent") >= 2);
+    assert!(total(&outcome.snapshots, "messages_sent") >= 2);
 }

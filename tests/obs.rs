@@ -9,12 +9,12 @@
 //! coordination step.
 
 use evs::core::{EvsProcess, Payload, Service};
-use evs::obs::{self, Exposition, HistStat, ObsResponder, PhaseStat};
+use evs::obs::{self, ObsResponder};
 use evs::runtime::Cluster;
 use evs::sim::ProcessId;
 use evs::telemetry::{
-    log_bucket_bound, log_bucket_index, names, LogHistogramSnapshot, Phase, PhaseClock, Telemetry,
-    LOG_BUCKET_COUNT,
+    log_bucket_bound, log_bucket_index, names, Exposition, HistStat, LogHistogramSnapshot, Phase,
+    PhaseClock, PhaseStat, Telemetry, LOG_BUCKET_COUNT,
 };
 use proptest::prelude::*;
 use std::collections::BTreeMap;

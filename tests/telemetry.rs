@@ -1,5 +1,5 @@
-//! Cross-layer telemetry integration: the same scenario produces a
-//! populated [`RunReport`] under the deterministic simulator and under the
+//! Cross-layer telemetry integration: the same scenario produces
+//! populated snapshots under the deterministic simulator and under the
 //! threaded driver, counters agree with the specification-checker's view
 //! of the trace, and a violation ships the flight recorder with it.
 
@@ -9,7 +9,7 @@ use evs::inspect::{assert_evs_with_telemetry, check_all_with_telemetry};
 use evs::membership::ConfigId;
 use evs::runtime::Cluster;
 use evs::sim::ProcessId;
-use evs::telemetry::{names, RunReport, Telemetry, TelemetryEvent};
+use evs::telemetry::{names, total, Exposition, Telemetry, TelemetryEvent};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::time::Duration;
@@ -32,43 +32,40 @@ fn sim_scenario() -> EvsCluster<String> {
     cluster
 }
 
-fn assert_populated(report: &RunReport, label: &str) {
-    assert!(!report.is_empty(), "{label}: report has no processes");
+fn assert_populated(run: &[Exposition], label: &str) {
+    assert_eq!(run.len(), 3, "{label}: one snapshot per process");
     assert!(
-        report.total("messages_sent") >= 2,
+        total(run, "messages_sent") >= 2,
         "{label}: expected the two submissions, got {}",
-        report.total("messages_sent")
+        total(run, "messages_sent")
     );
     assert!(
-        report.total("messages_delivered") >= 2 * 3,
+        total(run, "messages_delivered") >= 2 * 3,
         "{label}: every process delivers both messages"
     );
     assert!(
-        report.total("token_rotations") > 0,
+        total(run, "token_rotations") > 0,
         "{label}: the ring rotated"
     );
     assert!(
-        report.total("configs_installed") > 0,
+        total(run, "configs_installed") > 0,
         "{label}: membership installed configurations"
     );
-    // Both renderings carry the counters.
-    let text = report.to_text();
-    assert!(text.contains("run report"), "{label}: {text}");
-    assert!(text.contains("messages_sent"), "{label}: {text}");
-    let json = report.to_json();
-    assert!(
-        json.starts_with('{') && json.ends_with('}'),
-        "{label}: {json}"
-    );
-    assert!(json.contains("\"messages_sent\""), "{label}: {json}");
-    assert!(json.contains("\"totals\""), "{label}: {json}");
+    // The text carries the counters and reads back exactly.
+    for expo in run {
+        let text = expo.to_text();
+        assert!(
+            text.contains("counter messages_delivered "),
+            "{label}: {text}"
+        );
+        assert_eq!(Exposition::parse(&text).as_ref(), Ok(expo), "{label}");
+    }
 }
 
 #[test]
 fn sim_run_produces_populated_report() {
     let cluster = sim_scenario();
-    let report = cluster.run_report();
-    assert_populated(&report, "sim");
+    assert_populated(&cluster.snapshots(), "sim");
     // The trace is conformant, so the dump-aware check passes too.
     check_all_with_telemetry(&cluster.trace(), &cluster.telemetry_handles()).unwrap();
 }
@@ -85,13 +82,12 @@ fn loaded_ring_fills_the_per_visit_and_latency_histograms() {
         cluster.submit(p(0), Service::Agreed, format!("m{i}"));
     }
     assert!(cluster.run_until_settled(400_000), "pump stalled");
-    let report = cluster.run_report();
+    let run = cluster.snapshots();
     // P0's backlog exceeds the flow-control window, so some visit stamps
     // a full window and none stamps more (a histogram's `max` is exact).
-    let fullest_visit = report
-        .processes
+    let fullest_visit = run
         .iter()
-        .filter_map(|p| p.log_histograms.get(names::STAMPED_PER_VISIT))
+        .filter_map(|p| p.hists.get(names::STAMPED_PER_VISIT))
         .map(|h| h.max)
         .max();
     assert_eq!(
@@ -99,9 +95,9 @@ fn loaded_ring_fills_the_per_visit_and_latency_histograms() {
         Some(EvsParams::default().max_per_visit as u64)
     );
     // Only the originator observes its own messages' delivery latency.
-    let latency = &report.processes[0].log_histograms[names::DELIVERY_LATENCY_AGREED];
+    let latency = &run[0].hists[names::DELIVERY_LATENCY_AGREED];
     assert_eq!(latency.count, MESSAGES);
-    assert!(latency.percentile(0.5) > 0 && latency.percentile(0.99) <= latency.max);
+    assert!(latency.p50 > 0 && latency.p99 <= latency.max);
 }
 
 #[test]
@@ -131,10 +127,10 @@ fn live_run_produces_populated_report() {
         "both messages delivered on every thread"
     );
     let handles = net.telemetry_handles();
+    let run = net.snapshots();
     let trace = Trace::new(net.shutdown());
     assert_evs_with_telemetry(&trace, &handles);
-    let report = RunReport::collect(&handles);
-    assert_populated(&report, "live");
+    assert_populated(&run, "live");
 }
 
 #[test]
@@ -234,10 +230,10 @@ fn random_schedule_counters_agree_with_the_trace() {
     check_all_with_telemetry(&cluster.trace(), &cluster.telemetry_handles()).unwrap();
 
     let trace = cluster.trace();
-    let report = cluster.run_report();
+    let run = cluster.snapshots();
 
     // Every recovery entered was exited: the run is quiescent.
-    for proc in &report.processes {
+    for proc in &run {
         assert_eq!(
             proc.counters.get("recovery_steps_entered"),
             proc.counters.get("recovery_steps_exited"),
@@ -247,7 +243,7 @@ fn random_schedule_counters_agree_with_the_trace() {
     }
     // The engine's counters and the checker's trace describe the same run,
     // process by process: each counter counts one kind of trace entry.
-    for proc in &report.processes {
+    for proc in &run {
         let log = trace.of(p(proc.pid));
         let count =
             |kind: fn(&EvsEvent) -> bool| log.iter().filter(|(_, e)| kind(e)).count() as u64;
@@ -271,18 +267,18 @@ fn random_schedule_counters_agree_with_the_trace() {
             proc.pid
         );
     }
-    assert_eq!(report.processes.len(), N, "every process reported");
+    assert_eq!(run.len(), N, "every process reported");
     assert!(
-        report.total("configs_delivered") > N as u64,
+        total(&run, "configs_delivered") > N as u64,
         "the schedule reconfigured"
     );
-    assert!(report.total("delivered_safe") <= report.total("messages_delivered"));
-    assert!(report.total("token_rotations") > 0);
+    assert!(total(&run, "delivered_safe") <= total(&run, "messages_delivered"));
+    assert!(total(&run, "token_rotations") > 0);
 }
 
 #[test]
 fn detached_cluster_reports_nothing() {
-    // Telemetry off (the default): same API, empty report — this is the
+    // Telemetry off (the default): same API, no snapshots — this is the
     // configuration the benchmarks time.
     let mut cluster = EvsCluster::<String>::builder(2).seed(1).build();
     assert!(cluster.run_until_settled(400_000));
@@ -291,8 +287,6 @@ fn detached_cluster_reports_nothing() {
     for t in cluster.telemetry_handles() {
         assert!(!t.is_enabled());
     }
-    let report = cluster.run_report();
-    assert!(report.is_empty());
-    assert_eq!(report.to_json(), "{\"processes\":[],\"totals\":{}}");
+    assert!(cluster.snapshots().is_empty());
     check_all_with_telemetry(&cluster.trace(), &cluster.telemetry_handles()).unwrap();
 }
