@@ -3,7 +3,7 @@
 # external dependencies are vendored, see vendor/README.md).
 #
 #   ./ci.sh              # the standard gate: every step below, in order
-#   ./ci.sh <step>       # one step: build-test, checker-scale, e2e-smoke,
+#   ./ci.sh <step>       # one step: build-test, e2e-smoke, checker-scale,
 #                        #   chaos-smoke, corruption-smoke, trace-hash,
 #                        #   kill-recovery, obs-smoke, bench-diff, soaks, lint
 #   ./ci.sh bench-smoke  # refresh BENCH_baseline.txt (not in the gate)
@@ -295,8 +295,8 @@ lint() {
 case "${1:-all}" in
 all)
     build_test
-    checker_scale
     e2e_smoke
+    checker_scale
     chaos_smoke
     corruption_smoke
     trace_hash

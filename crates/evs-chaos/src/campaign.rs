@@ -432,7 +432,6 @@ pub(crate) mod tests {
             max_steps: 6,
             max_run: 800,
             mix: FaultMix::factory(),
-            ..GenConfig::default()
         };
         Campaign::new(
             ScenarioGen::new(cfg),

@@ -311,42 +311,43 @@ impl FaultMix {
     }
 }
 
-/// Tunables of the scenario generator: cluster size, schedule length,
-/// fault mix, and per-step parameter ranges.
+/// Fewest steps in a generated plan.
+const MIN_STEPS: u8 = 2;
+/// Largest multicast burst.
+const MAX_BURST: u8 = 4;
+/// Shortest `Run` step, in ticks.
+const MIN_RUN: u32 = 100;
+/// Largest generated packet-loss percentage.
+const MAX_DROP_PCT: u8 = 50;
+/// Most partition groups a `Split` may create.
+const MAX_GROUPS: u8 = 3;
+
+const _: () = assert!(MIN_STEPS >= 1 && MIN_RUN >= 1);
+const _: () = assert!(MAX_BURST >= 1, "bursts must carry a message");
+const _: () = assert!(MAX_GROUPS >= 2, "splits need at least two groups");
+const _: () = assert!(MAX_DROP_PCT <= 95, "drop beyond 95% stalls everything");
+
+/// Tunables of the scenario generator: cluster size, schedule length and
+/// fault mix. The per-step parameter ranges are constants.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct GenConfig {
     /// Cluster size of generated plans.
     pub n: u8,
-    /// Minimum number of steps (inclusive).
-    pub min_steps: u8,
-    /// Maximum number of steps (inclusive).
+    /// Maximum number of steps (inclusive; at least 2, the minimum).
     pub max_steps: u8,
     /// Relative step-kind weights.
     pub mix: FaultMix,
-    /// Largest multicast burst.
-    pub max_burst: u8,
-    /// Shortest `Run` step, in ticks.
-    pub min_run: u32,
-    /// Longest `Run` step, in ticks.
+    /// Longest `Run` step, in ticks (at least 100, the shortest).
     pub max_run: u32,
-    /// Largest generated packet-loss percentage.
-    pub max_drop_pct: u8,
-    /// Most partition groups a `Split` may create.
-    pub max_groups: u8,
 }
 
 impl Default for GenConfig {
     fn default() -> Self {
         GenConfig {
             n: 4,
-            min_steps: 2,
             max_steps: 10,
             mix: FaultMix::default(),
-            max_burst: 4,
-            min_run: 100,
             max_run: 2_000,
-            max_drop_pct: 50,
-            max_groups: 3,
         }
     }
 }
@@ -378,17 +379,8 @@ impl ScenarioGen {
             cfg.mix.total() > 0,
             "at least one step kind must be enabled"
         );
-        assert!(
-            cfg.min_steps >= 1 && cfg.min_steps <= cfg.max_steps,
-            "invalid step-count range"
-        );
-        assert!(
-            cfg.min_run >= 1 && cfg.min_run <= cfg.max_run,
-            "invalid run-tick range"
-        );
-        assert!(cfg.max_burst >= 1, "bursts must carry a message");
-        assert!(cfg.max_groups >= 2, "splits need at least two groups");
-        assert!(cfg.max_drop_pct <= 95, "drop beyond 95% stalls everything");
+        assert!(MIN_STEPS <= cfg.max_steps, "invalid step-count range");
+        assert!(MIN_RUN <= cfg.max_run, "invalid run-tick range");
         ScenarioGen { cfg }
     }
 
@@ -404,7 +396,7 @@ impl ScenarioGen {
     pub fn plan(&self, seed: u64) -> FaultPlan {
         let cfg = &self.cfg;
         let mut rng = SmallRng::seed_from_u64(seed);
-        let count = rng.gen_range(cfg.min_steps..=cfg.max_steps);
+        let count = rng.gen_range(MIN_STEPS..=cfg.max_steps);
         let steps = (0..count).map(|_| self.step(&mut rng)).collect();
         FaultPlan {
             n: cfg.n,
@@ -426,9 +418,7 @@ impl ScenarioGen {
             }
         };
         if take(mix.split) {
-            let labels = (0..cfg.n)
-                .map(|_| rng.gen_range(0..cfg.max_groups))
-                .collect();
+            let labels = (0..cfg.n).map(|_| rng.gen_range(0..MAX_GROUPS)).collect();
             FaultStep::Split(labels)
         } else if take(mix.merge) {
             FaultStep::Merge
@@ -441,7 +431,7 @@ impl ScenarioGen {
         } else if take(mix.restart) {
             FaultStep::Restart(rng.gen_range(0..cfg.n))
         } else if take(mix.drop) {
-            FaultStep::DropPct(rng.gen_range(1..=cfg.max_drop_pct))
+            FaultStep::DropPct(rng.gen_range(1..=MAX_DROP_PCT))
         } else if take(mix.delay) {
             let lo = rng.gen_range(1..=5u64);
             let hi = lo + rng.gen_range(0..=10u64);
@@ -449,7 +439,7 @@ impl ScenarioGen {
         } else if take(mix.mcast) {
             FaultStep::Mcast {
                 from: rng.gen_range(0..cfg.n),
-                count: rng.gen_range(1..=cfg.max_burst),
+                count: rng.gen_range(1..=MAX_BURST),
                 // Safe messages exercise the recovery algorithm hardest;
                 // keep them half the load.
                 service: if rng.gen_bool(0.5) {
@@ -459,7 +449,7 @@ impl ScenarioGen {
                 },
             }
         } else if take(mix.run) {
-            FaultStep::Run(rng.gen_range(cfg.min_run..=cfg.max_run))
+            FaultStep::Run(rng.gen_range(MIN_RUN..=cfg.max_run))
         } else if take(mix.broker_kill) {
             FaultStep::BrokerKill(rng.gen_range(0..cfg.n))
         } else if take(mix.broker_reconnect) {

@@ -91,13 +91,14 @@ impl ChaosOutcome {
     }
 }
 
+/// Ticks allowed for initial group formation.
+const FORMATION_BUDGET: u64 = 300_000;
+/// Ticks allowed for the final heal-and-settle phase.
+const SETTLE_BUDGET: u64 = 2_000_000;
+
 /// Applies [`FaultPlan`]s to the stack and checks the execution.
 #[derive(Clone, Debug)]
 pub struct Orchestrator {
-    /// Ticks allowed for initial group formation.
-    pub formation_budget: u64,
-    /// Ticks allowed for the final heal-and-settle phase.
-    pub settle_budget: u64,
     /// Attach per-process telemetry (flight recorder in failure reports,
     /// telemetry snapshots on outcomes). Costs a little speed.
     pub telemetry: bool,
@@ -105,11 +106,7 @@ pub struct Orchestrator {
 
 impl Default for Orchestrator {
     fn default() -> Self {
-        Orchestrator {
-            formation_budget: 300_000,
-            settle_budget: 2_000_000,
-            telemetry: true,
-        }
+        Orchestrator { telemetry: true }
     }
 }
 
@@ -466,10 +463,7 @@ impl Orchestrator {
     /// An orchestrator with telemetry detached — the fastest configuration
     /// for large campaigns where only the verdict matters.
     pub fn detached() -> Self {
-        Orchestrator {
-            telemetry: false,
-            ..Orchestrator::default()
-        }
+        Orchestrator { telemetry: false }
     }
 
     /// Builds a cluster, applies every step of `plan`, heals the network
@@ -515,7 +509,7 @@ impl Orchestrator {
     fn drive<S: Substrate>(&self, plan: &FaultPlan, build: impl FnOnce() -> S) -> (S, bool, Frame) {
         plan.validate().expect("fault plan must validate");
         let mut sub = build();
-        let formed = sub.form(self.formation_budget);
+        let formed = sub.form(FORMATION_BUDGET);
         let mut msg = 0u32;
         if formed {
             for step in &plan.steps {
@@ -575,7 +569,7 @@ impl Orchestrator {
         for i in 0..plan.n {
             sub.recover(pid(i));
         }
-        let settled = formed && sub.settle(self.settle_budget);
+        let settled = formed && sub.settle(SETTLE_BUDGET);
         (sub, settled, mid)
     }
 

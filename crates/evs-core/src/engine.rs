@@ -65,6 +65,37 @@ const TICK: TimerKind = TimerKind(1);
 /// Fires when a paced token is due to be forwarded to the successor.
 const TOKEN_SEND: TimerKind = TimerKind(2);
 
+/// Quiet time, in ticks, after forwarding the token before retransmitting
+/// it the first time. Consecutive retransmissions of the same forward back
+/// off exponentially from this base, at most evs-order's `TOKEN_RETX_LIMIT`
+/// times.
+pub(crate) const TOKEN_RETX: u64 = 64;
+/// Upper bound of the retransmission backoff: the quiet time never exceeds
+/// this many ticks however many retries have fired.
+const TOKEN_RETX_MAX: u64 = 512;
+/// No token sighting for this long (in a multi-member regular
+/// configuration) forces a membership reconfiguration — Totem's token-loss
+/// timeout. Also the backstop of every maintenance-timer deadline.
+const TOKEN_LOSS: u64 = 400;
+/// Period for re-broadcasting recovery-state messages (exchange reports,
+/// rebroadcasts, acknowledgments) while a recovery is in progress, so packet
+/// loss cannot wedge the recovery.
+const RECOVERY_RESEND: u64 = 96;
+/// An in-progress recovery receiving no *new* exchange report or
+/// acknowledgment for this long forces a fresh membership round — the
+/// recovery-level analogue of the token-loss timeout, so Steps 1–6 make
+/// progress under sustained loss instead of wedging on a proposal member
+/// that will never report.
+const RECOVERY_STALL: u64 = 800;
+
+const _: () = assert!(TOKEN_LOSS > TOKEN_RETX);
+// The backoff cap sits between the base and the point where the token-loss
+// detector takes over entirely.
+const _: () = assert!(TOKEN_RETX_MAX >= TOKEN_RETX);
+// Several resend rounds fit inside one stall window, so the stall timeout
+// only fires when the resends themselves are not landing.
+const _: () = assert!(RECOVERY_STALL >= 4 * RECOVERY_RESEND);
+
 /// Cap on buffered frames for configurations we have not installed yet.
 const FUTURE_BUFFER_CAP: usize = 4096;
 
@@ -342,20 +373,13 @@ impl<P: Clone + fmt::Debug + 'static> EvsProcess<P> {
     pub fn new(me: ProcessId, params: EvsParams) -> Self {
         let initial = ProposedConfig::singleton(0, me);
         let initial_id = initial.id;
-        let membership = Membership::new(
-            me,
-            initial.clone(),
-            0,
-            params.membership.clone(),
-            SimTime::ZERO,
-        );
-        let mut ring = Ring::new(
+        let membership = Membership::new(me, initial.clone(), 0, SimTime::ZERO);
+        let ring = Ring::new(
             me,
             initial.id,
             initial.members.clone(),
             params.max_per_visit,
         );
-        ring.set_retx_limit(params.token_retx_limit);
         EvsProcess {
             me,
             params,
@@ -1110,7 +1134,6 @@ impl<P: Clone + fmt::Debug + 'static> EvsProcess<P> {
             rec.proposal.members.clone(),
             self.params.max_per_visit,
         );
-        ring.set_retx_limit(self.params.token_retx_limit);
         ring.set_telemetry(self.telemetry.clone());
         let boot = ring.bootstrap_token(ctx.now());
         self.mode = Mode::Regular { ring };
@@ -1353,30 +1376,28 @@ impl<P: Clone + fmt::Debug + 'static> EvsProcess<P> {
     /// work scheduled: the membership's next deadline (heartbeat, suspicion
     /// expiry, gather/commit timeouts), the ring's next token
     /// retransmission, Totem's token-loss timeout, and the recovery
-    /// resend/stall timeouts. Clamped to at most one `token_loss` window as
+    /// resend/stall timeouts. Clamped to at most one [`TOKEN_LOSS`] window as
     /// a backstop — a deadline source this function missed can cost one
     /// late window, never a wedge.
     fn next_tick_deadline(&self, now: SimTime) -> SimTime {
         let mut d = self.membership.next_deadline(now);
         match &self.mode {
             Mode::Regular { ring } => {
-                if let Some(at) =
-                    ring.next_retx_at(self.params.token_retx, self.params.token_retx_max)
-                {
+                if let Some(at) = ring.next_retx_at(TOKEN_RETX, TOKEN_RETX_MAX) {
                     d = d.min(at);
                 }
                 if !ring.is_singleton() && self.membership.is_stable() {
-                    d = d.min(self.last_token_seen + (self.params.token_loss + 1));
+                    d = d.min(self.last_token_seen + (TOKEN_LOSS + 1));
                 }
             }
             Mode::Recovery(rec) => {
-                d = d.min(rec.last_resend + self.params.recovery_resend);
+                d = d.min(rec.last_resend + RECOVERY_RESEND);
                 if self.membership.is_stable() {
-                    d = d.min(rec.last_progress + (self.params.recovery_stall + 1));
+                    d = d.min(rec.last_progress + (RECOVERY_STALL + 1));
                 }
             }
         }
-        d.clamp(now + 1, now + self.params.token_loss.max(1))
+        d.clamp(now + 1, now + TOKEN_LOSS)
     }
 
     /// Re-arms the maintenance timer at the earliest pending deadline.
@@ -1408,9 +1429,7 @@ impl<P: Clone + fmt::Debug + 'static> EvsProcess<P> {
         self.handle_memb_outs(ctx, outs);
 
         let retx = match &mut self.mode {
-            Mode::Regular { ring } => {
-                ring.maybe_retransmit(now, self.params.token_retx, self.params.token_retx_max)
-            }
+            Mode::Regular { ring } => ring.maybe_retransmit(now, TOKEN_RETX, TOKEN_RETX_MAX),
             Mode::Recovery(_) => None,
         };
         if let Some(out) = retx {
@@ -1419,7 +1438,7 @@ impl<P: Clone + fmt::Debug + 'static> EvsProcess<P> {
 
         let token_lost = matches!(&self.mode, Mode::Regular { ring } if !ring.is_singleton())
             && self.membership.is_stable()
-            && now.since(self.last_token_seen) > self.params.token_loss;
+            && now.since(self.last_token_seen) > TOKEN_LOSS;
         if token_lost {
             // Totem's token-loss timeout: the ring has stalled in a way
             // heartbeats may not reveal; force a membership round.
@@ -1436,7 +1455,7 @@ impl<P: Clone + fmt::Debug + 'static> EvsProcess<P> {
         // wedge; the restarted recovery reuses the frozen snapshot.
         let stalled = self.membership.is_stable()
             && matches!(&self.mode, Mode::Recovery(rec)
-                if now.since(rec.last_progress) > self.params.recovery_stall);
+                if now.since(rec.last_progress) > RECOVERY_STALL);
         if stalled {
             if let Mode::Recovery(rec) = &mut self.mode {
                 rec.last_progress = now;
@@ -1446,7 +1465,7 @@ impl<P: Clone + fmt::Debug + 'static> EvsProcess<P> {
         }
 
         let resend = match &mut self.mode {
-            Mode::Recovery(rec) if now.since(rec.last_resend) >= self.params.recovery_resend => {
+            Mode::Recovery(rec) if now.since(rec.last_resend) >= RECOVERY_RESEND => {
                 rec.last_resend = now;
                 Some((
                     rec.my_exchange.clone(),
@@ -1470,20 +1489,13 @@ impl<P: Clone + fmt::Debug + 'static> EvsProcess<P> {
     /// restart-from-WAL.
     fn reincarnate(&mut self, ctx: &mut ECtx<'_, P>, epoch: u64) {
         let initial = ProposedConfig::singleton(epoch, self.me);
-        self.membership = Membership::new(
-            self.me,
-            initial.clone(),
-            epoch,
-            self.params.membership.clone(),
-            ctx.now(),
-        );
-        let mut ring = Ring::new(
+        self.membership = Membership::new(self.me, initial.clone(), epoch, ctx.now());
+        let ring = Ring::new(
             self.me,
             initial.id,
             initial.members.clone(),
             self.params.max_per_visit,
         );
-        ring.set_retx_limit(self.params.token_retx_limit);
         self.mode = Mode::Regular { ring };
         self.propagate_telemetry();
         self.frozen = false;
@@ -1769,7 +1781,6 @@ impl<P: Clone + fmt::Debug + 'static> Node for EvsProcess<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use evs_sim::StableStore;
 
     fn p(i: u32) -> ProcessId {
         ProcessId::new(i)
@@ -1777,7 +1788,6 @@ mod tests {
 
     /// A scratch environment owning the state a `Ctx` borrows.
     struct Env {
-        stable: StableStore,
         trace: Vec<(SimTime, EvsEvent)>,
         next_timer: u64,
         now: SimTime,
@@ -1786,7 +1796,6 @@ mod tests {
     impl Env {
         fn new() -> Self {
             Env {
-                stable: StableStore::new(),
                 trace: Vec::new(),
                 next_timer: 0,
                 now: SimTime::ZERO,
@@ -1814,12 +1823,12 @@ mod tests {
             &mut self,
             f: impl FnOnce(&mut ECtx<'_, &'static str>) -> R,
         ) -> (R, Vec<evs_sim::Effect<EvsMsg<&'static str>>>) {
-            let mut ctx = Ctx::detached(
+            let mut ctx = Ctx::detached_with_telemetry(
                 p(0),
                 self.now,
-                &mut self.stable,
                 &mut self.trace,
                 &mut self.next_timer,
+                Telemetry::disabled(),
             );
             let r = f(&mut ctx);
             (r, ctx.take_effects())
@@ -2360,7 +2369,6 @@ mod tests {
         let mut ctx = Ctx::detached_with_telemetry(
             p(0),
             env.now,
-            &mut env.stable,
             &mut env.trace,
             &mut env.next_timer,
             telemetry.clone(),

@@ -30,4 +30,4 @@ mod config_id;
 mod protocol;
 
 pub use config_id::{ConfigId, ProposedConfig};
-pub use protocol::{MembMsg, MembOut, Membership, MembershipParams};
+pub use protocol::{MembMsg, MembOut, Membership};

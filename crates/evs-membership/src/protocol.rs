@@ -88,32 +88,17 @@ pub enum MembOut {
     Propose(ProposedConfig),
 }
 
-/// Timing parameters of the membership protocol, in simulator ticks.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct MembershipParams {
-    /// Interval between heartbeats (and between Join rebroadcasts while
-    /// gathering).
-    pub hb_interval: u64,
-    /// A member not heard from for this long is suspected and removed.
-    pub suspect_timeout: u64,
-    /// The candidate set must be unchanged for this long (and echoed by all
-    /// candidates) before the representative commits.
-    pub gather_stable: u64,
-    /// How long to wait in the commit round before shrinking the candidate
-    /// set and retrying.
-    pub commit_timeout: u64,
-}
-
-impl Default for MembershipParams {
-    fn default() -> Self {
-        MembershipParams {
-            hb_interval: 64,
-            suspect_timeout: 300,
-            gather_stable: 100,
-            commit_timeout: 400,
-        }
-    }
-}
+/// Interval between heartbeats (and between `Join` rebroadcasts while
+/// gathering), in simulator ticks.
+const HB_INTERVAL: u64 = 64;
+/// A member not heard from for this long is suspected and removed.
+const SUSPECT_TIMEOUT: u64 = 300;
+/// The candidate set must be unchanged for this long (and echoed by all
+/// candidates) before the representative commits.
+const GATHER_STABLE: u64 = 100;
+/// How long to wait in the commit round before shrinking the candidate set
+/// and retrying.
+const COMMIT_TIMEOUT: u64 = 400;
 
 #[derive(Debug)]
 enum State {
@@ -155,7 +140,6 @@ enum State {
 #[derive(Debug)]
 pub struct Membership {
     me: ProcessId,
-    params: MembershipParams,
     /// Largest configuration epoch ever observed; the caller persists this
     /// across crashes (via `max_epoch`/`new`'s argument) so identifiers stay
     /// monotone for recovered processes.
@@ -182,18 +166,11 @@ impl Membership {
     ///
     /// Panics if `me` is not a member of `view` or `max_epoch` is less than
     /// the view's epoch.
-    pub fn new(
-        me: ProcessId,
-        view: ProposedConfig,
-        max_epoch: u64,
-        params: MembershipParams,
-        now: SimTime,
-    ) -> Self {
+    pub fn new(me: ProcessId, view: ProposedConfig, max_epoch: u64, now: SimTime) -> Self {
         assert!(view.contains(me), "{me} must be in its own view");
         assert!(max_epoch >= view.id.epoch, "max_epoch below view epoch");
         Membership {
             me,
-            params,
             max_epoch,
             view,
             view_since: now,
@@ -261,7 +238,7 @@ impl Membership {
             State::Commit {
                 started, proposal, ..
             } => {
-                if now.since(*started) > self.params.commit_timeout {
+                if now.since(*started) > COMMIT_TIMEOUT {
                     // Commit round failed: shrink to those we are sure of
                     // (ourselves) plus everyone recently heard, and retry.
                     // The paper's termination property only needs the set to
@@ -284,9 +261,9 @@ impl Membership {
     pub fn next_deadline(&self, now: SimTime) -> SimTime {
         let mut d = match self.last_hb_sent {
             None => now,
-            Some(t) => t + self.params.hb_interval,
+            Some(t) => t + HB_INTERVAL,
         };
-        let horizon = self.params.suspect_timeout;
+        let horizon = SUSPECT_TIMEOUT;
         // A process stops being "heard recently" one tick after its
         // horizon closes (`since > horizon` in `heard_recently`).
         let expiry = |q: ProcessId| match self.last_heard.get(&q) {
@@ -310,11 +287,11 @@ impl Membership {
             } => {
                 d = d.min(match last_join_sent {
                     None => now,
-                    Some(t) => *t + self.params.hb_interval,
+                    Some(t) => *t + HB_INTERVAL,
                 });
-                d = d.min(*stable_since + self.params.gather_stable);
+                d = d.min(*stable_since + GATHER_STABLE);
                 if let Some(t) = awaiting_commit_since {
-                    d = d.min(*t + (self.params.commit_timeout + 1));
+                    d = d.min(*t + (COMMIT_TIMEOUT + 1));
                 }
                 for &c in candidates {
                     if c != self.me {
@@ -323,7 +300,7 @@ impl Membership {
                 }
             }
             State::Commit { started, .. } => {
-                d = d.min(*started + (self.params.commit_timeout + 1));
+                d = d.min(*started + (COMMIT_TIMEOUT + 1));
             }
         }
         d.max(now)
@@ -363,7 +340,7 @@ impl Membership {
     fn heartbeat(&mut self, now: SimTime, out: &mut Vec<MembOut>) {
         let due = match self.last_hb_sent {
             None => true,
-            Some(t) => now.since(t) >= self.params.hb_interval,
+            Some(t) => now.since(t) >= HB_INTERVAL,
         };
         if due {
             self.last_hb_sent = Some(now);
@@ -374,7 +351,7 @@ impl Membership {
     }
 
     fn heard_recently(&self, q: ProcessId, now: SimTime) -> bool {
-        let horizon = self.params.suspect_timeout;
+        let horizon = SUSPECT_TIMEOUT;
         match self.last_heard.get(&q) {
             Some(&t) => now.since(t) <= horizon,
             // Grace period from view installation for members we have not
@@ -398,7 +375,7 @@ impl Membership {
         // quickly.
         let mut candidates: BTreeSet<ProcessId> = BTreeSet::new();
         candidates.insert(self.me);
-        let horizon = self.params.suspect_timeout;
+        let horizon = SUSPECT_TIMEOUT;
         for (&q, &t) in &self.last_heard {
             if now.since(t) <= horizon {
                 candidates.insert(q);
@@ -452,13 +429,13 @@ impl Membership {
         // Rebroadcast Join periodically so losses heal.
         let join_due = match *last_join_sent {
             None => true,
-            Some(t) => now.since(t) >= self.params.hb_interval,
+            Some(t) => now.since(t) >= HB_INTERVAL,
         };
         // Consensus test: set stable for the quiet period and echoed by all.
         let all_echo = candidates
             .iter()
             .all(|c| joins.get(c).is_some_and(|s| s == candidates));
-        let quiet = now.since(*stable_since) >= self.params.gather_stable;
+        let quiet = now.since(*stable_since) >= GATHER_STABLE;
         if all_echo && quiet {
             let rep = *candidates.iter().next().expect("candidates include me");
             if rep == self.me {
@@ -501,7 +478,7 @@ impl Membership {
                 // drop the representative and regather.
                 match *awaiting_commit_since {
                     None => *awaiting_commit_since = Some(now),
-                    Some(t) if now.since(t) > self.params.commit_timeout => {
+                    Some(t) if now.since(t) > COMMIT_TIMEOUT => {
                         let stale_rep = rep;
                         self.last_heard.remove(&stale_rep);
                         self.start_gather(now, out);
@@ -520,7 +497,7 @@ impl Membership {
 
     fn prune_candidates(&mut self, now: SimTime) {
         let me = self.me;
-        let horizon = self.params.suspect_timeout;
+        let horizon = SUSPECT_TIMEOUT;
         let last_heard = &self.last_heard;
         if let State::Gather {
             candidates,
@@ -580,7 +557,7 @@ impl Membership {
         }
         let mut changed = false;
         let me = self.me;
-        let horizon = self.params.suspect_timeout;
+        let horizon = SUSPECT_TIMEOUT;
         let last_heard = &self.last_heard;
         if let State::Gather {
             candidates,
@@ -771,15 +748,7 @@ mod tests {
             let now = SimTime::ZERO;
             Net {
                 procs: (0..n)
-                    .map(|i| {
-                        Membership::new(
-                            p(i),
-                            ProposedConfig::singleton(0, p(i)),
-                            0,
-                            MembershipParams::default(),
-                            now,
-                        )
-                    })
+                    .map(|i| Membership::new(p(i), ProposedConfig::singleton(0, p(i)), 0, now))
                     .collect(),
                 now,
                 comp: vec![0; n as usize],
@@ -982,13 +951,7 @@ mod state_machine_tests {
     }
 
     fn fresh(i: u32, now: SimTime) -> Membership {
-        Membership::new(
-            p(i),
-            ProposedConfig::singleton(0, p(i)),
-            0,
-            MembershipParams::default(),
-            now,
-        )
+        Membership::new(p(i), ProposedConfig::singleton(0, p(i)), 0, now)
     }
 
     fn t(n: u64) -> SimTime {
@@ -1170,8 +1133,7 @@ mod state_machine_tests {
         assert!(!m.is_stable());
         // No install ever arrives: after the commit timeout the process
         // must start gathering again (termination property).
-        let params = MembershipParams::default();
-        let outs = m.tick(t(2 + params.commit_timeout + 1));
+        let outs = m.tick(t(2 + COMMIT_TIMEOUT + 1));
         assert!(
             outs.iter().any(|o| matches!(o, MembOut::GatherStarted)),
             "{outs:?}"
@@ -1191,7 +1153,7 @@ mod state_machine_tests {
             .iter()
             .any(|o| matches!(o, MembOut::Broadcast(MembMsg::Heartbeat { .. }))));
         // After the interval: another one.
-        let outs = m.tick(t(2 + MembershipParams::default().hb_interval));
+        let outs = m.tick(t(2 + HB_INTERVAL));
         assert!(outs
             .iter()
             .any(|o| matches!(o, MembOut::Broadcast(MembMsg::Heartbeat { .. }))));
@@ -1213,11 +1175,10 @@ mod state_machine_tests {
             },
         );
         // Wait out the stability window, ticking.
-        let params = MembershipParams::default();
         let mut commit = None;
         let mut now = t(2);
         for _ in 0..60 {
-            now += params.hb_interval / 2;
+            now += HB_INTERVAL / 2;
             let outs = m.tick(now);
             if let Some(c) = find_commit(&outs) {
                 commit = Some(c);

@@ -10,7 +10,7 @@
 //! 4. **Terminate** — convergence happens within a bounded number of
 //!    ticks (the §3 termination property: stuck proposals shrink).
 
-use evs_membership::{ConfigId, MembMsg, MembOut, Membership, MembershipParams, ProposedConfig};
+use evs_membership::{ConfigId, MembMsg, MembOut, Membership, ProposedConfig};
 use evs_sim::{ProcessId, SimTime};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -32,15 +32,7 @@ impl Net {
         let now = SimTime::ZERO;
         Net {
             procs: (0..n)
-                .map(|i| {
-                    Membership::new(
-                        pid(i),
-                        ProposedConfig::singleton(0, pid(i)),
-                        0,
-                        MembershipParams::default(),
-                        now,
-                    )
-                })
+                .map(|i| Membership::new(pid(i), ProposedConfig::singleton(0, pid(i)), 0, now))
                 .collect(),
             now,
             comp: vec![0; n],

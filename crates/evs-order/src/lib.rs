@@ -34,4 +34,4 @@ mod msg;
 mod ring;
 
 pub use msg::{MessageId, OrderedMsg, RingMsg, Service, Token};
-pub use ring::{data_frame, DeliveryClass, Ring, RingOut, RingSnapshot, MAX_HOLE_GAP, SEQ_CEILING};
+pub use ring::{DeliveryClass, Ring, RingOut, RingSnapshot, MAX_HOLE_GAP, SEQ_CEILING};

@@ -1,6 +1,6 @@
 //! The token-ring ordering engine for one regular configuration.
 
-use crate::{MessageId, OrderedMsg, RingMsg, Service, Token};
+use crate::{MessageId, OrderedMsg, Service, Token};
 use evs_membership::ConfigId;
 use evs_sim::{ProcessId, SimTime};
 use evs_telemetry::{names, Counter, LogHistogram, Telemetry, TelemetryEvent};
@@ -127,7 +127,6 @@ pub struct Ring<P> {
     last_forwarded: Option<Token>,
     forwarded_at: SimTime,
     retx_left: u32,
-    retx_limit: u32,
     max_per_visit: usize,
     rotations: u64,
     telemetry: Telemetry,
@@ -135,10 +134,12 @@ pub struct Ring<P> {
     idle_rotations: Counter,
 }
 
-/// Default number of times a forwarded token is locally retransmitted
-/// before the engine gives up and leaves recovery to the membership
-/// layer. Tunable per ring via [`Ring::set_retx_limit`].
-const TOKEN_RETX_LIMIT: u32 = 3;
+/// How many times one forwarded token is locally retransmitted before the
+/// ring gives up and leaves the loss to the engine's token-loss timeout,
+/// which hands recovery to the membership layer.
+const TOKEN_RETX_LIMIT: u32 = 6;
+
+const _: () = assert!(TOKEN_RETX_LIMIT >= 1);
 
 impl<P: Clone> Ring<P> {
     /// Creates the ring engine for `me` within `members` (sorted, deduped).
@@ -180,7 +181,6 @@ impl<P: Clone> Ring<P> {
             last_forwarded: None,
             forwarded_at: SimTime::ZERO,
             retx_left: 0,
-            retx_limit: TOKEN_RETX_LIMIT,
             max_per_visit,
             rotations: 0,
             telemetry: Telemetry::disabled(),
@@ -533,7 +533,7 @@ impl<P: Clone> Ring<P> {
             tok.token_id += 1;
             self.last_token_id = tok.token_id;
             self.forwarded_at = now;
-            self.retx_left = self.retx_limit;
+            self.retx_left = TOKEN_RETX_LIMIT;
             self.last_forwarded = Some(tok.clone());
             self.telemetry.record(
                 now.ticks(),
@@ -666,7 +666,7 @@ impl<P: Clone> Ring<P> {
         self.last_token_id = tok.token_id;
         self.last_forwarded = Some(tok.clone());
         self.forwarded_at = now;
-        self.retx_left = self.retx_limit;
+        self.retx_left = TOKEN_RETX_LIMIT;
         self.telemetry.record(
             now.ticks(),
             TelemetryEvent::TokenForwarded {
@@ -679,15 +679,8 @@ impl<P: Clone> Ring<P> {
         out
     }
 
-    /// Reconfigures how many times a forwarded token is locally
-    /// retransmitted before the ring gives up (see
-    /// [`Ring::maybe_retransmit`]). Applies from the next forward.
-    pub fn set_retx_limit(&mut self, limit: u32) {
-        self.retx_limit = limit.max(1);
-    }
-
     /// Retransmits the last forwarded token if it has been quiet for the
-    /// adaptive timeout (up to the configured retry limit). Call
+    /// adaptive timeout (up to `TOKEN_RETX_LIMIT` retries). Call
     /// periodically; duplicates are suppressed at the receiver by the
     /// token id.
     ///
@@ -706,7 +699,7 @@ impl<P: Clone> Ring<P> {
         if self.retx_left == 0 {
             return None;
         }
-        let attempts = self.retx_limit - self.retx_left;
+        let attempts = TOKEN_RETX_LIMIT - self.retx_left;
         let timeout = base_timeout
             .checked_shl(attempts)
             .unwrap_or(u64::MAX)
@@ -736,7 +729,7 @@ impl<P: Clone> Ring<P> {
         if self.retx_left == 0 {
             return None;
         }
-        let attempts = self.retx_limit - self.retx_left;
+        let attempts = TOKEN_RETX_LIMIT - self.retx_left;
         let timeout = base_timeout
             .checked_shl(attempts)
             .unwrap_or(u64::MAX)
@@ -791,12 +784,6 @@ impl<P: Clone> Ring<P> {
             pending: self.pending.into_iter().collect(),
         }
     }
-}
-
-/// Convenience: wraps a bare payload broadcast in [`RingMsg`] for transports
-/// that carry both frames in one channel.
-pub fn data_frame<P>(msg: OrderedMsg<P>) -> RingMsg<P> {
-    RingMsg::Data(msg)
 }
 
 #[cfg(test)]
@@ -1022,7 +1009,6 @@ mod tests {
     #[test]
     fn retransmission_timeout_backs_off_exponentially_to_the_cap() {
         let mut a: Ring<&str> = Ring::new(p(0), cfg(), vec![p(0), p(1)], 4);
-        a.set_retx_limit(4);
         let _ = a.bootstrap_token(SimTime::ZERO);
         // Attempt 0 waits the base timeout.
         assert!(a
@@ -1045,14 +1031,17 @@ mod tests {
         assert!(a
             .maybe_retransmit(SimTime::from_ticks(600), 100, 300)
             .is_some());
-        // Attempt 3 stays at the cap.
-        assert!(a
-            .maybe_retransmit(SimTime::from_ticks(899), 100, 300)
-            .is_none());
-        assert!(a
-            .maybe_retransmit(SimTime::from_ticks(900), 100, 300)
-            .is_some());
-        // The raised limit is exhausted.
+        // Every later attempt stays at the cap until the limit is spent.
+        let mut at = 600;
+        for _ in 3..TOKEN_RETX_LIMIT {
+            at += 300;
+            assert!(a
+                .maybe_retransmit(SimTime::from_ticks(at - 1), 100, 300)
+                .is_none());
+            assert!(a
+                .maybe_retransmit(SimTime::from_ticks(at), 100, 300)
+                .is_some());
+        }
         assert!(a
             .maybe_retransmit(SimTime::from_ticks(10_000), 100, 300)
             .is_none());

@@ -20,7 +20,7 @@ use bytes::BytesMut;
 use evs_core::{trace_io, wire, EvsEvent, EvsMsg, EvsProcess, Payload};
 use evs_net::{Completion, SocketDriver};
 use evs_order::RingMsg;
-use evs_sim::{Ctx, Effect, Node, ProcessId, SimTime, StableStore, TimerId, TimerKind};
+use evs_sim::{Ctx, Effect, Node, ProcessId, SimTime, TimerId, TimerKind};
 use evs_telemetry::{names, Counter, Exposition, Phase, PhaseClock, Telemetry};
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read as _, Write as _};
@@ -43,7 +43,6 @@ pub struct Worker {
     /// Member addresses, indexed by process (this worker's own included:
     /// a broadcast loops back through the medium).
     peers: Vec<SocketAddr>,
-    stable: StableStore,
     /// The events not yet journaled: with a journal, at most the current
     /// dispatch's; without one, the whole history.
     trace: ProcessTrace,
@@ -84,7 +83,6 @@ impl Worker {
             me,
             node,
             driver,
-            stable: StableStore::new(),
             trace: Vec::new(),
             journal: None,
             next_timer_id: 0,
@@ -175,7 +173,6 @@ impl Worker {
         let mut ctx = Ctx::detached_with_telemetry(
             self.me,
             SimTime::from_ticks(now),
-            &mut self.stable,
             &mut self.trace,
             &mut self.next_timer_id,
             self.telemetry.clone(),
@@ -419,8 +416,8 @@ impl Worker {
 
     /// Crashes the process at tick `now`: the engine records its failure
     /// (`on_crash`, journaled like any event) but nothing it asks for is
-    /// sent, and every timer is dropped. Stable storage is kept for
-    /// [`Worker::recover`].
+    /// sent, and every timer is dropped. The engine's write-ahead log is
+    /// kept for [`Worker::recover`].
     pub fn crash(&mut self, now: u64) -> io::Result<()> {
         if self.alive {
             self.call(now, |node, ctx| node.on_crash(ctx));

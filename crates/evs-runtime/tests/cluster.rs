@@ -102,6 +102,33 @@ fn a_cluster_without_telemetry_stays_detached() {
     net.shutdown();
 }
 
+/// The `settled`, `members` and `deliveries` info keys of an `OBS?`
+/// scrape are what a control plane reads a member's state from: each must
+/// agree with the engine it describes.
+#[test]
+fn a_scrape_reports_the_members_settled_state_and_deliveries() {
+    let net = Cluster::udp_loopback(3).expect("bind loopback sockets");
+    assert!(net.wait_until(WAIT, settled_with(3)), "formation");
+    for k in 0..4u32 {
+        submit(&net, k % 3, Service::Agreed, format!("s{k}"));
+    }
+    assert!(net.wait_until(WAIT, delivered(4)), "delivery");
+    for (i, addr) in net.addrs().iter().enumerate() {
+        let expo = evs_obs::scrape(*addr, WAIT).expect("scrape");
+        let info = |key: &str| expo.info.get(key).map(String::as_str);
+        assert_eq!(info("settled"), Some("true"), "P{i}");
+        let members = info("members").expect("members key");
+        assert_eq!(members.split_whitespace().count(), 3, "P{i}: {members}");
+        let deliveries = net.inspect(p(i as u32), |node, _| node.deliveries().len());
+        assert_eq!(
+            info("deliveries").map(|d| d.parse::<usize>().expect("a count")),
+            Some(deliveries),
+            "P{i}"
+        );
+    }
+    net.shutdown();
+}
+
 #[test]
 fn kill_then_recover_never_reuses_a_message_id() {
     let net = Cluster::in_memory(3, false);

@@ -24,7 +24,9 @@
 //!   handle.
 //! * [`Topology`] — the component structure of the (possibly partitioned)
 //!   network.
-//! * [`StableStore`] — crash-surviving per-process storage.
+//! * [`StableStore`] — an empty placeholder: a process's stable storage is
+//!   its own write-ahead log (the EVS engine's `Storage`), not the
+//!   simulator's.
 //! * [`Action`] — the fault-injection vocabulary (partition, merge, crash,
 //!   recover, loss-rate changes, application invocations).
 //!

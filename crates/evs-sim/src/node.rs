@@ -21,7 +21,7 @@ pub struct TimerKind(pub u32);
 ///
 /// A `Node` never blocks and never reads wall-clock time; it reacts to
 /// messages and timers through a [`Ctx`] that exposes simulated time, the
-/// broadcast medium, timers and stable storage. The same state machine could
+/// broadcast medium, timers and the trace. The same state machine could
 /// be driven by a real UDP socket loop — nothing in the trait is
 /// simulator-specific.
 ///
@@ -30,10 +30,11 @@ pub struct TimerKind(pub u32);
 /// When the simulator crashes a process it calls [`Node::on_crash`], drops
 /// all of the process's pending timers and stops delivering messages to it.
 /// The implementation must discard its volatile state (the paper's fail-stop
-/// assumption) but the process's [`StableStore`] is preserved. On recovery
-/// the simulator calls [`Node::on_recover`] with the surviving store, and the
-/// process resumes under the *same* [`ProcessId`] — the distinguishing
-/// feature of the extended virtual synchrony failure model.
+/// assumption) and keep only what it already made durable — the EVS engine
+/// keeps a write-ahead log behind its `Storage`. On recovery the simulator
+/// calls [`Node::on_recover`], and the process resumes under the *same*
+/// [`ProcessId`] — the distinguishing feature of the extended virtual
+/// synchrony failure model.
 pub trait Node {
     /// The wire message type exchanged between nodes.
     type Msg: Clone + fmt::Debug;
@@ -56,17 +57,17 @@ pub trait Node {
 
     /// Called when the simulator crashes this process.
     ///
-    /// Implementations must drop volatile state here. Stable state lives in
-    /// the [`StableStore`] and survives. The context may be used to emit a
-    /// final trace event (the paper's `fail_p(c)`) and to write stable
-    /// storage — writes made here model state that was already persisted at
-    /// the instant of failure. Sends and timers requested from `on_crash`
-    /// are discarded: a crashing process transmits nothing.
+    /// Implementations must drop volatile state here and keep their durable
+    /// log. The context may be used to emit a final trace event (the
+    /// paper's `fail_p(c)`), and the node may append to its log — writes
+    /// made here model state that was already persisted at the instant of
+    /// failure. Sends and timers requested from `on_crash` are discarded: a
+    /// crashing process transmits nothing.
     fn on_crash(&mut self, ctx: &mut Ctx<'_, Self::Msg, Self::Ev>);
 
     /// Called when the simulator recovers this process.
     ///
-    /// The node should re-initialize from `ctx.stable()` and re-arm its
+    /// The node should re-initialize from its durable log and re-arm its
     /// timers.
     fn on_recover(&mut self, ctx: &mut Ctx<'_, Self::Msg, Self::Ev>);
 }
@@ -98,7 +99,6 @@ pub struct Ctx<'a, M, E> {
     pub(crate) pid: ProcessId,
     pub(crate) now: SimTime,
     pub(crate) effects: Vec<Effect<M>>,
-    pub(crate) stable: &'a mut StableStore,
     pub(crate) trace: &'a mut Vec<(SimTime, E)>,
     pub(crate) next_timer_id: &'a mut u64,
     pub(crate) telemetry: Telemetry,
@@ -106,13 +106,17 @@ pub struct Ctx<'a, M, E> {
 
 impl<'a, M, E> Ctx<'a, M, E> {
     /// Builds a context for a custom transport driver (UDP, TCP, …): the
-    /// driver owns the process's stable store, trace and timer counter, and
-    /// after running a node callback collects the requested [`Effect`]s
-    /// with [`Ctx::take_effects`] to map them onto its medium.
+    /// driver owns the process's trace and timer counter, and after running
+    /// a node callback collects the requested [`Effect`]s with
+    /// [`Ctx::take_effects`] to map them onto its medium.
+    ///
+    /// `_stable` is ignored: the node keeps its own durable log. The
+    /// parameter stays so the benchmark's reactor, which still passes a
+    /// [`StableStore`], builds unchanged.
     pub fn detached(
         pid: ProcessId,
         now: SimTime,
-        stable: &'a mut StableStore,
+        _stable: &'a mut StableStore,
         trace: &'a mut Vec<(SimTime, E)>,
         next_timer_id: &'a mut u64,
     ) -> Self {
@@ -120,7 +124,6 @@ impl<'a, M, E> Ctx<'a, M, E> {
             pid,
             now,
             effects: Vec::new(),
-            stable,
             trace,
             next_timer_id,
             telemetry: Telemetry::disabled(),
@@ -132,7 +135,6 @@ impl<'a, M, E> Ctx<'a, M, E> {
     pub fn detached_with_telemetry(
         pid: ProcessId,
         now: SimTime,
-        stable: &'a mut StableStore,
         trace: &'a mut Vec<(SimTime, E)>,
         next_timer_id: &'a mut u64,
         telemetry: Telemetry,
@@ -141,7 +143,6 @@ impl<'a, M, E> Ctx<'a, M, E> {
             pid,
             now,
             effects: Vec::new(),
-            stable,
             trace,
             next_timer_id,
             telemetry,
@@ -198,11 +199,6 @@ impl<'a, M, E> Ctx<'a, M, E> {
         self.effects.push(Effect::CancelTimer(id));
     }
 
-    /// The process's crash-surviving stable storage.
-    pub fn stable(&mut self) -> &mut StableStore {
-        self.stable
-    }
-
     /// Appends an event to this process's trace, timestamped with the
     /// current simulated time.
     ///
@@ -226,14 +222,12 @@ mod tests {
 
     #[test]
     fn ctx_queues_effects_in_order() {
-        let mut stable = StableStore::new();
         let mut trace: Vec<(SimTime, &str)> = Vec::new();
         let mut next = 0u64;
         let mut ctx: Ctx<'_, u8, &str> = Ctx {
             pid: ProcessId::new(0),
             now: SimTime::from_ticks(9),
             effects: Vec::new(),
-            stable: &mut stable,
             trace: &mut trace,
             next_timer_id: &mut next,
             telemetry: Telemetry::disabled(),

@@ -1,7 +1,7 @@
 //! The deterministic discrete-event simulator.
 
 use crate::node::{Ctx, Effect, Node, TimerId, TimerKind};
-use crate::{ProcessId, SimTime, StableStore, Topology};
+use crate::{ProcessId, SimTime, Topology};
 use evs_telemetry::Telemetry;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -68,8 +68,8 @@ pub enum Action<N: Node> {
     Merge(Vec<ProcessId>),
     /// Reconnect the entire network into one component.
     MergeAll,
-    /// Crash a process: volatile state and pending timers are lost, stable
-    /// storage and the trace survive.
+    /// Crash a process: volatile state and pending timers are lost, the
+    /// node's durable log and the trace survive.
     Crash(ProcessId),
     /// Kill a process outright (`kill -9`): like [`Action::Crash`] but the
     /// node gets **no** `on_crash` callback — no final trace event, no
@@ -147,7 +147,6 @@ struct Slot<N: Node> {
     node: N,
     alive: bool,
     epoch: u64,
-    stable: StableStore,
     trace: Vec<(SimTime, N::Ev)>,
     next_timer_id: u64,
     cancelled: HashSet<TimerId>,
@@ -224,7 +223,6 @@ impl<N: Node> Sim<N> {
                 node: make(ProcessId::new(i)),
                 alive: true,
                 epoch: 0,
-                stable: StableStore::new(),
                 trace: Vec::new(),
                 next_timer_id: 0,
                 cancelled: HashSet::new(),
@@ -427,7 +425,7 @@ impl<N: Node> Sim<N> {
     }
 
     /// Crashes `p` immediately: volatile node state and timers are lost, the
-    /// stable store and trace survive. No-op if already crashed.
+    /// node's durable log and the trace survive. No-op if already crashed.
     pub fn crash(&mut self, p: ProcessId) {
         let slot = &mut self.slots[p.as_usize()];
         if !slot.alive {
@@ -436,13 +434,12 @@ impl<N: Node> Sim<N> {
         slot.alive = false;
         slot.epoch += 1; // invalidates all pending timers
         slot.cancelled.clear();
-        // The node may emit a final `fail` trace event and write stable
-        // storage, but anything it tries to transmit is discarded.
+        // The node may emit a final `fail` trace event and append to its
+        // log, but anything it tries to transmit is discarded.
         let mut ctx = Ctx {
             pid: p,
             now: self.now,
             effects: Vec::new(),
-            stable: &mut slot.stable,
             trace: &mut slot.trace,
             next_timer_id: &mut slot.next_timer_id,
             telemetry: slot.telemetry.clone(),
@@ -464,8 +461,8 @@ impl<N: Node> Sim<N> {
         slot.cancelled.clear();
     }
 
-    /// Recovers `p` immediately under the same identifier, handing its
-    /// stable store back via `Node::on_recover`. No-op if already alive.
+    /// Recovers `p` immediately under the same identifier via
+    /// `Node::on_recover`. No-op if already alive.
     pub fn recover(&mut self, p: ProcessId) {
         let slot = &mut self.slots[p.as_usize()];
         if slot.alive {
@@ -508,7 +505,6 @@ impl<N: Node> Sim<N> {
             pid,
             now: self.now,
             effects: Vec::new(),
-            stable: &mut slot.stable,
             trace: &mut slot.trace,
             next_timer_id: &mut slot.next_timer_id,
             telemetry: slot.telemetry.clone(),

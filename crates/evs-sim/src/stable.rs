@@ -1,125 +1,19 @@
-//! Per-process stable storage that survives crashes.
+//! Where a simulated process's stable storage lives.
 //!
-//! The extended virtual synchrony model (§2 of the paper) is explicitly about
-//! processes that "may fail and may subsequently recover after an arbitrary
-//! amount of time with [their] stable storage intact". The simulator models
-//! that by giving every process a [`StableStore`] that the crash action does
-//! *not* clear: the process's volatile state (the `Node` value and its
-//! pending timers) is destroyed, but the store persists and is handed back on
-//! recovery.
+//! The paper's processes recover "with stable storage intact" (§2). Here
+//! that storage is the node's own: the EVS engine journals to the
+//! write-ahead log behind its `evs_store::Storage`, which the node value
+//! holds across a crash, and replays it on recovery. The simulator hands
+//! out no store of its own.
 
-use std::any::Any;
-use std::collections::HashMap;
-use std::fmt;
-
-/// A crash-surviving key/value store owned by a single simulated process.
-///
-/// Values are stored as `Box<dyn Any>` so a protocol layer can persist its
-/// own strongly-typed snapshot without the simulator knowing the type. The
-/// simulator never serializes the store: a "crash" in the simulation destroys
-/// volatile state within the same address space, so in-memory persistence is
-/// a faithful model of a disk that survives reboot.
-///
-/// # Examples
-///
-/// ```
-/// use evs_sim::StableStore;
-///
-/// let mut store = StableStore::new();
-/// store.put("counter", 41u64);
-/// *store.get_mut::<u64>("counter").unwrap() += 1;
-/// assert_eq!(store.get::<u64>("counter"), Some(&42));
-/// ```
-#[derive(Default)]
-pub struct StableStore {
-    slots: HashMap<&'static str, Box<dyn Any + Send>>,
-}
+/// An empty placeholder that [`Ctx::detached`](crate::Ctx::detached)
+/// accepts and ignores. It holds nothing.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct StableStore;
 
 impl StableStore {
-    /// Creates an empty store.
+    /// The placeholder.
     pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Persists `value` under `key`, replacing any previous value (of any
-    /// type) stored under the same key.
-    pub fn put<T: Any + Send>(&mut self, key: &'static str, value: T) {
-        self.slots.insert(key, Box::new(value));
-    }
-
-    /// Returns a reference to the value stored under `key`, or `None` if the
-    /// key is absent or holds a value of a different type.
-    pub fn get<T: Any + Send>(&self, key: &'static str) -> Option<&T> {
-        self.slots.get(key).and_then(|v| v.downcast_ref())
-    }
-
-    /// Returns a mutable reference to the value stored under `key`, or
-    /// `None` if the key is absent or holds a value of a different type.
-    pub fn get_mut<T: Any + Send>(&mut self, key: &'static str) -> Option<&mut T> {
-        self.slots.get_mut(key).and_then(|v| v.downcast_mut())
-    }
-
-    /// Returns true if `key` holds a value of type `T`.
-    pub fn contains<T: Any + Send>(&self, key: &'static str) -> bool {
-        self.get::<T>(key).is_some()
-    }
-
-    /// Number of keys currently persisted.
-    pub fn len(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Returns true if nothing is persisted.
-    pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
-    }
-}
-
-impl fmt::Debug for StableStore {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let mut keys: Vec<_> = self.slots.keys().collect();
-        keys.sort();
-        f.debug_struct("StableStore").field("keys", &keys).finish()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn round_trip_typed_values() {
-        let mut s = StableStore::new();
-        s.put("a", vec![1u32, 2, 3]);
-        s.put("b", String::from("hello"));
-        assert_eq!(s.get::<Vec<u32>>("a"), Some(&vec![1, 2, 3]));
-        assert_eq!(s.get::<String>("b").map(String::as_str), Some("hello"));
-        assert_eq!(s.len(), 2);
-    }
-
-    #[test]
-    fn wrong_type_is_none() {
-        let mut s = StableStore::new();
-        s.put("a", 1u64);
-        assert_eq!(s.get::<u32>("a"), None);
-        assert!(!s.contains::<u32>("a"));
-        assert!(s.contains::<u64>("a"));
-    }
-
-    #[test]
-    fn put_replaces_across_types() {
-        let mut s = StableStore::new();
-        s.put("k", 1u8);
-        s.put("k", "two");
-        assert_eq!(s.get::<&str>("k"), Some(&"two"));
-        assert_eq!(s.get::<u8>("k"), None);
-    }
-
-    #[test]
-    fn debug_lists_keys() {
-        let mut s = StableStore::new();
-        s.put("z", 0u8);
-        s.put("a", 0u8);
-        assert_eq!(format!("{s:?}"), "StableStore { keys: [\"a\", \"z\"] }");
+        StableStore
     }
 }

@@ -42,8 +42,9 @@
 //! [`evs::runtime::Cluster`] — a thread per member over real loopback
 //! sockets — and a `--child` by stepping its own `Worker`, trace journal
 //! attached, on the main thread. What is left in this file is argument
-//! parsing, the `EVSC` control plane children answer (submit / inspect /
-//! shutdown, from any non-member address), the `kill -9` orchestrator,
+//! parsing, the `EVSC` control plane children answer (submit / shutdown,
+//! from any non-member address; the orchestrator reads a child's state
+//! from its `OBS?` scrape), the `kill -9` orchestrator,
 //! the broker's client socket and the smoke assertions.
 //!
 //! `--broker` runs the client tier live: the same three UDP daemons, plus
@@ -216,9 +217,6 @@ fn child(args: &[String]) {
 
 /// Handles one `EVSC` control datagram. Returns `true` on shutdown.
 fn handle_control(worker: &mut Worker, now: u64, body: &[u8], from: SocketAddr) -> bool {
-    let reply = |worker: &mut Worker, answer: &[u8]| {
-        let _ = worker.send_to(from, [CONTROL_MAGIC, answer].concat());
-    };
     match body.first() {
         Some(b'S') if body.len() >= 2 => {
             let service = match body[1] {
@@ -233,18 +231,8 @@ fn handle_control(worker: &mut Worker, now: u64, body: &[u8], from: SocketAddr) 
                 })
                 .unwrap_or_else(|e| panic!("worker I/O: {e}"));
         }
-        Some(b'I') => {
-            let node = worker.node();
-            let mut answer = vec![
-                b'R',
-                node.is_settled() as u8,
-                node.current_config().members.len() as u8,
-            ];
-            answer.extend_from_slice(&(node.deliveries().len() as u32).to_le_bytes());
-            reply(worker, &answer);
-        }
         Some(b'Q') => {
-            reply(worker, b"D");
+            let _ = worker.send_to(from, [&CONTROL_MAGIC[..], b"D"].concat());
             return true;
         }
         _ => {}
@@ -276,21 +264,17 @@ impl ControlPlane {
         self.send(child, &body);
     }
 
-    /// One inspect round-trip: `(settled, members, delivered)`.
-    fn inspect(&self, child: usize) -> Option<(bool, usize, u32)> {
-        self.send(child, b"I");
-        let mut buf = [0u8; 64];
-        let deadline = Instant::now() + Duration::from_millis(200);
-        while Instant::now() < deadline {
-            match self.socket.recv_from(&mut buf) {
-                Ok((len, _)) if len >= 11 && &buf[..4] == CONTROL_MAGIC && buf[4] == b'R' => {
-                    let delivered = u32::from_le_bytes(buf[7..11].try_into().unwrap());
-                    return Some((buf[5] != 0, buf[6] as usize, delivered));
-                }
-                _ => {}
-            }
-        }
-        None
+    /// One `OBS?` scrape of a child: `(settled, members, delivered)`, read
+    /// from the info keys every worker's scrape carries.
+    fn inspect(&self, child: usize) -> Option<(bool, usize, usize)> {
+        let addr = SocketAddr::from(([127, 0, 0, 1], self.ports[child]));
+        let expo = obs::scrape(addr, Duration::from_millis(200)).ok()?;
+        let info = |key: &str| expo.info.get(key).map(String::as_str);
+        Some((
+            info("settled")? == "true",
+            info("members")?.split_whitespace().count(),
+            info("deliveries")?.parse().ok()?,
+        ))
     }
 
     /// Polls until `cond` holds over the inspected children.
@@ -298,8 +282,8 @@ impl ControlPlane {
         &self,
         children: &[usize],
         what: &str,
-        cond: impl Fn(&[(bool, usize, u32)]) -> bool,
-    ) -> Vec<(bool, usize, u32)> {
+        cond: impl Fn(&[(bool, usize, usize)]) -> bool,
+    ) -> Vec<(bool, usize, usize)> {
         let deadline = Instant::now() + Duration::from_secs(60);
         loop {
             let states: Vec<_> = children.iter().filter_map(|&i| self.inspect(i)).collect();
@@ -381,9 +365,6 @@ fn orchestrate(seed: u64) {
         socket: UdpSocket::bind("127.0.0.1:0").expect("bind control socket"),
         ports: ports.clone(),
     };
-    ctrl.socket
-        .set_read_timeout(Some(Duration::from_millis(50)))
-        .expect("set timeout");
 
     let mut children: Vec<std::process::Child> =
         (0..N).map(|i| spawn_child(i, &ports, &dir)).collect();
@@ -485,7 +466,7 @@ fn orchestrate(seed: u64) {
         "-- evs-top tracked the respawn: incarnation count stepped, WAL recovery in the scrape"
     );
 
-    let before: Vec<u32> = all
+    let before: Vec<usize> = all
         .iter()
         .map(|&i| ctrl.inspect(i).map_or(0, |(_, _, d)| d))
         .collect();

@@ -166,7 +166,6 @@ fn generated_hunting_plans_pass_conformance_on_the_live_driver() {
         max_steps: 5,
         max_run: 1_200,
         mix: FaultMix::hunting(),
-        ..GenConfig::default()
     });
     let orch = Orchestrator::default();
     let mut network_knobs_seen = false;
