@@ -847,18 +847,30 @@ impl<P: Clone + fmt::Debug + 'static> EvsProcess<P> {
         }
     }
 
-    /// Broadcasts an accumulated visit burst: a single message goes out as
-    /// a plain `Data` frame, several go out as one `Batch` frame — one
-    /// transmit per destination for the whole burst instead of one per
-    /// message.
+    /// Sends an accumulated visit burst to the other members of the ring's
+    /// configuration, one unicast each in ascending id order: a single
+    /// message goes out as a plain `Data` frame, several go out as one
+    /// `Batch` frame — one transmit per destination for the whole burst
+    /// instead of one per message. The sender is left out: the ring kept
+    /// every message it stamped or serves, so its own copy would only be
+    /// decoded and dropped as a duplicate.
     fn flush_data_batch(&mut self, ctx: &mut ECtx<'_, P>, batch: &mut Vec<OrderedMsg<P>>) {
-        match batch.len() {
-            0 => {}
-            1 => {
-                let msg = batch.pop().expect("len checked");
-                ctx.broadcast(EvsMsg::Ring(RingMsg::Data(msg)));
+        let frame = match batch.len() {
+            0 => return,
+            1 => RingMsg::Data(batch.pop().expect("len checked")),
+            _ => RingMsg::Batch(std::mem::take(batch)),
+        };
+        let Mode::Regular { ring } = &self.mode else {
+            unreachable!("ring outs come from a regular configuration");
+        };
+        let me = self.me;
+        let mut to = ring.members().iter().filter(|&&q| q != me).peekable();
+        while let Some(&q) = to.next() {
+            if to.peek().is_none() {
+                ctx.unicast(q, EvsMsg::Ring(frame));
+                return;
             }
-            _ => ctx.broadcast(EvsMsg::Ring(RingMsg::Batch(std::mem::take(batch)))),
+            ctx.unicast(q, EvsMsg::Ring(frame.clone()));
         }
     }
 
@@ -1991,6 +2003,83 @@ mod tests {
         assert!(node.pending_token.is_some());
         let safe = node.deliveries().iter().filter_map(|d| d.payload()).next();
         assert_eq!(safe, Some(&"unsafe"));
+    }
+
+    /// The ring data frames among `effects`, as (addressee, ordinals);
+    /// panics on a data frame broadcast.
+    fn data_frames(
+        effects: &[evs_sim::Effect<EvsMsg<&'static str>>],
+    ) -> Vec<(ProcessId, Vec<u64>)> {
+        effects
+            .iter()
+            .filter_map(|e| match e {
+                evs_sim::Effect::Broadcast(EvsMsg::Ring(RingMsg::Data(_) | RingMsg::Batch(_))) => {
+                    panic!("a data frame broadcast: {e:?}")
+                }
+                evs_sim::Effect::Unicast(to, EvsMsg::Ring(RingMsg::Data(m))) => {
+                    Some((*to, vec![m.seq]))
+                }
+                evs_sim::Effect::Unicast(to, EvsMsg::Ring(RingMsg::Batch(msgs))) => {
+                    Some((*to, msgs.iter().map(|m| m.seq).collect()))
+                }
+                _ => None,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_burst_goes_to_the_other_members_and_not_back_to_its_sender() {
+        let (mut node, mut env) = started();
+        let cfg = ConfigId::regular(1, p(0));
+        node.mode = Mode::Regular {
+            ring: Ring::new(p(0), cfg, vec![p(0), p(1), p(2)], 16),
+        };
+        // `p(0)` holds message 1, which `p(1)` stamped, and has two
+        // submissions waiting for the token.
+        let held = OrderedMsg {
+            config: cfg,
+            seq: 1,
+            id: MessageId::new(p(1), 1),
+            service: Service::Agreed,
+            payload: "held",
+        };
+        env.with(|ctx| node.on_message(ctx, p(1), EvsMsg::Ring(RingMsg::Data(held))));
+        env.with(|ctx| {
+            node.submit(ctx, Service::Agreed, "a");
+            node.submit(ctx, Service::Agreed, "b");
+        });
+        // `p(2)` lacks message 1 and asks for it on the token.
+        let tok = evs_order::Token {
+            config: cfg,
+            token_id: 1,
+            seq: 1,
+            aru: 0,
+            aru_id: Some(p(2)),
+            rtr: vec![1],
+            rotation: 0,
+        };
+        let (_, effects) =
+            env.effects(|ctx| node.on_message(ctx, p(2), EvsMsg::Ring(RingMsg::Token(tok))));
+        // The served message and the two stamped ones, as one frame to
+        // each other member in id order, and none to `p(0)` itself.
+        assert_eq!(
+            data_frames(&effects),
+            vec![(p(1), vec![1, 2, 3]), (p(2), vec![1, 2, 3])]
+        );
+    }
+
+    #[test]
+    fn a_singleton_ring_sends_no_data_frame() {
+        let (mut node, mut env) = started();
+        let (_, effects) = env.effects(|ctx| {
+            node.submit(ctx, Service::Agreed, "a");
+            node.submit(ctx, Service::Safe, "b");
+        });
+        assert_eq!(data_frames(&effects), vec![]);
+        assert_eq!(
+            node.deliveries().iter().filter_map(|d| d.payload()).count(),
+            2
+        );
     }
 
     /// Five engines on the simulator, every hop exactly one tick: a hop

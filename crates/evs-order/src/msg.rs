@@ -163,10 +163,10 @@ impl fmt::Debug for Token {
 /// A frame of the ring protocol.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum RingMsg<P> {
-    /// An ordered data message, broadcast to the component.
+    /// An ordered data message, sent to the other ring members.
     Data(OrderedMsg<P>),
-    /// A burst of ordered data messages from one token visit, broadcast as
-    /// a single frame. The token holder stamps up to `max_per_visit`
+    /// A burst of ordered data messages from one token visit, sent to the
+    /// other ring members as a single frame. The token holder stamps up to `max_per_visit`
     /// messages (and serves retransmission requests) per visit; packing the
     /// burst into one frame turns that into one transmit per destination
     /// instead of one per message. A batch holds one configuration in

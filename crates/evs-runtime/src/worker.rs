@@ -25,7 +25,6 @@ use evs_telemetry::{names, Counter, Exposition, Phase, PhaseClock, Telemetry};
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read as _, Write as _};
 use std::net::SocketAddr;
-use std::ops::Range;
 use std::path::Path;
 use std::time::Duration;
 
@@ -67,6 +66,8 @@ pub struct Worker {
     scratch: BytesMut,
     /// One datagram under construction per destination, reused forever.
     outbox: Vec<BytesMut>,
+    /// The destinations of the frame being sent, reused forever.
+    to: Vec<usize>,
     completions: Vec<Completion>,
 }
 
@@ -96,6 +97,7 @@ impl Worker {
             obs_seq: 0,
             scratch: BytesMut::new(),
             outbox: vec![BytesMut::new(); peers.len()],
+            to: Vec::with_capacity(peers.len()),
             peers,
             completions: Vec::new(),
         }
@@ -200,14 +202,33 @@ impl Worker {
         self.phase.mark(phase);
         self.journal_new_events()?;
         self.phase.mark(Phase::Wal);
-        for effect in effects {
+        let mut to = std::mem::take(&mut self.to);
+        let mut effects = effects.into_iter().peekable();
+        while let Some(effect) = effects.next() {
+            to.clear();
             match effect {
-                Effect::Broadcast(msg) => self.send(&msg, 0..self.peers.len()),
-                Effect::Unicast(to, msg) => self.send(&msg, to.as_usize()..to.as_usize() + 1),
+                Effect::Broadcast(msg) => {
+                    to.extend(0..self.peers.len());
+                    self.send(&msg, &to);
+                }
+                Effect::Unicast(q, msg) => {
+                    to.push(q.as_usize());
+                    // A data burst leaves as one unicast per other member:
+                    // encode it once for all of them.
+                    while let Some(Effect::Unicast(q, next)) = effects.peek() {
+                        if !same_data_frame(&msg, next) {
+                            break;
+                        }
+                        to.push(q.as_usize());
+                        effects.next();
+                    }
+                    self.send(&msg, &to);
+                }
                 Effect::SetTimer(id, delay, kind) => self.timers.push((now + delay, id, kind)),
                 Effect::CancelTimer(id) => self.timers.retain(|(_, tid, _)| *tid != id),
             }
         }
+        self.to = to;
         (0..self.peers.len()).for_each(|to| self.queue_outbox(to));
         self.phase.mark(Phase::Send);
         let sent = self.driver.submit().map(drop);
@@ -219,16 +240,16 @@ impl Worker {
     /// batch goes as consecutive batch frames that each fit the packing
     /// budget — one frame unless a visit's burst outgrew it — so the burst
     /// is never one datagram too large for the medium to carry.
-    fn send(&mut self, msg: &EvsMsg<Payload>, to: Range<usize>) {
+    fn send(&mut self, msg: &EvsMsg<Payload>, to: &[usize]) {
         if let EvsMsg::Ring(RingMsg::Batch(msgs)) = msg {
             for part in wire::batch_parts(msgs, self.node.params().max_datagram_bytes) {
                 wire::encode_batch_into(part, &mut self.scratch);
-                to.clone().for_each(|peer| self.enqueue(peer));
+                to.iter().for_each(|&peer| self.enqueue(peer));
             }
         } else {
             // Encode once, pack the same bytes for every destination.
             wire::encode_into(msg, &mut self.scratch);
-            to.for_each(|peer| self.enqueue(peer));
+            to.iter().for_each(|&peer| self.enqueue(peer));
         }
     }
 
@@ -442,4 +463,21 @@ impl Worker {
         self.alive = true;
         self.dispatch(now, Phase::Dispatch, |node, ctx| node.on_recover(ctx))
     }
+}
+
+/// Whether `a` and `b` are the same ring data frame. An ordinal names one
+/// message in a configuration, so two frames of one variant, configuration,
+/// first and last ordinal and length carry the same messages.
+fn same_data_frame(a: &EvsMsg<Payload>, b: &EvsMsg<Payload>) -> bool {
+    fn span(m: &EvsMsg<Payload>) -> Option<(bool, evs_core::ConfigId, u64, u64, usize)> {
+        match m {
+            EvsMsg::Ring(RingMsg::Data(d)) => Some((false, d.config, d.seq, d.seq, 1)),
+            EvsMsg::Ring(RingMsg::Batch(msgs)) => {
+                let (first, last) = (msgs.first()?, msgs.last()?);
+                Some((true, first.config, first.seq, last.seq, msgs.len()))
+            }
+            _ => None,
+        }
+    }
+    span(a).is_some_and(|frame| span(b) == Some(frame))
 }

@@ -1,10 +1,16 @@
 //! The in-memory medium upholds the `SocketDriver` contract the UDP
-//! drivers do.
+//! drivers do, and a `Worker` over it puts on the medium what the engine
+//! addressed.
 
-use evs_net::SocketDriver;
-use evs_runtime::MemDriver;
+use evs_core::{wire, EvsMsg, EvsParams, EvsProcess, Payload, Service};
+use evs_net::{Completion, SocketDriver};
+use evs_order::RingMsg;
+use evs_runtime::{MemDriver, Worker};
+use evs_sim::ProcessId;
+use evs_telemetry::{Phase, Telemetry};
+use std::io;
 use std::net::SocketAddr;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 fn addr(port: u16) -> SocketAddr {
@@ -45,4 +51,147 @@ fn a_timed_complete_parks_until_mail_or_the_deadline() {
     let long = Duration::from_secs(60);
     assert_eq!(rx.complete(Some(long), &mut got).unwrap(), 1);
     sender.join().unwrap();
+}
+
+/// The datagrams one driver was asked to send, one list per submit.
+type Submits = Arc<Mutex<Vec<Vec<(SocketAddr, Vec<u8>)>>>>;
+
+/// A [`MemDriver`] that records every datagram pushed on it.
+struct Recording {
+    inner: MemDriver,
+    queued: Vec<(SocketAddr, Vec<u8>)>,
+    submits: Submits,
+}
+
+impl SocketDriver for Recording {
+    fn local_addr(&self) -> io::Result<SocketAddr> {
+        self.inner.local_addr()
+    }
+
+    fn push(&mut self, to: SocketAddr, payload: Vec<u8>) {
+        self.queued.push((to, payload.clone()));
+        self.inner.push(to, payload);
+    }
+
+    fn pending(&self) -> usize {
+        self.inner.pending()
+    }
+
+    fn submit(&mut self) -> io::Result<usize> {
+        let queued = std::mem::take(&mut self.queued);
+        self.submits.lock().unwrap().push(queued);
+        self.inner.submit()
+    }
+
+    fn complete(
+        &mut self,
+        timeout: Option<Duration>,
+        out: &mut Vec<Completion>,
+    ) -> io::Result<usize> {
+        self.inner.complete(timeout, out)
+    }
+
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+}
+
+/// Whether `datagram` carries a ring data frame (`Data` or `Batch`).
+fn carries_data(datagram: &[u8]) -> bool {
+    wire::unpack_frames(datagram).unwrap().iter().any(|frame| {
+        matches!(
+            wire::decode(frame).unwrap(),
+            EvsMsg::Ring(RingMsg::Data(_) | RingMsg::Batch(_))
+        )
+    })
+}
+
+#[test]
+fn a_worker_sends_each_burst_once_to_each_other_member_and_never_to_itself() {
+    const N: usize = 3;
+    const BURST: usize = 8;
+    let hub = Arc::default();
+    let addrs: Vec<SocketAddr> = (1..=N as u16).map(addr).collect();
+    let submits: Vec<Submits> = (0..N).map(|_| Submits::default()).collect();
+    let mut workers: Vec<Worker> = (0..N)
+        .map(|i| {
+            let me = ProcessId::new(i as u32);
+            let driver = Recording {
+                inner: MemDriver::bind(&hub, addrs[i]),
+                queued: Vec::new(),
+                submits: Arc::clone(&submits[i]),
+            };
+            let node = EvsProcess::new(me, EvsParams::default());
+            Worker::new(
+                me,
+                node,
+                Box::new(driver),
+                addrs.clone(),
+                Telemetry::disabled(),
+            )
+        })
+        .collect();
+    let delivered = |w: &Worker| {
+        w.node()
+            .deliveries()
+            .iter()
+            .filter_map(|d| d.payload())
+            .count()
+    };
+
+    // Lock-step on virtual ticks: everything due now, then the next deadline.
+    let mut now = 0;
+    for w in &mut workers {
+        w.start(now).unwrap();
+    }
+    let mut burst_sent = false;
+    while !workers.iter().all(|w| delivered(w) == BURST) {
+        assert!(now < 1_000_000, "no progress by tick {now}");
+        let mut reaped = 1;
+        while reaped > 0 {
+            reaped = 0;
+            for w in &mut workers {
+                reaped += w.step(&|| now, None, &mut Vec::new()).unwrap();
+            }
+        }
+        let formed = workers
+            .iter()
+            .all(|w| w.node().is_settled() && w.node().current_config().members.len() == N);
+        if formed && !burst_sent {
+            burst_sent = true;
+            submits.iter().for_each(|s| s.lock().unwrap().clear());
+            workers[0]
+                .dispatch(now, Phase::Dispatch, |node, ctx| {
+                    for k in 0..BURST {
+                        node.submit(ctx, Service::Agreed, Payload::from(vec![k as u8; 64]));
+                    }
+                })
+                .unwrap();
+        } else {
+            now = workers
+                .iter()
+                .filter_map(Worker::next_deadline)
+                .min()
+                .unwrap()
+                .max(now + 1);
+        }
+    }
+
+    let mut bursts = 0;
+    for (i, log) in submits.iter().enumerate() {
+        for submit in log.lock().unwrap().iter() {
+            let data: Vec<SocketAddr> = submit
+                .iter()
+                .filter(|(_, datagram)| carries_data(datagram))
+                .map(|(to, _)| *to)
+                .collect();
+            if data.is_empty() {
+                continue;
+            }
+            bursts += 1;
+            let others: Vec<SocketAddr> = (0..N).filter(|&j| j != i).map(|j| addrs[j]).collect();
+            assert_eq!(data, others, "member {i}'s burst went to {data:?}");
+        }
+    }
+    assert!(bursts > 0, "no burst was sent");
 }

@@ -193,9 +193,9 @@ fn child(args: &[String]) {
         worker
             .step(&now, Some(MAX_PARK), &mut foreign)
             .unwrap_or_else(|e| panic!("worker I/O: {e}"));
-        for (from, datagram) in foreign.drain(..) {
+        for (_, datagram) in foreign.drain(..) {
             if let Some(body) = datagram.strip_prefix(CONTROL_MAGIC) {
-                if handle_control(&mut worker, now(), body, from) {
+                if handle_control(&mut worker, now(), body) {
                     // This incarnation's flight dump, for the post-mortem:
                     // appended to its journal, after every event.
                     let mut lines = String::new();
@@ -216,7 +216,7 @@ fn child(args: &[String]) {
 }
 
 /// Handles one `EVSC` control datagram. Returns `true` on shutdown.
-fn handle_control(worker: &mut Worker, now: u64, body: &[u8], from: SocketAddr) -> bool {
+fn handle_control(worker: &mut Worker, now: u64, body: &[u8]) -> bool {
     match body.first() {
         Some(b'S') if body.len() >= 2 => {
             let service = match body[1] {
@@ -231,10 +231,7 @@ fn handle_control(worker: &mut Worker, now: u64, body: &[u8], from: SocketAddr) 
                 })
                 .unwrap_or_else(|e| panic!("worker I/O: {e}"));
         }
-        Some(b'Q') => {
-            let _ = worker.send_to(from, [&CONTROL_MAGIC[..], b"D"].concat());
-            return true;
-        }
+        Some(b'Q') => return true,
         _ => {}
     }
     false
