@@ -30,9 +30,12 @@
 # (default, hunting, kill, corruption; seeds 5000-5149) on the simulator
 # and hashes their full traces per mix (the files stay in
 # target/verdicts/). It fails if a hash differs from verdicts.sha256,
-# which also holds the four fixed-seed simulator campaigns' hashes that
+# which also holds the five fixed-seed simulator campaigns' hashes that
 # chaos-smoke and corruption-smoke check: behaviour-preserving changes
-# leave all eight unchanged.
+# leave all nine unchanged. One of the five is the soak: the default mix
+# over five processes (random splits, merges, crashes, recoveries,
+# multicasts and runs, with loss and delay on top), each plan healed,
+# settled and checked.
 #
 # e2e-smoke runs the BENCHMARK.json command for 2 s per workload: wall
 # time is machine-dependent, so it gates on it once, where the gap is
@@ -135,6 +138,8 @@ chaos_smoke() {
     hashed_chaos kill-chaos --kill-chaos --iters 200 --seed 90125 --keep-going
     echo "== chaos: fixed-seed broker smoke (client-path mix, broker-fronted simulator) =="
     hashed_chaos broker --broker-chaos --iters 400 --seed 5151 --keep-going
+    echo "== chaos: fixed-seed soak (five processes, default mix) =="
+    hashed_chaos soak --n 5 --iters 400 --seed 20652 --keep-going
 }
 
 corruption_smoke() {

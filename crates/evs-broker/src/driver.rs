@@ -7,8 +7,9 @@
 //! agreed/safe order, every daemon applies delivered ops exactly once
 //! through its ledger, and each broker routes replies off the deliveries
 //! at its attached daemon. Deterministic given the seed, and
-//! chaos-composable: partitions, crashes, kills, drop/latency knobs and
-//! broker kill/reconnect all compose with the client load.
+//! chaos-composable: broker kill/reconnect, and the daemon faults made
+//! through [`BrokerCluster::cluster_mut`] (partitions, crashes, kills,
+//! loss and latency), all compose with the client load.
 //!
 //! The driver keeps an *external* record of applications (independent of
 //! the ledger code under test) so harnesses can assert the exactly-once
@@ -20,7 +21,7 @@ use crate::ledger::OpLedger;
 use crate::proto;
 use crate::session::SubmitOutcome;
 use evs_core::{Delivery, EvsCluster, Payload, Trace};
-use evs_sim::{Action, NetConfig, ProcessId};
+use evs_sim::{NetConfig, ProcessId};
 use evs_telemetry::{names, Counter, Telemetry};
 use std::collections::HashSet;
 
@@ -320,48 +321,6 @@ impl BrokerCluster {
         true
     }
 
-    // ---- fault passthroughs (chaos composition) ----
-
-    /// Partitions the daemon network.
-    pub fn partition(&mut self, groups: &[&[ProcessId]]) {
-        self.cluster.partition(groups);
-    }
-
-    /// Heals all partitions.
-    pub fn merge_all(&mut self) {
-        self.cluster.merge_all();
-    }
-
-    /// Crashes daemon `p` (volatile state lost, farewell written).
-    pub fn crash(&mut self, p: ProcessId) {
-        self.cluster.crash(p);
-    }
-
-    /// Kills daemon `p` (`kill -9`, no farewell).
-    pub fn kill(&mut self, p: ProcessId) {
-        self.cluster.kill(p);
-    }
-
-    /// Recovers daemon `p`.
-    pub fn recover(&mut self, p: ProcessId) {
-        self.cluster.recover(p);
-    }
-
-    /// True if daemon `p` is up.
-    pub fn is_alive(&self, p: ProcessId) -> bool {
-        self.cluster.is_alive(p)
-    }
-
-    /// Sets the global packet-drop probability.
-    pub fn set_drop_prob(&mut self, prob: f64) {
-        self.cluster.sim_mut().apply(Action::SetDropProb(prob));
-    }
-
-    /// Sets the global latency range.
-    pub fn set_latency(&mut self, lo: u64, hi: u64) {
-        self.cluster.sim_mut().apply(Action::SetLatency(lo, hi));
-    }
-
     // ---- observation ----
 
     /// Replies routed so far (client-observed completions).
@@ -516,7 +475,7 @@ mod tests {
         }
         bc.pump(20_000);
         // Broker 0 is attached to daemon 0; crash it mid-stream.
-        bc.crash(ProcessId::new(0));
+        bc.cluster_mut().crash(ProcessId::new(0));
         bc.kill_broker(0);
         for client in 8..16u64 {
             assert_eq!(
@@ -528,7 +487,7 @@ mod tests {
         assert!(bc.reconnect_broker(0));
         assert_ne!(bc.broker(0).attached(), ProcessId::new(0));
         bc.pump(60_000);
-        bc.recover(ProcessId::new(0));
+        bc.cluster_mut().recover(ProcessId::new(0));
         bc.pump(120_000);
         assert_eq!(
             bc.replies().len(),

@@ -28,8 +28,8 @@
 //!   `live_every`-th plan on the live driver), check, count
 //!   [`Coverage`], shrink, report (with chaos events wired into
 //!   `evs-telemetry`). Seeds are striped across `jobs` workers with a
-//!   deterministic merge; [`persist_corpus`] writes the failures and an
-//!   `index.json` for a standing soak (`chaos --factory`).
+//!   deterministic merge. A failure is kept as its
+//!   [`CounterExample::artifact`], the one file a replay reads.
 //!
 //! The `chaos-mutation` cargo feature rebuilds `evs-core` with a
 //! deliberate protocol bug (a skipped obligation-set union in the recovery
@@ -64,7 +64,7 @@ mod plan;
 mod shrink;
 
 pub use campaign::{Campaign, CampaignConfig, CampaignStats, CounterExample};
-pub use corpus::{persist_corpus, plan_shape, Coverage};
+pub use corpus::{plan_shape, Coverage};
 pub use gen::{FaultMix, GenConfig, ScenarioGen};
 pub use orchestrator::{conformance, ChaosFailure, ChaosOutcome, Frame, Orchestrator};
 pub use plan::{BitTarget, FaultPlan, FaultStep, PlanError, STEP_KINDS};

@@ -20,7 +20,7 @@ use evs_core::{CorruptionKind, EvsCluster, Payload, Trace};
 use evs_inspect::{check_all_with_telemetry, collect_dumps};
 use evs_order::Service;
 use evs_runtime::{Cluster, LinkFault, TICK};
-use evs_sim::{Action, NetConfig, ProcessId};
+use evs_sim::{NetConfig, ProcessId};
 use evs_telemetry::{Exposition, RecordedEvent, Telemetry};
 use evs_vs::{check_vs, filter_trace, MajorityPrimary, PrimaryHistory};
 use std::time::Duration;
@@ -190,8 +190,7 @@ impl Substrate for EvsCluster<String> {
         true
     }
     fn split(&mut self, groups: &[Vec<ProcessId>]) {
-        let groups: Vec<&[ProcessId]> = groups.iter().map(Vec::as_slice).collect();
-        self.partition(&groups);
+        self.sim_mut().partition(groups);
     }
     fn merge(&mut self) {
         self.merge_all();
@@ -206,11 +205,10 @@ impl Substrate for EvsCluster<String> {
         EvsCluster::recover(self, p);
     }
     fn drop_pct(&mut self, pct: u8) {
-        self.sim_mut()
-            .apply(Action::SetDropProb(pct as f64 / 100.0));
+        self.sim_mut().set_drop_prob(pct as f64 / 100.0);
     }
     fn delay(&mut self, lo: u64, hi: u64) {
-        self.sim_mut().apply(Action::SetLatency(lo, hi));
+        self.sim_mut().set_latency(lo, hi);
     }
     fn mcast(&mut self, from: ProcessId, count: u8, service: Service, msg: &mut u32) {
         if self.is_alive(from) {
@@ -250,26 +248,27 @@ impl Substrate for BrokerCluster {
         true
     }
     fn split(&mut self, groups: &[Vec<ProcessId>]) {
-        let groups: Vec<&[ProcessId]> = groups.iter().map(Vec::as_slice).collect();
-        self.partition(&groups);
+        self.cluster_mut().sim_mut().partition(groups);
     }
     fn merge(&mut self) {
-        self.merge_all();
+        self.cluster_mut().merge_all();
     }
     fn crash(&mut self, p: ProcessId) {
-        BrokerCluster::crash(self, p);
+        self.cluster_mut().crash(p);
     }
     fn kill(&mut self, p: ProcessId) {
-        BrokerCluster::kill(self, p);
+        self.cluster_mut().kill(p);
     }
     fn recover(&mut self, p: ProcessId) {
-        BrokerCluster::recover(self, p);
+        self.cluster_mut().recover(p);
     }
     fn drop_pct(&mut self, pct: u8) {
-        self.set_drop_prob(pct as f64 / 100.0);
+        self.cluster_mut()
+            .sim_mut()
+            .set_drop_prob(pct as f64 / 100.0);
     }
     fn delay(&mut self, lo: u64, hi: u64) {
-        self.set_latency(lo, hi);
+        self.cluster_mut().sim_mut().set_latency(lo, hi);
     }
     fn mcast(&mut self, from: ProcessId, count: u8, _service: Service, msg: &mut u32) {
         // A dead or backpressuring broker drops the burst, like a down
@@ -292,8 +291,9 @@ impl Substrate for BrokerCluster {
         let _ = self.reconnect_broker(b);
     }
     fn corrupt(&mut self, p: ProcessId, kind: CorruptionKind) {
-        if self.is_alive(p) {
-            self.cluster_mut()
+        let cluster = self.cluster_mut();
+        if cluster.is_alive(p) {
+            cluster
                 .sim_mut()
                 .invoke(p, move |node, _ctx| node.inject_corruption(kind));
         }

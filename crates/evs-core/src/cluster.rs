@@ -2,7 +2,7 @@
 
 use crate::{Configuration, Delivery, EvsParams, EvsProcess, Trace};
 use evs_order::Service;
-use evs_sim::{Action, NetConfig, ProcessId, Sim, SimTime};
+use evs_sim::{NetConfig, ProcessId, Sim, SimTime};
 use evs_telemetry::{Exposition, Telemetry};
 use std::fmt;
 
@@ -178,12 +178,12 @@ impl<P: Clone + fmt::Debug + Send + 'static> EvsCluster<P> {
     /// Partitions the network now. Each group becomes its own component.
     pub fn partition(&mut self, groups: &[&[ProcessId]]) {
         let groups: Vec<Vec<ProcessId>> = groups.iter().map(|g| g.to_vec()).collect();
-        self.sim.apply(Action::Partition(groups));
+        self.sim.partition(&groups);
     }
 
     /// Reconnects the whole network now.
     pub fn merge_all(&mut self) {
-        self.sim.apply(Action::MergeAll);
+        self.sim.merge_all();
     }
 
     /// Crashes process `p` now (volatile state lost, stable storage kept).

@@ -241,8 +241,8 @@ enum Mode<P> {
 /// A single process of the extended-virtual-synchrony stack, runnable under
 /// the deterministic simulator (it implements [`evs_sim::Node`]).
 ///
-/// Applications interact through [`EvsProcess::submit`] (from an
-/// [`Action::Invoke`](evs_sim::Action) closure or test code) and by reading
+/// Applications interact through [`EvsProcess::submit`] (from a
+/// [`Sim::invoke`](evs_sim::Sim::invoke) closure or test code) and by reading
 /// [`EvsProcess::deliveries`]. Every model-relevant event is also emitted
 /// into the simulator trace as an [`EvsEvent`] for the specification
 /// checker.

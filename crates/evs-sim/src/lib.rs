@@ -18,8 +18,9 @@
 //!
 //! ## Quick tour
 //!
-//! * [`Sim`] — the event loop: owns processes, clock, medium and fault
-//!   schedule.
+//! * [`Sim`] — the event loop: owns processes, clock and medium, and
+//!   takes faults as calls between runs (partition, merge, crash, kill,
+//!   recover, loss and latency changes, application invocations).
 //! * [`Node`] / [`Ctx`] — the state-machine interface and its capability
 //!   handle.
 //! * [`Topology`] — the component structure of the (possibly partitioned)
@@ -27,13 +28,11 @@
 //! * [`StableStore`] — an empty placeholder: a process's stable storage is
 //!   its own write-ahead log (the EVS engine's `Storage`), not the
 //!   simulator's.
-//! * [`Action`] — the fault-injection vocabulary (partition, merge, crash,
-//!   recover, loss-rate changes, application invocations).
 //!
 //! ## Example
 //!
 //! ```
-//! use evs_sim::{Action, Ctx, NetConfig, Node, ProcessId, Sim, SimTime, TimerKind};
+//! use evs_sim::{Ctx, NetConfig, Node, ProcessId, Sim, SimTime, TimerKind};
 //!
 //! struct Counter { seen: usize }
 //! impl Node for Counter {
@@ -51,8 +50,10 @@
 //!
 //! let mut sim = Sim::new(3, NetConfig::default(), |_| Counter { seen: 0 });
 //! let p0 = ProcessId::new(0);
-//! sim.at_invoke(SimTime::from_ticks(5), p0, |_n, ctx| ctx.broadcast(99));
-//! sim.at(SimTime::from_ticks(6), Action::Partition(vec![vec![p0]]));
+//! sim.run_until(SimTime::from_ticks(5));
+//! sim.invoke(p0, |_n, ctx| ctx.broadcast(99));
+//! sim.run_until(SimTime::from_ticks(6));
+//! sim.partition(&[vec![p0]]);
 //! sim.run_until(SimTime::from_ticks(100));
 //! assert_eq!(sim.node(p0).seen, 1); // loopback
 //! ```
@@ -71,10 +72,6 @@ pub use topology::Topology;
 
 pub use ids::{all_ids, ProcessId};
 pub use node::{Ctx, Effect, Node, TimerId, TimerKind};
-pub use sim::{Action, NetConfig, Sim};
+pub use sim::{NetConfig, Sim};
 pub use stable::StableStore;
 pub use time::SimTime;
-
-// Re-exported so drivers and applications can configure and harvest
-// telemetry without naming the bottom crate directly.
-pub use evs_telemetry::{RecordedEvent, Telemetry, TelemetryEvent, DEFAULT_FLIGHT_CAPACITY};

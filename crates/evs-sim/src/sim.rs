@@ -52,58 +52,6 @@ impl NetConfig {
     }
 }
 
-/// A boxed closure run against a node when an [`Action::Invoke`] fires.
-pub type InvokeFn<N> =
-    Box<dyn FnOnce(&mut N, &mut Ctx<'_, <N as Node>::Msg, <N as Node>::Ev>) + Send>;
-
-/// A scheduled environment action: the fault-injection vocabulary.
-///
-/// Actions are scheduled with [`Sim::at`] and applied at the given simulated
-/// time, interleaved deterministically with protocol events.
-pub enum Action<N: Node> {
-    /// Partition the network: each group becomes its own component
-    /// (processes not named keep their component).
-    Partition(Vec<Vec<ProcessId>>),
-    /// Merge the components containing the named processes.
-    Merge(Vec<ProcessId>),
-    /// Reconnect the entire network into one component.
-    MergeAll,
-    /// Crash a process: volatile state and pending timers are lost, the
-    /// node's durable log and the trace survive.
-    Crash(ProcessId),
-    /// Kill a process outright (`kill -9`): like [`Action::Crash`] but the
-    /// node gets **no** `on_crash` callback — no final trace event, no
-    /// last-moment stable write. Only state the node already journaled
-    /// (e.g. a write-ahead log) survives.
-    Kill(ProcessId),
-    /// Recover a previously crashed process under the same identifier.
-    Recover(ProcessId),
-    /// Change the packet-loss probability from this point on.
-    SetDropProb(f64),
-    /// Change the one-hop latency range `[min, max]` (ticks) from this
-    /// point on. Packets already in flight keep their sampled latency.
-    SetLatency(u64, u64),
-    /// Run a closure against a (live) node, e.g. to submit an application
-    /// message. Ignored if the process is crashed at the scheduled time.
-    Invoke(ProcessId, InvokeFn<N>),
-}
-
-impl<N: Node> std::fmt::Debug for Action<N> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Action::Partition(groups) => f.debug_tuple("Partition").field(groups).finish(),
-            Action::Merge(bridge) => f.debug_tuple("Merge").field(bridge).finish(),
-            Action::MergeAll => write!(f, "MergeAll"),
-            Action::Crash(p) => f.debug_tuple("Crash").field(p).finish(),
-            Action::Kill(p) => f.debug_tuple("Kill").field(p).finish(),
-            Action::Recover(p) => f.debug_tuple("Recover").field(p).finish(),
-            Action::SetDropProb(q) => f.debug_tuple("SetDropProb").field(q).finish(),
-            Action::SetLatency(lo, hi) => f.debug_tuple("SetLatency").field(lo).field(hi).finish(),
-            Action::Invoke(p, _) => f.debug_tuple("Invoke").field(p).finish(),
-        }
-    }
-}
-
 enum Payload<N: Node> {
     Deliver {
         from: ProcessId,
@@ -116,7 +64,6 @@ enum Payload<N: Node> {
         kind: TimerKind,
         epoch: u64,
     },
-    Act(Action<N>),
 }
 
 struct Entry<N: Node> {
@@ -156,11 +103,13 @@ struct Slot<N: Node> {
 /// A deterministic discrete-event simulation of a broadcast network of
 /// [`Node`] state machines.
 ///
-/// The simulator owns the processes, the medium, the clock and the fault
-/// schedule. Protocol logic lives entirely in the nodes; the simulator only
-/// moves packets (with loss, latency and partition semantics), fires timers
-/// and applies scheduled [`Action`]s. Runs are reproducible: the same seed
-/// and schedule give the same execution, event for event.
+/// The simulator owns the processes, the medium and the clock. Protocol
+/// logic lives entirely in the nodes; the simulator only moves packets
+/// (with loss, latency and partition semantics) and fires timers. Faults
+/// are calls made between [`Sim::run_until`]s: [`Sim::partition`],
+/// [`Sim::crash`], [`Sim::set_drop_prob`] and their kin act at the current
+/// instant. Runs are reproducible: the same seed and calls give the same
+/// execution, event for event.
 ///
 /// # Examples
 ///
@@ -205,8 +154,8 @@ impl<N: Node> Sim<N> {
     /// connected, at time zero.
     ///
     /// `Node::on_start` runs lazily when the simulation first advances (or
-    /// when [`Sim::start`] is called), so actions and topology changes can be
-    /// scheduled first.
+    /// when [`Sim::start`] is called), so topology and network changes can
+    /// be made first.
     ///
     /// # Panics
     ///
@@ -309,34 +258,6 @@ impl<N: Node> Sim<N> {
         self.slots.iter().map(|s| s.telemetry.clone()).collect()
     }
 
-    /// Schedules `action` to be applied at absolute time `t`.
-    ///
-    /// Multiple actions at the same instant apply in scheduling order,
-    /// interleaved after any protocol events already queued for that instant.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `t` is in the past.
-    pub fn at(&mut self, t: SimTime, action: Action<N>) {
-        assert!(t >= self.now, "cannot schedule an action in the past");
-        let seq = self.bump_seq();
-        self.queue.push(Entry {
-            time: t,
-            seq,
-            payload: Payload::Act(action),
-        });
-    }
-
-    /// Convenience for scheduling an [`Action::Invoke`].
-    pub fn at_invoke(
-        &mut self,
-        t: SimTime,
-        p: ProcessId,
-        f: impl FnOnce(&mut N, &mut Ctx<'_, N::Msg, N::Ev>) + Send + 'static,
-    ) {
-        self.at(t, Action::Invoke(p, Box::new(f)));
-    }
-
     /// Runs `Node::on_start` on every process if it has not run yet.
     pub fn start(&mut self) {
         if self.started {
@@ -396,32 +317,41 @@ impl<N: Node> Sim<N> {
                     self.dispatch(pid, |node, ctx| node.on_timer(ctx, kind));
                 }
             }
-            Payload::Act(action) => self.apply(action),
         }
         true
     }
 
-    /// Applies an action immediately, outside the schedule.
-    pub fn apply(&mut self, action: Action<N>) {
-        match action {
-            Action::Partition(groups) => self.topo.split(&groups),
-            Action::Merge(bridge) => self.topo.merge(&bridge),
-            Action::MergeAll => self.topo.merge_all(),
-            Action::SetDropProb(q) => self.cfg.drop_prob = q,
-            Action::SetLatency(lo, hi) => {
-                assert!(lo >= 1 && lo <= hi, "invalid latency range");
-                self.cfg.latency_min = lo;
-                self.cfg.latency_max = hi;
-            }
-            Action::Crash(p) => self.crash(p),
-            Action::Kill(p) => self.kill(p),
-            Action::Recover(p) => self.recover(p),
-            Action::Invoke(p, f) => {
-                if self.slots[p.as_usize()].alive {
-                    self.dispatch(p, |node, ctx| f(node, ctx));
-                }
-            }
-        }
+    /// Partitions the network now: each group becomes its own component
+    /// (processes not named keep their component).
+    pub fn partition(&mut self, groups: &[Vec<ProcessId>]) {
+        self.topo.split(groups);
+    }
+
+    /// Merges the components containing the named processes now.
+    pub fn merge(&mut self, bridge: &[ProcessId]) {
+        self.topo.merge(bridge);
+    }
+
+    /// Reconnects the entire network into one component now.
+    pub fn merge_all(&mut self) {
+        self.topo.merge_all();
+    }
+
+    /// Changes the packet-loss probability from now on.
+    pub fn set_drop_prob(&mut self, prob: f64) {
+        self.cfg.drop_prob = prob;
+    }
+
+    /// Changes the one-hop latency range `[lo, hi]` (ticks) from now on.
+    /// Packets already in flight keep their sampled latency.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `1 <= lo <= hi`.
+    pub fn set_latency(&mut self, lo: u64, hi: u64) {
+        assert!(lo >= 1 && lo <= hi, "invalid latency range");
+        self.cfg.latency_min = lo;
+        self.cfg.latency_max = hi;
     }
 
     /// Crashes `p` immediately: volatile node state and timers are lost, the
@@ -639,7 +569,8 @@ mod tests {
     #[test]
     fn broadcast_reaches_connected_nodes() {
         let mut sim = Sim::new(4, NetConfig::default(), |_| Gossip::new(false));
-        sim.at_invoke(SimTime::from_ticks(1), p(0), |_n, ctx| ctx.broadcast(42));
+        sim.run_until(SimTime::from_ticks(1));
+        sim.invoke(p(0), |_n, ctx| ctx.broadcast(42));
         sim.run_until(SimTime::from_ticks(50));
         for i in 0..4 {
             assert!(sim.node(p(i)).heard >= 1, "P{i} heard nothing");
@@ -649,11 +580,10 @@ mod tests {
     #[test]
     fn partition_blocks_cross_component_traffic() {
         let mut sim = Sim::new(4, NetConfig::default(), |_| Gossip::new(false));
-        sim.at(
-            SimTime::from_ticks(1),
-            Action::Partition(vec![vec![p(0), p(1)], vec![p(2), p(3)]]),
-        );
-        sim.at_invoke(SimTime::from_ticks(2), p(0), |_n, ctx| ctx.broadcast(7));
+        sim.run_until(SimTime::from_ticks(1));
+        sim.partition(&[vec![p(0), p(1)], vec![p(2), p(3)]]);
+        sim.run_until(SimTime::from_ticks(2));
+        sim.invoke(p(0), |_n, ctx| ctx.broadcast(7));
         sim.run_until(SimTime::from_ticks(100));
         assert!(sim.node(p(1)).heard >= 1);
         assert_eq!(sim.node(p(2)).heard, 0);
@@ -673,11 +603,10 @@ mod tests {
             },
             |_| Gossip::new(false),
         );
-        sim.at_invoke(SimTime::from_ticks(1), p(0), |_n, ctx| ctx.broadcast(9));
-        sim.at(
-            SimTime::from_ticks(2),
-            Action::Partition(vec![vec![p(0)], vec![p(1)]]),
-        );
+        sim.run_until(SimTime::from_ticks(1));
+        sim.invoke(p(0), |_n, ctx| ctx.broadcast(9));
+        sim.run_until(SimTime::from_ticks(2));
+        sim.partition(&[vec![p(0)], vec![p(1)]]);
         sim.run_until(SimTime::from_ticks(50));
         assert_eq!(sim.node(p(1)).heard, 0);
         // Loopback still arrives at the sender: once for the original send
@@ -688,11 +617,13 @@ mod tests {
     #[test]
     fn crash_stops_receipt_and_timers_recover_restarts() {
         let mut sim = Sim::new(2, NetConfig::default(), |_| Gossip::new(true));
-        sim.at(SimTime::from_ticks(25), Action::Crash(p(1)));
+        sim.run_until(SimTime::from_ticks(25));
+        sim.crash(p(1));
         sim.run_until(SimTime::from_ticks(100));
         let fires_at_crash = sim.node(p(1)).timer_fires;
         assert_eq!(fires_at_crash, 2, "timers at t=10,20 then crash at 25");
-        sim.at(SimTime::from_ticks(101), Action::Recover(p(1)));
+        sim.run_until(SimTime::from_ticks(101));
+        sim.recover(p(1));
         sim.run_until(SimTime::from_ticks(151));
         assert!(sim.node(p(1)).timer_fires > fires_at_crash);
         assert!(sim.is_alive(p(1)));
@@ -701,8 +632,10 @@ mod tests {
     #[test]
     fn crashed_node_receives_nothing() {
         let mut sim = Sim::new(2, NetConfig::default(), |_| Gossip::new(false));
-        sim.at(SimTime::from_ticks(1), Action::Crash(p(1)));
-        sim.at_invoke(SimTime::from_ticks(2), p(0), |_n, ctx| ctx.broadcast(1));
+        sim.run_until(SimTime::from_ticks(1));
+        sim.crash(p(1));
+        sim.run_until(SimTime::from_ticks(2));
+        sim.invoke(p(0), |_n, ctx| ctx.broadcast(1));
         sim.run_until(SimTime::from_ticks(50));
         assert_eq!(sim.node(p(1)).heard, 0);
     }
@@ -712,9 +645,8 @@ mod tests {
         let run = |seed| {
             let mut sim = Sim::new(5, NetConfig::lossy(0.2, seed), |_| Gossip::new(false));
             for t in 1..20 {
-                sim.at_invoke(SimTime::from_ticks(t), p((t % 5) as u32), move |_n, ctx| {
-                    ctx.broadcast(t)
-                });
+                sim.run_until(SimTime::from_ticks(t));
+                sim.invoke(p((t % 5) as u32), move |_n, ctx| ctx.broadcast(t));
             }
             sim.run_until(SimTime::from_ticks(500));
             (0..5).map(|i| sim.trace(p(i)).to_vec()).collect::<Vec<_>>()
@@ -751,14 +683,36 @@ mod tests {
     #[test]
     fn merge_restores_connectivity() {
         let mut sim = Sim::new(3, NetConfig::default(), |_| Gossip::new(false));
-        sim.at(
-            SimTime::from_ticks(1),
-            Action::Partition(vec![vec![p(0)], vec![p(1), p(2)]]),
-        );
-        sim.at(SimTime::from_ticks(10), Action::MergeAll);
-        sim.at_invoke(SimTime::from_ticks(11), p(0), |_n, ctx| ctx.broadcast(5));
+        sim.run_until(SimTime::from_ticks(1));
+        sim.partition(&[vec![p(0)], vec![p(1), p(2)]]);
+        sim.run_until(SimTime::from_ticks(10));
+        sim.merge_all();
+        sim.run_until(SimTime::from_ticks(11));
+        sim.invoke(p(0), |_n, ctx| ctx.broadcast(5));
         sim.run_until(SimTime::from_ticks(60));
         assert!(sim.node(p(2)).heard >= 1);
+    }
+
+    #[test]
+    fn loss_and_latency_change_from_the_call_on() {
+        let mut sim = Sim::new(3, NetConfig::default(), |_| Gossip::new(false));
+        sim.run_until(SimTime::from_ticks(1));
+        sim.set_drop_prob(1.0);
+        sim.invoke(p(0), |_n, ctx| ctx.broadcast(4));
+        sim.run_until(SimTime::from_ticks(50));
+        // Only the reliable loopback lands: the send and the sender's relay.
+        assert_eq!(sim.node(p(0)).heard, 2);
+        assert_eq!(sim.node(p(1)).heard, 0);
+        assert_eq!(sim.node(p(2)).heard, 0);
+
+        sim.set_drop_prob(0.0);
+        sim.set_latency(7, 7);
+        sim.invoke(p(0), |_n, ctx| ctx.unicast(p(1), 6));
+        sim.run_until(SimTime::from_ticks(100));
+        assert_eq!(sim.trace(p(1))[0], (SimTime::from_ticks(57), 6));
+
+        let bad = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| sim.set_latency(0, 3)));
+        assert!(bad.is_err(), "a zero-tick latency must be refused");
     }
 
     #[test]
@@ -772,7 +726,8 @@ mod tests {
     #[test]
     fn trace_survives_crash() {
         let mut sim = Sim::new(2, NetConfig::default(), |_| Gossip::new(false));
-        sim.at_invoke(SimTime::from_ticks(1), p(0), |_n, ctx| ctx.broadcast(3));
+        sim.run_until(SimTime::from_ticks(1));
+        sim.invoke(p(0), |_n, ctx| ctx.broadcast(3));
         sim.run_until(SimTime::from_ticks(20));
         assert!(!sim.trace(p(1)).is_empty());
         sim.crash(p(1));

@@ -503,11 +503,15 @@ const SNAPSHOT_FILE: &str = "snapshot.bin";
 /// Appends are unbuffered `write(2)` calls: once `append` returns, the
 /// bytes are in the operating system and survive `kill -9`. `sync` adds
 /// the `fdatasync` that survives machine death — the engine calls it at
-/// the paper's §3 recovery-step boundaries.
+/// the paper's §3 recovery-step boundaries. A segment is synced before it
+/// rotates out of `sync`'s reach, and the directory is synced after every
+/// segment creation, snapshot rename and segment removal, so what `sync`
+/// covers is also reachable by name after a power loss.
 #[derive(Debug)]
 pub struct FileStorage {
     dir: PathBuf,
-    active: Option<File>,
+    /// The segment appends go to, and its path.
+    active: Option<(File, PathBuf)>,
     active_seq: u64,
     active_len: u64,
     segment_bytes: u64,
@@ -545,14 +549,110 @@ impl FileStorage {
         self.dir.join(format!("wal-{seq}.log"))
     }
 
-    fn active_file(&mut self) -> io::Result<&mut File> {
+    fn active_file(&mut self) -> io::Result<(&mut File, &Path)> {
         if self.active.is_none() {
             let path = self.segment_path(self.active_seq);
-            let file = OpenOptions::new().create(true).append(true).open(&path)?;
+            let file = fsio::create(&path, true)?;
+            fsio::sync_dir(&self.dir)?;
             self.active_len = file.metadata()?.len();
-            self.active = Some(file);
+            self.active = Some((file, path));
         }
-        Ok(self.active.as_mut().expect("opened above"))
+        let (file, path) = self.active.as_mut().expect("opened above");
+        Ok((file, path))
+    }
+}
+
+/// The file-system calls [`FileStorage`] makes to write, one helper each.
+/// A test build also logs every call that succeeded, per thread, so a
+/// unit test can work out what a power loss would leave behind.
+mod fsio {
+    use std::fs::{self, File, OpenOptions};
+    use std::io::{self, Write};
+    use std::path::Path;
+    #[cfg(test)]
+    use std::path::PathBuf;
+
+    /// One logged call; a file is named by its path.
+    #[cfg(test)]
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub(crate) enum Op {
+        Create(PathBuf),
+        Write(PathBuf),
+        SyncData(PathBuf),
+        Rename(PathBuf, PathBuf),
+        Unlink(PathBuf),
+        SyncDir(PathBuf),
+    }
+
+    #[cfg(test)]
+    thread_local! {
+        pub(crate) static LOG: std::cell::RefCell<Vec<Op>> =
+            const { std::cell::RefCell::new(Vec::new()) };
+    }
+
+    #[cfg(test)]
+    fn note(op: Op) {
+        LOG.with(|log| log.borrow_mut().push(op));
+    }
+
+    /// Opens `path` for writing, creating it if absent: for appends, or
+    /// else truncated.
+    pub(crate) fn create(path: &Path, append: bool) -> io::Result<File> {
+        let file = OpenOptions::new()
+            .create(true)
+            .write(true)
+            .append(append)
+            .truncate(!append)
+            .open(path)?;
+        #[cfg(test)]
+        note(Op::Create(path.to_path_buf()));
+        Ok(file)
+    }
+
+    /// `path` names `file` in the log.
+    #[cfg_attr(not(test), allow(unused_variables))]
+    pub(crate) fn write(file: &mut File, path: &Path, bytes: &[u8]) -> io::Result<()> {
+        file.write_all(bytes)?;
+        #[cfg(test)]
+        note(Op::Write(path.to_path_buf()));
+        Ok(())
+    }
+
+    /// `fdatasync`; `path` names `file` in the log.
+    #[cfg_attr(not(test), allow(unused_variables))]
+    pub(crate) fn sync_data(file: &File, path: &Path) -> io::Result<()> {
+        file.sync_data()?;
+        #[cfg(test)]
+        note(Op::SyncData(path.to_path_buf()));
+        Ok(())
+    }
+
+    pub(crate) fn rename(from: &Path, to: &Path) -> io::Result<()> {
+        fs::rename(from, to)?;
+        #[cfg(test)]
+        note(Op::Rename(from.to_path_buf(), to.to_path_buf()));
+        Ok(())
+    }
+
+    pub(crate) fn unlink(path: &Path) -> io::Result<()> {
+        fs::remove_file(path)?;
+        #[cfg(test)]
+        note(Op::Unlink(path.to_path_buf()));
+        Ok(())
+    }
+
+    /// Makes the entries of `dir` durable: the creations, renames and
+    /// removals in it since its last sync.
+    pub(crate) fn sync_dir(dir: &Path) -> io::Result<()> {
+        File::open(dir)?.sync_all()?;
+        #[cfg(test)]
+        note(Op::SyncDir(dir.to_path_buf()));
+        Ok(())
+    }
+
+    #[cfg(test)]
+    pub(crate) fn take_log() -> Vec<Op> {
+        LOG.with(|log| std::mem::take(&mut *log.borrow_mut()))
     }
 }
 
@@ -586,14 +686,19 @@ impl Storage for FileStorage {
         let mut frame = std::mem::take(&mut self.scratch);
         frame.clear();
         encode_record(record, &mut frame);
-        let file = self.active_file()?;
-        let result = file.write_all(&frame);
+        let (file, path) = self.active_file()?;
+        let result = fsio::write(file, path, &frame);
         let grew = frame.len() as u64;
         self.scratch = frame;
         result?;
         self.active_len += grew;
         if self.active_len >= self.segment_bytes {
-            // Rotate: the next append opens a fresh segment.
+            // Rotate: the next append opens a fresh segment. `sync` only
+            // reaches the active segment, so this one goes to disk first;
+            // should that fail, it stays active and the next `sync`
+            // retries it.
+            let (file, path) = self.active.as_ref().expect("written above");
+            fsio::sync_data(file, path)?;
             self.active = None;
             self.active_seq += 1;
             self.active_len = 0;
@@ -602,8 +707,8 @@ impl Storage for FileStorage {
     }
 
     fn sync(&mut self) -> io::Result<()> {
-        if let Some(file) = &mut self.active {
-            file.sync_data()?;
+        if let Some((file, path)) = &self.active {
+            fsio::sync_data(file, path)?;
         }
         Ok(())
     }
@@ -617,10 +722,13 @@ impl Storage for FileStorage {
         frame.clear();
         encode_record(state, &mut frame);
         let result = (|| {
-            let mut file = File::create(&tmp)?;
-            file.write_all(&frame)?;
-            file.sync_data()?;
-            fs::rename(&tmp, self.dir.join(SNAPSHOT_FILE))
+            let mut file = fsio::create(&tmp, false)?;
+            fsio::write(&mut file, &tmp, &frame)?;
+            fsio::sync_data(&file, &tmp)?;
+            fsio::rename(&tmp, &self.dir.join(SNAPSHOT_FILE))?;
+            // The snapshot's name is durable before any segment it folds
+            // in loses its own.
+            fsio::sync_dir(&self.dir)
         })();
         self.scratch = frame;
         result?;
@@ -629,9 +737,11 @@ impl Storage for FileStorage {
         self.active_seq = retired.last().map_or(0, |s| s + 1);
         self.active_len = 0;
         for seq in retired {
-            fs::remove_file(self.segment_path(seq))?;
+            fsio::unlink(&self.segment_path(seq))?;
         }
-        Ok(())
+        // Otherwise a power loss could bring the retired segments back,
+        // to be replayed a second time after the snapshot.
+        fsio::sync_dir(&self.dir)
     }
 
     fn replay(&mut self) -> io::Result<Replay> {
@@ -831,6 +941,137 @@ mod tests {
         let r = s.replay().unwrap();
         assert_eq!(r.snapshot.as_deref(), Some(&b"state"[..]));
         assert_eq!(r.records, vec![b"c".to_vec()]);
+    }
+
+    /// What a power loss would leave of the calls [`fsio`] logged: a
+    /// file's bytes survive once an `fdatasync` follows its last write,
+    /// and a name, or the absence of an unlinked one, once a directory
+    /// sync follows the change.
+    #[derive(Default)]
+    struct Disk {
+        calls: usize,
+        /// The file each name refers to, and the call that made the entry.
+        names: std::collections::HashMap<PathBuf, (usize, usize)>,
+        /// Per file: its last write and its last `fdatasync`.
+        last_write: Vec<Option<usize>>,
+        last_sync: Vec<Option<usize>>,
+        last_dir_sync: Option<usize>,
+        last_unlink: Option<usize>,
+        /// A removal issued while a new entry (the snapshot's) was not
+        /// yet durable: a power loss could keep the one and lose the other.
+        early_unlink: bool,
+    }
+
+    impl Disk {
+        fn apply(&mut self, op: fsio::Op) {
+            let at = self.calls;
+            self.calls += 1;
+            match op {
+                fsio::Op::Create(path) => {
+                    if !self.names.contains_key(&path) {
+                        self.names.insert(path, (self.last_write.len(), at));
+                        self.last_write.push(None);
+                        self.last_sync.push(None);
+                    }
+                }
+                fsio::Op::Write(path) => {
+                    let file = self.names[&path].0;
+                    self.last_write[file] = Some(at);
+                }
+                fsio::Op::SyncData(path) => {
+                    let file = self.names[&path].0;
+                    self.last_sync[file] = Some(at);
+                }
+                fsio::Op::Rename(from, to) => {
+                    let (file, _) = self.names.remove(&from).expect("renamed a known file");
+                    self.names.insert(to, (file, at));
+                }
+                fsio::Op::Unlink(path) => {
+                    self.names.remove(&path).expect("unlinked a known file");
+                    self.last_unlink = Some(at);
+                    let volatile = self
+                        .names
+                        .values()
+                        .any(|&(_, e)| self.last_dir_sync < Some(e));
+                    self.early_unlink |= volatile;
+                }
+                fsio::Op::SyncDir(_) => self.last_dir_sync = Some(at),
+            }
+        }
+
+        /// Why the file `path` names would not survive a power loss as
+        /// it stands, if it would not.
+        fn fragile(&self, path: &Path) -> Option<&'static str> {
+            let (file, entry) = self.names[path];
+            if self.last_sync[file] < self.last_write[file] {
+                return Some("written after its last fdatasync");
+            }
+            if self.last_dir_sync < Some(entry) {
+                return Some("named by an entry no directory sync covers");
+            }
+            if self.last_dir_sync < self.last_unlink {
+                return Some("beside a retired segment a power loss brings back");
+            }
+            if self.early_unlink {
+                return Some("beside a segment unlinked before the snapshot was named");
+            }
+            None
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig {
+            cases: 64,
+            ..proptest::test_runner::ProptestConfig::default()
+        })]
+        /// After every `sync` that returns, each record appended before it
+        /// lies in a file that was `fdatasync`ed after its last write,
+        /// under a name a directory sync made durable, and no retired
+        /// segment can come back. Small segments make appends rotate.
+        #[test]
+        fn a_returned_sync_covers_every_record_before_it(
+            ops in proptest::collection::vec((0u8..4, 1usize..48), 1..40),
+        ) {
+            let dir = TempDir::new("sync-covers");
+            let mut s = FileStorage::with_segment_bytes(dir.path(), 64).unwrap();
+            let snapshot = dir.path().join(SNAPSHOT_FILE);
+            let mut disk = Disk::default();
+            // The file each record appended so far lies in.
+            let mut homes: Vec<PathBuf> = Vec::new();
+            fsio::take_log();
+            for (step, (kind, len)) in ops.into_iter().enumerate() {
+                match kind {
+                    0 | 1 => {
+                        s.append(&vec![step as u8; len]).unwrap();
+                        let log = fsio::take_log();
+                        let home = log.iter().rev().find_map(|op| match op {
+                            fsio::Op::Write(path) => Some(path.clone()),
+                            _ => None,
+                        });
+                        homes.push(home.expect("an append writes"));
+                        log.into_iter().for_each(|op| disk.apply(op));
+                    }
+                    2 => {
+                        s.sync().unwrap();
+                        fsio::take_log().into_iter().for_each(|op| disk.apply(op));
+                        for (record, home) in homes.iter().enumerate() {
+                            let why = disk.fragile(home);
+                            proptest::prop_assert!(
+                                why.is_none(),
+                                "step {}: record {} in {} is {}",
+                                step, record, home.display(), why.unwrap_or_default()
+                            );
+                        }
+                    }
+                    _ => {
+                        s.snapshot(&vec![step as u8; len]).unwrap();
+                        fsio::take_log().into_iter().for_each(|op| disk.apply(op));
+                        // The snapshot stands for every record before it.
+                        homes.iter_mut().for_each(|home| *home = snapshot.clone());
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -7,6 +7,7 @@
 //! cargo run --release --example chaos                       # 500 seeds
 //! cargo run --release --example chaos -- --iters 10000      # bigger sweep
 //! cargo run --release --example chaos -- --seed 99 --n 5    # other corner
+//! cargo run --release --example chaos -- --n 5 --keep-going # the soak
 //! cargo run --release --example chaos -- --mix crash=6 --mix drop=4
 //! cargo run --release --example chaos -- --jobs 4           # parallel sweep
 //! cargo run --release --example chaos -- --live --iters 50  # threaded driver
@@ -25,15 +26,15 @@
 //! component, §5 VS reduction). `--jobs N` stripes the seeds across N
 //! worker threads; the merged stats and artifacts do not depend on N. On
 //! failure the plan is delta-debugged down to a minimal counterexample
-//! and written to `chaos-artifacts/chaos-repro-<seed>.txt`; replay it
-//! later with `--replay`. `--kill-chaos` swaps in the durability mix
+//! and written to `chaos-artifacts/chaos-repro-<seed>.txt`, beside the
+//! original schedule in `chaos-full-<seed>.txt`; replay either later
+//! with `--replay`, which also prints every process's exposition. `--kill-chaos` swaps in the durability mix
 //! (process kills with no farewell callback plus WAL restarts);
 //! `--corruption` the self-stabilization mix (counter bit flips, sequence
 //! wrap, configuration desync and WAL rot layered over kill/restart).
 //! `--factory` is the same campaign as a coverage-accounting soak: it
 //! keeps going past failures, defaults to the full-vocabulary mix with
-//! telemetry attached, persists every shrunk failure under an
-//! atomically-rewritten `chaos-artifacts/index.json`, runs every
+//! telemetry attached, runs every
 //! `--live-every`-th plan on the live driver (every 64th with a bare
 //! `--live`), and reports which fault kinds, plan shapes and inspect
 //! anomaly detectors the soak exercised (`--strict-coverage` turns a
@@ -42,8 +43,8 @@
 //! hunting a deliberately broken engine.
 
 use evs::chaos::{
-    persist_corpus, Campaign, CampaignConfig, CampaignStats, CounterExample, FaultPlan, GenConfig,
-    Orchestrator, ScenarioGen, Shrinker,
+    Campaign, CampaignConfig, CampaignStats, CounterExample, FaultPlan, GenConfig, Orchestrator,
+    ScenarioGen, Shrinker,
 };
 
 struct Args {
@@ -80,7 +81,6 @@ fn usage() -> ! {
          --corruption selects the self-stabilization mix (bit flips, sequence wrap,\n\
          \x20             configuration desync, WAL rot over kill/restart)\n\
          --factory runs the campaign as a coverage-accounting soak: it keeps going,\n\
-         \x20             every failure is shrunk and indexed under chaos-artifacts/index.json,\n\
          \x20             and the report shows fault-kind / plan-shape / anomaly-detector\n\
          \x20             coverage (defaults to the full-vocabulary factory mix)\n\
          --live-every N runs every Nth plan on the live driver (--live alone: every\n\
@@ -173,6 +173,8 @@ fn parse_args() -> Args {
     args
 }
 
+/// Keeps a counterexample: the shrunk plan as `chaos-repro-<seed>.txt`
+/// and the original schedule as `chaos-full-<seed>.txt`.
 fn write_artifact(ce: &CounterExample) {
     // Every on-disk artifact the chaos tooling produces — repro plans
     // here, telemetry dumps from the UDP kill harness — lands under one
@@ -182,10 +184,12 @@ fn write_artifact(ce: &CounterExample) {
         eprintln!("  could not create {}: {e}", dir.display());
         return;
     }
-    let path = dir.join(format!("chaos-repro-{}.txt", ce.seed));
-    match std::fs::write(&path, ce.artifact()) {
-        Ok(()) => eprintln!("  repro artifact written to {}", path.display()),
-        Err(e) => eprintln!("  could not write {}: {e}", path.display()),
+    for (kind, text) in [("repro", ce.artifact()), ("full", ce.original.to_text())] {
+        let path = dir.join(format!("chaos-{kind}-{}.txt", ce.seed));
+        match std::fs::write(&path, text) {
+            Ok(()) => eprintln!("  {kind} artifact written to {}", path.display()),
+            Err(e) => eprintln!("  could not write {}: {e}", path.display()),
+        }
     }
 }
 
@@ -318,22 +322,14 @@ fn self_test(args: &Args) -> ! {
     }
 }
 
-/// Ends a `--factory` soak: the coverage report, the persisted corpus,
-/// every counterexample, and the strict-coverage gate.
+/// Ends a `--factory` soak: the coverage report, every counterexample,
+/// and the strict-coverage gate.
 fn factory_report(args: &Args, stats: &CampaignStats, found: &[CounterExample]) -> ! {
     println!(
         "== chaos factory: {} run(s) ({} live), {} step(s), {} failure(s) ==",
         stats.runs, stats.live_runs, stats.steps, stats.failures
     );
     print!("{}", stats.coverage.to_text());
-    let dir = std::path::Path::new("chaos-artifacts");
-    match persist_corpus(dir, args.seed, stats, found) {
-        Ok(path) => println!("  corpus index written to {}", path.display()),
-        Err(e) => {
-            eprintln!("could not persist the corpus index: {e}");
-            std::process::exit(1)
-        }
-    }
     for ce in found {
         report_counterexample(ce);
     }

@@ -139,11 +139,11 @@ proptest! {
         let mut expected = submit_wave(&mut bc, clients, 3);
         bc.pump(kill_after);
         // Broker 0 is attached to daemon 0; take both down at once.
-        bc.crash(ProcessId::new(0));
+        bc.cluster_mut().crash(ProcessId::new(0));
         bc.kill_broker(0);
         bc.pump(recover_after);
         prop_assert!(bc.reconnect_broker(0));
-        bc.recover(ProcessId::new(0));
+        bc.cluster_mut().recover(ProcessId::new(0));
         expected.extend(submit_wave(&mut bc, clients, 4));
         drain_and_verify(bc, &expected)?;
     }

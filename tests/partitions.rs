@@ -110,9 +110,7 @@ fn three_way_partition_and_staged_remerge() {
     }
     assert!(cluster.run_until_settled(300_000));
     // Merge two islands first.
-    cluster
-        .sim_mut()
-        .apply(evs::sim::Action::Merge(vec![p(1), p(2)]));
+    cluster.sim_mut().merge(&[p(1), p(2)]);
     assert!(cluster.run_until_settled(400_000));
     assert_eq!(cluster.config(p(0)).members, vec![p(0), p(1), p(2), p(3)]);
     // Then everyone.

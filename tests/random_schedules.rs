@@ -7,9 +7,10 @@
 //! The schedules are [`evs::chaos::FaultPlan`]s — the same typed DSL the
 //! chaos subsystem generates, shrinks and serializes — executed by the
 //! chaos [`Orchestrator`] against the full conformance suite. Proptest
-//! explores the plan space structurally here (and shrinks structurally on
-//! failure); `examples/chaos.rs` explores it by seed at much higher
-//! volume. Any failing plan this test prints can be saved with
+//! explores the plan space structurally here; the vendored proptest does
+//! not shrink, so a failure reports the case as generated (see
+//! `vendor/README.md`). `examples/chaos.rs` explores the space by seed at
+//! much higher volume and shrinks what it finds. Any failing plan this test prints can be saved with
 //! [`FaultPlan::to_text`] and replayed via `chaos --replay`.
 
 // needless_update: the vendored ProptestConfig stub has only the fields the
