@@ -101,7 +101,8 @@ pub mod smoke {
         }
     }
 
-    fn key(n: usize, label: &str) -> String {
+    /// The key of the scenario with cluster size `n` and `label`.
+    pub fn key(n: usize, label: &str) -> String {
         if label.is_empty() {
             format!("bench_smoke/n{n}")
         } else {
@@ -110,7 +111,7 @@ pub mod smoke {
     }
 
     /// The scenario table: `(n, label, params, net)`, in baseline order.
-    fn setups() -> Vec<(usize, &'static str, EvsParams, NetConfig)> {
+    pub fn setups() -> Vec<(usize, &'static str, EvsParams, NetConfig)> {
         let net = |n: usize| NetConfig {
             seed: SEED + n as u64,
             ..NetConfig::default()

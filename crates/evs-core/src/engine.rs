@@ -229,6 +229,17 @@ pub struct EngineObs {
     pub store_floor: u64,
 }
 
+/// A quiescent visit's token, held for `token_pace` before it goes on.
+struct HeldToken {
+    to: ProcessId,
+    tok: evs_order::Token,
+    /// The `TOKEN_SEND` timer that forwards it.
+    timer: TimerId,
+    /// A submission re-armed `timer` to fire once the current callback
+    /// ends, so the token leaves with the submission stamped on it.
+    released: bool,
+}
+
 // The regular variant is the hot path and lives for the whole lifetime of a
 // configuration; boxing it would add an indirection to every message. The
 // size gap versus the boxed recovery variant is intentional.
@@ -273,7 +284,7 @@ pub struct EvsProcess<P> {
     sent_upto: u64,
     /// A token waiting out its pacing delay before being forwarded: a
     /// quiescent ring paces its token so it does not spin.
-    pending_token: Option<(ProcessId, evs_order::Token)>,
+    pending_token: Option<HeldToken>,
     /// The armed maintenance timer: the deadline it fires at and its id.
     /// The engine re-arms it to the *earliest* pending protocol deadline
     /// (heartbeat, suspicion expiry, token retransmission, token loss,
@@ -633,6 +644,12 @@ impl<P: Clone + fmt::Debug + 'static> EvsProcess<P> {
         }
     }
 
+    /// True while this process holds the ring's token for its pace: the
+    /// ring is quiescent, and a submission now ends the hold.
+    pub fn holds_token(&self) -> bool {
+        self.pending_token.is_some()
+    }
+
     /// Submits an application message for the given delivery service.
     ///
     /// During reconfiguration (from gather start until the next regular
@@ -651,6 +668,7 @@ impl<P: Clone + fmt::Debug + 'static> EvsProcess<P> {
         }
         let id = self.originate(ctx, service);
         self.submit_to_ring(ctx, id, service, payload);
+        self.release_held_token(ctx);
         // A singleton ring stamps on submit, so this is a counter-use
         // site: if the shadow check tripped, the message stayed pending
         // (never stamped, never sent) and the process excommunicates. The
@@ -732,6 +750,59 @@ impl<P: Clone + fmt::Debug + 'static> EvsProcess<P> {
             // Singleton ring: stamped immediately, a burst of one.
             self.log_send(ctx, &stamped);
             self.drain_ring_deliveries(ctx);
+        }
+    }
+
+    /// Cuts the hold of a held token short: a submission is waiting, and
+    /// the token has not left, so the `TOKEN_SEND` that forwards it can
+    /// still stamp the submission, where waiting out the hold would leave
+    /// it a whole paced rotation behind. The timer is re-armed with no
+    /// delay, so it fires after the current callback and takes every
+    /// submission the callback makes in one burst.
+    fn release_held_token(&mut self, ctx: &mut ECtx<'_, P>) {
+        if let Some(held) = &mut self.pending_token {
+            if !held.released {
+                ctx.cancel_timer(held.timer);
+                held.timer = ctx.set_timer(0, TOKEN_SEND);
+                held.released = true;
+            }
+        }
+    }
+
+    /// Forwards the held token once its timer fires, behind whatever was
+    /// submitted during the hold: the quiescent visit stamping it late.
+    fn forward_held_token(&mut self, ctx: &mut ECtx<'_, P>) {
+        let Some(HeldToken { to, mut tok, .. }) = self.pending_token.take() else {
+            return;
+        };
+        // Drop the token if the configuration moved on while it was being
+        // paced.
+        let Mode::Regular { ring } = &mut self.mode else {
+            return;
+        };
+        if ring.config() != tok.config {
+            return;
+        }
+        let mut burst = ring.stamp_held(&mut tok);
+        if ring.is_poisoned() {
+            // The check-before-use refused the stamp: the token dies with
+            // this incarnation, as after a poisoned visit.
+            self.excommunicate(ctx);
+            return;
+        }
+        for msg in &burst {
+            self.log_send(ctx, msg);
+        }
+        self.flush_data_batch(ctx, &mut burst);
+        ctx.unicast(to, EvsMsg::Ring(RingMsg::Token(tok)));
+        self.drain_ring_deliveries(ctx);
+    }
+
+    /// Drops the token held for its pace, if any, with its timer, so a
+    /// stale `TOKEN_SEND` cannot cut a later hold short.
+    fn drop_held_token(&mut self, ctx: &mut ECtx<'_, P>) {
+        if let Some(held) = self.pending_token.take() {
+            ctx.cancel_timer(held.timer);
         }
     }
 
@@ -898,11 +969,16 @@ impl<P: Clone + fmt::Debug + 'static> EvsProcess<P> {
                     // CPU speed.
                     let quiescent =
                         matches!(&self.mode, Mode::Regular { ring } if ring.is_quiescent(&tok));
+                    self.drop_held_token(ctx);
                     if quiescent {
-                        self.pending_token = Some((to, tok));
-                        ctx.set_timer(self.params.token_pace, TOKEN_SEND);
+                        let timer = ctx.set_timer(self.params.token_pace, TOKEN_SEND);
+                        self.pending_token = Some(HeldToken {
+                            to,
+                            tok,
+                            timer,
+                            released: false,
+                        });
                     } else {
-                        self.pending_token = None;
                         ctx.unicast(to, EvsMsg::Ring(RingMsg::Token(tok)));
                     }
                 }
@@ -931,7 +1007,7 @@ impl<P: Clone + fmt::Debug + 'static> EvsProcess<P> {
         // The old configuration's token dies here. This is also the Step 2
         // boundary: the proposal epoch may already be acknowledged to
         // peers, so it must survive a kill (epoch monotonicity).
-        self.pending_token = None;
+        self.drop_held_token(ctx);
         self.wal_append(WalRecord::Epoch(proposal.id.epoch));
         self.wal_sync();
         let placeholder = Mode::Regular {
@@ -1515,7 +1591,7 @@ impl<P: Clone + fmt::Debug + 'static> EvsProcess<P> {
         self.future_buffer.clear();
         self.obligations.clear();
         self.telemetry.gauge(names::OBLIGATION_SET_SIZE).set(0);
-        self.pending_token = None;
+        self.drop_held_token(ctx);
         self.origin_times.clear();
         let cfg = Configuration::from(initial);
         self.deliver_conf(ctx, cfg);
@@ -1707,19 +1783,7 @@ impl<P: Clone + fmt::Debug + 'static> Node for EvsProcess<P> {
             return;
         }
         match kind {
-            TOKEN_SEND => {
-                if let Some((to, tok)) = self.pending_token.take() {
-                    // Drop the token if the configuration moved on while it
-                    // was being paced.
-                    let still_current = matches!(
-                        &self.mode,
-                        Mode::Regular { ring } if ring.config() == tok.config
-                    );
-                    if still_current {
-                        ctx.unicast(to, EvsMsg::Ring(RingMsg::Token(tok)));
-                    }
-                }
-            }
+            TOKEN_SEND => self.forward_held_token(ctx),
             _ => {
                 debug_assert_eq!(kind, TICK);
                 self.tick_armed = None;
@@ -1731,8 +1795,10 @@ impl<P: Clone + fmt::Debug + 'static> Node for EvsProcess<P> {
     }
 
     fn on_crash(&mut self, ctx: &mut ECtx<'_, P>) {
-        // The driver discards every armed timer with the crash.
+        // The driver discards every armed timer with the crash, the held
+        // token's too.
         self.tick_armed = None;
+        self.pending_token = None;
         if self.refused.is_some() {
             // A refused process never installed anything this incarnation,
             // so it owes no fail_p(c) and must not overwrite the damaged
@@ -2003,6 +2069,96 @@ mod tests {
         assert!(node.pending_token.is_some());
         let safe = node.deliveries().iter().filter_map(|d| d.payload()).next();
         assert_eq!(safe, Some(&"unsafe"));
+    }
+
+    #[test]
+    fn submits_during_the_hold_leave_in_one_burst_ahead_of_the_token() {
+        let (mut node, mut env) = on_two_member_ring();
+        visit(&mut node, &mut env, 2);
+        visit(&mut node, &mut env, 4);
+        let pace = node.pending_token.as_ref().expect("held").timer;
+        // The first submission re-arms the pacing timer to fire once the
+        // callback ends; the ones after it find it re-armed.
+        let (_, effects) = env.effects(|ctx| node.submit(ctx, Service::Agreed, "late"));
+        match effects.as_slice() {
+            [evs_sim::Effect::CancelTimer(id), evs_sim::Effect::SetTimer(_, 0, TOKEN_SEND)]
+                if *id == pace => {}
+            other => panic!("not a release of the hold: {other:?}"),
+        }
+        let (_, effects) = env.effects(|ctx| node.submit(ctx, Service::Agreed, "later"));
+        assert!(effects.is_empty(), "{effects:?}");
+        let (_, effects) = env.effects(|ctx| node.on_timer(ctx, TOKEN_SEND));
+        assert_eq!(data_frames(&effects), vec![(p(1), vec![2, 3])]);
+        match effects.last() {
+            Some(evs_sim::Effect::Unicast(to, EvsMsg::Ring(RingMsg::Token(t)))) => {
+                assert_eq!((*to, t.seq, t.aru), (p(1), 3, 3));
+            }
+            other => panic!("the token does not leave last: {other:?}"),
+        }
+        assert_eq!(effects.len(), 2, "{effects:?}");
+        assert!(node.pending_token.is_none());
+        // Every ordinal up to the stamp is here: both agreed messages are
+        // delivered as the token leaves.
+        let delivered: Vec<_> = node
+            .deliveries()
+            .iter()
+            .filter_map(|d| d.payload())
+            .collect();
+        assert_eq!(delivered, vec![&"unsafe", &"late", &"later"]);
+    }
+
+    #[test]
+    fn a_submit_without_a_held_token_sends_nothing() {
+        let (mut node, mut env) = on_two_member_ring();
+        // This visit leaves message 1 unsafe, so it forwards at once.
+        visit(&mut node, &mut env, 2);
+        let (_, effects) = env.effects(|ctx| node.submit(ctx, Service::Agreed, "waits"));
+        assert!(effects.is_empty(), "{effects:?}");
+    }
+
+    /// Two engines on the simulator with a long pace, every hop one tick:
+    /// a submission stamped onto a held token sends it on, and the hold
+    /// the token next comes back to still lasts the whole pace — the
+    /// early forward's pacing timer, cancelled, cannot release it.
+    #[test]
+    fn after_an_early_forward_the_next_hold_lasts_the_whole_pace() {
+        use evs_sim::{NetConfig, Sim};
+        let params = EvsParams {
+            token_pace: 8,
+            ..EvsParams::default()
+        };
+        let net = NetConfig {
+            latency_min: 1,
+            latency_max: 1,
+            drop_prob: 0.0,
+            seed: 3,
+        };
+        let mut sim = Sim::new(2, net, |q| {
+            EvsProcess::<&'static str>::new(q, params.clone())
+        });
+        let held = |sim: &Sim<EvsProcess<&'static str>>| sim.node(p(0)).holds_token();
+        let step_until = |sim: &mut Sim<EvsProcess<&'static str>>, want: bool| {
+            let give_up = sim.now() + 100_000;
+            while held(sim) != want {
+                assert!(sim.now() < give_up, "no hold change");
+                let t = sim.now() + 1;
+                sim.run_until(t);
+            }
+            sim.now()
+        };
+        while !(sim.node(p(0)).is_settled() && sim.node(p(0)).current_config().members.len() == 2) {
+            assert!(sim.now().ticks() < 100_000, "no ring of two formed");
+            let t = sim.now() + 100;
+            sim.run_until(t);
+        }
+        step_until(&mut sim, true);
+        sim.invoke(p(0), |node, ctx| node.submit(ctx, Service::Agreed, "early"));
+        let now = sim.now();
+        sim.run_until(now);
+        assert!(!held(&sim), "the token left with the submission");
+        let start = step_until(&mut sim, true);
+        let end = step_until(&mut sim, false);
+        assert_eq!(end.since(start), params.token_pace);
     }
 
     /// The ring data frames among `effects`, as (addressee, ordinals);

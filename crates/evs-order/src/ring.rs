@@ -132,6 +132,7 @@ pub struct Ring<P> {
     telemetry: Telemetry,
     stamped_per_visit: LogHistogram,
     idle_rotations: Counter,
+    held_token_stamps: Counter,
 }
 
 /// How many times one forwarded token is locally retransmitted before the
@@ -186,6 +187,7 @@ impl<P: Clone> Ring<P> {
             telemetry: Telemetry::disabled(),
             stamped_per_visit: LogHistogram::detached(),
             idle_rotations: Counter::detached(),
+            held_token_stamps: Counter::detached(),
         }
     }
 
@@ -194,6 +196,7 @@ impl<P: Clone> Ring<P> {
     pub fn set_telemetry(&mut self, telemetry: Telemetry) {
         self.stamped_per_visit = telemetry.log_histogram(names::STAMPED_PER_VISIT);
         self.idle_rotations = telemetry.counter(names::IDLE_ROTATIONS);
+        self.held_token_stamps = telemetry.counter(names::HELD_TOKEN_STAMPS);
         self.telemetry = telemetry;
     }
 
@@ -592,39 +595,9 @@ impl<P: Clone> Ring<P> {
             );
         }
 
-        // 3. Stamp and broadcast pending messages (flow-controlled).
-        let mut stamped = 0u64;
-        for _ in 0..self.max_per_visit {
-            let Some((id, service, payload)) = self.pending.pop_front() else {
-                break;
-            };
-            tok.seq += 1;
-            stamped += 1;
-            let msg = OrderedMsg {
-                config: self.config,
-                seq: tok.seq,
-                id,
-                service,
-                payload,
-            };
-            self.accept_data(msg.clone());
-            out.push(RingOut::Data(msg));
-        }
+        // 3–4. Stamp and broadcast pending messages, then update the aru.
+        let stamped = self.stamp_pending(&mut tok, |msg| out.push(RingOut::Data(msg)));
         self.stamped_per_visit.observe(stamped);
-
-        // 4. Update the aru (Totem's rule): anyone behind lowers it and
-        //    owns it until they catch up; the owner (or nobody) raises it.
-        if self.my_aru < tok.aru {
-            tok.aru = self.my_aru;
-            tok.aru_id = Some(self.me);
-        } else if tok.aru_id == Some(self.me) || tok.aru_id.is_none() {
-            tok.aru = self.my_aru;
-            tok.aru_id = if tok.aru == tok.seq {
-                None
-            } else {
-                Some(self.me)
-            };
-        }
 
         // 5. Advance the safe line: an ordinal covered by the aru on two
         //    successive visits was received by every member before the
@@ -677,6 +650,73 @@ impl<P: Clone> Ring<P> {
         );
         out.push(RingOut::TokenTo(succ, tok));
         out
+    }
+
+    /// Stamps the pending messages (flow-controlled) onto `tok`, handing
+    /// each to `sent`, then applies Totem's aru rule: anyone behind
+    /// lowers the aru and owns it until they catch up; the owner (or
+    /// nobody) raises it. The caller has run the check-before-use.
+    /// Returns how many were stamped.
+    fn stamp_pending(&mut self, tok: &mut Token, mut sent: impl FnMut(OrderedMsg<P>)) -> u64 {
+        let mut stamped = 0u64;
+        for _ in 0..self.max_per_visit {
+            let Some((id, service, payload)) = self.pending.pop_front() else {
+                break;
+            };
+            tok.seq += 1;
+            stamped += 1;
+            let msg = OrderedMsg {
+                config: self.config,
+                seq: tok.seq,
+                id,
+                service,
+                payload,
+            };
+            self.accept_data(msg.clone());
+            sent(msg);
+        }
+
+        if self.my_aru < tok.aru {
+            tok.aru = self.my_aru;
+            tok.aru_id = Some(self.me);
+        } else if tok.aru_id == Some(self.me) || tok.aru_id.is_none() {
+            tok.aru = self.my_aru;
+            tok.aru_id = if tok.aru == tok.seq {
+                None
+            } else {
+                Some(self.me)
+            };
+        }
+        stamped
+    }
+
+    /// Stamps the pending messages onto `tok`, the token this ring
+    /// forwarded last and whose holder has not sent it yet — the engine
+    /// holds a quiescent visit's token for its pace. The token has not
+    /// left, so this is the visit stamping them late: `tok` ends as the
+    /// visit would have left it had they been pending then, and a
+    /// retransmission carries it. The stamped messages are returned for
+    /// the caller to send before the token.
+    ///
+    /// Returns nothing and leaves `tok` alone unless it is this ring's
+    /// current forward (same configuration, the last token id) and no
+    /// retransmission of it has gone out yet, and the ring passes the
+    /// check-before-use.
+    #[must_use]
+    pub fn stamp_held(&mut self, tok: &mut Token) -> Vec<OrderedMsg<P>> {
+        let current = tok.config == self.config
+            && tok.token_id == self.last_token_id
+            && self.retx_left == TOKEN_RETX_LIMIT;
+        if !current || self.pending.is_empty() || !self.counters_intact() || tok.seq >= SEQ_CEILING
+        {
+            return Vec::new();
+        }
+        let mut stamped = Vec::with_capacity(self.pending.len().min(self.max_per_visit));
+        self.stamp_pending(tok, |msg| stamped.push(msg));
+        self.prev_visit_aru = Some(tok.aru);
+        self.last_forwarded = Some(tok.clone());
+        self.held_token_stamps.inc();
+        stamped
     }
 
     /// Retransmits the last forwarded token if it has been quiet for the
@@ -1317,5 +1357,118 @@ mod tests {
         });
         assert_eq!(r.my_aru(), 0);
         assert!(r.pop_delivery().is_none());
+    }
+
+    /// A ring of three where `p(1)` submitted two safe messages, driven
+    /// `warmup` hops; then the member the token goes to next gets `k`
+    /// submissions, stamped in its visit or, when `held`, onto the token
+    /// that visit forwards. Returns that token and that member's ring.
+    fn stamp_k(warmup: usize, k: u64, held: bool) -> (Token, Ring<&'static str>) {
+        let mut net = TestRing::new(3);
+        net.submit(1, mid(1, 1), Service::Safe, "a");
+        net.submit(1, mid(1, 2), Service::Safe, "b");
+        for _ in 0..warmup {
+            net.hop();
+        }
+        let at = net.tokens[0].0.as_usize();
+        let submit = |net: &mut TestRing| {
+            for c in 1..=k {
+                net.submit(at, mid(at as u32, c), Service::Safe, "k");
+            }
+        };
+        if held {
+            net.hop();
+            let (to, mut tok) = net.tokens.pop_front().expect("forwarded");
+            submit(&mut net);
+            let stamped = net.rings[at].stamp_held(&mut tok);
+            assert_eq!(stamped.len() as u64, k);
+            net.apply(at, stamped.into_iter().map(RingOut::Data).collect());
+            net.tokens.push_back((to, tok));
+        } else {
+            submit(&mut net);
+            net.hop();
+        }
+        let tok = net.tokens.pop_front().expect("forwarded").1;
+        (tok, net.rings.swap_remove(at))
+    }
+
+    #[test]
+    fn a_stamp_on_a_held_token_leaves_what_the_visit_would() {
+        for warmup in 0..12 {
+            for k in 1..=3 {
+                let (visit_tok, visit) = stamp_k(warmup, k, false);
+                let (held_tok, held) = stamp_k(warmup, k, true);
+                let fields = |t: &Token| (t.seq, t.aru, t.aru_id, t.rotation, t.token_id);
+                let state = |r: &Ring<_>| {
+                    (
+                        r.prev_visit_aru,
+                        r.safe_line(),
+                        r.my_aru(),
+                        r.high_seen(),
+                        r.last_forwarded.clone(),
+                    )
+                };
+                let at = format!("warmup {warmup}, k {k}");
+                assert_eq!(fields(&held_tok), fields(&visit_tok), "{at}");
+                assert_eq!(state(&held), state(&visit), "{at}");
+                assert_eq!(held.last_forwarded.as_ref(), Some(&held_tok), "{at}");
+            }
+        }
+    }
+
+    /// `p(0)`'s ring of two after its bootstrap visit, with one message
+    /// pending, and the token that visit forwarded.
+    fn holding() -> (Ring<&'static str>, Token) {
+        let mut r = Ring::new(p(0), cfg(), vec![p(0), p(1)], 4);
+        let outs = r.bootstrap_token(SimTime::from_ticks(1));
+        let Some(RingOut::TokenTo(_, tok)) = outs.into_iter().last() else {
+            panic!("the bootstrap visit forwards the token");
+        };
+        r.submit(mid(0, 1), Service::Agreed, "m");
+        (r, tok)
+    }
+
+    #[test]
+    fn only_the_current_unsent_forward_takes_a_held_stamp() {
+        let (mut r, tok) = holding();
+        let mut foreign = tok.clone();
+        foreign.config = ConfigId::regular(2, p(0));
+        let mut stale = tok.clone();
+        stale.token_id -= 1;
+        for mut other in [foreign, stale] {
+            let before = other.clone();
+            assert!(r.stamp_held(&mut other).is_empty());
+            assert_eq!(other, before, "left alone");
+        }
+        // Once a retransmission of the forward went out, the token the
+        // successor holds is the one without the stamp.
+        r.maybe_retransmit(SimTime::from_ticks(1_000), 100, 800)
+            .expect("retransmitted");
+        let mut sent = tok.clone();
+        assert!(r.stamp_held(&mut sent).is_empty());
+        assert_eq!((sent, r.pending_len()), (tok, 1));
+
+        let (mut r, mut tok) = holding();
+        let stamped = r.stamp_held(&mut tok);
+        assert_eq!(stamped.iter().map(|m| m.seq).collect::<Vec<_>>(), vec![1]);
+        assert_eq!((tok.seq, tok.aru, r.pending_len()), (1, 1, 0));
+        // A retransmission carries the stamp.
+        match r.maybe_retransmit(SimTime::from_ticks(1_000), 100, 800) {
+            Some(RingOut::TokenTo(_, again)) => assert_eq!(again, tok),
+            other => panic!("no retransmission: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_poisoned_or_exhausted_ring_stamps_nothing_on_a_held_token() {
+        let damage: [fn(&mut Ring<&'static str>); 2] = [|r| r.corrupt_my_aru(3), |r| r.wrap_seq()];
+        for damage in damage {
+            let (mut r, mut tok) = holding();
+            damage(&mut r);
+            let before = tok.clone();
+            assert!(r.stamp_held(&mut tok).is_empty());
+            assert_eq!((tok, r.pending_len()), (before, 1));
+            assert!(r.is_poisoned());
+        }
     }
 }

@@ -96,24 +96,26 @@ impl SocketDriver for Recording {
     }
 }
 
-/// Whether `datagram` carries a ring data frame (`Data` or `Batch`).
-fn carries_data(datagram: &[u8]) -> bool {
-    wire::unpack_frames(datagram).unwrap().iter().any(|frame| {
-        matches!(
-            wire::decode(frame).unwrap(),
-            EvsMsg::Ring(RingMsg::Data(_) | RingMsg::Batch(_))
-        )
-    })
+/// The frame kinds `datagram` carries, in order.
+fn kinds(datagram: &[u8]) -> Vec<&'static str> {
+    wire::unpack_frames(datagram)
+        .unwrap()
+        .iter()
+        .map(|frame| match wire::decode(frame).unwrap() {
+            EvsMsg::Ring(RingMsg::Data(_) | RingMsg::Batch(_)) => "data",
+            EvsMsg::Ring(RingMsg::Token(_)) => "token",
+            _ => "other",
+        })
+        .collect()
 }
 
-#[test]
-fn a_worker_sends_each_burst_once_to_each_other_member_and_never_to_itself() {
-    const N: usize = 3;
-    const BURST: usize = 8;
+/// `n` workers on one in-memory medium, each driver recording what it
+/// was asked to send.
+fn recorded_workers(n: usize) -> (Vec<Worker>, Vec<Submits>, Vec<SocketAddr>) {
     let hub = Arc::default();
-    let addrs: Vec<SocketAddr> = (1..=N as u16).map(addr).collect();
-    let submits: Vec<Submits> = (0..N).map(|_| Submits::default()).collect();
-    let mut workers: Vec<Worker> = (0..N)
+    let addrs: Vec<SocketAddr> = (1..=n as u16).map(addr).collect();
+    let submits: Vec<Submits> = (0..n).map(|_| Submits::default()).collect();
+    let workers = (0..n)
         .map(|i| {
             let me = ProcessId::new(i as u32);
             let driver = Recording {
@@ -131,6 +133,42 @@ fn a_worker_sends_each_burst_once_to_each_other_member_and_never_to_itself() {
             )
         })
         .collect();
+    (workers, submits, addrs)
+}
+
+/// Lock-step on virtual ticks: runs everything due at `now`.
+fn run_due(workers: &mut [Worker], now: u64) {
+    let mut reaped = 1;
+    while reaped > 0 {
+        reaped = 0;
+        for w in workers.iter_mut() {
+            reaped += w.step(&|| now, None, &mut Vec::new()).unwrap();
+        }
+    }
+}
+
+/// The next virtual tick anything is due at, after `now`.
+fn next_due(workers: &[Worker], now: u64) -> u64 {
+    workers
+        .iter()
+        .filter_map(Worker::next_deadline)
+        .min()
+        .unwrap()
+        .max(now + 1)
+}
+
+fn formed(workers: &[Worker]) -> bool {
+    let n = workers.len();
+    workers
+        .iter()
+        .all(|w| w.node().is_settled() && w.node().current_config().members.len() == n)
+}
+
+#[test]
+fn a_worker_sends_each_burst_once_to_each_other_member_and_never_to_itself() {
+    const N: usize = 3;
+    const BURST: usize = 8;
+    let (mut workers, submits, addrs) = recorded_workers(N);
     let delivered = |w: &Worker| {
         w.node()
             .deliveries()
@@ -139,7 +177,6 @@ fn a_worker_sends_each_burst_once_to_each_other_member_and_never_to_itself() {
             .count()
     };
 
-    // Lock-step on virtual ticks: everything due now, then the next deadline.
     let mut now = 0;
     for w in &mut workers {
         w.start(now).unwrap();
@@ -147,17 +184,8 @@ fn a_worker_sends_each_burst_once_to_each_other_member_and_never_to_itself() {
     let mut burst_sent = false;
     while !workers.iter().all(|w| delivered(w) == BURST) {
         assert!(now < 1_000_000, "no progress by tick {now}");
-        let mut reaped = 1;
-        while reaped > 0 {
-            reaped = 0;
-            for w in &mut workers {
-                reaped += w.step(&|| now, None, &mut Vec::new()).unwrap();
-            }
-        }
-        let formed = workers
-            .iter()
-            .all(|w| w.node().is_settled() && w.node().current_config().members.len() == N);
-        if formed && !burst_sent {
+        run_due(&mut workers, now);
+        if formed(&workers) && !burst_sent {
             burst_sent = true;
             submits.iter().for_each(|s| s.lock().unwrap().clear());
             workers[0]
@@ -168,12 +196,7 @@ fn a_worker_sends_each_burst_once_to_each_other_member_and_never_to_itself() {
                 })
                 .unwrap();
         } else {
-            now = workers
-                .iter()
-                .filter_map(Worker::next_deadline)
-                .min()
-                .unwrap()
-                .max(now + 1);
+            now = next_due(&workers, now);
         }
     }
 
@@ -182,7 +205,7 @@ fn a_worker_sends_each_burst_once_to_each_other_member_and_never_to_itself() {
         for submit in log.lock().unwrap().iter() {
             let data: Vec<SocketAddr> = submit
                 .iter()
-                .filter(|(_, datagram)| carries_data(datagram))
+                .filter(|(_, datagram)| kinds(datagram).contains(&"data"))
                 .map(|(to, _)| *to)
                 .collect();
             if data.is_empty() {
@@ -194,4 +217,49 @@ fn a_worker_sends_each_burst_once_to_each_other_member_and_never_to_itself() {
         }
     }
     assert!(bursts > 0, "no burst was sent");
+}
+
+#[test]
+fn submits_during_a_hold_put_their_data_and_the_token_on_the_wire_in_the_next_step() {
+    const N: usize = 3;
+    let (mut workers, submits, addrs) = recorded_workers(N);
+    let mut now = 0;
+    for w in &mut workers {
+        w.start(now).unwrap();
+    }
+    loop {
+        assert!(now < 1_000_000, "no hold by tick {now}");
+        run_due(&mut workers, now);
+        if formed(&workers) && workers[0].node().holds_token() {
+            break;
+        }
+        now = next_due(&workers, now);
+    }
+    submits[0].lock().unwrap().clear();
+    workers[0]
+        .dispatch(now, Phase::Dispatch, |node, ctx| {
+            node.submit(ctx, Service::Safe, Payload::from(vec![7; 64]));
+            node.submit(ctx, Service::Safe, Payload::from(vec![8; 64]));
+        })
+        .unwrap();
+    // The dispatch re-armed the pacing timer to fire at once: nothing
+    // left yet, and the next step, on the same tick, sends the token.
+    assert!(workers[0].node().holds_token());
+    assert_eq!(workers[0].next_deadline(), Some(now));
+    workers[0].step(&|| now, None, &mut Vec::new()).unwrap();
+    assert!(!workers[0].node().holds_token());
+    // Both messages in one frame to each other member, and the token
+    // behind it to the successor, all in one driver submit.
+    let log = submits[0].lock().unwrap();
+    let sends: Vec<_> = log.iter().filter(|s| !s.is_empty()).collect();
+    assert_eq!(sends.len(), 1, "{log:?}");
+    let mut sent: Vec<(SocketAddr, Vec<&str>)> = sends[0]
+        .iter()
+        .map(|(to, datagram)| (*to, kinds(datagram)))
+        .collect();
+    sent.sort();
+    assert_eq!(
+        sent,
+        vec![(addrs[1], vec!["data", "token"]), (addrs[2], vec!["data"])]
+    );
 }

@@ -506,7 +506,8 @@ const SNAPSHOT_FILE: &str = "snapshot.bin";
 /// the paper's §3 recovery-step boundaries. A segment is synced before it
 /// rotates out of `sync`'s reach, and the directory is synced after every
 /// segment creation, snapshot rename and segment removal, so what `sync`
-/// covers is also reachable by name after a power loss.
+/// covers is also reachable by name after a power loss. The directory
+/// itself, and any ancestor the open creates, is synced into its parent.
 #[derive(Debug)]
 pub struct FileStorage {
     dir: PathBuf,
@@ -528,7 +529,7 @@ impl FileStorage {
     /// tiny one to force rotation quickly).
     pub fn with_segment_bytes(dir: impl AsRef<Path>, segment_bytes: u64) -> io::Result<Self> {
         let dir = dir.as_ref().to_path_buf();
-        fs::create_dir_all(&dir)?;
+        fsio::create_dir_all(&dir)?;
         let next_seq = segment_seqs(&dir)?.last().map_or(0, |s| s + 1);
         Ok(FileStorage {
             dir,
@@ -576,6 +577,7 @@ mod fsio {
     #[cfg(test)]
     #[derive(Clone, Debug, PartialEq, Eq)]
     pub(crate) enum Op {
+        CreateDir(PathBuf),
         Create(PathBuf),
         Write(PathBuf),
         SyncData(PathBuf),
@@ -593,6 +595,27 @@ mod fsio {
     #[cfg(test)]
     fn note(op: Op) {
         LOG.with(|log| log.borrow_mut().push(op));
+    }
+
+    /// Creates `dir` and its missing ancestors, then syncs the parent of
+    /// each directory it made, outermost first: a new directory's entry
+    /// is as volatile as a new file's.
+    pub(crate) fn create_dir_all(dir: &Path) -> io::Result<()> {
+        let mut missing: Vec<&Path> = dir
+            .ancestors()
+            .take_while(|d| !d.as_os_str().is_empty() && !d.exists())
+            .collect();
+        missing.reverse();
+        fs::create_dir_all(dir)?;
+        #[cfg(test)]
+        for made in &missing {
+            note(Op::CreateDir(made.to_path_buf()));
+        }
+        for made in missing {
+            let parent = made.parent().filter(|p| !p.as_os_str().is_empty());
+            sync_dir(parent.unwrap_or(Path::new(".")))?;
+        }
+        Ok(())
     }
 
     /// Opens `path` for writing, creating it if absent: for appends, or
@@ -945,8 +968,8 @@ mod tests {
 
     /// What a power loss would leave of the calls [`fsio`] logged: a
     /// file's bytes survive once an `fdatasync` follows its last write,
-    /// and a name, or the absence of an unlinked one, once a directory
-    /// sync follows the change.
+    /// and a name, or the absence of an unlinked one, once a sync of its
+    /// directory follows the change — a new directory's own name too.
     #[derive(Default)]
     struct Disk {
         calls: usize,
@@ -955,7 +978,10 @@ mod tests {
         /// Per file: its last write and its last `fdatasync`.
         last_write: Vec<Option<usize>>,
         last_sync: Vec<Option<usize>>,
-        last_dir_sync: Option<usize>,
+        /// Each directory made, and the call that made it.
+        dirs: Vec<(PathBuf, usize)>,
+        /// Per directory: its last sync.
+        dir_syncs: std::collections::HashMap<PathBuf, usize>,
         last_unlink: Option<usize>,
         /// A removal issued while a new entry (the snapshot's) was not
         /// yet durable: a power loss could keep the one and lose the other.
@@ -967,6 +993,7 @@ mod tests {
             let at = self.calls;
             self.calls += 1;
             match op {
+                fsio::Op::CreateDir(dir) => self.dirs.push((dir, at)),
                 fsio::Op::Create(path) => {
                     if !self.names.contains_key(&path) {
                         self.names.insert(path, (self.last_write.len(), at));
@@ -991,12 +1018,19 @@ mod tests {
                     self.last_unlink = Some(at);
                     let volatile = self
                         .names
-                        .values()
-                        .any(|&(_, e)| self.last_dir_sync < Some(e));
+                        .iter()
+                        .any(|(name, &(_, e))| self.synced(name.parent()) < Some(e));
                     self.early_unlink |= volatile;
                 }
-                fsio::Op::SyncDir(_) => self.last_dir_sync = Some(at),
+                fsio::Op::SyncDir(dir) => {
+                    self.dir_syncs.insert(dir, at);
+                }
             }
+        }
+
+        /// The last sync of `dir`.
+        fn synced(&self, dir: Option<&Path>) -> Option<usize> {
+            self.dir_syncs.get(dir?).copied()
         }
 
         /// Why the file `path` names would not survive a power loss as
@@ -1006,10 +1040,17 @@ mod tests {
             if self.last_sync[file] < self.last_write[file] {
                 return Some("written after its last fdatasync");
             }
-            if self.last_dir_sync < Some(entry) {
+            let dir_synced = self.synced(path.parent());
+            if dir_synced < Some(entry) {
                 return Some("named by an entry no directory sync covers");
             }
-            if self.last_dir_sync < self.last_unlink {
+            let unsynced_dir = self.dirs.iter().any(|(dir, made)| {
+                path.starts_with(dir) && self.synced(dir.parent()) < Some(*made)
+            });
+            if unsynced_dir {
+                return Some("in a directory no sync of its parent covers");
+            }
+            if dir_synced < self.last_unlink {
                 return Some("beside a retired segment a power loss brings back");
             }
             if self.early_unlink {
@@ -1033,12 +1074,15 @@ mod tests {
             ops in proptest::collection::vec((0u8..4, 1usize..48), 1..40),
         ) {
             let dir = TempDir::new("sync-covers");
-            let mut s = FileStorage::with_segment_bytes(dir.path(), 64).unwrap();
-            let snapshot = dir.path().join(SNAPSHOT_FILE);
+            // Two directories to create: the open makes both.
+            let wal = dir.path().join("wal");
+            fsio::take_log();
+            let mut s = FileStorage::with_segment_bytes(&wal, 64).unwrap();
+            let snapshot = wal.join(SNAPSHOT_FILE);
             let mut disk = Disk::default();
+            fsio::take_log().into_iter().for_each(|op| disk.apply(op));
             // The file each record appended so far lies in.
             let mut homes: Vec<PathBuf> = Vec::new();
-            fsio::take_log();
             for (step, (kind, len)) in ops.into_iter().enumerate() {
                 match kind {
                     0 | 1 => {

@@ -28,6 +28,9 @@ pub const STAMPED_PER_VISIT: &str = "stamped_per_visit";
 /// (no holes, no retransmissions, nothing pending) — the ring skips the
 /// per-rotation bookkeeping for these instead of churning.
 pub const IDLE_ROTATIONS: &str = "idle_rotations";
+/// Holds of a quiescent visit's token that a submission cut short: the
+/// submissions were stamped onto the held token, which left with them.
+pub const HELD_TOKEN_STAMPS: &str = "held_token_stamps";
 
 // ---- evs-membership ----
 
