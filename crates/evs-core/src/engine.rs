@@ -229,7 +229,8 @@ pub struct EngineObs {
     pub store_floor: u64,
 }
 
-/// A quiescent visit's token, held for `token_pace` before it goes on.
+/// A quiescent ring's token, parked at its idle holder for
+/// [`EvsParams::idle_hold`] until the hold ends or a submission calls it.
 struct HeldToken {
     to: ProcessId,
     tok: evs_order::Token,
@@ -283,8 +284,14 @@ pub struct EvsProcess<P> {
     /// delivered in counter order too.
     sent_upto: u64,
     /// A token waiting out its pacing delay before being forwarded: a
-    /// quiescent ring paces its token so it does not spin.
+    /// quiescent ring parks its token at one member so it does not spin.
     pending_token: Option<HeldToken>,
+    /// The last token visit left nothing pending here: the next
+    /// submission, finding the token elsewhere, sends one `Wake`.
+    wake_armed: bool,
+    /// A `Wake` arrived while the token was elsewhere: the next quiescent
+    /// visit forwards the token instead of holding it.
+    woken: bool,
     /// The armed maintenance timer: the deadline it fires at and its id.
     /// The engine re-arms it to the *earliest* pending protocol deadline
     /// (heartbeat, suspicion expiry, token retransmission, token loss,
@@ -406,6 +413,8 @@ impl<P: Clone + fmt::Debug + 'static> EvsProcess<P> {
             last_token_seen: SimTime::ZERO,
             sent_upto: 0,
             pending_token: None,
+            wake_armed: false,
+            woken: false,
             tick_armed: None,
             refused: None,
             telemetry: Telemetry::disabled(),
@@ -644,8 +653,10 @@ impl<P: Clone + fmt::Debug + 'static> EvsProcess<P> {
         }
     }
 
-    /// True while this process holds the ring's token for its pace: the
-    /// ring is quiescent, and a submission now ends the hold.
+    /// True while this process parks the ring's idle token: the ring is
+    /// quiescent, this process stamped its newest message (or is the
+    /// representative of a ring that stamped none), and a submission here
+    /// or a `Wake` from another member now ends the hold.
     pub fn holds_token(&self) -> bool {
         self.pending_token.is_some()
     }
@@ -668,7 +679,7 @@ impl<P: Clone + fmt::Debug + 'static> EvsProcess<P> {
         }
         let id = self.originate(ctx, service);
         self.submit_to_ring(ctx, id, service, payload);
-        self.release_held_token(ctx);
+        self.call_token(ctx);
         // A singleton ring stamps on submit, so this is a counter-use
         // site: if the shadow check tripped, the message stayed pending
         // (never stamped, never sent) and the process excommunicates. The
@@ -753,19 +764,44 @@ impl<P: Clone + fmt::Debug + 'static> EvsProcess<P> {
         }
     }
 
+    /// Brings the token to a submission: a token held here is released,
+    /// and otherwise the first submission since a visit that left nothing
+    /// pending sends one `Wake` to the member believed to park the idle
+    /// token — the stamper of the newest ordinal received, or the
+    /// representative. On a busy ring every visit leaves a backlog, so no
+    /// wake is armed and none is sent.
+    fn call_token(&mut self, ctx: &mut ECtx<'_, P>) {
+        let armed = std::mem::take(&mut self.wake_armed);
+        if self.pending_token.is_some() {
+            self.release_held_token(ctx);
+            return;
+        }
+        let Mode::Regular { ring } = &self.mode else {
+            return;
+        };
+        let holder = ring.idle_holder();
+        if armed && holder != self.me {
+            ctx.unicast(holder, EvsMsg::Ring(RingMsg::Wake(ring.config())));
+            self.telemetry.counter(names::TOKEN_WAKES_SENT).inc();
+        }
+    }
+
     /// Cuts the hold of a held token short: a submission is waiting, and
     /// the token has not left, so the `TOKEN_SEND` that forwards it can
     /// still stamp the submission, where waiting out the hold would leave
     /// it a whole paced rotation behind. The timer is re-armed with no
     /// delay, so it fires after the current callback and takes every
-    /// submission the callback makes in one burst.
-    fn release_held_token(&mut self, ctx: &mut ECtx<'_, P>) {
-        if let Some(held) = &mut self.pending_token {
-            if !held.released {
+    /// submission the callback makes in one burst. Returns whether this
+    /// call cut the hold short.
+    fn release_held_token(&mut self, ctx: &mut ECtx<'_, P>) -> bool {
+        match &mut self.pending_token {
+            Some(held) if !held.released => {
                 ctx.cancel_timer(held.timer);
                 held.timer = ctx.set_timer(0, TOKEN_SEND);
                 held.released = true;
+                true
             }
+            _ => false,
         }
     }
 
@@ -803,6 +839,41 @@ impl<P: Clone + fmt::Debug + 'static> EvsProcess<P> {
     fn drop_held_token(&mut self, ctx: &mut ECtx<'_, P>) {
         if let Some(held) = self.pending_token.take() {
             ctx.cancel_timer(held.timer);
+        }
+    }
+
+    /// Gives back the room a burst (a recovery's carried submissions, say)
+    /// grew in the two queues a quiescent ring has drained: the
+    /// submissions waiting for the token and the origination instants of
+    /// this process's messages in flight. An idle ring would otherwise keep
+    /// that room for the configuration's lifetime; a busy ring is never
+    /// quiescent, so its queues keep theirs.
+    fn trim_idle_queues(&mut self) {
+        let room = self.params.max_per_visit;
+        if self.origin_times.is_empty() && self.origin_times.capacity() > room {
+            self.origin_times = VecDeque::new();
+        }
+        if let Mode::Regular { ring } = &mut self.mode {
+            ring.trim_pending(room);
+        }
+    }
+
+    /// Leaves the configuration's token behind: the held token with its
+    /// timer, and the wake state, which names that configuration's ring.
+    fn forget_token(&mut self, ctx: &mut ECtx<'_, P>) {
+        self.drop_held_token(ctx);
+        self.wake_armed = false;
+        self.woken = false;
+    }
+
+    /// A `Wake` for the current configuration: a held token is released
+    /// at once; otherwise the next quiescent visit forwards the token
+    /// instead of holding it, in case this member is where it will park.
+    fn on_wake(&mut self, ctx: &mut ECtx<'_, P>) {
+        if self.pending_token.is_none() {
+            self.woken = true;
+        } else if self.release_held_token(ctx) {
+            self.telemetry.counter(names::TOKEN_WAKES_HONOURED).inc();
         }
     }
 
@@ -963,15 +1034,30 @@ impl<P: Clone + fmt::Debug + 'static> EvsProcess<P> {
                     // covered it on two visits in a row, so while one is
                     // unsafe (or a submission waits to be stamped) every
                     // hold multiplies into its latency: such a visit
-                    // forwards the token right behind its data. Only a
-                    // quiescent ring holds the token for `token_pace`,
-                    // which is what keeps an idle ring from spinning at
-                    // CPU speed.
-                    let quiescent =
-                        matches!(&self.mode, Mode::Regular { ring } if ring.is_quiescent(&tok));
+                    // forwards the token right behind its data. A
+                    // quiescent ring parks the token at one member every
+                    // member can name, its idle holder, which is what
+                    // keeps an idle ring from spinning at CPU speed; a
+                    // submission elsewhere calls it over with a `Wake`.
+                    let Mode::Regular { ring } = &self.mode else {
+                        unreachable!("ring outs come from a regular configuration");
+                    };
+                    let quiescent = ring.is_quiescent(&tok);
+                    let park = quiescent && ring.idle_holder() == self.me;
+                    let members = ring.members().len();
+                    self.wake_armed = ring.pending_len() == 0;
+                    // A wake that found the token elsewhere is spent on
+                    // the next quiescent visit, which forwards the token.
+                    let woken = quiescent && std::mem::take(&mut self.woken);
                     self.drop_held_token(ctx);
                     if quiescent {
-                        let timer = ctx.set_timer(self.params.token_pace, TOKEN_SEND);
+                        self.trim_idle_queues();
+                    }
+                    if park && woken {
+                        self.telemetry.counter(names::TOKEN_WAKES_HONOURED).inc();
+                    }
+                    if park && !woken {
+                        let timer = ctx.set_timer(self.params.idle_hold(members), TOKEN_SEND);
                         self.pending_token = Some(HeldToken {
                             to,
                             tok,
@@ -1007,7 +1093,7 @@ impl<P: Clone + fmt::Debug + 'static> EvsProcess<P> {
         // The old configuration's token dies here. This is also the Step 2
         // boundary: the proposal epoch may already be acknowledged to
         // peers, so it must survive a kill (epoch monotonicity).
-        self.drop_held_token(ctx);
+        self.forget_token(ctx);
         self.wal_append(WalRecord::Epoch(proposal.id.epoch));
         self.wal_sync();
         let placeholder = Mode::Regular {
@@ -1226,16 +1312,25 @@ impl<P: Clone + fmt::Debug + 'static> EvsProcess<P> {
         let boot = ring.bootstrap_token(ctx.now());
         self.mode = Mode::Regular { ring };
         self.process_ring_outs(ctx, boot);
+        // The installation is every member's first sight of the new ring:
+        // like a visit that left nothing pending, it arms a wake.
+        self.wake_armed = true;
 
         // Unsent submissions from the old configuration keep their ids and
         // enter the new configuration's order (their model-level send
-        // happens now); then buffered application submissions follow.
+        // happens now); then buffered application submissions follow, and
+        // whatever was carried calls the token.
+        let carried = !rec.old.pending.is_empty() || !self.app_buffer.is_empty();
         for (id, service, payload) in rec.old.pending {
             self.submit_to_ring(ctx, id, service, payload);
         }
-        while let Some((service, payload)) = self.app_buffer.pop_front() {
+        // Taken, not drained: the buffer a recovery filled goes with it.
+        for (service, payload) in std::mem::take(&mut self.app_buffer) {
             let id = self.originate(ctx, service);
             self.submit_to_ring(ctx, id, service, payload);
+        }
+        if carried {
+            self.call_token(ctx);
         }
 
         // Replay frames buffered for this configuration.
@@ -1268,6 +1363,7 @@ impl<P: Clone + fmt::Debug + 'static> EvsProcess<P> {
                 None => return, // an empty batch carries nothing
             },
             RingMsg::Token(t) => t.config,
+            RingMsg::Wake(c) => *c,
         };
         enum Disposition {
             Current,
@@ -1301,6 +1397,9 @@ impl<P: Clone + fmt::Debug + 'static> EvsProcess<P> {
         };
         match disposition {
             Disposition::Drop => {}
+            // A wake is a hint for one configuration's token: one for a
+            // configuration not installed yet is dropped, not buffered.
+            Disposition::Future if matches!(frame, RingMsg::Wake(_)) => {}
             Disposition::Future => self.buffer_future(from, frame_config, frame),
             Disposition::Current => match frame {
                 RingMsg::Data(m) => {
@@ -1327,6 +1426,7 @@ impl<P: Clone + fmt::Debug + 'static> EvsProcess<P> {
                     };
                     self.process_ring_outs(ctx, outs);
                 }
+                RingMsg::Wake(_) => self.on_wake(ctx),
             },
         }
         // Check-before-use already stopped a poisoned ring from stamping
@@ -1591,7 +1691,7 @@ impl<P: Clone + fmt::Debug + 'static> EvsProcess<P> {
         self.future_buffer.clear();
         self.obligations.clear();
         self.telemetry.gauge(names::OBLIGATION_SET_SIZE).set(0);
-        self.drop_held_token(ctx);
+        self.forget_token(ctx);
         self.origin_times.clear();
         let cfg = Configuration::from(initial);
         self.deliver_conf(ctx, cfg);
@@ -1799,6 +1899,8 @@ impl<P: Clone + fmt::Debug + 'static> Node for EvsProcess<P> {
         // token's too.
         self.tick_armed = None;
         self.pending_token = None;
+        self.wake_armed = false;
+        self.woken = false;
         if self.refused.is_some() {
             // A refused process never installed anything this incarnation,
             // so it owes no fail_p(c) and must not overwrite the damaged
@@ -2007,14 +2109,28 @@ mod tests {
     }
 
     /// Hands `node` the token `token_id` from `p(1)`, with `seq` and `aru`
-    /// at 1. Returns whether the visit forwarded the token and whether it
-    /// armed the pacing timer.
-    fn visit(node: &mut EvsProcess<&'static str>, env: &mut Env, token_id: u64) -> (bool, bool) {
+    /// at 1. Returns whether the visit forwarded the token and for how
+    /// long it armed the pacing timer, if it did.
+    fn visit(
+        node: &mut EvsProcess<&'static str>,
+        env: &mut Env,
+        token_id: u64,
+    ) -> (bool, Option<u64>) {
+        visit_at(node, env, token_id, 1)
+    }
+
+    /// [`visit`] with `seq` and `aru` at `seq`.
+    fn visit_at(
+        node: &mut EvsProcess<&'static str>,
+        env: &mut Env,
+        token_id: u64,
+        seq: u64,
+    ) -> (bool, Option<u64>) {
         let tok = evs_order::Token {
             config: ConfigId::regular(1, p(0)),
             token_id,
-            seq: 1,
-            aru: 1,
+            seq,
+            aru: seq,
             aru_id: None,
             rtr: Vec::new(),
             rotation: 0,
@@ -2025,15 +2141,16 @@ mod tests {
         let forwarded = effects.iter().any(|e| {
             matches!(e, evs_sim::Effect::Unicast(to, EvsMsg::Ring(RingMsg::Token(_))) if *to == p(1))
         });
-        let paced = effects
-            .iter()
-            .any(|e| matches!(e, evs_sim::Effect::SetTimer(_, _, TOKEN_SEND)));
+        let paced = effects.iter().find_map(|e| match e {
+            evs_sim::Effect::SetTimer(_, delay, TOKEN_SEND) => Some(*delay),
+            _ => None,
+        });
         (forwarded, paced)
     }
 
     /// `p(0)` in the ring `{p(0), p(1)}`, holding the safe message 1 that
-    /// `p(1)` stamped.
-    fn on_two_member_ring() -> (EvsProcess<&'static str>, Env) {
+    /// `stamper` stamped.
+    fn on_two_member_ring(stamper: ProcessId) -> (EvsProcess<&'static str>, Env) {
         let (mut node, mut env) = started();
         let cfg = ConfigId::regular(1, p(0));
         node.mode = Mode::Regular {
@@ -2042,43 +2159,89 @@ mod tests {
         let msg = OrderedMsg {
             config: cfg,
             seq: 1,
-            id: MessageId::new(p(1), 1),
+            id: MessageId::new(stamper, 1),
             service: Service::Safe,
             payload: "unsafe",
         };
+        if stamper == p(0) {
+            // Message 1 is this process's own first message.
+            node.persist.msg_counter = 1;
+            node.counter_shadow = !1;
+        }
         env.with(|ctx| node.on_message(ctx, p(1), EvsMsg::Ring(RingMsg::Data(msg))));
         (node, env)
     }
 
+    /// The `Wake` frames among `effects`, as (addressee, configuration).
+    fn wakes(effects: &[evs_sim::Effect<EvsMsg<&'static str>>]) -> Vec<(ProcessId, ConfigId)> {
+        effects
+            .iter()
+            .filter_map(|e| match e {
+                evs_sim::Effect::Unicast(to, EvsMsg::Ring(RingMsg::Wake(c))) => Some((*to, *c)),
+                _ => None,
+            })
+            .collect()
+    }
+
     #[test]
     fn a_visit_that_leaves_a_message_unsafe_forwards_the_token_at_once() {
-        let (mut node, mut env) = on_two_member_ring();
+        let (mut node, mut env) = on_two_member_ring(p(0));
         // The aru covers message 1 for the first time: not yet safe, and
         // this visit stamps nothing.
-        assert_eq!(visit(&mut node, &mut env, 2), (true, false));
+        assert_eq!(visit(&mut node, &mut env, 2), (true, None));
         assert!(node.pending_token.is_none());
     }
 
     #[test]
     fn a_quiescent_visit_holds_the_token_for_the_pace() {
-        let (mut node, mut env) = on_two_member_ring();
-        visit(&mut node, &mut env, 2);
-        // The second visit in a row with the aru at 1 makes it safe: the
-        // ring is quiescent and the token waits out `token_pace`.
-        assert_eq!(visit(&mut node, &mut env, 4), (false, true));
-        assert!(node.pending_token.is_some());
-        let safe = node.deliveries().iter().filter_map(|d| d.payload()).next();
-        assert_eq!(safe, Some(&"unsafe"));
+        // The second visit in a row with the aru at 1 makes message 1
+        // safe and the ring quiescent. Only the member that stamped it
+        // parks the token, for `token_pace` per member; the other
+        // forwards it at once.
+        let hold = 2 * EvsParams::default().token_pace;
+        for (stamper, want) in [(p(0), (false, Some(hold))), (p(1), (true, None))] {
+            let (mut node, mut env) = on_two_member_ring(stamper);
+            visit(&mut node, &mut env, 2);
+            assert_eq!(visit(&mut node, &mut env, 4), want, "stamped by {stamper}");
+            assert_eq!(node.holds_token(), stamper == p(0));
+            let safe = node.deliveries().iter().filter_map(|d| d.payload()).next();
+            assert_eq!(safe, Some(&"unsafe"));
+        }
+    }
+
+    #[test]
+    fn nothing_stamped_parks_the_token_at_the_representative() {
+        let (mut node, mut env) = started();
+        let cfg = ConfigId::regular(1, p(0));
+        for (me, parks) in [(p(0), true), (p(1), false)] {
+            node.mode = Mode::Regular {
+                ring: Ring::new(me, cfg, vec![p(0), p(1)], 16),
+            };
+            node.me = me;
+            let tok = evs_order::Token {
+                config: cfg,
+                token_id: 1,
+                seq: 0,
+                aru: 0,
+                aru_id: None,
+                rtr: Vec::new(),
+                rotation: 0,
+            };
+            let from = if me == p(0) { p(1) } else { p(0) };
+            env.with(|ctx| node.on_message(ctx, from, EvsMsg::Ring(RingMsg::Token(tok))));
+            assert_eq!(node.holds_token(), parks, "{me}");
+        }
     }
 
     #[test]
     fn submits_during_the_hold_leave_in_one_burst_ahead_of_the_token() {
-        let (mut node, mut env) = on_two_member_ring();
+        let (mut node, mut env) = on_two_member_ring(p(0));
         visit(&mut node, &mut env, 2);
         visit(&mut node, &mut env, 4);
         let pace = node.pending_token.as_ref().expect("held").timer;
         // The first submission re-arms the pacing timer to fire once the
-        // callback ends; the ones after it find it re-armed.
+        // callback ends; the ones after it find it re-armed. Neither sends
+        // a wake: the token is here.
         let (_, effects) = env.effects(|ctx| node.submit(ctx, Service::Agreed, "late"));
         match effects.as_slice() {
             [evs_sim::Effect::CancelTimer(id), evs_sim::Effect::SetTimer(_, 0, TOKEN_SEND)]
@@ -2108,12 +2271,124 @@ mod tests {
     }
 
     #[test]
-    fn a_submit_without_a_held_token_sends_nothing() {
-        let (mut node, mut env) = on_two_member_ring();
-        // This visit leaves message 1 unsafe, so it forwards at once.
+    fn a_submit_without_a_held_token_sends_one_wake_to_the_holder() {
+        let (mut node, mut env) = on_two_member_ring(p(1));
+        // This visit leaves message 1 unsafe, so it forwards at once, and
+        // it leaves nothing pending here.
         visit(&mut node, &mut env, 2);
+        let cfg = ConfigId::regular(1, p(0));
+        let (_, effects) = env.effects(|ctx| node.submit(ctx, Service::Agreed, "calls"));
+        assert_eq!(effects.len(), 1, "{effects:?}");
+        assert_eq!(wakes(&effects), vec![(p(1), cfg)], "to the stamper of 1");
         let (_, effects) = env.effects(|ctx| node.submit(ctx, Service::Agreed, "waits"));
         assert!(effects.is_empty(), "{effects:?}");
+    }
+
+    #[test]
+    fn one_wake_per_visit_cycle() {
+        let (mut node, mut env) = on_two_member_ring(p(1));
+        let submit_three = |node: &mut EvsProcess<&'static str>, env: &mut Env| {
+            (0..3)
+                .map(|_| {
+                    let (_, effects) = env.effects(|ctx| node.submit(ctx, Service::Agreed, "m"));
+                    wakes(&effects).len()
+                })
+                .sum::<usize>()
+        };
+        // No visit yet: nothing armed a wake.
+        assert_eq!(submit_three(&mut node, &mut env), 0);
+        // A visit stamps what is pending, 2–4, and arms one wake. This
+        // process stamped the newest ordinal, so the ring parks the token
+        // here: the first submission spends the wake and sends nothing.
+        visit(&mut node, &mut env, 2);
+        assert_eq!(submit_three(&mut node, &mut env), 0);
+        // The next visit stamps 5–7; then `p(1)` stamps 8, and the visit
+        // after arms one wake, which the first submission after it sends
+        // to `p(1)`. The visit after that stamps those submissions, 9–11,
+        // and this process is the holder again.
+        visit_at(&mut node, &mut env, 4, 4);
+        let cfg = ConfigId::regular(1, p(0));
+        let eight = OrderedMsg {
+            config: cfg,
+            seq: 8,
+            id: MessageId::new(p(1), 8),
+            service: Service::Agreed,
+            payload: "p1",
+        };
+        env.with(|ctx| node.on_message(ctx, p(1), EvsMsg::Ring(RingMsg::Data(eight))));
+        visit_at(&mut node, &mut env, 6, 8);
+        assert_eq!(submit_three(&mut node, &mut env), 1);
+        visit_at(&mut node, &mut env, 8, 8);
+        assert_eq!(submit_three(&mut node, &mut env), 0);
+    }
+
+    #[test]
+    fn a_busy_ring_sends_no_wake() {
+        let (mut node, mut env) = on_two_member_ring(p(1));
+        // More submissions than one visit stamps: the visit leaves a
+        // backlog, so it arms no wake.
+        env.with(|ctx| {
+            for _ in 0..20 {
+                node.submit(ctx, Service::Agreed, "backlog");
+            }
+        });
+        visit(&mut node, &mut env, 2);
+        assert!(matches!(&node.mode, Mode::Regular { ring } if ring.pending_len() == 4));
+        let (_, effects) = env.effects(|ctx| node.submit(ctx, Service::Agreed, "more"));
+        assert_eq!(wakes(&effects), vec![]);
+    }
+
+    #[test]
+    fn a_wake_releases_a_held_token() {
+        let (mut node, mut env) = on_two_member_ring(p(0));
+        visit(&mut node, &mut env, 2);
+        visit(&mut node, &mut env, 4);
+        let pace = node.pending_token.as_ref().expect("held").timer;
+        let wake = EvsMsg::Ring(RingMsg::Wake(ConfigId::regular(1, p(0))));
+        let (_, effects) = env.effects(|ctx| node.on_message(ctx, p(1), wake));
+        match effects.as_slice() {
+            [evs_sim::Effect::CancelTimer(id), evs_sim::Effect::SetTimer(_, 0, TOKEN_SEND), ..]
+                if *id == pace => {}
+            other => panic!("not a release of the hold: {other:?}"),
+        }
+        let (_, effects) = env.effects(|ctx| node.on_timer(ctx, TOKEN_SEND));
+        assert!(
+            matches!(effects.as_slice(), [evs_sim::Effect::Unicast(to, EvsMsg::Ring(RingMsg::Token(_)))] if *to == p(1)),
+            "{effects:?}"
+        );
+        assert!(!node.holds_token());
+    }
+
+    #[test]
+    fn a_wake_before_the_token_makes_the_next_quiescent_visit_forward() {
+        let (mut node, mut env) = on_two_member_ring(p(0));
+        let wake = EvsMsg::Ring(RingMsg::Wake(ConfigId::regular(1, p(0))));
+        // The wake finds no token here; the next visit is not quiescent and
+        // forwards anyway, and the one after it, which would park the
+        // token, forwards it too. The wake is spent: the third parks.
+        env.with(|ctx| node.on_message(ctx, p(1), wake));
+        assert_eq!(visit(&mut node, &mut env, 2), (true, None));
+        assert_eq!(visit(&mut node, &mut env, 4), (true, None));
+        assert_eq!(visit(&mut node, &mut env, 6), (false, Some(4)));
+    }
+
+    #[test]
+    fn a_wake_for_another_configuration_is_dropped() {
+        let (mut node, mut env) = on_two_member_ring(p(0));
+        visit(&mut node, &mut env, 2);
+        visit(&mut node, &mut env, 4);
+        for other in [ConfigId::regular(9, p(0)), ConfigId::regular(0, p(0))] {
+            let wake = EvsMsg::Ring(RingMsg::Wake(other));
+            let (_, effects) = env.effects(|ctx| node.on_message(ctx, p(1), wake));
+            assert!(
+                !effects
+                    .iter()
+                    .any(|e| matches!(e, evs_sim::Effect::CancelTimer(_))),
+                "{effects:?}"
+            );
+            assert!(node.holds_token());
+            assert!(node.future_buffer.is_empty(), "a wake is not buffered");
+        }
     }
 
     /// Two engines on the simulator with a long pace, every hop one tick:
@@ -2151,6 +2426,8 @@ mod tests {
             let t = sim.now() + 100;
             sim.run_until(t);
         }
+        // `p(0)` parks the token: it is the representative of a ring that
+        // stamped nothing, then the stamper of the one message.
         step_until(&mut sim, true);
         sim.invoke(p(0), |node, ctx| node.submit(ctx, Service::Agreed, "early"));
         let now = sim.now();
@@ -2158,7 +2435,7 @@ mod tests {
         assert!(!held(&sim), "the token left with the submission");
         let start = step_until(&mut sim, true);
         let end = step_until(&mut sim, false);
-        assert_eq!(end.since(start), params.token_pace);
+        assert_eq!(end.since(start), 2 * params.token_pace);
     }
 
     /// The ring data frames among `effects`, as (addressee, ordinals);
@@ -2239,13 +2516,14 @@ mod tests {
     }
 
     /// Five engines on the simulator, every hop exactly one tick: a hop
-    /// the token was held on takes `1 + token_pace` ticks.
+    /// the token was held on takes up to `1 + n × token_pace` ticks, the
+    /// whole hold unless a wake cut it short.
     #[test]
     fn a_burst_is_back_to_paced_hops_within_two_rotations_and_n_hops() {
         use evs_sim::{NetConfig, Sim};
         let n = 5;
         let params = EvsParams::default();
-        let pace = params.token_pace;
+        let hold = n as u64 * params.token_pace;
         let net = NetConfig {
             latency_min: 1,
             latency_max: 1,
@@ -2294,16 +2572,12 @@ mod tests {
             hops.windows(2).all(|w| w[1].0 == w[0].0 + 1),
             "a hop is missing"
         );
-        let held: Vec<bool> = hops
-            .windows(2)
-            .map(|w| match w[1].1 - w[0].1 {
-                1 => false,
-                gap => {
-                    assert_eq!(gap, 1 + pace, "a hop is neither immediate nor paced");
-                    true
-                }
-            })
-            .collect();
+        let gaps: Vec<u64> = hops.windows(2).map(|w| w[1].1 - w[0].1).collect();
+        assert!(
+            gaps.iter().all(|gap| (1..=1 + hold).contains(gap)),
+            "a hop is neither immediate nor at most one hold: {gaps:?}"
+        );
+        let held: Vec<bool> = gaps.iter().map(|&gap| gap > 1).collect();
 
         let last_stamp = sim
             .trace(p(2))
@@ -2322,11 +2596,16 @@ mod tests {
         );
         // The rest of the rotation the last stamp started leaves messages
         // unsafe, so it runs unpaced; two rotations and n hops on, every
-        // visit is quiescent and holds the token, for as long as we look.
+        // visit is quiescent: the stamper of the burst holds the token for
+        // the whole hold and every other member forwards it at once, for
+        // as long as we look.
         assert!(!held[k + 1], "{held:?}");
         let quiet = k + 2 * n + n;
-        assert!(held.len() > quiet + 3 * n, "window too short: {held:?}");
-        assert!(held[quiet..].iter().all(|&h| h), "spins unpaced: {held:?}");
+        assert!(gaps.len() > quiet + 3 * n, "window too short: {gaps:?}");
+        for (gap, &(_, _, q)) in gaps[quiet..].iter().zip(&hops[quiet..]) {
+            let want = if q == p(2) { 1 + hold } else { 1 };
+            assert_eq!(*gap, want, "{q} in {gaps:?}");
+        }
     }
 
     #[test]

@@ -11,7 +11,8 @@
 //!
 //! Layout conventions: one-byte tags for enums, `0`/`1` for booleans, and
 //! two integer spellings. The frames the ring sends per hop and per
-//! message — the token and the data frames (`Data`, `Batch`,
+//! message — the token, the wake that calls an idle token over (four
+//! bytes: its tag and configuration) and the data frames (`Data`, `Batch`,
 //! `Rebroadcast`) — write every integer, count and length as canonical
 //! LEB128 ([`Get::var`]): the token is about 15 bytes where fixed-width
 //! integers take 51, and a message costs about 7 header bytes besides its
@@ -37,7 +38,7 @@
 //! * [`encode_into`] encodes into a caller-owned [`BytesMut`], so a send
 //!   loop reuses one allocation for every frame it emits.
 //! * [`pack_frames`] / [`unpack_frames`] pack several encoded frames into
-//!   one length-delimited datagram (`u32` little-endian length headers),
+//!   one length-delimited datagram (a LEB128 length before each frame),
 //!   so a burst — say, every message stamped on one token visit — costs
 //!   one system call instead of one per message.
 //!
@@ -89,6 +90,7 @@ const RECOVERY_ACK: u8 = 5;
 const DATA: u8 = 7;
 const REBROADCAST: u8 = 8;
 const BATCH: u8 = 9;
+const WAKE: u8 = 10;
 
 // --- primitive helpers -------------------------------------------------
 
@@ -573,6 +575,10 @@ pub fn encode_into(msg: &EvsMsg<Payload>, out: &mut BytesMut) {
             put_config(out, *proposal);
         }
         EvsMsg::Ring(RingMsg::Batch(msgs)) => put_batch(out, msgs),
+        EvsMsg::Ring(RingMsg::Wake(c)) => {
+            out.put_u8(WAKE);
+            put_var_config(out, *c);
+        }
     }
 }
 
@@ -624,9 +630,6 @@ fn batch_len(msgs: &[OrderedMsg<Payload>]) -> usize {
     len
 }
 
-/// The length header [`pack_into`] puts in front of every frame.
-const PACK_HEADER: usize = 4;
-
 /// Splits a data batch into consecutive parts whose batch frames, packed,
 /// each fit a datagram of `budget` bytes, so one token visit's burst can
 /// never outgrow the datagram it is sent in. A part holds at least one
@@ -637,14 +640,16 @@ pub fn batch_parts(
 ) -> impl Iterator<Item = &[OrderedMsg<Payload>]> {
     std::iter::from_fn(move || {
         let first = msgs.first()?;
-        // Tag and configuration; the count's varint is added per message,
-        // and each part's first `seq` is a step from 0.
-        let mut bytes = PACK_HEADER + 1 + var_config_len(first.config);
+        // Tag and configuration; the count's varint and the frame's
+        // length header are added per message, and each part's first
+        // `seq` is a step from 0.
+        let mut bytes = 1 + var_config_len(first.config);
         let mut prev = 0;
         let mut n = 0;
         for m in msgs {
             bytes += msg_len(m, prev);
-            if n > 0 && bytes + var_len(n as u64 + 1) > budget {
+            let frame = bytes + var_len(n as u64 + 1);
+            if n > 0 && var_len(frame as u64) + frame > budget {
                 break;
             }
             prev = m.seq;
@@ -701,6 +706,7 @@ pub fn decode(frame: &[u8]) -> Result<EvsMsg<Payload>> {
             }
             EvsMsg::Ring(RingMsg::Batch(msgs))
         }
+        WAKE => EvsMsg::Ring(RingMsg::Wake(get_var_config(&mut g)?)),
         tag => {
             return Err(DecodeError::BadTag {
                 what: "EvsMsg",
@@ -715,16 +721,17 @@ pub fn decode(frame: &[u8]) -> Result<EvsMsg<Payload>> {
 // --- datagram packing ----------------------------------------------------
 
 /// Appends one encoded frame to a datagram under construction, prefixed
-/// with a `u32` little-endian length header. Pair with [`unpack_frames`]
-/// on the receive side.
+/// with its length as a LEB128 header: one byte for a frame under 128
+/// bytes, three for the largest datagram. Pair with [`unpack_frames`] on
+/// the receive side.
 ///
 /// A buffer too small for the frame grows to hold it and an eighth more,
 /// not to double: a LEB128 frame is a few bytes longer than the last of
 /// its kind once its integers widen, and a datagram buffer reused for
 /// every send would otherwise double for those few bytes.
 pub fn pack_into(frame: &[u8], out: &mut BytesMut) {
-    make_room(out, PACK_HEADER + frame.len());
-    out.put_u32_le(frame.len() as u32);
+    make_room(out, var_len(frame.len() as u64) + frame.len());
+    put_var(out, frame.len() as u64);
     out.put_slice(frame);
 }
 
@@ -760,18 +767,38 @@ where
 /// Splits a packed datagram back into its frames, as zero-copy views into
 /// the datagram buffer.
 ///
+/// The datagram is read twice: once to check it and count its frames,
+/// then into a list of exactly that many views, so the list never holds
+/// more than the input's frames can back.
+///
 /// # Errors
 ///
 /// Returns [`DecodeError::UnexpectedEof`] if the datagram is truncated
-/// anywhere — inside a length header or inside a frame body — and
-/// [`DecodeError::OversizedLength`] for a hostile header. A truncated
-/// datagram never yields a partial frame list.
+/// anywhere — inside a length header or inside a frame body —
+/// [`DecodeError::OversizedLength`] for a hostile header, and
+/// [`DecodeError::BadTag`] for a length spelled longer than it needs or
+/// an empty frame, which no encoder writes. A truncated datagram never
+/// yields a partial frame list.
 pub fn unpack_frames(datagram: &[u8]) -> Result<Vec<&[u8]>> {
+    fn next<'a>(g: &mut Get<'a>) -> Result<&'a [u8]> {
+        match g.var_count(MAX_LEN, 1)? {
+            0 => Err(DecodeError::BadTag {
+                what: "non-empty packed frame",
+                tag: 0,
+            }),
+            len => g.bytes(len),
+        }
+    }
     let mut g = Get::le(datagram);
-    let mut frames = Vec::new();
+    let mut count = 0;
     while g.remaining() > 0 {
-        let len = g.count(MAX_LEN, 1)?;
-        frames.push(g.bytes(len)?);
+        next(&mut g)?;
+        count += 1;
+    }
+    let mut g = Get::le(datagram);
+    let mut frames = Vec::with_capacity(count);
+    while g.remaining() > 0 {
+        frames.push(next(&mut g)?);
     }
     Ok(frames)
 }
@@ -862,6 +889,7 @@ mod tests {
                 },
             },
             EvsMsg::RecoveryAck { proposal: cfg },
+            EvsMsg::Ring(RingMsg::Wake(cfg)),
         ]
     }
 
@@ -1017,9 +1045,13 @@ mod tests {
             // Every proper prefix that does not end exactly on a frame
             // boundary must error; prefixes on a boundary are themselves
             // valid (shorter) datagrams and must not panic either way.
+            // Every kept byte is a frame's or its length header's.
             match unpack_frames(&datagram[..cut]) {
                 Ok(views) => {
-                    let bytes: usize = views.iter().map(|v| 4 + v.len()).sum();
+                    let bytes: usize = views
+                        .iter()
+                        .map(|v| var_len(v.len() as u64) + v.len())
+                        .sum();
                     assert_eq!(bytes, cut, "partial frame accepted at {cut}");
                 }
                 Err(DecodeError::UnexpectedEof) => {}
@@ -1046,7 +1078,7 @@ mod tests {
         let mut scratch = BytesMut::new();
         // A batch within the budget is one part, encoded as before; the
         // size the split reckons with is the size on the wire, to the byte.
-        let fits = PACK_HEADER + encode(&whole).len();
+        let fits = pack_frames([encode(&whole)]).len();
         assert_eq!(batch_parts(&msgs, fits).count(), 1);
         assert_eq!(batch_parts(&msgs, fits - 1).count(), 2);
         encode_batch_into(&msgs, &mut scratch);
@@ -1056,7 +1088,7 @@ mod tests {
         let parts: Vec<_> = batch_parts(&msgs, budget).collect();
         for part in &parts {
             encode_batch_into(part, &mut scratch);
-            let packed = PACK_HEADER + scratch.len();
+            let packed = pack_frames([&scratch[..]]).len();
             // Only a message too large on its own may exceed the budget,
             // and then alone.
             assert!(packed <= budget || part.len() == 1, "{packed} B part");
@@ -1077,11 +1109,12 @@ mod tests {
     fn a_reused_datagram_buffer_grows_by_an_eighth_not_double() {
         let mut out = BytesMut::new();
         pack_into(&[7; 1_000], &mut out);
-        assert_eq!(out.capacity(), 4 + 1_000 + 125);
+        // A two-byte length header, the frame, and an eighth of both.
+        assert_eq!(out.capacity(), 2 + 1_000 + 125);
         // The next frame of the kind, a few bytes longer, fits as it is.
         out.clear();
         pack_into(&[7; 1_010], &mut out);
-        assert_eq!(out.capacity(), 1_129);
+        assert_eq!(out.capacity(), 1_127);
         assert_eq!(unpack_frames(&out).unwrap(), [&[7; 1_010][..]]);
     }
 
@@ -1127,13 +1160,35 @@ mod tests {
 
     #[test]
     fn hostile_pack_header_is_rejected() {
+        // A length over the cap, whatever follows it.
         let mut datagram = BytesMut::new();
-        datagram.put_u32_le(MAX_LEN as u32 + 1);
+        put_var(&mut datagram, MAX_LEN + 1);
         datagram.put_slice(&[0; 8]);
         assert!(matches!(
             unpack_frames(&datagram),
             Err(DecodeError::OversizedLength { .. })
         ));
+        // A length the datagram cannot back.
+        assert_eq!(unpack_frames(&[9, 1, 2]), Err(DecodeError::UnexpectedEof));
+        // An empty frame, which no encoder writes, even between good ones.
+        assert!(matches!(
+            unpack_frames(&[1, 5, 0, 1, 5]),
+            Err(DecodeError::BadTag { tag: 0, .. })
+        ));
+        // A length spelled longer than it needs: 1 in two bytes.
+        assert!(matches!(
+            unpack_frames(&[0x81, 0x00, 5]),
+            Err(DecodeError::BadTag { .. })
+        ));
+    }
+
+    #[test]
+    fn a_frame_under_128_bytes_costs_one_header_byte() {
+        let wake = encode(&EvsMsg::Ring(RingMsg::Wake(ConfigId::regular(42, p(3)))));
+        let datagram = pack_frames([&wake[..], &[7; 127][..], &[7; 128][..]]);
+        assert_eq!(datagram.len(), 1 + wake.len() + 1 + 127 + 2 + 128);
+        assert_eq!(datagram[0] as usize, wake.len());
+        assert_eq!(unpack_frames(&datagram).unwrap().len(), 3);
     }
 
     #[test]

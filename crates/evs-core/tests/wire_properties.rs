@@ -301,8 +301,9 @@ proptest! {
         let cut = cut_seed % datagram.len();
         match wire::unpack_frames(&datagram[..cut]) {
             Ok(views) => {
-                // Only complete frames, accounting for every byte kept.
-                let consumed: usize = views.iter().map(|v| 4 + v.len()).sum();
+                // Only complete frames, accounting for every byte kept:
+                // each view and its length header, packed alone.
+                let consumed: usize = views.iter().map(|v| wire::pack_frames([v]).len()).sum();
                 prop_assert_eq!(consumed, cut);
             }
             Err(DecodeError::UnexpectedEof) => {}

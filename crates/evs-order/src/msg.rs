@@ -176,6 +176,12 @@ pub enum RingMsg<P> {
     Batch(Vec<OrderedMsg<P>>),
     /// The token, unicast to the ring successor.
     Token(Token),
+    /// A call for the idle token of this configuration, unicast to the
+    /// member the sender believes parks it: the sender has a submission
+    /// waiting. A hint only — a holder releases the token at once, any
+    /// other member forwards it from its next quiescent visit, and a lost
+    /// wake costs the submission at most one hold.
+    Wake(ConfigId),
 }
 
 #[cfg(test)]

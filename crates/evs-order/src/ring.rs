@@ -133,6 +133,11 @@ pub struct Ring<P> {
     stamped_per_visit: LogHistogram,
     idle_rotations: Counter,
     held_token_stamps: Counter,
+    /// The member that stamped the newest message accepted, the one at
+    /// `high_seen` once it arrives, or the representative before any: the
+    /// member a quiescent ring parks its token at (see
+    /// [`Ring::idle_holder`]).
+    top_stamper: ProcessId,
 }
 
 /// How many times one forwarded token is locally retransmitted before the
@@ -162,6 +167,7 @@ impl<P: Clone> Ring<P> {
         members.dedup();
         assert!(members.contains(&me), "{me} must be a ring member");
         assert!(max_per_visit > 0, "flow-control window must be positive");
+        let representative = members[0];
         Ring {
             me,
             config,
@@ -188,6 +194,7 @@ impl<P: Clone> Ring<P> {
             stamped_per_visit: LogHistogram::detached(),
             idle_rotations: Counter::detached(),
             held_token_stamps: Counter::detached(),
+            top_stamper: representative,
         }
     }
 
@@ -282,6 +289,14 @@ impl<P: Clone> Ring<P> {
         self.pending.len()
     }
 
+    /// Gives back the pending queue's allocation if it is empty and has
+    /// room for more than `room` submissions, room a burst grew.
+    pub fn trim_pending(&mut self, room: usize) {
+        if self.pending.is_empty() && self.pending.capacity() > room {
+            self.pending = VecDeque::new();
+        }
+    }
+
     /// True when the ring has nothing left to move once `tok` leaves
     /// this visit: no submission waits to be stamped and the safe line
     /// has reached the token's `seq`, so every message ordered so far is
@@ -289,6 +304,15 @@ impl<P: Clone> Ring<P> {
     /// latency of a message still waiting to become safe.
     pub fn is_quiescent(&self, tok: &Token) -> bool {
         self.pending.is_empty() && self.safe_line >= tok.seq
+    }
+
+    /// The member a quiescent ring parks its token at: the one that
+    /// stamped the highest ordinal this ring accepted, or the
+    /// representative (the first member) if nothing was stamped yet. On a
+    /// quiescent visit every member holds the token's `seq`, so every
+    /// member names the same one.
+    pub fn idle_holder(&self) -> ProcessId {
+        self.top_stamper
     }
 
     /// True when this ring is a singleton (ordinals are assigned directly,
@@ -458,7 +482,13 @@ impl<P: Clone> Ring<P> {
             // lift `high_seen` out of reach of delivery for good.
             return;
         }
-        self.high_seen = self.high_seen.max(msg.seq);
+        if msg.seq >= self.high_seen {
+            // A token may have raised `high_seen` ahead of its data; the
+            // data at `high_seen` still names its stamper, since only a
+            // message's sender stamps it into the order.
+            self.high_seen = msg.seq;
+            self.top_stamper = msg.id.sender;
+        }
         self.seq_shadow = !self.high_seen;
         // `floor < seq ≤ my_aru + MAX_HOLE_GAP`: a bounded window index.
         let slot = (msg.seq - self.floor - 1) as usize;
@@ -1343,6 +1373,34 @@ mod tests {
             (r.my_aru(), r.high_seen(), r.store_len()),
             (2, 1 + MAX_HOLE_GAP, 3)
         );
+    }
+
+    #[test]
+    fn every_member_names_the_stamper_of_the_newest_ordinal_as_idle_holder() {
+        let mut net = TestRing::new(3);
+        // Nothing stamped yet: the representative.
+        assert!(net.rings.iter().all(|r| r.idle_holder() == p(0)));
+        net.submit(2, mid(2, 1), Service::Agreed, "a");
+        net.submit(1, mid(1, 1), Service::Agreed, "b");
+        drive_rotations(&mut net, 2);
+        // `p(1)` stamped 1 and `p(2)` stamped 2, the newest.
+        assert!(net.rings.iter().all(|r| r.idle_holder() == p(2)));
+        // A late or duplicate copy of an older ordinal changes nothing,
+        // and neither does a message of another configuration.
+        let older = net.rings[1].stored_msg(1).cloned().expect("held");
+        net.rings[0].on_data(older);
+        let foreign = OrderedMsg {
+            config: ConfigId::regular(9, p(0)),
+            seq: 7,
+            id: mid(1, 9),
+            service: Service::Agreed,
+            payload: "x",
+        };
+        net.rings[0].on_data(foreign);
+        assert_eq!(net.rings[0].idle_holder(), p(2));
+        net.submit(0, mid(0, 1), Service::Agreed, "c");
+        drive_rotations(&mut net, 2);
+        assert!(net.rings.iter().all(|r| r.idle_holder() == p(0)));
     }
 
     #[test]

@@ -104,6 +104,7 @@ fn kinds(datagram: &[u8]) -> Vec<&'static str> {
         .map(|frame| match wire::decode(frame).unwrap() {
             EvsMsg::Ring(RingMsg::Data(_) | RingMsg::Batch(_)) => "data",
             EvsMsg::Ring(RingMsg::Token(_)) => "token",
+            EvsMsg::Ring(RingMsg::Wake(_)) => "wake",
             _ => "other",
         })
         .collect()
@@ -262,4 +263,57 @@ fn submits_during_a_hold_put_their_data_and_the_token_on_the_wire_in_the_next_st
         sent,
         vec![(addrs[1], vec!["data", "token"]), (addrs[2], vec!["data"])]
     );
+}
+
+#[test]
+fn a_submit_away_from_the_held_token_puts_one_wake_to_the_holder_on_the_wire() {
+    const N: usize = 3;
+    let (mut workers, submits, addrs) = recorded_workers(N);
+    let mut now = 0;
+    for w in &mut workers {
+        w.start(now).unwrap();
+    }
+    // A ring that stamped nothing parks its token at the representative.
+    loop {
+        assert!(now < 1_000_000, "no hold by tick {now}");
+        run_due(&mut workers, now);
+        if formed(&workers) && workers[0].node().holds_token() {
+            break;
+        }
+        now = next_due(&workers, now);
+    }
+    submits[1].lock().unwrap().clear();
+    workers[1]
+        .dispatch(now, Phase::Dispatch, |node, ctx| {
+            node.submit(ctx, Service::Safe, Payload::from(vec![7; 64]));
+            node.submit(ctx, Service::Safe, Payload::from(vec![8; 64]));
+        })
+        .unwrap();
+    // One wake for both submissions, to the holder, and nothing else.
+    let sent: Vec<(SocketAddr, Vec<&str>)> = submits[1]
+        .lock()
+        .unwrap()
+        .iter()
+        .flatten()
+        .map(|(to, datagram)| (*to, kinds(datagram)))
+        .collect();
+    assert_eq!(sent, vec![(addrs[0], vec!["wake"])]);
+    // The holder releases the token on the same tick: it goes on to its
+    // successor, the submitter.
+    submits[0].lock().unwrap().clear();
+    for _ in 0..3 {
+        if !workers[0].node().holds_token() {
+            break;
+        }
+        workers[0].step(&|| now, None, &mut Vec::new()).unwrap();
+    }
+    assert!(!workers[0].node().holds_token());
+    let log = submits[0].lock().unwrap();
+    let tokens: Vec<SocketAddr> = log
+        .iter()
+        .flatten()
+        .filter(|(_, datagram)| kinds(datagram).contains(&"token"))
+        .map(|(to, _)| *to)
+        .collect();
+    assert_eq!(tokens, vec![addrs[1]]);
 }

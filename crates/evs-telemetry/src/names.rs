@@ -31,6 +31,12 @@ pub const IDLE_ROTATIONS: &str = "idle_rotations";
 /// Holds of a quiescent visit's token that a submission cut short: the
 /// submissions were stamped onto the held token, which left with them.
 pub const HELD_TOKEN_STAMPS: &str = "held_token_stamps";
+/// Wakes sent: a submission found this member without the token after a
+/// visit that left nothing pending, and called the idle token over.
+pub const TOKEN_WAKES_SENT: &str = "token_wakes_sent";
+/// Wakes acted on: one released a held token, or made a quiescent visit
+/// forward the token where it would have held it.
+pub const TOKEN_WAKES_HONOURED: &str = "token_wakes_honoured";
 
 // ---- evs-membership ----
 

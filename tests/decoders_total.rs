@@ -388,6 +388,8 @@ fn frames() -> Vec<EvsMsg<Payload>> {
             msg: msg(4, b"x"),
         },
         EvsMsg::RecoveryAck { proposal: c },
+        EvsMsg::Ring(RingMsg::Wake(c)),
+        EvsMsg::Ring(RingMsg::Wake(ConfigId::transitional(u64::MAX, p(u32::MAX)))),
         // Every LEB128 field of the token at its widest.
         EvsMsg::Ring(RingMsg::Token(Token {
             config: ConfigId::regular(u64::MAX, p(u32::MAX)),

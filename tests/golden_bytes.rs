@@ -112,6 +112,7 @@ fn frames() -> Vec<(&'static str, EvsMsg<Payload>)> {
             },
         ),
         ("recovery_ack", EvsMsg::RecoveryAck { proposal: cfg }),
+        ("wake", EvsMsg::Ring(RingMsg::Wake(cfg))),
     ]
 }
 
@@ -200,13 +201,23 @@ fn actual() -> Vec<(&'static str, String)> {
     let mut frame = Vec::new();
     evs_store::encode_record(b"wal payload", &mut frame);
     out.push(("store_frame", hex(&frame)));
+    // A datagram of two frames, each behind its LEB128 length.
+    let [data, token] = ["data", "token"].map(|name| {
+        let (_, f) = frames()
+            .into_iter()
+            .find(|(n, _)| *n == name)
+            .expect("listed");
+        wire::encode(&f)
+    });
+    out.push(("packed_data_token", hex(&wire::pack_frames([data, token]))));
     out
 }
 
 /// Captured from the codec before it moved onto one cursor; a change here
 /// is a wire or disk format change, not a refactor. The token's vector and
 /// the data frames' (`data`, `batch`, `rebroadcast`) are the ones taken
-/// since, for their LEB128 layouts.
+/// since, for their LEB128 layouts, as are the wake's and the packed
+/// datagram's, whose frame lengths are LEB128 too.
 const GOLDEN: &[(&str, &str)] = &[
     ("heartbeat", "00002a000000000000000300000000"),
     ("join", "0001030000000000000002000000090000001100000000000000"),
@@ -220,6 +231,7 @@ const GOLDEN: &[(&str, &str)] = &[
     ("exchange_holes", "032a000000000000000300000000010000002900000000000000000000000003000000000000000300000004000000000000000300000000000000080000000000000001000000000000000b0000000000000001000000000000000b000000000000000300000000000000020000000000000001000000"),
     ("rebroadcast", "082b01012a0300050268010178"),
     ("recovery_ack", "052a000000000000000300000000"),
+    ("wake", "0a2a0300"),
     ("lease", "010004000000000000204d47d6"),
     ("sent", "0207000000000000000300000000000000010000002a00000000000000ca76ae98"),
     ("conf", "0309000000000000000000000001fea065fc"),
@@ -233,6 +245,7 @@ const GOLDEN: &[(&str, &str)] = &[
     ("broker_submit", "45564253000000000000002a0000000862616c616e63653f"),
     ("broker_reply", "45564252000000000000002a0000000000000009"),
     ("store_frame", "0b0000005f3cda1e77616c207061796c6f6164"),
+    ("packed_data_token", "0e072a030007026a020568656c6c6f0f022a0300d20938020104030306120c"),
 ];
 
 #[test]
